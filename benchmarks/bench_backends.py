@@ -63,11 +63,8 @@ def workloads():
     yield "enumerate posets n=7", "enum_orders", (7, False)
     yield "enumerate lattices n=8", "enum_orders", (8, True)
 
-    # the operator scan walks subset pairs, so keep the carrier small
     chain10 = fixture("chain10").poset
-    ltab = _core_py.subset_l_table(chain10.n, list(chain10.down))
     yield "subset lower table n=10", "subset_l_table", (chain10.n, list(chain10.down))
-    yield "subset operator scan n=10", "canon_subset_scan", (chain10.n, ltab, chain10.top)
 
 
 def main(argv=None):

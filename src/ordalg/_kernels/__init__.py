@@ -1,7 +1,7 @@
 """Kernel backend selection.
 
 The hot loops (closure, lattice/pseudocomplement tables, axiom scans,
-small-structure enumeration, powerset operator scans) exist twice: a
+small-structure enumeration, the subset lower-bound table) exist twice: a
 compiled Cython module ``_core_c`` working on uint64 masks and a pure
 Python twin ``_core_py``.  The compiled backend is preferred when built;
 set ``ORDALG_BACKEND=py`` or ``ORDALG_BACKEND=c`` to force one.  Carriers
@@ -60,7 +60,3 @@ def enum_orders(n, lattices_only):
 
 def subset_l_table(n, down):
     return _active.subset_l_table(n, list(down))
-
-
-def canon_subset_scan(n, ltab, top):
-    return _active.canon_subset_scan(n, ltab, top)

@@ -119,55 +119,22 @@ def check_operator_axioms(op, exhaustive_subsets=False):
 
     Subset-quantified laws run over the generated family by default, or
     over the full powerset with ``exhaustive_subsets`` (carrier capped at
-    12 elements; the canonical product takes a kernel fast path there).
+    12 elements).  For the canonical product, commutativity and the unit
+    law hold by construction: L(A u B) = L(B u A), and L(A u {top}) = L(A)
+    because every element lies below top.  Only a table-backed product is
+    scanned for them.  Each adjointness direction reports its first
+    failing triple in the fixed topological order.
     """
     p = op.poset
-    top_mask = 1 << p.top
     if exhaustive_subsets and p.n > SUBSET_BUDGET:
         raise SubsetBudgetError(
             f"powerset mode allows at most {SUBSET_BUDGET} elements, carrier has {p.n}"
         )
     commut = unit = Verdict(True)
-    fast = (
-        exhaustive_subsets
-        and isinstance(op.prod, CanonicalProduct)
-        and op.prod._ltab is not None
-    )
-    if fast:
-        if not kernels.canon_subset_scan(p.n, op.prod._ltab, p.top):
-            fast = False
-    if not fast:
-        family = (
-            range(1 << p.n) if exhaustive_subsets else generated_family(p)
-        )
-        subsets = tuple(family)
-        for a_mask in subsets:
-            if commut:
-                for b_mask in subsets:
-                    if op.prod.m(a_mask, b_mask) != op.prod.m(b_mask, a_mask):
-                        commut = Verdict(False, (a_mask, b_mask), "subset masks")
-                        break
-            if not commut:
-                break
-        for a_mask in subsets:
-            want = lower_set(p, a_mask)
-            if op.prod.m(top_mask, a_mask) != want or op.prod.m(a_mask, top_mask) != want:
-                unit = Verdict(False, (a_mask,), "subset mask")
-                break
-    fwd = bwd = Verdict(True)
-    for a in p.topo:
-        for b in p.topo:
-            uab = p.up[a] & p.up[b]
-            lb = p.down[b]
-            rab = op.resid.r(a, b)
-            for c in p.topo:
-                ucb = p.up[c] & p.up[b]
-                lhs = op.prod.m(uab, ucb) & ~lb == 0
-                rhs = lower_set(p, ucb) & ~rab == 0
-                if lhs and not rhs and fwd:
-                    fwd = Verdict(False, (a, b, c))
-                if rhs and not lhs and bwd:
-                    bwd = Verdict(False, (a, b, c))
+    if not isinstance(op.prod, CanonicalProduct):
+        subsets = tuple(range(1 << p.n) if exhaustive_subsets else generated_family(p))
+        commut, unit = _groupoid_verdicts(p, op.prod, subsets)
+    fwd, bwd = _adjointness_verdicts(p, op.prod, op.resid)
     return AxiomReport(
         subject=op,
         verdicts=(
@@ -177,6 +144,52 @@ def check_operator_axioms(op, exhaustive_subsets=False):
             ("adjointness-backward", bwd),
         ),
     )
+
+
+def _groupoid_verdicts(p, prod, subsets):
+    top_mask = 1 << p.top
+    commut = unit = Verdict(True)
+    for a_mask in subsets:
+        for b_mask in subsets:
+            if prod.m(a_mask, b_mask) != prod.m(b_mask, a_mask):
+                commut = Verdict(False, (a_mask, b_mask), "subset masks")
+                break
+        if not commut:
+            break
+    for a_mask in subsets:
+        want = lower_set(p, a_mask)
+        if prod.m(top_mask, a_mask) != want or prod.m(a_mask, top_mask) != want:
+            unit = Verdict(False, (a_mask,), "subset mask")
+            break
+    return commut, unit
+
+
+def _adjointness_verdicts(p, prod, resid):
+    up, down = p.up, p.down
+    # U(c,b) and its lower set depend on (c, b) only, not on a
+    cones = {}
+    for b in p.topo:
+        row = []
+        for c in p.topo:
+            ucb = up[c] & up[b]
+            row.append((c, ucb, lower_set(p, ucb)))
+        cones[b] = row
+    fwd = bwd = None
+    for a in p.topo:
+        for b in p.topo:
+            uab = up[a] & up[b]
+            lb = down[b]
+            rab = resid.r(a, b)
+            for c, ucb, lcb in cones[b]:
+                lhs = prod.m(uab, ucb) & ~lb == 0
+                rhs = lcb & ~rab == 0
+                if lhs and not rhs and fwd is None:
+                    fwd = (a, b, c)
+                if rhs and not lhs and bwd is None:
+                    bwd = (a, b, c)
+                if fwd and bwd:
+                    return Verdict(False, fwd), Verdict(False, bwd)
+    return Verdict(fwd is None, fwd or ()), Verdict(bwd is None, bwd or ())
 
 
 def operator_derived_laws(op, checked):
@@ -198,7 +211,7 @@ def operator_derived_laws(op, checked):
     law = Verdict(True)
     for a in p.topo:
         for b in p.topo:
-            if p.leq(a, b) != (op.resid.r(a, b) == full):
+            if (p.up[a] >> b & 1) != (op.resid.r(a, b) == full):
                 law = Verdict(False, (a, b), "ii")
                 break
         if not law:

@@ -18,7 +18,9 @@ MAX_ELEMENTS = 64
 class Poset:
     """Immutable finite poset: element names plus closed up-masks."""
 
-    __slots__ = ("names", "up", "down", "topo", "rank", "top", "bottom", "_index", "_covers")
+    __slots__ = (
+        "names", "up", "down", "n", "full", "topo", "rank", "top", "bottom", "_index", "_covers",
+    )
 
     def __init__(self, names, up):
         names = tuple(names)
@@ -58,6 +60,8 @@ class Poset:
         self.names = names
         self.up = up
         self.down = tuple(down)
+        self.n = n
+        self.full = full
         self.topo = tuple(sorted(range(n), key=lambda i: (bin(down[i]).count("1"), i)))
         rank = [0] * n
         for r, i in enumerate(self.topo):
@@ -67,14 +71,6 @@ class Poset:
         self.top = next((i for i in range(n) if down[i] == full), None)
         self.bottom = next((i for i in range(n) if up[i] == full), None)
         self._covers = None
-
-    @property
-    def n(self):
-        return len(self.names)
-
-    @property
-    def full(self):
-        return (1 << len(self.names)) - 1
 
     def leq(self, i, j):
         return bool(self.up[i] >> j & 1)

@@ -38,7 +38,7 @@ def relative_pc(lat, a, b):
     p = lat.poset
     s = 0
     for x in range(p.n):
-        if p.leq(lat.meet[a][x], b):
+        if p.up[lat.meet[a][x]] >> b & 1:
             s |= 1 << x
     return _max_in(p, s)
 
@@ -73,14 +73,26 @@ def sectional_pc_poset(p, a, b):
     return d
 
 
+def _relative_cell(p, by_down, a, b):
+    # x qualifies iff no y <= a outside the cone of b lies below x, so the
+    # qualifying set is a down-set: it has a greatest element iff it is a cone
+    up = p.up
+    above = 0
+    m = p.down[a] & ~p.down[b]
+    while m:
+        low = m & -m
+        above |= up[low.bit_length() - 1]
+        m ^= low
+    return by_down.get(p.full & ~above)
+
+
+def _cone_index(p):
+    return {d: x for x, d in enumerate(p.down)}
+
+
 def relative_pc_poset(p, a, b):
     """Greatest d whose common lower bounds with a sit inside the cone of b."""
-    s = 0
-    da, db = p.down[a], p.down[b]
-    for x in range(p.n):
-        if da & p.down[x] & ~db == 0:
-            s |= 1 << x
-    return _max_in(p, s)
+    return _relative_cell(p, _cone_index(p), a, b)
 
 
 def star_table_poset(p):
@@ -90,7 +102,8 @@ def star_table_poset(p):
 
 
 def relative_table_poset(p):
-    rows = [[relative_pc_poset(p, a, b) for b in range(p.n)] for a in range(p.n)]
+    by_down = _cone_index(p)
+    rows = [[_relative_cell(p, by_down, a, b) for b in range(p.n)] for a in range(p.n)]
     return BinOp.from_rows(rows)
 
 
@@ -129,9 +142,10 @@ def synthesize_sectional(lat):
         for rb in range(p.n):
             b = p.topo[rb]
             vee = lat.join[a][b]
+            ub = p.up[b]
             cand = b
             for x in range(p.n):
-                if p.leq(b, x) and lat.meet[vee][x] == b:
+                if ub >> x & 1 and lat.meet[vee][x] == b:
                     cand = lat.join[cand][x]
             if lat.meet[vee][cand] != b:
                 return FailureWitness((a, b), cand, lat.meet[vee][cand])
@@ -142,9 +156,10 @@ def synthesize_sectional(lat):
 def _modularity(lat):
     p = lat.poset
     for a in p.topo:
+        ua = p.up[a]
         for b in p.topo:
             for c in p.topo:
-                if p.leq(a, c) and lat.join[a][lat.meet[b][c]] != lat.meet[lat.join[a][b]][c]:
+                if ua >> c & 1 and lat.join[a][lat.meet[b][c]] != lat.meet[lat.join[a][b]][c]:
                     return Verdict(False, (a, b, c))
     return Verdict(True)
 

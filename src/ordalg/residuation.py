@@ -80,25 +80,27 @@ def _groupoid_verdict(cand):
 
 def _monotone_verdict(lat, mult):
     p = lat.poset
+    up = p.up
     t = mult.table
     for a, b in _pairs(p):
-        if p.leq(a, b):
+        if up[a] >> b & 1:
             for c in p.topo:
-                if not p.leq(t[a][c], t[b][c]) or not p.leq(t[c][a], t[c][b]):
+                if not up[t[a][c]] >> t[b][c] & 1 or not up[t[c][a]] >> t[c][b] & 1:
                     return Verdict(False, (a, b, c))
     return Verdict(True)
 
 
 def _adjointness_verdicts(lat, mult, imp):
     p = lat.poset
+    up = p.up
     join = lat.join
     mt, it = mult.table, imp.table
     fwd = bwd = None
     for a, b, c in _triples(p):
         ab = join[a][b]
         cb = join[c][b]
-        lhs = p.leq(mt[ab][cb], b)
-        rhs = p.leq(cb, it[a][b])
+        lhs = up[mt[ab][cb]] >> b & 1
+        rhs = up[cb] >> it[a][b] & 1
         if lhs and not rhs and fwd is None:
             fwd = (a, b, c)
         if rhs and not lhs and bwd is None:
@@ -186,6 +188,7 @@ def derived_laws(cand, checked):
     _require_verified(checked, cand)
     lat = cand.lattice
     p = lat.poset
+    up = p.up
     join = lat.join
     mt, it = cand.mult.table, cand.imp.table
     top, bot = lat.top, lat.bottom
@@ -202,22 +205,22 @@ def derived_laws(cand, checked):
         if it[top][x] != x:
             out["i"] = Verdict(False, (x,), "i")
             break
-    out["ii"] = scan_pairs("ii", lambda a, b: p.leq(a, b) == (it[a][b] == top))
-    out["iii"] = scan_pairs("iii", lambda a, b: p.leq(mt[a][join[a][b]], a))
-    out["iv"] = scan_pairs("iv", lambda a, b: p.leq(b, it[a][b]))
-    out["v"] = scan_pairs("v", lambda a, b: p.leq(mt[join[a][b]][it[a][b]], b))
+    out["ii"] = scan_pairs("ii", lambda a, b: (up[a] >> b & 1) == (it[a][b] == top))
+    out["iii"] = scan_pairs("iii", lambda a, b: up[mt[a][join[a][b]]] >> a & 1)
+    out["iv"] = scan_pairs("iv", lambda a, b: up[b] >> it[a][b] & 1)
+    out["v"] = scan_pairs("v", lambda a, b: up[mt[join[a][b]][it[a][b]]] >> b & 1)
     out["vi"] = scan_pairs("vi", lambda a, b: it[a][b] == it[join[a][b]][b])
-    out["vii"] = scan_pairs("vii", lambda a, b: p.leq(join[a][b], it[it[a][b]][b]))
+    out["vii"] = scan_pairs("vii", lambda a, b: up[join[a][b]] >> it[it[a][b]][b] & 1)
     law8 = Verdict(True)
     for a, b, c in _triples(p):
-        if p.leq(a, b) and not p.leq(it[b][c], it[a][c]):
+        if up[a] >> b & 1 and not up[it[b][c]] >> it[a][c] & 1:
             law8 = Verdict(False, (a, b, c), "viii")
             break
     out["viii"] = law8
     if bot is None:
         out["ix"] = Verdict(True, (), "skipped: no least element")
     else:
-        law9 = scan_pairs("ix", lambda a, b: (mt[a][b] == bot) == p.leq(a, it[b][bot]))
+        law9 = scan_pairs("ix", lambda a, b: (mt[a][b] == bot) == (up[a] >> it[b][bot] & 1))
         if law9:
             for x in p.topo:
                 if mt[bot][x] != bot:
@@ -234,18 +237,19 @@ def half_adjointness(lat, mult, imp):
     verifies that (c v b) <= a -> b forces (a v b) * (c v b) <= b.
     """
     p = lat.poset
+    up = p.up
     mt, it = mult.table, imp.table
     join = lat.join
     for a in p.topo:
         for b, c in _pairs(p):
-            if p.leq(b, c) and not p.leq(mt[a][b], mt[a][c]):
+            if up[b] >> c & 1 and not up[mt[a][b]] >> mt[a][c] & 1:
                 raise PreconditionError("mult monotone in second argument", (a, b, c))
     for a, b in _pairs(p):
-        if not p.leq(mt[join[a][b]][it[a][b]], b):
+        if not up[mt[join[a][b]][it[a][b]]] >> b & 1:
             raise PreconditionError("(a v b) * (a -> b) <= b", (a, b))
     for a, b, c in _triples(p):
         cb = join[c][b]
-        if p.leq(cb, it[a][b]) and not p.leq(mt[join[a][b]][cb], b):
+        if up[cb] >> it[a][b] & 1 and not up[mt[join[a][b]][cb]] >> b & 1:
             return Verdict(False, (a, b, c))
     return Verdict(True)
 
@@ -272,6 +276,7 @@ def identity_basis_check(cand):
     """
     lat = cand.lattice
     p = lat.poset
+    up = p.up
     join = lat.join
     mt, it = cand.mult.table, cand.imp.table
     top = lat.top
@@ -279,19 +284,19 @@ def identity_basis_check(cand):
     v = Verdict(True)
     for a, b, c in _triples(p):
         ab, cb = join[a][b], join[c][b]
-        if not p.leq(it[mt[ab][cb]][b], it[cb][it[a][b]]):
+        if not up[it[mt[ab][cb]][b]] >> it[cb][it[a][b]] & 1:
             v = Verdict(False, (a, b, c), "i")
             break
     conds.append(("i", v))
     v = Verdict(True)
     for a, b in _pairs(p):
-        if not p.leq(mt[join[a][b]][it[a][b]], b):
+        if not up[mt[join[a][b]][it[a][b]]] >> b & 1:
             v = Verdict(False, (a, b), "ii")
             break
     conds.append(("ii", v))
     v = Verdict(True)
     for a, b, c in _triples(p):
-        if not p.leq(mt[a][b], mt[a][join[b][c]]):
+        if not up[mt[a][b]] >> mt[a][join[b][c]] & 1:
             v = Verdict(False, (a, b, c), "iii")
             break
     conds.append(("iii", v))

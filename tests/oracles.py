@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive: partitions are enumerated as
 restricted growth strings, posets as transitive upper-triangular
-relations, isomorphism by trying every permutation.  Slow but obviously
-correct, which is the point.
+relations, isomorphism by trying every permutation, relative
+pseudocomplements cell by cell, operator axioms triple by triple.  Slow
+but obviously correct, which is the point.
 """
 
 from itertools import permutations
 
-from ordalg import BinOp, Congruence, FiniteAlgebra, Poset, as_lattice
+from ordalg import BinOp, Congruence, FiniteAlgebra, Poset, Verdict, as_lattice, lower_set
 
 
 def all_partitions(n):
@@ -123,3 +124,59 @@ def poset_from_edges(n, edges):
             if up[i] >> k & 1:
                 up[i] |= up[k]
     return Poset(tuple(f"e{i}" for i in range(n)), tuple(up))
+
+
+def relative_pc_per_x(p, a, b):
+    """Greatest x with down(a) ^ down(x) inside down(b), testing every x."""
+    s = 0
+    da, db = p.down[a], p.down[b]
+    for x in range(p.n):
+        if da & p.down[x] & ~db == 0:
+            s |= 1 << x
+    for x in p.iter_mask(s):
+        if s & ~p.down[x] == 0:
+            return x
+    return None
+
+
+def subset_groupoid_loops(p, prod, subsets):
+    """Commutativity and unit verdicts of a subset product, pair by pair."""
+    top_mask = 1 << p.top
+    commut = unit = Verdict(True)
+    for a_mask in subsets:
+        for b_mask in subsets:
+            if prod.m(a_mask, b_mask) != prod.m(b_mask, a_mask):
+                commut = Verdict(False, (a_mask, b_mask), "subset masks")
+                break
+        if not commut:
+            break
+    for a_mask in subsets:
+        want = lower_set(p, a_mask)
+        if prod.m(top_mask, a_mask) != want or prod.m(a_mask, top_mask) != want:
+            unit = Verdict(False, (a_mask,), "subset mask")
+            break
+    return commut, unit
+
+
+def adjointness_per_triple(op):
+    """Forward and backward adjointness verdicts, scanning every triple.
+
+    U(c,b) and its lower set are rebuilt for each triple, and the scan
+    never stops early.
+    """
+    p = op.poset
+    fwd = bwd = Verdict(True)
+    for a in p.topo:
+        for b in p.topo:
+            uab = p.up[a] & p.up[b]
+            lb = p.down[b]
+            rab = op.resid.r(a, b)
+            for c in p.topo:
+                ucb = p.up[c] & p.up[b]
+                lhs = op.prod.m(uab, ucb) & ~lb == 0
+                rhs = lower_set(p, ucb) & ~rab == 0
+                if lhs and not rhs and fwd:
+                    fwd = Verdict(False, (a, b, c))
+                if rhs and not lhs and bwd:
+                    bwd = Verdict(False, (a, b, c))
+    return fwd, bwd

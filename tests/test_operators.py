@@ -1,8 +1,12 @@
 """Subset-operator residuation on posets with a greatest element."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from ordalg import (
+    CanonicalProduct,
     CanonicalResidual,
     ExplicitProduct,
     ExplicitResidual,
@@ -21,6 +25,8 @@ from ordalg import (
     operator_derived_laws,
     star_table_poset,
 )
+
+from oracles import adjointness_per_triple, subset_groupoid_loops
 
 AXIOMS = (
     "subset-commutativity",
@@ -153,3 +159,48 @@ def test_residual_masks_are_lower_cones():
             for i in p.iter_mask(mask):
                 spread |= p.down[i]
             assert spread == mask
+
+
+def _posets_with_top(max_n):
+    for n in range(1, max_n + 1):
+        yield from enumerate_structures(n, "posets-with-top").members
+
+
+def test_canonical_product_laws_hold_by_construction():
+    # the per-pair loops check_operator_axioms skips for the canonical product
+    for p in _posets_with_top(6):
+        prod = CanonicalProduct(p)
+        for subsets in (generated_family(p), range(1 << p.n)):
+            commut, unit = subset_groupoid_loops(p, prod, subsets)
+            assert commut and unit, p.up
+
+
+def _broken_operators(p, rng):
+    fam = generated_family(p)
+    canon = CanonicalProduct(p)
+    cones = [ExplicitResidual(p, {(x, y): p.down[y] for x in range(p.n) for y in range(p.n)}),
+             ExplicitResidual(p, {(x, y): p.full for x in range(p.n) for y in range(p.n)})]
+    for resid in cones:
+        yield OperatorPoset(p, canon, resid)
+    for _ in range(3):
+        prod = ExplicitProduct(p, {
+            (x, y): canon.m(x, y) if rng.random() < 0.7 else rng.randrange(1 << p.n)
+            for x in fam for y in fam
+        })
+        resid = ExplicitResidual(p, {
+            (x, y): p.down[rng.randrange(p.n)] for x in range(p.n) for y in range(p.n)
+        })
+        yield OperatorPoset(p, prod, resid)
+
+
+def test_adjointness_witnesses_match_per_triple_oracle():
+    rng = random.Random(7)
+    failed = Counter()
+    for p in _posets_with_top(5):
+        for op in _broken_operators(p, rng):
+            report = check_operator_axioms(op)
+            want = (subset_groupoid_loops(p, op.prod, generated_family(p))
+                    + adjointness_per_triple(op))
+            assert tuple(v for _, v in report.verdicts) == want, p.up
+            failed.update(report.failed())
+    assert failed["adjointness-forward"] and failed["adjointness-backward"], failed

@@ -8,6 +8,7 @@ from ordalg import (
     LatticeOps,
     as_lattice,
     classify,
+    direct_product,
     enumerate_structures,
     fixture,
     is_meet_semidistributive,
@@ -22,6 +23,7 @@ from ordalg import (
     upper_set,
 )
 
+from oracles import relative_pc_per_x
 from test_poset import random_posets
 
 
@@ -197,3 +199,26 @@ def test_relative_cells_are_greatest(p):
                 assert not any(all(p.leq(x, t) for x in good) for t in good)
             else:
                 assert d in good and all(p.leq(x, d) for x in good)
+
+
+def _relative_cases():
+    for n in range(1, 9):
+        yield from enumerate_structures(n, "lattices").members
+    for n in range(1, 8):
+        yield from enumerate_structures(n, "posets-with-top").members
+    for n in range(1, 7):
+        yield from enumerate_structures(n, "all-posets").members
+    yield direct_product(fixture("bowtie").poset, fixture("pentagon").poset)
+    # 80 elements: masks wider than a machine word
+    yield direct_product(fixture("pentagon").poset, fixture("bool4").poset, max_size=128)
+
+
+def test_relative_table_matches_per_x_oracle():
+    checked = 0
+    for p in _relative_cases():
+        rel = relative_table_poset(p)
+        for a in range(p.n):
+            for b in range(p.n):
+                assert rel.value(a, b) == relative_pc_per_x(p, a, b), (p.up, a, b)
+        checked += 1
+    assert checked == 300 + 406 + 405 + 2
