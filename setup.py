@@ -2,35 +2,16 @@ import os
 
 from setuptools import Extension, setup
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-PYX = "src/ordalg/_kernels/_core_c.pyx"
-GEN_C = "src/ordalg/_kernels/_core_c.c"
-
 ext_modules = []
 if os.environ.get("ORDALG_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "ordalg._kernels._core_c",
-                    [PYX],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+    # Hand-written CPython extension; without it every kernel runs on the
+    # pure Python twin.
+    ext_modules = [
+        Extension(
+            "ordalg._kernels._core_c",
+            ["src/ordalg/_kernels/_core_c.c"],
+            extra_compile_args=["-O3"],
         )
-    except ImportError:
-        # No Cython: build from the generated C if it shipped, else run
-        # on the pure backend only.
-        if os.path.exists(os.path.join(HERE, GEN_C)):
-            ext_modules = [
-                Extension(
-                    "ordalg._kernels._core_c",
-                    [GEN_C],
-                    extra_compile_args=["-O3"],
-                )
-            ]
+    ]
 
 setup(ext_modules=ext_modules)

@@ -2,11 +2,11 @@
 
 The hot loops (closure, lattice/pseudocomplement tables, axiom scans,
 small-structure enumeration, the subset lower-bound table) exist twice: a
-compiled Cython module ``_core_c`` working on uint64 masks and a pure
-Python twin ``_core_py``.  The compiled backend is preferred when built;
-set ``ORDALG_BACKEND=py`` or ``ORDALG_BACKEND=c`` to force one.  Carriers
-wider than 64 elements always route to the pure backend, which handles
-arbitrary-width masks.
+hand-written C extension ``_core_c`` (``_core_c.c``) working on uint64
+masks and a pure Python twin ``_core_py``.  The compiled backend is
+preferred when built; set ``ORDALG_BACKEND=py`` or ``ORDALG_BACKEND=c`` to
+force one.  Carriers outside 1..64 elements always route to the pure
+backend, which handles arbitrary-width masks (and the empty carrier).
 """
 
 import os
@@ -31,7 +31,7 @@ HAVE_C = _c is not None
 
 
 def _pick(n):
-    return _active if n <= 64 else _py
+    return _active if 0 < n <= 64 else _py
 
 
 def closure(n, up):

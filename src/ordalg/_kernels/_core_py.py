@@ -245,8 +245,8 @@ def enum_orders(n, lattices_only):
 
 def subset_l_table(n, down):
     """Lower-bound masks L(A) for every subset mask A; L(empty) is everything."""
-    if n > 16:
-        raise ValueError("subset_l_table supports n <= 16")
+    if not 1 <= n <= 16:
+        raise ValueError("subset_l_table supports 1 <= n <= 16")
     full = (1 << n) - 1
     size = 1 << n
     tab = [full] * size
@@ -255,17 +255,3 @@ def subset_l_table(n, down):
         tab[a] = tab[a ^ low] & down[low.bit_length() - 1]
     return tab
 
-
-def canon_subset_scan(n, ltab, top):
-    """Commutativity and unit laws of the canonical subset product, all subsets."""
-    size = 1 << n
-    tbit = 1 << top
-    for a in range(size):
-        if ltab[a | tbit] != ltab[a]:
-            return False
-    for a in range(size):
-        arow = a
-        for b in range(size):
-            if ltab[arow | b] != ltab[b | arow]:
-                return False
-    return True

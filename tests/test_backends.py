@@ -4,6 +4,7 @@ The heavy exhaustive sweep lives in the benchmarks; these tests keep a
 condensed version in the default run so a miscompiled kernel cannot hide.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -12,7 +13,15 @@ import sys
 import pytest
 
 from ordalg import _kernels as kernels
-from ordalg import enumerate_structures, fixture, make_poset, star_table_poset
+from ordalg import (
+    as_lattice,
+    enumerate_structures,
+    fixture,
+    from_sectional,
+    make_poset,
+    star_table_poset,
+    synthesize_sectional,
+)
 
 pytestmark = pytest.mark.skipif(
     not kernels.HAVE_C, reason="compiled backend not built"
@@ -36,18 +45,21 @@ def test_enum_orders_identical():
 
 def test_tables_identical_on_catalog():
     c = c_backend()
-    for n in range(1, 6):
-        for p in enumerate_structures(n, "all-posets", dedup=False).members:
-            args = (p.n, list(p.up), list(p.down))
-            assert c.lattice_tables(*args) == py.lattice_tables(*args)
-            assert c.poset_star_table(*args) == py.poset_star_table(*args)
+    catalog = (p for n in range(1, 6)
+               for p in enumerate_structures(n, "all-posets", dedup=False).members)
+    # bool6 and chain64 fill all 64 bits, where bit 63 and the full mask matter
+    wide = (fixture(name).poset for name in ("bool6", "chain64"))
+    for p in itertools.chain(catalog, wide):
+        args = (p.n, list(p.up), list(p.down))
+        assert c.lattice_tables(*args) == py.lattice_tables(*args)
+        assert c.poset_star_table(*args) == py.poset_star_table(*args)
 
 
 def test_closure_identical_on_random_dags():
     c = c_backend()
     rng = random.Random(11)
-    for _ in range(60):
-        n = rng.randrange(1, 12)
+    sizes = itertools.chain((rng.randrange(1, 12) for _ in range(60)), (1, 64))
+    for n in sizes:
         up = [1 << i for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
@@ -56,18 +68,31 @@ def test_closure_identical_on_random_dags():
         assert c.closure(n, list(up)) == py.closure(n, list(up))
 
 
-def test_axiom_scans_identical_on_random_tables():
-    c = c_backend()
+def scan_inputs():
+    """(n, up, top, join, mult, imp) for the axiom scans, as flat row-major tables."""
     rng = random.Random(12)
     for _ in range(80):
         n = rng.randrange(2, 6)
         up = list(fixture(f"chain{n}").poset.up)
-        # scans take flat row-major tables
         join = tuple(max(i, j) for i in range(n) for j in range(n))
         mult = tuple(rng.randrange(n) for _ in range(n * n))
         imp = tuple(rng.randrange(n) for _ in range(n * n))
-        got_c = c.rrl_scan(n, list(up), n - 1, join, mult, imp)
-        got_py = py.rrl_scan(n, list(up), n - 1, join, mult, imp)
+        yield n, up, n - 1, join, mult, imp
+    yield 1, [1], 0, (0,), (0,), (0,)
+    # the 64-element cube: its synthesized residuation passes every scan, and
+    # an implication that is top everywhere breaks adjointness and divisibility
+    lat = as_lattice(fixture("bool6").poset)
+    cand = from_sectional(lat, synthesize_sectional(lat))
+    p = lat.poset
+    yield p.n, list(p.up), p.top, lat.flat_join(), cand.mult.flat(), cand.imp.flat()
+    yield p.n, list(p.up), p.top, lat.flat_join(), cand.mult.flat(), (p.top,) * (p.n * p.n)
+
+
+def test_axiom_scans_identical_on_random_tables():
+    c = c_backend()
+    for n, up, top, join, mult, imp in scan_inputs():
+        got_c = c.rrl_scan(n, list(up), top, join, mult, imp)
+        got_py = py.rrl_scan(n, list(up), top, join, mult, imp)
         assert got_c == got_py
         assert c.divisibility_scan(n, join, mult, imp) == \
             py.divisibility_scan(n, join, mult, imp)
@@ -77,11 +102,42 @@ def test_subset_scans_identical():
     c = c_backend()
     for n in range(1, 5):
         for p in enumerate_structures(n, "posets-with-top").members:
-            ltab_c = c.subset_l_table(p.n, list(p.down))
-            ltab_py = py.subset_l_table(p.n, list(p.down))
-            assert ltab_c == ltab_py
-            assert c.canon_subset_scan(p.n, ltab_c, p.top) == \
-                py.canon_subset_scan(p.n, ltab_py, p.top)
+            assert c.subset_l_table(p.n, list(p.down)) == py.subset_l_table(p.n, list(p.down))
+
+
+def test_kernels_reject_inputs_their_buffers_cannot_hold():
+    c = c_backend()
+    cases = (
+        ("closure", 64, lambda n: (n, [0] * n)),
+        ("lattice_tables", 64, lambda n: (n, [0] * n, [0] * n)),
+        ("poset_star_table", 64, lambda n: (n, [0] * n, [0] * n)),
+        ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
+        ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
+        ("enum_orders", 8, lambda n: (n, False)),
+        ("subset_l_table", 16, lambda n: (n, [0] * n)),
+    )
+    for kernel, most, args in cases:
+        # both twins share the bounds set by the output format: 8-bit packed
+        # rows for enum_orders, a 2**n list for subset_l_table
+        twins = (c, py) if most < 64 else (c,)
+        for n in (-1, 0, most + 1, 200):
+            for twin in twins:
+                with pytest.raises(ValueError, match="supports 1 <= n <="):
+                    getattr(twin, kernel)(*args(n))
+
+    # a mask bit, table entry or top outside the carrier would index past
+    # the fixed-size buffers, as would too few masks
+    for bad in (
+        lambda: c.closure(3, [8, 0, 0]),
+        lambda: c.closure(3, [1, 2]),
+        lambda: c.lattice_tables(2, [3, 2], [1, 4]),
+        lambda: c.rrl_scan(2, [3, 2], 2, [0] * 4, [0] * 4, [0] * 4),
+        lambda: c.rrl_scan(2, [3, 2], 1, [0] * 4, [0, 0, 0, 64], [0] * 4),
+        lambda: c.divisibility_scan(2, [0] * 4, [0] * 4, [0, -1, 0, 0]),
+        lambda: c.divisibility_scan(2, [0] * 3, [0] * 4, [0] * 4),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_env_var_selects_backend():
