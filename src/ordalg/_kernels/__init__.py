@@ -1,9 +1,9 @@
 """Kernel backend selection.
 
 The hot loops (closure, lattice/pseudocomplement tables, axiom scans,
-small-structure enumeration, the subset lower-bound table) exist twice: a
-hand-written C extension ``_core_c`` (``_core_c.c``) working on uint64
-masks and a pure Python twin ``_core_py``.  The compiled backend is
+small-structure enumeration) exist twice: a hand-written C extension
+``_core_c`` (``_core_c.c``) working on uint64 masks and a pure Python
+twin ``_core_py``.  The compiled backend is
 preferred when built; set ``ORDALG_BACKEND=py`` or ``ORDALG_BACKEND=c`` to
 force one.  Carriers outside 1..64 elements always route to the pure
 backend, which handles arbitrary-width masks (and the empty carrier).
@@ -56,7 +56,3 @@ def divisibility_scan(n, join, mult, imp):
 
 def enum_orders(n, lattices_only):
     return _active.enum_orders(n, bool(lattices_only))
-
-
-def subset_l_table(n, down):
-    return _active.subset_l_table(n, list(down))

@@ -327,24 +327,6 @@ static PyObject *enum_orders(PyObject *self, PyObject *const *args, Py_ssize_t n
     return out;
 }
 
-static PyObject *subset_l_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    uint64_t db[16];
-    int n;
-    if (read_n("subset_l_table", args, nargs, 2, 16, &n) || read_masks(args[1], n, db))
-        return NULL;
-    Py_ssize_t size = (Py_ssize_t)1 << n;
-    uint64_t *tab = PyMem_Malloc(size * sizeof(uint64_t));
-    if (!tab)
-        return PyErr_NoMemory();
-    tab[0] = FULL(n);
-    for (Py_ssize_t a = 1; a < size; a++)
-        tab[a] = tab[a & (a - 1)] & db[ctz64((uint64_t)a)];
-    PyObject *out = mask_list(tab, size);
-    PyMem_Free(tab);
-    return out;
-}
-
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
@@ -362,8 +344,6 @@ static PyMethodDef methods[] = {
     KERNEL(enum_orders, "enum_orders(n, lattices_only)\n--\n\n"
            "Packed order matrices of all naturally labeled posets on n points.\n\n"
            "Same search as the pure twin; one uint64 per poset, row i in bits 8i..8i+n."),
-    KERNEL(subset_l_table, "subset_l_table(n, down)\n--\n\n"
-           "Lower-bound masks L(A) for every subset mask A; L(empty) is everything."),
     {NULL, NULL, 0, NULL},
 };
 

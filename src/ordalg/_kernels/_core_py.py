@@ -241,17 +241,3 @@ def enum_orders(n, lattices_only):
 
     rec(0)
     return out
-
-
-def subset_l_table(n, down):
-    """Lower-bound masks L(A) for every subset mask A; L(empty) is everything."""
-    if not 1 <= n <= 16:
-        raise ValueError("subset_l_table supports 1 <= n <= 16")
-    full = (1 << n) - 1
-    size = 1 << n
-    tab = [full] * size
-    for a in range(1, size):
-        low = a & -a
-        tab[a] = tab[a ^ low] & down[low.bit_length() - 1]
-    return tab
-

@@ -8,7 +8,6 @@ so tests can inject broken operators and watch the axioms fail.
 
 from dataclasses import dataclass, field
 
-from . import _kernels as kernels
 from .errors import NoTopError, OrdAlgError, PartialStarError, SubsetBudgetError
 from .poset import lower_set
 from .residuation import AxiomReport, _require_verified
@@ -24,14 +23,14 @@ class CanonicalProduct:
 
     def __init__(self, poset):
         self.poset = poset
-        self._ltab = None
-        if poset.n <= 16:
-            self._ltab = kernels.subset_l_table(poset.n, poset.down)
+        self._lower = {}
 
     def m(self, a_mask, b_mask):
-        if self._ltab is not None:
-            return self._ltab[a_mask | b_mask]
-        return lower_set(self.poset, a_mask | b_mask)
+        mask = a_mask | b_mask
+        low = self._lower.get(mask)
+        if low is None:
+            low = self._lower[mask] = lower_set(self.poset, mask)
+        return low
 
 
 class CanonicalResidual:
@@ -40,6 +39,8 @@ class CanonicalResidual:
     kind = "canonical-residual"
 
     def __init__(self, poset, star):
+        if star.n != poset.n:
+            raise ValueError(f"star table carrier size {star.n} != {poset.n}")
         if not star.is_total:
             cell = star.undefined_cells()[0]
             raise PartialStarError(
@@ -174,14 +175,17 @@ def _adjointness_verdicts(p, prod, resid):
             ucb = up[c] & up[b]
             row.append((c, ucb, lower_set(p, ucb)))
         cones[b] = row
+    # the canonical product of U(a,b) and U(c,b) is L(U(a,b)) & L(U(c,b))
+    canonical = isinstance(prod, CanonicalProduct)
     fwd = bwd = None
     for a in p.topo:
         for b in p.topo:
-            uab = up[a] & up[b]
+            _, uab, lab = cones[b][p.rank[a]]
             lb = down[b]
             rab = resid.r(a, b)
             for c, ucb, lcb in cones[b]:
-                lhs = prod.m(uab, ucb) & ~lb == 0
+                prod_abc = lab & lcb if canonical else prod.m(uab, ucb)
+                lhs = prod_abc & ~lb == 0
                 rhs = lcb & ~rab == 0
                 if lhs and not rhs and fwd is None:
                     fwd = (a, b, c)
@@ -261,17 +265,11 @@ def adjointness_solutions(p, a, b):
     poset with top this set is empty or a single element, and it is
     nonempty exactly when the sectional pseudocomplement exists.
     """
-    out = []
     lb = p.down[b]
     lu_ab = lower_set(p, p.up[a] & p.up[b])
-    for v in range(p.n):
-        ok = True
-        for c in range(p.n):
-            cond = lu_ab & lower_set(p, p.up[c] & p.up[b]) == lb
-            member = bool((p.up[c] & p.up[b]) >> v & 1)
-            if cond != member:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return tuple(out)
+    # each c keeps the v inside U(c,b) when its condition holds, else those outside
+    sols = p.full
+    for c in range(p.n):
+        ucb = p.up[c] & p.up[b]
+        sols &= ucb if lu_ab & lower_set(p, ucb) == lb else ~ucb
+    return tuple(p.iter_mask(sols))

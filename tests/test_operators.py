@@ -1,5 +1,6 @@
 """Subset-operator residuation on posets with a greatest element."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -18,9 +19,11 @@ from ordalg import (
     adjointness_solutions,
     canonical_operators,
     check_operator_axioms,
+    direct_product,
     enumerate_structures,
     fixture,
     generated_family,
+    lower_set,
     make_poset,
     operator_derived_laws,
     star_table_poset,
@@ -112,6 +115,13 @@ def test_partial_star_rejected():
         CanonicalResidual(p, star)
 
 
+def test_star_table_of_another_carrier_rejected():
+    pentagon, bowtie = fixture("pentagon"), fixture("bowtie")
+    for p, star in ((pentagon.poset, bowtie.star), (bowtie.poset, pentagon.star)):
+        with pytest.raises(ValueError, match=f"carrier size {star.n} != {p.n}"):
+            canonical_operators(p, star)
+
+
 def test_no_top_rejected():
     p = make_poset(("x", "y"), ())
     with pytest.raises(NoTopError):
@@ -175,6 +185,27 @@ def test_canonical_product_laws_hold_by_construction():
             assert commut and unit, p.up
 
 
+def _wide_posets():
+    # n = 16, 20 and 30: carriers too wide for a full powerset scan
+    yield fixture("bool4").poset
+    yield fixture("chain20").poset
+    yield direct_product(fixture("bowtie").poset, fixture("pentagon").poset)
+
+
+def test_canonical_product_is_lower_set_of_union():
+    for p in _posets_with_top(5):
+        prod = CanonicalProduct(p)
+        for a_mask in range(1 << p.n):
+            for b_mask in range(1 << p.n):
+                assert prod.m(a_mask, b_mask) == lower_set(p, a_mask | b_mask), p.up
+    for p in _wide_posets():
+        prod = CanonicalProduct(p)
+        fam = generated_family(p)
+        for a_mask in fam:
+            for b_mask in fam:
+                assert prod.m(a_mask, b_mask) == lower_set(p, a_mask | b_mask), p.n
+
+
 def _broken_operators(p, rng):
     fam = generated_family(p)
     canon = CanonicalProduct(p)
@@ -191,12 +222,20 @@ def _broken_operators(p, rng):
             (x, y): p.down[rng.randrange(p.n)] for x in range(p.n) for y in range(p.n)
         })
         yield OperatorPoset(p, prod, resid)
+    star = star_table_poset(p)
+    if star.is_total:
+        # the canonical residual with one cell changed fails only at that
+        # cell's (a, b), which may lie deep in the scan
+        for _ in range(2):
+            table = {(x, y): p.down[star.value(x, y)] for x in range(p.n) for y in range(p.n)}
+            table[rng.randrange(p.n), rng.randrange(p.n)] = p.down[rng.randrange(p.n)]
+            yield OperatorPoset(p, canon, ExplicitResidual(p, table))
 
 
 def test_adjointness_witnesses_match_per_triple_oracle():
     rng = random.Random(7)
     failed = Counter()
-    for p in _posets_with_top(5):
+    for p in itertools.chain(_posets_with_top(5), _wide_posets()):
         for op in _broken_operators(p, rng):
             report = check_operator_axioms(op)
             want = (subset_groupoid_loops(p, op.prod, generated_family(p))
