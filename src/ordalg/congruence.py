@@ -1,10 +1,19 @@
 """Congruences of finite algebras with binary operations and constants.
 
 A congruence is stored as a canonical label vector: every element maps to
-the least index of its block.  All congruences of an algebra are the joins
-of its principal congruences; the enumeration closes the principal ones
-under pairwise join and is cross-checked in the tests against filtering
-every set partition of the carrier.
+the least index of its block.
+
+The principal congruence of a pair (a, b) is a union-find closure driven
+by a worklist of pairs (Freese, "Computing congruences efficiently",
+Algebra Universalis 59, 2008): each pair that merges two blocks pushes
+its translates (t(x, z), t(y, z)) and (t(z, x), t(z, y)) through every
+operation, both sides because operations need not be commutative.  Every
+congruence is a join of principal ones, so the enumeration closes the
+principal congruences under joins with a principal congruence; it is
+cross-checked in the tests against filtering every set partition of the
+carrier.  The distributivity check computes each join and meet of the
+listed congruences once, as index tables, and scans the triples through
+them.
 """
 
 from dataclasses import dataclass
@@ -74,6 +83,18 @@ def _canon(labels):
     return tuple(out)
 
 
+def _merge(label, members, x, y):
+    # union-find by block labels: the block of y joins the block of x under
+    # the lesser label, so a label stays its block's least member and a
+    # lookup is one index
+    lx, ly = label[x], label[y]
+    if lx > ly:
+        lx, ly = ly, lx
+    for z in members[ly]:
+        label[z] = lx
+    members[lx] += members[ly]
+
+
 @dataclass(frozen=True)
 class Congruence:
     """Partition by least-member labels; equality is structural."""
@@ -107,29 +128,28 @@ class Congruence:
             masks[l] = masks.get(l, 0) | 1 << i
         return [masks[l] for l in self.labels]
 
+    def _same_carrier(self, other):
+        if self.n != other.n:
+            raise ValueError(f"congruences on carriers of {self.n} and {other.n} elements")
+
     def meet(self, other):
-        pair_labels = {}
-        out = []
-        for i in range(self.n):
-            key = (self.labels[i], other.labels[i])
-            out.append(pair_labels.setdefault(key, i))
-        return Congruence(_canon(tuple(out)))
+        self._same_carrier(other)
+        # the first index of each label pair is its block's least member
+        first = {}
+        return Congruence(tuple(
+            first.setdefault(key, i) for i, key in enumerate(zip(self.labels, other.labels))
+        ))
 
     def join(self, other):
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(self.n):
-            for lab in (self.labels[i], other.labels[i]):
-                ri, rl = find(i), find(lab)
-                if ri != rl:
-                    parent[max(ri, rl)] = min(ri, rl)
-        return Congruence(_canon(tuple(find(i) for i in range(self.n))))
+        self._same_carrier(other)
+        label = list(self.labels)
+        members = [[] for _ in label]
+        for i, l in enumerate(label):
+            members[l].append(i)
+        for i, l in enumerate(other.labels):
+            if label[i] != label[l]:
+                _merge(label, members, i, l)
+        return Congruence(tuple(label))
 
     @classmethod
     def diagonal(cls, n):
@@ -165,86 +185,62 @@ class Congruence:
 
 
 def principal_congruence(algebra, a, b):
-    """Least congruence relating a and b: merge, close under ops, repeat."""
+    """Least congruence relating a and b, by a union-find worklist of pairs."""
     n = algebra.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        roots = [find(i) for i in range(n)]
-        for _, op in algebra.ops:
-            t = op.table
-            for x in range(n):
-                for y in range(x + 1, n):
-                    if roots[x] != roots[y]:
-                        continue
-                    for z in range(n):
-                        if union(t[x][z], t[y][z]):
-                            changed = True
-                        if union(t[z][x], t[z][y]):
-                            changed = True
-    return Congruence(_canon(tuple(find(i) for i in range(n))))
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"pair ({a}, {b}) outside the carrier of {n} elements")
+    tables = [op.table for _, op in algebra.ops]
+    label = list(range(n))
+    members = [[i] for i in range(n)]
+    work = [(a, b)]
+    while work:
+        x, y = work.pop()
+        if label[x] != label[y]:
+            _merge(label, members, x, y)
+            # (x, y) is now related, so each translate of it must be too
+            for t in tables:
+                work.extend(zip(t[x], t[y]))
+                work.extend((row[x], row[y]) for row in t)
+    return Congruence(tuple(label))
 
 
 def all_congruences(algebra, budget=CARRIER_BUDGET):
     """Every congruence, ordered by block count then labels.
 
-    Principal congruences are closed under pairwise join; the diagonal and
-    the total congruence always appear.
+    Principal congruences are closed under joins with a principal
+    congruence; the diagonal is added, and the total congruence is the
+    join of every principal one.
     """
     n = algebra.n
     if n > budget:
         raise BudgetError(f"carrier of {n} exceeds the congruence budget {budget}")
     found = {Congruence.diagonal(n)}
-    work = []
+    principals = []
     for a in range(n):
         for b in range(a + 1, n):
             c = principal_congruence(algebra, a, b)
             if c not in found:
                 found.add(c)
-                work.append(c)
-    frontier = list(work)
+                principals.append(c)
+    frontier = principals
     while frontier:
         nxt = []
         for c in frontier:
-            for d in list(found):
-                j = c.join(d)
+            for p in principals:
+                j = c.join(p)
                 if j not in found:
                     found.add(j)
                     nxt.append(j)
         frontier = nxt
-    if n >= 1:
-        total = Congruence.total(n)
-        if total not in found:
-            found.add(total)
     return sorted(found, key=lambda c: (c.num_blocks, c.labels))
 
 
-def _compose(theta, phi):
+def _compose(tmask, pmask):
     # relation composition on block masks: x (theta;phi) z iff some y has
     # x theta y and y phi z
-    n = theta.n
-    tmask = theta.block_masks()
-    pmask = phi.block_masks()
     out = []
-    for x in range(n):
+    for m in tmask:
         acc = 0
-        m = tmask[x]
         while m:
             low = m & -m
             acc |= pmask[low.bit_length() - 1]
@@ -256,27 +252,81 @@ def _compose(theta, phi):
 def check_permutable(algebra, congs=None):
     """Verdict: every pair of congruences permutes under composition."""
     congs = all_congruences(algebra) if congs is None else congs
+    masks = [c.block_masks() for c in congs]
     for i, theta in enumerate(congs):
-        for phi in congs[i + 1:]:
-            left = _compose(theta, phi)
-            right = _compose(phi, theta)
+        for j in range(i + 1, len(congs)):
+            left = _compose(masks[i], masks[j])
+            right = _compose(masks[j], masks[i])
             if left != right:
                 for x in range(algebra.n):
                     diff = left[x] ^ right[x]
                     if diff:
                         z = (diff & -diff).bit_length() - 1
-                        return Verdict(False, (theta, phi, (x, z)))
+                        return Verdict(False, (theta, congs[j], (x, z)))
     return Verdict(True)
 
 
+class _OpTable(dict):
+    """Rows of a join or meet table of congruences, by index.
+
+    Each row maps an index to the index of the result; an entry is
+    computed once, on first lookup, and a result missing from the index
+    gets a fresh index past the listed congruences.
+    """
+
+    def __init__(self, items, index, method):
+        super().__init__()
+        self.items, self.index, self.method = items, index, method
+
+    def __missing__(self, i):
+        row = self[i] = _OpRow(self, i)
+        return row
+
+
+class _OpRow(dict):
+    def __init__(self, table, i):
+        super().__init__()
+        self.table, self.i = table, i
+
+    def __missing__(self, j):
+        table = self.table
+        other = table.get(j)
+        if other is not None and self.i in other:
+            k = other[self.i]
+        else:
+            items = table.items
+            c = table.method(items[self.i], items[j])
+            k = table.index.get(c)
+            if k is None:
+                k = table.index[c] = len(items)
+                items.append(c)
+        self[j] = k
+        return k
+
+
 def check_congruence_distributive(algebra, congs=None):
-    """Verdict: the congruence lattice satisfies the distributive law."""
+    """Verdict: the congruence lattice satisfies the distributive law.
+
+    The witness is the first triple (a, b, c) of congs, in list order,
+    with a ^ (b v c) != (a ^ b) v (a ^ c).
+    """
     congs = all_congruences(algebra) if congs is None else congs
-    for a in congs:
-        for b in congs:
-            for c in congs:
-                if a.meet(b.join(c)) != a.meet(b).join(a.meet(c)):
-                    return Verdict(False, (a, b, c))
+    items = list(congs)
+    index = {c: i for i, c in enumerate(items)}
+    join = _OpTable(items, index, Congruence.join)
+    meet = _OpTable(items, index, Congruence.meet)
+    r = range(len(congs))
+    joins = [[join[b][c] for c in r] for b in r]
+    for a in r:
+        meet_a = meet[a]
+        meets = [meet_a[c] for c in r]
+        for b in r:
+            join_ab = join[meets[b]]
+            lhs = list(map(meet_a.__getitem__, joins[b]))
+            rhs = list(map(join_ab.__getitem__, meets))
+            if lhs != rhs:
+                c = next(c for c in r if lhs[c] != rhs[c])
+                return Verdict(False, (congs[a], congs[b], congs[c]))
     return Verdict(True)
 
 

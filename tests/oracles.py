@@ -3,10 +3,13 @@
 Everything here is deliberately naive: partitions are enumerated as
 restricted growth strings, posets as transitive upper-triangular
 relations, isomorphism by trying every permutation, relative
-pseudocomplements cell by cell, operator axioms triple by triple.  Slow
-but obviously correct, which is the point.
+pseudocomplements cell by cell, operator axioms triple by triple,
+principal congruences by re-sweeping every related pair, congruence
+distributivity triple by triple.  Slow but obviously correct, which is
+the point.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 from ordalg import BinOp, Congruence, FiniteAlgebra, Poset, Verdict, as_lattice, lower_set
@@ -37,6 +40,104 @@ def congruence_oracle(algebra):
     """Compatible partitions by exhaustive filtering, in library order."""
     good = [c for c in all_partitions(algebra.n) if c.is_compatible(algebra)]
     return sorted(good, key=lambda c: (c.num_blocks, c.labels))
+
+
+def join_by_closure(x, y):
+    """Join of two partitions: relate a and b until transitively closed."""
+    n = x.n
+    rel = [[x.relates(a, b) or y.relates(a, b) for b in range(n)] for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            if rel[a][k]:
+                for b in range(n):
+                    if rel[k][b]:
+                        rel[a][b] = True
+    return Congruence(tuple(next(b for b in range(n) if rel[a][b]) for a in range(n)))
+
+
+def principal_congruence_sweep(algebra, a, b):
+    """Least congruence relating a and b: merge, sweep every related pair
+    through every operation, repeat until nothing changes."""
+    n = algebra.n
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        roots = [find(i) for i in range(n)]
+        for _, op in algebra.ops:
+            t = op.table
+            for x in range(n):
+                for y in range(x + 1, n):
+                    if roots[x] != roots[y]:
+                        continue
+                    for z in range(n):
+                        if union(t[x][z], t[y][z]):
+                            changed = True
+                        if union(t[z][x], t[z][y]):
+                            changed = True
+    return Congruence(tuple(find(i) for i in range(n)))
+
+
+def congruences_by_all_pairs(algebra):
+    """Sweep-closure principal congruences closed under join with every
+    congruence found so far, in library order."""
+    n = algebra.n
+    found = {Congruence.diagonal(n), Congruence.total(n)}
+    frontier = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            c = principal_congruence_sweep(algebra, a, b)
+            if c not in found:
+                found.add(c)
+                frontier.append(c)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for d in list(found):
+                j = c.join(d)
+                if j not in found:
+                    found.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return sorted(found, key=lambda c: (c.num_blocks, c.labels))
+
+
+def distributive_by_triples(congs):
+    """Distributivity verdict with the first failing triple (a, b, c).
+
+    Join and meet are cached per pair of label vectors only to keep the
+    cubic scan short.
+    """
+
+    @lru_cache(maxsize=None)
+    def join(x, y):
+        return Congruence(x).join(Congruence(y)).labels
+
+    @lru_cache(maxsize=None)
+    def meet(x, y):
+        return Congruence(x).meet(Congruence(y)).labels
+
+    for a in congs:
+        for b in congs:
+            for c in congs:
+                x, y, z = a.labels, b.labels, c.labels
+                if meet(x, join(y, z)) != join(meet(x, y), meet(x, z)):
+                    return Verdict(False, (a, b, c))
+    return Verdict(True)
 
 
 def lattice_algebra(p, star=None, constants=None):

@@ -22,7 +22,16 @@ from ordalg import (
     BinOp,
 )
 
-from oracles import all_partitions, congruence_oracle, lattice_algebra
+from oracles import (
+    all_partitions,
+    congruence_oracle,
+    congruences_by_all_pairs,
+    distributive_by_triples,
+    join_by_closure,
+    lattice_algebra,
+    poset_from_edges,
+    principal_congruence_sweep,
+)
 
 
 def pentagon_lattice_algebra():
@@ -91,6 +100,118 @@ def test_principal_congruences():
     assert named_blocks(p, theta) == (("0", "b"), ("a", "c", "1"))
 
 
+def test_principal_congruence_rejects_pairs_outside_carrier():
+    alg = pentagon_lattice_algebra()
+    for a, b in ((-1, 0), (0, 5), (5, 5), (0, -5)):
+        with pytest.raises(ValueError, match="carrier of 5 elements"):
+            principal_congruence(alg, a, b)
+
+
+def test_principal_congruence_follows_both_arguments():
+    # x*y = y+1 (mod 3) moves only with its right argument and x*y = x+1
+    # only with its left one, so each relies on one side of the translates
+    for table in (
+        tuple(tuple((y + 1) % 3 for y in range(3)) for _ in range(3)),
+        tuple(tuple((x + 1) % 3 for _ in range(3)) for x in range(3)),
+    ):
+        alg = FiniteAlgebra.build(poset_from_edges(3, ()), {"*": BinOp(3, table)})
+        assert principal_congruence(alg, 0, 1) == Congruence.total(3)
+        assert all_congruences(alg) == congruence_oracle(alg)
+
+
+def small_lattice_algebras(max_n):
+    """Join/meet algebra of every lattice up to max_n elements, and its
+    algebra with the sectional table where that table is total."""
+    for n in range(1, max_n + 1):
+        for p in enumerate_structures(n, "lattices").members:
+            yield lattice_algebra(p)
+            star = synthesize_sectional(as_lattice(p))
+            if isinstance(star, BinOp):
+                yield lattice_algebra(p, star=star)
+
+
+def test_worklist_matches_sweep_oracles_on_small_lattices():
+    for alg in small_lattice_algebras(7):
+        n = alg.n
+        for a in range(n):
+            for b in range(n):
+                assert principal_congruence(alg, a, b) == principal_congruence_sweep(alg, a, b)
+        congs = all_congruences(alg)
+        assert congs == congruences_by_all_pairs(alg)
+        got = check_congruence_distributive(alg, congs)
+        want = distributive_by_triples(congs)
+        assert (bool(got), got.witness) == (bool(want), want.witness)
+
+
+@st.composite
+def random_algebras(draw):
+    n = draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    row = st.tuples(*[cell] * n)
+    tables = draw(st.lists(st.tuples(*[row] * n), min_size=1, max_size=2))
+    ops = {f"t{k}": BinOp(n, t) for k, t in enumerate(tables)}
+    return FiniteAlgebra.build(poset_from_edges(n, ()), ops)
+
+
+@given(random_algebras())
+@settings(max_examples=150, deadline=None)
+def test_worklist_matches_oracles_on_random_algebras(alg):
+    n = alg.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            assert principal_congruence(alg, a, b) == principal_congruence_sweep(alg, a, b)
+    assert all_congruences(alg) == congruence_oracle(alg)
+
+
+def projection_algebra(n):
+    """x*y = x on n points: every partition is a congruence."""
+    table = tuple(tuple(x for _ in range(n)) for x in range(n))
+    return FiniteAlgebra.build(poset_from_edges(n, ()), {"*": BinOp(n, table)})
+
+
+def test_projection_algebra_fails_distributivity_with_first_triple():
+    # the partition lattice on three or more points is not distributive
+    for n in range(3, 6):
+        alg = projection_algebra(n)
+        congs = all_congruences(alg)
+        assert congs == sorted(all_partitions(n), key=lambda c: (c.num_blocks, c.labels))
+        got = check_congruence_distributive(alg, congs)
+        want = distributive_by_triples(congs)
+        assert not got
+        assert got.witness == want.witness
+
+
+def test_distributivity_accepts_lists_not_closed_under_join_and_meet():
+    # three atoms of the partition lattice on three points: their joins
+    # are the total partition and their meets the diagonal, neither listed
+    alg = projection_algebra(3)
+    atoms = [c for c in all_partitions(3) if c.num_blocks == 2]
+    got = check_congruence_distributive(alg, atoms)
+    want = distributive_by_triples(atoms)
+    assert not got and got.witness == want.witness
+    for congs in (atoms[:1], atoms[:2], atoms[::-1], atoms + atoms):
+        got = check_congruence_distributive(alg, congs)
+        want = distributive_by_triples(congs)
+        assert (bool(got), got.witness) == (bool(want), want.witness)
+
+
+def test_distributivity_computes_each_join_and_meet_once(monkeypatch):
+    alg = lattice_algebra(fixture("chain6").poset)
+    congs = all_congruences(alg)
+    assert len(congs) == 32
+    calls = []
+    for name in ("join", "meet"):
+        method = getattr(Congruence, name)
+
+        def counted(self, other, method=method):
+            calls.append(1)
+            return method(self, other)
+
+        monkeypatch.setattr(Congruence, name, counted)
+    assert check_congruence_distributive(alg, congs)
+    assert 0 < len(calls) <= 2 * 32 ** 2
+
+
 def test_star_algebra_arithmetical_and_weakly_regular():
     alg = pentagon_star_algebra()
     assert check_permutable(alg)
@@ -125,15 +246,8 @@ def test_weak_regularity_needs_the_constant():
 
 
 def test_oracle_agreement_all_small_lattices():
-    for n in range(1, 7):
-        for p in enumerate_structures(n, "lattices").members:
-            alg = lattice_algebra(p)
-            assert all_congruences(alg) == congruence_oracle(alg)
-            lat = as_lattice(p)
-            star = synthesize_sectional(lat)
-            if isinstance(star, BinOp):
-                salg = lattice_algebra(p, star=star)
-                assert all_congruences(salg) == congruence_oracle(salg)
+    for alg in small_lattice_algebras(6):
+        assert all_congruences(alg) == congruence_oracle(alg)
 
 
 def test_carrier_budget():
@@ -163,6 +277,16 @@ def test_congruence_block_operations():
     assert c.join(Congruence.total(5)) == Congruence.total(5)
 
 
+def test_join_and_meet_reject_other_carriers():
+    small = Congruence.from_blocks(3, [(0, 1)])
+    big = Congruence.diagonal(5)
+    for x, y in ((small, big), (big, small)):
+        with pytest.raises(ValueError, match="carriers of"):
+            x.join(y)
+        with pytest.raises(ValueError, match="carriers of"):
+            x.meet(y)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_partition_lattice_laws(data):
@@ -177,6 +301,7 @@ def test_partition_lattice_laws(data):
     assert x.meet(x.join(y)) == x
     # meet is the coarsest common refinement, join the finest common coarsening
     m, j = x.meet(y), x.join(y)
+    assert j == join_by_closure(x, y)
     for a in range(n):
         for b in range(n):
             assert m.relates(a, b) == (x.relates(a, b) and y.relates(a, b))
