@@ -65,6 +65,8 @@ def workloads():
 
     yield "enumerate posets n=7", "enum_orders", (7, False)
     yield "enumerate lattices n=8", "enum_orders", (8, True)
+    # n = 6, not 7: the pure twin needs seconds for the 96,428 orders at n = 7
+    yield "canonical keys posets n=6", "canonical_keys", (6, _core_py.enum_orders(6, False))
 
 
 def main(argv=None):

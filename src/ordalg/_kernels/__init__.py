@@ -1,12 +1,14 @@
 """Kernel backend selection.
 
 The hot loops (closure, lattice/pseudocomplement tables, axiom scans,
-small-structure enumeration) exist twice: a hand-written C extension
-``_core_c`` (``_core_c.c``) working on uint64 masks and a pure Python
-twin ``_core_py``.  The compiled backend is
+small-structure enumeration and its canonical relabeling) exist twice: a
+hand-written C extension ``_core_c`` (``_core_c.c``) working on uint64
+masks and a pure Python twin ``_core_py``.  The compiled backend is
 preferred when built; set ``ORDALG_BACKEND=py`` or ``ORDALG_BACKEND=c`` to
 force one.  Carriers outside 1..64 elements always route to the pure
 backend, which handles arbitrary-width masks (and the empty carrier).
+The catalog kernels ``enum_orders`` and ``canonical_keys`` work on packed
+8-bit rows, so both twins take only 1..8 elements.
 """
 
 import os
@@ -56,3 +58,7 @@ def divisibility_scan(n, join, mult, imp):
 
 def enum_orders(n, lattices_only):
     return _active.enum_orders(n, bool(lattices_only))
+
+
+def canonical_keys(n, orders):
+    return _active.canonical_keys(n, orders)

@@ -10,12 +10,15 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(_MSC_VER)
 #include <intrin.h>
 static __inline int ctz64(uint64_t x) { unsigned long i; _BitScanForward64(&i, x); return (int)i; }
+static __inline int popcount64(uint64_t x) { return (int)__popcnt64(x); }
 #else
 static inline int ctz64(uint64_t x) { return __builtin_ctzll(x); }
+static inline int popcount64(uint64_t x) { return __builtin_popcountll(x); }
 #endif
 
 #define FULL(n) (~(uint64_t)0 >> (64 - (n)))
@@ -52,6 +55,27 @@ static int read_n(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
+/* Read item as a uint64 word; 1 when it has no bit outside within, 0 when it
+ * has one or cannot be read.  Only a non-integer leaves an exception set. */
+static inline int read_word(PyObject *item, uint64_t within, uint64_t *out)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
+    if (overflow <= 0) {
+        *out = (uint64_t)v;
+        return v >= 0 && !(*out & ~within);
+    }
+    /* a word with bit 63 set overflows the signed read */
+    *out = PyLong_AsUnsignedLongLong(item);
+    if (PyErr_Occurred()) {
+        /* wider than 64 bits, so outside every carrier */
+        if (PyErr_ExceptionMatches(PyExc_OverflowError))
+            PyErr_Clear();
+        return 0;
+    }
+    return !(*out & ~within);
+}
+
 /* Read the first n masks of seq; each must lie within the n-element carrier. */
 static int read_masks(PyObject *seq, int n, uint64_t *out)
 {
@@ -59,14 +83,8 @@ static int read_masks(PyObject *seq, int n, uint64_t *out)
     if (!fast)
         return -1;
     int ok = PySequence_Fast_GET_SIZE(fast) >= n;
-    for (int i = 0; ok && i < n; i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(fast, i);
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
-        /* a mask with bit 63 set overflows the signed read */
-        out[i] = overflow > 0 ? PyLong_AsUnsignedLongLong(item) : (uint64_t)v;
-        ok = (overflow > 0 ? !PyErr_Occurred() : v >= 0) && !(out[i] & ~FULL(n));
-    }
+    for (int i = 0; ok && i < n; i++)
+        ok = read_word(PySequence_Fast_GET_ITEM(fast, i), FULL(n), out + i);
     Py_DECREF(fast);
     if (!ok && !PyErr_Occurred())
         PyErr_Format(PyExc_ValueError, "expected %d masks within the carrier", n);
@@ -327,6 +345,150 @@ static PyObject *enum_orders(PyObject *self, PyObject *const *args, Py_ssize_t n
     return out;
 }
 
+/* Dense ranks of n keys: out[i] counts the distinct keys below key[i]. */
+static void dense_rank(int n, const uint64_t *key, int *out)
+{
+    uint64_t sorted[8];
+    int m = 0;
+    for (int i = 0; i < n; i++) {
+        int j = m;
+        while (j > 0 && sorted[j - 1] > key[i])
+            j--;
+        if (j > 0 && sorted[j - 1] == key[i])
+            continue;
+        memmove(sorted + j + 1, sorted + j, (m - j) * sizeof *sorted);
+        sorted[j] = key[i];
+        m++;
+    }
+    for (int i = 0; i < n; i++) {
+        int r = 0;
+        while (sorted[r] != key[i])
+            r++;
+        out[i] = r;
+    }
+}
+
+/* The colors of mask's elements in ascending order, one 4-bit digit each
+ * (color + 1), most significant first.  Keys compare these words only for
+ * elements of equal color, which have equally many elements below and above
+ * (the first colors rank those counts), so the words compare like tuples. */
+static uint64_t color_digits(uint64_t mask, const int *col)
+{
+    int count[8] = {0};
+    uint64_t word = 0;
+    for (; mask; mask &= mask - 1)
+        count[col[ctz64(mask)]]++;
+    for (int c = 0; c < 8; c++)
+        for (int k = 0; k < count[c]; k++)
+            word = word << 4 | (uint64_t)(c + 1);
+    return word;
+}
+
+/* Refined colors, as the pure twin's _color_classes: start from the rank of
+ * (|strict down|, |strict up|), then rank (color, sorted colors below,
+ * sorted colors above) until the colors stop changing. */
+static void color_refine(int n, const uint64_t *sd, const uint64_t *su, int *col)
+{
+    uint64_t key[8];
+    int next[8];
+    for (int i = 0; i < n; i++)
+        key[i] = (uint64_t)popcount64(sd[i]) << 4 | popcount64(su[i]);
+    dense_rank(n, key, col);
+    for (;;) {
+        for (int i = 0; i < n; i++)
+            key[i] = (uint64_t)col[i] << 56 | color_digits(sd[i], col) << 28
+                     | color_digits(su[i], col);
+        dense_rank(n, key, next);
+        if (!memcmp(next, col, n * sizeof *col))
+            return;
+        memcpy(col, next, n * sizeof *col);
+    }
+}
+
+struct canon {
+    int n, pos[8];
+    uint64_t up[8], best;
+    unsigned allowed[8]; /* elements of the color class placed at each position */
+};
+
+/* Place an element of its class at position p, in every way; at the end,
+ * keep the least relabeled packed word. */
+static void canon_place(struct canon *s, int p, unsigned used)
+{
+    if (p == s->n) {
+        uint64_t packed = 0;
+        for (int x = 0; x < s->n; x++) {
+            uint64_t row = 0;
+            for (uint64_t m = s->up[x]; m; m &= m - 1)
+                row |= (uint64_t)1 << s->pos[ctz64(m)];
+            packed |= row << 8 * s->pos[x];
+        }
+        if (packed < s->best)
+            s->best = packed;
+        return;
+    }
+    for (unsigned m = s->allowed[p] & ~used; m; m &= m - 1) {
+        int x = ctz64(m);
+        s->pos[x] = p;
+        canon_place(s, p + 1, used | 1u << x);
+    }
+}
+
+static uint64_t canonical_packed(int n, uint64_t packed)
+{
+    struct canon s = {.n = n, .best = ~(uint64_t)0};
+    uint64_t sd[8] = {0}, su[8];
+    int col[8];
+    for (int i = 0; i < n; i++) {
+        s.up[i] = packed >> 8 * i & FULL(n);
+        su[i] = s.up[i] & ~((uint64_t)1 << i);
+        for (uint64_t m = su[i]; m; m &= m - 1)
+            sd[ctz64(m)] |= (uint64_t)1 << i;
+    }
+    color_refine(n, sd, su, col);
+    /* classes in color order, each over a block of consecutive positions */
+    for (int c = 0, p = 0; p < n; c++) {
+        unsigned cls = 0;
+        for (int i = 0; i < n; i++)
+            if (col[i] == c)
+                cls |= 1u << i;
+        for (int k = popcount64(cls); k > 0; k--)
+            s.allowed[p++] = cls;
+    }
+    canon_place(&s, 0, 0);
+    return s.best;
+}
+
+static PyObject *canonical_keys(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n;
+    if (read_n("canonical_keys", args, nargs, 2, 8, &n))
+        return NULL;
+    uint64_t carrier = 0;
+    for (int i = 0; i < n; i++)
+        carrier |= FULL(n) << 8 * i;
+    PyObject *fast = PySequence_Fast(args[1], "orders must be a sequence");
+    if (!fast)
+        return NULL;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(fast);
+    PyObject *out = PyList_New(count);
+    for (Py_ssize_t k = 0; out && k < count; k++) {
+        PyObject *key = NULL;
+        uint64_t packed;
+        if (read_word(PySequence_Fast_GET_ITEM(fast, k), carrier, &packed))
+            key = PyLong_FromUnsignedLongLong(canonical_packed(n, packed));
+        else if (!PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError,
+                         "expected packed orders within the %d-element carrier", n);
+        if (!key)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, k, key);
+    }
+    Py_DECREF(fast);
+    return out;
+}
+
 #define KERNEL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
@@ -344,6 +506,11 @@ static PyMethodDef methods[] = {
     KERNEL(enum_orders, "enum_orders(n, lattices_only)\n--\n\n"
            "Packed order matrices of all naturally labeled posets on n points.\n\n"
            "Same search as the pure twin; one uint64 per poset, row i in bits 8i..8i+n."),
+    KERNEL(canonical_keys, "canonical_keys(n, orders)\n--\n\n"
+           "Canonical packed key of each packed order, in input order.\n\n"
+           "Orders use enum_orders' format.  The key is the least packed word over\n"
+           "the relabelings that keep the pure twin's refined color classes in place,\n"
+           "so isomorphic orders share a key; the same key bit for bit as the twin."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -7,6 +7,8 @@ of at most 64 elements; this module also covers larger carriers because
 Python ints are unbounded.
 """
 
+from itertools import permutations, product
+
 
 def closure(n, up):
     """Reflexive-transitive closure of an up-mask adjacency."""
@@ -240,4 +242,83 @@ def enum_orders(n, lattices_only):
         up[i] = 0
 
     rec(0)
+    return out
+
+
+def _rank(keys):
+    order = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys]
+
+
+def _color_classes(n, up, down):
+    """Stable color classes whose concatenation is a linear extension.
+
+    Strictly comparable elements start with different down-set sizes, so
+    they never share a class and lower ones always sort first; refinement
+    only splits classes, preserving that order.
+    """
+    strict_d = [down[i] & ~(1 << i) for i in range(n)]
+    strict_u = [up[i] & ~(1 << i) for i in range(n)]
+    col = _rank([(bin(strict_d[i]).count("1"), bin(strict_u[i]).count("1"))
+                 for i in range(n)])
+    while True:
+        sig = []
+        for i in range(n):
+            below = sorted(col[j] for j in range(n) if strict_d[i] >> j & 1)
+            above = sorted(col[j] for j in range(n) if strict_u[i] >> j & 1)
+            sig.append((col[i], tuple(below), tuple(above)))
+        new = _rank(sig)
+        if new == col:
+            break
+        col = new
+    classes = {}
+    for i in range(n):
+        classes.setdefault(col[i], []).append(i)
+    return [tuple(classes[c]) for c in sorted(classes)]
+
+
+def _canonical_packed(n, up):
+    down = [0] * n
+    for i in range(n):
+        rest = up[i]
+        while rest:
+            low = rest & -rest
+            down[low.bit_length() - 1] |= 1 << i
+            rest ^= low
+    classes = _color_classes(n, up, down)
+    best = None
+    for combo in product(*(permutations(c) for c in classes)):
+        seq = [i for cls in combo for i in cls]
+        pos = [0] * n
+        for new_i, old in enumerate(seq):
+            pos[old] = new_i
+        packed = 0
+        for new_i, old in enumerate(seq):
+            row = 0
+            rest = up[old]
+            while rest:
+                low = rest & -rest
+                row |= 1 << pos[low.bit_length() - 1]
+                rest ^= low
+            packed |= row << 8 * new_i
+        if best is None or packed < best:
+            best = packed
+    return best
+
+
+def canonical_keys(n, orders):
+    """Canonical packed key of each packed order, in input order.
+
+    Orders use the format ``enum_orders`` emits.  The key is the least
+    packed word over the relabelings that keep the refined color classes
+    of ``_color_classes`` in place, so isomorphic orders share a key.
+    """
+    if not 1 <= n <= 8:
+        raise ValueError("canonical_keys supports 1 <= n <= 8")
+    carrier = _pack(n, [(1 << n) - 1] * n)
+    out = []
+    for packed in orders:
+        if packed & ~carrier:
+            raise ValueError(f"expected packed orders within the {n}-element carrier")
+        out.append(_canonical_packed(n, [packed >> 8 * i & (1 << n) - 1 for i in range(n)]))
     return out

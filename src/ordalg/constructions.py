@@ -5,12 +5,14 @@ the pentagon lattice and the bounded bowtie poset each carry a frozen
 sectional-pseudocomplement table, and the residuated chain carries a
 multiplication that differs from meet.  Catalogs enumerate every poset
 or lattice of a given size, optionally deduplicated up to isomorphism
-through a canonical relabeling.
+through a canonical relabeling.  Both steps run in the kernel layer on
+packed order matrices (row i in bits 8i..8i+n): ``enum_orders`` lists
+the naturally labeled orders and ``canonical_keys`` maps each to the
+least packed word over the relabelings its refined color classes allow.
 """
 
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import Optional, Tuple
 
 from . import _kernels as kernels
@@ -161,72 +163,11 @@ def _pack(n, up):
     return out
 
 
-def _rank(keys):
-    order = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
-
-
-def _color_classes(n, up, down):
-    """Stable color classes whose concatenation is a linear extension.
-
-    Strictly comparable elements start with different down-set sizes, so
-    they never share a class and lower ones always sort first; refinement
-    only splits classes, preserving that order.
-    """
-    strict_d = [down[i] & ~(1 << i) for i in range(n)]
-    strict_u = [up[i] & ~(1 << i) for i in range(n)]
-    col = _rank([(bin(strict_d[i]).count("1"), bin(strict_u[i]).count("1"))
-                 for i in range(n)])
-    while True:
-        sig = []
-        for i in range(n):
-            below = sorted(col[j] for j in range(n) if strict_d[i] >> j & 1)
-            above = sorted(col[j] for j in range(n) if strict_u[i] >> j & 1)
-            sig.append((col[i], tuple(below), tuple(above)))
-        new = _rank(sig)
-        if new == col:
-            break
-        col = new
-    classes = {}
-    for i in range(n):
-        classes.setdefault(col[i], []).append(i)
-    return [tuple(classes[c]) for c in sorted(classes)]
-
-
-def _canonical_packed(n, up):
-    down = [0] * n
-    for i in range(n):
-        rest = up[i]
-        while rest:
-            low = rest & -rest
-            down[low.bit_length() - 1] |= 1 << i
-            rest ^= low
-    classes = _color_classes(n, up, down)
-    best = None
-    for combo in product(*(permutations(c) for c in classes)):
-        seq = [i for cls in combo for i in cls]
-        pos = [0] * n
-        for new_i, old in enumerate(seq):
-            pos[old] = new_i
-        packed = 0
-        for new_i, old in enumerate(seq):
-            row = 0
-            rest = up[old]
-            while rest:
-                low = rest & -rest
-                row |= 1 << pos[low.bit_length() - 1]
-                rest ^= low
-            packed |= row << 8 * new_i
-        if best is None or packed < best:
-            best = packed
-    return best
-
-
 def canonical_key(p):
     """Relabeling-invariant integer key; equal keys mean isomorphic posets."""
     if p.n > 8:
         raise BudgetError("canonical keys support at most 8 elements")
-    return _canonical_packed(p.n, list(p.up))
+    return kernels.canonical_keys(p.n, [_pack(p.n, p.up)])[0]
 
 
 def are_isomorphic(p, q):
@@ -284,20 +225,15 @@ def enumerate_structures(n, kind, dedup=True):
     if not 1 <= n <= limit:
         raise BudgetError(f"{kind} catalogs support 1 <= n <= {limit}")
     names = tuple(f"e{i}" for i in range(n))
-    full = (1 << n) - 1
-    rows = []
-    for packed in kernels.enum_orders(n, lattices):
-        up = _unpack(n, packed)
-        if kind == "posets-with-top":
-            common = full
-            for mask in up:
-                common &= mask
-            if not common:
-                continue
-        rows.append(up)
+    orders = kernels.enum_orders(n, lattices)
+    if kind == "posets-with-top":
+        # under a natural labeling only element n-1 can be the top, so an
+        # order has a top exactly when every row holds bit n-1
+        top = _pack(n, [1 << n - 1] * n)
+        orders = [packed for packed in orders if packed & top == top]
     if dedup:
-        keys = sorted({_canonical_packed(n, up) for up in rows})
+        keys = sorted(set(kernels.canonical_keys(n, orders)))
         members = tuple(Poset(names, _unpack(n, key)) for key in keys)
     else:
-        members = tuple(Poset(names, up) for up in rows)
+        members = tuple(Poset(names, _unpack(n, packed)) for packed in orders)
     return Catalog(kind, n, dedup, members)

@@ -163,8 +163,7 @@ def parse(text):
             kind = m.group(1) or "op"
             rest = _tokens(m.group(3), lineno, offset=m.start(3))
             if kind == "op":
-                start = raw.index(m.group(2)) + 1
-                current = (kind, (m.group(2), lineno, start), [(rest, lineno)])
+                current = (kind, (m.group(2), lineno, m.start(2) + 1), [(rest, lineno)])
             else:
                 current = (kind, None, [(rest, lineno)])
             sections.append(current)

@@ -38,9 +38,39 @@ def c_backend():
 
 def test_enum_orders_identical():
     c = c_backend()
-    for n in range(1, 7):
+    # n = 7 builds the largest poset catalog
+    for n in range(1, 8):
         for lattices in (False, True):
             assert list(c.enum_orders(n, lattices)) == list(py.enum_orders(n, lattices))
+
+
+def relabel(n, packed, perm):
+    """The packed order with element i renamed perm[i]."""
+    out = 0
+    for i in range(n):
+        row = packed >> 8 * i
+        for j in range(n):
+            if row >> j & 1:
+                out |= 1 << (8 * perm[i] + perm[j])
+    return out
+
+
+def test_canonical_keys_identical():
+    c = c_backend()
+    cases = [(n, c.enum_orders(n, False)) for n in range(1, 7)]
+    cases += [(n, c.enum_orders(n, True)) for n in range(1, 9)]
+    chain8 = sum(((1 << 8) - (1 << i)) << 8 * i for i in range(8))
+    antichain8 = sum(1 << 9 * i for i in range(8))
+    cases += [(1, [1]), (8, [chain8, antichain8])]
+    rng = random.Random(13)
+    relabeled = []
+    for p in enumerate_structures(7, "all-posets").members:
+        perm = list(range(7))
+        rng.shuffle(perm)
+        relabeled.append(relabel(7, sum(m << 8 * i for i, m in enumerate(p.up)), perm))
+    cases.append((7, relabeled))
+    for n, orders in cases:
+        assert c.canonical_keys(n, orders) == py.canonical_keys(n, orders)
 
 
 def test_tables_identical_on_catalog():
@@ -107,10 +137,11 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
         ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
         ("enum_orders", 8, lambda n: (n, False)),
+        ("canonical_keys", 8, lambda n: (n, [])),
     )
     for kernel, most, args in cases:
-        # both twins share the bound set by enum_orders' output format of
-        # 8-bit packed rows
+        # both twins share the bound set by the packed order format of
+        # 8-bit rows
         twins = (c, py) if most < 64 else (c,)
         for n in (-1, 0, most + 1, 200):
             for twin in twins:
@@ -122,6 +153,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     for bad in (
         lambda: c.closure(3, [8, 0, 0]),
         lambda: c.closure(3, [1, 2]),
+        lambda: c.closure(64, [1 << 64] + [0] * 63),
         lambda: c.lattice_tables(2, [3, 2], [1, 4]),
         lambda: c.rrl_scan(2, [3, 2], 2, [0] * 4, [0] * 4, [0] * 4),
         lambda: c.rrl_scan(2, [3, 2], 1, [0] * 4, [0, 0, 0, 64], [0] * 4),
@@ -130,6 +162,13 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     ):
         with pytest.raises(ValueError):
             bad()
+
+    # a packed order with a row bit outside the carrier, a bit above row
+    # n-1, a negative word or one wider than 64 bits
+    for twin in (c, py):
+        for n, word in ((3, 1 << 3), (3, 1 << 24), (3, -1), (8, 1 << 64)):
+            with pytest.raises(ValueError, match="within the"):
+                twin.canonical_keys(n, [1, word])
 
 
 def test_env_var_selects_backend():

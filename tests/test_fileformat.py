@@ -170,6 +170,18 @@ def test_same_line_header_columns():
     assert positions(e.value) == (2, 13)
 
 
+def test_operation_name_column_is_where_the_name_starts():
+    # not where its letter first occurs in the line: the "p" of "op"
+    table = "  .  a\n  a  a\n"
+    with pytest.raises(ParseError) as e:
+        parse("elements: a\nop p:\n" + table + "op p:\n" + table)
+    assert "duplicate operation" in str(e.value)
+    assert positions(e.value) == (5, 4)
+    with pytest.raises(ParseError) as e:
+        parse("elements: a b\nop o:\n")
+    assert positions(e.value) == (2, 4)
+
+
 def test_missing_rows_and_invalid_names():
     with pytest.raises(ParseError) as e:
         parse("elements: a b\nop f:\n  .  a  b\n  a  a  b\n")
