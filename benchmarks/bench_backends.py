@@ -16,7 +16,7 @@ import random
 import sys
 import time
 
-from ordalg import as_lattice, direct_product, fixture, from_sectional, synthesize_sectional
+from ordalg import as_lattice, direct_product, fixture, from_sectional, laws, synthesize_sectional
 from ordalg._kernels import _core_py
 
 try:
@@ -62,6 +62,18 @@ def workloads():
     yield "residuation scan n=40", "rrl_scan", args
     yield "divisibility scan n=40", "divisibility_scan", \
         (chain.n, lat.flat_join(), cand.mult.flat(), cand.imp.flat())
+
+    # every lattice and residuation law at once; an implication that is top
+    # everywhere makes most of them fail, several deep in the scan
+    programs = [law.program for law in (
+        laws.MODULAR, laws.DISTRIBUTIVE, laws.MEET_SEMIDISTRIBUTIVE, laws.COMMUTATIVE,
+        laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD, laws.DIVISIBLE,
+        *(law for _, law in laws.DERIVED + laws.BASIS), *laws.LAW_IX, laws.MONOTONE_RIGHT)]
+    top_imp = ((chain.top,) * chain.n,) * chain.n
+    for label, imp in (("passing", cand.imp.table), ("failing", top_imp)):
+        tables = (lat.join, lat.meet, cand.mult.table, imp)
+        yield f"law scan n=40, {label}", "law_scan", (
+            chain.n, chain.topo, chain.up, chain.down, tables, (chain.top, chain.bottom), programs)
 
     yield "enumerate posets n=7", "enum_orders", (7, False)
     yield "enumerate lattices n=8", "enum_orders", (8, True)

@@ -1,19 +1,43 @@
 """Kernel backend selection.
 
-The hot loops (closure, lattice/pseudocomplement tables, axiom scans,
-small-structure enumeration and its canonical relabeling) exist twice: a
-hand-written C extension ``_core_c`` (``_core_c.c``) working on uint64
-masks and a pure Python twin ``_core_py``.  The compiled backend is
-preferred when built; set ``ORDALG_BACKEND=py`` or ``ORDALG_BACKEND=c`` to
-force one.  Carriers outside 1..64 elements always route to the pure
-backend, which handles arbitrary-width masks (and the empty carrier).
-The catalog kernels ``enum_orders`` and ``canonical_keys`` work on packed
-8-bit rows, so both twins take only 1..8 elements.
+The hot loops (closure, lattice/pseudocomplement tables, axiom scans, the
+law engine, small-structure enumeration and its canonical relabeling)
+exist twice: a hand-written C extension ``_core_c`` (``_core_c.c``)
+working on uint64 masks and a pure Python twin ``_core_py``.  The
+compiled backend is preferred when built; set ``ORDALG_BACKEND=py`` or
+``ORDALG_BACKEND=c`` to force one.  Carriers outside 1..64 elements always
+route to the pure backend, which handles arbitrary-width masks (and the
+empty carrier).  The catalog kernels ``enum_orders`` and
+``canonical_keys`` work on packed 8-bit rows, so both twins take only
+1..8 elements.
+
+``law_scan(n, topo, up, down, tables, consts, programs)`` returns, for
+each program, its least failing tuple in topological order, or None. A
+program is ``(arity, opcode, operand, opcode, operand, ...)``, with an
+arity of 1 to 4 and at most 64 instructions over the opcodes of
+``LAW_OPS``, run on a stack of at most 16 values: ``var`` i pushes
+variable i; ``const`` k pushes ``consts[k]``; ``table`` t pops y, x and
+pushes ``tables[t][x][y]``; ``up``, ``down`` and ``lower`` pop an
+element or a mask and push its upper cone, lower cone or common lower
+bounds; ``leq``, ``eq``, ``and`` and ``subset`` pop y, x and push x <= y
+in the order, x == y, x & y, and whether mask x lies within mask y.
+Variables range over ``topo``, the first outermost; a tuple fails when
+the value the program leaves is 0. ``consts`` holds element indices, at
+most 8. ``tables`` holds at most 8 square sequences of rows of masks
+within the carrier; an empty one is absent, and the compiled twin takes
+them at most 2080 wide, the most distinct masks U(x, y) on 64 elements.
+A program must leave one value, and every value it uses as an index must
+be provably below what it indexes, from the bounds of the variables,
+constants and table entries it comes from; otherwise both twins raise
+ValueError before scanning. The compiled twin runs each op over whole
+rows of the innermost variables; the pure one translates the programs of
+each arity in a batch, once, into one nest of Python loops.
 """
 
 import os
 
 from . import _core_py as _py
+from ._core_py import LAW_OPS
 
 _choice = os.environ.get("ORDALG_BACKEND", "auto")
 if _choice not in ("auto", "py", "c"):
@@ -54,6 +78,10 @@ def rrl_scan(n, up, top, join, mult, imp):
 
 def divisibility_scan(n, join, mult, imp):
     return _pick(n).divisibility_scan(n, join, mult, imp)
+
+
+def law_scan(n, topo, up, down, tables, consts, programs):
+    return _pick(n).law_scan(n, topo, up, down, tables, consts, programs)
 
 
 def enum_orders(n, lattices_only):

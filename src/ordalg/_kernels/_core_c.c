@@ -3,13 +3,16 @@
  *
  * Bit j of up[i] set means element i lies below element j (reflexive);
  * down is the transpose.  Tables are flat row-major sequences of length
- * n*n.  Every kernel raises ValueError when n lies outside the sizes its
- * fixed buffers hold, a mask has bits outside the carrier, or a table
- * entry is not an element index.  Build: python setup.py build_ext --inplace
+ * n*n, except that law_scan takes sequences of rows.  Every kernel raises
+ * ValueError when n lies outside the sizes its fixed buffers hold, a mask
+ * has bits outside the carrier, or a table entry is not an element index
+ * (for law_scan: may be used as an index it cannot be).
+ * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <limits.h>
 #include <string.h>
 
 #if defined(_MSC_VER)
@@ -91,14 +94,14 @@ static int read_masks(PyObject *seq, int n, uint64_t *out)
     return ok ? 0 : -1;
 }
 
-/* Read the first n*n entries of a flat table; each must be an index in 0..n-1. */
-static int read_table(PyObject *seq, int n, int *out)
+/* Read the first count entries of a sequence; each must be an index in 0..n-1. */
+static int read_indices(PyObject *seq, int n, int count, int *out)
 {
     PyObject *fast = PySequence_Fast(seq, "table must be a sequence");
     if (!fast)
         return -1;
-    int ok = PySequence_Fast_GET_SIZE(fast) >= n * n;
-    for (int i = 0; ok && i < n * n; i++) {
+    int ok = PySequence_Fast_GET_SIZE(fast) >= count;
+    for (int i = 0; ok && i < count; i++) {
         int overflow;
         long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(fast, i), &overflow);
         ok = v >= 0 && v < n;
@@ -106,7 +109,7 @@ static int read_table(PyObject *seq, int n, int *out)
     }
     Py_DECREF(fast);
     if (!ok && !PyErr_Occurred())
-        PyErr_Format(PyExc_ValueError, "expected %d table entries in 0..%d", n * n, n - 1);
+        PyErr_Format(PyExc_ValueError, "expected %d entries in 0..%d", count, n - 1);
     return ok ? 0 : -1;
 }
 
@@ -215,8 +218,8 @@ static PyObject *rrl_scan(PyObject *self, PyObject *const *args, Py_ssize_t narg
     long top = PyLong_AsLong(args[2]);
     if ((top < 0 || top >= n) && !PyErr_Occurred())
         PyErr_Format(PyExc_ValueError, "top must lie in 0..%d", n - 1);
-    if (PyErr_Occurred() || read_table(args[3], n, jt) || read_table(args[4], n, mt)
-        || read_table(args[5], n, it))
+    if (PyErr_Occurred() || read_indices(args[3], n, n * n, jt)
+        || read_indices(args[4], n, n * n, mt) || read_indices(args[5], n, n * n, it))
         return NULL;
     /* bit 0: commutative groupoid with unit */
     for (int a = 0; a < n; a++) {
@@ -258,14 +261,331 @@ static PyObject *rrl_scan(PyObject *self, PyObject *const *args, Py_ssize_t narg
 static PyObject *divisibility_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int jt[64 * 64], mt[64 * 64], it[64 * 64], n;
-    if (read_n("divisibility_scan", args, nargs, 4, 64, &n) || read_table(args[1], n, jt)
-        || read_table(args[2], n, mt) || read_table(args[3], n, it))
+    if (read_n("divisibility_scan", args, nargs, 4, 64, &n) || read_indices(args[1], n, n * n, jt)
+        || read_indices(args[2], n, n * n, mt) || read_indices(args[3], n, n * n, it))
         return NULL;
     for (int x = 0; x < n; x++)
         for (int y = 0; y < n; y++)
             if (mt[jt[x * n + y] * n + it[x * n + y]] != y)
                 Py_RETURN_FALSE;
     Py_RETURN_TRUE;
+}
+
+/* law_scan opcodes, numbered as the pure twin's LAW_OPS, and the limits
+ * both twins share. */
+enum { L_VAR, L_CONST, L_TABLE, L_UP, L_DOWN, L_LOWER, L_LEQ, L_EQ, L_AND, L_SUBSET, L_OPS };
+#define LAW_STACK 16
+#define LAW_CODE 64
+#define LAW_TABLES 8
+/* the most distinct masks U(x, y) = up[x] & up[y] on 64 elements, which is
+ * the widest table a product lowered over them needs */
+#define LAW_WIDTH 2080
+
+/* The checked inputs of one law_scan call. */
+struct law_env {
+    int n, ntables, nconsts, topo[64];
+    uint64_t up[64], down[64], consts[LAW_TABLES];
+    uint64_t *tab[LAW_TABLES], width[LAW_TABLES], bound[LAW_TABLES];
+};
+
+static int law_error(const char *msg)
+{
+    PyErr_SetString(PyExc_ValueError, msg);
+    return -1;
+}
+
+/* Read the element indices a program may push as constants. */
+static int law_consts(PyObject *seq, struct law_env *e)
+{
+    PyObject *fast = PySequence_Fast(seq, "consts must be a sequence");
+    if (!fast)
+        return -1;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(fast);
+    int ok = count <= LAW_TABLES;
+    for (Py_ssize_t k = 0; ok && k < count; k++)
+        ok = read_word(PySequence_Fast_GET_ITEM(fast, k), FULL(e->n), e->consts + k)
+             && e->consts[k] < (uint64_t)e->n;
+    Py_DECREF(fast);
+    e->nconsts = (int)count;
+    if (!ok && !PyErr_Occurred())
+        law_error("law_scan takes at most 8 constants, each an element index");
+    return ok ? 0 : -1;
+}
+
+/* Read the tables: square sequences of rows of words within the carrier; an
+ * empty one is absent.  *buf receives one block that holds them all. */
+static int law_tables(PyObject *seq, struct law_env *e, uint64_t **buf)
+{
+    PyObject *fast = PySequence_Fast(seq, "tables must be a sequence"), *tabs[LAW_TABLES];
+    if (!fast)
+        return -1;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(fast), total = 0, got = 0;
+    int ok = count <= LAW_TABLES;
+    for (; ok && got < count; got++) {
+        tabs[got] = PySequence_Fast(PySequence_Fast_GET_ITEM(fast, got),
+                                    "a table must be a sequence");
+        if (!tabs[got])
+            break;
+        Py_ssize_t w = PySequence_Fast_GET_SIZE(tabs[got]);
+        ok = w <= LAW_WIDTH;
+        e->width[got] = (uint64_t)w;
+        total += w * w;
+    }
+    ok = ok && got == count;
+    *buf = ok ? PyMem_Malloc((total ? total : 1) * sizeof **buf) : NULL;
+    if (ok && !*buf) {
+        PyErr_NoMemory();
+        ok = 0;
+    }
+    uint64_t *out = *buf;
+    for (Py_ssize_t t = 0; ok && t < count; t++) {
+        Py_ssize_t w = (Py_ssize_t)e->width[t];
+        e->tab[t] = out;
+        e->bound[t] = 0;
+        for (Py_ssize_t i = 0; ok && i < w; i++) {
+            PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(tabs[t], i),
+                                            "a table row must be a sequence");
+            ok = row && PySequence_Fast_GET_SIZE(row) == w;
+            for (Py_ssize_t j = 0; ok && j < w; j++, out++) {
+                ok = read_word(PySequence_Fast_GET_ITEM(row, j), FULL(e->n), out);
+                if (ok && *out >= e->bound[t])
+                    e->bound[t] = *out + 1;
+            }
+            Py_XDECREF(row);
+        }
+    }
+    while (got > 0)
+        Py_DECREF(tabs[--got]);
+    Py_DECREF(fast);
+    e->ntables = (int)count;
+    if (!ok && !PyErr_Occurred())
+        law_error("law_scan takes at most 8 tables, each square, at most 2080 wide, "
+                  "with masks within the carrier");
+    return ok ? 0 : -1;
+}
+
+/* A checked program in register form: register i holds the result of
+ * op[i] on registers x[i] and y[i] (0 when unused) and depends on the
+ * variables up to depth[i] (-1 for none).  Repeated subterms share one
+ * register; result is the register the program leaves. */
+struct law_prog {
+    int arity, len, result;
+    int op[LAW_CODE], arg[LAW_CODE], x[LAW_CODE], y[LAW_CODE], depth[LAW_CODE];
+};
+
+/* Check a program before it runs: opcodes, operands and stack depth, and
+ * that every value used as an index stays below what it indexes, by the
+ * bounds of the tables, constants and variables it comes from. */
+static int law_check(const struct law_env *e, const int *code, int len, struct law_prog *p)
+{
+    uint64_t bound[LAW_CODE], n = (uint64_t)e->n;
+    int stack[LAW_STACK], sp = 0;
+    p->arity = code[0];
+    p->len = 0;
+    if (p->arity < 1 || p->arity > 4)
+        return law_error("law arity must lie in 1..4");
+    for (int pc = 1; pc < len; pc += 2) {
+        int op = code[pc], arg = code[pc + 1];
+        if (op < 0 || op >= L_OPS)
+            return law_error("unknown law opcode");
+        if ((op == L_VAR && (arg < 0 || arg >= p->arity))
+            || (op == L_CONST && (arg < 0 || arg >= e->nconsts))
+            || (op == L_TABLE && (arg < 0 || arg >= e->ntables || !e->width[arg])))
+            return law_error("law program operand out of range");
+        int pops = op <= L_CONST ? 0 : op <= L_LOWER && op != L_TABLE ? 1 : 2;
+        if (sp < pops)
+            return law_error("law program stack underflow");
+        sp -= pops;
+        int x = pops ? stack[sp] : 0, y = pops ? stack[sp + pops - 1] : 0, r = 0;
+        uint64_t bx = pops ? bound[x] : 0, by = pops ? bound[y] : 0;
+        uint64_t limit = op == L_TABLE ? e->width[arg] : n;
+        int indexes = op == L_TABLE || op == L_LEQ || op == L_UP || op == L_DOWN;
+        if (indexes && (bx > limit || by > limit))
+            return law_error("law program indexes with a value that may be out of range");
+        while (r < p->len && !(p->op[r] == op && p->arg[r] == arg && p->x[r] == x && p->y[r] == y))
+            r++;
+        if (r == p->len) {
+            p->op[r] = op;
+            p->arg[r] = arg;
+            p->x[r] = x;
+            p->y[r] = y;
+            bound[r] = op <= L_CONST ? n
+                       : op == L_TABLE ? e->bound[arg]
+                       : op <= L_LOWER ? UINT64_MAX
+                       : op == L_AND ? (bx < by ? bx : by) : 2;
+            p->depth[r] = op == L_VAR ? arg
+                          : op == L_CONST ? -1
+                          : p->depth[x] > p->depth[y] ? p->depth[x] : p->depth[y];
+            p->len++;
+        }
+        if (sp == LAW_STACK)
+            return law_error("law program stack overflow");
+        stack[sp++] = r;
+    }
+    if (sp != 1)
+        return law_error("a law program must leave one value");
+    p->result = stack[0];
+    return 0;
+}
+
+/* Run a checked program over every tuple in topological order.  The
+ * innermost variables whose tuples fit in 64 row positions (one, unless n
+ * is at most 8) are the row variables: a result that depends on one of
+ * them is a row over all their tuples, in order; any other is a single
+ * value, recomputed only when a variable it depends on moves.  Returns 1
+ * with the least failing tuple in out, or 0 when none fails. */
+static int law_run(const struct law_env *e, const struct law_prog *p, int *out)
+{
+    uint64_t val[LAW_CODE][64];
+    int n = e->n, first = p->arity - 1, count = n, rank[4] = {0}, moved = -1, rowrank[4][64];
+    while (first > 0 && count * n <= 64) {
+        first--;
+        count *= n;
+    }
+    /* rowrank[i][j]: the rank of row variable i at row position j */
+    for (int i = p->arity - 1, stride = 1; i >= first; stride *= n, i--)
+        for (int j = 0; j < count; j++)
+            rowrank[i][j] = j / stride % n;
+    for (;;) {
+        for (int i = 0; i < p->len; i++) {
+            int op = p->op[i], arg = p->arg[i], d = p->depth[i];
+            if (d < moved)
+                continue;
+            int len = d >= first ? count : 1;
+            /* a single value is read at index 0 of every row position */
+            int mx = p->depth[p->x[i]] >= first ? -1 : 0, my = p->depth[p->y[i]] >= first ? -1 : 0;
+            const uint64_t *restrict x = val[p->x[i]], *restrict y = val[p->y[i]];
+            uint64_t *restrict v = val[i];
+/* v[j] = expr over the operands a and b of row position j */
+#define LAW_ROW(expr)                                         \
+    for (int j = 0; j < len; j++) {                           \
+        uint64_t a = x[j & mx], b = y[j & my];                \
+        v[j] = (expr);                                        \
+    }                                                         \
+    break
+            switch (op) {
+            case L_VAR:
+                for (int j = 0; j < len; j++)
+                    v[j] = (uint64_t)e->topo[arg >= first ? rowrank[arg][j] : rank[arg]];
+                break;
+            case L_CONST:
+                v[0] = e->consts[arg];
+                break;
+            case L_TABLE: {
+                const uint64_t *t = e->tab[arg], w = e->width[arg];
+                LAW_ROW(t[a * w + b]);
+            }
+            case L_UP:
+            case L_DOWN: {
+                const uint64_t *cone = op == L_UP ? e->up : e->down;
+                for (int j = 0; j < len; j++)
+                    v[j] = cone[x[j & mx]];
+                break;
+            }
+            case L_LOWER:
+                for (int j = 0; j < len; j++) {
+                    v[j] = FULL(n);
+                    for (uint64_t m = x[j & mx] & FULL(n); m; m &= m - 1)
+                        v[j] &= e->down[ctz64(m)];
+                }
+                break;
+            case L_LEQ: {
+                const uint64_t *up = e->up;
+                LAW_ROW(up[a] >> b & 1);
+            }
+            case L_EQ:
+                LAW_ROW(a == b);
+            case L_AND:
+                LAW_ROW(a & b);
+            default: /* L_SUBSET */
+                LAW_ROW(!(a & ~b));
+            }
+#undef LAW_ROW
+        }
+        const uint64_t *test = val[p->result];
+        for (int j = 0; j < (p->depth[p->result] >= first ? count : 1); j++)
+            if (!test[j]) {
+                for (int i = 0; i < p->arity; i++)
+                    out[i] = e->topo[i >= first ? rowrank[i][j] : rank[i]];
+                return 1;
+            }
+        moved = first - 1;
+        while (moved >= 0 && ++rank[moved] == n)
+            rank[moved--] = 0;
+        if (moved < 0)
+            return 0;
+    }
+}
+
+/* The least failing tuple of one program, or None; NULL with an exception
+ * when the program is malformed. */
+static PyObject *law_one(const struct law_env *e, PyObject *program)
+{
+    int code[2 * LAW_CODE + 1], witness[4];
+    struct law_prog p;
+    PyObject *fast = PySequence_Fast(program, "a program must be a sequence");
+    if (!fast)
+        return NULL;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
+    int ok = len % 2 == 1 && len <= 2 * LAW_CODE + 1;
+    for (Py_ssize_t i = 0; ok && i < len; i++) {
+        int overflow;
+        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(fast, i), &overflow);
+        ok = !(v == -1 && PyErr_Occurred());
+        code[i] = overflow || v < INT_MIN || v > INT_MAX ? -1 : (int)v;
+    }
+    Py_DECREF(fast);
+    if (!ok) {
+        if (!PyErr_Occurred())
+            law_error("a program is (arity, opcode, operand, ...) with at most 64 instructions");
+        return NULL;
+    }
+    if (law_check(e, code, (int)len, &p))
+        return NULL;
+    if (!law_run(e, &p, witness))
+        Py_RETURN_NONE;
+    PyObject *out = PyTuple_New(p.arity);
+    for (int i = 0; out && i < p.arity; i++) {
+        PyObject *x = PyLong_FromLong(witness[i]);
+        if (!x)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct law_env e;
+    uint64_t *buf = NULL, seen = 0;
+    if (read_n("law_scan", args, nargs, 7, 64, &e.n) || read_indices(args[1], e.n, e.n, e.topo)
+        || read_masks(args[2], e.n, e.up) || read_masks(args[3], e.n, e.down)
+        || law_consts(args[5], &e))
+        return NULL;
+    for (int i = 0; i < e.n; i++)
+        seen |= (uint64_t)1 << e.topo[i];
+    if (seen != FULL(e.n)) {
+        law_error("topo must order the carrier");
+        return NULL;
+    }
+    PyObject *result = NULL, *fast = NULL;
+    if (!law_tables(args[4], &e, &buf))
+        fast = PySequence_Fast(args[6], "programs must be a sequence");
+    if (fast) {
+        Py_ssize_t count = PySequence_Fast_GET_SIZE(fast);
+        result = PyList_New(count);
+        for (Py_ssize_t p = 0; result && p < count; p++) {
+            PyObject *item = law_one(&e, PySequence_Fast_GET_ITEM(fast, p));
+            if (!item)
+                Py_CLEAR(result);
+            else
+                PyList_SET_ITEM(result, p, item);
+        }
+        Py_DECREF(fast);
+    }
+    PyMem_Free(buf);
+    return result;
 }
 
 /* Every new pair keeps a glb, and every pair now under i still has a
@@ -503,6 +823,10 @@ static PyMethodDef methods[] = {
            "bit 2: adjointness forward, bit 3: adjointness backward."),
     KERNEL(divisibility_scan, "divisibility_scan(n, join, mult, imp)\n--\n\n"
            "True when (x v y) * (x -> y) = y for every pair."),
+    KERNEL(law_scan, "law_scan(n, topo, up, down, tables, consts, programs)\n--\n\n"
+           "The least failing tuple of each program, or None, in topo order.\n\n"
+           "Same contract as the pure twin; each op runs over the innermost\n"
+           "variable's whole row."),
     KERNEL(enum_orders, "enum_orders(n, lattices_only)\n--\n\n"
            "Packed order matrices of all naturally labeled posets on n points.\n\n"
            "Same search as the pure twin; one uint64 per poset, row i in bits 8i..8i+n."),

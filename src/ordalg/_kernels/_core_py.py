@@ -1,7 +1,8 @@
 """Pure-Python kernels over int bitmasks.
 
 Bit j of ``up[i]`` set means element i lies below element j (reflexive).
-``down`` is the transpose.  Tables are flat row-major lists of length n*n.
+``down`` is the transpose.  Tables are flat row-major lists of length n*n,
+except that ``law_scan`` takes sequences of rows.
 The compiled backend ``_core_c`` implements the same contracts for carriers
 of at most 64 elements; this module also covers larger carriers because
 Python ints are unbounded.
@@ -148,6 +149,25 @@ def divisibility_scan(n, join, mult, imp):
             if mult[join[xrow + y] * n + imp[xrow + y]] != y:
                 return False
     return True
+
+
+# law_scan opcodes, numbered by position; _core_c.c lists them in this order.
+LAW_OPS = ("var", "const", "table", "up", "down", "lower", "leq", "eq", "and", "subset")
+LAW_STACK = 16
+LAW_CODE = 64
+LAW_TABLES = 8
+
+
+def law_scan(n, topo, up, down, tables, consts, programs):
+    """The least failing tuple of each program, or None, in topo order.
+
+    The contract is in the docstring of the ``_kernels`` package.  The
+    translator lives in ``_law_py``, imported on first use, so that a
+    process that runs every law scan on the compiled twin never compiles it.
+    """
+    from . import _law_py
+
+    return _law_py.law_scan(n, topo, up, down, tables, consts, programs)
 
 
 def _pack(n, up):

@@ -1,28 +1,39 @@
 """Partial binary operation tables; None is the in-band undefined value."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class BinOp:
-    """n-by-n table of element indices; a None cell means undefined."""
+    """n-by-n table of element indices; a None cell means undefined.
+
+    Rows are stored as tuples, so ``is_total``, computed once here, cannot
+    go stale.
+    """
 
     n: int
     table: tuple
+    is_total: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.table) != self.n:
+        table = tuple(map(tuple, self.table))
+        if len(table) != self.n:
             raise ValueError("table must have one row per element")
-        for row in self.table:
+        total = True
+        for row in table:
             if len(row) != self.n:
                 raise ValueError("table rows must all have length n")
             for cell in row:
-                if cell is not None and not 0 <= cell < self.n:
+                if cell is None:
+                    total = False
+                elif not 0 <= cell < self.n:
                     raise ValueError(f"cell {cell!r} outside the carrier")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "is_total", total)
 
     @classmethod
     def from_rows(cls, rows):
-        return cls(len(rows), tuple(tuple(row) for row in rows))
+        return cls(len(rows), rows)
 
     @classmethod
     def from_flat(cls, n, flat, undefined=-1):
@@ -30,10 +41,6 @@ class BinOp:
             tuple(None if flat[i * n + j] == undefined else flat[i * n + j] for j in range(n))
             for i in range(n)
         ))
-
-    @property
-    def is_total(self):
-        return all(cell is not None for row in self.table for cell in row)
 
     def value(self, a, b):
         return self.table[a][b]

@@ -79,9 +79,13 @@ def _cell(p, v):
 def cmd_check(args):
     sf = _read(args.file)
     p = sf.poset()
+    ops = sf.binops()
+    if "mult" in ops and "imp" in ops:
+        for name in ("mult", "imp"):
+            if not ops[name].is_total:
+                raise ParseError(f"op {name!r} is partial; residuation needs total tables", 1)
     lat = as_lattice(p)
     print(_order_line(p, lat))
-    ops = sf.binops()
     failures = 0
 
     if "*" in ops:
@@ -197,10 +201,7 @@ def cmd_congruences(args):
         lat = as_lattice(p)
         if not isinstance(lat, LatticeOps):
             raise OrdAlgError("no operations declared and the order is not a lattice")
-        ops = {
-            "join": BinOp(p.n, tuple(tuple(r) for r in lat.join)),
-            "meet": BinOp(p.n, tuple(tuple(r) for r in lat.meet)),
-        }
+        ops = {"join": BinOp(p.n, lat.join), "meet": BinOp(p.n, lat.meet)}
         print("note: using lattice join and meet", file=sys.stderr)
     constants = sf.constant_indices()
     if "one" not in constants and p.top is not None:

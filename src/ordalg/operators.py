@@ -8,6 +8,7 @@ so tests can inject broken operators and watch the axioms fail.
 
 from dataclasses import dataclass, field
 
+from . import laws
 from .errors import NoTopError, OrdAlgError, PartialStarError, SubsetBudgetError
 from .poset import lower_set
 from .residuation import AxiomReport, _require_verified
@@ -135,7 +136,8 @@ def check_operator_axioms(op, exhaustive_subsets=False):
     if not isinstance(op.prod, CanonicalProduct):
         subsets = tuple(range(1 << p.n) if exhaustive_subsets else generated_family(p))
         commut, unit = _groupoid_verdicts(p, op.prod, subsets)
-    fwd, bwd = _adjointness_verdicts(p, op.prod, op.resid)
+    fwd, bwd = map(Verdict.of, _operator_scan(op, (laws.OPERATOR_FORWARD,
+                                                     laws.OPERATOR_BACKWARD)))
     return AxiomReport(
         subject=op,
         verdicts=(
@@ -165,35 +167,22 @@ def _groupoid_verdicts(p, prod, subsets):
     return commut, unit
 
 
-def _adjointness_verdicts(p, prod, resid):
-    up, down = p.up, p.down
-    # U(c,b) and its lower set depend on (c, b) only, not on a
-    cones = {}
-    for b in p.topo:
-        row = []
-        for c in p.topo:
-            ucb = up[c] & up[b]
-            row.append((c, ucb, lower_set(p, ucb)))
-        cones[b] = row
-    # the canonical product of U(a,b) and U(c,b) is L(U(a,b)) & L(U(c,b))
-    canonical = isinstance(prod, CanonicalProduct)
-    fwd = bwd = None
-    for a in p.topo:
-        for b in p.topo:
-            _, uab, lab = cones[b][p.rank[a]]
-            lb = down[b]
-            rab = resid.r(a, b)
-            for c, ucb, lcb in cones[b]:
-                prod_abc = lab & lcb if canonical else prod.m(uab, ucb)
-                lhs = prod_abc & ~lb == 0
-                rhs = lcb & ~rab == 0
-                if lhs and not rhs and fwd is None:
-                    fwd = (a, b, c)
-                if rhs and not lhs and bwd is None:
-                    bwd = (a, b, c)
-                if fwd and bwd:
-                    return Verdict(False, fwd), Verdict(False, bwd)
-    return Verdict(fwd is None, fwd or ()), Verdict(bwd is None, bwd or ())
+def _operator_scan(op, checks):
+    """Scan the operator laws, with the residual and product as mask tables."""
+    p, prod, resid = op.poset, op.prod, op.resid
+    if isinstance(resid, CanonicalResidual):
+        rows = [[p.down[s] for s in row] for row in resid.star.table]
+    else:
+        rows = [[resid.r(x, y) for y in range(p.n)] for x in range(p.n)]
+    consts = (p.top,) if p.bottom is None else (p.top, p.bottom)
+    if isinstance(prod, CanonicalProduct):
+        return laws.scan(p, checks, consts, resid=rows)
+    # number the distinct masks U(x, y) and tabulate the product over them
+    ids = {}
+    uid = [[ids.setdefault(p.up[x] & p.up[y], len(ids)) for y in range(p.n)]
+           for x in range(p.n)]
+    prod_rows = [[prod.m(u, v) for v in ids] for u in ids]
+    return laws.scan(p, checks, consts, True, resid=rows, uid=uid, prod=prod_rows)
 
 
 def operator_derived_laws(op, checked):
@@ -203,57 +192,11 @@ def operator_derived_laws(op, checked):
     Law v needs a least element and is skipped without one.
     """
     _require_verified(checked, op)
-    p = op.poset
-    full = p.full
-    out = {}
-    law = Verdict(True)
-    for a in p.topo:
-        if p.down[a] & ~op.resid.r(p.top, a):
-            law = Verdict(False, (a,), "i")
-            break
-    out["i"] = law
-    law = Verdict(True)
-    for a in p.topo:
-        for b in p.topo:
-            if (p.up[a] >> b & 1) != (op.resid.r(a, b) == full):
-                law = Verdict(False, (a, b), "ii")
-                break
-        if not law:
-            break
-    out["ii"] = law
-    law = Verdict(True)
-    for a in p.topo:
-        for b in p.topo:
-            if op.prod.m(p.up[a], p.up[a] & p.up[b]) & ~p.down[a]:
-                law = Verdict(False, (a, b), "iii")
-                break
-        if not law:
-            break
-    out["iii"] = law
-    law = Verdict(True)
-    for a in p.topo:
-        for b in p.topo:
-            if p.down[b] & ~op.resid.r(a, b):
-                law = Verdict(False, (a, b), "iv")
-                break
-        if not law:
-            break
-    out["iv"] = law
-    if p.bottom is None:
+    named = laws.OPERATOR_LAWS if op.poset.bottom is not None else laws.OPERATOR_LAWS[:-1]
+    found = _operator_scan(op, [law for _, law in named])
+    out = {name: Verdict.of(w, name) for (name, _), w in zip(named, found)}
+    if op.poset.bottom is None:
         out["v"] = Verdict(True, (), "skipped: no least element")
-    else:
-        bot_mask = 1 << p.bottom
-        law = Verdict(True)
-        for a in p.topo:
-            for b in p.topo:
-                lhs = op.prod.m(p.up[a], p.up[b]) & ~bot_mask == 0
-                rhs = p.down[a] & ~op.resid.r(b, p.bottom) == 0
-                if lhs != rhs:
-                    law = Verdict(False, (a, b), "v")
-                    break
-            if not law:
-                break
-        out["v"] = law
     return out
 
 

@@ -9,6 +9,7 @@ to that.
 from dataclasses import dataclass
 
 from . import _kernels as kernels
+from . import laws
 from .binop import BinOp
 from .poset import LatticeOps, NotALattice, as_lattice
 from .verdict import Verdict
@@ -109,14 +110,11 @@ def relative_table_poset(p):
 
 def is_meet_semidistributive(lat):
     """Verdict of: a^b = a^c implies a^(b v c) = a^b, scanned over triples."""
-    p = lat.poset
-    for a in p.topo:
-        for b in p.topo:
-            ab = lat.meet[a][b]
-            for c in p.topo:
-                if ab == lat.meet[a][c] and lat.meet[a][lat.join[b][c]] != ab:
-                    return Verdict(False, (a, b, c))
-    return Verdict(True)
+    return Verdict.of(_lattice_scan(lat, (laws.MEET_SEMIDISTRIBUTIVE,))[0])
+
+
+def _lattice_scan(lat, checks):
+    return laws.scan(lat.poset, checks, join=lat.join, meet=lat.meet)
 
 
 @dataclass(frozen=True)
@@ -151,27 +149,6 @@ def synthesize_sectional(lat):
                 return FailureWitness((a, b), cand, lat.meet[vee][cand])
             rows[a][b] = cand
     return BinOp.from_rows(rows)
-
-
-def _modularity(lat):
-    p = lat.poset
-    for a in p.topo:
-        ua = p.up[a]
-        for b in p.topo:
-            for c in p.topo:
-                if ua >> c & 1 and lat.join[a][lat.meet[b][c]] != lat.meet[lat.join[a][b]][c]:
-                    return Verdict(False, (a, b, c))
-    return Verdict(True)
-
-
-def _distributivity(lat):
-    p = lat.poset
-    for a in p.topo:
-        for b in p.topo:
-            for c in p.topo:
-                if lat.meet[a][lat.join[b][c]] != lat.join[lat.meet[a][b]][lat.meet[a][c]]:
-                    return Verdict(False, (a, b, c))
-    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -223,18 +200,13 @@ def classify(p, lattice=None):
         witnesses["has_bottom"] = tuple(i for i in p.topo if p.down[i] == 1 << i)
     is_modular = is_distributive = is_semi = None
     if lat is not None:
-        v = _modularity(lat)
-        is_modular = v.holds
-        if not v:
-            witnesses["is_modular"] = v.witness
-        v = _distributivity(lat)
-        is_distributive = v.holds
-        if not v:
-            witnesses["is_distributive"] = v.witness
-        v = is_meet_semidistributive(lat)
-        is_semi = v.holds
-        if not v:
-            witnesses["is_meet_semidistributive"] = v.witness
+        found = _lattice_scan(lat, (laws.MODULAR, laws.DISTRIBUTIVE))
+        semi = is_meet_semidistributive(lat)
+        found.append(None if semi else semi.witness)
+        for key, w in zip(("is_modular", "is_distributive", "is_meet_semidistributive"), found):
+            if w is not None:
+                witnesses[key] = w
+        is_modular, is_distributive, is_semi = (w is None for w in found)
     star = star_table_poset(p)
     spc = star.is_total
     if not spc:

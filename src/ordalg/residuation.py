@@ -9,6 +9,7 @@ axiom report so nothing downstream runs on an unverified structure.
 from dataclasses import dataclass, field
 
 from . import _kernels as kernels
+from . import laws
 from .binop import BinOp
 from .errors import NotVerifiedError, PreconditionError
 from .verdict import Verdict
@@ -52,84 +53,35 @@ class AxiomReport:
         return tuple(name for name, v in self.verdicts if not v)
 
 
-def _pairs(p):
-    for a in p.topo:
-        for b in p.topo:
-            yield a, b
+def _axiom_scan(lat, mult, imp, checks):
+    consts = (lat.top,) if lat.bottom is None else (lat.top, lat.bottom)
+    return laws.scan(lat.poset, checks, consts, join=lat.join, mult=mult.table, imp=imp.table)
 
 
-def _triples(p):
-    for a in p.topo:
-        for b in p.topo:
-            for c in p.topo:
-                yield a, b, c
-
-
-def _groupoid_verdict(cand):
-    p = cand.lattice.poset
-    mult = cand.mult.table
-    top = cand.lattice.top
-    for a, b in _pairs(p):
-        if mult[a][b] != mult[b][a]:
-            return Verdict(False, (a, b), "commutativity")
-    for a in p.topo:
-        if mult[top][a] != a:
-            return Verdict(False, (a,), "unit")
-    return Verdict(True)
-
-
-def _monotone_verdict(lat, mult):
-    p = lat.poset
-    up = p.up
-    t = mult.table
-    for a, b in _pairs(p):
-        if up[a] >> b & 1:
-            for c in p.topo:
-                if not up[t[a][c]] >> t[b][c] & 1 or not up[t[c][a]] >> t[c][b] & 1:
-                    return Verdict(False, (a, b, c))
-    return Verdict(True)
-
-
-def _adjointness_verdicts(lat, mult, imp):
-    p = lat.poset
-    up = p.up
-    join = lat.join
-    mt, it = mult.table, imp.table
-    fwd = bwd = None
-    for a, b, c in _triples(p):
-        ab = join[a][b]
-        cb = join[c][b]
-        lhs = up[mt[ab][cb]] >> b & 1
-        rhs = up[cb] >> it[a][b] & 1
-        if lhs and not rhs and fwd is None:
-            fwd = (a, b, c)
-        if rhs and not lhs and bwd is None:
-            bwd = (a, b, c)
-        if fwd and bwd:
-            break
-    return (
-        Verdict(fwd is None, fwd or ()),
-        Verdict(bwd is None, bwd or ()),
-    )
+def _groupoid_verdict(commutative, unit):
+    if commutative:
+        return Verdict(False, commutative, "commutativity")
+    return Verdict.of(unit, "unit")
 
 
 def check_residuation(cand):
     """Exhaustive check of the residuation axioms; every failure has a witness.
 
-    The flat scans run on the kernel backend; witness hunts re-run in pure
-    Python over the fixed topological order.
+    A flag scan runs first; when it flags a failure, the law engine finds
+    each axiom's least failing tuple in the fixed topological order.
     """
     lat = cand.lattice
     p = lat.poset
     bits = kernels.rrl_scan(
         p.n, p.up, lat.top, lat.flat_join(), cand.mult.flat(), cand.imp.flat()
     )
-    group = _groupoid_verdict(cand) if bits & 1 else Verdict(True)
-    mono = _monotone_verdict(lat, cand.mult) if bits & 2 else Verdict(True)
-    if bits & 12:
-        fwd, bwd = _adjointness_verdicts(lat, cand.mult, cand.imp)
-    else:
-        fwd = bwd = Verdict(True)
+    group = mono = fwd = bwd = Verdict(True)
+    if bits:
+        comm, unit, mono, fwd, bwd = _axiom_scan(lat, cand.mult, cand.imp, (
+            laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD,
+            laws.ADJOINT_BACKWARD))
+        group = _groupoid_verdict(comm, unit)
+        mono, fwd, bwd = map(Verdict.of, (mono, fwd, bwd))
     return AxiomReport(
         subject=cand,
         verdicts=(
@@ -155,18 +107,17 @@ def check_divisibility(cand, mult_override=None):
         raise ValueError("override must be a total table on the same carrier")
     if kernels.divisibility_scan(p.n, lat.flat_join(), mult.flat(), cand.imp.flat()):
         return Verdict(True)
-    mt, it = mult.table, cand.imp.table
-    for x, y in _pairs(p):
-        if mt[lat.join[x][y]][it[x][y]] != y:
-            return Verdict(False, (x, y), "divisibility")
-    raise AssertionError("kernel reported a failure the rescan cannot find")
+    (witness,) = _axiom_scan(lat, mult, cand.imp, (laws.DIVISIBLE,))
+    if witness is None:
+        raise AssertionError("kernel reported a failure the law engine cannot find")
+    return Verdict(False, witness, "divisibility")
 
 
 def from_sectional(lat, star):
     """Candidate with meet as multiplication and a star table as implication."""
     if not star.is_total:
         raise ValueError("star table must be total")
-    meet_op = BinOp(lat.poset.n, tuple(tuple(row) for row in lat.meet))
+    meet_op = BinOp(lat.poset.n, lat.meet)
     return ResiduationCandidate(lat, meet_op, star)
 
 
@@ -187,46 +138,13 @@ def derived_laws(cand, checked):
     """
     _require_verified(checked, cand)
     lat = cand.lattice
-    p = lat.poset
-    up = p.up
-    join = lat.join
-    mt, it = cand.mult.table, cand.imp.table
-    top, bot = lat.top, lat.bottom
-    out = {}
-
-    def scan_pairs(law, test):
-        for a, b in _pairs(p):
-            if not test(a, b):
-                return Verdict(False, (a, b), law)
-        return Verdict(True)
-
-    out["i"] = Verdict(True)
-    for x in p.topo:
-        if it[top][x] != x:
-            out["i"] = Verdict(False, (x,), "i")
-            break
-    out["ii"] = scan_pairs("ii", lambda a, b: (up[a] >> b & 1) == (it[a][b] == top))
-    out["iii"] = scan_pairs("iii", lambda a, b: up[mt[a][join[a][b]]] >> a & 1)
-    out["iv"] = scan_pairs("iv", lambda a, b: up[b] >> it[a][b] & 1)
-    out["v"] = scan_pairs("v", lambda a, b: up[mt[join[a][b]][it[a][b]]] >> b & 1)
-    out["vi"] = scan_pairs("vi", lambda a, b: it[a][b] == it[join[a][b]][b])
-    out["vii"] = scan_pairs("vii", lambda a, b: up[join[a][b]] >> it[it[a][b]][b] & 1)
-    law8 = Verdict(True)
-    for a, b, c in _triples(p):
-        if up[a] >> b & 1 and not up[it[b][c]] >> it[a][c] & 1:
-            law8 = Verdict(False, (a, b, c), "viii")
-            break
-    out["viii"] = law8
-    if bot is None:
-        out["ix"] = Verdict(True, (), "skipped: no least element")
+    stages = laws.LAW_IX if lat.bottom is not None else ()
+    found = _axiom_scan(lat, cand.mult, cand.imp, [law for _, law in laws.DERIVED] + list(stages))
+    out = {name: Verdict.of(w, name) for (name, _), w in zip(laws.DERIVED, found)}
+    if stages:
+        out["ix"] = Verdict.of(found[-2] or found[-1], "ix")
     else:
-        law9 = scan_pairs("ix", lambda a, b: (mt[a][b] == bot) == (up[a] >> it[b][bot] & 1))
-        if law9:
-            for x in p.topo:
-                if mt[bot][x] != bot:
-                    law9 = Verdict(False, (x,), "ix")
-                    break
-        out["ix"] = law9
+        out["ix"] = Verdict(True, (), "skipped: no least element")
     return out
 
 
@@ -236,22 +154,13 @@ def half_adjointness(lat, mult, imp):
     Raises PreconditionError naming whichever hypothesis fails; otherwise
     verifies that (c v b) <= a -> b forces (a v b) * (c v b) <= b.
     """
-    p = lat.poset
-    up = p.up
-    mt, it = mult.table, imp.table
-    join = lat.join
-    for a in p.topo:
-        for b, c in _pairs(p):
-            if up[b] >> c & 1 and not up[mt[a][b]] >> mt[a][c] & 1:
-                raise PreconditionError("mult monotone in second argument", (a, b, c))
-    for a, b in _pairs(p):
-        if not up[mt[join[a][b]][it[a][b]]] >> b & 1:
-            raise PreconditionError("(a v b) * (a -> b) <= b", (a, b))
-    for a, b, c in _triples(p):
-        cb = join[c][b]
-        if up[cb] >> it[a][b] & 1 and not up[mt[join[a][b]][cb]] >> b & 1:
-            return Verdict(False, (a, b, c))
-    return Verdict(True)
+    monotone, below, found = _axiom_scan(
+        lat, mult, imp, (laws.MONOTONE_RIGHT, laws.PRODUCT_BELOW, laws.ADJOINT_BACKWARD))
+    if monotone:
+        raise PreconditionError("mult monotone in second argument", monotone)
+    if below:
+        raise PreconditionError("(a v b) * (a -> b) <= b", below)
+    return Verdict.of(found)
 
 
 @dataclass(frozen=True)
@@ -274,44 +183,15 @@ def identity_basis_check(cand):
     If every condition and the groupoid laws hold, the candidate must pass
     check_residuation outright, and the resulting report is attached.
     """
-    lat = cand.lattice
-    p = lat.poset
-    up = p.up
-    join = lat.join
-    mt, it = cand.mult.table, cand.imp.table
-    top = lat.top
-    conds = []
-    v = Verdict(True)
-    for a, b, c in _triples(p):
-        ab, cb = join[a][b], join[c][b]
-        if not up[it[mt[ab][cb]][b]] >> it[cb][it[a][b]] & 1:
-            v = Verdict(False, (a, b, c), "i")
-            break
-    conds.append(("i", v))
-    v = Verdict(True)
-    for a, b in _pairs(p):
-        if not up[mt[join[a][b]][it[a][b]]] >> b & 1:
-            v = Verdict(False, (a, b), "ii")
-            break
-    conds.append(("ii", v))
-    v = Verdict(True)
-    for a, b, c in _triples(p):
-        if not up[mt[a][b]] >> mt[a][join[b][c]] & 1:
-            v = Verdict(False, (a, b, c), "iii")
-            break
-    conds.append(("iii", v))
-    v = Verdict(True)
-    for x, y in _pairs(p):
-        if it[x][join[x][y]] != top:
-            v = Verdict(False, (x, y), "iv")
-            break
-    conds.append(("iv", v))
-    group = _groupoid_verdict(cand)
-    report = IdentityBasisReport(subject=cand, conditions=tuple(conds), groupoid=group)
+    found = _axiom_scan(cand.lattice, cand.mult, cand.imp,
+                        [law for _, law in laws.BASIS] + [laws.COMMUTATIVE, laws.UNIT])
+    conds = tuple((name, Verdict.of(w, name)) for (name, _), w in zip(laws.BASIS, found))
+    group = _groupoid_verdict(*found[-2:])
+    report = IdentityBasisReport(subject=cand, conditions=conds, groupoid=group)
     if report.all_conditions_hold:
         report = IdentityBasisReport(
             subject=cand,
-            conditions=tuple(conds),
+            conditions=conds,
             groupoid=group,
             residuation=check_residuation(cand),
         )

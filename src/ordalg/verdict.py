@@ -13,3 +13,8 @@ class Verdict:
 
     def __bool__(self):
         return self.holds
+
+    @classmethod
+    def of(cls, witness, detail=""):
+        """Holding for no witness (None), else failing with it and the detail."""
+        return cls(True) if witness is None else cls(False, witness, detail)

@@ -5,14 +5,25 @@ restricted growth strings, posets as transitive upper-triangular
 relations, isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, congruence
-distributivity triple by triple.  Slow but obviously correct, which is
-the point.
+distributivity triple by triple, and every lattice, residuation and
+operator law by the hand loop it had before the law engine.  Slow but
+obviously correct, which is the point.
 """
 
 from functools import lru_cache
 from itertools import permutations
 
-from ordalg import BinOp, Congruence, FiniteAlgebra, Poset, Verdict, as_lattice, lower_set
+from ordalg import (
+    BinOp,
+    CanonicalProduct,
+    Congruence,
+    FiniteAlgebra,
+    Poset,
+    PreconditionError,
+    Verdict,
+    as_lattice,
+    lower_set,
+)
 
 
 def all_partitions(n):
@@ -281,3 +292,310 @@ def adjointness_per_triple(op):
                 if rhs and not lhs and bwd:
                     bwd = Verdict(False, (a, b, c))
     return fwd, bwd
+
+
+# The law loops below scan tuples in the fixed topological order and stop
+# at the first failure, as the library did before the law engine.
+
+
+def _pairs(p):
+    for a in p.topo:
+        for b in p.topo:
+            yield a, b
+
+
+def _triples(p):
+    for a in p.topo:
+        for b in p.topo:
+            for c in p.topo:
+                yield a, b, c
+
+
+def modularity_by_triples(lat):
+    p = lat.poset
+    for a in p.topo:
+        ua = p.up[a]
+        for b in p.topo:
+            for c in p.topo:
+                if ua >> c & 1 and lat.join[a][lat.meet[b][c]] != lat.meet[lat.join[a][b]][c]:
+                    return Verdict(False, (a, b, c))
+    return Verdict(True)
+
+
+def distributivity_by_triples(lat):
+    p = lat.poset
+    for a in p.topo:
+        for b in p.topo:
+            for c in p.topo:
+                if lat.meet[a][lat.join[b][c]] != lat.join[lat.meet[a][b]][lat.meet[a][c]]:
+                    return Verdict(False, (a, b, c))
+    return Verdict(True)
+
+
+def meet_semidistributive_by_triples(lat):
+    p = lat.poset
+    for a in p.topo:
+        for b in p.topo:
+            ab = lat.meet[a][b]
+            for c in p.topo:
+                if ab == lat.meet[a][c] and lat.meet[a][lat.join[b][c]] != ab:
+                    return Verdict(False, (a, b, c))
+    return Verdict(True)
+
+
+def groupoid_by_loops(cand):
+    p = cand.lattice.poset
+    mult = cand.mult.table
+    top = cand.lattice.top
+    for a, b in _pairs(p):
+        if mult[a][b] != mult[b][a]:
+            return Verdict(False, (a, b), "commutativity")
+    for a in p.topo:
+        if mult[top][a] != a:
+            return Verdict(False, (a,), "unit")
+    return Verdict(True)
+
+
+def monotone_by_loops(lat, mult):
+    p = lat.poset
+    up = p.up
+    t = mult.table
+    for a, b in _pairs(p):
+        if up[a] >> b & 1:
+            for c in p.topo:
+                if not up[t[a][c]] >> t[b][c] & 1 or not up[t[c][a]] >> t[c][b] & 1:
+                    return Verdict(False, (a, b, c))
+    return Verdict(True)
+
+
+def adjointness_by_loops(lat, mult, imp):
+    p = lat.poset
+    up = p.up
+    join = lat.join
+    mt, it = mult.table, imp.table
+    fwd = bwd = None
+    for a, b, c in _triples(p):
+        ab = join[a][b]
+        cb = join[c][b]
+        lhs = up[mt[ab][cb]] >> b & 1
+        rhs = up[cb] >> it[a][b] & 1
+        if lhs and not rhs and fwd is None:
+            fwd = (a, b, c)
+        if rhs and not lhs and bwd is None:
+            bwd = (a, b, c)
+        if fwd and bwd:
+            break
+    return (
+        Verdict(fwd is None, fwd or ()),
+        Verdict(bwd is None, bwd or ()),
+    )
+
+
+def residuation_by_loops(cand):
+    """The verdicts of check_residuation, in its order."""
+    lat = cand.lattice
+    fwd, bwd = adjointness_by_loops(lat, cand.mult, cand.imp)
+    return (
+        ("commutative-groupoid-with-unit", groupoid_by_loops(cand)),
+        ("mult-monotone", monotone_by_loops(lat, cand.mult)),
+        ("adjointness-forward", fwd),
+        ("adjointness-backward", bwd),
+    )
+
+
+def divisibility_by_loops(cand, mult_override=None):
+    lat = cand.lattice
+    p = lat.poset
+    mult = cand.mult if mult_override is None else mult_override
+    mt, it = mult.table, cand.imp.table
+    for x, y in _pairs(p):
+        if mt[lat.join[x][y]][it[x][y]] != y:
+            return Verdict(False, (x, y), "divisibility")
+    return Verdict(True)
+
+
+def derived_laws_by_loops(cand):
+    lat = cand.lattice
+    p = lat.poset
+    up = p.up
+    join = lat.join
+    mt, it = cand.mult.table, cand.imp.table
+    top, bot = lat.top, lat.bottom
+    out = {}
+
+    def scan_pairs(law, test):
+        for a, b in _pairs(p):
+            if not test(a, b):
+                return Verdict(False, (a, b), law)
+        return Verdict(True)
+
+    out["i"] = Verdict(True)
+    for x in p.topo:
+        if it[top][x] != x:
+            out["i"] = Verdict(False, (x,), "i")
+            break
+    out["ii"] = scan_pairs("ii", lambda a, b: (up[a] >> b & 1) == (it[a][b] == top))
+    out["iii"] = scan_pairs("iii", lambda a, b: up[mt[a][join[a][b]]] >> a & 1)
+    out["iv"] = scan_pairs("iv", lambda a, b: up[b] >> it[a][b] & 1)
+    out["v"] = scan_pairs("v", lambda a, b: up[mt[join[a][b]][it[a][b]]] >> b & 1)
+    out["vi"] = scan_pairs("vi", lambda a, b: it[a][b] == it[join[a][b]][b])
+    out["vii"] = scan_pairs("vii", lambda a, b: up[join[a][b]] >> it[it[a][b]][b] & 1)
+    law8 = Verdict(True)
+    for a, b, c in _triples(p):
+        if up[a] >> b & 1 and not up[it[b][c]] >> it[a][c] & 1:
+            law8 = Verdict(False, (a, b, c), "viii")
+            break
+    out["viii"] = law8
+    if bot is None:
+        out["ix"] = Verdict(True, (), "skipped: no least element")
+    else:
+        law9 = scan_pairs("ix", lambda a, b: (mt[a][b] == bot) == (up[a] >> it[b][bot] & 1))
+        if law9:
+            for x in p.topo:
+                if mt[bot][x] != bot:
+                    law9 = Verdict(False, (x,), "ix")
+                    break
+        out["ix"] = law9
+    return out
+
+
+def half_adjointness_by_loops(lat, mult, imp):
+    p = lat.poset
+    up = p.up
+    mt, it = mult.table, imp.table
+    join = lat.join
+    for a in p.topo:
+        for b, c in _pairs(p):
+            if up[b] >> c & 1 and not up[mt[a][b]] >> mt[a][c] & 1:
+                raise PreconditionError("mult monotone in second argument", (a, b, c))
+    for a, b in _pairs(p):
+        if not up[mt[join[a][b]][it[a][b]]] >> b & 1:
+            raise PreconditionError("(a v b) * (a -> b) <= b", (a, b))
+    for a, b, c in _triples(p):
+        cb = join[c][b]
+        if up[cb] >> it[a][b] & 1 and not up[mt[join[a][b]][cb]] >> b & 1:
+            return Verdict(False, (a, b, c))
+    return Verdict(True)
+
+
+def identity_basis_by_loops(cand):
+    """(conditions, groupoid verdict) of identity_basis_check."""
+    lat = cand.lattice
+    p = lat.poset
+    up = p.up
+    join = lat.join
+    mt, it = cand.mult.table, cand.imp.table
+    top = lat.top
+    conds = []
+    v = Verdict(True)
+    for a, b, c in _triples(p):
+        ab, cb = join[a][b], join[c][b]
+        if not up[it[mt[ab][cb]][b]] >> it[cb][it[a][b]] & 1:
+            v = Verdict(False, (a, b, c), "i")
+            break
+    conds.append(("i", v))
+    v = Verdict(True)
+    for a, b in _pairs(p):
+        if not up[mt[join[a][b]][it[a][b]]] >> b & 1:
+            v = Verdict(False, (a, b), "ii")
+            break
+    conds.append(("ii", v))
+    v = Verdict(True)
+    for a, b, c in _triples(p):
+        if not up[mt[a][b]] >> mt[a][join[b][c]] & 1:
+            v = Verdict(False, (a, b, c), "iii")
+            break
+    conds.append(("iii", v))
+    v = Verdict(True)
+    for x, y in _pairs(p):
+        if it[x][join[x][y]] != top:
+            v = Verdict(False, (x, y), "iv")
+            break
+    conds.append(("iv", v))
+    return tuple(conds), groupoid_by_loops(cand)
+
+
+def operator_adjointness_by_loops(p, prod, resid):
+    up, down = p.up, p.down
+    # U(c,b) and its lower set depend on (c, b) only, not on a
+    cones = {}
+    for b in p.topo:
+        row = []
+        for c in p.topo:
+            ucb = up[c] & up[b]
+            row.append((c, ucb, lower_set(p, ucb)))
+        cones[b] = row
+    # the canonical product of U(a,b) and U(c,b) is L(U(a,b)) & L(U(c,b))
+    canonical = isinstance(prod, CanonicalProduct)
+    fwd = bwd = None
+    for a in p.topo:
+        for b in p.topo:
+            _, uab, lab = cones[b][p.rank[a]]
+            lb = down[b]
+            rab = resid.r(a, b)
+            for c, ucb, lcb in cones[b]:
+                prod_abc = lab & lcb if canonical else prod.m(uab, ucb)
+                lhs = prod_abc & ~lb == 0
+                rhs = lcb & ~rab == 0
+                if lhs and not rhs and fwd is None:
+                    fwd = (a, b, c)
+                if rhs and not lhs and bwd is None:
+                    bwd = (a, b, c)
+                if fwd and bwd:
+                    return Verdict(False, fwd), Verdict(False, bwd)
+    return Verdict(fwd is None, fwd or ()), Verdict(bwd is None, bwd or ())
+
+
+def operator_laws_by_loops(op):
+    p = op.poset
+    full = p.full
+    out = {}
+    law = Verdict(True)
+    for a in p.topo:
+        if p.down[a] & ~op.resid.r(p.top, a):
+            law = Verdict(False, (a,), "i")
+            break
+    out["i"] = law
+    law = Verdict(True)
+    for a in p.topo:
+        for b in p.topo:
+            if (p.up[a] >> b & 1) != (op.resid.r(a, b) == full):
+                law = Verdict(False, (a, b), "ii")
+                break
+        if not law:
+            break
+    out["ii"] = law
+    law = Verdict(True)
+    for a in p.topo:
+        for b in p.topo:
+            if op.prod.m(p.up[a], p.up[a] & p.up[b]) & ~p.down[a]:
+                law = Verdict(False, (a, b), "iii")
+                break
+        if not law:
+            break
+    out["iii"] = law
+    law = Verdict(True)
+    for a in p.topo:
+        for b in p.topo:
+            if p.down[b] & ~op.resid.r(a, b):
+                law = Verdict(False, (a, b), "iv")
+                break
+        if not law:
+            break
+    out["iv"] = law
+    if p.bottom is None:
+        out["v"] = Verdict(True, (), "skipped: no least element")
+    else:
+        bot_mask = 1 << p.bottom
+        law = Verdict(True)
+        for a in p.topo:
+            for b in p.topo:
+                lhs = op.prod.m(p.up[a], p.up[b]) & ~bot_mask == 0
+                rhs = p.down[a] & ~op.resid.r(b, p.bottom) == 0
+                if lhs != rhs:
+                    law = Verdict(False, (a, b), "v")
+                    break
+            if not law:
+                break
+        out["v"] = law
+    return out

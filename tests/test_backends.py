@@ -14,10 +14,12 @@ import pytest
 
 from ordalg import _kernels as kernels
 from ordalg import (
+    BinOp,
     as_lattice,
     enumerate_structures,
     fixture,
     from_sectional,
+    laws,
     make_poset,
     star_table_poset,
     synthesize_sectional,
@@ -128,6 +130,98 @@ def test_axiom_scans_identical_on_random_tables():
             py.divisibility_scan(n, join, mult, imp)
 
 
+def library_programs():
+    """Every program of the law library, with either kind of product."""
+    found = []
+    for value in vars(laws).values():
+        items = value if isinstance(value, tuple) else (value,)
+        for item in items:
+            law = item[1] if isinstance(item, tuple) and len(item) == 2 else item
+            if isinstance(law, laws.Law):
+                found += [law.program, law.table_program]
+    return list(dict.fromkeys(found))
+
+
+def law_inputs():
+    """(n, topo, up, down, tables, consts) on which both twins must agree.
+
+    The tables follow laws.TABLES: join, meet, mult, imp, a residual of
+    masks, ids of the distinct masks U(x, y) and a product over those ids.
+    """
+    rng = random.Random(14)
+    structures = [fixture("chain2").poset, fixture("bool3").poset, fixture("bool6").poset]
+    structures.append(enumerate_structures(1, "lattices").members[0])
+    structures += rng.sample(enumerate_structures(8, "lattices").members, 4)
+    for p in structures:
+        n = p.n
+        lat = as_lattice(p)
+        ids = {}
+        uid = [[ids.setdefault(p.up[x] & p.up[y], len(ids)) for y in range(n)] for x in range(n)]
+        star = synthesize_sectional(lat)
+        passing = star.table if isinstance(star, BinOp) else lat.meet
+        for mult, imp in ((lat.meet, passing),
+                          *[(rand_table(rng, n), rand_table(rng, n)) for _ in range(3)]):
+            resid = [[p.down[y] for y in row] for row in imp]
+            prod = [[p.full & rng.randrange(1 << n) for _ in ids] for _ in ids]
+            yield (n, p.topo, p.up, p.down, (lat.join, lat.meet, mult, imp, resid, uid, prod),
+                   (p.top, p.bottom))
+
+
+def rand_table(rng, n):
+    return tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+
+
+def test_law_scan_identical():
+    c = c_backend()
+    programs = library_programs()
+    assert len(programs) > 30
+    sizes, results = set(), set()
+    for args in law_inputs():
+        got_c = c.law_scan(*args, programs)
+        assert got_c == py.law_scan(*args, programs)
+        sizes.add(args[0])
+        results.update(w is None for w in got_c)
+    assert sizes >= {1, 8, 64} and results == {True, False}
+
+
+def random_term(rng, arity, depth):
+    """Postfix code of a random term; often ill-typed, as when a mask is an index."""
+    op = kernels.LAW_OPS.index
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.8:
+            return [op("var"), rng.randrange(arity)]
+        return [op("const"), rng.randrange(2)]
+    name = rng.choice(kernels.LAW_OPS[2:])
+    code = random_term(rng, arity, depth - 1)
+    if name not in ("up", "down", "lower"):
+        code += random_term(rng, arity, depth - 1)
+    return code + [op(name), rng.randrange(len(laws.TABLES)) if name == "table" else 0]
+
+
+def test_law_scan_identical_on_random_programs():
+    """Random terms and random code, often malformed: both twins raise or agree."""
+    c = c_backend()
+    rng = random.Random(15)
+    outcomes = set()
+    for n, topo, up, down, tables, consts in itertools.islice(law_inputs(), 0, None, 3):
+        for k in range(300):
+            arity = rng.randrange(1, 4)
+            if k % 2:
+                program = [arity] + random_term(rng, arity, 4)
+            else:
+                program = [rng.randrange(0, 6)] + [rng.randrange(-1, 12) for _ in range(
+                    2 * rng.randrange(1, 8))]
+            got = []
+            for twin in (c, py):
+                try:
+                    got.append(twin.law_scan(n, topo, up, down, tables, consts, [program]))
+                except ValueError:
+                    got.append(ValueError)
+            assert got[0] == got[1], program
+            outcomes.add("error" if got[0] is ValueError else got[0][0] is None)
+    assert outcomes == {"error", True, False}
+
+
 def test_kernels_reject_inputs_their_buffers_cannot_hold():
     c = c_backend()
     cases = (
@@ -136,6 +230,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         ("poset_star_table", 64, lambda n: (n, [0] * n, [0] * n)),
         ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
         ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
+        ("law_scan", 64, lambda n: (n, range(max(n, 0)), [0] * n, [0] * n, (), (), ())),
         ("enum_orders", 8, lambda n: (n, False)),
         ("canonical_keys", 8, lambda n: (n, [])),
     )
@@ -162,6 +257,51 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     ):
         with pytest.raises(ValueError):
             bad()
+
+    # law_scan: every malformed table, constant, program or order; the
+    # pure twin takes wider carriers, but no empty one
+    chain = fixture("chain3").poset
+    join = as_lattice(chain).join
+    var, const, table, up, leq = (kernels.LAW_OPS.index(op) for op in (
+        "var", "const", "table", "up", "leq"))
+    masks = (chain.up, chain.down)
+
+    def scan(twin, tables=(join,), consts=(2,), program=(2, var, 0, var, 1, table, 0),
+             topo=(0, 1, 2), n=3):
+        return twin.law_scan(n, topo, *masks, tables, consts, [program])
+
+    eq = kernels.LAW_OPS.index("eq")
+    pushes = (var, 0) * 17
+    too_long = (var, 0) + (var, 0, eq, 0) * 32
+    for twin in (c, py):
+        assert scan(twin) == [(0, 0)]  # join(0, 0) = 0 reads as a failure
+        for n in (-1, 0):
+            with pytest.raises(ValueError, match="supports 1 <= n"):
+                scan(twin, n=n)
+        for bad in (
+            dict(tables=([[0, 0, 0], [0, 0, 0], [0, 0, 5]],),   # an entry used as an index
+                 program=(2, var, 0, var, 1, table, 0, var, 1, table, 0)),
+            dict(tables=([[0, 0, 0], [0, -1, 0], [0, 0, 0]],)),  # an entry that is no mask
+            dict(tables=([[0, 0, 0], [0, 0, 0], [0, 0, 8]],)),   # a mask outside the carrier
+            dict(tables=([[0, 0], [0, 0]],)),                    # a table narrower than n
+            dict(tables=([[0, 0, 0], [0, 0], [0, 0, 0]],)),      # a ragged table
+            dict(consts=(3,)), dict(consts=(-1,)),
+            dict(program=(2, 99, 0)), dict(program=(2, -1, 0)),   # unknown opcodes
+            dict(program=(2, var, 2)), dict(program=(2, const, 1)),
+            dict(program=(2, var, 0, var, 1, table, 1)),          # an absent table
+            dict(program=(2, var, 0, var, 1, table, 9)),
+            dict(program=(1, var, 0, table, 0)),                  # stack underflow
+            dict(program=(1,) + pushes),                          # stack overflow
+            dict(program=(1,) + too_long),                        # 65 instructions
+            dict(program=(1, var, 0, var, 0)),                    # two values left
+            dict(program=(1, var, 0, up, 0, up, 0)),              # a mask used as an index
+            dict(program=(1, var, 0, up, 0, var, 0, leq, 0)),
+            dict(program=(0, var, 0)), dict(program=(5, var, 0)),
+            dict(program=(2, var)),
+            dict(topo=(0, 1, 1)), dict(topo=(0, 1, 3)),
+        ):
+            with pytest.raises(ValueError):
+                scan(twin, **bad)
 
     # a packed order with a row bit outside the carrier, a bit above row
     # n-1, a negative word or one wider than 64 bits

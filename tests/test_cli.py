@@ -62,6 +62,20 @@ def test_check_imp_mutant(write_fixture, capsys):
     assert "divisibility: skipped" in out
 
 
+def test_check_rejects_partial_residuation_tables(write_fixture, capsys):
+    path = write_fixture("residuated-chain")
+    text = path.read_text()
+    for op, row in (("imp", "  a  a  1  1"), ("mult", "  a  0  0  a")):
+        mutated = text.replace(row, row[:-1] + "?", 1)
+        assert mutated != text
+        path.write_text(mutated)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"op '{op}' is partial" in captured.err
+        assert captured.out == ""
+    path.write_text(text)
+
+
 def test_synthesize_writes_total_table(write_fixture, tmp_path, capsys):
     path = write_fixture("pentagon")
     out_path = tmp_path / "with_star.txt"
