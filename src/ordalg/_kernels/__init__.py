@@ -11,27 +11,18 @@ empty carrier).  The catalog kernels ``enum_orders`` and
 ``canonical_keys`` work on packed 8-bit rows, so both twins take only
 1..8 elements.
 
-``law_scan(n, topo, up, down, tables, consts, programs)`` returns, for
-each program, its least failing tuple in topological order, or None. A
-program is ``(arity, opcode, operand, opcode, operand, ...)``, with an
-arity of 1 to 4 and at most 64 instructions over the opcodes of
-``LAW_OPS``, run on a stack of at most 16 values: ``var`` i pushes
-variable i; ``const`` k pushes ``consts[k]``; ``table`` t pops y, x and
-pushes ``tables[t][x][y]``; ``up``, ``down`` and ``lower`` pop an
-element or a mask and push its upper cone, lower cone or common lower
-bounds; ``leq``, ``eq``, ``and`` and ``subset`` pop y, x and push x <= y
-in the order, x == y, x & y, and whether mask x lies within mask y.
-Variables range over ``topo``, the first outermost; a tuple fails when
-the value the program leaves is 0. ``consts`` holds element indices, at
-most 8. ``tables`` holds at most 8 square sequences of rows of masks
-within the carrier; an empty one is absent, and the compiled twin takes
-them at most 2080 wide, the most distinct masks U(x, y) on 64 elements.
-A program must leave one value, and every value it uses as an index must
-be provably below what it indexes, from the bounds of the variables,
-constants and table entries it comes from; otherwise both twins raise
-ValueError before scanning. The compiled twin runs each op over whole
-rows of the innermost variables; the pure one translates the programs of
-each arity in a batch, once, into one nest of Python loops.
+``law_scan(n, topo, up, down, tables, consts, programs)`` returns each
+program's least failing tuple in ``topo`` order (first variable
+outermost), or None.  A program is ``(arity, opcode, operand, ...)``:
+arity 1..4, at most 64 instructions of ``LAW_OPS``, a stack of 16.
+``var`` i, ``const`` k and ``table`` t push variable i, ``consts[k]`` and
+``tables[t][x][y]`` (popping x, y); ``up``/``down`` pop x and push its
+cone; ``leq``, ``eq``, ``and`` and ``subset`` pop x, y and push x <= y,
+x == y, x & y and whether mask x lies within y.  A tuple fails where the
+one value left is 0.  At most 8 constants (element indices) and 8 square
+tables of masks within the carrier (empty means absent; the compiled
+twin takes them up to 2080 wide); a value used as an index must be
+provably below what it indexes, or both twins raise ValueError.
 """
 
 import os

@@ -273,7 +273,7 @@ static PyObject *divisibility_scan(PyObject *self, PyObject *const *args, Py_ssi
 
 /* law_scan opcodes, numbered as the pure twin's LAW_OPS, and the limits
  * both twins share. */
-enum { L_VAR, L_CONST, L_TABLE, L_UP, L_DOWN, L_LOWER, L_LEQ, L_EQ, L_AND, L_SUBSET, L_OPS };
+enum { L_VAR, L_CONST, L_TABLE, L_UP, L_DOWN, L_LEQ, L_EQ, L_AND, L_SUBSET, L_OPS };
 #define LAW_STACK 16
 #define LAW_CODE 64
 #define LAW_TABLES 8
@@ -285,6 +285,7 @@ enum { L_VAR, L_CONST, L_TABLE, L_UP, L_DOWN, L_LOWER, L_LEQ, L_EQ, L_AND, L_SUB
 struct law_env {
     int n, ntables, nconsts, topo[64];
     uint64_t up[64], down[64], consts[LAW_TABLES];
+    /* bound[t]: the largest entry of table t */
     uint64_t *tab[LAW_TABLES], width[LAW_TABLES], bound[LAW_TABLES];
 };
 
@@ -348,8 +349,8 @@ static int law_tables(PyObject *seq, struct law_env *e, uint64_t **buf)
             ok = row && PySequence_Fast_GET_SIZE(row) == w;
             for (Py_ssize_t j = 0; ok && j < w; j++, out++) {
                 ok = read_word(PySequence_Fast_GET_ITEM(row, j), FULL(e->n), out);
-                if (ok && *out >= e->bound[t])
-                    e->bound[t] = *out + 1;
+                if (ok && *out > e->bound[t])
+                    e->bound[t] = *out;
             }
             Py_XDECREF(row);
         }
@@ -375,7 +376,8 @@ struct law_prog {
 
 /* Check a program before it runs: opcodes, operands and stack depth, and
  * that every value used as an index stays below what it indexes, by the
- * bounds of the tables, constants and variables it comes from. */
+ * bounds of the tables, constants and variables it comes from.  bound[r]
+ * is the largest value register r can hold. */
 static int law_check(const struct law_env *e, const int *code, int len, struct law_prog *p)
 {
     uint64_t bound[LAW_CODE], n = (uint64_t)e->n;
@@ -392,7 +394,7 @@ static int law_check(const struct law_env *e, const int *code, int len, struct l
             || (op == L_CONST && (arg < 0 || arg >= e->nconsts))
             || (op == L_TABLE && (arg < 0 || arg >= e->ntables || !e->width[arg])))
             return law_error("law program operand out of range");
-        int pops = op <= L_CONST ? 0 : op <= L_LOWER && op != L_TABLE ? 1 : 2;
+        int pops = op <= L_CONST ? 0 : op == L_UP || op == L_DOWN ? 1 : 2;
         if (sp < pops)
             return law_error("law program stack underflow");
         sp -= pops;
@@ -400,7 +402,7 @@ static int law_check(const struct law_env *e, const int *code, int len, struct l
         uint64_t bx = pops ? bound[x] : 0, by = pops ? bound[y] : 0;
         uint64_t limit = op == L_TABLE ? e->width[arg] : n;
         int indexes = op == L_TABLE || op == L_LEQ || op == L_UP || op == L_DOWN;
-        if (indexes && (bx > limit || by > limit))
+        if (indexes && (bx >= limit || by >= limit))
             return law_error("law program indexes with a value that may be out of range");
         while (r < p->len && !(p->op[r] == op && p->arg[r] == arg && p->x[r] == x && p->y[r] == y))
             r++;
@@ -409,10 +411,10 @@ static int law_check(const struct law_env *e, const int *code, int len, struct l
             p->arg[r] = arg;
             p->x[r] = x;
             p->y[r] = y;
-            bound[r] = op <= L_CONST ? n
+            bound[r] = op <= L_CONST ? n - 1
                        : op == L_TABLE ? e->bound[arg]
-                       : op <= L_LOWER ? UINT64_MAX
-                       : op == L_AND ? (bx < by ? bx : by) : 2;
+                       : op <= L_DOWN ? UINT64_MAX
+                       : op == L_AND ? (bx < by ? bx : by) : 1;
             p->depth[r] = op == L_VAR ? arg
                           : op == L_CONST ? -1
                           : p->depth[x] > p->depth[y] ? p->depth[x] : p->depth[y];
@@ -482,13 +484,6 @@ static int law_run(const struct law_env *e, const struct law_prog *p, int *out)
                     v[j] = cone[x[j & mx]];
                 break;
             }
-            case L_LOWER:
-                for (int j = 0; j < len; j++) {
-                    v[j] = FULL(n);
-                    for (uint64_t m = x[j & mx] & FULL(n); m; m &= m - 1)
-                        v[j] &= e->down[ctz64(m)];
-                }
-                break;
             case L_LEQ: {
                 const uint64_t *up = e->up;
                 LAW_ROW(up[a] >> b & 1);

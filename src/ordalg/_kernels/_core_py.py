@@ -152,7 +152,7 @@ def divisibility_scan(n, join, mult, imp):
 
 
 # law_scan opcodes, numbered by position; _core_c.c lists them in this order.
-LAW_OPS = ("var", "const", "table", "up", "down", "lower", "leq", "eq", "and", "subset")
+LAW_OPS = ("var", "const", "table", "up", "down", "leq", "eq", "and", "subset")
 LAW_STACK = 16
 LAW_CODE = 64
 LAW_TABLES = 8

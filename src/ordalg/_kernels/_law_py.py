@@ -12,155 +12,102 @@ from ._core_py import LAW_CODE, LAW_OPS, LAW_STACK, LAW_TABLES
 # or constant), -2 for 2 (a truth value), t >= 0 for table t's entries; no
 # source means an unbounded mask.
 _INDEX, _TRUTH = (-1,), (-2,)
-
-
-class _Lower(dict):
-    """Common lower bounds of a mask's elements, computed once per mask."""
-
-    def __init__(self, n, down):
-        super().__init__()
-        self.cones = tuple(zip(range(n), down))
-
-    def __missing__(self, mask):
-        acc = -1
-        for i, cone in self.cones:
-            if mask >> i & 1:
-                acc &= cone
-        self[mask] = acc = acc & ((1 << len(self.cones)) - 1)
-        return acc
-
-
-# Python source of each term node: "name" is a free name of the scan
-# function, "var" a loop variable; the others combine their operands.
-_TEMPLATES = {
-    "name": "{arg}", "var": "x{arg}", "index": "{0}[{1}]", "leq": "({0} >> {1} & 1)",
-    "eq": "({0} == {1})", "and": "({0} & {1})", "implies": "(not {0} or {1})",
-    "invert": "~{0}", "subset": "(not {0} & {1})",
-}
+_FORMS = {"up": "U[{0}]", "down": "D[{0}]", "leq": "({0} >> {1} & 1)", "eq": "({0} == {1})",
+          "and": "({0} & {1})", "subset": "(not {0} & ~{1})"}
 
 
 # the library's laws form a few dozen batches; the bound keeps other
 # callers' programs from piling up
 @lru_cache(maxsize=256)
-def _law_plan(programs):
+def _plan(programs):
     """(scan function, index needs, tables used, constants used) of programs.
 
-    The programs share one arity.  The function runs their loops in Python
-    once for all of them and returns each one's least failing tuple or
-    None.  Each subterm is computed once, in the loop of the innermost
-    variable it depends on; a subterm used twice in the innermost loop is
-    bound to a name there.  A need (sources, limit) says that a value used
-    as an index must stay below the limit: n when limit is -1, else the
-    width of table limit.
+    The programs share one arity.  The function runs one nest of loops for
+    all of them and returns each one's least failing tuple or None.  A
+    subterm that does not depend on the innermost variable is computed
+    once, in the loop of the innermost variable it does depend on.  A need
+    (sources, limit) says that a value used as an index must stay below n
+    when limit is -1, else below the width of table limit.
     """
     arity = programs[0][0]
     if not 1 <= arity <= 4:
         raise ValueError("law arity must lie in 1..4")
-    nodes = {}  # (kind, arg, operands) -> [depth, uses]
-    needs, tables, consts, tests = [], set(), 0, []
+    levels = [[] for _ in range(arity)]  # levels[0] runs before the loops
+    names, needs, tables, consts, tests = {}, [], set(), 0, []
 
-    def node(kind, arg=None, *operands):
-        key = (kind, arg, operands)
-        if key not in nodes:
-            depth = arg if kind == "var" else max((nodes[k][0] for k in operands), default=-1)
-            nodes[key] = [depth, 0]
-            for k in operands:
-                nodes[k][1] += 1
-        return key
+    def value(expr, depth, sources=()):
+        if depth < arity - 1:
+            if expr not in names:
+                names[expr] = f"v{len(names)}"
+                levels[depth + 1].append(f"{names[expr]} = {expr}")
+            expr = names[expr]
+        return expr, depth, sources
 
-    def index(arg, limit):
-        if not arg[1]:
+    def index(v, limit):
+        if not v[2]:
             raise ValueError("law program uses an unbounded mask as an index")
-        needs.append((arg[1], limit))
-        return arg[0]
+        needs.append((v[2], limit))
+        return v[0]
 
     for program in programs:
         code = program[1:]
         if len(code) > 2 * LAW_CODE:
             raise ValueError(f"a law program has at most {LAW_CODE} instructions")
-        stack = []  # (node, sources)
-        for pc in range(0, len(code), 2):
-            op, arg = code[pc], code[pc + 1]
+        stack = []  # (expression, depth, sources)
+        for op, arg in zip(code[::2], code[1::2]):
             if not 0 <= op < len(LAW_OPS):
                 raise ValueError(f"unknown law opcode {op!r}")
             name = LAW_OPS[op]
-            pops = 0 if name in ("var", "const") else 1 if name in ("up", "down", "lower") else 2
+            pops = 0 if name in ("var", "const") else 1 if name in ("up", "down") else 2
             if len(stack) < pops:
                 raise ValueError("law program stack underflow")
             x, y = (stack[-pops], stack[-1]) if pops else (None, None)
             del stack[len(stack) - pops:]
+            depth = max(x[1], y[1]) if pops else -1
             if name == "var":
                 if not 0 <= arg < arity:
                     raise ValueError(f"variable {arg!r} out of range")
-                stack.append((node("var", arg), _INDEX))
+                v = (f"x{arg}", arg, _INDEX)
             elif name == "const":
                 if not 0 <= arg < LAW_TABLES:
                     raise ValueError(f"constant {arg!r} out of range")
                 consts = max(consts, arg + 1)
-                stack.append((node("index", None, node("name", "C"), node("name", arg)), _INDEX))
+                v = value(f"C[{arg}]", -1, _INDEX)
             elif name == "table":
                 if not 0 <= arg < LAW_TABLES:
                     raise ValueError(f"table {arg!r} out of range")
                 tables.add(arg)
-                table = node("index", None, node("name", "T"), node("name", arg))
-                row = node("index", None, table, index(x, arg))
-                stack.append((node("index", None, row, index(y, arg)), (arg,)))
+                row = value(f"{value(f'T[{arg}]', -1)[0]}[{index(x, arg)}]", x[1])
+                v = value(f"{row[0]}[{index(y, arg)}]", depth, (arg,))
             elif pops == 1:
-                cone = node("name", {"up": "U", "down": "D", "lower": "L"}[name])
-                operand = x[0] if name == "lower" else index(x, -1)
-                stack.append((node("index", None, cone, operand), ()))
+                v = value(_FORMS[name].format(index(x, -1)), depth)
             elif name == "leq":
-                row = node("index", None, node("name", "U"), index(x, -1))
-                stack.append((node("leq", None, row, index(y, -1)), _TRUTH))
+                row = value(f"U[{index(x, -1)}]", x[1])
+                v = value(_FORMS[name].format(row[0], index(y, -1)), depth, _TRUTH)
             elif name == "and":
-                stack.append((node("and", None, x[0], y[0]), tuple(sorted(set(x[1] + y[1])))))
-            elif name == "eq":
-                stack.append((node("eq", None, x[0], y[0]), _TRUTH))
-            elif x[1] == y[1] == _TRUTH:
-                stack.append((node("implies", None, x[0], y[0]), _TRUTH))
+                v = value(_FORMS[name].format(x[0], y[0]), depth, tuple(set(x[2] + y[2])))
+            elif name == "subset" and x[2] == y[2] == _TRUTH:
+                # an implication: its conclusion is evaluated only where needed
+                v = value(f"(not {x[0]} or {y[0]})", depth, _TRUTH)
             else:
-                stack.append((node("subset", None, x[0], node("invert", None, y[0])), _TRUTH))
+                v = value(_FORMS[name].format(x[0], y[0]), depth, _TRUTH)
+            stack.append(v)
             if len(stack) > LAW_STACK:
                 raise ValueError("law program stack overflow")
         if len(stack) != 1:
             raise ValueError(f"a law program must leave one value, not {len(stack)}")
         tests.append(stack[0][0])
 
-    last = arity - 1
-    levels = [[] for _ in range(arity + 1)]  # levels[0] runs before the loops
-    names = {}
-
-    def render(key):
-        if key in names:
-            return names[key]
-        kind, arg, operands = key
-        expr = _TEMPLATES[kind].format(*map(render, operands), arg=arg)
-        depth, uses = nodes[key]
-        if kind in ("name", "var") or (depth == last and uses < 2):
-            return expr
-        names[key] = f"v{len(names)}"
-        levels[depth + 1].append(f"{names[key]} = {expr}")
-        return names[key]
-
-    kind, _, operands = tests[0]
-    if len(tests) == 1 and kind == "implies" and 0 <= nodes[operands[0]][0] < last:
-        # a guard on outer variables: skip the inner loops where it is false
-        guard = render(operands[0])
-        levels[nodes[operands[0]][0] + 1].append(f"if not {guard}: continue")
-        tests[0] = operands[1]
-    checks = [render(test) for test in tests]
     found = [f"w{i}" for i in range(len(tests))]
-    lines = ["def scan(order, T, U, D, C, L):", f"    {' = '.join(found)} = None"]
-    for depth in range(-1, arity):
-        pad = "    " * (depth + 1)
-        if depth >= 0:
-            lines.append(f"{pad}for x{depth} in order:")
-        lines += [f"{pad}    {line}" for line in levels[depth + 1]]
-    pad = "    " * (arity + 1)
     result = f"({''.join(f'{w}, ' for w in found)})"
-    for w, check in zip(found, checks):
+    lines = ["def scan(order, T, U, D, C):", f"    {' = '.join(found)} = None"]
+    for depth, level in enumerate(levels):
+        pad = "    " * (depth + 1)
+        lines += [pad + line for line in level] + [f"{pad}for x{depth} in order:"]
+    pad = "    " * (arity + 1)
+    for w, test in zip(found, tests):
         # once a program has failed, the loops go on only for the others
-        lines += [f"{pad}if {w} is None and not {check}:",
+        lines += [f"{pad}if {w} is None and not {test}:",
                   f"{pad}    {w} = ({''.join(f'x{i}, ' for i in range(arity))})",
                   f"{pad}    if {' and '.join(f'{v} is not None' for v in found)}:",
                   f"{pad}        return {result}"]
@@ -174,7 +121,6 @@ def law_scan(n, topo, up, down, tables, consts, programs):
     """The least failing tuple of each program, or None, in topo order."""
     if n < 1:
         raise ValueError("law_scan supports 1 <= n")
-    full = (1 << n) - 1
     topo = tuple(topo)[:n]
     if sorted(topo) != list(range(n)):
         raise ValueError(f"topo must order the {n}-element carrier")
@@ -184,37 +130,28 @@ def law_scan(n, topo, up, down, tables, consts, programs):
         raise ValueError(f"constants must lie in 0..{n - 1}")
     widths, bounds = [], []
     for table in tables:
-        w = len(table)
-        if any(len(row) != w for row in table):
+        if any(len(row) != len(table) for row in table):
             raise ValueError("law tables must be square")
-        lo = min(map(min, table)) if w else 0
-        hi = max(map(max, table)) if w else 0
-        if lo < 0 or hi > full:
+        cells = [cell for row in table for cell in row]
+        if cells and (min(cells) < 0 or max(cells) >> n):
             raise ValueError("law table entries must be masks within the carrier")
-        widths.append(w)
-        bounds.append(hi + 1)
+        widths.append(len(table))
+        bounds.append(max(cells, default=0) + 1)
     # programs of one arity run in one loop nest
-    programs = [tuple(program) for program in programs]
     groups = {}
-    for i, program in enumerate(programs):
+    for i, program in enumerate(map(tuple, programs)):
         if len(program) % 2 == 0:
             raise ValueError("a law program is (arity, opcode, operand, ...)")
-        where, group = groups.setdefault(program[0], ([], []))
-        where.append(i)
-        group.append(program)
-    plans = []
-    for where, group in groups.values():
-        fn, needs, used, nconst = _law_plan(tuple(group))
+        groups.setdefault(program[0], []).append((i, program))
+    out = [None] * len(programs)
+    for group in groups.values():
+        fn, needs, used, nconst = _plan(tuple(program for _, program in group))
         if nconst > len(consts) or any(t >= len(tables) or not widths[t] for t in used):
             raise ValueError("law program operand out of range")
         for sources, limit in needs:
             bound = min(n if s == -1 else 2 if s == -2 else bounds[s] for s in sources)
             if bound > (n if limit < 0 else widths[limit]):
                 raise ValueError("law program indexes with a value that may be out of range")
-        plans.append((where, fn))
-    out = [None] * len(programs)
-    lower = _Lower(n, down)
-    for where, fn in plans:
-        for i, witness in zip(where, fn(topo, tables, up, down, consts, lower)):
+        for (i, _), witness in zip(group, fn(topo, tables, up, down, consts)):
             out[i] = witness
     return out

@@ -3,18 +3,18 @@
 A law is a term with an arity of 1 to 4 and an optional guard; it fails at
 a tuple where the guard holds and the term does not.  Terms are nested
 tuples built with the helpers below: element operations read tables
-(``join``, ``meet``, ``mult``, ``imp``), the operator laws work on subset
-masks (the residual table ``resid``, cones, ``lower`` for common lower
-bounds, ``within`` for inclusion, and ``prod`` for the product of two sets
-U(x, y) of common upper bounds).  ``Law`` compiles each term once to a
-postfix program, and ``scan`` hands a batch of them to the ``law_scan``
-kernel, which returns each one's least failing tuple in the poset's fixed
-topological order.
+(``join``, ``meet``, ``mult``, ``imp``), and the operator laws work on
+subset masks (the residual table ``resid``, cones, ``within`` for
+inclusion, and, for the set U(x, y) of common upper bounds of x and y,
+``LU`` for its common lower bounds and ``prod`` for the product of two
+such sets).  ``Law`` compiles each term once to a postfix program, and
+``scan`` hands a batch of them to the ``law_scan`` kernel, which returns
+each one's least failing tuple in the poset's fixed topological order.
 """
 
 from . import _kernels as kernels
 
-TABLES = ("join", "meet", "mult", "imp", "resid", "uid", "prod")
+TABLES = ("join", "meet", "mult", "imp", "resid", "uid", "prod", "lu")
 _OP = {name: code for code, name in enumerate(kernels.LAW_OPS)}
 
 a, b, c = (("var", i) for i in range(3))
@@ -30,71 +30,49 @@ def _op(name):
     return lambda *args: (name,) + args
 
 
-join, meet, mult, imp, resid, _uid, _prod = map(_table, TABLES)
-up, down, lower, leq, eq, both, within = map(
-    _op, ("up", "down", "lower", "leq", "eq", "and", "subset"))
-
-
-def U(x, y):
-    """Mask of the common upper bounds of x and y."""
-    return both(up(x), up(y))
+join, meet, mult, imp, resid, _uid, _prod, LU = map(_table, TABLES)
+up, down, leq, eq, both, within = map(_op, ("up", "down", "leq", "eq", "and", "subset"))
 
 
 def prod(xy, zw):
-    """Operator product of the masks U(*xy) and U(*zw)."""
-    return ("prod", xy, zw)
+    """Product of U(*xy) and U(*zw), from a table over the distinct U(x, y)."""
+    return _prod(_uid(*xy), _uid(*zw))
 
 
-def _emit(term, table_product, code):
+def _emit(term, code):
     head = term[0]
-    if head == "prod":
-        # the canonical product of two sets is the set of their common lower
-        # bounds; a table-backed one is read from a table over the distinct
-        # masks U(x, y), numbered by the uid table
-        xy, zw = term[1:]
-        term = (_prod(_uid(*xy), _uid(*zw)) if table_product
-                else both(lower(U(*xy)), lower(U(*zw))))
-        head = term[0]
-    if head in ("var", "const", "table"):
-        for arg in term[2:]:
-            _emit(arg, table_product, code)
-        code += (_OP[head], term[1])
-    else:
-        for arg in term[1:]:
-            _emit(arg, table_product, code)
-        code += (_OP[head], 0)
-
-
-def _compile(arity, term, table_product):
-    code = [arity]
-    _emit(term, table_product, code)
-    return tuple(code)
+    leaf = head in ("var", "const", "table")
+    for arg in term[2 if leaf else 1:]:
+        _emit(arg, code)
+    code += (_OP[head], term[1] if leaf else 0)
 
 
 class Law:
-    """A compiled law: one program with the canonical product, one with a table."""
+    """A law compiled to a ``law_scan`` program."""
 
-    __slots__ = ("program", "table_program")
+    __slots__ = ("program",)
 
     def __init__(self, arity, term, guard=None):
-        if guard is not None:
-            term = within(guard, term)
-        self.program = _compile(arity, term, False)
-        self.table_program = _compile(arity, term, True)
+        code = [arity]
+        _emit(term if guard is None else within(guard, term), code)
+        self.program = tuple(code)
 
 
-def scan(p, checks, consts=(), table_product=False, **tables):
+def scan(p, checks, **tables):
     """The least failing tuple of each law, or None, in p's topological order.
 
-    ``consts`` holds top and then bottom; ``tables`` maps names of TABLES
-    to square sequences of rows.
+    Constant ``top`` is p's greatest element and ``bottom`` its least;
+    ``tables`` maps names of TABLES to square sequences of rows.
     """
-    return kernels.law_scan(
-        p.n, p.topo, p.up, p.down, [tables.get(name, ()) for name in TABLES], consts,
-        [law.table_program if table_product else law.program for law in checks])
+    consts = () if p.top is None else (p.top,) if p.bottom is None else (p.top, p.bottom)
+    return kernels.law_scan(p.n, p.topo, p.up, p.down, [tables.get(name, ()) for name in TABLES],
+                            consts, [law.program for law in checks])
 
 
-# Lattices
+# Lattices: a join table holds least upper bounds, and a meet table
+# greatest lower bounds, exactly when these hold; then the three laws
+JOIN_IS_LUB = Law(2, eq(both(up(a), up(b)), up(join(a, b))))
+MEET_IS_GLB = Law(2, eq(both(down(a), down(b)), down(meet(a, b))))
 MODULAR = Law(3, eq(join(a, meet(b, c)), meet(join(a, b), c)), guard=leq(a, c))
 DISTRIBUTIVE = Law(3, eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c))))
 MEET_SEMIDISTRIBUTIVE = Law(3, eq(meet(a, join(b, c)), meet(a, b)),
@@ -139,7 +117,7 @@ MONOTONE_RIGHT = Law(3, leq(mult(a, b), mult(a, c)), guard=leq(b, c))
 
 # Operator residuation on subset masks: adjointness and the laws i-v
 _prod_below_b = within(prod((a, b), (c, b)), down(b))
-_lower_within = within(lower(U(c, b)), resid(a, b))
+_lower_within = within(LU(c, b), resid(a, b))
 OPERATOR_FORWARD = Law(3, _lower_within, guard=_prod_below_b)
 OPERATOR_BACKWARD = Law(3, _prod_below_b, guard=_lower_within)
 OPERATOR_LAWS = (

@@ -93,6 +93,8 @@ class OperatorPoset:
     poset: object
     prod: object
     resid: object
+    # the mask tables the operator laws read, built on the first scan
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.poset.top is None:
@@ -168,21 +170,25 @@ def _groupoid_verdicts(p, prod, subsets):
 
 
 def _operator_scan(op, checks):
-    """Scan the operator laws, with the residual and product as mask tables."""
-    p, prod, resid = op.poset, op.prod, op.resid
-    if isinstance(resid, CanonicalResidual):
-        rows = [[p.down[s] for s in row] for row in resid.star.table]
-    else:
-        rows = [[resid.r(x, y) for y in range(p.n)] for x in range(p.n)]
-    consts = (p.top,) if p.bottom is None else (p.top, p.bottom)
-    if isinstance(prod, CanonicalProduct):
-        return laws.scan(p, checks, consts, resid=rows)
-    # number the distinct masks U(x, y) and tabulate the product over them
-    ids = {}
-    uid = [[ids.setdefault(p.up[x] & p.up[y], len(ids)) for y in range(p.n)]
-           for x in range(p.n)]
-    prod_rows = [[prod.m(u, v) for v in ids] for u in ids]
-    return laws.scan(p, checks, consts, True, resid=rows, uid=uid, prod=prod_rows)
+    """Scan the operator laws over mask tables, built once per operator poset.
+
+    The tables hold the residual of each pair and, over the distinct sets
+    U(x, y) of common upper bounds, which the uid table numbers, their
+    common lower bounds and the product of each two of them.
+    """
+    p, prod, resid, tables = op.poset, op.prod, op.resid, op.tables
+    if not tables:
+        if isinstance(resid, CanonicalResidual):
+            rows = [[p.down[s] for s in row] for row in resid.star.table]
+        else:
+            rows = [[resid.r(x, y) for y in range(p.n)] for x in range(p.n)]
+        ids = {}
+        uid = [[ids.setdefault(p.up[x] & p.up[y], len(ids)) for y in range(p.n)]
+               for x in range(p.n)]
+        low = [lower_set(p, u) for u in ids]
+        tables.update(resid=rows, uid=uid, prod=[[prod.m(u, v) for v in ids] for u in ids],
+                      lu=[[low[i] for i in row] for row in uid])
+    return laws.scan(p, checks, **tables)
 
 
 def operator_derived_laws(op, checked):

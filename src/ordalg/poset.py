@@ -10,6 +10,7 @@ lexicographically least in that order.
 from dataclasses import dataclass, field
 
 from . import _kernels as kernels
+from . import laws
 from .errors import CycleDetectedError, DuplicateNameError, SizeBudgetError, UnknownNameError
 
 MAX_ELEMENTS = 64
@@ -201,17 +202,10 @@ class LatticeOps:
 
     def __post_init__(self):
         p = self.poset
-        n = p.n
-        for a in range(n):
-            for b in range(n):
-                j = self.join[a][b]
-                u = p.up[a] & p.up[b]
-                if not (u >> j & 1 and u & ~p.up[j] == 0):
-                    raise ValueError(f"join table wrong at ({p.names[a]}, {p.names[b]})")
-                m = self.meet[a][b]
-                d = p.down[a] & p.down[b]
-                if not (d >> m & 1 and d & ~p.down[m] == 0):
-                    raise ValueError(f"meet table wrong at ({p.names[a]}, {p.names[b]})")
+        found = laws.scan(p, (laws.JOIN_IS_LUB, laws.MEET_IS_GLB), join=self.join, meet=self.meet)
+        for name, pair in zip(("join", "meet"), found):
+            if pair is not None:
+                raise ValueError(f"{name} table wrong at ({p.names[pair[0]]}, {p.names[pair[1]]})")
         object.__setattr__(self, "top", p.top)
         object.__setattr__(self, "bottom", p.bottom)
 
@@ -244,7 +238,7 @@ def as_lattice(p):
     """LatticeOps when every pair has a lub and glb, else a NotALattice witness.
 
     The witness pair is the first failure in the fixed topological order;
-    the kernel result is re-verified independently by LatticeOps.
+    LatticeOps re-verifies the kernel's tables with the law engine.
     """
     tabs = kernels.lattice_tables(p.n, p.up, p.down)
     if tabs is None:

@@ -54,8 +54,7 @@ class AxiomReport:
 
 
 def _axiom_scan(lat, mult, imp, checks):
-    consts = (lat.top,) if lat.bottom is None else (lat.top, lat.bottom)
-    return laws.scan(lat.poset, checks, consts, join=lat.join, mult=mult.table, imp=imp.table)
+    return laws.scan(lat.poset, checks, join=lat.join, mult=mult.table, imp=imp.table)
 
 
 def _groupoid_verdict(commutative, unit):

@@ -311,6 +311,21 @@ def _triples(p):
                 yield a, b, c
 
 
+def lattice_tables_by_loops(p, join, meet):
+    """The message LatticeOps rejects the tables with, or None.
+
+    LatticeOps's per-cell checks before the law engine, now run on join
+    before meet, each over pairs in topological order.
+    """
+    for name, table, cone in (("join", join, p.up), ("meet", meet, p.down)):
+        for a, b in _pairs(p):
+            j = table[a][b]
+            u = cone[a] & cone[b]
+            if not (u >> j & 1 and u & ~cone[j] == 0):
+                return f"{name} table wrong at ({p.names[a]}, {p.names[b]})"
+    return None
+
+
 def modularity_by_triples(lat):
     p = lat.poset
     for a in p.topo:

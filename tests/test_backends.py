@@ -20,6 +20,7 @@ from ordalg import (
     fixture,
     from_sectional,
     laws,
+    lower_set,
     make_poset,
     star_table_poset,
     synthesize_sectional,
@@ -131,14 +132,14 @@ def test_axiom_scans_identical_on_random_tables():
 
 
 def library_programs():
-    """Every program of the law library, with either kind of product."""
+    """Every program of the law library."""
     found = []
     for value in vars(laws).values():
         items = value if isinstance(value, tuple) else (value,)
         for item in items:
             law = item[1] if isinstance(item, tuple) and len(item) == 2 else item
             if isinstance(law, laws.Law):
-                found += [law.program, law.table_program]
+                found.append(law.program)
     return list(dict.fromkeys(found))
 
 
@@ -146,7 +147,8 @@ def law_inputs():
     """(n, topo, up, down, tables, consts) on which both twins must agree.
 
     The tables follow laws.TABLES: join, meet, mult, imp, a residual of
-    masks, ids of the distinct masks U(x, y) and a product over those ids.
+    masks, ids of the distinct masks U(x, y), a product over those ids and
+    the common lower bounds of each U(x, y).
     """
     rng = random.Random(14)
     structures = [fixture("chain2").poset, fixture("bool3").poset, fixture("bool6").poset]
@@ -163,8 +165,9 @@ def law_inputs():
                           *[(rand_table(rng, n), rand_table(rng, n)) for _ in range(3)]):
             resid = [[p.down[y] for y in row] for row in imp]
             prod = [[p.full & rng.randrange(1 << n) for _ in ids] for _ in ids]
-            yield (n, p.topo, p.up, p.down, (lat.join, lat.meet, mult, imp, resid, uid, prod),
-                   (p.top, p.bottom))
+            low = [[lower_set(p, p.up[x] & p.up[y]) for y in range(n)] for x in range(n)]
+            yield (n, p.topo, p.up, p.down,
+                   (lat.join, lat.meet, mult, imp, resid, uid, prod, low), (p.top, p.bottom))
 
 
 def rand_table(rng, n):
@@ -193,7 +196,7 @@ def random_term(rng, arity, depth):
         return [op("const"), rng.randrange(2)]
     name = rng.choice(kernels.LAW_OPS[2:])
     code = random_term(rng, arity, depth - 1)
-    if name not in ("up", "down", "lower"):
+    if name not in ("up", "down"):
         code += random_term(rng, arity, depth - 1)
     return code + [op(name), rng.randrange(len(laws.TABLES)) if name == "table" else 0]
 
@@ -302,6 +305,19 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         ):
             with pytest.raises(ValueError):
                 scan(twin, **bad)
+
+    # at n = 64 an entry may be the full mask 2^64 - 1; used as an index, it
+    # must still be caught
+    wide = fixture("bool6").poset
+    ones = [[(1 << 64) - 1] * 64 for _ in range(64)]
+    for twin in (c, py):
+        for program in ((1, var, 0, var, 0, table, 0, var, 0, table, 0),
+                        (1, var, 0, var, 0, table, 0, up, 0),
+                        (1, var, 0, var, 0, table, 0, var, 0, leq, 0)):
+            with pytest.raises(ValueError):
+                twin.law_scan(64, wide.topo, wide.up, wide.down, [ones], (), [program])
+        assert twin.law_scan(64, wide.topo, wide.up, wide.down, [ones], (),
+                             [(1, var, 0, var, 0, table, 0)]) == [None]
 
     # a packed order with a row bit outside the carrier, a bit above row
     # n-1, a negative word or one wider than 64 bits

@@ -16,6 +16,7 @@ import oracles as o
 from ordalg import (
     AxiomReport,
     BinOp,
+    LatticeOps,
     PreconditionError,
     ResiduationCandidate,
     as_lattice,
@@ -81,6 +82,28 @@ def test_lattice_laws_match_triple_loops():
             assert getattr(rep, key) == want.holds, (p.up, key)
             assert rep.witnesses.get(key, ()) == want.witness, (p.up, key)
         assert is_meet_semidistributive(lat) == o.meet_semidistributive_by_triples(lat)
+
+
+def test_lattice_tables_are_rejected_at_the_cells_the_loops_reject():
+    rng = random.Random(19)
+    rejected = 0
+    for p in LATTICES:
+        lat = as_lattice(p)
+        for changed in (("join",), ("meet",), ("join", "meet")):
+            tables = {"join": lat.join, "meet": lat.meet}
+            for which in changed:
+                rows = [list(row) for row in tables[which]]
+                rows[rng.randrange(p.n)][rng.randrange(p.n)] = rng.randrange(p.n)
+                tables[which] = tuple(map(tuple, rows))
+            want = o.lattice_tables_by_loops(p, tables["join"], tables["meet"])
+            try:
+                LatticeOps(p, tables["join"], tables["meet"])
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, p.up
+            rejected += want is not None
+    assert rejected > 300
 
 
 def test_residuation_laws_match_loops_on_synthesized_candidates_and_mutants():
