@@ -49,9 +49,12 @@ def workloads():
     cube = fixture("bool5").poset
     yield "lattice tables n=32", "lattice_tables", (cube.n, list(cube.up), list(cube.down))
     yield "star table n=32", "poset_star_table", (cube.n, list(cube.up), list(cube.down))
+    yield "relative table n=32", "poset_relative_table", (cube.n, list(cube.up), list(cube.down))
 
     prod = direct_product(fixture("bowtie").poset, fixture("pentagon").poset)
     yield "star table n=30 (non-lattice)", "poset_star_table", \
+        (prod.n, list(prod.up), list(prod.down))
+    yield "relative table n=30 (non-lattice)", "poset_relative_table", \
         (prod.n, list(prod.up), list(prod.down))
 
     chain = fixture("chain40").poset

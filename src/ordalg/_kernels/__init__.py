@@ -1,6 +1,6 @@
 """Kernel backend selection.
 
-The hot loops (closure, lattice/pseudocomplement tables, axiom scans, the
+The hot loops (closure, lattice and pseudocomplement tables, axiom scans, the
 law engine, small-structure enumeration and its canonical relabeling)
 exist twice: a hand-written C extension ``_core_c`` (``_core_c.c``)
 working on uint64 masks and a pure Python twin ``_core_py``.  The
@@ -10,6 +10,11 @@ route to the pure backend, which handles arbitrary-width masks (and the
 empty carrier).  The catalog kernels ``enum_orders`` and
 ``canonical_keys`` work on packed 8-bit rows, so both twins take only
 1..8 elements.
+
+The table kernels ``lattice_tables`` (a pair, join and meet, or None),
+``poset_star_table`` and ``poset_relative_table`` return a tuple of n row
+tuples, with None for an undefined cell; both twins return exactly these
+types.  The relative table's cell rule is ``_core_py.relative_cell``.
 
 ``law_scan(n, topo, up, down, tables, consts, programs)`` returns each
 program's least failing tuple in ``topo`` order (first variable
@@ -61,6 +66,10 @@ def lattice_tables(n, up, down):
 
 def poset_star_table(n, up, down):
     return _pick(n).poset_star_table(n, list(up), list(down))
+
+
+def poset_relative_table(n, up, down):
+    return _pick(n).poset_relative_table(n, list(up), list(down))
 
 
 def rrl_scan(n, up, top, join, mult, imp):

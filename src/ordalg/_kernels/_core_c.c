@@ -2,11 +2,12 @@
  * _core_py.py, for carriers of 1 to 64 elements.
  *
  * Bit j of up[i] set means element i lies below element j (reflexive);
- * down is the transpose.  Tables are flat row-major sequences of length
- * n*n, except that law_scan takes sequences of rows.  Every kernel raises
- * ValueError when n lies outside the sizes its fixed buffers hold, a mask
- * has bits outside the carrier, or a table entry is not an element index
- * (for law_scan: may be used as an index it cannot be).
+ * down is the transpose.  The table kernels return a tuple of n row tuples
+ * with None for an undefined cell; rrl_scan and divisibility_scan take flat
+ * row-major sequences of length n*n, law_scan sequences of rows.  Every
+ * kernel raises ValueError when n lies outside the sizes its fixed buffers
+ * hold, a mask has bits outside the carrier, or a table entry is not an
+ * element index (for law_scan: may be used as an index it cannot be).
  * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
@@ -126,15 +127,24 @@ static PyObject *mask_list(const uint64_t *v, Py_ssize_t count)
     return out;
 }
 
-static PyObject *int_list(const int *v, Py_ssize_t count)
+/* The n-by-n table v as a tuple of n row tuples; a negative cell reads None. */
+static PyObject *int_rows(const int *v, int n)
 {
-    PyObject *out = PyList_New(count);
-    for (Py_ssize_t i = 0; out && i < count; i++) {
-        PyObject *x = PyLong_FromLong(v[i]);
-        if (!x)
+    PyObject *out = PyTuple_New(n);
+    for (int i = 0; out && i < n; i++) {
+        PyObject *row = PyTuple_New(n);
+        for (int j = 0; row && j < n; j++) {
+            int x = v[i * n + j];
+            PyObject *cell = x < 0 ? Py_NewRef(Py_None) : PyLong_FromLong(x);
+            if (!cell)
+                Py_CLEAR(row);
+            else
+                PyTuple_SET_ITEM(row, j, cell);
+        }
+        if (!row)
             Py_CLEAR(out);
         else
-            PyList_SET_ITEM(out, i, x);
+            PyTuple_SET_ITEM(out, i, row);
     }
     return out;
 }
@@ -174,8 +184,8 @@ static PyObject *lattice_tables(PyObject *self, PyObject *const *args, Py_ssize_
                 Py_RETURN_NONE;
             meet[i * n + j] = meet[j * n + i] = m;
         }
-    /* "N" takes the new lists' references, also when a conversion fails */
-    return Py_BuildValue("(NN)", int_list(join, n * n), int_list(meet, n * n));
+    /* "N" takes the new tables' references, also when a conversion fails */
+    return Py_BuildValue("(NN)", int_rows(join, n), int_rows(meet, n));
 }
 
 static PyObject *poset_star_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -206,7 +216,27 @@ static PyObject *poset_star_table(PyObject *self, PyObject *const *args, Py_ssiz
             int d = extreme(t, ub);
             star[a * n + b] = (d >= 0 && (db[d] >> b) & 1 && (lu_ab & db[d]) == lb) ? d : -1;
         }
-    return int_list(star, n * n);
+    return int_rows(star, n);
+}
+
+/* Cell (a, b) is the greatest x whose common lower bounds with a lie below
+ * b.  x fails exactly when it lies above some y <= a outside the cone of
+ * b, so the qualifying set is a down-set: its maximum, when it has one. */
+static PyObject *poset_relative_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t ub[64], db[64];
+    int rel[64 * 64], n;
+    if (read_n("poset_relative_table", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
+        || read_masks(args[2], n, db))
+        return NULL;
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++) {
+            uint64_t above = 0;
+            for (uint64_t m = db[a] & ~db[b]; m; m &= m - 1)
+                above |= ub[ctz64(m)];
+            rel[a * n + b] = extreme(FULL(n) & ~above, db);
+        }
+    return int_rows(rel, n);
 }
 
 static PyObject *rrl_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -809,9 +839,15 @@ static PyObject *canonical_keys(PyObject *self, PyObject *const *args, Py_ssize_
 static PyMethodDef methods[] = {
     KERNEL(closure, "closure(n, up)\n--\n\nReflexive-transitive closure of an up-mask adjacency."),
     KERNEL(lattice_tables, "lattice_tables(n, up, down)\n--\n\n"
-           "Flat (join, meet) tables, or None if some pair lacks a lub or glb."),
+           "(join, meet) tables as tuples of row tuples, or None if some pair lacks\n"
+           "a lub or glb."),
     KERNEL(poset_star_table, "poset_star_table(n, up, down)\n--\n\n"
-           "Sectional pseudocomplement table for a poset; -1 marks undefined cells."),
+           "Sectional pseudocomplement table of a poset as a tuple of row tuples;\n"
+           "None marks an undefined cell."),
+    KERNEL(poset_relative_table, "poset_relative_table(n, up, down)\n--\n\n"
+           "Relative pseudocomplement table of a poset as a tuple of row tuples:\n"
+           "cell (a, b) is the greatest x with down(a) & down(x) inside down(b),\n"
+           "None where there is none."),
     KERNEL(rrl_scan, "rrl_scan(n, up, top, join, mult, imp)\n--\n\n"
            "Axiom scan for a residuation candidate; returns a bitmask of failures.\n\n"
            "bit 0: commutative groupoid with unit, bit 1: monotone multiplication,\n"

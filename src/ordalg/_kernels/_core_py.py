@@ -1,8 +1,9 @@
 """Pure-Python kernels over int bitmasks.
 
 Bit j of ``up[i]`` set means element i lies below element j (reflexive).
-``down`` is the transpose.  Tables are flat row-major lists of length n*n,
-except that ``law_scan`` takes sequences of rows.
+``down`` is the transpose.  The table kernels return a tuple of n row
+tuples with None for an undefined cell; the axiom scans take flat
+row-major sequences of length n*n, and ``law_scan`` takes sequences of rows.
 The compiled backend ``_core_c`` implements the same contracts for carriers
 of at most 64 elements; this module also covers larger carriers because
 Python ints are unbounded.
@@ -47,24 +48,24 @@ def _greatest(mask, down):
 
 
 def lattice_tables(n, up, down):
-    """Flat (join, meet) tables, or None if some pair lacks a lub or glb."""
-    join = [0] * (n * n)
-    meet = [0] * (n * n)
+    """(join, meet) tables as row tuples, or None if some pair lacks a lub or glb."""
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             m = _least(up[i] & up[j], up)
             if m < 0:
                 return None
-            join[i * n + j] = join[j * n + i] = m
+            join[i][j] = join[j][i] = m
             m = _greatest(down[i] & down[j], down)
             if m < 0:
                 return None
-            meet[i * n + j] = meet[j * n + i] = m
-    return join, meet
+            meet[i][j] = meet[j][i] = m
+    return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
 def poset_star_table(n, up, down):
-    """Sectional pseudocomplement table for a poset; -1 marks undefined cells.
+    """Sectional pseudocomplement table for a poset; None marks undefined cells.
 
     Cell (a, b) is the unique d with: for every c, the common lower bounds
     of U(a,b) and U(c,b) reduce to the lower cone of b exactly when d lies
@@ -84,9 +85,10 @@ def poset_star_table(n, up, down):
                 acc &= down[low.bit_length() - 1]
                 m ^= low
             lu[x][y] = lu[y][x] = acc
-    star = [-1] * (n * n)
+    rows = []
     for a in range(n):
         lu_a = lu[a]
+        row = [None] * n
         for b in range(n):
             lu_ab = lu_a[b]
             lb = down[b]
@@ -96,8 +98,33 @@ def poset_star_table(n, up, down):
                     t &= up[c] & up[b]
             d = _least(t, up)
             if d >= 0 and down[d] >> b & 1 and lu_ab & down[d] == lb:
-                star[a * n + b] = d
-    return star
+                row[b] = d
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def relative_cell(full, up, by_down, down_a, down_b):
+    """Greatest x whose common lower bounds with a lie below b, or None.
+
+    x fails exactly when it lies above some y <= a outside the cone of b,
+    so the qualifying set is a down-set: it has a greatest element exactly
+    when it is the cone ``down[x]`` of some x, which ``by_down`` maps to x.
+    """
+    above = 0
+    m = down_a & ~down_b
+    while m:
+        low = m & -m
+        above |= up[low.bit_length() - 1]
+        m ^= low
+    return by_down.get(full & ~above)
+
+
+def poset_relative_table(n, up, down):
+    """Relative pseudocomplement table for a poset; None marks undefined cells."""
+    full = (1 << n) - 1
+    by_down = {d: x for x, d in enumerate(down)}
+    return tuple([tuple([relative_cell(full, up, by_down, da, db) for db in down])
+                  for da in down])
 
 
 def rrl_scan(n, up, top, join, mult, imp):

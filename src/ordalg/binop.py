@@ -16,18 +16,20 @@ class BinOp:
     is_total: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = tuple(map(tuple, self.table))
-        if len(table) != self.n:
+        n, table = self.n, tuple(map(tuple, self.table))
+        if len(table) != n:
             raise ValueError("table must have one row per element")
-        total = True
-        for row in table:
-            if len(row) != self.n:
-                raise ValueError("table rows must all have length n")
-            for cell in row:
-                if cell is None:
-                    total = False
-                elif not 0 <= cell < self.n:
-                    raise ValueError(f"cell {cell!r} outside the carrier")
+        cells = set().union(*table)
+        total = None not in cells
+        cells.discard(None)
+        if {*map(len, table)} != {n} or not cells.issubset(range(n)):
+            # name the first fault in row order
+            for row in table:
+                if len(row) != n:
+                    raise ValueError("table rows must all have length n")
+                for cell in row:
+                    if cell is not None and not 0 <= cell < n:
+                        raise ValueError(f"cell {cell!r} outside the carrier")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "is_total", total)
 

@@ -18,19 +18,31 @@ SUBSET_BUDGET = 12
 
 
 class CanonicalProduct:
-    """Product of subset masks: common lower bounds of their union."""
+    """Product of subset masks: common lower bounds of their union.
+
+    L(A u B) = L(A) & L(B), so the product needs one lower set per operand,
+    which it keeps for its own lifetime.
+    """
 
     kind = "canonical-product"
 
     def __init__(self, poset):
         self.poset = poset
-        self._lower = {}
+        self._lower = _LowerSets(poset)
 
     def m(self, a_mask, b_mask):
-        mask = a_mask | b_mask
-        low = self._lower.get(mask)
-        if low is None:
-            low = self._lower[mask] = lower_set(self.poset, mask)
+        return self._lower[a_mask] & self._lower[b_mask]
+
+
+class _LowerSets(dict):
+    """Lower set of each mask, computed on first lookup."""
+
+    def __init__(self, poset):
+        super().__init__()
+        self.poset = poset
+
+    def __missing__(self, mask):
+        low = self[mask] = lower_set(self.poset, mask)
         return low
 
 

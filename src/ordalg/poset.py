@@ -255,8 +255,4 @@ def as_lattice(p):
                 if len(maxs) != 1:
                     return NotALattice("meet", (a, b), maxs)
         raise AssertionError("kernel reported a failure the rescan cannot find")
-    join_flat, meet_flat = tabs
-    n = p.n
-    join = tuple(tuple(join_flat[i * n + j] for j in range(n)) for i in range(n))
-    meet = tuple(tuple(meet_flat[i * n + j] for j in range(n)) for i in range(n))
-    return LatticeOps(p, join, meet)
+    return LatticeOps(p, *tabs)

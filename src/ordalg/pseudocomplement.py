@@ -3,13 +3,16 @@
 Two independent routes exist on purpose: the lattice route works from
 join/meet tables, the poset route only from upper/lower cones.  On any
 lattice the two must agree cell for cell, and the test suite holds them
-to that.
+to that.  The poset route's full tables are kernels
+(``poset_star_table``, ``poset_relative_table``); the lattice route stays
+plain Python, independent of them.
 """
 
 from dataclasses import dataclass
 
 from . import _kernels as kernels
 from . import laws
+from ._kernels._core_py import relative_cell
 from .binop import BinOp
 from .poset import LatticeOps, NotALattice, as_lattice
 from .verdict import Verdict
@@ -74,38 +77,20 @@ def sectional_pc_poset(p, a, b):
     return d
 
 
-def _relative_cell(p, by_down, a, b):
-    # x qualifies iff no y <= a outside the cone of b lies below x, so the
-    # qualifying set is a down-set: it has a greatest element iff it is a cone
-    up = p.up
-    above = 0
-    m = p.down[a] & ~p.down[b]
-    while m:
-        low = m & -m
-        above |= up[low.bit_length() - 1]
-        m ^= low
-    return by_down.get(p.full & ~above)
-
-
-def _cone_index(p):
-    return {d: x for x, d in enumerate(p.down)}
-
-
 def relative_pc_poset(p, a, b):
     """Greatest d whose common lower bounds with a sit inside the cone of b."""
-    return _relative_cell(p, _cone_index(p), a, b)
+    by_down = {d: x for x, d in enumerate(p.down)}
+    return relative_cell(p.full, p.up, by_down, p.down[a], p.down[b])
 
 
 def star_table_poset(p):
     """Full sectional pseudocomplement table of a poset (kernel-backed)."""
-    flat = kernels.poset_star_table(p.n, p.up, p.down)
-    return BinOp.from_flat(p.n, flat)
+    return BinOp(p.n, kernels.poset_star_table(p.n, p.up, p.down))
 
 
 def relative_table_poset(p):
-    by_down = _cone_index(p)
-    rows = [[_relative_cell(p, by_down, a, b) for b in range(p.n)] for a in range(p.n)]
-    return BinOp.from_rows(rows)
+    """Full relative pseudocomplement table of a poset (kernel-backed)."""
+    return BinOp(p.n, kernels.poset_relative_table(p.n, p.up, p.down))
 
 
 def is_meet_semidistributive(lat):

@@ -82,10 +82,24 @@ def test_tables_identical_on_catalog():
                for p in enumerate_structures(n, "all-posets", dedup=False).members)
     # bool6 and chain64 fill all 64 bits, where bit 63 and the full mask matter
     wide = (fixture(name).poset for name in ("bool6", "chain64"))
+    undefined = set()
     for p in itertools.chain(catalog, wide):
         args = (p.n, list(p.up), list(p.down))
+        for twin in (c, py):
+            lattice = twin.lattice_tables(*args)
+            star, rel = twin.poset_star_table(*args), twin.poset_relative_table(*args)
+            # a tuple never equals a list, so == below also compares the types
+            for table in (star, rel) + (lattice or ()):
+                assert type(table) is tuple and len(table) == p.n
+                for row in table:
+                    assert type(row) is tuple and len(row) == p.n
+                    assert {type(cell) for cell in row} <= {int, type(None)}
+                    undefined.update(cell is None for cell in row)
+            assert lattice is None or type(lattice) is tuple and len(lattice) == 2
         assert c.lattice_tables(*args) == py.lattice_tables(*args)
         assert c.poset_star_table(*args) == py.poset_star_table(*args)
+        assert c.poset_relative_table(*args) == py.poset_relative_table(*args)
+    assert undefined == {True, False}
 
 
 def test_closure_identical_on_random_dags():
@@ -231,6 +245,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         ("closure", 64, lambda n: (n, [0] * n)),
         ("lattice_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("poset_star_table", 64, lambda n: (n, [0] * n, [0] * n)),
+        ("poset_relative_table", 64, lambda n: (n, [0] * n, [0] * n)),
         ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
         ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
         ("law_scan", 64, lambda n: (n, range(max(n, 0)), [0] * n, [0] * n, (), (), ())),
@@ -253,6 +268,10 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         lambda: c.closure(3, [1, 2]),
         lambda: c.closure(64, [1 << 64] + [0] * 63),
         lambda: c.lattice_tables(2, [3, 2], [1, 4]),
+        lambda: c.poset_star_table(2, [3, 2], [1, 4]),
+        lambda: c.poset_relative_table(2, [3, 2], [1, 4]),
+        lambda: c.poset_relative_table(2, [3, 6], [1, 3]),
+        lambda: c.poset_relative_table(2, [3], [1, 3]),
         lambda: c.rrl_scan(2, [3, 2], 2, [0] * 4, [0] * 4, [0] * 4),
         lambda: c.rrl_scan(2, [3, 2], 1, [0] * 4, [0, 0, 0, 64], [0] * 4),
         lambda: c.divisibility_scan(2, [0] * 4, [0] * 4, [0, -1, 0, 0]),

@@ -34,6 +34,30 @@ def test_shape_validation():
         BinOp(2, ((0, -1), (0, 1)))
 
 
+def test_validation_names_the_first_fault_in_row_order():
+    cases = (
+        (((0, None, 3), (0, 1, 2), (0, 1, 2)), "cell 3 outside the carrier", 3),
+        (((0, 1), (-1, 0)), "cell -1 outside the carrier", 2),
+        (((0, 1, 2), (0, 5, 7), (0, 0, 4)), "cell 5 outside the carrier", 3),
+        (((0, 1, 2), (0, 1, 9), (-3, 0, 0)), "cell 9 outside the carrier", 3),
+        (((0, 1, 1), (0, 1), (9, 0, 0)), "table rows must all have length n", 3),
+        (((0, 9, 1), (0, 1), (0, 0, 0)), "cell 9 outside the carrier", 3),
+        (((0, None), (None,)), "table rows must all have length n", 2),
+        (((0, 1), (0, 1), (0, 1)), "table must have one row per element", 2),
+    )
+    for table, message, n in cases:
+        with pytest.raises(ValueError) as caught:
+            BinOp(n, table)
+        assert str(caught.value) == message, table
+
+
+def test_is_total_on_partial_and_total_tables():
+    assert BinOp(2, ((0, 1), (1, 0))).is_total
+    assert BinOp(1, ((None,),)).is_total is False
+    assert BinOp(3, ((0, 1, 2), (1, 1, 2), (2, 2, None))).is_total is False
+    assert BinOp(3, [[0, 1, 2], [1, 1, 2], [2, 2, 2]]).is_total is True
+
+
 def test_is_total_matches_a_fresh_scan():
     from ordalg import fixture, star_table_poset
 

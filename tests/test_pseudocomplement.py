@@ -22,6 +22,7 @@ from ordalg import (
     synthesize_sectional,
     upper_set,
 )
+from ordalg._kernels import _core_py
 
 from oracles import relative_pc_per_x
 from test_poset import random_posets
@@ -222,3 +223,14 @@ def test_relative_table_matches_per_x_oracle():
                 assert rel.value(a, b) == relative_pc_per_x(p, a, b), (p.up, a, b)
         checked += 1
     assert checked == 300 + 406 + 405 + 2
+
+
+def test_pure_relative_table_matches_per_x_oracle():
+    # the dispatcher sends carriers of 1..64 elements to the compiled twin
+    # when it is built, so call the pure twin's kernel directly
+    cases = [p for n in range(1, 8) for p in enumerate_structures(n, "posets-with-top").members]
+    cases += [p for n in range(1, 7) for p in enumerate_structures(n, "all-posets").members]
+    for p in cases:
+        want = tuple(tuple(relative_pc_per_x(p, a, b) for b in range(p.n)) for a in range(p.n))
+        assert _core_py.poset_relative_table(p.n, p.up, p.down) == want, p.up
+    assert len(cases) == 406 + 405
