@@ -8,7 +8,7 @@ Each kernel runs on a fixed workload with both backends; the table shows
 the best wall time per backend and the speedup.  Every repeat times one
 pure call and then one compiled call, so a slowdown of the host lands on
 both columns alike.  Exits nonzero if any kernel pair disagrees on its
-result.
+result or its type.
 """
 
 import argparse
@@ -101,11 +101,9 @@ def main(argv=None):
         c_fn = getattr(_core_c, kernel)
         py_out = py_fn(*call_args)
         c_out = c_fn(*call_args)
-        if isinstance(py_out, (list, tuple)) and isinstance(c_out, (list, tuple)):
-            agree = list(py_out) == list(c_out)
-        else:
-            agree = py_out == c_out
-        if not agree:
+        # the kernel contract fixes the result types, so a list where the
+        # other twin returns a tuple is a disagreement too
+        if not (py_out == c_out and type(py_out) is type(c_out)):
             mismatches += 1
             print(f"{label:<{width}}  RESULTS DISAGREE")
             continue

@@ -14,7 +14,8 @@ empty carrier).  The catalog kernels ``enum_orders`` and
 The table kernels ``lattice_tables`` (a pair, join and meet, or None),
 ``poset_star_table`` and ``poset_relative_table`` return a tuple of n row
 tuples, with None for an undefined cell; both twins return exactly these
-types.  The relative table's cell rule is ``_core_py.relative_cell``.
+types.  Their cell rules are ``_core_py.star_cell`` (sectional) and
+``_core_py.relative_cell`` (relative).
 
 ``law_scan(n, topo, up, down, tables, consts, programs)`` returns each
 program's least failing tuple in ``topo`` order (first variable

@@ -64,43 +64,50 @@ def lattice_tables(n, up, down):
     return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
+def star_cell(full, up, down, lu_ab, lu_b, b):
+    """Sectional pseudocomplement of a relative to b, or None.
+
+    ``lu_ab`` is L(U(a, b)), the common lower bounds of the common upper
+    bounds of a and b, and ``lu_b[c]`` is L(U(c, b)).  The cell is the
+    unique d with: for every c, L(U(a, b)) & L(U(c, b)) is the lower cone
+    of b exactly when d lies in U(c, b).  Computed as the minimum of the
+    intersection of the U(c, b) over the qualifying c, then verified.
+    """
+    lb = down[b]
+    t = full
+    for c, lu_cb in enumerate(lu_b):
+        if lu_ab & lu_cb == lb:
+            t &= up[c] & up[b]
+    d = _least(t, up)
+    if d >= 0 and down[d] >> b & 1 and lu_ab & down[d] == lb:
+        return d
+    return None
+
+
 def poset_star_table(n, up, down):
     """Sectional pseudocomplement table for a poset; None marks undefined cells.
 
-    Cell (a, b) is the unique d with: for every c, the common lower bounds
-    of U(a,b) and U(c,b) reduce to the lower cone of b exactly when d lies
-    in U(c,b).  Computed as the minimum of the intersection of the U(c,b)
-    over the qualifying c, then verified.
+    Each cell is ``star_cell``.  L(U(a, b)) is computed once per distinct
+    U(a, b), and it is symmetric, so row b of ``lu`` is column b; a cell
+    depends on a only through L(U(a, b)), so each column computes one cell
+    per distinct value of it.
     """
     full = (1 << n) - 1
-    lu = [[0] * n for _ in range(n)]
-    for x in range(n):
-        ux = up[x]
-        for y in range(x, n):
-            s = ux & up[y]
-            acc = full
-            m = s
-            while m:
-                low = m & -m
-                acc &= down[low.bit_length() - 1]
-                m ^= low
-            lu[x][y] = lu[y][x] = acc
-    rows = []
-    for a in range(n):
-        lu_a = lu[a]
-        row = [None] * n
-        for b in range(n):
-            lu_ab = lu_a[b]
-            lb = down[b]
-            t = full
-            for c in range(n):
-                if lu_ab & lu[c][b] == lb:
-                    t &= up[c] & up[b]
-            d = _least(t, up)
-            if d >= 0 and down[d] >> b & 1 and lu_ab & down[d] == lb:
-                row[b] = d
-        rows.append(tuple(row))
-    return tuple(rows)
+    lower = {}
+    for s in {ux & uy for ux in up for uy in up}:
+        acc = full
+        m = s
+        while m:
+            low = m & -m
+            acc &= down[low.bit_length() - 1]
+            m ^= low
+        lower[s] = acc
+    lu = [[lower[ux & uy] for uy in up] for ux in up]
+    cols = []
+    for b, lu_b in enumerate(lu):
+        cells = {v: star_cell(full, up, down, v, lu_b, b) for v in set(lu_b)}
+        cols.append([cells[v] for v in lu_b])
+    return tuple(zip(*cols))
 
 
 def relative_cell(full, up, by_down, down_a, down_b):

@@ -37,13 +37,6 @@ class BinOp:
     def from_rows(cls, rows):
         return cls(len(rows), rows)
 
-    @classmethod
-    def from_flat(cls, n, flat, undefined=-1):
-        return cls(n, tuple(
-            tuple(None if flat[i * n + j] == undefined else flat[i * n + j] for j in range(n))
-            for i in range(n)
-        ))
-
     def value(self, a, b):
         return self.table[a][b]
 
@@ -55,5 +48,15 @@ class BinOp:
             (a, b) for a in range(self.n) for b in range(self.n) if self.table[a][b] is None
         )
 
-    def flat(self, undefined=-1):
-        return [undefined if cell is None else cell for row in self.table for cell in row]
+    def first_undefined(self, order):
+        """First undefined cell (a, b), a then b taken in ``order``, or None."""
+        for a in order:
+            row = self.table[a]
+            if None in row:
+                for b in order:
+                    if row[b] is None:
+                        return (a, b)
+        return None
+
+    def flat(self):
+        return [-1 if cell is None else cell for row in self.table for cell in row]

@@ -135,11 +135,10 @@ def cmd_synthesize(args):
     ops["*"] = star
     out = from_poset(p, ops, sf.constant_indices())
     _write(render(out), args.output)
-    gaps = star.undefined_cells()
-    if gaps:
-        a, b = gaps[0]
-        print(f"sectional pseudocomplement undefined at {len(gaps)} pairs; "
-              f"first {_fmt(p, (a, b))}", file=sys.stderr)
+    gap = star.first_undefined(p.topo)
+    if gap:
+        print(f"sectional pseudocomplement undefined at {len(star.undefined_cells())} pairs; "
+              f"first {_fmt(p, gap)}", file=sys.stderr)
         return 1
     return 0
 
@@ -245,10 +244,9 @@ def cmd_operators(args):
     if p.top is None:
         raise OrdAlgError("operator residuation needs a greatest element")
     star = star_table_poset(p)
-    gaps = star.undefined_cells()
-    if gaps:
-        a, b = gaps[0]
-        print(f"sectional pseudocomplement undefined at {_fmt(p, (a, b))}; "
+    gap = star.first_undefined(p.topo)
+    if gap:
+        print(f"sectional pseudocomplement undefined at {_fmt(p, gap)}; "
               f"operator residuation needs a total table")
         return 1
     op = canonical_operators(p, star)
@@ -368,13 +366,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OrdAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OrdAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

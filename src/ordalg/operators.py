@@ -55,10 +55,8 @@ class CanonicalResidual:
         if star.n != poset.n:
             raise ValueError(f"star table carrier size {star.n} != {poset.n}")
         if not star.is_total:
-            cell = star.undefined_cells()[0]
-            raise PartialStarError(
-                f"star table undefined at ({poset.names[cell[0]]}, {poset.names[cell[1]]})"
-            )
+            a, b = star.first_undefined(poset.topo)
+            raise PartialStarError(f"star table undefined at ({poset.names[a]}, {poset.names[b]})")
         self.poset = poset
         self.star = star
 

@@ -48,7 +48,8 @@ class Poset:
                 m ^= low
         for i in range(n):
             if up[i] & down[i] != 1 << i:
-                j = (up[i] & down[i] & ~(1 << i)).bit_length() - 1
+                m = up[i] & down[i] & ~(1 << i)
+                j = (m & -m).bit_length() - 1
                 raise CycleDetectedError(names[i], names[j])
             acc = 0
             m = up[i]
@@ -143,16 +144,7 @@ def make_poset(names, cover_pairs, max_size=MAX_ELEMENTS):
             if name not in index:
                 raise UnknownNameError(f"cover references unknown element {name!r}")
         adj[index[lo]] |= 1 << index[hi]
-    up = kernels.closure(len(names), adj)
-    for i in range(len(names)):
-        bad = up[i] & ~(1 << i)
-        while bad:
-            low = bad & -bad
-            j = low.bit_length() - 1
-            bad ^= low
-            if up[j] >> i & 1:
-                raise CycleDetectedError(names[i], names[j])
-    return Poset(names, up)
+    return Poset(names, kernels.closure(len(names), adj))
 
 
 def upper_set(p, mask):
@@ -221,9 +213,6 @@ class LatticeOps:
 
     def flat_join(self):
         return [x for row in self.join for x in row]
-
-    def flat_meet(self):
-        return [x for row in self.meet for x in row]
 
 
 def _minimal_of(p, mask):

@@ -3,18 +3,20 @@
 Two independent routes exist on purpose: the lattice route works from
 join/meet tables, the poset route only from upper/lower cones.  On any
 lattice the two must agree cell for cell, and the test suite holds them
-to that.  The poset route's full tables are kernels
-(``poset_star_table``, ``poset_relative_table``); the lattice route stays
-plain Python, independent of them.
+to that.  The poset route is the kernels (``poset_star_table``,
+``poset_relative_table``), whose pure twin states each cell rule once
+(``star_cell``, ``relative_cell``); the single-cell functions here call
+those rules.  The lattice route stays plain Python, independent of them.
+The join formula of ``synthesize_sectional`` only explains a failure.
 """
 
 from dataclasses import dataclass
 
 from . import _kernels as kernels
 from . import laws
-from ._kernels._core_py import relative_cell
+from ._kernels._core_py import relative_cell, star_cell
 from .binop import BinOp
-from .poset import LatticeOps, NotALattice, as_lattice
+from .poset import LatticeOps, NotALattice, as_lattice, lower_set
 from .verdict import Verdict
 
 
@@ -53,28 +55,8 @@ def sectional_pc_poset(p, a, b):
     The result d is characterized by: for every c, the common lower bounds
     of U(a,b) and U(c,b) are exactly the cone of b iff d is in U(c,b).
     """
-    full = p.full
-    lu_ab = full
-    for x in p.iter_mask(p.up[a] & p.up[b]):
-        lu_ab &= p.down[x]
-    lb = p.down[b]
-    t = full
-    for c in range(p.n):
-        lu_cb = full
-        for x in p.iter_mask(p.up[c] & p.up[b]):
-            lu_cb &= p.down[x]
-        if lu_ab & lu_cb == lb:
-            t &= p.up[c] & p.up[b]
-    d = None
-    for x in p.iter_mask(t):
-        if t & ~p.up[x] == 0:
-            d = x
-            break
-    if d is None:
-        return None
-    if not p.down[d] >> b & 1 or lu_ab & p.down[d] != lb:
-        return None
-    return d
+    lu_b = [lower_set(p, p.up[c] & p.up[b]) for c in range(p.n)]
+    return star_cell(p.full, p.up, p.down, lu_b[a], lu_b, b)
 
 
 def relative_pc_poset(p, a, b):
@@ -112,28 +94,25 @@ class FailureWitness:
 
 
 def synthesize_sectional(lat):
-    """Total sectional pseudocomplement table built by the join formula.
+    """Total sectional pseudocomplement table of a lattice, or a FailureWitness.
 
-    Each cell is the join of every x above b with (a v b) ^ x = b; when the
-    lattice is meet-semidistributive this join itself satisfies the identity,
-    otherwise the first offending pair is returned as a FailureWitness.
+    The table is the star-table kernel's.  Each cell (a, b) is the
+    greatest x with (a v b) ^ x = b, which exists exactly when the join of
+    all such x satisfies the identity itself, and then is that join.
+    Where the table has a gap, the first in topological order, the join
+    formula names the candidate that misses the identity.
     """
     p = lat.poset
-    rows = [[0] * p.n for _ in range(p.n)]
-    for ra in range(p.n):
-        a = p.topo[ra]
-        for rb in range(p.n):
-            b = p.topo[rb]
-            vee = lat.join[a][b]
-            ub = p.up[b]
-            cand = b
-            for x in range(p.n):
-                if ub >> x & 1 and lat.meet[vee][x] == b:
-                    cand = lat.join[cand][x]
-            if lat.meet[vee][cand] != b:
-                return FailureWitness((a, b), cand, lat.meet[vee][cand])
-            rows[a][b] = cand
-    return BinOp.from_rows(rows)
+    star = star_table_poset(p)
+    if star.is_total:
+        return star
+    a, b = star.first_undefined(p.topo)
+    vee = lat.join[a][b]
+    cand = b
+    for x in p.iter_mask(p.up[b]):
+        if lat.meet[vee][x] == b:
+            cand = lat.join[cand][x]
+    return FailureWitness((a, b), cand, lat.meet[vee][cand])
 
 
 @dataclass(frozen=True)
@@ -155,16 +134,6 @@ class ClassificationReport:
     is_sectionally_pc: bool
     is_relatively_pc: bool
     witnesses: dict
-
-
-def _first_undefined(p, op):
-    for ra in range(p.n):
-        a = p.topo[ra]
-        for rb in range(p.n):
-            b = p.topo[rb]
-            if not op.defined(a, b):
-                return (a, b)
-    return None
 
 
 def classify(p, lattice=None):
@@ -195,11 +164,11 @@ def classify(p, lattice=None):
     star = star_table_poset(p)
     spc = star.is_total
     if not spc:
-        witnesses["is_sectionally_pc"] = _first_undefined(p, star)
+        witnesses["is_sectionally_pc"] = star.first_undefined(p.topo)
     rel = relative_table_poset(p)
     rpc = rel.is_total
     if not rpc:
-        witnesses["is_relatively_pc"] = _first_undefined(p, rel)
+        witnesses["is_relatively_pc"] = rel.first_undefined(p.topo)
     return ClassificationReport(
         is_lattice=is_lattice,
         has_top=has_top,

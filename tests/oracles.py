@@ -5,7 +5,8 @@ restricted growth strings, posets as transitive upper-triangular
 relations, isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, congruence
-distributivity triple by triple, and every lattice, residuation and
+distributivity triple by triple, sectional pseudocomplements by the join
+formula and by a scan over every c, and every lattice, residuation and
 operator law by the hand loop it had before the law engine.  Slow but
 obviously correct, which is the point.
 """
@@ -17,6 +18,7 @@ from ordalg import (
     BinOp,
     CanonicalProduct,
     Congruence,
+    FailureWitness,
     FiniteAlgebra,
     Poset,
     PreconditionError,
@@ -236,6 +238,67 @@ def poset_from_edges(n, edges):
             if up[i] >> k & 1:
                 up[i] |= up[k]
     return Poset(tuple(f"e{i}" for i in range(n)), tuple(up))
+
+
+def relabeled(p, perm):
+    """The poset p with element i renamed to index perm[i] and name r<perm[i]>."""
+    up = [0] * p.n
+    for i in range(p.n):
+        mask = 0
+        rest = p.up[i]
+        while rest:
+            low = rest & -rest
+            mask |= 1 << perm[low.bit_length() - 1]
+            rest ^= low
+        up[perm[i]] = mask
+    return Poset(tuple(f"r{i}" for i in range(p.n)), tuple(up))
+
+
+def synthesize_by_join_formula(lat):
+    """Sectional pseudocomplement table of a lattice by the join formula.
+
+    Each cell is the join of every x above b with (a v b) ^ x = b; the
+    first pair in topological order where that join misses the identity
+    is returned as a FailureWitness.
+    """
+    p = lat.poset
+    rows = [[0] * p.n for _ in range(p.n)]
+    for a in p.topo:
+        for b in p.topo:
+            vee = lat.join[a][b]
+            cand = b
+            for x in range(p.n):
+                if p.up[b] >> x & 1 and lat.meet[vee][x] == b:
+                    cand = lat.join[cand][x]
+            if lat.meet[vee][cand] != b:
+                return FailureWitness((a, b), cand, lat.meet[vee][cand])
+            rows[a][b] = cand
+    return BinOp.from_rows(rows)
+
+
+def sectional_pc_by_cones(p, a, b):
+    """Sectional pseudocomplement of a relative to b from cones alone, or None.
+
+    Intersects U(c,b) over every c whose L(U(c,b)) meets L(U(a,b)) in
+    exactly the cone of b, then checks the least element of the result.
+    """
+    full = p.full
+    lu_ab = lower_set(p, p.up[a] & p.up[b])
+    lb = p.down[b]
+    t = full
+    for c in range(p.n):
+        if lu_ab & lower_set(p, p.up[c] & p.up[b]) == lb:
+            t &= p.up[c] & p.up[b]
+    d = None
+    for x in p.iter_mask(t):
+        if t & ~p.up[x] == 0:
+            d = x
+            break
+    if d is None:
+        return None
+    if not p.down[d] >> b & 1 or lu_ab & p.down[d] != lb:
+        return None
+    return d
 
 
 def relative_pc_per_x(p, a, b):

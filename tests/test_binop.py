@@ -13,8 +13,14 @@ def test_round_trips():
     assert op.defined(1, 0)
     assert op.undefined_cells() == ((0, 1),)
     assert op.flat() == [0, -1, 1, 0]
-    assert BinOp.from_flat(2, op.flat()) == op
-    assert BinOp.from_flat(2, op.flat(undefined=9), undefined=9) == op
+
+
+def test_first_undefined_follows_the_given_order():
+    op = BinOp.from_rows([[0, None, 0], [0, 0, 0], [None, 0, None]])
+    assert op.first_undefined(range(3)) == (0, 1)
+    assert op.first_undefined((2, 1, 0)) == (2, 2)
+    assert op.first_undefined((1, 0, 2)) == (0, 1)
+    assert BinOp.from_rows([[0]]).first_undefined((0,)) is None
 
 
 def test_total_table():

@@ -236,3 +236,18 @@ def test_fixture_roundtrips_through_check(write_fixture, capsys):
         path = write_fixture(name)
         assert main(["check", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_every_command_names_the_same_first_gap(tmp_path, capsys):
+    # the first undefined cell in index order is (e0, e3); in topological
+    # order, which every witness follows, it is (e5, e3)
+    path = tmp_path / "gappy.txt"
+    path.write_text("elements: e0 e1 e2 e3 e4 e5\n\ncovers:\n"
+                    "  e0 < e4\n  e1 < e4\n  e2 < e4\n  e3 < e0\n  e3 < e1\n  e3 < e2\n"
+                    "  e5 < e0\n")
+    assert main(["properties", str(path)]) == 0
+    assert "sectionally pseudocomplemented: no, undefined at (e5, e3)" in capsys.readouterr().out
+    assert main(["synthesize", str(path), "-o", str(tmp_path / "out.txt")]) == 1
+    assert capsys.readouterr().err.endswith("first (e5, e3)\n")
+    assert main(["operators", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("sectional pseudocomplement undefined at (e5, e3);")

@@ -29,6 +29,7 @@ from oracles import (
     naive_labeled_posets,
     permutation_classes,
     poset_from_edges,
+    relabeled,
 )
 from test_poset import random_posets
 
@@ -161,16 +162,7 @@ def test_canonical_key_and_iso_respect_relabeling():
     for p in enumerate_structures(5, "all-posets").members:
         perm = list(range(p.n))
         rng.shuffle(perm)
-        up = [0] * p.n
-        for i in range(p.n):
-            mask = 0
-            rest = p.up[i]
-            while rest:
-                low = rest & -rest
-                mask |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
-            up[perm[i]] = mask
-        q = Poset(tuple(f"r{i}" for i in range(p.n)), tuple(up))
+        q = relabeled(p, perm)
         assert canonical_key(q) == canonical_key(p)
         assert are_isomorphic(p, q)
 
@@ -201,14 +193,5 @@ def test_catalog_budgets_and_kinds():
 def test_canonical_key_invariant_under_random_relabeling(p, rng):
     perm = list(range(p.n))
     rng.shuffle(perm)
-    up = [0] * p.n
-    for i in range(p.n):
-        mask = 0
-        rest = p.up[i]
-        while rest:
-            low = rest & -rest
-            mask |= 1 << perm[low.bit_length() - 1]
-            rest ^= low
-        up[perm[i]] = mask
-    q = Poset(tuple(f"r{i}" for i in range(p.n)), tuple(up))
+    q = relabeled(p, perm)
     assert canonical_key(q) == canonical_key(p)

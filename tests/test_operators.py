@@ -115,6 +115,15 @@ def test_partial_star_rejected():
         CanonicalResidual(p, star)
 
 
+def test_partial_star_names_first_gap_in_topological_order():
+    names = [f"e{i}" for i in range(6)]
+    covers = [("e0", "e4"), ("e1", "e4"), ("e2", "e4"), ("e3", "e0"), ("e3", "e1"),
+              ("e3", "e2"), ("e5", "e0")]
+    p = make_poset(names, covers)
+    with pytest.raises(PartialStarError, match=r"undefined at \(e5, e3\)"):
+        canonical_operators(p, star_table_poset(p))
+
+
 def test_star_table_of_another_carrier_rejected():
     pentagon, bowtie = fixture("pentagon"), fixture("bowtie")
     for p, star in ((pentagon.poset, bowtie.star), (bowtie.poset, pentagon.star)):

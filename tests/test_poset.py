@@ -49,6 +49,17 @@ def test_cycle_rejected_with_pair():
     assert set(exc.value.pair) <= {"a", "b", "c"}
 
 
+def test_cycle_pair_same_from_covers_and_closed_masks():
+    names = ("a", "b", "c")
+    pairs = []
+    for build in (lambda: make_poset(names, (("a", "b"), ("b", "c"), ("c", "a"))),
+                  lambda: Poset(names, (0b111, 0b111, 0b111))):
+        with pytest.raises(CycleDetectedError) as exc:
+            build()
+        pairs.append(exc.value.pair)
+    assert pairs == [("a", "b"), ("a", "b")]
+
+
 def test_size_budget():
     names = tuple(f"v{i}" for i in range(65))
     with pytest.raises(SizeBudgetError):

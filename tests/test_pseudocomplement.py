@@ -1,5 +1,7 @@
 """Sectional and relative pseudocomplements, both lattice and order routes."""
 
+import random
+
 from hypothesis import given, settings
 
 from ordalg import (
@@ -24,7 +26,12 @@ from ordalg import (
 )
 from ordalg._kernels import _core_py
 
-from oracles import relative_pc_per_x
+from oracles import (
+    relabeled,
+    relative_pc_per_x,
+    sectional_pc_by_cones,
+    synthesize_by_join_formula,
+)
 from test_poset import random_posets
 
 
@@ -233,4 +240,34 @@ def test_pure_relative_table_matches_per_x_oracle():
     for p in cases:
         want = tuple(tuple(relative_pc_per_x(p, a, b) for b in range(p.n)) for a in range(p.n))
         assert _core_py.poset_relative_table(p.n, p.up, p.down) == want, p.up
+    assert len(cases) == 406 + 405
+
+
+def test_synthesis_matches_join_formula_oracle_on_relabeled_lattices():
+    # the join formula agrees with the star table wherever the table is
+    # defined, and its first failure is the table's first gap; relabeling
+    # moves the topological order away from the catalog's natural labels
+    rng = random.Random(11)
+    checked = failures = 0
+    for n in range(1, 9):
+        for p in enumerate_structures(n, "lattices").members:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            lat = as_lattice(relabeled(p, perm))
+            got, want = synthesize_sectional(lat), synthesize_by_join_formula(lat)
+            assert type(got) is type(want) and got == want, (p.up, perm)
+            checked += 1
+            failures += isinstance(want, FailureWitness)
+    assert checked == 300 and 0 < failures < checked
+
+
+def test_pure_star_table_matches_cone_oracle():
+    # the dispatcher sends carriers of 1..64 elements to the compiled twin
+    # when it is built, so call the pure twin's kernel directly
+    cases = [p for n in range(1, 8) for p in enumerate_structures(n, "posets-with-top").members]
+    cases += [p for n in range(1, 7) for p in enumerate_structures(n, "all-posets").members]
+    for p in cases:
+        want = tuple(tuple(sectional_pc_by_cones(p, a, b) for b in range(p.n))
+                     for a in range(p.n))
+        assert _core_py.poset_star_table(p.n, p.up, p.down) == want, p.up
     assert len(cases) == 406 + 405
