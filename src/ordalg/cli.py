@@ -3,8 +3,11 @@
 Commands read and write the plain-text structure format.  Recognized
 operation names: ``*`` for a sectional-pseudocomplement candidate,
 ``mult`` and ``imp`` for a residuated multiplication and its residual,
-``join`` and ``meet`` for explicit lattice tables.  Exit codes: 0 clean,
-1 a checked property fails, 2 malformed input or an exceeded budget.
+``join`` and ``meet`` for explicit lattice tables, which ``check``
+compares with the order's own.  Exit codes: 0 clean, 1 a checked
+property fails, 2 a usage error, malformed or undecodable input, or an
+exceeded budget.  ``_COMMANDS`` states each command once: ``main``
+builds the named command's parser from it, ``_build_parser`` all of them.
 """
 
 import argparse
@@ -34,8 +37,15 @@ from .residuation import ResiduationCandidate, check_divisibility, check_residua
 
 
 def _read(path):
-    with open(path, encoding="utf-8") as handle:
-        return parse(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as parse does (splitlines); the "." counts the bad byte's line
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"file is not UTF-8 ({exc.reason})", line) from None
+    return parse(text)
 
 
 def _write(text, out):
@@ -59,7 +69,7 @@ def _order_line(p, lat):
             f"minimal candidates {frontier})")
 
 
-def _star_mismatches(p, expected, given):
+def _mismatches(p, expected, given):
     out = []
     for ra in range(p.n):
         a = p.topo[ra]
@@ -76,6 +86,20 @@ def _cell(p, v):
     return "undefined" if v is None else p.names[v]
 
 
+def _report_table(p, name, given, expected, what, source):
+    """Print one ``op NAME:`` line for a declared table; 1 if it differs, else 0."""
+    bad = _mismatches(p, expected, given)
+    if not bad:
+        print(f"op {name}: matches the {what} table")
+        return 0
+    a, b, want, got = bad[0]
+    infix = name if name == "*" else f" {name} "
+    print(f"op {name}: {len(bad)} cells differ; first at "
+          f"{p.names[a]}{infix}{p.names[b]}: file says {_cell(p, got)}, "
+          f"{source} {_cell(p, want)}")
+    return 1
+
+
 def cmd_check(args):
     sf = _read(args.file)
     p = sf.poset()
@@ -89,16 +113,17 @@ def cmd_check(args):
     failures = 0
 
     if "*" in ops:
-        expected = star_table_poset(p)
-        bad = _star_mismatches(p, expected, ops["*"])
-        if not bad:
-            print("op *: matches the sectional pseudocomplement table")
-        else:
+        failures += _report_table(p, "*", ops["*"], star_table_poset(p),
+                                  "sectional pseudocomplement", "synthesized")
+    for name in ("join", "meet"):
+        if name not in ops:
+            continue
+        if not isinstance(lat, LatticeOps):
             failures += 1
-            a, b, want, got = bad[0]
-            print(f"op *: {len(bad)} cells differ; first at "
-                  f"{p.names[a]}*{p.names[b]}: file says {_cell(p, got)}, "
-                  f"synthesized {_cell(p, want)}")
+            print(f"op {name}: fails (order is not a lattice)")
+        else:
+            failures += _report_table(p, name, ops[name], BinOp(p.n, getattr(lat, name)),
+                                      f"lattice {name}", "the lattice gives")
 
     if "mult" in ops and "imp" in ops:
         if not isinstance(lat, LatticeOps):
@@ -306,64 +331,64 @@ def cmd_fixture(args):
     return 0
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FILE, _OUTPUT = _arg("file"), _arg("-o", "--output", default=None)
+
+_COMMANDS = {
+    "check": ("verify tables declared in a structure file", cmd_check, (_FILE,)),
+    "synthesize": ("compute the sectional pseudocomplement table", cmd_synthesize,
+                   (_FILE, _OUTPUT)),
+    "properties": ("classify the order", cmd_properties, (_FILE,)),
+    "congruences": ("list congruences and their properties", cmd_congruences, (
+        _FILE, _arg("--budget", type=int, default=16,
+                    help="largest carrier to accept (default 16)"))),
+    "product": ("direct product of two order files", cmd_product,
+                (_arg("left"), _arg("right"), _OUTPUT)),
+    "operators": ("check powerset operator residuation", cmd_operators, (
+        _FILE, _arg("--exhaustive-subsets", action="store_true",
+                    help="quantify over the full powerset (carrier up to 12)"))),
+    "enumerate": ("catalog all posets or lattices of one size", cmd_enumerate, (
+        _arg("size", type=int),
+        _arg("--kind", choices=CATALOG_KINDS, default="lattices"),
+        _arg("--no-dedup", action="store_true",
+             help="keep every natural labeling instead of one per isomorphism class"),
+        _arg("--list", action="store_true", help="print cover relations per entry"))),
+    "fixture": ("write a named built-in structure", cmd_fixture, (
+        _arg("name", nargs="?", default=None), _OUTPUT,
+        _arg("--list", action="store_true", help="list available names"))),
+}
+
+
+def _add_arguments(parser, name):
+    _, handler, specs = _COMMANDS[name]
+    for flags, kwargs in specs:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
-        prog="ordalg",
-        description="Finite order-algebra workbench.",
-        epilog="exit codes: 0 clean, 1 checked property fails, 2 bad input or budget",
-    )
+        prog="ordalg", description="Finite order-algebra workbench.",
+        epilog="exit codes: 0 clean, 1 checked property fails, 2 bad input or budget")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cmd = sub.add_parser("check", help="verify tables declared in a structure file")
-    cmd.add_argument("file")
-    cmd.set_defaults(handler=cmd_check)
-
-    cmd = sub.add_parser("synthesize", help="compute the sectional pseudocomplement table")
-    cmd.add_argument("file")
-    cmd.add_argument("-o", "--output", default=None)
-    cmd.set_defaults(handler=cmd_synthesize)
-
-    cmd = sub.add_parser("properties", help="classify the order")
-    cmd.add_argument("file")
-    cmd.set_defaults(handler=cmd_properties)
-
-    cmd = sub.add_parser("congruences", help="list congruences and their properties")
-    cmd.add_argument("file")
-    cmd.add_argument("--budget", type=int, default=16,
-                     help="largest carrier to accept (default 16)")
-    cmd.set_defaults(handler=cmd_congruences)
-
-    cmd = sub.add_parser("product", help="direct product of two order files")
-    cmd.add_argument("left")
-    cmd.add_argument("right")
-    cmd.add_argument("-o", "--output", default=None)
-    cmd.set_defaults(handler=cmd_product)
-
-    cmd = sub.add_parser("operators", help="check powerset operator residuation")
-    cmd.add_argument("file")
-    cmd.add_argument("--exhaustive-subsets", action="store_true",
-                     help="quantify over the full powerset (carrier up to 12)")
-    cmd.set_defaults(handler=cmd_operators)
-
-    cmd = sub.add_parser("enumerate", help="catalog all posets or lattices of one size")
-    cmd.add_argument("size", type=int)
-    cmd.add_argument("--kind", choices=CATALOG_KINDS, default="lattices")
-    cmd.add_argument("--no-dedup", action="store_true",
-                     help="keep every natural labeling instead of one per isomorphism class")
-    cmd.add_argument("--list", action="store_true", help="print cover relations per entry")
-    cmd.set_defaults(handler=cmd_enumerate)
-
-    cmd = sub.add_parser("fixture", help="write a named built-in structure")
-    cmd.add_argument("name", nargs="?", default=None)
-    cmd.add_argument("-o", "--output", default=None)
-    cmd.add_argument("--list", action="store_true", help="list available names")
-    cmd.set_defaults(handler=cmd_fixture)
-
+    for name, (text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = extras = None
+    if argv and argv[0] in _COMMANDS:
+        # the full parser hands argv[1:] to this same subparser, but reports leftovers itself
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"ordalg {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extras:
+        args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (OrdAlgError, OSError) as exc:

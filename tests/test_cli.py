@@ -1,9 +1,16 @@
 """End-to-end command line checks through main(argv)."""
 
+import argparse
+import os
+import subprocess
+import sys
+
 import pytest
 
-from ordalg import FIXTURE_NAMES, parse
+from ordalg import FIXTURE_NAMES, cli, parse
 from ordalg.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -47,6 +54,37 @@ def test_check_star_mutant(write_fixture, capsys):
     assert main(["check", str(path)]) == 1
     out = capsys.readouterr().out
     assert "first at b*c: file says 0, synthesized c" in out
+
+
+def test_check_declared_lattice_tables(tmp_path, capsys):
+    path = tmp_path / "chain2.txt"
+    path.write_text("elements: 0 1\ncovers:\n  0 < 1\n"
+                    "op join:\n  .  0  1\n  0  0  1\n  1  1  1\n"
+                    "op meet:\n  .  0  1\n  0  0  1\n  1  1  1\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "order: lattice",
+        "op join: matches the lattice join table",
+        "op meet: 2 cells differ; first at 0 meet 1: file says 1, the lattice gives 0",
+    ]
+
+
+def test_check_declared_join_on_non_lattice(write_fixture, capsys):
+    path = write_fixture("bowtie")
+    path.write_text(path.read_text().replace("op *:", "op join:"))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("order: not a lattice")
+    assert out[1:] == ["op join: fails (order is not a lattice)"]
+
+
+def test_check_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"elements: a\n\xff")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2, column 1: file is not UTF-8 (invalid start byte)\n"
 
 
 def test_check_imp_mutant(write_fixture, capsys):
@@ -251,3 +289,83 @@ def test_every_command_names_the_same_first_gap(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("first (e5, e3)\n")
     assert main(["operators", str(path)]) == 1
     assert capsys.readouterr().out.startswith("sectional pseudocomplement undefined at (e5, e3);")
+
+
+PARITY_ARGVS = [
+    [], ["-h"], ["bogus"], ["--", "fixture", "--list"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["check", "f"], ["properties", "f"],
+    ["synthesize", "f", "-o", "out"], ["synthesize", "f", "--output", "out"],
+    ["congruences", "f", "--budget", "8"], ["product", "l", "r", "-o", "out"],
+    ["operators", "f", "--exhaustive-subsets"],
+    ["enumerate", "4", "--kind", "all-posets", "--no-dedup", "--list"],
+    ["fixture", "pentagon", "-o", "out"], ["fixture", "--list"], ["fixture"],
+    ["check"], ["synthesize"], ["properties"], ["congruences"], ["product", "l"],
+    ["operators"], ["enumerate"],
+    ["enumerate", "four"], ["congruences", "f", "--budget", "many"],
+    ["enumerate", "4", "--kind", "trees"],
+    ["check", "f", "extra"], ["fixture", "pentagon", "--verbose"],
+]
+
+
+def _outcome(parse_args, argv, capsys):
+    try:
+        result = list(vars(parse_args(argv)).items())
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_the_full_parser(argv, monkeypatch, capsys):
+    # every handler returns its namespace, so main's parse shows through
+    for name, (text, _, specs) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (text, lambda args: args, specs))
+    got = _outcome(main, argv, capsys)
+    assert got == _outcome(cli._build_parser().parse_args, argv, capsys)
+
+
+def test_main_builds_only_the_named_parser(write_fixture, monkeypatch, capsys):
+    path = write_fixture("pentagon")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser()
+    full = len(built)
+    assert full == 1 + len(cli._COMMANDS)
+    for argv in (["fixture", "--list"], ["congruences", str(path)]):
+        built.clear()
+        assert main(argv) == 0
+        assert built == [f"ordalg {argv[0]}"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["check", "a", "b"])
+    assert len(built) == 1 + full
+    capsys.readouterr()
+
+
+def _run_ordalg(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "ordalg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_console_entry_reads_sys_argv():
+    proc = _run_ordalg("fixture", "--list")
+    assert proc.returncode == 0 and "pentagon" in proc.stdout.splitlines()
+    proc = _run_ordalg("check")
+    assert proc.returncode == 2 and proc.stderr.startswith("usage: ordalg check")
+    proc = _run_ordalg("check", "a", "b")
+    assert proc.returncode == 2
+    assert "ordalg: error: unrecognized arguments: b" in proc.stderr
+    proc = _run_ordalg("--help")
+    assert proc.returncode == 0
+    for name in ("check", "synthesize", "properties", "congruences", "product",
+                 "operators", "enumerate", "fixture"):
+        assert f"    {name} " in proc.stdout
