@@ -13,9 +13,15 @@ empty carrier).  The catalog kernels ``enum_orders`` and
 
 The table kernels ``lattice_tables`` (a pair, join and meet, or None),
 ``poset_star_table`` and ``poset_relative_table`` return a tuple of n row
-tuples, with None for an undefined cell; both twins return exactly these
-types.  Their cell rules are ``_core_py.star_cell`` (sectional) and
-``_core_py.relative_cell`` (relative).
+tuples, with None for an undefined cell and an element index in every
+other; both twins return exactly these types, so ``BinOp`` and
+``LatticeOps`` take the tables as they are.  Their cell rules are
+``_core_py.star_cell`` (sectional) and ``_core_py.relative_cell``
+(relative).  ``operator_tables(n, up, down)`` returns ``(us, uid, low,
+lu)``: the distinct sets U(x, y) = up[x] & up[y] numbered in first-seen
+row-major order, n rows of each pair's number, the common lower bounds of
+each set, and n rows of each pair's common lower bounds; every row is a
+tuple, and both twins number the sets alike.
 
 ``law_scan(n, topo, up, down, tables, consts, programs)`` returns each
 program's least failing tuple in ``topo`` order (first variable
@@ -71,6 +77,10 @@ def poset_star_table(n, up, down):
 
 def poset_relative_table(n, up, down):
     return _pick(n).poset_relative_table(n, list(up), list(down))
+
+
+def operator_tables(n, up, down):
+    return _pick(n).operator_tables(n, list(up), list(down))
 
 
 def rrl_scan(n, up, top, join, mult, imp):

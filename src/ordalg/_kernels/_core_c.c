@@ -3,11 +3,16 @@
  *
  * Bit j of up[i] set means element i lies below element j (reflexive);
  * down is the transpose.  The table kernels return a tuple of n row tuples
- * with None for an undefined cell; rrl_scan and divisibility_scan take flat
- * row-major sequences of length n*n, law_scan sequences of rows.  Every
- * kernel raises ValueError when n lies outside the sizes its fixed buffers
- * hold, a mask has bits outside the carrier, or a table entry is not an
- * element index (for law_scan: may be used as an index it cannot be).
+ * with None for an undefined cell, every other cell an element index, so
+ * BinOp and LatticeOps take them as they are.  operator_tables returns
+ * (us, uid, low, lu): the distinct sets U(x, y) = up[x] & up[y] in
+ * first-seen row-major order, n rows numbering each pair's set, the lower
+ * set of each, and n rows of each pair's lower set, all tuples.
+ * rrl_scan and divisibility_scan take flat row-major sequences of length
+ * n*n, law_scan sequences of rows.  Every kernel raises ValueError when n
+ * lies outside the sizes its fixed buffers hold, a mask has bits outside
+ * the carrier, or a table entry is not an element index (for law_scan: may
+ * be used as an index it cannot be).
  * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
@@ -127,6 +132,19 @@ static PyObject *mask_list(const uint64_t *v, Py_ssize_t count)
     return out;
 }
 
+static PyObject *mask_tuple(const uint64_t *v, Py_ssize_t count)
+{
+    PyObject *out = PyTuple_New(count);
+    for (Py_ssize_t i = 0; out && i < count; i++) {
+        PyObject *x = PyLong_FromUnsignedLongLong(v[i]);
+        if (!x)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
 /* The n-by-n table v as a tuple of n row tuples; a negative cell reads None. */
 static PyObject *int_rows(const int *v, int n)
 {
@@ -217,6 +235,53 @@ static PyObject *poset_star_table(PyObject *self, PyObject *const *args, Py_ssiz
             star[a * n + b] = (d >= 0 && (db[d] >> b) & 1 && (lu_ab & db[d]) == lb) ? d : -1;
         }
     return int_rows(star, n);
+}
+
+/* U(x, y) is symmetric, so each set is first seen at some y >= x and the
+ * upper triangle fixes the first-seen row-major numbering; a hash of the
+ * at most 2080 distinct sets finds a repeat.  The lu rows share the low
+ * tuple's ints. */
+#define U_SLOTS 4096
+static PyObject *operator_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t ub[64], db[64], us[64 * 65 / 2], lows[64 * 65 / 2];
+    uint16_t slot[U_SLOTS] = {0};
+    int uid[64 * 64], n, k = 0;
+    if (read_n("operator_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
+        || read_masks(args[2], n, db))
+        return NULL;
+    for (int x = 0; x < n; x++)
+        for (int y = x; y < n; y++) {
+            uint64_t u = ub[x] & ub[y];
+            unsigned h = (unsigned)((u * 0x9E3779B97F4A7C15ull) >> 52);
+            while (slot[h] && us[slot[h] - 1] != u)
+                h = (h + 1) & (U_SLOTS - 1);
+            if (!slot[h]) {
+                uint64_t acc = FULL(n);
+                for (uint64_t m = u; m; m &= m - 1)
+                    acc &= db[ctz64(m)];
+                us[k] = u;
+                lows[k] = acc;
+                slot[h] = (uint16_t)++k;
+            }
+            uid[x * n + y] = uid[y * n + x] = slot[h] - 1;
+        }
+    PyObject *low = mask_tuple(lows, k), *lu = low ? PyTuple_New(n) : NULL;
+    for (int x = 0; lu && x < n; x++) {
+        PyObject *row = PyTuple_New(n);
+        if (!row) {
+            Py_CLEAR(lu);
+            break;
+        }
+        for (int y = 0; y < n; y++)
+            PyTuple_SET_ITEM(row, y, Py_NewRef(PyTuple_GET_ITEM(low, uid[x * n + y])));
+        PyTuple_SET_ITEM(lu, x, row);
+    }
+    if (!lu) {
+        Py_XDECREF(low);
+        return NULL;
+    }
+    return Py_BuildValue("(NNNN)", mask_tuple(us, k), int_rows(uid, n), low, lu);
 }
 
 /* Cell (a, b) is the greatest x whose common lower bounds with a lie below
@@ -848,6 +913,10 @@ static PyMethodDef methods[] = {
            "Relative pseudocomplement table of a poset as a tuple of row tuples:\n"
            "cell (a, b) is the greatest x with down(a) & down(x) inside down(b),\n"
            "None where there is none."),
+    KERNEL(operator_tables, "operator_tables(n, up, down)\n--\n\n"
+           "(us, uid, low, lu): the distinct sets U(x, y) = up[x] & up[y] in first-seen\n"
+           "row-major order, the rows of each pair's number among them, the lower set\n"
+           "of each, and the rows of each pair's lower set; every row a tuple."),
     KERNEL(rrl_scan, "rrl_scan(n, up, top, join, mult, imp)\n--\n\n"
            "Axiom scan for a residuation candidate; returns a bitmask of failures.\n\n"
            "bit 0: commutative groupoid with unit, bit 1: monotone multiplication,\n"

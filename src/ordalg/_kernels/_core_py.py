@@ -84,6 +84,16 @@ def star_cell(full, up, down, lu_ab, lu_b, b):
     return None
 
 
+def _lower(full, down, mask):
+    # common lower bounds of the set; the empty set yields the carrier
+    acc = full
+    while mask:
+        low = mask & -mask
+        acc &= down[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def poset_star_table(n, up, down):
     """Sectional pseudocomplement table for a poset; None marks undefined cells.
 
@@ -93,21 +103,26 @@ def poset_star_table(n, up, down):
     per distinct value of it.
     """
     full = (1 << n) - 1
-    lower = {}
-    for s in {ux & uy for ux in up for uy in up}:
-        acc = full
-        m = s
-        while m:
-            low = m & -m
-            acc &= down[low.bit_length() - 1]
-            m ^= low
-        lower[s] = acc
-    lu = [[lower[ux & uy] for uy in up] for ux in up]
+    lu = operator_tables(n, up, down)[3]
     cols = []
     for b, lu_b in enumerate(lu):
         cells = {v: star_cell(full, up, down, v, lu_b, b) for v in set(lu_b)}
         cols.append([cells[v] for v in lu_b])
     return tuple(zip(*cols))
+
+
+def operator_tables(n, up, down):
+    """(us, uid, low, lu) for the sets U(x, y) = up[x] & up[y] of a poset.
+
+    ``us`` holds the distinct sets in first-seen row-major order, row x of
+    ``uid`` the index in ``us`` of each U(x, y), ``low`` the common lower
+    bounds of each set, and row x of ``lu`` those of each U(x, y).
+    """
+    full = (1 << n) - 1
+    ids = {}
+    uid = tuple([tuple([ids.setdefault(ux & uy, len(ids)) for uy in up]) for ux in up])
+    low = tuple([_lower(full, down, u) for u in ids])
+    return tuple(ids), uid, low, tuple([tuple([low[i] for i in row]) for row in uid])
 
 
 def relative_cell(full, up, by_down, down_a, down_b):

@@ -100,14 +100,20 @@ def _report_table(p, name, given, expected, what, source):
     return 1
 
 
+def _require_total(sf, ops, names, need):
+    """Raise ParseError at the header line of the first partial op in names."""
+    for name in names:
+        if not ops[name].is_total:
+            line, col = next((line, col) for op, line, col in sf.op_headers if op == name)
+            raise ParseError(f"op {name!r} is partial; {need} total tables", line, col)
+
+
 def cmd_check(args):
     sf = _read(args.file)
     p = sf.poset()
     ops = sf.binops()
     if "mult" in ops and "imp" in ops:
-        for name in ("mult", "imp"):
-            if not ops[name].is_total:
-                raise ParseError(f"op {name!r} is partial; residuation needs total tables", 1)
+        _require_total(sf, ops, ("mult", "imp"), "residuation needs")
     lat = as_lattice(p)
     print(_order_line(p, lat))
     failures = 0
@@ -218,9 +224,7 @@ def cmd_congruences(args):
     sf = _read(args.file)
     p = sf.poset()
     ops = sf.binops()
-    for name, op in ops.items():
-        if not op.is_total:
-            raise ParseError(f"op {name!r} is partial; congruences need total tables", 1)
+    _require_total(sf, ops, ops, "congruences need")
     if not ops:
         lat = as_lattice(p)
         if not isinstance(lat, LatticeOps):

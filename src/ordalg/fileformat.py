@@ -34,7 +34,7 @@ column.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .binop import BinOp
@@ -54,6 +54,8 @@ class StructureFile:
     covers: Tuple[Tuple[str, str], ...] = ()
     ops: Tuple[Tuple[str, Tuple[Tuple[Optional[str], ...], ...]], ...] = ()
     constants: Tuple[Tuple[str, str], ...] = ()
+    # (name, line, column) of each op's "op NAME:" header in the parsed text
+    op_headers: Tuple[Tuple[str, int, int], ...] = field(default=(), compare=False, repr=False)
 
     def poset(self):
         return make_poset(self.elements, self.covers)
@@ -230,6 +232,7 @@ def parse(text):
         covers=tuple(covers),
         ops=tuple(sorted(ops)),
         constants=tuple(sorted(constants)),
+        op_headers=tuple(sorted(tok for _, tok, _ in sections if tok is not None)),
     )
 
 

@@ -8,6 +8,7 @@ so tests can inject broken operators and watch the axioms fail.
 
 from dataclasses import dataclass, field
 
+from . import _kernels as kernels
 from . import laws
 from .errors import NoTopError, OrdAlgError, PartialStarError, SubsetBudgetError
 from .poset import lower_set
@@ -21,7 +22,9 @@ class CanonicalProduct:
     """Product of subset masks: common lower bounds of their union.
 
     L(A u B) = L(A) & L(B), so the product needs one lower set per operand,
-    which it keeps for its own lifetime.
+    which it keeps for its own lifetime.  An operator scan pre-fills the
+    lower sets of every U(x, y) from the ``operator_tables`` kernel, so
+    the product table it builds does no ``lower_set`` work.
     """
 
     kind = "canonical-product"
@@ -184,7 +187,8 @@ def _operator_scan(op, checks):
 
     The tables hold the residual of each pair and, over the distinct sets
     U(x, y) of common upper bounds, which the uid table numbers, their
-    common lower bounds and the product of each two of them.
+    common lower bounds and the product of each two of them.  The
+    ``operator_tables`` kernel gives the sets, uid and lu tables.
     """
     p, prod, resid, tables = op.poset, op.prod, op.resid, op.tables
     if not tables:
@@ -192,12 +196,10 @@ def _operator_scan(op, checks):
             rows = [[p.down[s] for s in row] for row in resid.star.table]
         else:
             rows = [[resid.r(x, y) for y in range(p.n)] for x in range(p.n)]
-        ids = {}
-        uid = [[ids.setdefault(p.up[x] & p.up[y], len(ids)) for y in range(p.n)]
-               for x in range(p.n)]
-        low = [lower_set(p, u) for u in ids]
-        tables.update(resid=rows, uid=uid, prod=[[prod.m(u, v) for v in ids] for u in ids],
-                      lu=[[low[i] for i in row] for row in uid])
+        us, uid, low, lu = kernels.operator_tables(p.n, p.up, p.down)
+        if isinstance(prod, CanonicalProduct) and prod.poset is p:
+            prod._lower.update(zip(us, low))
+        tables.update(resid=rows, uid=uid, prod=[[prod.m(u, v) for v in us] for u in us], lu=lu)
     return laws.scan(p, checks, **tables)
 
 

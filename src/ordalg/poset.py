@@ -184,13 +184,18 @@ class NotALattice:
 
 @dataclass(frozen=True)
 class LatticeOps:
-    """Total join/meet tables over a poset; verified against the order."""
+    """Total join/meet tables over a poset; verified against the order.
+
+    The rows are tuples.  ``tables`` keeps tables derived from the poset,
+    such as its star table, for the life of this object.
+    """
 
     poset: Poset
     join: tuple
     meet: tuple
     top: int = field(init=False)
     bottom: int = field(init=False)
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.poset
@@ -198,8 +203,17 @@ class LatticeOps:
         for name, pair in zip(("join", "meet"), found):
             if pair is not None:
                 raise ValueError(f"{name} table wrong at ({p.names[pair[0]]}, {p.names[pair[1]]})")
+        object.__setattr__(self, "join", tuple(map(tuple, self.join)))
+        object.__setattr__(self, "meet", tuple(map(tuple, self.meet)))
         object.__setattr__(self, "top", p.top)
         object.__setattr__(self, "bottom", p.bottom)
+
+    @classmethod
+    def _trusted(cls, p, join, meet):
+        """LatticeOps over the ``lattice_tables`` kernel's join and meet, taken unchecked."""
+        lat = object.__new__(cls)
+        vars(lat).update(poset=p, join=join, meet=meet, top=p.top, bottom=p.bottom, tables={})
+        return lat
 
     @property
     def n(self):
@@ -226,8 +240,9 @@ def _maximal_of(p, mask):
 def as_lattice(p):
     """LatticeOps when every pair has a lub and glb, else a NotALattice witness.
 
-    The witness pair is the first failure in the fixed topological order;
-    LatticeOps re-verifies the kernel's tables with the law engine.
+    The witness pair is the first failure in the fixed topological order.
+    The kernel's tables are least upper and greatest lower bounds by its
+    contract, so they enter LatticeOps without the law engine's check.
     """
     tabs = kernels.lattice_tables(p.n, p.up, p.down)
     if tabs is None:
@@ -244,4 +259,4 @@ def as_lattice(p):
                 if len(maxs) != 1:
                     return NotALattice("meet", (a, b), maxs)
         raise AssertionError("kernel reported a failure the rescan cannot find")
-    return LatticeOps(p, *tabs)
+    return LatticeOps._trusted(p, *tabs)

@@ -67,12 +67,19 @@ def relative_pc_poset(p, a, b):
 
 def star_table_poset(p):
     """Full sectional pseudocomplement table of a poset (kernel-backed)."""
-    return BinOp(p.n, kernels.poset_star_table(p.n, p.up, p.down))
+    return BinOp._trusted(kernels.poset_star_table(p.n, p.up, p.down))
 
 
 def relative_table_poset(p):
     """Full relative pseudocomplement table of a poset (kernel-backed)."""
-    return BinOp(p.n, kernels.poset_relative_table(p.n, p.up, p.down))
+    return BinOp._trusted(kernels.poset_relative_table(p.n, p.up, p.down))
+
+
+def _lattice_star_table(lat):
+    # the star table of lat's poset, built once per LatticeOps
+    if "star" not in lat.tables:
+        lat.tables["star"] = star_table_poset(lat.poset)
+    return lat.tables["star"]
 
 
 def is_meet_semidistributive(lat):
@@ -96,14 +103,15 @@ class FailureWitness:
 def synthesize_sectional(lat):
     """Total sectional pseudocomplement table of a lattice, or a FailureWitness.
 
-    The table is the star-table kernel's.  Each cell (a, b) is the
-    greatest x with (a v b) ^ x = b, which exists exactly when the join of
-    all such x satisfies the identity itself, and then is that join.
+    The table is the star-table kernel's, shared with ``classify`` through
+    ``lat.tables``.  Each cell (a, b) is the greatest x with
+    (a v b) ^ x = b, which exists exactly when the join of all such x
+    satisfies the identity itself, and then is that join.
     Where the table has a gap, the first in topological order, the join
     formula names the candidate that misses the identity.
     """
     p = lat.poset
-    star = star_table_poset(p)
+    star = _lattice_star_table(lat)
     if star.is_total:
         return star
     a, b = star.first_undefined(p.topo)
@@ -137,7 +145,10 @@ class ClassificationReport:
 
 
 def classify(p, lattice=None):
-    """Classify a poset; pass a prebuilt LatticeOps to skip recomputing it."""
+    """Classify a poset; pass a prebuilt LatticeOps to skip recomputing it.
+
+    The star table is kept in that LatticeOps' ``tables`` when it is p's.
+    """
     witnesses = {}
     lat = lattice if lattice is not None else as_lattice(p)
     if isinstance(lat, NotALattice):
@@ -161,7 +172,7 @@ def classify(p, lattice=None):
             if w is not None:
                 witnesses[key] = w
         is_modular, is_distributive, is_semi = (w is None for w in found)
-    star = star_table_poset(p)
+    star = _lattice_star_table(lat) if lat is not None and lat.poset is p else star_table_poset(p)
     spc = star.is_total
     if not spc:
         witnesses["is_sectionally_pc"] = star.first_undefined(p.topo)

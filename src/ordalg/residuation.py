@@ -116,8 +116,7 @@ def from_sectional(lat, star):
     """Candidate with meet as multiplication and a star table as implication."""
     if not star.is_total:
         raise ValueError("star table must be total")
-    meet_op = BinOp(lat.poset.n, lat.meet)
-    return ResiduationCandidate(lat, meet_op, star)
+    return ResiduationCandidate(lat, BinOp._trusted(lat.meet), star)
 
 
 def _require_verified(report, subject):

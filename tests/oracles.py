@@ -5,7 +5,8 @@ restricted growth strings, posets as transitive upper-triangular
 relations, isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, congruence
-distributivity triple by triple, sectional pseudocomplements by the join
+distributivity triple by triple, the operator scan's U(x, y) tables by
+comprehension, sectional pseudocomplements by the join
 formula and by a scan over every c, and every lattice, residuation and
 operator law by the hand loop it had before the law engine.  Slow but
 obviously correct, which is the point.
@@ -591,6 +592,18 @@ def identity_basis_by_loops(cand):
             break
     conds.append(("iv", v))
     return tuple(conds), groupoid_by_loops(cand)
+
+
+def operator_tables_by_comprehension(p):
+    """(us, uid, low, lu) of ``operator_tables``, built the way the operator
+    scan built them before the kernel: a dict numbering each U(x, y) as it
+    is first seen row by row, and one lower_set call per distinct set."""
+    ids = {}
+    uid = [[ids.setdefault(p.up[x] & p.up[y], len(ids)) for y in range(p.n)]
+           for x in range(p.n)]
+    low = [lower_set(p, u) for u in ids]
+    lu = [[low[i] for i in row] for row in uid]
+    return tuple(ids), tuple(map(tuple, uid)), tuple(low), tuple(map(tuple, lu))
 
 
 def operator_adjointness_by_loops(p, prod, resid):

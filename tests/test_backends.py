@@ -4,6 +4,7 @@ The heavy exhaustive sweep lives in the benchmarks; these tests keep a
 condensed version in the default run so a miscompiled kernel cannot hide.
 """
 
+import gc
 import itertools
 import os
 import random
@@ -12,10 +13,12 @@ import sys
 
 import pytest
 
+import oracles as o
 from ordalg import _kernels as kernels
 from ordalg import (
     BinOp,
     as_lattice,
+    direct_product,
     enumerate_structures,
     fixture,
     from_sectional,
@@ -94,12 +97,63 @@ def test_tables_identical_on_catalog():
                 for row in table:
                     assert type(row) is tuple and len(row) == p.n
                     assert {type(cell) for cell in row} <= {int, type(None)}
+                    assert all(cell is None or 0 <= cell < p.n for cell in row)
                     undefined.update(cell is None for cell in row)
             assert lattice is None or type(lattice) is tuple and len(lattice) == 2
         assert c.lattice_tables(*args) == py.lattice_tables(*args)
         assert c.poset_star_table(*args) == py.poset_star_table(*args)
         assert c.poset_relative_table(*args) == py.poset_relative_table(*args)
     assert undefined == {True, False}
+
+
+def operator_tables_keep_their_contract(p, tables):
+    us, uid, low, lu = tables
+    assert type(us) is tuple and type(low) is tuple and len(us) == len(low) == len(set(us))
+    assert all(type(m) is int and 0 <= m <= p.full for m in us + low)
+    for rows, cells in ((uid, range(len(us))), (lu, low)):
+        assert type(rows) is tuple and len(rows) == p.n
+        for row in rows:
+            assert type(row) is tuple and len(row) == p.n
+            assert all(type(cell) is int and cell in cells for cell in row)
+
+
+def test_operator_tables_identical_and_equal_to_the_comprehensions():
+    c = c_backend()
+    with_top = (p for n in range(1, 8) for p in enumerate_structures(n, "posets-with-top").members)
+    wide = (fixture(name).poset for name in ("bool6", "chain64"))
+    for p in itertools.chain(with_top, wide):
+        args = (p.n, list(p.up), list(p.down))
+        tables = c.operator_tables(*args)
+        operator_tables_keep_their_contract(p, tables)
+        assert tables == py.operator_tables(*args) == o.operator_tables_by_comprehension(p)
+    # n = 80 routes to the pure twin
+    p = direct_product(fixture("pentagon").poset, fixture("bool4").poset, max_size=80)
+    tables = kernels.operator_tables(p.n, p.up, p.down)
+    operator_tables_keep_their_contract(p, tables)
+    assert tables == o.operator_tables_by_comprehension(p)
+
+
+TABLE_KERNELS = ("lattice_tables", "poset_star_table", "poset_relative_table", "operator_tables")
+
+
+@pytest.mark.parametrize("twin, calls", (("c", 10_000), ("py", 1_000)))
+def test_table_kernels_hold_no_reference_after_returning(twin, calls):
+    # A row the kernel forgets to release outlives every call, so the
+    # allocated block count grows with the number of calls; the pure twin
+    # takes fewer calls because each one is slower.
+    twin = c_backend() if twin == "c" else py
+    p = fixture("bool4").poset
+    args = (p.n, list(p.up), list(p.down))
+    for kernel in TABLE_KERNELS:
+        fn = getattr(twin, kernel)
+        for _ in range(100):
+            fn(*args)
+        gc.collect()
+        before = sys.getallocatedblocks()
+        for _ in range(calls):
+            fn(*args)
+        gc.collect()
+        assert sys.getallocatedblocks() - before <= 20, kernel
 
 
 def test_closure_identical_on_random_dags():
@@ -246,6 +300,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         ("lattice_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("poset_star_table", 64, lambda n: (n, [0] * n, [0] * n)),
         ("poset_relative_table", 64, lambda n: (n, [0] * n, [0] * n)),
+        ("operator_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
         ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
         ("law_scan", 64, lambda n: (n, range(max(n, 0)), [0] * n, [0] * n, (), (), ())),
@@ -272,6 +327,9 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         lambda: c.poset_relative_table(2, [3, 2], [1, 4]),
         lambda: c.poset_relative_table(2, [3, 6], [1, 3]),
         lambda: c.poset_relative_table(2, [3], [1, 3]),
+        lambda: c.operator_tables(2, [3, 2], [1, 4]),
+        lambda: c.operator_tables(2, [3, 6], [1, 3]),
+        lambda: c.operator_tables(64, [1 << 64] + [0] * 63, [0] * 64),
         lambda: c.rrl_scan(2, [3, 2], 2, [0] * 4, [0] * 4, [0] * 4),
         lambda: c.rrl_scan(2, [3, 2], 1, [0] * 4, [0, 0, 0, 64], [0] * 4),
         lambda: c.divisibility_scan(2, [0] * 4, [0] * 4, [0, -1, 0, 0]),

@@ -109,7 +109,9 @@ def test_check_rejects_partial_residuation_tables(write_fixture, capsys):
         path.write_text(mutated)
         assert main(["check", str(path)]) == 2
         captured = capsys.readouterr()
-        assert f"op '{op}' is partial" in captured.err
+        # the error stands at the op's header, the line the table starts on
+        header = text.splitlines().index(f"op {op}:") + 1
+        assert f"line {header}, column 4: op '{op}' is partial" in captured.err
         assert captured.out == ""
     path.write_text(text)
 
@@ -187,7 +189,7 @@ def test_congruences_rejects_partial_and_nonlattice(tmp_path, capsys):
         "op f:\n  .  x  y\n  x  x  ?\n  y  y  y\n"
     )
     assert main(["congruences", str(partial)]) == 2
-    assert "partial" in capsys.readouterr().err
+    assert "line 4, column 4: op 'f' is partial" in capsys.readouterr().err
     anti = tmp_path / "anti.txt"
     anti.write_text("elements: u v w\n")
     assert main(["congruences", str(anti)]) == 2

@@ -14,7 +14,9 @@ from ordalg import (
     UnknownNameError,
     as_lattice,
     bounds,
+    enumerate_structures,
     fixture,
+    laws,
     lower_set,
     make_poset,
     upper_set,
@@ -189,3 +191,37 @@ def test_cone_galois_connection(p):
         # closure: A within L(U(A)), and U is antitone
         assert mask & ~lu == 0
         assert upper_set(p, lu) == u
+
+
+def tables_are_bounds(lat):
+    """True when lat's join and meet are least upper and greatest lower bounds."""
+    found = laws.scan(lat.poset, (laws.JOIN_IS_LUB, laws.MEET_IS_GLB),
+                      join=lat.join, meet=lat.meet)
+    return found == [None, None]
+
+
+def test_kernel_join_and_meet_are_bounds_on_every_small_lattice():
+    # as_lattice takes the kernel's tables unchecked; hold them to the laws
+    for n in range(1, 9):
+        for p in enumerate_structures(n, "lattices").members:
+            assert tables_are_bounds(as_lattice(p)), p.up
+
+
+@st.composite
+def bounded_posets(draw, max_n=8):
+    # a least and a greatest element make most small random posets lattices
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    edges = draw(st.sets(
+        st.tuples(st.integers(1, n - 2), st.integers(1, n - 2)).filter(lambda e: e[0] < e[1]),
+        max_size=n * 2,
+    )) if n > 3 else set()
+    edges |= {(0, j) for j in range(1, n)} | {(i, n - 1) for i in range(n - 1)}
+    return poset_from_edges(n, edges)
+
+
+@given(bounded_posets())
+@settings(max_examples=150, deadline=None)
+def test_kernel_join_and_meet_are_bounds_on_random_posets(p):
+    lat = as_lattice(p)
+    if isinstance(lat, LatticeOps):
+        assert tables_are_bounds(lat)
