@@ -47,11 +47,14 @@ def workloads():
     yield "closure n=60", "closure", (n, dag)
 
     cube = fixture("bool5").poset
-    yield "lattice tables n=32", "lattice_tables", (cube.n, list(cube.up), list(cube.down))
+    yield "lattice tables n=32", "lattice_tables", \
+        (cube.n, cube.topo, list(cube.up), list(cube.down))
     yield "star table n=32", "poset_star_table", (cube.n, list(cube.up), list(cube.down))
     yield "relative table n=32", "poset_relative_table", (cube.n, list(cube.up), list(cube.down))
 
     prod = direct_product(fixture("bowtie").poset, fixture("pentagon").poset)
+    yield "lattice tables n=30 (non-lattice)", "lattice_tables", \
+        (prod.n, prod.topo, list(prod.up), list(prod.down))
     yield "star table n=30 (non-lattice)", "poset_star_table", \
         (prod.n, list(prod.up), list(prod.down))
     yield "relative table n=30 (non-lattice)", "poset_relative_table", \

@@ -11,17 +11,21 @@ empty carrier).  The catalog kernels ``enum_orders`` and
 ``canonical_keys`` work on packed 8-bit rows, so both twins take only
 1..8 elements.
 
-The table kernels ``lattice_tables`` (a pair, join and meet, or None),
-``poset_star_table`` and ``poset_relative_table`` return a tuple of n row
-tuples, with None for an undefined cell and an element index in every
-other; both twins return exactly these types, so ``BinOp`` and
-``LatticeOps`` take the tables as they are.  Their cell rules are
-``_core_py.star_cell`` (sectional) and ``_core_py.relative_cell``
-(relative).  ``operator_tables(n, up, down)`` returns ``(us, uid, low,
-lu)``: the distinct sets U(x, y) = up[x] & up[y] numbered in first-seen
-row-major order, n rows of each pair's number, the common lower bounds of
-each set, and n rows of each pair's common lower bounds; every row is a
-tuple, and both twins number the sets alike.
+The table kernels ``poset_star_table`` and ``poset_relative_table``
+return a tuple of n row tuples, with None for an undefined cell and an
+element index in every other; both twins return exactly these types, so
+``BinOp`` and ``LatticeOps`` take the tables as they are.  Their cell
+rules are ``_core_py.star_cell`` (sectional) and ``_core_py.relative_cell``
+(relative).  ``lattice_tables(n, topo, up, down)`` returns such tables,
+join and meet, or ``(kind, a, b, frontier)`` at the first pair (a, b) =
+(topo[ra], topo[rb]), rb >= ra, without a lub (kind "join", checked
+first) or glb ("meet"); frontier masks the minimal common upper or maximal
+common lower bounds, and may be 0.  A topo that does not order the
+carrier raises ValueError.  ``operator_tables(n, up, down)`` returns
+``(us, uid, low, lu)``: the distinct sets U(x, y) = up[x] & up[y]
+numbered in first-seen row-major order, n rows of each pair's number, the
+common lower bounds of each set, and n rows of each pair's common lower
+bounds; every row is a tuple, and both twins number the sets alike.
 
 ``law_scan(n, topo, up, down, tables, consts, programs)`` returns each
 program's least failing tuple in ``topo`` order (first variable
@@ -67,8 +71,8 @@ def closure(n, up):
     return _pick(n).closure(n, list(up))
 
 
-def lattice_tables(n, up, down):
-    return _pick(n).lattice_tables(n, list(up), list(down))
+def lattice_tables(n, topo, up, down):
+    return _pick(n).lattice_tables(n, topo, list(up), list(down))
 
 
 def poset_star_table(n, up, down):
@@ -85,10 +89,6 @@ def operator_tables(n, up, down):
 
 def rrl_scan(n, up, top, join, mult, imp):
     return _pick(n).rrl_scan(n, list(up), top, join, mult, imp)
-
-
-def divisibility_scan(n, join, mult, imp):
-    return _pick(n).divisibility_scan(n, join, mult, imp)
 
 
 def law_scan(n, topo, up, down, tables, consts, programs):

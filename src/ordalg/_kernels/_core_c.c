@@ -4,15 +4,17 @@
  * Bit j of up[i] set means element i lies below element j (reflexive);
  * down is the transpose.  The table kernels return a tuple of n row tuples
  * with None for an undefined cell, every other cell an element index, so
- * BinOp and LatticeOps take them as they are.  operator_tables returns
- * (us, uid, low, lu): the distinct sets U(x, y) = up[x] & up[y] in
- * first-seen row-major order, n rows numbering each pair's set, the lower
- * set of each, and n rows of each pair's lower set, all tuples.
- * rrl_scan and divisibility_scan take flat row-major sequences of length
- * n*n, law_scan sequences of rows.  Every kernel raises ValueError when n
- * lies outside the sizes its fixed buffers hold, a mask has bits outside
- * the carrier, or a table entry is not an element index (for law_scan: may
- * be used as an index it cannot be).
+ * BinOp and LatticeOps take them as they are; lattice_tables returns
+ * (kind, a, b, frontier) at the first pair in topo order without a lub or
+ * glb.  operator_tables returns (us, uid, low, lu): the distinct sets
+ * U(x, y) = up[x] & up[y] in first-seen row-major order, n rows numbering
+ * each pair's set, the lower set of each, and n rows of each pair's lower
+ * set, all tuples.  rrl_scan and divisibility_scan take flat row-major
+ * sequences of length n*n, law_scan sequences of rows.  Every kernel raises
+ * ValueError when n lies outside the sizes its fixed buffers hold, a mask
+ * has bits outside the carrier, topo does not order the carrier, or a table
+ * entry is not an element index (for law_scan: may be used as an index it
+ * cannot be).
  * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
@@ -42,6 +44,16 @@ static int extreme(uint64_t mask, const uint64_t *cone)
             return x;
     }
     return -1;
+}
+
+/* The x of mask whose cone meets mask in x alone: its minimal elements when
+ * cone is down, its maximal ones when cone is up. */
+static uint64_t frontier(uint64_t mask, const uint64_t *cone)
+{
+    uint64_t out = 0;
+    for (uint64_t m = mask; m; m &= m - 1)
+        out |= (mask & cone[ctz64(m)]) == (m & -m) ? m & -m : 0;
+    return out;
 }
 
 /* Check the argument count and read args[0] as n, which must lie in 1..hi. */
@@ -119,17 +131,21 @@ static int read_indices(PyObject *seq, int n, int count, int *out)
     return ok ? 0 : -1;
 }
 
-static PyObject *mask_list(const uint64_t *v, Py_ssize_t count)
+static int value_error(const char *msg)
 {
-    PyObject *out = PyList_New(count);
-    for (Py_ssize_t i = 0; out && i < count; i++) {
-        PyObject *x = PyLong_FromUnsignedLongLong(v[i]);
-        if (!x)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, x);
-    }
-    return out;
+    PyErr_SetString(PyExc_ValueError, msg);
+    return -1;
+}
+
+/* Read the first n entries of seq: an order of the n-element carrier. */
+static int read_topo(PyObject *seq, int n, int *topo)
+{
+    uint64_t seen = 0;
+    if (read_indices(seq, n, n, topo))
+        return -1;
+    for (int i = 0; i < n; i++)
+        seen |= (uint64_t)1 << topo[i];
+    return seen == FULL(n) ? 0 : value_error("topo must order the carrier");
 }
 
 static PyObject *mask_tuple(const uint64_t *v, Py_ssize_t count)
@@ -181,26 +197,29 @@ static PyObject *closure(PyObject *self, PyObject *const *args, Py_ssize_t nargs
             if (buf[i] & bk)
                 buf[i] |= row;
     }
-    return mask_list(buf, n);
+    return mask_tuple(buf, n);
 }
 
+/* Pairs (topo[ra], topo[rb]) with rb >= ra in order, join before meet. */
 static PyObject *lattice_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t ub[64], db[64];
-    int join[64 * 64], meet[64 * 64], n;
-    if (read_n("lattice_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
-        || read_masks(args[2], n, db))
+    int topo[64], join[64 * 64], meet[64 * 64], n;
+    if (read_n("lattice_tables", args, nargs, 4, 64, &n) || read_topo(args[1], n, topo)
+        || read_masks(args[2], n, ub) || read_masks(args[3], n, db))
         return NULL;
-    for (int i = 0; i < n; i++)
-        for (int j = i; j < n; j++) {
-            int m = extreme(ub[i] & ub[j], ub);
+    for (int ra = 0; ra < n; ra++)
+        for (int rb = ra; rb < n; rb++) {
+            int a = topo[ra], b = topo[rb];
+            uint64_t u = ub[a] & ub[b], d = db[a] & db[b];
+            int j = extreme(u, ub);
+            if (j < 0)
+                return Py_BuildValue("(siiK)", "join", a, b, (unsigned long long)frontier(u, db));
+            int m = extreme(d, db);
             if (m < 0)
-                Py_RETURN_NONE;
-            join[i * n + j] = join[j * n + i] = m;
-            m = extreme(db[i] & db[j], db);
-            if (m < 0)
-                Py_RETURN_NONE;
-            meet[i * n + j] = meet[j * n + i] = m;
+                return Py_BuildValue("(siiK)", "meet", a, b, (unsigned long long)frontier(d, ub));
+            join[a * n + b] = join[b * n + a] = j;
+            meet[a * n + b] = meet[b * n + a] = m;
         }
     /* "N" takes the new tables' references, also when a conversion fails */
     return Py_BuildValue("(NN)", int_rows(join, n), int_rows(meet, n));
@@ -353,6 +372,7 @@ static PyObject *rrl_scan(PyObject *self, PyObject *const *args, Py_ssize_t narg
     return PyLong_FromLong(bits);
 }
 
+/* No library caller: perfbench/twins.py still calls it by name. */
 static PyObject *divisibility_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int jt[64 * 64], mt[64 * 64], it[64 * 64], n;
@@ -384,12 +404,6 @@ struct law_env {
     uint64_t *tab[LAW_TABLES], width[LAW_TABLES], bound[LAW_TABLES];
 };
 
-static int law_error(const char *msg)
-{
-    PyErr_SetString(PyExc_ValueError, msg);
-    return -1;
-}
-
 /* Read the element indices a program may push as constants. */
 static int law_consts(PyObject *seq, struct law_env *e)
 {
@@ -404,7 +418,7 @@ static int law_consts(PyObject *seq, struct law_env *e)
     Py_DECREF(fast);
     e->nconsts = (int)count;
     if (!ok && !PyErr_Occurred())
-        law_error("law_scan takes at most 8 constants, each an element index");
+        value_error("law_scan takes at most 8 constants, each an element index");
     return ok ? 0 : -1;
 }
 
@@ -455,7 +469,7 @@ static int law_tables(PyObject *seq, struct law_env *e, uint64_t **buf)
     Py_DECREF(fast);
     e->ntables = (int)count;
     if (!ok && !PyErr_Occurred())
-        law_error("law_scan takes at most 8 tables, each square, at most 2080 wide, "
+        value_error("law_scan takes at most 8 tables, each square, at most 2080 wide, "
                   "with masks within the carrier");
     return ok ? 0 : -1;
 }
@@ -480,25 +494,25 @@ static int law_check(const struct law_env *e, const int *code, int len, struct l
     p->arity = code[0];
     p->len = 0;
     if (p->arity < 1 || p->arity > 4)
-        return law_error("law arity must lie in 1..4");
+        return value_error("law arity must lie in 1..4");
     for (int pc = 1; pc < len; pc += 2) {
         int op = code[pc], arg = code[pc + 1];
         if (op < 0 || op >= L_OPS)
-            return law_error("unknown law opcode");
+            return value_error("unknown law opcode");
         if ((op == L_VAR && (arg < 0 || arg >= p->arity))
             || (op == L_CONST && (arg < 0 || arg >= e->nconsts))
             || (op == L_TABLE && (arg < 0 || arg >= e->ntables || !e->width[arg])))
-            return law_error("law program operand out of range");
+            return value_error("law program operand out of range");
         int pops = op <= L_CONST ? 0 : op == L_UP || op == L_DOWN ? 1 : 2;
         if (sp < pops)
-            return law_error("law program stack underflow");
+            return value_error("law program stack underflow");
         sp -= pops;
         int x = pops ? stack[sp] : 0, y = pops ? stack[sp + pops - 1] : 0, r = 0;
         uint64_t bx = pops ? bound[x] : 0, by = pops ? bound[y] : 0;
         uint64_t limit = op == L_TABLE ? e->width[arg] : n;
         int indexes = op == L_TABLE || op == L_LEQ || op == L_UP || op == L_DOWN;
         if (indexes && (bx >= limit || by >= limit))
-            return law_error("law program indexes with a value that may be out of range");
+            return value_error("law program indexes with a value that may be out of range");
         while (r < p->len && !(p->op[r] == op && p->arg[r] == arg && p->x[r] == x && p->y[r] == y))
             r++;
         if (r == p->len) {
@@ -516,11 +530,11 @@ static int law_check(const struct law_env *e, const int *code, int len, struct l
             p->len++;
         }
         if (sp == LAW_STACK)
-            return law_error("law program stack overflow");
+            return value_error("law program stack overflow");
         stack[sp++] = r;
     }
     if (sp != 1)
-        return law_error("a law program must leave one value");
+        return value_error("a law program must leave one value");
     p->result = stack[0];
     return 0;
 }
@@ -627,7 +641,7 @@ static PyObject *law_one(const struct law_env *e, PyObject *program)
     Py_DECREF(fast);
     if (!ok) {
         if (!PyErr_Occurred())
-            law_error("a program is (arity, opcode, operand, ...) with at most 64 instructions");
+            value_error("a program is (arity, opcode, operand, ...) with at most 64 instructions");
         return NULL;
     }
     if (law_check(e, code, (int)len, &p))
@@ -648,17 +662,11 @@ static PyObject *law_one(const struct law_env *e, PyObject *program)
 static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct law_env e;
-    uint64_t *buf = NULL, seen = 0;
-    if (read_n("law_scan", args, nargs, 7, 64, &e.n) || read_indices(args[1], e.n, e.n, e.topo)
+    uint64_t *buf = NULL;
+    if (read_n("law_scan", args, nargs, 7, 64, &e.n) || read_topo(args[1], e.n, e.topo)
         || read_masks(args[2], e.n, e.up) || read_masks(args[3], e.n, e.down)
         || law_consts(args[5], &e))
         return NULL;
-    for (int i = 0; i < e.n; i++)
-        seen |= (uint64_t)1 << e.topo[i];
-    if (seen != FULL(e.n)) {
-        law_error("topo must order the carrier");
-        return NULL;
-    }
     PyObject *result = NULL, *fast = NULL;
     if (!law_tables(args[4], &e, &buf))
         fast = PySequence_Fast(args[6], "programs must be a sequence");
@@ -903,9 +911,9 @@ static PyObject *canonical_keys(PyObject *self, PyObject *const *args, Py_ssize_
 
 static PyMethodDef methods[] = {
     KERNEL(closure, "closure(n, up)\n--\n\nReflexive-transitive closure of an up-mask adjacency."),
-    KERNEL(lattice_tables, "lattice_tables(n, up, down)\n--\n\n"
-           "(join, meet) tables as tuples of row tuples, or None if some pair lacks\n"
-           "a lub or glb."),
+    KERNEL(lattice_tables, "lattice_tables(n, topo, up, down)\n--\n\n"
+           "(join, meet) tables as tuples of row tuples, or (kind, a, b, frontier)\n"
+           "at the first pair in topo order without a lub or glb; see the pure twin."),
     KERNEL(poset_star_table, "poset_star_table(n, up, down)\n--\n\n"
            "Sectional pseudocomplement table of a poset as a tuple of row tuples;\n"
            "None marks an undefined cell."),

@@ -21,46 +21,53 @@ def closure(n, up):
         for i in range(n):
             if out[i] & bk:
                 out[i] |= row
-    return out
+    return tuple(out)
 
 
-def _least(mask, up):
-    # index of the minimum of the set, or -1
+def _extreme(mask, cone):
+    # the x of the set that lies within cone[x], or -1: its minimum when
+    # cone is up, its maximum when cone is down
     m = mask
     while m:
         low = m & -m
         x = low.bit_length() - 1
-        if mask & ~up[x] == 0:
+        if mask & ~cone[x] == 0:
             return x
         m ^= low
     return -1
 
 
-def _greatest(mask, down):
-    m = mask
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        if mask & ~down[x] == 0:
-            return x
-        m ^= low
-    return -1
+def _frontier(mask, cone):
+    # the x of the set whose cone meets it in x alone: its minimal elements
+    # when cone is down, its maximal ones when cone is up
+    return sum(1 << x for x in range(mask.bit_length()) if mask & cone[x] == 1 << x)
 
 
-def lattice_tables(n, up, down):
-    """(join, meet) tables as row tuples, or None if some pair lacks a lub or glb."""
+def read_topo(n, topo):
+    """The first n entries of topo, which must order the n-element carrier."""
+    topo = tuple(topo)[:n]
+    if sorted(topo) != list(range(n)):
+        raise ValueError(f"topo must order the {n}-element carrier")
+    return topo
+
+
+def lattice_tables(n, topo, up, down):
+    """(join, meet) tables or the first pair without a lub or glb, as ``_kernels`` states."""
+    topo = read_topo(n, topo)
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m = _least(up[i] & up[j], up)
+    for ra, a in enumerate(topo):
+        for b in topo[ra:]:
+            u = up[a] & up[b]
+            m = _extreme(u, up)
             if m < 0:
-                return None
-            join[i][j] = join[j][i] = m
-            m = _greatest(down[i] & down[j], down)
+                return "join", a, b, _frontier(u, down)
+            join[a][b] = join[b][a] = m
+            d = down[a] & down[b]
+            m = _extreme(d, down)
             if m < 0:
-                return None
-            meet[i][j] = meet[j][i] = m
+                return "meet", a, b, _frontier(d, up)
+            meet[a][b] = meet[b][a] = m
     return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
@@ -78,7 +85,7 @@ def star_cell(full, up, down, lu_ab, lu_b, b):
     for c, lu_cb in enumerate(lu_b):
         if lu_ab & lu_cb == lb:
             t &= up[c] & up[b]
-    d = _least(t, up)
+    d = _extreme(t, up)
     if d >= 0 and down[d] >> b & 1 and lu_ab & down[d] == lb:
         return d
     return None
@@ -191,7 +198,10 @@ def rrl_scan(n, up, top, join, mult, imp):
 
 
 def divisibility_scan(n, join, mult, imp):
-    """True when (x v y) * (x -> y) = y for every pair."""
+    """True when (x v y) * (x -> y) = y for every pair.
+
+    No library caller: ``perfbench/twins.py`` still calls it by name.
+    """
     for x in range(n):
         xrow = x * n
         for y in range(n):
@@ -260,7 +270,7 @@ def enum_orders(n, lattices_only):
         # a unique minimal common upper bound
         di = down[i]
         for j in range(i):
-            if _greatest(di & down[j], down) < 0:
+            if _extreme(di & down[j], down) < 0:
                 return False
         m1 = di & ~(1 << i)
         while m1:
@@ -272,17 +282,14 @@ def enum_orders(n, lattices_only):
                 low2 = m2 & -m2
                 k = low2.bit_length() - 1
                 m2 ^= low2
-                if _least(up[j] & up[k], up) < 0:
+                if _extreme(up[j] & up[k], up) < 0:
                     return False
         return True
 
     def complete():
         for j in range(n):
             for k in range(j + 1, n):
-                u = up[j] & up[k]
-                if not u or _least(u, up) < 0:
-                    return False
-                if _greatest(down[j] & down[k], down) < 0:
+                if _extreme(up[j] & up[k], up) < 0 or _extreme(down[j] & down[k], down) < 0:
                     return False
         return True
 

@@ -6,7 +6,7 @@ in the docstring of the ``_kernels`` package.
 
 from functools import lru_cache
 
-from ._core_py import LAW_CODE, LAW_OPS, LAW_STACK, LAW_TABLES
+from ._core_py import LAW_CODE, LAW_OPS, LAW_STACK, LAW_TABLES, read_topo
 
 # A value's bound is the least of its sources': -1 stands for n (a variable
 # or constant), -2 for 2 (a truth value), t >= 0 for table t's entries; no
@@ -121,9 +121,7 @@ def law_scan(n, topo, up, down, tables, consts, programs):
     """The least failing tuple of each program, or None, in topo order."""
     if n < 1:
         raise ValueError("law_scan supports 1 <= n")
-    topo = tuple(topo)[:n]
-    if sorted(topo) != list(range(n)):
-        raise ValueError(f"topo must order the {n}-element carrier")
+    topo = read_topo(n, topo)
     if len(tables) > LAW_TABLES or len(consts) > LAW_TABLES:
         raise ValueError(f"law_scan takes at most {LAW_TABLES} tables and constants")
     if any(not 0 <= k < n for k in consts):

@@ -60,13 +60,20 @@ def _fmt(p, idxs):
     return "(" + ", ".join(p.names[i] for i in idxs) + ")"
 
 
+def _lattice_failure(p, kind, a, b, frontier):
+    """'join fails at (a, b); minimal candidates c d' for a NotALattice."""
+    if frontier:
+        extreme = "minimal" if kind == "join" else "maximal"
+        detail = f"{extreme} candidates " + " ".join(p.names[i] for i in frontier)
+    else:
+        detail = "no common " + ("upper" if kind == "join" else "lower") + " bound"
+    return f"{kind} fails at {_fmt(p, (a, b))}; {detail}"
+
+
 def _order_line(p, lat):
     if isinstance(lat, LatticeOps):
         return "order: lattice"
-    kind, (a, b) = lat.kind, lat.pair
-    frontier = " ".join(p.names[i] for i in lat.frontier)
-    return (f"order: not a lattice ({kind} fails at {_fmt(p, (a, b))}; "
-            f"minimal candidates {frontier})")
+    return f"order: not a lattice ({_lattice_failure(p, lat.kind, *lat.pair, lat.frontier)})"
 
 
 def _mismatches(p, expected, given):
@@ -183,10 +190,7 @@ def cmd_properties(args):
     if rep.is_lattice:
         print("lattice: yes")
     else:
-        kind, a, b, frontier = w["is_lattice"]
-        frontier_names = " ".join(p.names[i] for i in frontier)
-        print(f"lattice: no ({kind} fails at {_fmt(p, (a, b))}; "
-              f"minimal candidates {frontier_names})")
+        print(f"lattice: no ({_lattice_failure(p, *w['is_lattice'])})")
     if rep.has_top:
         print(f"top: {p.names[p.top]}")
     else:

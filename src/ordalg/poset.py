@@ -174,7 +174,9 @@ class NotALattice:
 
     ``frontier`` holds the minimal upper bounds (kind 'join') or maximal
     lower bounds (kind 'meet') of the offending pair; it is an antichain
-    that never has exactly one member.
+    that never has exactly one member.  ``as_lattice`` reports a meet
+    failure only at a pair without common lower bounds: two maximal lower
+    bounds of a pair have no join, and their own pair comes first.
     """
 
     kind: str
@@ -229,34 +231,16 @@ class LatticeOps:
         return [x for row in self.join for x in row]
 
 
-def _minimal_of(p, mask):
-    return tuple(i for i in p.topo if mask >> i & 1 and p.down[i] & mask == 1 << i)
-
-
-def _maximal_of(p, mask):
-    return tuple(i for i in p.topo if mask >> i & 1 and p.up[i] & mask == 1 << i)
-
-
 def as_lattice(p):
     """LatticeOps when every pair has a lub and glb, else a NotALattice witness.
 
-    The witness pair is the first failure in the fixed topological order.
-    The kernel's tables are least upper and greatest lower bounds by its
-    contract, so they enter LatticeOps without the law engine's check.
+    The ``lattice_tables`` kernel runs the pairs in the fixed topological
+    order and names the first failure itself, with its frontier as a mask.
+    Its tables are least upper and greatest lower bounds by its contract,
+    so they enter LatticeOps without the law engine's check.
     """
-    tabs = kernels.lattice_tables(p.n, p.up, p.down)
-    if tabs is None:
-        for ra in range(p.n):
-            a = p.topo[ra]
-            for rb in range(ra, p.n):
-                b = p.topo[rb]
-                u = p.up[a] & p.up[b]
-                mins = _minimal_of(p, u)
-                if len(mins) != 1:
-                    return NotALattice("join", (a, b), mins)
-                d = p.down[a] & p.down[b]
-                maxs = _maximal_of(p, d)
-                if len(maxs) != 1:
-                    return NotALattice("meet", (a, b), maxs)
-        raise AssertionError("kernel reported a failure the rescan cannot find")
-    return LatticeOps._trusted(p, *tabs)
+    tabs = kernels.lattice_tables(p.n, p.topo, p.up, p.down)
+    if len(tabs) == 2:
+        return LatticeOps._trusted(p, *tabs)
+    kind, a, b, frontier = tabs
+    return NotALattice(kind, (a, b), tuple(i for i in p.topo if frontier >> i & 1))

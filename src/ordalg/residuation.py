@@ -95,21 +95,18 @@ def check_residuation(cand):
 def check_divisibility(cand, mult_override=None):
     """Verdict of (x v y) * (x -> y) = y over all pairs.
 
+    The law engine scans ``laws.DIVISIBLE`` once, and a failure's witness is
+    its least failing pair in the fixed topological order.
     ``mult_override`` substitutes another total table for the product in
     the identity, which lets a caller replay the same scan with the
     lattice meet standing in for the declared multiplication.
     """
     lat = cand.lattice
-    p = lat.poset
     mult = cand.mult if mult_override is None else mult_override
-    if not mult.is_total or mult.n != p.n:
+    if not mult.is_total or mult.n != lat.poset.n:
         raise ValueError("override must be a total table on the same carrier")
-    if kernels.divisibility_scan(p.n, lat.flat_join(), mult.flat(), cand.imp.flat()):
-        return Verdict(True)
     (witness,) = _axiom_scan(lat, mult, cand.imp, (laws.DIVISIBLE,))
-    if witness is None:
-        raise AssertionError("kernel reported a failure the law engine cannot find")
-    return Verdict(False, witness, "divisibility")
+    return Verdict.of(witness, "divisibility")
 
 
 def from_sectional(lat, star):

@@ -6,9 +6,10 @@ relations, isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, congruence
 distributivity triple by triple, the operator scan's U(x, y) tables by
-comprehension, sectional pseudocomplements by the join
-formula and by a scan over every c, and every lattice, residuation and
-operator law by the hand loop it had before the law engine.  Slow but
+comprehension, lattice failures by rescanning every pair, sectional
+pseudocomplements by the join formula and by a scan over every c, and
+every lattice, residuation and operator law by the hand loop it had
+before the law engine.  Slow but
 obviously correct, which is the point.
 """
 
@@ -21,6 +22,7 @@ from ordalg import (
     Congruence,
     FailureWitness,
     FiniteAlgebra,
+    NotALattice,
     Poset,
     PreconditionError,
     Verdict,
@@ -387,6 +389,27 @@ def lattice_tables_by_loops(p, join, meet):
             u = cone[a] & cone[b]
             if not (u >> j & 1 and u & ~cone[j] == 0):
                 return f"{name} table wrong at ({p.names[a]}, {p.names[b]})"
+    return None
+
+
+def not_a_lattice_by_rescan(p):
+    """NotALattice at the first pair in topological order without a lub or glb, or None.
+
+    The rescan ``as_lattice`` ran before ``lattice_tables`` named the
+    failure: for each pair (a, b) with b no earlier than a, the minimal
+    common upper bounds, then the maximal common lower bounds, must be one
+    element.
+    """
+    for ra, a in enumerate(p.topo):
+        for b in p.topo[ra:]:
+            u = p.up[a] & p.up[b]
+            mins = tuple(i for i in p.topo if u >> i & 1 and p.down[i] & u == 1 << i)
+            if len(mins) != 1:
+                return NotALattice("join", (a, b), mins)
+            d = p.down[a] & p.down[b]
+            maxs = tuple(i for i in p.topo if d >> i & 1 and p.up[i] & d == 1 << i)
+            if len(maxs) != 1:
+                return NotALattice("meet", (a, b), maxs)
     return None
 
 

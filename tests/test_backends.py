@@ -85,25 +85,36 @@ def test_tables_identical_on_catalog():
                for p in enumerate_structures(n, "all-posets", dedup=False).members)
     # bool6 and chain64 fill all 64 bits, where bit 63 and the full mask matter
     wide = (fixture(name).poset for name in ("bool6", "chain64"))
-    undefined = set()
+    undefined, failures = set(), set()
     for p in itertools.chain(catalog, wide):
         args = (p.n, list(p.up), list(p.down))
+        lattice_args = (p.n, p.topo) + args[1:]
         for twin in (c, py):
-            lattice = twin.lattice_tables(*args)
+            lattice = twin.lattice_tables(*lattice_args)
             star, rel = twin.poset_star_table(*args), twin.poset_relative_table(*args)
+            assert type(lattice) is tuple and len(lattice) in (2, 4)
+            if len(lattice) == 4:
+                kind, a, b, frontier = lattice
+                assert kind in ("join", "meet") and type(kind) is str
+                assert all(type(x) is int for x in (a, b, frontier))
+                assert 0 <= a < p.n and 0 <= b < p.n and 0 <= frontier <= p.full
+                failures.add((kind, frontier == 0))
+                lattice = ()
             # a tuple never equals a list, so == below also compares the types
-            for table in (star, rel) + (lattice or ()):
+            for table in (star, rel) + lattice:
                 assert type(table) is tuple and len(table) == p.n
                 for row in table:
                     assert type(row) is tuple and len(row) == p.n
                     assert {type(cell) for cell in row} <= {int, type(None)}
                     assert all(cell is None or 0 <= cell < p.n for cell in row)
                     undefined.update(cell is None for cell in row)
-            assert lattice is None or type(lattice) is tuple and len(lattice) == 2
-        assert c.lattice_tables(*args) == py.lattice_tables(*args)
+        assert c.lattice_tables(*lattice_args) == py.lattice_tables(*lattice_args)
         assert c.poset_star_table(*args) == py.poset_star_table(*args)
         assert c.poset_relative_table(*args) == py.poset_relative_table(*args)
     assert undefined == {True, False}
+    # a first meet failure never has a frontier: two maximal lower bounds
+    # have no join, and their pair comes earlier in topo order
+    assert failures == {("join", False), ("join", True), ("meet", True)}
 
 
 def operator_tables_keep_their_contract(p, tables):
@@ -141,11 +152,15 @@ def test_table_kernels_hold_no_reference_after_returning(twin, calls):
     # A row the kernel forgets to release outlives every call, so the
     # allocated block count grows with the number of calls; the pure twin
     # takes fewer calls because each one is slower.
+    # The bowtie covers lattice_tables' failure return.
     twin = c_backend() if twin == "c" else py
-    p = fixture("bool4").poset
-    args = (p.n, list(p.up), list(p.down))
-    for kernel in TABLE_KERNELS:
+    cases = [(kernel, fixture("bool4").poset) for kernel in TABLE_KERNELS]
+    cases.append(("lattice_tables", fixture("bowtie").poset))
+    for kernel, p in cases:
         fn = getattr(twin, kernel)
+        args = (p.n, list(p.up), list(p.down))
+        if kernel == "lattice_tables":
+            args = (p.n, p.topo) + args[1:]
         for _ in range(100):
             fn(*args)
         gc.collect()
@@ -153,7 +168,7 @@ def test_table_kernels_hold_no_reference_after_returning(twin, calls):
         for _ in range(calls):
             fn(*args)
         gc.collect()
-        assert sys.getallocatedblocks() - before <= 20, kernel
+        assert sys.getallocatedblocks() - before <= 20, (kernel, p)
 
 
 def test_closure_identical_on_random_dags():
@@ -297,7 +312,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     c = c_backend()
     cases = (
         ("closure", 64, lambda n: (n, [0] * n)),
-        ("lattice_tables", 64, lambda n: (n, [0] * n, [0] * n)),
+        ("lattice_tables", 64, lambda n: (n, range(max(n, 0)), [0] * n, [0] * n)),
         ("poset_star_table", 64, lambda n: (n, [0] * n, [0] * n)),
         ("poset_relative_table", 64, lambda n: (n, [0] * n, [0] * n)),
         ("operator_tables", 64, lambda n: (n, [0] * n, [0] * n)),
@@ -322,7 +337,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         lambda: c.closure(3, [8, 0, 0]),
         lambda: c.closure(3, [1, 2]),
         lambda: c.closure(64, [1 << 64] + [0] * 63),
-        lambda: c.lattice_tables(2, [3, 2], [1, 4]),
+        lambda: c.lattice_tables(2, [0, 1], [3, 2], [1, 4]),
         lambda: c.poset_star_table(2, [3, 2], [1, 4]),
         lambda: c.poset_relative_table(2, [3, 2], [1, 4]),
         lambda: c.poset_relative_table(2, [3, 6], [1, 3]),
@@ -337,6 +352,12 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     ):
         with pytest.raises(ValueError):
             bad()
+
+    # lattice_tables: an order that repeats, misses or leaves the carrier
+    for twin in (c, py):
+        for topo in ((0, 0, 1), (0, 1, 3), (2, 1), (0, 1, -1)):
+            with pytest.raises(ValueError):
+                twin.lattice_tables(3, topo, [7, 6, 4], [1, 3, 7])
 
     # law_scan: every malformed table, constant, program or order; the
     # pure twin takes wider carriers, but no empty one

@@ -149,6 +149,31 @@ def test_properties_bowtie(write_fixture, capsys):
     ]
 
 
+@pytest.mark.parametrize("text, line", (
+    ("elements: a b 1\ncovers:\n  a < 1\n  b < 1\n",
+     "meet fails at (a, b); no common lower bound"),
+    ("elements: 0 a b\ncovers:\n  0 < a\n  0 < b\n",
+     "join fails at (a, b); no common upper bound"),
+))
+def test_non_lattice_without_bounds_is_named_by_both_commands(tmp_path, capsys, text, line):
+    path = tmp_path / "order.txt"
+    path.write_text(text)
+    assert main(["properties", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"lattice: no ({line})"
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"order: not a lattice ({line})"]
+
+
+def test_lattice_failure_names_the_frontier_by_kind():
+    # as_lattice never reports a meet frontier, but a NotALattice may carry one
+    p = parse("elements: a b c d\ncovers:\n  a < c\n  a < d\n  b < c\n  b < d\n").poset()
+    a, b, c, d = map(p.index, "abcd")
+    assert cli._lattice_failure(p, "join", a, b, (c, d)) == \
+        "join fails at (a, b); minimal candidates c d"
+    assert cli._lattice_failure(p, "meet", c, d, (a, b)) == \
+        "meet fails at (c, d); maximal candidates a b"
+
+
 def test_properties_diamond(write_fixture, capsys):
     path = write_fixture("diamond")
     assert main(["properties", str(path)]) == 0

@@ -14,6 +14,7 @@ from ordalg import (
     UnknownNameError,
     as_lattice,
     bounds,
+    direct_product,
     enumerate_structures,
     fixture,
     laws,
@@ -21,8 +22,9 @@ from ordalg import (
     make_poset,
     upper_set,
 )
+from ordalg import _kernels as kernels
 
-from oracles import poset_from_edges
+from oracles import not_a_lattice_by_rescan, poset_from_edges, relabeled
 
 
 def pentagon():
@@ -225,3 +227,56 @@ def test_kernel_join_and_meet_are_bounds_on_random_posets(p):
     lat = as_lattice(p)
     if isinstance(lat, LatticeOps):
         assert tables_are_bounds(lat)
+
+
+def kernel_witness(twin, p):
+    """as_lattice's answer read from one twin's lattice_tables: None on a lattice."""
+    tabs = twin.lattice_tables(p.n, p.topo, p.up, p.down)
+    if len(tabs) == 2:
+        return None
+    kind, a, b, frontier = tabs
+    return NotALattice(kind, (a, b), tuple(i for i in p.topo if frontier >> i & 1))
+
+
+def assert_witness_is_the_rescan(p):
+    want = not_a_lattice_by_rescan(p)
+    got = as_lattice(p)
+    if want is None:
+        assert isinstance(got, LatticeOps)
+    else:
+        assert got == want
+        # two maximal lower bounds of a pair have no join, and their pair
+        # comes first, so a reported meet failure has no frontier
+        assert want.kind == "join" or want.frontier == ()
+    return want
+
+
+def test_lattice_witness_is_the_rescan_on_every_small_labelled_poset():
+    # each poset as enumerated and with its labels reversed, so that topo
+    # order and index order differ; the kernel twins one by one
+    twins = (kernels._py,) + ((kernels._c,) if kernels.HAVE_C else ())
+    labelled = failing = 0
+    for n in range(1, 7):
+        for q in enumerate_structures(n, "all-posets", dedup=False).members:
+            for p in (q, relabeled(q, range(n - 1, -1, -1))):
+                want = assert_witness_is_the_rescan(p)
+                for twin in twins:
+                    assert kernel_witness(twin, p) == want, (twin.__name__, p.up)
+                labelled += 1
+                failing += want is not None
+    assert (labelled, failing) == (10_462, 10_360)
+
+
+@given(random_posets(max_n=9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lattice_witness_is_the_rescan_on_random_posets(p, data):
+    assert_witness_is_the_rescan(p)
+    assert_witness_is_the_rescan(relabeled(p, data.draw(st.permutations(range(p.n)))))
+
+
+def test_lattice_witness_is_the_rescan_past_64_elements():
+    # 66 elements route to the pure twin, whose masks are unbounded ints
+    p = direct_product(fixture("bowtie").poset, fixture("chain11").poset, max_size=66)
+    assert p.n == 66
+    nl = assert_witness_is_the_rescan(p)
+    assert nl.kind == "join" and len(nl.frontier) == 2
