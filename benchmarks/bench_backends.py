@@ -51,6 +51,7 @@ def workloads():
         (cube.n, cube.topo, list(cube.up), list(cube.down))
     yield "star table n=32", "poset_star_table", (cube.n, list(cube.up), list(cube.down))
     yield "relative table n=32", "poset_relative_table", (cube.n, list(cube.up), list(cube.down))
+    yield "operator tables n=32", "operator_tables", (cube.n, list(cube.up), list(cube.down))
 
     prod = direct_product(fixture("bowtie").poset, fixture("pentagon").poset)
     yield "lattice tables n=30 (non-lattice)", "lattice_tables", \
@@ -58,6 +59,8 @@ def workloads():
     yield "star table n=30 (non-lattice)", "poset_star_table", \
         (prod.n, list(prod.up), list(prod.down))
     yield "relative table n=30 (non-lattice)", "poset_relative_table", \
+        (prod.n, list(prod.up), list(prod.down))
+    yield "operator tables n=30 (non-lattice)", "operator_tables", \
         (prod.n, list(prod.up), list(prod.down))
 
     chain = fixture("chain40").poset

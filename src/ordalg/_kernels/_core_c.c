@@ -56,6 +56,14 @@ static uint64_t frontier(uint64_t mask, const uint64_t *cone)
     return out;
 }
 
+/* Common bounds of mask: lower ones when cone is down, upper when up. */
+static uint64_t common_bounds(uint64_t full, const uint64_t *cone, uint64_t mask)
+{
+    for (; mask; mask &= mask - 1)
+        full &= cone[ctz64(mask)];
+    return full;
+}
+
 /* Check the argument count and read args[0] as n, which must lie in 1..hi. */
 static int read_n(const char *name, PyObject *const *args, Py_ssize_t nargs,
                   Py_ssize_t want, int hi, int *n)
@@ -233,14 +241,9 @@ static PyObject *poset_star_table(PyObject *self, PyObject *const *args, Py_ssiz
         || read_masks(args[2], n, db))
         return NULL;
     uint64_t full = FULL(n);
-    /* lu[x][y]: common lower bounds of the common upper bounds of x and y */
     for (int x = 0; x < n; x++)
-        for (int y = x; y < n; y++) {
-            uint64_t acc = full;
-            for (uint64_t m = ub[x] & ub[y]; m; m &= m - 1)
-                acc &= db[ctz64(m)];
-            lu[x * n + y] = lu[y * n + x] = acc;
-        }
+        for (int y = x; y < n; y++)
+            lu[x * n + y] = lu[y * n + x] = common_bounds(full, db, ub[x] & ub[y]);
     /* Same construction as the pure twin: the candidate is the minimum of
      * the intersection of the U(c, b) over qualifying c, then verified.
      * lu is symmetric, so lu[c][b] is read along row b. */
@@ -276,11 +279,8 @@ static PyObject *operator_tables(PyObject *self, PyObject *const *args, Py_ssize
             while (slot[h] && us[slot[h] - 1] != u)
                 h = (h + 1) & (U_SLOTS - 1);
             if (!slot[h]) {
-                uint64_t acc = FULL(n);
-                for (uint64_t m = u; m; m &= m - 1)
-                    acc &= db[ctz64(m)];
                 us[k] = u;
-                lows[k] = acc;
+                lows[k] = common_bounds(FULL(n), db, u);
                 slot[h] = (uint16_t)++k;
             }
             uid[x * n + y] = uid[y * n + x] = slot[h] - 1;

@@ -6,7 +6,8 @@ tuples with None for an undefined cell; the axiom scans take flat
 row-major sequences of length n*n, and ``law_scan`` takes sequences of rows.
 The compiled backend ``_core_c`` implements the same contracts for carriers
 of at most 64 elements; this module also covers larger carriers because
-Python ints are unbounded.
+Python ints are unbounded.  ``_pack`` and ``_unpack`` are the one codec,
+here and in ``constructions``, for the catalog kernels' packed orders.
 """
 
 from itertools import permutations, product
@@ -91,12 +92,12 @@ def star_cell(full, up, down, lu_ab, lu_b, b):
     return None
 
 
-def _lower(full, down, mask):
-    # common lower bounds of the set; the empty set yields the carrier
+def _common_bounds(full, cone, mask):
+    # common lower bounds of the set through down, upper through up; full if empty
     acc = full
     while mask:
         low = mask & -mask
-        acc &= down[low.bit_length() - 1]
+        acc &= cone[low.bit_length() - 1]
         mask ^= low
     return acc
 
@@ -128,7 +129,7 @@ def operator_tables(n, up, down):
     full = (1 << n) - 1
     ids = {}
     uid = tuple([tuple([ids.setdefault(ux & uy, len(ids)) for uy in up]) for ux in up])
-    low = tuple([_lower(full, down, u) for u in ids])
+    low = tuple([_common_bounds(full, down, u) for u in ids])
     return tuple(ids), uid, low, tuple([tuple([low[i] for i in row]) for row in uid])
 
 
@@ -234,6 +235,10 @@ def _pack(n, up):
     for i in range(n):
         packed |= up[i] << (8 * i)
     return packed
+
+
+def _unpack(n, packed):
+    return [packed >> 8 * i & (1 << n) - 1 for i in range(n)]
 
 
 def enum_orders(n, lattices_only):
@@ -396,5 +401,5 @@ def canonical_keys(n, orders):
     for packed in orders:
         if packed & ~carrier:
             raise ValueError(f"expected packed orders within the {n}-element carrier")
-        out.append(_canonical_packed(n, [packed >> 8 * i & (1 << n) - 1 for i in range(n)]))
+        out.append(_canonical_packed(n, _unpack(n, packed)))
     return out

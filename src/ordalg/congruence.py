@@ -71,18 +71,6 @@ class FiniteAlgebra:
         raise MissingConstantError(f"algebra has no constant {name!r}")
 
 
-def _canon(labels):
-    n = len(labels)
-    first = {}
-    out = [0] * n
-    for i in range(n):
-        root = labels[i]
-        if root not in first:
-            first[root] = i
-        out[i] = first[root]
-    return tuple(out)
-
-
 def _merge(label, members, x, y):
     # union-find by block labels: the block of y joins the block of x under
     # the lesser label, so a label stays its block's least member and a
@@ -130,7 +118,7 @@ class Congruence:
 
     def _same_carrier(self, other):
         if self.n != other.n:
-            raise ValueError(f"congruences on carriers of {self.n} and {other.n} elements")
+            raise ValueError(f"carriers of {self.n} and {other.n} elements differ")
 
     def meet(self, other):
         self._same_carrier(other)
@@ -161,15 +149,20 @@ class Congruence:
 
     @classmethod
     def from_blocks(cls, n, blocks):
-        labels = list(range(n))
-        for block in blocks:
-            m = min(block)
-            for x in block:
-                labels[x] = m
-        return cls(_canon(tuple(labels)))
+        """The partition the blocks generate: overlapping blocks merge."""
+        label = list(range(n))
+        members = [[i] for i in range(n)]
+        for block in map(tuple, blocks):
+            if not all(0 <= x < n for x in block):
+                raise ValueError(f"block {block} leaves the carrier of {n} elements")
+            for x in block[1:]:
+                if label[x] != label[block[0]]:
+                    _merge(label, members, block[0], x)
+        return cls(tuple(label))
 
     def is_compatible(self, algebra):
         """True when every operation maps related pairs to related pairs."""
+        self._same_carrier(algebra)
         for _, op in algebra.ops:
             t = op.table
             for x in range(self.n):
@@ -330,6 +323,11 @@ def check_congruence_distributive(algebra, congs=None):
     return Verdict(True)
 
 
+def _implication(algebra):
+    # name of the implication-like op: imp, else star, else None
+    return next((name for name in ("imp", "*") if name in algebra.op_names()), None)
+
+
 def check_weakly_regular(algebra, congs=None):
     """Verdict: congruences are determined by their block of the constant one.
 
@@ -345,11 +343,7 @@ def check_weakly_regular(algebra, congs=None):
         if key in seen:
             return Verdict(False, (seen[key], c), "same block of one")
         seen[key] = c
-    imp_name = None
-    for candidate in ("imp", "*"):
-        if candidate in algebra.op_names():
-            imp_name = candidate
-            break
+    imp_name = _implication(algebra)
     if imp_name is not None:
         t = algebra.op(imp_name).table
         for x in range(algebra.n):
@@ -367,7 +361,9 @@ def maltsev_replay(algebra, congs=None):
     phi-related to a and theta-related to c.  Any deviation is reported as
     (theta, phi, a, b, c, m, side) rather than asserted.
     """
-    imp_name = "imp" if "imp" in algebra.op_names() else "*"
+    imp_name = _implication(algebra)
+    if imp_name is None:
+        raise KeyError("algebra has neither an 'imp' nor a '*' op")
     imp = algebra.op(imp_name).table
     meet = algebra.op("meet").table
     congs = all_congruences(algebra) if congs is None else congs

@@ -9,6 +9,8 @@ through a canonical relabeling.  Both steps run in the kernel layer on
 packed order matrices (row i in bits 8i..8i+n): ``enum_orders`` lists
 the naturally labeled orders and ``canonical_keys`` maps each to the
 least packed word over the relabelings its refined color classes allow.
+Words are written and read with the pure twin's ``_pack`` and ``_unpack``,
+the one codec for them.
 """
 
 import re
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import _kernels as kernels
+from ._kernels._core_py import _pack, _unpack
 from .binop import BinOp
 from .errors import BudgetError, SizeBudgetError, UnknownFixtureError
 from .poset import MAX_ELEMENTS, Poset, make_poset
@@ -150,17 +153,6 @@ class Catalog:
 
     def __len__(self):
         return len(self.members)
-
-
-def _unpack(n, packed):
-    return [packed >> 8 * i & (1 << n) - 1 for i in range(n)]
-
-
-def _pack(n, up):
-    out = 0
-    for i in range(n):
-        out |= up[i] << 8 * i
-    return out
 
 
 def canonical_key(p):

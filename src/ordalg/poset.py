@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from . import _kernels as kernels
 from . import laws
+from ._kernels._core_py import _common_bounds
 from .errors import CycleDetectedError, DuplicateNameError, SizeBudgetError, UnknownNameError
 
 MAX_ELEMENTS = 64
@@ -46,18 +47,13 @@ class Poset:
                 low = m & -m
                 down[low.bit_length() - 1] |= 1 << i
                 m ^= low
+        closed = kernels.closure(n, up)
         for i in range(n):
             if up[i] & down[i] != 1 << i:
                 m = up[i] & down[i] & ~(1 << i)
                 j = (m & -m).bit_length() - 1
                 raise CycleDetectedError(names[i], names[j])
-            acc = 0
-            m = up[i]
-            while m:
-                low = m & -m
-                acc |= up[low.bit_length() - 1]
-                m ^= low
-            if acc != up[i]:
+            if closed[i] != up[i]:
                 raise ValueError(f"order is not transitive at {names[i]!r}")
         self.names = names
         self.up = up
@@ -149,18 +145,12 @@ def make_poset(names, cover_pairs, max_size=MAX_ELEMENTS):
 
 def upper_set(p, mask):
     """Common upper bounds of the subset; the empty set yields everything."""
-    acc = p.full
-    for i in p.iter_mask(mask):
-        acc &= p.up[i]
-    return acc
+    return _common_bounds(p.full, p.up, mask)
 
 
 def lower_set(p, mask):
     """Common lower bounds of the subset; the empty set yields everything."""
-    acc = p.full
-    for i in p.iter_mask(mask):
-        acc &= p.down[i]
-    return acc
+    return _common_bounds(p.full, p.down, mask)
 
 
 def bounds(p):

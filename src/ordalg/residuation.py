@@ -24,12 +24,15 @@ class ResiduationCandidate:
     imp: BinOp
 
     def __post_init__(self):
-        n = self.lattice.poset.n
-        for name, op in (("mult", self.mult), ("imp", self.imp)):
-            if op.n != n:
-                raise ValueError(f"{name} table carrier size {op.n} != {n}")
-            if not op.is_total:
-                raise ValueError(f"{name} table must be total")
+        _require_total(self.lattice.poset.n, mult=self.mult, imp=self.imp)
+
+
+def _require_total(n, **ops):
+    for name, op in ops.items():
+        if op.n != n:
+            raise ValueError(f"{name} table carrier size {op.n} != {n}")
+        if not op.is_total:
+            raise ValueError(f"{name} table must be total")
 
 
 @dataclass(frozen=True)
@@ -103,16 +106,13 @@ def check_divisibility(cand, mult_override=None):
     """
     lat = cand.lattice
     mult = cand.mult if mult_override is None else mult_override
-    if not mult.is_total or mult.n != lat.poset.n:
-        raise ValueError("override must be a total table on the same carrier")
+    _require_total(lat.poset.n, override=mult)
     (witness,) = _axiom_scan(lat, mult, cand.imp, (laws.DIVISIBLE,))
     return Verdict.of(witness, "divisibility")
 
 
 def from_sectional(lat, star):
     """Candidate with meet as multiplication and a star table as implication."""
-    if not star.is_total:
-        raise ValueError("star table must be total")
     return ResiduationCandidate(lat, BinOp._trusted(lat.meet), star)
 
 
@@ -146,9 +146,11 @@ def derived_laws(cand, checked):
 def half_adjointness(lat, mult, imp):
     """One adjointness direction from second-argument monotonicity plus law v.
 
-    Raises PreconditionError naming whichever hypothesis fails; otherwise
-    verifies that (c v b) <= a -> b forces (a v b) * (c v b) <= b.
+    Raises ValueError unless both tables are total on the lattice's
+    carrier, and PreconditionError naming whichever hypothesis fails;
+    otherwise verifies that (c v b) <= a -> b forces (a v b) * (c v b) <= b.
     """
+    _require_total(lat.poset.n, mult=mult, imp=imp)
     monotone, below, found = _axiom_scan(
         lat, mult, imp, (laws.MONOTONE_RIGHT, laws.PRODUCT_BELOW, laws.ADJOINT_BACKWARD))
     if monotone:

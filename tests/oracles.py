@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: partitions are enumerated as
 restricted growth strings, posets as transitive upper-triangular
-relations, isomorphism by trying every permutation, relative
+relations, a poset's checks with the one-step transitivity rule,
+isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, congruence
 distributivity triple by triple, the operator scan's U(x, y) tables by
@@ -20,6 +21,7 @@ from ordalg import (
     BinOp,
     CanonicalProduct,
     Congruence,
+    CycleDetectedError,
     FailureWitness,
     FiniteAlgebra,
     NotALattice,
@@ -229,6 +231,33 @@ def permutation_classes(members):
         else:
             classes.append([p])
     return classes
+
+
+def checked_order(names, up):
+    """The (up, down) masks Poset(names, up) builds, or the error it raises.
+
+    The checks run in Poset's order: carrier bits and reflexivity for every
+    element, then per element the cycle check before transitivity, here
+    the one-step rule that the up-set of each j above i lies within up[i].
+    """
+    n = len(names)
+    down = [0] * n
+    for i in range(n):
+        if up[i] >> n:
+            raise ValueError(f"up-mask of {names[i]!r} has bits outside the carrier")
+        if not up[i] >> i & 1:
+            raise ValueError(f"order is not reflexive at {names[i]!r}")
+        for j in range(n):
+            if up[i] >> j & 1:
+                down[j] |= 1 << i
+    for i in range(n):
+        for j in range(n):
+            if j != i and up[i] >> j & 1 and down[i] >> j & 1:
+                raise CycleDetectedError(names[i], names[j])
+        for j in range(n):
+            if up[i] >> j & 1 and up[j] & ~up[i]:
+                raise ValueError(f"order is not transitive at {names[i]!r}")
+    return tuple(up), tuple(down)
 
 
 def poset_from_edges(n, edges):

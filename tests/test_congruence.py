@@ -277,6 +277,24 @@ def test_congruence_block_operations():
     assert c.join(Congruence.total(5)) == Congruence.total(5)
 
 
+def test_from_blocks_merges_overlapping_blocks_within_the_carrier():
+    assert Congruence.from_blocks(3, [(0, 1), (1, 2)]) == Congruence.total(3)
+    assert Congruence.from_blocks(5, [(3, 4), (2, 0), (4, 1)]).labels == (0, 1, 0, 1, 1)
+    for block in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="leaves the carrier of 3 elements"):
+            Congruence.from_blocks(3, [block])
+
+
+def test_compatibility_rejects_an_algebra_on_another_carrier():
+    with pytest.raises(ValueError, match="carriers of 3 and 5 elements"):
+        Congruence.diagonal(3).is_compatible(pentagon_lattice_algebra())
+
+
+def test_maltsev_replay_names_both_implications_when_neither_is_there():
+    with pytest.raises(KeyError, match=r"neither an 'imp' nor a '\*' op"):
+        maltsev_replay(pentagon_lattice_algebra())
+
+
 def test_join_and_meet_reject_other_carriers():
     small = Congruence.from_blocks(3, [(0, 1)])
     big = Congruence.diagonal(5)

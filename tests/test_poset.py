@@ -1,5 +1,8 @@
 """Order construction, validation, and lattice recognition."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +27,7 @@ from ordalg import (
 )
 from ordalg import _kernels as kernels
 
-from oracles import not_a_lattice_by_rescan, poset_from_edges, relabeled
+from oracles import checked_order, not_a_lattice_by_rescan, poset_from_edges, relabeled
 
 
 def pentagon():
@@ -62,6 +65,60 @@ def test_cycle_pair_same_from_covers_and_closed_masks():
             build()
         pairs.append(exc.value.pair)
     assert pairs == [("a", "b"), ("a", "b")]
+
+
+def _built_or_raised(build, names, up):
+    try:
+        return build(names, up)
+    except (ValueError, CycleDetectedError) as exc:
+        return type(exc), str(exc)
+
+
+def _poset_masks(names, up):
+    p = Poset(names, up)
+    return p.up, p.down
+
+
+def _relations():
+    """Every relation on at most three points, then seeded random ones on
+    at most nine: closed orders, some with one bit flipped, possibly one
+    past the carrier, and unclosed relations with one bit flipped."""
+    for n in range(1, 4):
+        yield from product(range(1 << n), repeat=n)
+    rng = random.Random(13)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        up = [1 << i for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    up[i] |= 1 << j
+        shape = rng.randrange(4)
+        if shape < 3:
+            up = list(kernels.closure(n, up))
+        if shape > 0:
+            up[rng.randrange(n)] ^= 1 << rng.randrange(n + (shape == 2))
+        yield tuple(up)
+
+
+def test_poset_checks_match_the_one_step_oracle():
+    seen = set()
+    for up in _relations():
+        names = tuple("abcdefghi"[:len(up)])
+        want = _built_or_raised(checked_order, names, up)
+        assert _built_or_raised(_poset_masks, names, up) == want, up
+        seen.add(want[1].split("'")[0] if isinstance(want[0], type) else "built")
+    assert seen == {"built", "up-mask of ", "order is not reflexive at ",
+                    "cover cycle through ", "order is not transitive at "}
+
+
+def test_poset_names_the_first_failing_check():
+    names = ("a", "b", "c")
+    with pytest.raises(ValueError, match="^order is not transitive at 'a'$"):
+        Poset(names, (0b011, 0b110, 0b100))
+    with pytest.raises(CycleDetectedError) as exc:
+        Poset(names, (0b011, 0b011, 0b101))
+    assert exc.value.pair == ("a", "b")
 
 
 def test_size_budget():

@@ -147,6 +147,16 @@ def test_half_adjointness_preconditions_reported():
     assert "<= b" in exc.value.hypothesis
 
 
+def test_half_adjointness_rejects_partial_and_foreign_tables():
+    fx = fixture("residuated-chain")
+    lat = as_lattice(fx.poset)
+    partial = BinOp.from_rows([[0, None, 0], [0, 0, 1], [0, 1, 2]])
+    with pytest.raises(ValueError, match="mult table must be total"):
+        half_adjointness(lat, partial, fx.imp)
+    with pytest.raises(ValueError, match="imp table carrier size 5 != 3"):
+        half_adjointness(lat, fx.mult, fixture("pentagon").star)
+
+
 def test_identity_basis_on_chain_cross_checks():
     report = identity_basis_check(chain_candidate())
     assert report.all_conditions_hold
