@@ -84,6 +84,14 @@ def workloads():
         yield f"law scan n=40, {label}", "law_scan", (
             chain.n, chain.topo, chain.up, chain.down, tables, (chain.top, chain.bottom), programs)
 
+    # principal congruences and the three verdicts of join/meet algebras;
+    # chain16 fails permutability and weak regularity, bool4 passes
+    for name in ("bool3", "chain16", "bool4"):
+        p = fixture(name).poset
+        lat = as_lattice(p)
+        yield f"congruence scan {name} n={p.n}", "congruence_scan", \
+            (p.n, [lat.join, lat.meet], p.top)
+
     yield "enumerate posets n=7", "enum_orders", (7, False)
     yield "enumerate lattices n=8", "enum_orders", (8, True)
     # n = 6, not 7: the pure twin needs seconds for the 96,428 orders at n = 7

@@ -1,7 +1,8 @@
 """Kernel backend selection.
 
 The hot loops (closure, lattice and pseudocomplement tables, axiom scans, the
-law engine, small-structure enumeration and its canonical relabeling)
+law engine, principal congruences, small-structure enumeration and its
+canonical relabeling)
 exist twice: a hand-written C extension ``_core_c`` (``_core_c.c``)
 working on uint64 masks and a pure Python twin ``_core_py``.  The
 compiled backend is preferred when built; set ``ORDALG_BACKEND=py`` or
@@ -39,6 +40,20 @@ one value left is 0.  At most 8 constants (element indices) and 8 square
 tables of masks within the carrier (empty means absent; the compiled
 twin takes them up to 2080 wide); a value used as an index must be
 provably below what it indexes, or both twins raise ValueError.
+
+``congruence_scan(n, tables, one)`` takes the tables of any number of
+binary operations, each n rows of n element indices, and the index of the
+constant one or None.  It returns ``(labels, permutable, distributive,
+regular)``: the least-member labels of each principal congruence Θ(a, b),
+a < b, in row-major order, and the first witness of each criterion or
+None, with every congruence in it given by its labels:
+``(Θ(x, y), Θ(y, z), (x, z))`` at the first (x, y, z) in index order with
+no w such that x Θ(y, z) w Θ(x, y) z; ``(j, b, c)`` at the first
+join-irreducible distinct principal j that is not join-prime, with c the
+first distinct principal not above j such that j <= b v c and b the join
+of those before it; ``(R, Θ(x, y))`` at the first Θ(x, y) that is not the
+join R of the Θ(one, z) over its block of one (None when one is None).
+The pure twin's docstring states the order of the scans.
 """
 
 import os
@@ -93,6 +108,10 @@ def rrl_scan(n, up, top, join, mult, imp):
 
 def law_scan(n, topo, up, down, tables, consts, programs):
     return _pick(n).law_scan(n, topo, up, down, tables, consts, programs)
+
+
+def congruence_scan(n, tables, one):
+    return _pick(n).congruence_scan(n, tables, one)
 
 
 def enum_orders(n, lattices_only):

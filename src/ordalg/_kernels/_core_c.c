@@ -10,11 +10,15 @@
  * U(x, y) = up[x] & up[y] in first-seen row-major order, n rows numbering
  * each pair's set, the lower set of each, and n rows of each pair's lower
  * set, all tuples.  rrl_scan and divisibility_scan take flat row-major
- * sequences of length n*n, law_scan sequences of rows.  Every kernel raises
- * ValueError when n lies outside the sizes its fixed buffers hold, a mask
- * has bits outside the carrier, topo does not order the carrier, or a table
- * entry is not an element index (for law_scan: may be used as an index it
- * cannot be).
+ * sequences of length n*n, law_scan sequences of rows.  congruence_scan
+ * takes any number of operation tables as rows of element indices and
+ * returns the least-member labels of every principal congruence with the
+ * first witness of permutability, congruence distributivity and weak
+ * regularity, each decided from the principal congruences alone.  Every
+ * kernel raises ValueError when n lies outside the sizes its fixed buffers
+ * hold, a mask has bits outside the carrier, topo does not order the
+ * carrier, or a table entry is not an element index (for law_scan: may be
+ * used as an index it cannot be).
  * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
@@ -686,6 +690,299 @@ static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t narg
     return result;
 }
 
+/* A partition by least-member labels, with the members of each block as
+ * a mask under its label: the pure twin's merge, on masks. */
+struct blocks {
+    uint8_t lab[64];
+    uint64_t mem[64];
+};
+
+static void blocks_init(struct blocks *u, int n)
+{
+    for (int i = 0; i < n; i++) {
+        u->lab[i] = (uint8_t)i;
+        u->mem[i] = (uint64_t)1 << i;
+    }
+}
+
+static void blocks_merge(struct blocks *u, int x, int y)
+{
+    int lx = u->lab[x], ly = u->lab[y];
+    if (lx > ly) {
+        int t = lx;
+        lx = ly;
+        ly = t;
+    }
+    for (uint64_t m = u->mem[ly]; m; m &= m - 1)
+        u->lab[ctz64(m)] = (uint8_t)lx;
+    u->mem[lx] |= u->mem[ly];
+}
+
+/* Merge every block of the partition with least-member labels other. */
+static void blocks_join(struct blocks *u, int n, const uint8_t *other)
+{
+    for (int i = 0; i < n; i++)
+        if (u->lab[i] != u->lab[other[i]])
+            blocks_merge(u, i, other[i]);
+}
+
+/* The least congruence relating a and b: each pair that merges two blocks
+ * is pushed once, and popping it merges its translates through every
+ * table.  At most n - 1 merges, so the stack holds at most n pairs. */
+static void principal(int n, Py_ssize_t k, const uint8_t *ops, int a, int b, struct blocks *u)
+{
+    uint8_t work[2 * 64];
+    int top = 1;
+    blocks_init(u, n);
+    blocks_merge(u, a, b);
+    work[0] = (uint8_t)a;
+    work[1] = (uint8_t)b;
+    while (top) {
+        top--;
+        int x = work[2 * top], y = work[2 * top + 1];
+        for (Py_ssize_t t = 0; t < k; t++) {
+            const uint8_t *tab = ops + t * n * n;
+            for (int z = 0; z < n; z++)
+                for (int side = 0; side < 2; side++) {
+                    int p = side ? tab[z * n + x] : tab[x * n + z];
+                    int q = side ? tab[z * n + y] : tab[y * n + z];
+                    if (u->lab[p] != u->lab[q]) {
+                        blocks_merge(u, p, q);
+                        work[2 * top] = (uint8_t)p;
+                        work[2 * top + 1] = (uint8_t)q;
+                        top++;
+                    }
+                }
+        }
+    }
+}
+
+/* Read a table: exactly n rows of exactly n element indices. */
+static int read_table(PyObject *seq, int n, uint8_t *out)
+{
+    int row[64];
+    PyObject *fast = PySequence_Fast(seq, "a table must be a sequence");
+    if (!fast)
+        return -1;
+    int ok = PySequence_Fast_GET_SIZE(fast) == n;
+    for (int i = 0; ok && i < n; i++) {
+        PyObject *r = PySequence_Fast_GET_ITEM(fast, i);
+        Py_ssize_t len = PySequence_Size(r);
+        ok = len == n && !read_indices(r, n, n, row);
+        for (int j = 0; ok && j < n; j++)
+            out[i * n + j] = (uint8_t)row[j];
+    }
+    Py_DECREF(fast);
+    if (!ok && (!PyErr_Occurred() || PyErr_ExceptionMatches(PyExc_ValueError))) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_ValueError, "expected tables of %d rows of %d entries in 0..%d",
+                     n, n, n - 1);
+    }
+    return ok ? 0 : -1;
+}
+
+static PyObject *label_tuple(const uint8_t *lab, int n)
+{
+    PyObject *out = PyTuple_New(n);
+    for (int i = 0; out && i < n; i++) {
+        PyObject *x = PyLong_FromLong(lab[i]);
+        if (!x)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+/* Distinct principals are found by a hash of their labels; there are at
+ * most 2016 of them. */
+#define CONG_SLOTS 4096
+
+/* The inputs and principal congruences of one congruence_scan call.
+ * Principal i is Θ(pa[i], pb[i]), pairs in row-major order; lab and mem
+ * hold n labels and n block masks (the block of each element) per
+ * principal; distinct lists the first principal of each distinct
+ * congruence, in order. */
+struct cong {
+    int n, m, ndistinct, one, pid[64 * 64], distinct[64 * 63 / 2];
+    uint8_t pa[64 * 63 / 2], pb[64 * 63 / 2], *lab;
+    uint64_t *mem;
+};
+
+/* The first (x, y, z) with no w such that x Θ(y, z) w Θ(x, y) z, or 0. */
+static int cong_permutable(const struct cong *s, int *w)
+{
+    int n = s->n;
+    for (int x = 0; x < n; x++)
+        for (int y = 0; y < n; y++) {
+            if (y == x)
+                continue;
+            const uint64_t *txy = s->mem + (size_t)s->pid[x * n + y] * n;
+            for (int z = 0; z < n; z++)
+                if (z != x && z != y && !(s->mem[(size_t)s->pid[y * n + z] * n + x] & txy[z])) {
+                    w[0] = x, w[1] = y, w[2] = z;
+                    return 1;
+                }
+        }
+    return 0;
+}
+
+/* The first join-irreducible distinct principal j that is not join-prime,
+ * as in the pure twin; b receives the join of the principals before c. */
+static int cong_distributive(const struct cong *s, int *j_out, uint8_t *b, int *c_out)
+{
+    int n = s->n;
+    struct blocks u;
+    for (int jj = 0; jj < s->ndistinct; jj++) {
+        int j = s->distinct[jj], a = s->pa[j], bj = s->pb[j], reducible = 0;
+        const uint8_t *lj = s->lab + (size_t)j * n;
+        /* Θ(c, d) <= j exactly when j relates c and d */
+        blocks_init(&u, n);
+        for (int pp = 0; pp < s->ndistinct && !reducible; pp++) {
+            int p = s->distinct[pp];
+            if (p != j && lj[s->pa[p]] == lj[s->pb[p]]) {
+                blocks_join(&u, n, s->lab + (size_t)p * n);
+                reducible = u.lab[a] == u.lab[bj];
+            }
+        }
+        if (reducible)
+            continue;
+        blocks_init(&u, n);
+        for (int cc = 0; cc < s->ndistinct; cc++) {
+            const uint8_t *lc = s->lab + (size_t)s->distinct[cc] * n;
+            if (lc[a] == lc[bj])
+                continue;
+            memcpy(b, u.lab, n);
+            blocks_join(&u, n, lc);
+            if (u.lab[a] == u.lab[bj]) {
+                *j_out = j;
+                *c_out = s->distinct[cc];
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* The first distinct principal Θ(x, y) that x and y do not relate in the
+ * join r of the Θ(one, z) over its block of one, or 0. */
+static int cong_regular(const struct cong *s, uint8_t *r, int *d_out)
+{
+    int n = s->n, one = s->one;
+    struct blocks u;
+    for (int dd = 0; dd < s->ndistinct; dd++) {
+        int d = s->distinct[dd];
+        const uint8_t *ld = s->lab + (size_t)d * n;
+        blocks_init(&u, n);
+        for (int z = 0; z < n; z++)
+            if (z != one && ld[z] == ld[one])
+                blocks_join(&u, n, s->lab + (size_t)s->pid[one * n + z] * n);
+        if (u.lab[s->pa[d]] != u.lab[s->pb[d]]) {
+            memcpy(r, u.lab, n);
+            *d_out = d;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* Witnesses as the pure twin returns them, each principal congruence the
+ * same tuple as in labels. */
+static PyObject *cong_result(const struct cong *s, PyObject *labels)
+{
+    int n = s->n, w[3], j, c, d;
+    uint8_t b[64], r[64];
+#define LABELS(i) Py_NewRef(PyTuple_GET_ITEM(labels, (i)))
+    PyObject *perm = Py_NewRef(Py_None), *dist = Py_NewRef(Py_None), *reg = Py_NewRef(Py_None);
+    if (cong_permutable(s, w)) {
+        Py_SETREF(perm, Py_BuildValue("(NN(ii))", LABELS(s->pid[w[0] * n + w[1]]),
+                                      LABELS(s->pid[w[1] * n + w[2]]), w[0], w[2]));
+    }
+    if (perm && cong_distributive(s, &j, b, &c))
+        Py_SETREF(dist, Py_BuildValue("(NNN)", LABELS(j), label_tuple(b, n), LABELS(c)));
+    if (perm && dist && s->one >= 0 && cong_regular(s, r, &d))
+        Py_SETREF(reg, Py_BuildValue("(NN)", label_tuple(r, n), LABELS(d)));
+#undef LABELS
+    if (!perm || !dist || !reg) {
+        Py_XDECREF(perm);
+        Py_XDECREF(dist);
+        Py_XDECREF(reg);
+        Py_DECREF(labels);
+        return NULL;
+    }
+    return Py_BuildValue("(NNNN)", labels, perm, dist, reg);
+}
+
+static PyObject *congruence_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct cong s;
+    if (read_n("congruence_scan", args, nargs, 3, 64, &s.n))
+        return NULL;
+    int n = s.n;
+    s.one = -1;
+    if (args[2] != Py_None) {
+        long one = PyLong_AsLong(args[2]);
+        if ((one < 0 || one >= n) && !PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError, "one must lie in 0..%d", n - 1);
+        if (PyErr_Occurred())
+            return NULL;
+        s.one = (int)one;
+    }
+    PyObject *fast = PySequence_Fast(args[1], "tables must be a sequence");
+    if (!fast)
+        return NULL;
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(fast);
+    s.m = n * (n - 1) / 2;
+    uint8_t *ops = PyMem_Malloc((size_t)k * n * n + 1);
+    s.lab = PyMem_Malloc((size_t)s.m * n + 1);
+    s.mem = PyMem_Malloc(((size_t)s.m * n + 1) * sizeof *s.mem);
+    PyObject *result = NULL;
+    int ok = ops && s.lab && s.mem;
+    if (!ok)
+        PyErr_NoMemory();
+    for (Py_ssize_t t = 0; ok && t < k; t++)
+        ok = !read_table(PySequence_Fast_GET_ITEM(fast, t), n, ops + t * n * n);
+    if (ok) {
+        uint16_t slot[CONG_SLOTS] = {0};
+        struct blocks u;
+        PyObject *labels = PyTuple_New(s.m);
+        s.ndistinct = 0;
+        for (int a = 0, i = 0; labels && a < n; a++)
+            for (int b = a + 1; labels && b < n; b++, i++) {
+                uint8_t *lab = s.lab + (size_t)i * n;
+                principal(n, k, ops, a, b, &u);
+                memcpy(lab, u.lab, n);
+                for (int e = 0; e < n; e++)
+                    s.mem[(size_t)i * n + e] = u.mem[u.lab[e]];
+                s.pid[a * n + b] = s.pid[b * n + a] = i;
+                s.pa[i] = (uint8_t)a;
+                s.pb[i] = (uint8_t)b;
+                uint64_t h = 0xcbf29ce484222325ull;
+                for (int e = 0; e < n; e++)
+                    h = (h ^ lab[e]) * 0x100000001b3ull;
+                unsigned at = (unsigned)(h >> 52);
+                while (slot[at] && memcmp(s.lab + (size_t)(slot[at] - 1) * n, lab, n))
+                    at = (at + 1) & (CONG_SLOTS - 1);
+                if (!slot[at]) {
+                    slot[at] = (uint16_t)(i + 1);
+                    s.distinct[s.ndistinct++] = i;
+                }
+                PyObject *tup = label_tuple(lab, n);
+                if (!tup)
+                    Py_CLEAR(labels);
+                else
+                    PyTuple_SET_ITEM(labels, i, tup);
+            }
+        if (labels)
+            result = cong_result(&s, labels);
+    }
+    Py_DECREF(fast);
+    PyMem_Free(ops);
+    PyMem_Free(s.lab);
+    PyMem_Free(s.mem);
+    return result;
+}
+
 /* Every new pair keeps a glb, and every pair now under i still has a
  * unique minimal common upper bound. */
 static int enum_prune(int i, const uint64_t *up, const uint64_t *down)
@@ -935,6 +1232,9 @@ static PyMethodDef methods[] = {
            "The least failing tuple of each program, or None, in topo order.\n\n"
            "Same contract as the pure twin; each op runs over the innermost\n"
            "variable's whole row."),
+    KERNEL(congruence_scan, "congruence_scan(n, tables, one)\n--\n\n"
+           "(labels, permutable, distributive, regular): the labels of every principal\n"
+           "congruence and the first witness of each criterion, or None; see the pure twin."),
     KERNEL(enum_orders, "enum_orders(n, lattices_only)\n--\n\n"
            "Packed order matrices of all naturally labeled posets on n points.\n\n"
            "Same search as the pure twin; one uint64 per poset, row i in bits 8i..8i+n."),

@@ -7,7 +7,9 @@ row-major sequences of length n*n, and ``law_scan`` takes sequences of rows.
 The compiled backend ``_core_c`` implements the same contracts for carriers
 of at most 64 elements; this module also covers larger carriers because
 Python ints are unbounded.  ``_pack`` and ``_unpack`` are the one codec,
-here and in ``constructions``, for the catalog kernels' packed orders.
+here and in ``constructions``, for the catalog kernels' packed orders, and
+``merge``, ``join_into``, ``principal`` and ``block_masks`` the one
+union-find of least-member labels, here and in ``congruence``.
 """
 
 from itertools import permutations, product
@@ -209,6 +211,142 @@ def divisibility_scan(n, join, mult, imp):
             if mult[join[xrow + y] * n + imp[xrow + y]] != y:
                 return False
     return True
+
+
+def merge(label, members, x, y):
+    """Union-find by block labels: the blocks of x and y become one.
+
+    The merged block takes the lesser label, so a label stays its block's
+    least member and a lookup is one index; ``members`` lists each block
+    under its label.
+    """
+    lx, ly = label[x], label[y]
+    if lx > ly:
+        lx, ly = ly, lx
+    for z in members[ly]:
+        label[z] = lx
+    members[lx] += members[ly]
+
+
+def join_into(label, members, other):
+    """Merge every block of the partition ``other`` (least-member labels) in."""
+    for i, l in enumerate(other):
+        if label[i] != label[l]:
+            merge(label, members, i, l)
+
+
+def principal(n, tables, a, b):
+    """Labels of the least congruence relating a and b.
+
+    A union-find worklist of pairs (Freese, "Computing congruences
+    efficiently", Algebra Universalis 59, 2008): a pair that merges two
+    blocks pushes its translates (t[x][z], t[y][z]) and (t[z][x], t[z][y])
+    through every table, both sides because operations need not commute.
+    """
+    label = list(range(n))
+    members = [[i] for i in range(n)]
+    work = [(a, b)]
+    while work:
+        x, y = work.pop()
+        if label[x] != label[y]:
+            merge(label, members, x, y)
+            for t in tables:
+                work.extend(zip(t[x], t[y]))
+                work.extend((row[x], row[y]) for row in t)
+    return tuple(label)
+
+
+def block_masks(labels):
+    """The block of each element as a mask."""
+    masks = {}
+    for i, l in enumerate(labels):
+        masks[l] = masks.get(l, 0) | 1 << i
+    return [masks[l] for l in labels]
+
+
+def congruence_scan(n, tables, one):
+    """Principal congruences and the first failure of each criterion.
+
+    Returns ``(labels, permutable, distributive, regular)``: the
+    least-member labels of every Θ(a, b), a < b, in row-major order, and
+    for each criterion None or its first witness, with every congruence
+    given by its labels:
+
+    - permutable: (Θ(x, y), Θ(y, z), (x, z)) at the first (x, y, z) in
+      index order with no w such that x Θ(y, z) w Θ(x, y) z;
+    - distributive: (j, b, c) for the first join-irreducible principal j
+      that is not join-prime: c is the first principal not above j with
+      j <= b v c, and b the join of those before it;
+    - regular: (R, Θ(x, y)) for the first Θ(x, y) that differs from
+      R = ⋁{Θ(one, z) : z in the block of one}; None also when one is None.
+
+    Principals are taken distinct, each at its first pair; j is
+    join-irreducible unless the principals strictly below it join to it.
+    """
+    if n < 1:
+        raise ValueError("congruence_scan supports 1 <= n")
+    tables = [tuple(map(tuple, t)) for t in tables]
+    for t in tables:
+        if len(t) != n or any(len(row) != n for row in t) or not set().union(*t) <= set(range(n)):
+            raise ValueError(f"expected tables of {n} rows of {n} entries in 0..{n - 1}")
+    if one is not None and not 0 <= one < n:
+        raise ValueError(f"one must lie in 0..{n - 1}")
+    theta = [[None] * n for _ in range(n)]
+    labels = []
+    first = {}  # each distinct principal with its first pair
+    for a in range(n):
+        for b in range(a + 1, n):
+            lab = theta[a][b] = theta[b][a] = principal(n, tables, a, b)
+            labels.append(lab)
+            first.setdefault(lab, (a, b))
+    distinct = list(first.items())
+    masks = {lab: block_masks(lab) for lab in first}
+    return (tuple(labels), _permutable(n, theta, masks), _distributive(n, distinct),
+            None if one is None else _regular(n, theta, distinct, one))
+
+
+def _permutable(n, theta, masks):
+    for x in range(n):
+        for y in range(n):
+            if y == x:
+                continue
+            txy = masks[theta[x][y]]
+            for z in range(n):
+                if z != x and z != y and not masks[theta[y][z]][x] & txy[z]:
+                    return theta[x][y], theta[y][z], (x, z)
+    return None
+
+
+def _distributive(n, distinct):
+    for j, (a, b) in distinct:
+        # Θ(c, d) <= j exactly when j relates c and d
+        label, members = list(range(n)), [[i] for i in range(n)]
+        for p, (c, d) in distinct:
+            if p != j and j[c] == j[d]:
+                join_into(label, members, p)
+                if label[a] == label[b]:
+                    break
+        else:
+            # join-irreducible: join the principals not above j until j lies below
+            label, members = list(range(n)), [[i] for i in range(n)]
+            for c, _ in distinct:
+                if c[a] != c[b]:
+                    before = tuple(label)
+                    join_into(label, members, c)
+                    if label[a] == label[b]:
+                        return j, before, c
+    return None
+
+
+def _regular(n, theta, distinct, one):
+    for lab, (x, y) in distinct:
+        label, members = list(range(n)), [[i] for i in range(n)]
+        for z in range(n):
+            if z != one and lab[z] == lab[one]:
+                join_into(label, members, theta[one][z])
+        if label[x] != label[y]:
+            return tuple(label), lab
+    return None
 
 
 # law_scan opcodes, numbered by position; _core_c.c lists them in this order.

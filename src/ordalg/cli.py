@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .congruence import (
+    CONGRUENCE_BUDGET,
     FiniteAlgebra,
     all_congruences,
     check_congruence_distributive,
@@ -247,12 +248,12 @@ def cmd_congruences(args):
         )
         print(f"{k}: {blocks}")
     for label, verdict in (
-        ("permutable", check_permutable(alg, congs)),
-        ("congruence-distributive", check_congruence_distributive(alg, congs)),
+        ("permutable", check_permutable(alg)),
+        ("congruence-distributive", check_congruence_distributive(alg)),
     ):
         print(f"{label}: {'yes' if verdict else 'no'}")
     try:
-        wr = check_weakly_regular(alg, congs)
+        wr = check_weakly_regular(alg)
         print(f"weakly regular: {'yes' if wr else 'no'}")
     except MissingConstantError:
         print("weakly regular: skipped (no constant one)")
@@ -351,8 +352,8 @@ _COMMANDS = {
                    (_FILE, _OUTPUT)),
     "properties": ("classify the order", cmd_properties, (_FILE,)),
     "congruences": ("list congruences and their properties", cmd_congruences, (
-        _FILE, _arg("--budget", type=int, default=16,
-                    help="largest carrier to accept (default 16)"))),
+        _FILE, _arg("--budget", type=int, default=CONGRUENCE_BUDGET,
+                    help=f"most congruences to list (default {CONGRUENCE_BUDGET})"))),
     "product": ("direct product of two order files", cmd_product,
                 (_arg("left"), _arg("right"), _OUTPUT)),
     "operators": ("check powerset operator residuation", cmd_operators, (

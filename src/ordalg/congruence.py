@@ -3,26 +3,36 @@
 A congruence is stored as a canonical label vector: every element maps to
 the least index of its block.
 
-The principal congruence of a pair (a, b) is a union-find closure driven
-by a worklist of pairs (Freese, "Computing congruences efficiently",
-Algebra Universalis 59, 2008): each pair that merges two blocks pushes
-its translates (t(x, z), t(y, z)) and (t(z, x), t(z, y)) through every
-operation, both sides because operations need not be commutative.  Every
-congruence is a join of principal ones, so the enumeration closes the
-principal congruences under joins with a principal congruence; it is
-cross-checked in the tests against filtering every set partition of the
-carrier.  The distributivity check computes each join and meet of the
-listed congruences once, as index tables, and scans the triples through
-them.
+One ``congruence_scan`` kernel call computes every principal congruence
+Θ(a, b) by a union-find worklist of pairs (Freese, "Computing congruences
+efficiently", Algebra Universalis 59, 2008) and decides three properties
+from them alone, without listing Con:
+
+- permutability: for all x, y, z some w has x Θ(y, z) w Θ(x, y) z;
+- distributivity: every join-irreducible principal congruence is
+  join-prime (the join-irreducibles of Con are principal);
+- weak regularity: each Θ(x, y) is the join of the Θ(one, z) over the
+  block of one.
+
+Every congruence is a join of principal ones, so ``all_congruences``
+closes the principal congruences under joins with a principal congruence,
+within a budget on the number of congruences; it is cross-checked in the
+tests against filtering every set partition of the carrier.  A caller
+that passes its own list of congruences to a check gets that list
+scanned instead: every pair for permutability, every triple for
+distributivity (through join and meet tables computed once per pair) and
+the block of one of each congruence for weak regularity.
 """
 
 from dataclasses import dataclass
 
+from . import _kernels as kernels
+from ._kernels._core_py import block_masks, join_into, merge, principal
 from .binop import BinOp
 from .errors import BudgetError, MissingConstantError
 from .verdict import Verdict
 
-CARRIER_BUDGET = 16
+CONGRUENCE_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -71,18 +81,6 @@ class FiniteAlgebra:
         raise MissingConstantError(f"algebra has no constant {name!r}")
 
 
-def _merge(label, members, x, y):
-    # union-find by block labels: the block of y joins the block of x under
-    # the lesser label, so a label stays its block's least member and a
-    # lookup is one index
-    lx, ly = label[x], label[y]
-    if lx > ly:
-        lx, ly = ly, lx
-    for z in members[ly]:
-        label[z] = lx
-    members[lx] += members[ly]
-
-
 @dataclass(frozen=True)
 class Congruence:
     """Partition by least-member labels; equality is structural."""
@@ -111,10 +109,7 @@ class Congruence:
         return len(set(self.labels))
 
     def block_masks(self):
-        masks = {}
-        for i, l in enumerate(self.labels):
-            masks[l] = masks.get(l, 0) | 1 << i
-        return [masks[l] for l in self.labels]
+        return block_masks(self.labels)
 
     def _same_carrier(self, other):
         if self.n != other.n:
@@ -134,9 +129,7 @@ class Congruence:
         members = [[] for _ in label]
         for i, l in enumerate(label):
             members[l].append(i)
-        for i, l in enumerate(other.labels):
-            if label[i] != label[l]:
-                _merge(label, members, i, l)
+        join_into(label, members, other.labels)
         return Congruence(tuple(label))
 
     @classmethod
@@ -157,7 +150,7 @@ class Congruence:
                 raise ValueError(f"block {block} leaves the carrier of {n} elements")
             for x in block[1:]:
                 if label[x] != label[block[0]]:
-                    _merge(label, members, block[0], x)
+                    merge(label, members, block[0], x)
         return cls(tuple(label))
 
     def is_compatible(self, algebra):
@@ -182,43 +175,32 @@ def principal_congruence(algebra, a, b):
     n = algebra.n
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"pair ({a}, {b}) outside the carrier of {n} elements")
-    tables = [op.table for _, op in algebra.ops]
-    label = list(range(n))
-    members = [[i] for i in range(n)]
-    work = [(a, b)]
-    while work:
-        x, y = work.pop()
-        if label[x] != label[y]:
-            _merge(label, members, x, y)
-            # (x, y) is now related, so each translate of it must be too
-            for t in tables:
-                work.extend(zip(t[x], t[y]))
-                work.extend((row[x], row[y]) for row in t)
-    return Congruence(tuple(label))
+    return Congruence(principal(n, [op.table for _, op in algebra.ops], a, b))
 
 
-def all_congruences(algebra, budget=CARRIER_BUDGET):
+def _scan(algebra):
+    # (principal labels, permutable, distributive, regular) from one kernel call
+    one = next((c for name, c in algebra.constants if name == "one"), None)
+    return kernels.congruence_scan(algebra.n, [op.table for _, op in algebra.ops], one)
+
+
+def all_congruences(algebra, budget=CONGRUENCE_BUDGET):
     """Every congruence, ordered by block count then labels.
 
-    Principal congruences are closed under joins with a principal
+    The principal congruences are closed under joins with a principal
     congruence; the diagonal is added, and the total congruence is the
-    join of every principal one.
+    join of every principal one.  Raises ``BudgetError`` once more than
+    ``budget`` congruences are found.
     """
-    n = algebra.n
-    if n > budget:
-        raise BudgetError(f"carrier of {n} exceeds the congruence budget {budget}")
-    found = {Congruence.diagonal(n)}
-    principals = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            c = principal_congruence(algebra, a, b)
-            if c not in found:
-                found.add(c)
-                principals.append(c)
+    found = {Congruence.diagonal(algebra.n)}
+    principals = list(dict.fromkeys(map(Congruence, _scan(algebra)[0])))
+    found.update(principals)
     frontier = principals
     while frontier:
         nxt = []
         for c in frontier:
+            if len(found) > budget:
+                raise BudgetError(f"more than {budget} congruences exceed the budget")
             for p in principals:
                 j = c.join(p)
                 if j not in found:
@@ -243,8 +225,16 @@ def _compose(tmask, pmask):
 
 
 def check_permutable(algebra, congs=None):
-    """Verdict: every pair of congruences permutes under composition."""
-    congs = all_congruences(algebra) if congs is None else congs
+    """Verdict: every pair of congruences permutes under composition.
+
+    The witness is (theta, phi, (x, z)) with (x, z) in theta;phi but not
+    in phi;theta.  By default theta = Θ(x, y) and phi = Θ(y, z) at the
+    first (x, y, z) where Θ(x, y) and Θ(y, z) do not permute; with
+    ``congs``, the first pair of listed congruences that do not permute.
+    """
+    if congs is None:
+        w = _scan(algebra)[1]
+        return Verdict.of(w and (Congruence(w[0]), Congruence(w[1]), w[2]))
     masks = [c.block_masks() for c in congs]
     for i, theta in enumerate(congs):
         for j in range(i + 1, len(congs)):
@@ -300,10 +290,14 @@ class _OpRow(dict):
 def check_congruence_distributive(algebra, congs=None):
     """Verdict: the congruence lattice satisfies the distributive law.
 
-    The witness is the first triple (a, b, c) of congs, in list order,
-    with a ^ (b v c) != (a ^ b) v (a ^ c).
+    The witness is a triple (a, b, c) with a ^ (b v c) != (a ^ b) v (a ^ c).
+    By default it is (j, b, c) for the first join-irreducible principal
+    congruence j that is not join-prime: j <= b v c, j </= b, j </= c.
+    With ``congs`` it is the first such triple of the list, in list order.
     """
-    congs = all_congruences(algebra) if congs is None else congs
+    if congs is None:
+        w = _scan(algebra)[2]
+        return Verdict.of(w and tuple(map(Congruence, w)))
     items = list(congs)
     index = {c: i for i, c in enumerate(items)}
     join = _OpTable(items, index, Congruence.join)
@@ -331,18 +325,25 @@ def _implication(algebra):
 def check_weakly_regular(algebra, congs=None):
     """Verdict: congruences are determined by their block of the constant one.
 
-    When an implication-like op is present (imp, else star), also verifies
+    The witness is two distinct congruences with the same block of one: by
+    default (R, Θ(x, y)) for the first Θ(x, y) that is not the join R of
+    the Θ(one, z) over its block of one, with ``congs`` the first two
+    listed.  When an implication-like op is present (imp, else star), also verifies
     the term condition: both directed implications equal one exactly for
     equal arguments.
     """
     one = algebra.constant("one")
-    congs = all_congruences(algebra) if congs is None else congs
-    seen = {}
-    for c in congs:
-        key = c.block_of(one)
-        if key in seen:
-            return Verdict(False, (seen[key], c), "same block of one")
-        seen[key] = c
+    if congs is None:
+        w = _scan(algebra)[3]
+        if w is not None:
+            return Verdict(False, tuple(map(Congruence, w)), "same block of one")
+    else:
+        seen = {}
+        for c in congs:
+            key = c.block_of(one)
+            if key in seen:
+                return Verdict(False, (seen[key], c), "same block of one")
+            seen[key] = c
     imp_name = _implication(algebra)
     if imp_name is not None:
         t = algebra.op(imp_name).table

@@ -24,7 +24,9 @@ class Poset:
         "names", "up", "down", "n", "full", "topo", "rank", "top", "bottom", "_index", "_covers",
     )
 
-    def __init__(self, names, up):
+    def __init__(self, names, up, *, _closed=False):
+        # _closed: the masks are kernels.closure's output, so they are
+        # transitive and only carrier, reflexivity and cycles need checking
         names = tuple(names)
         up = tuple(up)
         n = len(names)
@@ -47,7 +49,7 @@ class Poset:
                 low = m & -m
                 down[low.bit_length() - 1] |= 1 << i
                 m ^= low
-        closed = kernels.closure(n, up)
+        closed = up if _closed else kernels.closure(n, up)
         for i in range(n):
             if up[i] & down[i] != 1 << i:
                 m = up[i] & down[i] & ~(1 << i)
@@ -140,7 +142,7 @@ def make_poset(names, cover_pairs, max_size=MAX_ELEMENTS):
             if name not in index:
                 raise UnknownNameError(f"cover references unknown element {name!r}")
         adj[index[lo]] |= 1 << index[hi]
-    return Poset(names, kernels.closure(len(names), adj))
+    return Poset(names, kernels.closure(len(names), adj), _closed=True)
 
 
 def upper_set(p, mask):

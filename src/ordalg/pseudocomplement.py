@@ -14,18 +14,10 @@ from dataclasses import dataclass
 
 from . import _kernels as kernels
 from . import laws
-from ._kernels._core_py import relative_cell, star_cell
+from ._kernels._core_py import _extreme, relative_cell, star_cell
 from .binop import BinOp
 from .poset import LatticeOps, NotALattice, as_lattice, lower_set
 from .verdict import Verdict
-
-
-def _max_in(p, mask):
-    # the member of the set lying above all others, or None
-    for x in p.iter_mask(mask):
-        if mask & ~p.down[x] == 0:
-            return x
-    return None
 
 
 def sectional_pc_lattice(lat, a, b):
@@ -36,7 +28,8 @@ def sectional_pc_lattice(lat, a, b):
     for x in range(p.n):
         if lat.meet[vee][x] == b:
             s |= 1 << x
-    return _max_in(p, s)
+    m = _extreme(s, p.down)
+    return None if m < 0 else m
 
 
 def relative_pc(lat, a, b):
@@ -46,7 +39,8 @@ def relative_pc(lat, a, b):
     for x in range(p.n):
         if p.up[lat.meet[a][x]] >> b & 1:
             s |= 1 << x
-    return _max_in(p, s)
+    m = _extreme(s, p.down)
+    return None if m < 0 else m
 
 
 def sectional_pc_poset(p, a, b):

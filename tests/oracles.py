@@ -6,7 +6,9 @@ relations, a poset's checks with the one-step transitivity rule,
 isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, congruence
-distributivity triple by triple, the operator scan's U(x, y) tables by
+distributivity triple by triple, permutability by composing relations
+as sets of pairs, weak regularity by comparing blocks of one, the
+operator scan's U(x, y) tables by
 comprehension, lattice failures by rescanning every pair, sectional
 pseudocomplements by the join formula and by a scan over every c, and
 every lattice, residuation and operator law by the hand loop it had
@@ -156,6 +158,23 @@ def distributive_by_triples(congs):
                 if meet(x, join(y, z)) != join(meet(x, y), meet(x, z)):
                     return Verdict(False, (a, b, c))
     return Verdict(True)
+
+
+def _composite(n, theta, phi):
+    # pairs (x, z) with x theta y and y phi z for some y
+    return {(x, z) for x in range(n) for y in range(n) for z in range(n)
+            if theta.relates(x, y) and phi.relates(y, z)}
+
+
+def permutable_by_relations(congs):
+    """True when every two listed congruences permute, as sets of pairs."""
+    return all(_composite(t.n, t, f) == _composite(t.n, f, t) for t in congs for f in congs)
+
+
+def weakly_regular_by_blocks(congs, one):
+    """True when no two listed congruences share their block of one."""
+    blocks = [tuple(x for x in range(c.n) if c.relates(x, one)) for c in congs]
+    return len(set(blocks)) == len(set(congs))
 
 
 def lattice_algebra(p, star=None, constants=None):

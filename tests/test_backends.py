@@ -14,9 +14,14 @@ import sys
 import pytest
 
 import oracles as o
+import test_congruence as tc
 from ordalg import _kernels as kernels
 from ordalg import (
     BinOp,
+    FiniteAlgebra,
+    check_congruence_distributive,
+    check_permutable,
+    check_weakly_regular,
     as_lattice,
     direct_product,
     enumerate_structures,
@@ -147,20 +152,30 @@ def test_operator_tables_identical_and_equal_to_the_comprehensions():
 TABLE_KERNELS = ("lattice_tables", "poset_star_table", "poset_relative_table", "operator_tables")
 
 
+def scan_args(alg):
+    """congruence_scan's arguments for an algebra, as the library passes them."""
+    return alg.n, [op.table for _, op in alg.ops], dict(alg.constants).get("one")
+
+
 @pytest.mark.parametrize("twin, calls", (("c", 10_000), ("py", 1_000)))
 def test_table_kernels_hold_no_reference_after_returning(twin, calls):
     # A row the kernel forgets to release outlives every call, so the
     # allocated block count grows with the number of calls; the pure twin
     # takes fewer calls because each one is slower.
-    # The bowtie covers lattice_tables' failure return.
+    # The bowtie covers lattice_tables' failure return; chain4 and the
+    # projection algebra cover each of congruence_scan's witnesses.
     twin = c_backend() if twin == "c" else py
-    cases = [(kernel, fixture("bool4").poset) for kernel in TABLE_KERNELS]
-    cases.append(("lattice_tables", fixture("bowtie").poset))
-    for kernel, p in cases:
-        fn = getattr(twin, kernel)
+    cases = []
+    for kernel, p in [(kernel, fixture("bool4").poset) for kernel in TABLE_KERNELS] + [
+            ("lattice_tables", fixture("bowtie").poset)]:
         args = (p.n, list(p.up), list(p.down))
         if kernel == "lattice_tables":
             args = (p.n, p.topo) + args[1:]
+        cases.append((kernel, args))
+    pointed = o.lattice_algebra(fixture("chain4").poset), tc.projection_algebra(3)
+    cases += [("congruence_scan", scan_args(alg)) for alg in pointed]
+    for kernel, args in cases:
+        fn = getattr(twin, kernel)
         for _ in range(100):
             fn(*args)
         gc.collect()
@@ -168,7 +183,46 @@ def test_table_kernels_hold_no_reference_after_returning(twin, calls):
         for _ in range(calls):
             fn(*args)
         gc.collect()
-        assert sys.getallocatedblocks() - before <= 20, (kernel, p)
+        assert sys.getallocatedblocks() - before <= 20, (kernel, args[0])
+
+
+def congruence_scan_inputs():
+    """(n, tables, one) for congruence_scan: the algebras the congruence
+    tests use, seeded random tables with zero to three ops, and a
+    64-element projection algebra."""
+    for alg in tc.small_lattice_algebras(7):
+        yield scan_args(alg)
+    for n in range(3, 6):
+        yield scan_args(tc.projection_algebra(n))
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        near = [rng.randrange(n) for _ in range(n)]
+        tables = []
+        for _ in range(rng.randrange(4)):
+            rows = [[near[x] if rng.random() < 0.5 else x for _ in range(n)] for x in range(n)]
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            tables.append(rows)
+        yield n, tables, rng.choice([None, *range(n)])
+    yield 64, [[[x] * 64 for x in range(64)]], 63
+
+
+def test_congruence_scan_identical():
+    c = c_backend()
+    failed = set()
+    for n, tables, one in congruence_scan_inputs():
+        got = c.congruence_scan(n, tables, one)
+        assert got == py.congruence_scan(n, tables, one)
+        labels = got[0]
+        assert type(labels) is tuple and len(labels) == n * (n - 1) // 2
+        assert all(type(lab) is tuple and len(lab) == n and all(type(x) is int for x in lab)
+                   for lab in labels)
+        for k, witness in enumerate(got[1:]):
+            assert witness is None or type(witness) is tuple
+            if witness is not None:
+                failed.add(k)
+                assert all(type(lab) is tuple for lab in witness)
+    assert failed == {0, 1, 2}
 
 
 def test_closure_identical_on_random_dags():
@@ -321,6 +375,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         ("law_scan", 64, lambda n: (n, range(max(n, 0)), [0] * n, [0] * n, (), (), ())),
         ("enum_orders", 8, lambda n: (n, False)),
         ("canonical_keys", 8, lambda n: (n, [])),
+        ("congruence_scan", 64, lambda n: (n, [], None)),
     )
     for kernel, most, args in cases:
         # both twins share the bound set by the packed order format of
@@ -417,6 +472,19 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         assert twin.law_scan(64, wide.topo, wide.up, wide.down, [ones], (),
                              [(1, var, 0, var, 0, table, 0)]) == [None]
 
+    # congruence_scan: a cell outside the carrier, a ragged or short table,
+    # or one outside the carrier; the pure twin takes wider carriers
+    for twin in (c, py):
+        for n in (-1, 0):
+            with pytest.raises(ValueError, match="supports 1 <= n"):
+                twin.congruence_scan(n, [], None)
+        for tables, one in (([[[0, 2], [0, 0]]], None), ([[[0, -1], [0, 0]]], None),
+                            ([[[0, 1], [0]]], None), ([[[0, 1]]], None),
+                            ([[[0, 1, 1], [0, 0]]], None), ([[[0, 1], [1, 0]], [[0]]], 0),
+                            ([], 2), ([], -1)):
+            with pytest.raises(ValueError):
+                twin.congruence_scan(2, tables, one)
+
     # a packed order with a row bit outside the carrier, a bit above row
     # n-1, a negative word or one wider than 64 bits
     for twin in (c, py):
@@ -451,3 +519,9 @@ def test_wide_carriers_route_to_pure_backend():
     # chains: x*y is the top above y, else y itself
     assert star.value(5, 5) == 69
     assert star.value(9, 4) == 4
+    # x*y = x: every partition is a congruence, so all three criteria fail
+    proj = BinOp(70, tuple((x,) * 70 for x in range(70)))
+    alg = FiniteAlgebra.build(p, {"*": proj}, {"one": 69})
+    assert check_permutable(alg).witness[2] == (0, 2)
+    assert not check_congruence_distributive(alg)
+    assert not check_weakly_regular(alg)

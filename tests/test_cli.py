@@ -227,6 +227,15 @@ def test_congruences_budget(write_fixture, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_congruences_chain12_lists_within_the_budget(write_fixture, capsys):
+    # 2^11 congruences: a count within the default budget of 4096
+    path = write_fixture("chain12")
+    assert main(["congruences", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "congruences: 2048"
+    assert out[-3:] == ["permutable: no", "congruence-distributive: yes", "weakly regular: no"]
+
+
 def test_product(write_fixture, tmp_path, capsys):
     left = write_fixture("pentagon")
     right = write_fixture("residuated-chain")

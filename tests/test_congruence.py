@@ -29,8 +29,10 @@ from oracles import (
     distributive_by_triples,
     join_by_closure,
     lattice_algebra,
+    permutable_by_relations,
     poset_from_edges,
     principal_congruence_sweep,
+    weakly_regular_by_blocks,
 )
 
 
@@ -181,6 +183,125 @@ def test_projection_algebra_fails_distributivity_with_first_triple():
         assert got.witness == want.witness
 
 
+def _leq(p, q):
+    # every block of p lies within a block of q
+    return all(q.relates(i, p.labels[i]) for i in range(p.n))
+
+
+def _composes(theta, phi, x, z):
+    # x (theta;phi) z: some y has x theta y and y phi z
+    return any(theta.relates(x, y) and phi.relates(y, z) for y in range(theta.n))
+
+
+def assert_witnesses_hold(alg, perm, dist, regular):
+    """Each failing verdict's witness shows what it claims."""
+    if not perm:
+        theta, phi, (x, z) = perm.witness
+        assert theta.is_compatible(alg) and phi.is_compatible(alg)
+        assert _composes(theta, phi, x, z) and not _composes(phi, theta, x, z)
+    if not dist:
+        j, b, c = dist.witness
+        assert all(x.is_compatible(alg) for x in (j, b, c))
+        assert _leq(j, b.join(c)) and not _leq(j, b) and not _leq(j, c)
+        assert j.meet(b.join(c)) != j.meet(b).join(j.meet(c))
+    if regular is not None and not regular and regular.detail == "same block of one":
+        theta, phi = regular.witness
+        one = alg.constant("one")
+        assert theta.is_compatible(alg) and phi.is_compatible(alg)
+        assert theta != phi and theta.block_of(one) == phi.block_of(one)
+
+
+def three_verdicts(alg, congs=None):
+    try:
+        regular = check_weakly_regular(alg, congs)
+    except MissingConstantError:
+        regular = None
+    return (check_permutable(alg, congs), check_congruence_distributive(alg, congs), regular)
+
+
+def assert_default_path_matches(alg, oracle_congs):
+    """Default-path verdicts equal the list path's and the oracles' on oracle_congs."""
+    got = three_verdicts(alg)
+    listed = three_verdicts(alg, all_congruences(alg))
+    assert [v if v is None else bool(v) for v in got] == \
+        [v if v is None else bool(v) for v in listed]
+    assert bool(got[0]) == permutable_by_relations(oracle_congs)
+    assert bool(got[1]) == bool(distributive_by_triples(oracle_congs))
+    if got[2] is not None:
+        # the term condition is the same Python loop on both paths
+        assert got[2].detail == listed[2].detail
+        blocks_ok = bool(got[2]) or got[2].detail != "same block of one"
+        assert blocks_ok == weakly_regular_by_blocks(oracle_congs, alg.constant("one"))
+    assert_witnesses_hold(alg, *got)
+    return got
+
+
+def test_default_path_matches_list_path_and_oracles_on_small_lattices():
+    failures = [0, 0]
+    for alg in small_lattice_algebras(7):
+        got = assert_default_path_matches(alg, congruences_by_all_pairs(alg))
+        failures[0] += not got[0]
+        failures[1] += not got[2]
+    # lattices are congruence distributive; the other two fail often
+    assert min(failures) > 10
+
+
+@st.composite
+def pointed_algebras(draw):
+    """random_algebras, or a projection with some cells changed, with a constant one."""
+    alg = draw(st.one_of(random_algebras(), near_projection_algebras()))
+    one = draw(st.integers(0, alg.n - 1))
+    return FiniteAlgebra.build(alg.poset, alg.ops, {"one": one})
+
+
+@st.composite
+def near_projection_algebras(draw):
+    n = draw(st.integers(2, 5))
+    rows = [[x] * n for x in range(n)]
+    for x, y, v in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=3)):
+        rows[x][y] = v
+    return FiniteAlgebra.build(poset_from_edges(n, ()), {"*": BinOp.from_rows(rows)})
+
+
+@given(st.one_of(random_algebras(), pointed_algebras()))
+@settings(max_examples=200, deadline=None)
+def test_default_path_matches_list_path_and_oracles_on_random_algebras(alg):
+    assert_default_path_matches(alg, congruence_oracle(alg))
+
+
+def test_default_path_matches_on_projection_algebras():
+    for n in range(3, 6):
+        base = projection_algebra(n)
+        alg = FiniteAlgebra.build(base.poset, base.ops, {"one": 0})
+        got = assert_default_path_matches(alg, all_partitions(n))
+        assert not any(got)
+
+
+def test_default_path_witnesses():
+    # the first failing triple, pair or principal, in index order
+    chain = lattice_algebra(fixture("chain4").poset)
+    perm, _, regular = three_verdicts(chain)
+    assert perm.witness == (Congruence((0, 0, 2, 3)), Congruence((0, 1, 1, 3)), (0, 2))
+    assert regular.witness == (Congruence((0, 1, 2, 3)), Congruence((0, 0, 2, 3)))
+    _, dist, _ = three_verdicts(projection_algebra(3))
+    assert dist.witness == (Congruence((0, 0, 2)), Congruence((0, 1, 0)),
+                            Congruence((0, 1, 1)))
+
+
+def test_default_path_answers_wide_chains_and_cubes_without_listing_con(monkeypatch):
+    # chain16 has 2^15 congruences; listing them would take Congruence.join
+    def no_listing(*args):
+        raise AssertionError("the default path listed Con")
+
+    algs = [lattice_algebra(fixture(name).poset) for name in ("chain16", "bool4")]
+    with monkeypatch.context() as patched:
+        patched.setattr(Congruence, "join", no_listing)
+        verdicts = [three_verdicts(alg) for alg in algs]
+    assert [tuple(map(bool, v)) for v in verdicts] == [(False, True, False), (True, True, True)]
+    for alg, got in zip(algs, verdicts):
+        assert_witnesses_hold(alg, *got)
+
+
 def test_distributivity_accepts_lists_not_closed_under_join_and_meet():
     # three atoms of the partition lattice on three points: their joins
     # are the total partition and their meets the diagonal, neither listed
@@ -248,6 +369,14 @@ def test_weak_regularity_needs_the_constant():
 def test_oracle_agreement_all_small_lattices():
     for alg in small_lattice_algebras(6):
         assert all_congruences(alg) == congruence_oracle(alg)
+
+
+def test_budget_counts_congruences():
+    # chain8 has 2^7 congruences: a budget of 128 lists them, 127 stops
+    alg = lattice_algebra(fixture("chain8").poset)
+    assert len(all_congruences(alg, budget=128)) == 128
+    with pytest.raises(BudgetError, match="more than 127 congruences"):
+        all_congruences(alg, budget=127)
 
 
 def test_carrier_budget():

@@ -40,6 +40,19 @@ def test_make_poset_closes_transitively():
     assert not p.leq(p.index("z"), p.index("x"))
 
 
+def test_make_poset_closes_once(monkeypatch):
+    # the closed masks are transitive, so Poset does not close them again;
+    # a cycle is still found, with the same pair
+    calls = []
+    closure = kernels.closure
+    monkeypatch.setattr(kernels, "closure", lambda n, up: calls.append(n) or closure(n, up))
+    p = make_poset(("x", "y", "z"), (("x", "y"), ("y", "z")))
+    assert calls == [3] and p.up == closure(3, p.up)
+    with pytest.raises(CycleDetectedError) as exc:
+        make_poset(("a", "b", "c"), (("a", "b"), ("b", "c"), ("c", "a")))
+    assert exc.value.pair == ("a", "b") and calls == [3, 3]
+
+
 def test_duplicate_name_rejected():
     with pytest.raises(DuplicateNameError):
         make_poset(("a", "a"), ())
