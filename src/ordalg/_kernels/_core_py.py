@@ -9,10 +9,24 @@ of at most 64 elements; this module also covers larger carriers because
 Python ints are unbounded.  ``_pack`` and ``_unpack`` are the one codec,
 here and in ``constructions``, for the catalog kernels' packed orders, and
 ``merge``, ``join_into``, ``principal`` and ``block_masks`` the one
-union-find of least-member labels, here and in ``congruence``.
+union-find of least-member labels, here and in ``congruence``, and
+``transpose`` the one way from up-masks to down-masks, here and in
+``poset``.
 """
 
 from itertools import permutations, product
+
+
+def transpose(n, up):
+    """The down-masks of an up-mask relation: bit i of down[j] is bit j of up[i]."""
+    down = [0] * n
+    for i in range(n):
+        rest = up[i]
+        while rest:
+            low = rest & -rest
+            down[low.bit_length() - 1] |= 1 << i
+            rest ^= low
+    return down
 
 
 def closure(n, up):
@@ -478,8 +492,7 @@ def _color_classes(n, up, down):
     """
     strict_d = [down[i] & ~(1 << i) for i in range(n)]
     strict_u = [up[i] & ~(1 << i) for i in range(n)]
-    col = _rank([(bin(strict_d[i]).count("1"), bin(strict_u[i]).count("1"))
-                 for i in range(n)])
+    col = _rank([(strict_d[i].bit_count(), strict_u[i].bit_count()) for i in range(n)])
     while True:
         sig = []
         for i in range(n):
@@ -497,29 +510,23 @@ def _color_classes(n, up, down):
 
 
 def _canonical_packed(n, up):
-    down = [0] * n
-    for i in range(n):
-        rest = up[i]
-        while rest:
-            low = rest & -rest
-            down[low.bit_length() - 1] |= 1 << i
-            rest ^= low
-    classes = _color_classes(n, up, down)
+    classes = _color_classes(n, up, transpose(n, up))
     best = None
     for combo in product(*(permutations(c) for c in classes)):
         seq = [i for cls in combo for i in cls]
         pos = [0] * n
         for new_i, old in enumerate(seq):
             pos[old] = new_i
-        packed = 0
-        for new_i, old in enumerate(seq):
+        rows = []
+        for old in seq:
             row = 0
             rest = up[old]
             while rest:
                 low = rest & -rest
                 row |= 1 << pos[low.bit_length() - 1]
                 rest ^= low
-            packed |= row << 8 * new_i
+            rows.append(row)
+        packed = _pack(n, rows)
         if best is None or packed < best:
             best = packed
     return best

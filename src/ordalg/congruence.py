@@ -14,6 +14,11 @@ from them alone, without listing Con:
 - weak regularity: each Θ(x, y) is the join of the Θ(one, z) over the
   block of one.
 
+The scan's result is kept for the last algebra only, so
+``all_congruences``, the three checks and ``maltsev_replay`` on one
+algebra share one kernel call.  ``maltsev_replay`` replays the
+permutability term on the principal pairs (Θ(a, b), Θ(b, c)) alone.
+
 Every congruence is a join of principal ones, so ``all_congruences``
 closes the principal congruences under joins with a principal congruence,
 within a budget on the number of congruences; it is cross-checked in the
@@ -25,6 +30,7 @@ the block of one of each congruence for weak regularity.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _kernels as kernels
 from ._kernels._core_py import block_masks, join_into, merge, principal
@@ -178,8 +184,10 @@ def principal_congruence(algebra, a, b):
     return Congruence(principal(n, [op.table for _, op in algebra.ops], a, b))
 
 
+@lru_cache(maxsize=1)
 def _scan(algebra):
-    # (principal labels, permutable, distributive, regular) from one kernel call
+    # (principal labels, permutable, distributive, regular) from one kernel
+    # call, kept for the last algebra only, which the checks usually share
     one = next((c for name, c in algebra.constants if name == "one"), None)
     return kernels.congruence_scan(algebra.n, [op.table for _, op in algebra.ops], one)
 
@@ -355,32 +363,39 @@ def check_weakly_regular(algebra, congs=None):
     return Verdict(True)
 
 
-def maltsev_replay(algebra, congs=None):
+def maltsev_replay(algebra):
     """Replay the permutability term; returns mismatches, empty when clean.
 
-    For a theta b phi c the element ((a->b)->c) ^ ((c->b)->a) should be
-    phi-related to a and theta-related to c.  Any deviation is reported as
-    (theta, phi, a, b, c, m, side) rather than asserted.
+    For a theta b phi c the element m = ((a->b)->c) ^ ((c->b)->a) should
+    be phi-related to a and theta-related to c.  Every such theta contains
+    Θ(a, b) and every such phi contains Θ(b, c), so a deviation shows on
+    that principal pair already, which is the only pair replayed: one
+    entry (Θ(a, b), Θ(b, c), a, b, c, m, side) per deviating (a, b, c),
+    side "phi side" before "theta side", with the diagonal for an equal
+    pair.  The principal congruences come from the shared scan, so Con is
+    never listed.
     """
     imp_name = _implication(algebra)
     if imp_name is None:
         raise KeyError("algebra has neither an 'imp' nor a '*' op")
     imp = algebra.op(imp_name).table
     meet = algebra.op("meet").table
-    congs = all_congruences(algebra) if congs is None else congs
+    n = algebra.n
+    pairs = iter(_scan(algebra)[0])
+    theta = [[None] * n for _ in range(n)]
+    for a in range(n):
+        theta[a][a] = tuple(range(n))
+        for b in range(a + 1, n):
+            theta[a][b] = theta[b][a] = next(pairs)
     bad = []
-    for theta in congs:
-        for phi in congs:
-            for a in range(algebra.n):
-                for b in range(algebra.n):
-                    if not theta.relates(a, b):
-                        continue
-                    for c in range(algebra.n):
-                        if not phi.relates(b, c):
-                            continue
-                        m = meet[imp[imp[a][b]][c]][imp[imp[c][b]][a]]
-                        if not phi.relates(a, m):
-                            bad.append((theta, phi, a, b, c, m, "phi side"))
-                        if not theta.relates(m, c):
-                            bad.append((theta, phi, a, b, c, m, "theta side"))
+    for a in range(n):
+        for b in range(n):
+            tab, ab = theta[a][b], imp[a][b]
+            for c in range(n):
+                tbc = theta[b][c]
+                m = meet[imp[ab][c]][imp[imp[c][b]][a]]
+                if tbc[a] != tbc[m]:
+                    bad.append((Congruence(tab), Congruence(tbc), a, b, c, m, "phi side"))
+                if tab[m] != tab[c]:
+                    bad.append((Congruence(tab), Congruence(tbc), a, b, c, m, "theta side"))
     return bad

@@ -132,7 +132,8 @@ def direct_product(p, q, max_size=MAX_ELEMENTS):
                 mask |= q.up[j] << (low.bit_length() - 1) * m
                 rest ^= low
             up.append(mask)
-    return Poset(names, up)
+    # the componentwise order of two orders is transitive
+    return Poset(names, up, _closed=True)
 
 
 CATALOG_KINDS = ("all-posets", "posets-with-top", "lattices", "lattices-with-top")
@@ -167,8 +168,8 @@ def are_isomorphic(p, q):
     if p.n != q.n:
         return False
     n = p.n
-    inv_p = [(bin(p.down[i]).count("1"), bin(p.up[i]).count("1")) for i in range(n)]
-    inv_q = [(bin(q.down[i]).count("1"), bin(q.up[i]).count("1")) for i in range(n)]
+    inv_p = [(p.down[i].bit_count(), p.up[i].bit_count()) for i in range(n)]
+    inv_q = [(q.down[i].bit_count(), q.up[i].bit_count()) for i in range(n)]
     if sorted(inv_p) != sorted(inv_q):
         return False
     order = p.topo
@@ -223,9 +224,8 @@ def enumerate_structures(n, kind, dedup=True):
         # order has a top exactly when every row holds bit n-1
         top = _pack(n, [1 << n - 1] * n)
         orders = [packed for packed in orders if packed & top == top]
+    # both kernels emit closed orders
     if dedup:
-        keys = sorted(set(kernels.canonical_keys(n, orders)))
-        members = tuple(Poset(names, _unpack(n, key)) for key in keys)
-    else:
-        members = tuple(Poset(names, _unpack(n, packed)) for packed in orders)
+        orders = sorted(set(kernels.canonical_keys(n, orders)))
+    members = tuple(Poset(names, _unpack(n, packed), _closed=True) for packed in orders)
     return Catalog(kind, n, dedup, members)

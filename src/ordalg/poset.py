@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import _kernels as kernels
 from . import laws
-from ._kernels._core_py import _common_bounds
+from ._kernels._core_py import _common_bounds, transpose
 from .errors import CycleDetectedError, DuplicateNameError, SizeBudgetError, UnknownNameError
 
 MAX_ELEMENTS = 64
@@ -25,8 +25,8 @@ class Poset:
     )
 
     def __init__(self, names, up, *, _closed=False):
-        # _closed: the masks are kernels.closure's output, so they are
-        # transitive and only carrier, reflexivity and cycles need checking
+        # _closed: the masks are known to be transitive, so only carrier,
+        # reflexivity and cycles need checking
         names = tuple(names)
         up = tuple(up)
         n = len(names)
@@ -37,18 +37,12 @@ class Poset:
         if len(up) != n:
             raise ValueError("up-mask count does not match element count")
         full = (1 << n) - 1
-        down = [0] * n
         for i in range(n):
-            row = up[i]
-            if row & ~full:
+            if up[i] & ~full:
                 raise ValueError(f"up-mask of {names[i]!r} has bits outside the carrier")
-            if not row >> i & 1:
+            if not up[i] >> i & 1:
                 raise ValueError(f"order is not reflexive at {names[i]!r}")
-            m = row
-            while m:
-                low = m & -m
-                down[low.bit_length() - 1] |= 1 << i
-                m ^= low
+        down = transpose(n, up)
         closed = up if _closed else kernels.closure(n, up)
         for i in range(n):
             if up[i] & down[i] != 1 << i:
@@ -62,7 +56,7 @@ class Poset:
         self.down = tuple(down)
         self.n = n
         self.full = full
-        self.topo = tuple(sorted(range(n), key=lambda i: (bin(down[i]).count("1"), i)))
+        self.topo = tuple(sorted(range(n), key=lambda i: (down[i].bit_count(), i)))
         rank = [0] * n
         for r, i in enumerate(self.topo):
             rank[i] = r

@@ -95,19 +95,15 @@ def check_residuation(cand):
     )
 
 
-def check_divisibility(cand, mult_override=None):
+def check_divisibility(cand):
     """Verdict of (x v y) * (x -> y) = y over all pairs.
 
     The law engine scans ``laws.DIVISIBLE`` once, and a failure's witness is
-    its least failing pair in the fixed topological order.
-    ``mult_override`` substitutes another total table for the product in
-    the identity, which lets a caller replay the same scan with the
-    lattice meet standing in for the declared multiplication.
+    its least failing pair in the fixed topological order.  To read the
+    identity with the lattice meet as the product, check a candidate
+    built with the meet table as its multiplication.
     """
-    lat = cand.lattice
-    mult = cand.mult if mult_override is None else mult_override
-    _require_total(lat.poset.n, override=mult)
-    (witness,) = _axiom_scan(lat, mult, cand.imp, (laws.DIVISIBLE,))
+    (witness,) = _axiom_scan(cand.lattice, cand.mult, cand.imp, (laws.DIVISIBLE,))
     return Verdict.of(witness, "divisibility")
 
 

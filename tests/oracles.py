@@ -8,6 +8,7 @@ pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, congruence
 distributivity triple by triple, permutability by composing relations
 as sets of pairs, weak regularity by comparing blocks of one, the
+permutability term's replay over every pair of listed congruences, the
 operator scan's U(x, y) tables by
 comprehension, lattice failures by rescanning every pair, sectional
 pseudocomplements by the join formula and by a scan over every c, and
@@ -175,6 +176,36 @@ def weakly_regular_by_blocks(congs, one):
     """True when no two listed congruences share their block of one."""
     blocks = [tuple(x for x in range(c.n) if c.relates(x, one)) for c in congs]
     return len(set(blocks)) == len(set(congs))
+
+
+def maltsev_by_con_pairs(algebra, congs):
+    """Replay of the permutability term over every pair of listed congruences.
+
+    For theta, phi in ``congs`` and a theta b phi c, the element
+    m = ((a->b)->c) ^ ((c->b)->a) should be phi-related to a and
+    theta-related to c; every deviation is an entry
+    (theta, phi, a, b, c, m, side).  The implication is ``imp``, else ``*``.
+    """
+    imp_name = next(name for name in ("imp", "*") if name in algebra.op_names())
+    imp = algebra.op(imp_name).table
+    meet = algebra.op("meet").table
+    n = algebra.n
+    bad = []
+    for theta in congs:
+        for phi in congs:
+            for a in range(n):
+                for b in range(n):
+                    if not theta.relates(a, b):
+                        continue
+                    for c in range(n):
+                        if not phi.relates(b, c):
+                            continue
+                        m = meet[imp[imp[a][b]][c]][imp[imp[c][b]][a]]
+                        if not phi.relates(a, m):
+                            bad.append((theta, phi, a, b, c, m, "phi side"))
+                        if not theta.relates(m, c):
+                            bad.append((theta, phi, a, b, c, m, "theta side"))
+    return bad
 
 
 def lattice_algebra(p, star=None, constants=None):
@@ -553,11 +584,10 @@ def residuation_by_loops(cand):
     )
 
 
-def divisibility_by_loops(cand, mult_override=None):
+def divisibility_by_loops(cand):
     lat = cand.lattice
     p = lat.poset
-    mult = cand.mult if mult_override is None else mult_override
-    mt, it = mult.table, cand.imp.table
+    mt, it = cand.mult.table, cand.imp.table
     for x, y in _pairs(p):
         if mt[lat.join[x][y]][it[x][y]] != y:
             return Verdict(False, (x, y), "divisibility")

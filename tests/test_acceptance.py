@@ -114,7 +114,7 @@ def test_criterion_3_chain_residuation_divisibility():
     if not check_divisibility(cand):
         problems.append("divisible with its own multiplication, yet reported not")
     meet = BinOp(3, tuple(tuple(r) for r in lat.meet))
-    verdict = check_divisibility(cand, mult_override=meet)
+    verdict = check_divisibility(ResiduationCandidate(lat, meet, fx.imp))
     if verdict:
         problems.append("meet-reading of divisibility unexpectedly holds")
     else:

@@ -236,6 +236,29 @@ def test_congruences_chain12_lists_within_the_budget(write_fixture, capsys):
     assert out[-3:] == ["permutable: no", "congruence-distributive: yes", "weakly regular: no"]
 
 
+def test_congruences_scans_once_per_command(write_fixture, monkeypatch, capsys):
+    # all_congruences and the three checks share one congruence_scan call;
+    # a repeated command finds its equal algebra's scan kept and prints the
+    # same text without another
+    from ordalg import _kernels as kernels
+    from ordalg.congruence import _scan
+
+    calls = []
+    scan = kernels.congruence_scan
+    monkeypatch.setattr(kernels, "congruence_scan",
+                        lambda *args: calls.append(args[0]) or scan(*args))
+    for name in ("pentagon", "bool3", "chain5", "residuated-chain"):
+        path = write_fixture(name)
+        capsys.readouterr()
+        _scan.cache_clear()
+        del calls[:]
+        outs = []
+        for _ in range(2):
+            assert main(["congruences", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(calls) == 1 and outs[0] == outs[1]
+
+
 def test_product(write_fixture, tmp_path, capsys):
     left = write_fixture("pentagon")
     right = write_fixture("residuated-chain")

@@ -1,5 +1,7 @@
 """Congruence enumeration against the exhaustive-partition oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,13 @@ from ordalg import (
     fixture,
     maltsev_replay,
     principal_congruence,
+    star_table_poset,
     synthesize_sectional,
     as_lattice,
     BinOp,
 )
+from ordalg import _kernels as kernels
+from ordalg import congruence
 
 from oracles import (
     all_partitions,
@@ -29,6 +34,7 @@ from oracles import (
     distributive_by_triples,
     join_by_closure,
     lattice_algebra,
+    maltsev_by_con_pairs,
     permutable_by_relations,
     poset_from_edges,
     principal_congruence_sweep,
@@ -422,6 +428,81 @@ def test_compatibility_rejects_an_algebra_on_another_carrier():
 def test_maltsev_replay_names_both_implications_when_neither_is_there():
     with pytest.raises(KeyError, match=r"neither an 'imp' nor a '\*' op"):
         maltsev_replay(pentagon_lattice_algebra())
+
+
+def implication_algebras(p, table):
+    """(meet, imp) and (join, meet, *) on a lattice, one table in both roles."""
+    lat = as_lattice(p)
+    join, meet = BinOp(p.n, lat.join), BinOp(p.n, lat.meet)
+    one = {"one": p.top}
+    return (FiniteAlgebra.build(p, {"meet": meet, "imp": table}, one),
+            FiniteAlgebra.build(p, {"join": join, "meet": meet, "*": table}, one))
+
+
+def deviations(entries):
+    """The (a, b, c, side) of each replay entry, as a set."""
+    return {entry[2:5] + entry[6:] for entry in entries}
+
+
+def assert_principal_entries(alg, entries):
+    """One entry per (a, b, c, side), with Θ(a, b) and Θ(b, c), the
+    diagonal for an equal pair."""
+    assert len(deviations(entries)) == len(entries)
+    for theta, phi, a, b, c, _, _ in entries:
+        assert theta == principal_congruence(alg, a, b)
+        assert phi == principal_congruence(alg, b, c)
+
+
+def test_maltsev_replay_matches_con_pair_oracle_on_small_lattices():
+    # the star table where it is total, and six random tables per lattice
+    rng = random.Random(1505)
+    checked = failing = 0
+    for n in range(1, 7):
+        for p in enumerate_structures(n, "lattices").members:
+            star = star_table_poset(p)
+            tables = [star] if star.is_total else []
+            tables += [BinOp(n, tuple(tuple(rng.randrange(n) for _ in range(n))
+                                      for _ in range(n))) for _ in range(6)]
+            for table in tables:
+                for alg in implication_algebras(p, table):
+                    got = maltsev_replay(alg)
+                    want = maltsev_by_con_pairs(alg, congruence_oracle(alg))
+                    assert deviations(got) == deviations(want)
+                    assert_principal_entries(alg, got)
+                    checked += 1
+                    failing += bool(got)
+    assert checked > 300 and 200 < failing < checked
+
+
+def projection_chain_algebra(k):
+    """Meet and the projection x -> y = x on a k-chain: Con has 2^(k-1) members."""
+    p = fixture(f"chain{k}").poset
+    proj = BinOp(k, tuple((x,) * k for x in range(k)))
+    return implication_algebras(p, proj)[0]
+
+
+def test_maltsev_replay_lists_no_congruences(monkeypatch):
+    def no_listing(*args, **kwargs):
+        raise AssertionError("maltsev_replay listed Con")
+
+    small = projection_chain_algebra(6)
+    want = maltsev_by_con_pairs(small, congruence_oracle(small))
+    cases = [small, projection_chain_algebra(10), projection_chain_algebra(14),
+             pentagon_star_algebra(), chain_algebra()]
+    if kernels.BACKEND == "c":
+        # the pure congruence_scan alone takes seconds at 64 elements
+        for name in ("bool6", "chain64"):
+            p = fixture(name).poset
+            cases.append(lattice_algebra(p, star=star_table_poset(p)))
+    with monkeypatch.context() as patched:
+        patched.setattr(congruence, "all_congruences", no_listing)
+        patched.setattr(Congruence, "join", no_listing)
+        got = [maltsev_replay(alg) for alg in cases]
+    assert deviations(got[0]) == deviations(want)
+    assert [len(entries) for entries in got[1:5]] == [570, 1638, 0, 0]
+    assert all(entries == [] for entries in got[5:])
+    for alg, entries in zip(cases[:3], got):
+        assert_principal_entries(alg, entries)
 
 
 def test_join_and_meet_reject_other_carriers():

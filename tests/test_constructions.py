@@ -23,6 +23,7 @@ from ordalg import (
     star_table_poset,
     synthesize_sectional,
 )
+from ordalg import _kernels as kernels
 
 from oracles import (
     iso_by_permutation,
@@ -115,6 +116,23 @@ def test_catalog_counts():
 @pytest.mark.slow
 def test_catalog_count_lattices_eight():
     assert len(enumerate_structures(8, "lattices")) == 222
+
+
+def test_catalogs_and_products_skip_the_closure(monkeypatch):
+    # enum_orders, canonical_keys and the componentwise order all emit
+    # closed orders, so Poset does not close them again
+    bow, pent = fixture("bowtie").poset, fixture("pentagon").poset
+    calls = []
+    closure = kernels.closure
+    monkeypatch.setattr(kernels, "closure", lambda n, up: calls.append(n) or closure(n, up))
+    built = [enumerate_structures(6, "all-posets").members,
+             enumerate_structures(6, "all-posets", dedup=False).members,
+             enumerate_structures(8, "lattices").members,
+             (direct_product(bow, pent),)]
+    assert calls == []
+    assert [len(members) for members in built] == [318, 4824, 222, 1]
+    for p in (p for members in built for p in members):
+        assert closure(p.n, p.up) == p.up
 
 
 def test_lattices_with_top_is_an_alias():

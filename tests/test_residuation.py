@@ -49,7 +49,8 @@ def test_chain_passes_all_axioms():
 def test_chain_divisible_with_own_mult_but_not_with_meet():
     cand = chain_candidate()
     assert check_divisibility(cand)
-    replay = check_divisibility(cand, mult_override=meet_table(cand.lattice))
+    replay = check_divisibility(
+        ResiduationCandidate(cand.lattice, meet_table(cand.lattice), cand.imp))
     assert not replay
     p = cand.lattice.poset
     assert tuple(p.names[i] for i in replay.witness) == ("a", "0")
@@ -178,10 +179,3 @@ def test_candidate_rejects_partial_tables():
     partial = BinOp.from_rows([[0, None, 0], [0, 0, 1], [0, 1, 2]])
     with pytest.raises(ValueError):
         ResiduationCandidate(as_lattice(fx.poset), partial, fx.imp)
-
-
-def test_divisibility_override_must_be_total():
-    cand = chain_candidate()
-    partial = BinOp.from_rows([[0, None, 0], [0, 0, 1], [0, 1, 2]])
-    with pytest.raises(ValueError):
-        check_divisibility(cand, mult_override=partial)

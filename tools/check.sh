@@ -1,0 +1,39 @@
+#!/bin/sh
+# Run every check of the repository, in order, and stop at the first failure.
+#
+#   tools/check.sh
+#
+# The steps: the unit suite on the default backend, the unit suite on the
+# pure twin (ORDALG_BACKEND=py), the perfbench self-tests, one round of the
+# backend timings, and the sanitizer run of tools/sanitize.sh.  Each step's
+# output goes to a log; a passing step prints one summary line with the
+# log's last line, and a failing one prints its whole log and exits with
+# the step's exit code.
+set -u
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+cd "$ROOT"
+export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
+
+step() {
+    name=$1
+    shift
+    start=$(date +%s)
+    "$@" >"$TMP/log" 2>&1
+    code=$?
+    secs=$(($(date +%s) - start))
+    if [ "$code" -ne 0 ]; then
+        cat "$TMP/log"
+        echo "FAIL  $name  (exit $code after ${secs} s)"
+        exit "$code"
+    fi
+    last=$(grep -v '^[[:space:]]*$' "$TMP/log" | tail -n 1)
+    echo "ok    $name  (${secs} s)  $last"
+}
+
+step "tier-1" python3 -m pytest -q --continue-on-collection-errors
+step "tier-1, pure twin" env ORDALG_BACKEND=py python3 -m pytest -q --continue-on-collection-errors
+step "perfbench self-tests" python3 -m pytest -q perfbench
+step "backend timings" python3 benchmarks/bench_backends.py --repeats 1
+step "sanitizers" tools/sanitize.sh
