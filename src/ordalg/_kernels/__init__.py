@@ -13,9 +13,10 @@ empty carrier).  The catalog kernels ``enum_orders`` and
 1..8 elements.
 
 The table kernels ``poset_star_table`` and ``poset_relative_table``
-return a tuple of n row tuples, with None for an undefined cell and an
-element index in every other; both twins return exactly these types, so
-``BinOp`` and ``LatticeOps`` take the tables as they are.  Their cell
+return ``(rows, total)``: a tuple of n row tuples, with None for an
+undefined cell and an element index in every other, and whether no cell
+is None; both twins return exactly these types, so ``BinOp`` and
+``LatticeOps`` take the tables as they are.  Their cell
 rules are ``_core_py.star_cell`` (sectional) and ``_core_py.relative_cell``
 (relative).  ``lattice_tables(n, topo, up, down)`` returns such tables,
 join and meet, or ``(kind, a, b, frontier)`` at the first pair (a, b) =
@@ -100,10 +101,6 @@ def poset_relative_table(n, up, down):
 
 def operator_tables(n, up, down):
     return _pick(n).operator_tables(n, list(up), list(down))
-
-
-def rrl_scan(n, up, top, join, mult, imp):
-    return _pick(n).rrl_scan(n, list(up), top, join, mult, imp)
 
 
 def law_scan(n, topo, up, down, tables, consts, programs):

@@ -2,15 +2,17 @@
  * _core_py.py, for carriers of 1 to 64 elements.
  *
  * Bit j of up[i] set means element i lies below element j (reflexive);
- * down is the transpose.  The table kernels return a tuple of n row tuples
+ * down is the transpose.  The table kernels return tuples of n row tuples
  * with None for an undefined cell, every other cell an element index, so
- * BinOp and LatticeOps take them as they are; lattice_tables returns
- * (kind, a, b, frontier) at the first pair in topo order without a lub or
- * glb.  operator_tables returns (us, uid, low, lu): the distinct sets
- * U(x, y) = up[x] & up[y] in first-seen row-major order, n rows numbering
- * each pair's set, the lower set of each, and n rows of each pair's lower
- * set, all tuples.  rrl_scan and divisibility_scan take flat row-major
- * sequences of length n*n, law_scan sequences of rows.  congruence_scan
+ * BinOp and LatticeOps take them as they are; poset_star_table and
+ * poset_relative_table pair theirs with whether no cell is None, and
+ * lattice_tables returns (kind, a, b, frontier) at the first pair in topo
+ * order without a lub or glb.  operator_tables returns (us, uid, low, lu):
+ * the distinct sets U(x, y) = up[x] & up[y] in first-seen row-major order,
+ * n rows numbering each pair's set, the lower set of each, and n rows of
+ * each pair's lower set, all tuples.  law_scan takes rows and runs each
+ * arity's programs as one loop nest; rrl_scan and divisibility_scan, which
+ * no library code calls, take flat row-major sequences.  congruence_scan
  * takes any number of operation tables as rows of element indices and
  * returns the least-member labels of every principal congruence with the
  * first witness of permutability, congruence distributivity and weak
@@ -240,7 +242,7 @@ static PyObject *lattice_tables(PyObject *self, PyObject *const *args, Py_ssize_
 static PyObject *poset_star_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t ub[64], db[64], lu[64 * 64];
-    int star[64 * 64], n;
+    int star[64 * 64], n, total = 1;
     if (read_n("poset_star_table", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
         || read_masks(args[2], n, db))
         return NULL;
@@ -259,8 +261,9 @@ static PyObject *poset_star_table(PyObject *self, PyObject *const *args, Py_ssiz
                     t &= ub[c] & ub[b];
             int d = extreme(t, ub);
             star[a * n + b] = (d >= 0 && (db[d] >> b) & 1 && (lu_ab & db[d]) == lb) ? d : -1;
+            total &= star[a * n + b] >= 0;
         }
-    return int_rows(star, n);
+    return Py_BuildValue("(NN)", int_rows(star, n), PyBool_FromLong(total));
 }
 
 /* U(x, y) is symmetric, so each set is first seen at some y >= x and the
@@ -313,7 +316,7 @@ static PyObject *operator_tables(PyObject *self, PyObject *const *args, Py_ssize
 static PyObject *poset_relative_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t ub[64], db[64];
-    int rel[64 * 64], n;
+    int rel[64 * 64], n, total = 1;
     if (read_n("poset_relative_table", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
         || read_masks(args[2], n, db))
         return NULL;
@@ -323,10 +326,12 @@ static PyObject *poset_relative_table(PyObject *self, PyObject *const *args, Py_
             for (uint64_t m = db[a] & ~db[b]; m; m &= m - 1)
                 above |= ub[ctz64(m)];
             rel[a * n + b] = extreme(FULL(n) & ~above, db);
+            total &= rel[a * n + b] >= 0;
         }
-    return int_rows(rel, n);
+    return Py_BuildValue("(NN)", int_rows(rel, n), PyBool_FromLong(total));
 }
 
+/* No library caller: perfbench/twins.py still calls it by name. */
 static PyObject *rrl_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t ub[64];
@@ -478,32 +483,60 @@ static int law_tables(PyObject *seq, struct law_env *e, uint64_t **buf)
     return ok ? 0 : -1;
 }
 
-/* A checked program in register form: register i holds the result of
- * op[i] on registers x[i] and y[i] (0 when unused) and depends on the
- * variables up to depth[i] (-1 for none).  Repeated subterms share one
- * register; result is the register the program leaves. */
-struct law_prog {
-    int arity, len, result;
-    int op[LAW_CODE], arg[LAW_CODE], x[LAW_CODE], y[LAW_CODE], depth[LAW_CODE];
+/* A program as read: its length, counting the arity, and its code. */
+struct law_code { int len, code[2 * LAW_CODE + 1]; };
+
+/* A checked batch of programs of one arity in register form: register r
+ * holds the result of op on registers x and y (0 when unused), depends on
+ * the variables up to depth (-1 for none), and holds at most bound.
+ * Repeated subterms, within a program or across the batch, share one
+ * register; result[k] is the register program k leaves. */
+struct law_reg {
+    int op, arg, x, y, depth;
+    uint64_t bound;
+};
+struct law_batch {
+    int arity, len, count, *result;
+    struct law_reg *reg;
 };
 
-/* Check a program before it runs: opcodes, operands and stack depth, and
- * that every value used as an index stays below what it indexes, by the
- * bounds of the tables, constants and variables it comes from.  bound[r]
- * is the largest value register r can hold. */
-static int law_check(const struct law_env *e, const int *code, int len, struct law_prog *p)
+/* Read a program: a sequence of an odd number of ints, at most 64
+ * instructions after an arity of 1..4. */
+static int law_read(PyObject *program, struct law_code *c)
 {
-    uint64_t bound[LAW_CODE], n = (uint64_t)e->n;
-    int stack[LAW_STACK], sp = 0;
-    p->arity = code[0];
-    p->len = 0;
-    if (p->arity < 1 || p->arity > 4)
+    PyObject *fast = PySequence_Fast(program, "a program must be a sequence");
+    if (!fast)
+        return -1;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
+    int ok = len % 2 == 1 && len <= 2 * LAW_CODE + 1;
+    for (Py_ssize_t i = 0; ok && i < len; i++) {
+        int overflow;
+        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(fast, i), &overflow);
+        ok = !(v == -1 && PyErr_Occurred());
+        c->code[i] = overflow || v < INT_MIN || v > INT_MAX ? -1 : (int)v;
+    }
+    Py_DECREF(fast);
+    c->len = (int)len;
+    if (ok && (c->code[0] < 1 || c->code[0] > 4))
         return value_error("law arity must lie in 1..4");
-    for (int pc = 1; pc < len; pc += 2) {
-        int op = code[pc], arg = code[pc + 1];
+    return ok ? 0 : PyErr_Occurred() ? -1
+           : value_error("a program is (arity, opcode, operand, ...) with at most 64 instructions");
+}
+
+/* Add a program to the batch after checking it: opcodes, operands and
+ * stack depth, and that every value used as an index stays below what it
+ * indexes, by the bounds of the tables, constants and variables it comes
+ * from. */
+static int law_check(const struct law_env *e, const struct law_code *c, struct law_batch *b)
+{
+    struct law_reg *reg = b->reg;
+    uint64_t n = (uint64_t)e->n;
+    int stack[LAW_STACK], sp = 0;
+    for (int pc = 1; pc < c->len; pc += 2) {
+        int op = c->code[pc], arg = c->code[pc + 1];
         if (op < 0 || op >= L_OPS)
             return value_error("unknown law opcode");
-        if ((op == L_VAR && (arg < 0 || arg >= p->arity))
+        if ((op == L_VAR && (arg < 0 || arg >= b->arity))
             || (op == L_CONST && (arg < 0 || arg >= e->nconsts))
             || (op == L_TABLE && (arg < 0 || arg >= e->ntables || !e->width[arg])))
             return value_error("law program operand out of range");
@@ -512,26 +545,24 @@ static int law_check(const struct law_env *e, const int *code, int len, struct l
             return value_error("law program stack underflow");
         sp -= pops;
         int x = pops ? stack[sp] : 0, y = pops ? stack[sp + pops - 1] : 0, r = 0;
-        uint64_t bx = pops ? bound[x] : 0, by = pops ? bound[y] : 0;
+        uint64_t bx = pops ? reg[x].bound : 0, by = pops ? reg[y].bound : 0;
         uint64_t limit = op == L_TABLE ? e->width[arg] : n;
         int indexes = op == L_TABLE || op == L_LEQ || op == L_UP || op == L_DOWN;
         if (indexes && (bx >= limit || by >= limit))
             return value_error("law program indexes with a value that may be out of range");
-        while (r < p->len && !(p->op[r] == op && p->arg[r] == arg && p->x[r] == x && p->y[r] == y))
+        while (r < b->len && !(reg[r].op == op && reg[r].arg == arg && reg[r].x == x && reg[r].y == y))
             r++;
-        if (r == p->len) {
-            p->op[r] = op;
-            p->arg[r] = arg;
-            p->x[r] = x;
-            p->y[r] = y;
-            bound[r] = op <= L_CONST ? n - 1
-                       : op == L_TABLE ? e->bound[arg]
-                       : op <= L_DOWN ? UINT64_MAX
-                       : op == L_AND ? (bx < by ? bx : by) : 1;
-            p->depth[r] = op == L_VAR ? arg
-                          : op == L_CONST ? -1
-                          : p->depth[x] > p->depth[y] ? p->depth[x] : p->depth[y];
-            p->len++;
+        if (r == b->len) {
+            reg[r] = (struct law_reg){
+                op, arg, x, y,
+                op == L_VAR ? arg
+                : op == L_CONST ? -1
+                : reg[x].depth > reg[y].depth ? reg[x].depth : reg[y].depth,
+                op <= L_CONST ? n - 1
+                : op == L_TABLE ? e->bound[arg]
+                : op <= L_DOWN ? UINT64_MAX
+                : op == L_AND ? (bx < by ? bx : by) : 1};
+            b->len++;
         }
         if (sp == LAW_STACK)
             return value_error("law program stack overflow");
@@ -539,37 +570,44 @@ static int law_check(const struct law_env *e, const int *code, int len, struct l
     }
     if (sp != 1)
         return value_error("a law program must leave one value");
-    p->result = stack[0];
+    b->result[b->count++] = stack[0];
     return 0;
 }
 
-/* Run a checked program over every tuple in topological order.  The
- * innermost variables whose tuples fit in 64 row positions (one, unless n
- * is at most 8) are the row variables: a result that depends on one of
- * them is a row over all their tuples, in order; any other is a single
- * value, recomputed only when a variable it depends on moves.  Returns 1
- * with the least failing tuple in out, or 0 when none fails. */
-static int law_run(const struct law_env *e, const struct law_prog *p, int *out)
+/* Run a checked batch over every tuple in topological order, in one loop
+ * nest.  The innermost variables whose tuples fit in 64 row positions
+ * (one, unless n is at most 8) are the row variables: a result that
+ * depends on one of them is a row over all their tuples, in order; any
+ * other is a single value, recomputed only when a variable it depends on
+ * moves.  Each program that has not failed yet is tested, and the scan
+ * stops once all have failed.  val holds 64 words per register; witness[k]
+ * receives program k's least failing tuple, and its first word stays
+ * UINT64_MAX when the program passes. */
+static void law_run(const struct law_env *e, const struct law_batch *b, uint64_t (*val)[64],
+                    uint64_t (*witness)[4])
 {
-    uint64_t val[LAW_CODE][64];
-    int n = e->n, first = p->arity - 1, count = n, rank[4] = {0}, moved = -1, rowrank[4][64];
+    int n = e->n, first = b->arity - 1, count = n, rank[4] = {0}, moved = -1, rowrank[4][64];
+    int left = b->count;
     while (first > 0 && count * n <= 64) {
         first--;
         count *= n;
     }
     /* rowrank[i][j]: the rank of row variable i at row position j */
-    for (int i = p->arity - 1, stride = 1; i >= first; stride *= n, i--)
+    for (int i = b->arity - 1, stride = 1; i >= first; stride *= n, i--)
         for (int j = 0; j < count; j++)
             rowrank[i][j] = j / stride % n;
+    for (int k = 0; k < b->count; k++)
+        witness[k][0] = UINT64_MAX;
     for (;;) {
-        for (int i = 0; i < p->len; i++) {
-            int op = p->op[i], arg = p->arg[i], d = p->depth[i];
+        for (int i = 0; i < b->len; i++) {
+            const struct law_reg *r = b->reg + i;
+            int op = r->op, arg = r->arg, d = r->depth;
             if (d < moved)
                 continue;
             int len = d >= first ? count : 1;
             /* a single value is read at index 0 of every row position */
-            int mx = p->depth[p->x[i]] >= first ? -1 : 0, my = p->depth[p->y[i]] >= first ? -1 : 0;
-            const uint64_t *restrict x = val[p->x[i]], *restrict y = val[p->y[i]];
+            int mx = b->reg[r->x].depth >= first ? -1 : 0, my = b->reg[r->y].depth >= first ? -1 : 0;
+            const uint64_t *restrict x = val[r->x], *restrict y = val[r->y];
             uint64_t *restrict v = val[i];
 /* v[j] = expr over the operands a and b of row position j */
 #define LAW_ROW(expr)                                         \
@@ -610,63 +648,29 @@ static int law_run(const struct law_env *e, const struct law_prog *p, int *out)
             }
 #undef LAW_ROW
         }
-        const uint64_t *test = val[p->result];
-        for (int j = 0; j < (p->depth[p->result] >= first ? count : 1); j++)
-            if (!test[j]) {
-                for (int i = 0; i < p->arity; i++)
-                    out[i] = e->topo[i >= first ? rowrank[i][j] : rank[i]];
-                return 1;
-            }
+        for (int k = 0; k < b->count; k++) {
+            uint64_t *w = witness[k];
+            int r = b->result[k], len = b->reg[r].depth >= first ? count : 1;
+            for (int j = 0; w[0] == UINT64_MAX && j < len; j++)
+                if (!val[r][j]) {
+                    for (int i = 0; i < b->arity; i++)
+                        w[i] = (uint64_t)e->topo[i >= first ? rowrank[i][j] : rank[i]];
+                    left--;
+                }
+        }
         moved = first - 1;
         while (moved >= 0 && ++rank[moved] == n)
             rank[moved--] = 0;
-        if (moved < 0)
-            return 0;
+        if (!left || moved < 0)
+            return;
     }
-}
-
-/* The least failing tuple of one program, or None; NULL with an exception
- * when the program is malformed. */
-static PyObject *law_one(const struct law_env *e, PyObject *program)
-{
-    int code[2 * LAW_CODE + 1], witness[4];
-    struct law_prog p;
-    PyObject *fast = PySequence_Fast(program, "a program must be a sequence");
-    if (!fast)
-        return NULL;
-    Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
-    int ok = len % 2 == 1 && len <= 2 * LAW_CODE + 1;
-    for (Py_ssize_t i = 0; ok && i < len; i++) {
-        int overflow;
-        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(fast, i), &overflow);
-        ok = !(v == -1 && PyErr_Occurred());
-        code[i] = overflow || v < INT_MIN || v > INT_MAX ? -1 : (int)v;
-    }
-    Py_DECREF(fast);
-    if (!ok) {
-        if (!PyErr_Occurred())
-            value_error("a program is (arity, opcode, operand, ...) with at most 64 instructions");
-        return NULL;
-    }
-    if (law_check(e, code, (int)len, &p))
-        return NULL;
-    if (!law_run(e, &p, witness))
-        Py_RETURN_NONE;
-    PyObject *out = PyTuple_New(p.arity);
-    for (int i = 0; out && i < p.arity; i++) {
-        PyObject *x = PyLong_FromLong(witness[i]);
-        if (!x)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, i, x);
-    }
-    return out;
 }
 
 static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct law_env e;
-    uint64_t *buf = NULL;
+    struct law_batch b = {0, 0, 0, NULL, NULL};
+    uint64_t *buf = NULL, (*val)[64] = NULL, (*witness)[4] = NULL;
     if (read_n("law_scan", args, nargs, 7, 64, &e.n) || read_topo(args[1], e.n, e.topo)
         || read_masks(args[2], e.n, e.up) || read_masks(args[3], e.n, e.down)
         || law_consts(args[5], &e))
@@ -674,18 +678,43 @@ static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t narg
     PyObject *result = NULL, *fast = NULL;
     if (!law_tables(args[4], &e, &buf))
         fast = PySequence_Fast(args[6], "programs must be a sequence");
-    if (fast) {
-        Py_ssize_t count = PySequence_Fast_GET_SIZE(fast);
+    Py_ssize_t count = fast ? PySequence_Fast_GET_SIZE(fast) : 0, size = 1;
+    struct law_code *codes = PyMem_Malloc((count + 1) * sizeof *codes);
+    int ok = fast && codes;
+    for (Py_ssize_t p = 0; ok && p < count; p++)
+        if ((ok = !law_read(PySequence_Fast_GET_ITEM(fast, p), codes + p)))
+            size += codes[p].len;
+    /* one block holds a batch, whose registers and programs the programs'
+     * lengths bound: the values and witnesses, the registers and results */
+    if (ok && (val = PyMem_Malloc(size * (68 * sizeof(uint64_t) + sizeof *b.reg + sizeof(int))))) {
+        witness = (uint64_t (*)[4])(val + size);
+        b.reg = (struct law_reg *)(witness + size);
+        b.result = (int *)(b.reg + size);
         result = PyList_New(count);
-        for (Py_ssize_t p = 0; result && p < count; p++) {
-            PyObject *item = law_one(&e, PySequence_Fast_GET_ITEM(fast, p));
-            if (!item)
-                Py_CLEAR(result);
-            else
-                PyList_SET_ITEM(result, p, item);
-        }
-        Py_DECREF(fast);
     }
+    /* the programs of each arity run as one batch */
+    for (b.arity = 1; result && b.arity <= 4; b.arity++) {
+        b.len = b.count = 0;
+        for (Py_ssize_t p = 0; ok && p < count; p++)
+            ok = codes[p].code[0] != b.arity || !law_check(&e, codes + p, &b);
+        if (ok && b.count)
+            law_run(&e, &b, val, witness);
+        for (Py_ssize_t p = 0, k = 0; ok && p < count; p++)
+            if (codes[p].code[0] == b.arity) {
+                const uint64_t *w = witness[k++];
+                PyObject *item = w[0] == UINT64_MAX ? Py_NewRef(Py_None) : mask_tuple(w, b.arity);
+                if ((ok = item != NULL))
+                    PyList_SET_ITEM(result, p, item);
+            }
+        if (!ok)
+            Py_CLEAR(result);
+    }
+    /* only a failed allocation fails without an exception */
+    if (fast && !result && !PyErr_Occurred())
+        PyErr_NoMemory();
+    Py_XDECREF(fast);
+    PyMem_Free(val);
+    PyMem_Free(codes);
     PyMem_Free(buf);
     return result;
 }
@@ -1212,12 +1241,12 @@ static PyMethodDef methods[] = {
            "(join, meet) tables as tuples of row tuples, or (kind, a, b, frontier)\n"
            "at the first pair in topo order without a lub or glb; see the pure twin."),
     KERNEL(poset_star_table, "poset_star_table(n, up, down)\n--\n\n"
-           "Sectional pseudocomplement table of a poset as a tuple of row tuples;\n"
-           "None marks an undefined cell."),
+           "(rows, total): the sectional pseudocomplement table of a poset as a tuple\n"
+           "of row tuples, None marking an undefined cell, and whether there is none."),
     KERNEL(poset_relative_table, "poset_relative_table(n, up, down)\n--\n\n"
-           "Relative pseudocomplement table of a poset as a tuple of row tuples:\n"
-           "cell (a, b) is the greatest x with down(a) & down(x) inside down(b),\n"
-           "None where there is none."),
+           "(rows, total): the relative pseudocomplement table of a poset as a tuple\n"
+           "of row tuples, cell (a, b) the greatest x with down(a) & down(x) inside\n"
+           "down(b), None where there is none, and whether no cell is None."),
     KERNEL(operator_tables, "operator_tables(n, up, down)\n--\n\n"
            "(us, uid, low, lu): the distinct sets U(x, y) = up[x] & up[y] in first-seen\n"
            "row-major order, the rows of each pair's number among them, the lower set\n"
@@ -1230,8 +1259,8 @@ static PyMethodDef methods[] = {
            "True when (x v y) * (x -> y) = y for every pair."),
     KERNEL(law_scan, "law_scan(n, topo, up, down, tables, consts, programs)\n--\n\n"
            "The least failing tuple of each program, or None, in topo order.\n\n"
-           "Same contract as the pure twin; each op runs over the innermost\n"
-           "variable's whole row."),
+           "Same contract as the pure twin; the programs of each arity run as one\n"
+           "loop nest, and each op over the innermost variable's whole row."),
     KERNEL(congruence_scan, "congruence_scan(n, tables, one)\n--\n\n"
            "(labels, permutable, distributive, regular): the labels of every principal\n"
            "congruence and the first witness of each criterion, or None; see the pure twin."),

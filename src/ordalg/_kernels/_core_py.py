@@ -119,8 +119,9 @@ def _common_bounds(full, cone, mask):
 
 
 def poset_star_table(n, up, down):
-    """Sectional pseudocomplement table for a poset; None marks undefined cells.
+    """(rows, total): the sectional pseudocomplement table of a poset.
 
+    None marks an undefined cell, and total says that there is none.
     Each cell is ``star_cell``.  L(U(a, b)) is computed once per distinct
     U(a, b), and it is symmetric, so row b of ``lu`` is column b; a cell
     depends on a only through L(U(a, b)), so each column computes one cell
@@ -128,11 +129,12 @@ def poset_star_table(n, up, down):
     """
     full = (1 << n) - 1
     lu = operator_tables(n, up, down)[3]
-    cols = []
+    cols, total = [], True
     for b, lu_b in enumerate(lu):
         cells = {v: star_cell(full, up, down, v, lu_b, b) for v in set(lu_b)}
         cols.append([cells[v] for v in lu_b])
-    return tuple(zip(*cols))
+        total = total and None not in cells.values()
+    return tuple(zip(*cols)), total
 
 
 def operator_tables(n, up, down):
@@ -166,11 +168,12 @@ def relative_cell(full, up, by_down, down_a, down_b):
 
 
 def poset_relative_table(n, up, down):
-    """Relative pseudocomplement table for a poset; None marks undefined cells."""
+    """(rows, total) as ``poset_star_table``, for the relative pseudocomplement."""
     full = (1 << n) - 1
     by_down = {d: x for x, d in enumerate(down)}
-    return tuple([tuple([relative_cell(full, up, by_down, da, db) for db in down])
+    rows = tuple([tuple([relative_cell(full, up, by_down, da, db) for db in down])
                   for da in down])
+    return rows, all(None not in row for row in rows)
 
 
 def rrl_scan(n, up, top, join, mult, imp):
@@ -178,6 +181,8 @@ def rrl_scan(n, up, top, join, mult, imp):
 
     bit 0: commutative groupoid with unit, bit 1: monotone multiplication,
     bit 2: adjointness forward, bit 3: adjointness backward.
+
+    No library caller: ``perfbench/twins.py`` still calls it by name.
     """
     bits = 0
     for a in range(n):

@@ -38,14 +38,15 @@ class BinOp:
         return cls(len(rows), rows)
 
     @classmethod
-    def _trusted(cls, rows):
+    def _trusted(cls, rows, total):
         """BinOp over rows whose builder guarantees their form, taken unchecked.
 
         ``rows`` is a tuple of n row tuples whose cells are indices in
-        range(n) or None, as the table kernels return them.
+        range(n) or None, and ``total`` says that no cell is None, as the
+        table kernels return them.
         """
         op = object.__new__(cls)
-        vars(op).update(n=len(rows), table=rows, is_total=None not in set().union(*rows))
+        vars(op).update(n=len(rows), table=rows, is_total=total)
         return op
 
     def value(self, a, b):

@@ -195,26 +195,16 @@ def _scan(algebra):
 def all_congruences(algebra, budget=CONGRUENCE_BUDGET):
     """Every congruence, ordered by block count then labels.
 
-    The principal congruences are closed under joins with a principal
-    congruence; the diagonal is added, and the total congruence is the
-    join of every principal one.  Raises ``BudgetError`` once more than
-    ``budget`` congruences are found.
+    Every congruence is a join of principal ones, so one pass over the
+    distinct principals, each joined with everything found before it,
+    lists them all, starting from the diagonal.  Raises ``BudgetError``
+    once more than ``budget`` congruences are found.
     """
     found = {Congruence.diagonal(algebra.n)}
-    principals = list(dict.fromkeys(map(Congruence, _scan(algebra)[0])))
-    found.update(principals)
-    frontier = principals
-    while frontier:
-        nxt = []
-        for c in frontier:
-            if len(found) > budget:
-                raise BudgetError(f"more than {budget} congruences exceed the budget")
-            for p in principals:
-                j = c.join(p)
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-        frontier = nxt
+    for p in dict.fromkeys(map(Congruence, _scan(algebra)[0])):
+        found |= {c.join(p) for c in found}
+        if len(found) > budget:
+            raise BudgetError(f"more than {budget} congruences exceed the budget")
     return sorted(found, key=lambda c: (c.num_blocks, c.labels))
 
 

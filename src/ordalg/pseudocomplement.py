@@ -61,12 +61,12 @@ def relative_pc_poset(p, a, b):
 
 def star_table_poset(p):
     """Full sectional pseudocomplement table of a poset (kernel-backed)."""
-    return BinOp._trusted(kernels.poset_star_table(p.n, p.up, p.down))
+    return BinOp._trusted(*kernels.poset_star_table(p.n, p.up, p.down))
 
 
 def relative_table_poset(p):
     """Full relative pseudocomplement table of a poset (kernel-backed)."""
-    return BinOp._trusted(kernels.poset_relative_table(p.n, p.up, p.down))
+    return BinOp._trusted(*kernels.poset_relative_table(p.n, p.up, p.down))
 
 
 def _lattice_star_table(lat):

@@ -8,7 +8,6 @@ axiom report so nothing downstream runs on an unverified structure.
 
 from dataclasses import dataclass, field
 
-from . import _kernels as kernels
 from . import laws
 from .binop import BinOp
 from .errors import NotVerifiedError, PreconditionError
@@ -69,21 +68,13 @@ def _groupoid_verdict(commutative, unit):
 def check_residuation(cand):
     """Exhaustive check of the residuation axioms; every failure has a witness.
 
-    A flag scan runs first; when it flags a failure, the law engine finds
-    each axiom's least failing tuple in the fixed topological order.
+    One law scan finds each axiom's least failing tuple in the fixed
+    topological order.
     """
-    lat = cand.lattice
-    p = lat.poset
-    bits = kernels.rrl_scan(
-        p.n, p.up, lat.top, lat.flat_join(), cand.mult.flat(), cand.imp.flat()
-    )
-    group = mono = fwd = bwd = Verdict(True)
-    if bits:
-        comm, unit, mono, fwd, bwd = _axiom_scan(lat, cand.mult, cand.imp, (
-            laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD,
-            laws.ADJOINT_BACKWARD))
-        group = _groupoid_verdict(comm, unit)
-        mono, fwd, bwd = map(Verdict.of, (mono, fwd, bwd))
+    comm, unit, mono, fwd, bwd = _axiom_scan(cand.lattice, cand.mult, cand.imp, (
+        laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD))
+    group = _groupoid_verdict(comm, unit)
+    mono, fwd, bwd = map(Verdict.of, (mono, fwd, bwd))
     return AxiomReport(
         subject=cand,
         verdicts=(
@@ -109,7 +100,7 @@ def check_divisibility(cand):
 
 def from_sectional(lat, star):
     """Candidate with meet as multiplication and a star table as implication."""
-    return ResiduationCandidate(lat, BinOp._trusted(lat.meet), star)
+    return ResiduationCandidate(lat, BinOp._trusted(lat.meet, True), star)
 
 
 def _require_verified(report, subject):

@@ -5,7 +5,9 @@ restricted growth strings, posets as transitive upper-triangular
 relations, a poset's checks with the one-step transitivity rule,
 isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
-principal congruences by re-sweeping every related pair, congruence
+principal congruences by re-sweeping every related pair, the
+congruence lattice by closing under joins with principal congruences
+round by round, congruence
 distributivity triple by triple, permutability by composing relations
 as sets of pairs, weak regularity by comparing blocks of one, the
 permutability term's replay over every pair of listed congruences, the
@@ -22,6 +24,7 @@ from itertools import permutations
 
 from ordalg import (
     BinOp,
+    BudgetError,
     CanonicalProduct,
     Congruence,
     CycleDetectedError,
@@ -130,6 +133,30 @@ def congruences_by_all_pairs(algebra):
         for c in frontier:
             for d in list(found):
                 j = c.join(d)
+                if j not in found:
+                    found.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return sorted(found, key=lambda c: (c.num_blocks, c.labels))
+
+
+def congruences_by_frontier(algebra, budget):
+    """Swept principal congruences closed under joins with a principal one,
+    round by round, in library order; ``BudgetError`` once more than
+    ``budget`` are found before a congruence's joins."""
+    n = algebra.n
+    found = {Congruence.diagonal(n)}
+    principals = list(dict.fromkeys(principal_congruence_sweep(algebra, a, b)
+                                    for a in range(n) for b in range(a + 1, n)))
+    found.update(principals)
+    frontier = principals
+    while frontier:
+        nxt = []
+        for c in frontier:
+            if len(found) > budget:
+                raise BudgetError(f"more than {budget} congruences exceed the budget")
+            for p in principals:
+                j = c.join(p)
                 if j not in found:
                     found.add(j)
                     nxt.append(j)

@@ -97,6 +97,8 @@ def test_tables_identical_on_catalog():
         for twin in (c, py):
             lattice = twin.lattice_tables(*lattice_args)
             star, rel = twin.poset_star_table(*args), twin.poset_relative_table(*args)
+            for table, total in (star, rel):
+                assert type(total) is bool and total == all(None not in row for row in table)
             assert type(lattice) is tuple and len(lattice) in (2, 4)
             if len(lattice) == 4:
                 kind, a, b, frontier = lattice
@@ -106,7 +108,7 @@ def test_tables_identical_on_catalog():
                 failures.add((kind, frontier == 0))
                 lattice = ()
             # a tuple never equals a list, so == below also compares the types
-            for table in (star, rel) + lattice:
+            for table in (star[0], rel[0]) + lattice:
                 assert type(table) is tuple and len(table) == p.n
                 for row in table:
                     assert type(row) is tuple and len(row) == p.n
@@ -360,6 +362,79 @@ def test_law_scan_identical_on_random_programs():
             assert got[0] == got[1], program
             outcomes.add("error" if got[0] is ValueError else got[0][0] is None)
     assert outcomes == {"error", True, False}
+
+
+def shared_registers(programs):
+    """The registers a batch of one arity needs when equal subterms share one."""
+    regs = {}
+    for program in programs:
+        stack = []
+        for op, arg in zip(program[1::2], program[2::2]):
+            pops = 0 if op <= 1 else 1 if kernels.LAW_OPS[op] in ("up", "down") else 2
+            operands = tuple(stack[len(stack) - pops:])
+            del stack[len(stack) - pops:]
+            stack.append(regs.setdefault((op, arg) + operands, len(regs)))
+    return len(regs)
+
+
+def test_law_scan_batches_agree_with_single_calls():
+    """Batches of 2..12 programs mixing arities 1..4: both twins agree, each
+    witness is the program's witness when scanned alone, and one malformed
+    program in mid-batch makes both raise."""
+    c = c_backend()
+    rng = random.Random(16)
+    library = library_programs()
+    arities, witnesses = set(), set()
+    inputs = [args for args in law_inputs() if args[0] <= 8]
+    for n, topo, up, down, tables, consts in inputs[::2]:
+
+        def scan(twin, programs):
+            try:
+                return twin.law_scan(n, topo, up, down, tables, consts, programs)
+            except ValueError:
+                return ValueError
+
+        alone = {program: scan(py, [program])[0] for program in library}
+        malformed = []
+        while len(alone) < len(library) + 20 or not malformed:
+            arity = rng.randrange(1, 5)
+            program = (arity, *random_term(rng, arity, 3))
+            got = scan(py, [program])
+            assert scan(c, [program]) == got, program
+            if got is ValueError:
+                malformed.append(program)
+            else:
+                alone[program] = got[0]
+        pool = list(alone)
+        for _ in range(8):
+            batch = rng.choices(pool, k=rng.randrange(2, 13))
+            want = [alone[program] for program in batch]
+            assert scan(c, batch) == scan(py, batch) == want, batch
+            arities.update(program[0] for program in batch)
+            witnesses.update(w is None for w in want)
+            batch.insert(rng.randrange(1, len(batch)), rng.choice(malformed))
+            assert scan(c, batch) is scan(py, batch) is ValueError, batch
+    assert arities == {1, 2, 3, 4} and witnesses == {True, False}
+
+    # the residuation axioms, law ix, the derived laws and the basis in one
+    # call on bool3 with its passing residuation, and random terms until
+    # the arity-3 group shares more than 64 registers
+    n, topo, up, down, tables, consts = inputs[4]
+    assert n == 8
+    named = [laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD,
+             laws.ADJOINT_BACKWARD, *laws.LAW_IX] + [law for _, law in laws.DERIVED + laws.BASIS]
+    batch = [law.program for law in named]
+    while shared_registers([program for program in batch if program[0] == 3]) <= 64:
+        program = (3, *random_term(rng, 3, 3))
+        try:
+            py.law_scan(n, topo, up, down, tables, consts, [program])
+        except ValueError:
+            continue
+        batch.append(program)
+    want = [py.law_scan(n, topo, up, down, tables, consts, [program])[0] for program in batch]
+    assert want[:5] == [None] * 5
+    for twin in (c, py):
+        assert twin.law_scan(n, topo, up, down, tables, consts, batch) == want
 
 
 def test_kernels_reject_inputs_their_buffers_cannot_hold():

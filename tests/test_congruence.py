@@ -31,6 +31,7 @@ from oracles import (
     all_partitions,
     congruence_oracle,
     congruences_by_all_pairs,
+    congruences_by_frontier,
     distributive_by_triples,
     join_by_closure,
     lattice_algebra,
@@ -374,15 +375,20 @@ def test_weak_regularity_needs_the_constant():
 
 def test_oracle_agreement_all_small_lattices():
     for alg in small_lattice_algebras(6):
-        assert all_congruences(alg) == congruence_oracle(alg)
+        assert all_congruences(alg) == congruence_oracle(alg) == congruences_by_frontier(alg, 64)
 
 
 def test_budget_counts_congruences():
-    # chain8 has 2^7 congruences: a budget of 128 lists them, 127 stops
-    alg = lattice_algebra(fixture("chain8").poset)
-    assert len(all_congruences(alg, budget=128)) == 128
-    with pytest.raises(BudgetError, match="more than 127 congruences"):
-        all_congruences(alg, budget=127)
+    # chain8 has 2^7 congruences and bool3 2^3: a budget of |Con| lists
+    # them and |Con| - 1 stops, in the one pass over the principals as in
+    # the round-by-round frontier loop it replaced
+    for name, size in (("chain8", 128), ("bool3", 8)):
+        alg = lattice_algebra(fixture(name).poset)
+        for listing in (all_congruences, congruences_by_frontier):
+            congs = listing(alg, budget=size)
+            assert len(congs) == size and congs == congruence_oracle(alg)
+            with pytest.raises(BudgetError, match=f"more than {size - 1} congruences"):
+                listing(alg, budget=size - 1)
 
 
 def test_carrier_budget():
