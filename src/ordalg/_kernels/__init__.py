@@ -84,23 +84,23 @@ def _pick(n):
 
 
 def closure(n, up):
-    return _pick(n).closure(n, list(up))
+    return _pick(n).closure(n, up)
 
 
 def lattice_tables(n, topo, up, down):
-    return _pick(n).lattice_tables(n, topo, list(up), list(down))
+    return _pick(n).lattice_tables(n, topo, up, down)
 
 
 def poset_star_table(n, up, down):
-    return _pick(n).poset_star_table(n, list(up), list(down))
+    return _pick(n).poset_star_table(n, up, down)
 
 
 def poset_relative_table(n, up, down):
-    return _pick(n).poset_relative_table(n, list(up), list(down))
+    return _pick(n).poset_relative_table(n, up, down)
 
 
 def operator_tables(n, up, down):
-    return _pick(n).operator_tables(n, list(up), list(down))
+    return _pick(n).operator_tables(n, up, down)
 
 
 def law_scan(n, topo, up, down, tables, consts, programs):

@@ -258,20 +258,25 @@ def principal(n, tables, a, b):
     """Labels of the least congruence relating a and b.
 
     A union-find worklist of pairs (Freese, "Computing congruences
-    efficiently", Algebra Universalis 59, 2008): a pair that merges two
-    blocks pushes its translates (t[x][z], t[y][z]) and (t[z][x], t[z][y])
-    through every table, both sides because operations need not commute.
+    efficiently", Algebra Universalis 59, 2008): each pair that merges two
+    blocks is pushed once, and popping it merges its translates
+    (t[x][z], t[y][z]) and (t[z][x], t[z][y]) through every table, the
+    second from the table's transpose, both sides because operations need
+    not commute.  At most n - 1 merges, so at most n pairs are pushed.
     """
     label = list(range(n))
     members = [[i] for i in range(n)]
+    if a != b:
+        merge(label, members, a, b)
     work = [(a, b)]
+    sides = [side for t in tables for side in (t, tuple(zip(*t)))]
     while work:
         x, y = work.pop()
-        if label[x] != label[y]:
-            merge(label, members, x, y)
-            for t in tables:
-                work.extend(zip(t[x], t[y]))
-                work.extend((row[x], row[y]) for row in t)
+        for side in sides:
+            for p, q in zip(side[x], side[y]):
+                if label[p] != label[q]:
+                    merge(label, members, p, q)
+                    work.append((p, q))
     return tuple(label)
 
 

@@ -21,7 +21,7 @@ class Poset:
     """Immutable finite poset: element names plus closed up-masks."""
 
     __slots__ = (
-        "names", "up", "down", "n", "full", "topo", "rank", "top", "bottom", "_index", "_covers",
+        "names", "up", "down", "n", "full", "topo", "top", "bottom", "_index", "_covers",
     )
 
     def __init__(self, names, up, *, _closed=False):
@@ -57,10 +57,6 @@ class Poset:
         self.n = n
         self.full = full
         self.topo = tuple(sorted(range(n), key=lambda i: (down[i].bit_count(), i)))
-        rank = [0] * n
-        for r, i in enumerate(self.topo):
-            rank[i] = r
-        self.rank = tuple(rank)
         self._index = {name: i for i, name in enumerate(names)}
         self.top = next((i for i in range(n) if down[i] == full), None)
         self.bottom = next((i for i in range(n) if up[i] == full), None)

@@ -6,7 +6,7 @@ the consequence suite and the identity-basis check are gated on a passing
 axiom report so nothing downstream runs on an unverified structure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import laws
 from .binop import BinOp
@@ -65,25 +65,31 @@ def _groupoid_verdict(commutative, unit):
     return Verdict.of(unit, "unit")
 
 
+_AXIOMS = (laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD,
+           laws.ADJOINT_BACKWARD)
+
+
+def _residuation_report(cand, found):
+    # the report of the least failing tuples of _AXIOMS, in its order
+    comm, unit, mono, fwd, bwd = found
+    return AxiomReport(
+        subject=cand,
+        verdicts=(
+            ("commutative-groupoid-with-unit", _groupoid_verdict(comm, unit)),
+            ("mult-monotone", Verdict.of(mono)),
+            ("adjointness-forward", Verdict.of(fwd)),
+            ("adjointness-backward", Verdict.of(bwd)),
+        ),
+    )
+
+
 def check_residuation(cand):
     """Exhaustive check of the residuation axioms; every failure has a witness.
 
     One law scan finds each axiom's least failing tuple in the fixed
     topological order.
     """
-    comm, unit, mono, fwd, bwd = _axiom_scan(cand.lattice, cand.mult, cand.imp, (
-        laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD))
-    group = _groupoid_verdict(comm, unit)
-    mono, fwd, bwd = map(Verdict.of, (mono, fwd, bwd))
-    return AxiomReport(
-        subject=cand,
-        verdicts=(
-            ("commutative-groupoid-with-unit", group),
-            ("mult-monotone", mono),
-            ("adjointness-forward", fwd),
-            ("adjointness-backward", bwd),
-        ),
-    )
+    return _residuation_report(cand, _axiom_scan(cand.lattice, cand.mult, cand.imp, _AXIOMS))
 
 
 def check_divisibility(cand):
@@ -164,19 +170,15 @@ class IdentityBasisReport:
 def identity_basis_check(cand):
     """Check the four-identity basis; when it holds, cross-check the axioms.
 
-    If every condition and the groupoid laws hold, the candidate must pass
-    check_residuation outright, and the resulting report is attached.
+    One law scan runs the basis and the residuation axioms together.  If
+    every condition and the groupoid laws hold, the candidate must pass
+    the axioms outright, and their report, as ``check_residuation`` gives
+    it, is attached.
     """
     found = _axiom_scan(cand.lattice, cand.mult, cand.imp,
-                        [law for _, law in laws.BASIS] + [laws.COMMUTATIVE, laws.UNIT])
+                        [law for _, law in laws.BASIS] + list(_AXIOMS))
     conds = tuple((name, Verdict.of(w, name)) for (name, _), w in zip(laws.BASIS, found))
-    group = _groupoid_verdict(*found[-2:])
-    report = IdentityBasisReport(subject=cand, conditions=conds, groupoid=group)
-    if report.all_conditions_hold:
-        report = IdentityBasisReport(
-            subject=cand,
-            conditions=conds,
-            groupoid=group,
-            residuation=check_residuation(cand),
-        )
-    return report
+    axioms = _residuation_report(cand, found[len(laws.BASIS):])
+    report = IdentityBasisReport(subject=cand, conditions=conds,
+                                 groupoid=axioms.verdict("commutative-groupoid-with-unit"))
+    return replace(report, residuation=axioms) if report.all_conditions_hold else report

@@ -7,7 +7,8 @@ isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, the
 congruence lattice by closing under joins with principal congruences
-round by round, congruence
+round by round, and for a product of lattices factor by factor, the
+join-irreducible congruences by their lower covers, congruence
 distributivity triple by triple, permutability by composing relations
 as sets of pairs, weak regularity by comparing blocks of one, the
 permutability term's replay over every pair of listed congruences, the
@@ -162,6 +163,37 @@ def congruences_by_frontier(algebra, budget):
                     nxt.append(j)
         frontier = nxt
     return sorted(found, key=lambda c: (c.num_blocks, c.labels))
+
+
+def product_congruences(left, right):
+    """Congruences of a product of lattices from those of its factors.
+
+    Lattices are congruence distributive, so every congruence of L x M
+    relates pairs componentwise by one congruence of L and one of M
+    (Fraser and Horn, 1970).  Pairs are numbered row-major, as by
+    ``direct_product``.
+    """
+    return [Congruence(tuple(t * phi.n + u for t in theta.labels for u in phi.labels))
+            for theta in left for phi in right]
+
+
+def join_irreducibles(congs):
+    """The listed congruences with exactly one lower cover in the list.
+
+    In a finite order that holds exactly when the strictly finer listed
+    congruences have a greatest one.  Each congruence is compared as the
+    block masks of its elements side by side, so finer is a submask.
+    """
+    n = congs[0].n
+    masks = [sum(m << n * i for i, m in enumerate(c.block_masks())) for c in congs]
+    out = []
+    for c, mc in zip(congs, masks):
+        below = [m for m in masks if m != mc and m | mc == mc]
+        if below:
+            top = max(below, key=int.bit_count)
+            if all(m | top == top for m in below):
+                out.append(c)
+    return out
 
 
 def distributive_by_triples(congs):
@@ -747,9 +779,9 @@ def operator_adjointness_by_loops(p, prod, resid):
     # the canonical product of U(a,b) and U(c,b) is L(U(a,b)) & L(U(c,b))
     canonical = isinstance(prod, CanonicalProduct)
     fwd = bwd = None
-    for a in p.topo:
+    for ra, a in enumerate(p.topo):
         for b in p.topo:
-            _, uab, lab = cones[b][p.rank[a]]
+            _, uab, lab = cones[b][ra]
             lb = down[b]
             rab = resid.r(a, b)
             for c, ucb, lcb in cones[b]:

@@ -236,6 +236,19 @@ def test_congruences_chain12_lists_within_the_budget(write_fixture, capsys):
     assert out[-3:] == ["permutable: no", "congruence-distributive: yes", "weakly regular: no"]
 
 
+def test_congruences_2x4x8_lists_within_the_budget(write_fixture, tmp_path, capsys):
+    # a 64-element product of chains with 2^11 congruences
+    two, four, eight = (write_fixture(f"chain{k}") for k in (2, 4, 8))
+    right, prod = tmp_path / "4x8.txt", tmp_path / "2x4x8.txt"
+    assert main(["product", str(four), str(eight), "-o", str(right)]) == 0
+    assert main(["product", str(two), str(right), "-o", str(prod)]) == 0
+    capsys.readouterr()
+    assert main(["congruences", str(prod)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "congruences: 2048" and len(out) == 1 + 2048 + 3
+    assert out[-3:] == ["permutable: no", "congruence-distributive: yes", "weakly regular: no"]
+
+
 def test_congruences_scans_once_per_command(write_fixture, monkeypatch, capsys):
     # all_congruences and the three checks share one congruence_scan call;
     # a repeated command finds its equal algebra's scan kept and prints the

@@ -15,6 +15,7 @@ from ordalg import (
     check_congruence_distributive,
     check_permutable,
     check_weakly_regular,
+    direct_product,
     enumerate_structures,
     fixture,
     maltsev_replay,
@@ -34,11 +35,13 @@ from oracles import (
     congruences_by_frontier,
     distributive_by_triples,
     join_by_closure,
+    join_irreducibles,
     lattice_algebra,
     maltsev_by_con_pairs,
     permutable_by_relations,
     poset_from_edges,
     principal_congruence_sweep,
+    product_congruences,
     weakly_regular_by_blocks,
 )
 
@@ -376,6 +379,47 @@ def test_weak_regularity_needs_the_constant():
 def test_oracle_agreement_all_small_lattices():
     for alg in small_lattice_algebras(6):
         assert all_congruences(alg) == congruence_oracle(alg) == congruences_by_frontier(alg, 64)
+
+
+def product_2x4x8():
+    chain = [fixture(f"chain{k}").poset for k in (2, 4, 8)]
+    return direct_product(chain[0], direct_product(chain[1], chain[2]))
+
+
+def counting_joins(monkeypatch):
+    """Patch Congruence.join to record the argument of every call."""
+    join = Congruence.join
+    others = []
+    monkeypatch.setattr(Congruence, "join",
+                        lambda self, other: others.append(other) or join(self, other))
+    return others
+
+
+def test_rounds_are_the_join_irreducibles_of_con(monkeypatch):
+    # a principal that is a join of finer ones is found before its turn
+    # comes and skipped, so the principals joined with are exactly the
+    # join-irreducibles of Con
+    others = counting_joins(monkeypatch)
+    for alg in [*small_lattice_algebras(7), lattice_algebra(product_2x4x8())]:
+        del others[:]
+        congs = all_congruences(alg)
+        assert set(others) == set(join_irreducibles(congs))
+
+
+def test_2x4x8_lists_con_in_one_join_per_congruence(monkeypatch):
+    # Con(2x4x8) is Boolean with 11 atoms, which are its join-irreducibles,
+    # so the rounds make 1 + 2 + ... + 1024 joins; a round for each of the
+    # 405 distinct principals made 350,796
+    others = counting_joins(monkeypatch)
+    congs = all_congruences(lattice_algebra(product_2x4x8()))
+    assert len(others) == 2047
+    monkeypatch.undo()
+    # the frontier oracle takes about a minute on the 64-element product,
+    # so it lists each chain's Con and the product is formed from those
+    two, four, eight = (congruences_by_frontier(lattice_algebra(fixture(f"chain{k}").poset), 128)
+                        for k in (2, 4, 8))
+    want = product_congruences(two, product_congruences(four, eight))
+    assert congs == sorted(want, key=lambda c: (c.num_blocks, c.labels))
 
 
 def test_budget_counts_congruences():
