@@ -6,11 +6,14 @@ operation names: ``*`` for a sectional-pseudocomplement candidate,
 ``join`` and ``meet`` for explicit lattice tables, which ``check``
 compares with the order's own.  Exit codes: 0 clean, 1 a checked
 property fails, 2 a usage error, malformed or undecodable input, or an
-exceeded budget.  ``_COMMANDS`` states each command once: ``main``
-builds the named command's parser from it, ``_build_parser`` all of them.
+exceeded budget.  ``_COMMANDS`` states each command once: name, help,
+handler and argument specs.  ``_build_parser`` builds one parser from
+it, once per process on first use, and ``main`` dispatches each parsed
+command to its handler through ``_COMMANDS``.
 """
 
 import argparse
+import functools
 import sys
 
 from .congruence import (
@@ -41,10 +44,11 @@ def _read(path):
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # number lines as parse does (splitlines); the "." counts the bad byte's line
-        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        # number lines as parse does (splitlines); the "." counts the bad
+        # byte's line.  exc.start indexes exc.object, which has no byte-order mark
+        line = len((exc.object[:exc.start].decode("utf-8") + ".").splitlines())
         raise ParseError(f"file is not UTF-8 ({exc.reason})", line) from None
     return parse(text)
 
@@ -371,35 +375,23 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser, name):
-    _, handler, specs = _COMMANDS[name]
-    for flags, kwargs in specs:
-        parser.add_argument(*flags, **kwargs)
-    parser.set_defaults(handler=handler)
-    return parser
-
-
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ordalg", description="Finite order-algebra workbench.",
         epilog="exit codes: 0 clean, 1 checked property fails, 2 bad input or budget")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=text), name)
+    for name, (text, _, specs) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flags, kwargs in specs:
+            command.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    args = extras = None
-    if argv and argv[0] in _COMMANDS:
-        # the full parser hands argv[1:] to this same subparser, but reports leftovers itself
-        parser = _add_arguments(argparse.ArgumentParser(prog=f"ordalg {argv[0]}"), argv[0])
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if args is None or extras:
-        args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][1](args)
     except (OrdAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -202,8 +202,9 @@ def all_congruences(algebra, budget=CONGRUENCE_BUDGET):
     finest principals first and skips one already found: that one is a
     join of finer principals, so a round is spent only on each
     join-irreducible of Con, and the work is at most ``budget`` joins per
-    join-irreducible.  Raises ``BudgetError`` once more than ``budget``
-    congruences are found.
+    join-irreducible.  Raises ``BudgetError`` exactly when Con has more
+    than ``budget`` members, ending the pass as soon as more are found
+    (a one-element algebra runs no round, and its diagonal still counts).
     """
     found = {Congruence.diagonal(algebra.n)}
     for p in sorted(set(map(Congruence, _scan(algebra)[0])),
@@ -212,7 +213,9 @@ def all_congruences(algebra, budget=CONGRUENCE_BUDGET):
             continue
         found |= {c.join(p) for c in found}
         if len(found) > budget:
-            raise BudgetError(f"more than {budget} congruences exceed the budget")
+            break
+    if len(found) > budget:
+        raise BudgetError(f"more than {budget} congruences exceed the budget")
     return sorted(found, key=lambda c: (c.num_blocks, c.labels))
 
 

@@ -33,7 +33,8 @@ class Poset:
         if n == 0:
             raise ValueError("poset needs at least one element")
         if len(set(names)) != n:
-            raise DuplicateNameError("element names must be distinct")
+            dup = next(x for x in names if names.count(x) > 1)
+            raise DuplicateNameError(f"duplicate element name {dup!r}")
         if len(up) != n:
             raise ValueError("up-mask count does not match element count")
         full = (1 << n) - 1
@@ -122,9 +123,6 @@ def make_poset(names, cover_pairs, max_size=MAX_ELEMENTS):
     names = tuple(names)
     if len(names) > max_size:
         raise SizeBudgetError(f"{len(names)} elements exceed the cap of {max_size}")
-    if len(set(names)) != len(names):
-        dup = next(x for x in names if names.count(x) > 1)
-        raise DuplicateNameError(f"duplicate element name {dup!r}")
     index = {name: i for i, name in enumerate(names)}
     adj = [0] * len(names)
     for lo, hi in cover_pairs:

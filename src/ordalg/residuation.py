@@ -173,7 +173,9 @@ def identity_basis_check(cand):
     One law scan runs the basis and the residuation axioms together.  If
     every condition and the groupoid laws hold, the candidate must pass
     the axioms outright, and their report, as ``check_residuation`` gives
-    it, is attached.
+    it, is attached.  This verifies basis ⇒ axioms only: identity i fails
+    on residuations whose product is not associative, so a failing
+    condition does not mean the axioms fail.
     """
     found = _axiom_scan(cand.lattice, cand.mult, cand.imp,
                         [law for _, law in laws.BASIS] + list(_AXIOMS))

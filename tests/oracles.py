@@ -144,7 +144,7 @@ def congruences_by_all_pairs(algebra):
 def congruences_by_frontier(algebra, budget):
     """Swept principal congruences closed under joins with a principal one,
     round by round, in library order; ``BudgetError`` once more than
-    ``budget`` are found before a congruence's joins."""
+    ``budget`` are found before a congruence's joins, or at the end."""
     n = algebra.n
     found = {Congruence.diagonal(n)}
     principals = list(dict.fromkeys(principal_congruence_sweep(algebra, a, b)
@@ -162,6 +162,9 @@ def congruences_by_frontier(algebra, budget):
                     found.add(j)
                     nxt.append(j)
         frontier = nxt
+    if len(found) > budget:
+        # without a principal congruence (one element) no round checks
+        raise BudgetError(f"more than {budget} congruences exceed the budget")
     return sorted(found, key=lambda c: (c.num_blocks, c.labels))
 
 

@@ -18,6 +18,7 @@ from ordalg import (
     direct_product,
     enumerate_structures,
     fixture,
+    make_poset,
     maltsev_replay,
     principal_congruence,
     star_table_poset,
@@ -425,9 +426,11 @@ def test_2x4x8_lists_con_in_one_join_per_congruence(monkeypatch):
 def test_budget_counts_congruences():
     # chain8 has 2^7 congruences and bool3 2^3: a budget of |Con| lists
     # them and |Con| - 1 stops, in the one pass over the principals as in
-    # the round-by-round frontier loop it replaced
-    for name, size in (("chain8", 128), ("bool3", 8)):
-        alg = lattice_algebra(fixture(name).poset)
+    # the round-by-round frontier loop it replaced.  A one-element algebra
+    # has no principal congruence, so no round runs, yet its diagonal counts
+    for poset, size in ((fixture("chain8").poset, 128), (fixture("bool3").poset, 8),
+                        (make_poset(["a"], []), 1)):
+        alg = lattice_algebra(poset)
         for listing in (all_congruences, congruences_by_frontier):
             congs = listing(alg, budget=size)
             assert len(congs) == size and congs == congruence_oracle(alg)

@@ -54,7 +54,7 @@ def test_make_poset_closes_once(monkeypatch):
 
 
 def test_duplicate_name_rejected():
-    with pytest.raises(DuplicateNameError):
+    with pytest.raises(DuplicateNameError, match="^duplicate element name 'a'$"):
         make_poset(("a", "a"), ())
 
 
