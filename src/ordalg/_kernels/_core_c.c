@@ -1276,8 +1276,8 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_core_c",
-    "Compiled kernels over uint64 masks; contract-identical to the pure twin.", 0, methods,
+    .m_base = PyModuleDef_HEAD_INIT, .m_name = "_core_c", .m_size = 0, .m_methods = methods,
+    .m_doc = "Compiled kernels over uint64 masks; contract-identical to the pure twin.",
 };
 
 PyMODINIT_FUNC PyInit__core_c(void) { return PyModule_Create(&module); }

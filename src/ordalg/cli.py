@@ -348,6 +348,13 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
+def count(text):
+    """An int of 0 or more; argparse names this type in its error if not."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 _FILE, _OUTPUT = _arg("file"), _arg("-o", "--output", default=None)
 
 _COMMANDS = {
@@ -356,7 +363,7 @@ _COMMANDS = {
                    (_FILE, _OUTPUT)),
     "properties": ("classify the order", cmd_properties, (_FILE,)),
     "congruences": ("list congruences and their properties", cmd_congruences, (
-        _FILE, _arg("--budget", type=int, default=CONGRUENCE_BUDGET,
+        _FILE, _arg("--budget", type=count, default=CONGRUENCE_BUDGET,
                     help=f"most congruences to list (default {CONGRUENCE_BUDGET})"))),
     "product": ("direct product of two order files", cmd_product,
                 (_arg("left"), _arg("right"), _OUTPUT)),

@@ -204,8 +204,11 @@ def all_congruences(algebra, budget=CONGRUENCE_BUDGET):
     join-irreducible of Con, and the work is at most ``budget`` joins per
     join-irreducible.  Raises ``BudgetError`` exactly when Con has more
     than ``budget`` members, ending the pass as soon as more are found
-    (a one-element algebra runs no round, and its diagonal still counts).
+    (a one-element algebra runs no round, and its diagonal still counts),
+    and ``ValueError`` for a negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget {budget} is negative")
     found = {Congruence.diagonal(algebra.n)}
     for p in sorted(set(map(Congruence, _scan(algebra)[0])),
                     key=lambda c: (-c.num_blocks, c.labels)):

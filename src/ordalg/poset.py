@@ -168,8 +168,8 @@ class NotALattice:
 class LatticeOps:
     """Total join/meet tables over a poset; verified against the order.
 
-    The rows are tuples.  ``tables`` keeps tables derived from the poset,
-    such as its star table, for the life of this object.
+    The rows are tuples.  Tables derived from the poset are not kept here:
+    ``star_table_poset`` keeps the last poset's star table.
     """
 
     poset: Poset
@@ -177,7 +177,6 @@ class LatticeOps:
     meet: tuple
     top: int = field(init=False)
     bottom: int = field(init=False)
-    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.poset
@@ -194,7 +193,7 @@ class LatticeOps:
     def _trusted(cls, p, join, meet):
         """LatticeOps over the ``lattice_tables`` kernel's join and meet, taken unchecked."""
         lat = object.__new__(cls)
-        vars(lat).update(poset=p, join=join, meet=meet, top=p.top, bottom=p.bottom, tables={})
+        vars(lat).update(poset=p, join=join, meet=meet, top=p.top, bottom=p.bottom)
         return lat
 
     @property

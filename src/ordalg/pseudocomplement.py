@@ -11,6 +11,7 @@ The join formula of ``synthesize_sectional`` only explains a failure.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _kernels as kernels
 from . import laws
@@ -60,20 +61,21 @@ def relative_pc_poset(p, a, b):
 
 
 def star_table_poset(p):
-    """Full sectional pseudocomplement table of a poset (kernel-backed)."""
+    """Full sectional pseudocomplement table of a poset (kernel-backed).
+
+    The last poset's table is kept: checks that share a poset build it once.
+    """
+    return _star_table(p)
+
+
+@lru_cache(maxsize=1)
+def _star_table(p):
     return BinOp._trusted(*kernels.poset_star_table(p.n, p.up, p.down))
 
 
 def relative_table_poset(p):
     """Full relative pseudocomplement table of a poset (kernel-backed)."""
     return BinOp._trusted(*kernels.poset_relative_table(p.n, p.up, p.down))
-
-
-def _lattice_star_table(lat):
-    # the star table of lat's poset, built once per LatticeOps
-    if "star" not in lat.tables:
-        lat.tables["star"] = star_table_poset(lat.poset)
-    return lat.tables["star"]
 
 
 def is_meet_semidistributive(lat):
@@ -97,15 +99,15 @@ class FailureWitness:
 def synthesize_sectional(lat):
     """Total sectional pseudocomplement table of a lattice, or a FailureWitness.
 
-    The table is the star-table kernel's, shared with ``classify`` through
-    ``lat.tables``.  Each cell (a, b) is the greatest x with
-    (a v b) ^ x = b, which exists exactly when the join of all such x
-    satisfies the identity itself, and then is that join.
-    Where the table has a gap, the first in topological order, the join
-    formula names the candidate that misses the identity.
+    The table is ``star_table_poset``'s, which keeps the last poset's, so
+    after ``classify`` on the same poset it is not built again.  Each cell
+    (a, b) is the greatest x with (a v b) ^ x = b, which exists exactly when
+    the join of all such x satisfies the identity itself, and then is that
+    join.  Where the table has a gap, the first in topological order, the
+    join formula names the candidate that misses the identity.
     """
     p = lat.poset
-    star = _lattice_star_table(lat)
+    star = star_table_poset(p)
     if star.is_total:
         return star
     a, b = star.first_undefined(p.topo)
@@ -141,16 +143,13 @@ class ClassificationReport:
 def classify(p, lattice=None):
     """Classify a poset; pass a prebuilt LatticeOps to skip recomputing it.
 
-    The star table is kept in that LatticeOps' ``tables`` when it is p's.
+    The star table is ``star_table_poset``'s, kept for the checks that follow.
     """
     witnesses = {}
     lat = lattice if lattice is not None else as_lattice(p)
-    if isinstance(lat, NotALattice):
-        is_lattice = False
+    is_lattice = not isinstance(lat, NotALattice)
+    if not is_lattice:
         witnesses["is_lattice"] = (lat.kind, *lat.pair, lat.frontier)
-        lat = None
-    else:
-        is_lattice = True
     has_top = p.top is not None
     if not has_top:
         witnesses["has_top"] = tuple(i for i in p.topo if p.up[i] == 1 << i)
@@ -158,7 +157,7 @@ def classify(p, lattice=None):
     if not has_bottom:
         witnesses["has_bottom"] = tuple(i for i in p.topo if p.down[i] == 1 << i)
     is_modular = is_distributive = is_semi = None
-    if lat is not None:
+    if is_lattice:
         found = _lattice_scan(lat, (laws.MODULAR, laws.DISTRIBUTIVE))
         semi = is_meet_semidistributive(lat)
         found.append(None if semi else semi.witness)
@@ -166,14 +165,10 @@ def classify(p, lattice=None):
             if w is not None:
                 witnesses[key] = w
         is_modular, is_distributive, is_semi = (w is None for w in found)
-    star = _lattice_star_table(lat) if lat is not None and lat.poset is p else star_table_poset(p)
-    spc = star.is_total
-    if not spc:
-        witnesses["is_sectionally_pc"] = star.first_undefined(p.topo)
-    rel = relative_table_poset(p)
-    rpc = rel.is_total
-    if not rpc:
-        witnesses["is_relatively_pc"] = rel.first_undefined(p.topo)
+    star, rel = star_table_poset(p), relative_table_poset(p)
+    for key, table in (("is_sectionally_pc", star), ("is_relatively_pc", rel)):
+        if not table.is_total:
+            witnesses[key] = table.first_undefined(p.topo)
     return ClassificationReport(
         is_lattice=is_lattice,
         has_top=has_top,
@@ -181,7 +176,7 @@ def classify(p, lattice=None):
         is_modular=is_modular,
         is_distributive=is_distributive,
         is_meet_semidistributive=is_semi,
-        is_sectionally_pc=spc,
-        is_relatively_pc=rpc,
+        is_sectionally_pc=star.is_total,
+        is_relatively_pc=rel.is_total,
         witnesses=witnesses,
     )

@@ -122,17 +122,12 @@ def derived_laws(cand, checked):
     """The nine consequences of the axioms, each exhaustively verified.
 
     ``checked`` must be a passing AxiomReport for this very candidate.
-    Law ix needs a least element and is skipped without one.
     """
     _require_verified(checked, cand)
-    lat = cand.lattice
-    stages = laws.LAW_IX if lat.bottom is not None else ()
-    found = _axiom_scan(lat, cand.mult, cand.imp, [law for _, law in laws.DERIVED] + list(stages))
+    found = _axiom_scan(cand.lattice, cand.mult, cand.imp,
+                        [law for _, law in laws.DERIVED] + list(laws.LAW_IX))
     out = {name: Verdict.of(w, name) for (name, _), w in zip(laws.DERIVED, found)}
-    if stages:
-        out["ix"] = Verdict.of(found[-2] or found[-1], "ix")
-    else:
-        out["ix"] = Verdict(True, (), "skipped: no least element")
+    out["ix"] = Verdict.of(found[-2] or found[-1], "ix")
     return out
 
 

@@ -116,6 +116,39 @@ def test_check_imp_mutant(write_fixture, capsys):
     assert "divisibility: skipped" in out
 
 
+CHAIN4 = "elements: c0 c1 c2 c3\ncovers:\n  c0 < c1\n  c1 < c2\n  c2 < c3\n"
+CHAIN4_MULT = "op mult:\n  .  c0 c1 c2 c3\n  c0 c0 c0 c0 c0\n  c1 c0 c0 c0 c1\n" \
+              "  c2 c0 c0 c0 c2\n  c3 c0 c1 c2 c3\n"
+CHAIN4_IMP = "op imp:\n  .  c0 c1 c2 c3\n  c0 c3 c3 c3 c3\n  c1 c2 c3 c3 c3\n" \
+             "  c2 c2 c2 c3 c3\n  c3 c0 c1 c2 c3\n"
+
+
+def test_check_reports_divisibility_without_failing(tmp_path, capsys):
+    # a residuated chain4 that is not divisible: exit 0, as only the
+    # residuation axioms count as failures
+    path = tmp_path / "chain4.txt"
+    path.write_text(CHAIN4 + CHAIN4_MULT + CHAIN4_IMP)
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[1:5]] == ["residuation"] * 4
+    assert all(line.endswith(" ok") for line in out[1:5])
+    assert out[5:] == ["divisibility: fails at (c2, c1)"]
+
+
+def test_check_residuation_needs_a_lattice_and_both_ops(tmp_path, capsys):
+    path = tmp_path / "vee.txt"
+    ops = ("op mult:\n  .  a  b  c\n  a  a  a  a\n  b  a  a  a\n  c  a  a  a\n"
+           "op imp:\n  .  a  b  c\n  a  c  c  c\n  b  c  c  c\n  c  c  c  c\n")
+    path.write_text("elements: a b c\ncovers:\n  a < c\n  b < c\n" + ops)
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "residuation: fails (order is not a lattice)"
+    path.write_text(CHAIN4 + CHAIN4_MULT)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "order: lattice", "residuation: skipped (needs both mult and imp)"]
+
+
 def test_check_rejects_partial_residuation_tables(write_fixture, capsys):
     path = write_fixture("residuated-chain")
     text = path.read_text()
@@ -241,6 +274,20 @@ def test_congruences_budget(write_fixture, capsys):
     path = write_fixture("chain20")
     assert main(["congruences", str(path)]) == 2
     assert "budget" in capsys.readouterr().err
+    # a negative budget is a usage error, raised before the file is read
+    with pytest.raises(SystemExit) as exc:
+        main(["congruences", "--budget", "-1", str(path)])
+    assert exc.value.code == 2
+    assert "argument --budget: invalid count value: '-1'" in capsys.readouterr().err
+
+
+def test_congruences_on_an_antichain_without_one(tmp_path, capsys):
+    # a total * makes the antichain an algebra, which has no constant one
+    path = tmp_path / "anti.txt"
+    path.write_text("elements: a b c\n"
+                    "op *:\n  .  a  b  c\n  a  a  a  a\n  b  a  b  a\n  c  a  a  c\n")
+    assert main(["congruences", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "weakly regular: skipped (no constant one)"
 
 
 def test_congruences_chain12_lists_within_the_budget(write_fixture, capsys):

@@ -436,6 +436,17 @@ def test_budget_counts_congruences():
             assert len(congs) == size and congs == congruence_oracle(alg)
             with pytest.raises(BudgetError, match=f"more than {size - 1} congruences"):
                 listing(alg, budget=size - 1)
+        # a negative budget is a ValueError, not a BudgetError
+        with pytest.raises(ValueError, match="budget -1 is negative"):
+            all_congruences(alg, budget=-1)
+
+
+def test_build_rejects_partial_ops_and_outside_constants():
+    p = make_poset(["a", "b"], [("a", "b")])
+    with pytest.raises(ValueError, match="op '\\*' must be a total table"):
+        FiniteAlgebra.build(p, {"*": BinOp(2, ((0, None), (1, 1)))})
+    with pytest.raises(ValueError, match="constant 'one' outside the carrier"):
+        FiniteAlgebra.build(p, {"*": BinOp(2, ((0, 1), (1, 1)))}, {"one": 2})
 
 
 def test_carrier_budget():

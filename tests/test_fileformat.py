@@ -162,6 +162,19 @@ def test_error_positions():
         parse("elements: a b\nelements: c\n")
     assert e.value.line == 2
 
+    for text, message, where in (
+        ("elements: a b\nop f:\n  .  a\n  a  a\n", "header omits b", (3, 1)),
+        ("elements: a b\nop f:\n  .  a  b\n  a  a  b\n  a  a  b\n", "duplicate row 'a'", (5, 3)),
+        ("elements:\n", "elements section is empty", (1, 1)),
+        ("elements: a\ncovers:\nconstants:\ncovers:\n", "duplicate covers section", (4, 1)),
+        ("elements: a\nconstants:\n  one = a\nconstants:\n", "duplicate constants section",
+         (4, 1)),
+        ("elements: a b\nconstants:\n one = a\n one = b\n", "duplicate constant 'one'", (4, 2)),
+    ):
+        with pytest.raises(ParseError, match=message) as e:
+            parse(text)
+        assert positions(e.value) == where
+
 
 def test_same_line_header_columns():
     # column counts from the start of the raw line, not the header tail

@@ -24,7 +24,9 @@ from ordalg import (
     synthesize_sectional,
     upper_set,
 )
+from ordalg import _kernels as kernels
 from ordalg._kernels import _core_py
+from ordalg.pseudocomplement import _star_table
 
 from oracles import (
     relabeled,
@@ -173,6 +175,27 @@ def test_classify_bowtie():
     assert rep.is_sectionally_pc and rep.is_relatively_pc
     kind, a, b, frontier = rep.witnesses["is_lattice"]
     assert kind == "join" and len(frontier) == 2
+
+
+def test_classify_and_the_checks_after_it_build_the_star_table_once(monkeypatch):
+    # star_table_poset keeps the last poset's table, so the checks that
+    # follow classify on an equal poset reuse it, and a new poset replaces it
+    calls = []
+    build = kernels.poset_star_table
+    monkeypatch.setattr(kernels, "poset_star_table", lambda *args: calls.append(1) or build(*args))
+    pentagon, bowtie = fixture("pentagon").poset, fixture("bowtie").poset
+    _star_table.cache_clear()
+    classify(pentagon)
+    assert star_table_poset(pentagon).table == fixture("pentagon").star.table
+    assert len(calls) == 1
+    _star_table.cache_clear()
+    lat = as_lattice(pentagon)
+    classify(pentagon, lat)
+    assert synthesize_sectional(lat) is star_table_poset(fixture("pentagon").poset)
+    assert len(calls) == 2
+    star_table_poset(bowtie)
+    star_table_poset(pentagon)
+    assert len(calls) == 4
 
 
 @given(random_posets(max_n=6))

@@ -8,6 +8,8 @@
 # in-place build is left as it is.  The two sanitizer runtimes are preloaded
 # because the interpreter itself is not built with them.  Leak detection is
 # off: the interpreter keeps memory alive until exit, which ASan would report.
+# Any compiler warning fails the build; unused parameters are allowed because
+# every METH_FASTCALL function takes the module's self, which none reads.
 # pytest captures at the sys level only, so that a sanitizer report written
 # to file descriptor 2 as the process aborts reaches the terminal.
 set -eu
@@ -23,7 +25,7 @@ rm -f "$KERNELS"/_core_c*.so
 INCLUDE=$("$PY" -c 'import sysconfig; print(sysconfig.get_paths()["include"])')
 SUFFIX=$("$PY" -c 'import sysconfig; print(sysconfig.get_config_var("EXT_SUFFIX"))')
 "$CC" -shared -fPIC -O1 -g -fno-omit-frame-pointer -fsanitize=address,undefined \
-    -fno-sanitize-recover=undefined -I"$INCLUDE" \
+    -fno-sanitize-recover=undefined -Wall -Wextra -Wno-unused-parameter -Werror -I"$INCLUDE" \
     "$KERNELS/_core_c.c" -o "$KERNELS/_core_c$SUFFIX"
 
 export LD_PRELOAD="$("$CC" -print-file-name=libasan.so) $("$CC" -print-file-name=libubsan.so)"
