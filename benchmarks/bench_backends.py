@@ -46,6 +46,11 @@ def workloads():
                 dag[i] |= 1 << j
     yield "closure n=60", "closure", (n, dag)
 
+    for name in ("bool6", "chain64"):
+        p = fixture(name).poset
+        yield f"poset index {name} n=64", "poset_index", (p.n, p.up, False)
+        yield f"poset covers {name} n=64", "poset_covers", (p.n, p.up, p.down)
+
     cube = fixture("bool5").poset
     yield "lattice tables n=32", "lattice_tables", \
         (cube.n, cube.topo, list(cube.up), list(cube.down))

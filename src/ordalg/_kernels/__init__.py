@@ -1,8 +1,8 @@
 """Kernel backend selection.
 
-The hot loops (closure, lattice and pseudocomplement tables, axiom scans, the
-law engine, principal congruences, small-structure enumeration and its
-canonical relabeling)
+The hot loops (closure, a poset's down-masks, order and covers, lattice
+and pseudocomplement tables, axiom scans, the law engine, principal
+congruences, small-structure enumeration and its canonical relabeling)
 exist twice: a hand-written C extension ``_core_c`` (``_core_c.c``)
 working on uint64 masks and a pure Python twin ``_core_py``.  The
 compiled backend is preferred when built; set ``ORDALG_BACKEND=py`` or
@@ -11,6 +11,19 @@ route to the pure backend, which handles arbitrary-width masks (and the
 empty carrier).  The catalog kernels ``enum_orders`` and
 ``canonical_keys`` work on packed 8-bit rows, so both twins take only
 1..8 elements.
+
+``poset_index(n, up, closed)`` returns ``(down, topo, top, bottom)`` for
+the up-masks of an order: the down-masks, the carrier sorted by (size of
+down-set, index), and the least index whose down-mask (top) or up-mask
+(bottom) is the whole carrier, else None; all four in tuples or ints.  At
+the first fault it returns ``(kind, i, j)`` instead, checking in this
+order: for each i, a mask with bits outside the carrier ("carrier"; a
+negative int or one of 2**64 or more counts) and then a mask without bit
+i ("reflexive"); then for each i, a cycle ("cycle", with j the least
+other element in up[i] & down[i]) and, unless ``closed``, a j above i
+whose up-mask leaves up[i] ("transitive").  j is None but for a cycle.
+``poset_covers(n, up, down)`` returns the transitive reduction as a
+sorted tuple of (lower, upper) index pairs.
 
 The table kernels ``poset_star_table`` and ``poset_relative_table``
 return ``(rows, total)``: a tuple of n row tuples, with None for an
@@ -85,6 +98,14 @@ def _pick(n):
 
 def closure(n, up):
     return _pick(n).closure(n, up)
+
+
+def poset_index(n, up, closed):
+    return _pick(n).poset_index(n, up, closed)
+
+
+def poset_covers(n, up, down):
+    return _pick(n).poset_covers(n, up, down)
 
 
 def lattice_tables(n, topo, up, down):

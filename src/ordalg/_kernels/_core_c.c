@@ -2,7 +2,9 @@
  * _core_py.py, for carriers of 1 to 64 elements.
  *
  * Bit j of up[i] set means element i lies below element j (reflexive);
- * down is the transpose.  The table kernels return tuples of n row tuples
+ * down is the transpose.  poset_index returns an order's down-masks, topo,
+ * top and bottom, or its first fault as (kind, i, j); poset_covers returns
+ * its cover pairs.  The table kernels return tuples of n row tuples
  * with None for an undefined cell, every other cell an element index, so
  * BinOp and LatticeOps take them as they are; poset_star_table and
  * poset_relative_table pair theirs with whether no cell is None, and
@@ -18,9 +20,9 @@
  * first witness of permutability, congruence distributivity and weak
  * regularity, each decided from the principal congruences alone.  Every
  * kernel raises ValueError when n lies outside the sizes its fixed buffers
- * hold, a mask has bits outside the carrier, topo does not order the
- * carrier, or a table entry is not an element index (for law_scan: may be
- * used as an index it cannot be).
+ * hold, a mask has bits outside the carrier (poset_index reports that as a
+ * fault), topo does not order the carrier, or a table entry is not an
+ * element index (for law_scan: may be used as an index it cannot be).
  * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
@@ -175,6 +177,26 @@ static PyObject *mask_tuple(const uint64_t *v, Py_ssize_t count)
     return out;
 }
 
+/* The first n bytes of lab as a tuple of ints. */
+static PyObject *label_tuple(const uint8_t *lab, int n)
+{
+    PyObject *out = PyTuple_New(n);
+    for (int i = 0; out && i < n; i++) {
+        PyObject *x = PyLong_FromLong(lab[i]);
+        if (!x)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+/* An element index, or None for a negative one. */
+static PyObject *index_or_none(int x)
+{
+    return x < 0 ? Py_NewRef(Py_None) : PyLong_FromLong(x);
+}
+
 /* The n-by-n table v as a tuple of n row tuples; a negative cell reads None. */
 static PyObject *int_rows(const int *v, int n)
 {
@@ -182,8 +204,7 @@ static PyObject *int_rows(const int *v, int n)
     for (int i = 0; out && i < n; i++) {
         PyObject *row = PyTuple_New(n);
         for (int j = 0; row && j < n; j++) {
-            int x = v[i * n + j];
-            PyObject *cell = x < 0 ? Py_NewRef(Py_None) : PyLong_FromLong(x);
+            PyObject *cell = index_or_none(v[i * n + j]);
             if (!cell)
                 Py_CLEAR(row);
             else
@@ -212,6 +233,97 @@ static PyObject *closure(PyObject *self, PyObject *const *args, Py_ssize_t nargs
                 buf[i] |= row;
     }
     return mask_tuple(buf, n);
+}
+
+/* (down, topo, top, bottom) of an order's up-masks, or the first fault
+ * (kind, i, j) in the pure twin's order: carrier bits and reflexivity for
+ * each i, then a cycle (j the least other element above and below i) and,
+ * unless closed, transitivity for each i. */
+static PyObject *poset_index(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t ub[64], db[64] = {0};
+    uint8_t topo[64];
+    int n, start[66] = {0}, top = -1, bottom = -1;
+    const char *kind = NULL;
+    if (read_n("poset_index", args, nargs, 3, 64, &n))
+        return NULL;
+    int closed = PyObject_IsTrue(args[2]);
+    PyObject *fast = closed < 0 ? NULL : PySequence_Fast(args[1], "masks must be a sequence");
+    if (!fast)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(fast) < n) {
+        Py_DECREF(fast);
+        return PyErr_Format(PyExc_ValueError, "expected %d masks", n);
+    }
+    int i = 0;
+    for (; i < n; i++) {
+        if (!read_word(PySequence_Fast_GET_ITEM(fast, i), FULL(n), ub + i))
+            kind = "carrier";
+        else if (!(ub[i] >> i & 1))
+            kind = "reflexive";
+        if (kind)
+            break;
+    }
+    Py_DECREF(fast);
+    if (PyErr_Occurred())
+        return NULL;
+    if (kind)
+        return Py_BuildValue("(siO)", kind, i, Py_None);
+    for (i = 0; i < n; i++)
+        for (uint64_t m = ub[i]; m; m &= m - 1)
+            db[ctz64(m)] |= (uint64_t)1 << i;
+    for (i = 0; i < n; i++) {
+        uint64_t loop = ub[i] & db[i] & ~((uint64_t)1 << i), reach = 0;
+        if (loop)
+            return Py_BuildValue("(sii)", "cycle", i, ctz64(loop));
+        for (uint64_t m = closed ? 0 : ub[i]; m; m &= m - 1)
+            reach |= ub[ctz64(m)];
+        if (!closed && reach != ub[i])
+            return Py_BuildValue("(siO)", "transitive", i, Py_None);
+    }
+    /* a counting sort by down-set size keeps index order within a size */
+    for (i = 0; i < n; i++)
+        start[popcount64(db[i]) + 1]++;
+    for (i = 1; i < 66; i++)
+        start[i] += start[i - 1];
+    for (i = 0; i < n; i++)
+        topo[start[popcount64(db[i])]++] = (uint8_t)i;
+    for (i = n - 1; i >= 0; i--) {
+        top = db[i] == FULL(n) ? i : top;
+        bottom = ub[i] == FULL(n) ? i : bottom;
+    }
+    return Py_BuildValue("(NNNN)", mask_tuple(db, n), label_tuple(topo, n),
+                         index_or_none(top), index_or_none(bottom));
+}
+
+/* Pairs (i, j) with j covering i, in index order. */
+static PyObject *poset_covers(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t ub[64], db[64];
+    uint8_t lo[64 * 64], hi[64 * 64];
+    int n, count = 0;
+    if (read_n("poset_covers", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
+        || read_masks(args[2], n, db))
+        return NULL;
+    for (int i = 0; i < n; i++) {
+        uint64_t strict = ub[i] & ~((uint64_t)1 << i);
+        for (uint64_t m = strict; m; m &= m - 1) {
+            int j = ctz64(m);
+            if (!(strict & db[j] & ~((uint64_t)1 << j))) {
+                lo[count] = (uint8_t)i;
+                hi[count++] = (uint8_t)j;
+            }
+        }
+    }
+    PyObject *out = PyTuple_New(count);
+    for (int k = 0; out && k < count; k++) {
+        PyObject *pair = Py_BuildValue("(ii)", lo[k], hi[k]);
+        if (!pair)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, pair);
+    }
+    return out;
 }
 
 /* Pairs (topo[ra], topo[rb]) with rb >= ra in order, join before meet. */
@@ -810,19 +922,6 @@ static int read_table(PyObject *seq, int n, uint8_t *out)
     return ok ? 0 : -1;
 }
 
-static PyObject *label_tuple(const uint8_t *lab, int n)
-{
-    PyObject *out = PyTuple_New(n);
-    for (int i = 0; out && i < n; i++) {
-        PyObject *x = PyLong_FromLong(lab[i]);
-        if (!x)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, i, x);
-    }
-    return out;
-}
-
 /* Distinct principals are found by a hash of their labels; there are at
  * most 2016 of them. */
 #define CONG_SLOTS 4096
@@ -1237,6 +1336,11 @@ static PyObject *canonical_keys(PyObject *self, PyObject *const *args, Py_ssize_
 
 static PyMethodDef methods[] = {
     KERNEL(closure, "closure(n, up)\n--\n\nReflexive-transitive closure of an up-mask adjacency."),
+    KERNEL(poset_index, "poset_index(n, up, closed)\n--\n\n"
+           "(down, topo, top, bottom) of an order's up-masks, or its first fault\n"
+           "(kind, i, j); see the pure twin."),
+    KERNEL(poset_covers, "poset_covers(n, up, down)\n--\n\n"
+           "The transitive reduction as a tuple of (lower, upper) pairs, sorted."),
     KERNEL(lattice_tables, "lattice_tables(n, topo, up, down)\n--\n\n"
            "(join, meet) tables as tuples of row tuples, or (kind, a, b, frontier)\n"
            "at the first pair in topo order without a lub or glb; see the pure twin."),

@@ -10,8 +10,7 @@ Python ints are unbounded.  ``_pack`` and ``_unpack`` are the one codec,
 here and in ``constructions``, for the catalog kernels' packed orders, and
 ``merge``, ``join_into``, ``principal`` and ``block_masks`` the one
 union-find of least-member labels, here and in ``congruence``, and
-``transpose`` the one way from up-masks to down-masks, here and in
-``poset``.
+``transpose`` the one way from up-masks to down-masks in this module.
 """
 
 from itertools import permutations, product
@@ -27,6 +26,50 @@ def transpose(n, up):
             down[low.bit_length() - 1] |= 1 << i
             rest ^= low
     return down
+
+
+def poset_index(n, up, closed):
+    """(down, topo, top, bottom) of an order's up-masks, or its first fault.
+
+    A fault is ``(kind, i, j)``.  Each i in turn is checked for a mask with
+    bits outside the carrier ("carrier") and then for reflexivity
+    ("reflexive"); then each i in turn for a cycle ("cycle", with j the
+    least other element both above and below i) and, unless ``closed``,
+    for transitivity ("transitive": some j above i has an up-set outside
+    up[i]).  j is None except for a cycle.
+    """
+    full = (1 << n) - 1
+    for i in range(n):
+        if up[i] & ~full:
+            return "carrier", i, None
+        if not up[i] >> i & 1:
+            return "reflexive", i, None
+    down = transpose(n, up)
+    for i in range(n):
+        loop = up[i] & down[i] & ~(1 << i)
+        if loop:
+            return "cycle", i, (loop & -loop).bit_length() - 1
+        if not closed and any(up[i] >> j & 1 and up[j] & ~up[i] for j in range(n)):
+            return "transitive", i, None
+    topo = tuple(sorted(range(n), key=lambda i: (down[i].bit_count(), i)))
+    top = next((i for i in range(n) if down[i] == full), None)
+    bottom = next((i for i in range(n) if up[i] == full), None)
+    return tuple(down), topo, top, bottom
+
+
+def poset_covers(n, up, down):
+    """The transitive reduction as a tuple of (lower, upper) pairs, sorted."""
+    out = []
+    for i in range(n):
+        strict = up[i] & ~(1 << i)
+        m = strict
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            m ^= low
+            if not strict & down[j] & ~(1 << j):
+                out.append((i, j))
+    return tuple(out)
 
 
 def closure(n, up):

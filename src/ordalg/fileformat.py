@@ -30,11 +30,13 @@ table headers and rows may appear in any element order but must mention
 every element exactly once; ``?`` marks an undefined cell.  Rendering is
 canonical: declared element order everywhere, covers deduplicated and
 sorted, operations sorted by name.  Errors carry one-based line and
-column.
+column, computed from the stored line text when an error is raised.
 """
 
 import re
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from operator import itemgetter
 from typing import Optional, Tuple
 
 from .binop import BinOp
@@ -76,163 +78,154 @@ class StructureFile:
         return {key: index[name] for key, name in self.constants}
 
 
-def _tokens(line, lineno, offset=0):
-    text = line.split("#", 1)[0]
-    return [(m.group(), lineno, offset + m.start() + 1) for m in _TOKEN.finditer(text)]
+def _at(rows, k):
+    """(line, column) of token k of a section's (line, offset, text) rows."""
+    for lineno, offset, text in rows:
+        for m in _TOKEN.finditer(text):
+            if not k:
+                return lineno, offset + m.start() + 1
+            k -= 1
 
 
-def _check_name(tok):
-    text, line, col = tok
-    if text in ("<", "=", "?", ".") or not _NAME.match(text):
-        raise ParseError(f"invalid element name {text!r}", line, col)
-    return text
+def _bad_name(text):
+    return text == "." or not _NAME.match(text)
 
 
-def _require_known(tok, known):
-    text, line, col = tok
-    if text not in known:
-        raise UnknownElementError(f"unknown element {text!r}", line, col)
-    return text
+def _good_names(names):
+    # distinct and valid, checked in bulk before any name is looked at alone
+    return len(set(names)) == len(names) and "." not in names and all(map(_NAME.match, names))
 
 
-def _parse_pairs(toks, sep, kind):
-    # stream of "left SEP right" triples
-    out = []
-    for i in range(0, len(toks), 3):
-        chunk = toks[i:i + 3]
-        if len(chunk) < 3 or chunk[1][0] != sep:
-            text, line, col = chunk[0]
-            raise ParseError(f"expected {kind} of the form x {sep} y near {text!r}", line, col)
-        out.append((chunk[0], chunk[2]))
-    return out
+def _pairs(toks, rows, sep, kind):
+    # the "left SEP right" triples of a section, every malformed one first
+    if len(toks) % 3 or toks[1::3].count(sep) * 3 != len(toks):
+        for k in range(0, len(toks), 3):
+            if toks[k + 1:k + 2] != [sep] or k + 2 == len(toks):
+                msg = f"expected {kind} of the form x {sep} y near {toks[k]!r}"
+                raise ParseError(msg, *_at(rows, k))
+    return toks[0::3], toks[2::3]
 
 
-def _parse_table(name_tok, lines, elements):
-    op_name, op_line, op_col = name_tok
+def _parse_table(op, rows, elements, known):
+    op_name, op_line, op_col = op
     n = len(elements)
-    body = [(toks, lineno) for toks, lineno in lines if toks]
+    body = [(row, _TOKEN.findall(row[2])) for row in rows]
+    body = [(line, toks) for line, toks in body if toks]
     if not body:
         raise ParseError(f"operation {op_name!r} has no table", op_line, op_col)
-    header, header_line = body[0]
-    if header[0][0] == ".":
-        header = header[1:]
-    cols = []
-    for tok in header:
-        colname = _require_known(tok, elements)
-        if colname in cols:
-            raise ParseError(f"duplicate column {colname!r}", tok[1], tok[2])
-        cols.append(colname)
+    (header, cols), body = body[0], body[1:]
+    skip = cols[0] == "."
+    cols = cols[skip:]
+    if len(set(cols)) != len(cols) or not known.issuperset(cols):
+        for k, col in enumerate(cols):
+            if col not in known:
+                raise UnknownElementError(f"unknown element {col!r}", *_at([header], k + skip))
+            if col in cols[:k]:
+                raise ParseError(f"duplicate column {col!r}", *_at([header], k + skip))
     if len(cols) != n:
-        missing = sorted(set(elements) - set(cols))
-        raise ParseError(
-            f"operation {op_name!r} header omits {', '.join(missing)}",
-            header_line,
-        )
+        missing = sorted(known - set(cols))
+        raise ParseError(f"operation {op_name!r} header omits {', '.join(missing)}", header[0])
+    order = list(map(cols.index, elements))
+    cell_names = known | {"?"}
     matrix = {}
-    for toks, lineno in body[1:]:
-        rowname = _require_known(toks[0], elements)
+    for line, (rowname, *cells) in body:
+        if rowname not in known:
+            raise UnknownElementError(f"unknown element {rowname!r}", *_at([line], 0))
         if rowname in matrix:
-            raise ParseError(f"duplicate row {rowname!r}", lineno, toks[0][2])
-        cells = toks[1:]
+            raise ParseError(f"duplicate row {rowname!r}", *_at([line], 0))
         if len(cells) != n:
             raise RaggedTableError(
-                f"row {rowname!r} of {op_name!r} has {len(cells)} cells, expected {n}",
-                lineno,
-            )
-        row = {}
-        for colname, tok in zip(cols, cells):
-            row[colname] = None if tok[0] == "?" else _require_known(tok, elements)
-        matrix[rowname] = row
+                f"row {rowname!r} of {op_name!r} has {len(cells)} cells, expected {n}", line[0])
+        if not cell_names.issuperset(cells):
+            k = next(k for k, cell in enumerate(cells) if cell not in cell_names)
+            raise UnknownElementError(f"unknown element {cells[k]!r}", *_at([line], k + 1))
+        row = tuple(map(cells.__getitem__, order))
+        matrix[rowname] = tuple(None if c == "?" else c for c in row) if "?" in row else row
     if len(matrix) != n:
-        missing = sorted(set(elements) - set(matrix))
+        missing = sorted(known - set(matrix))
         raise ParseError(
-            f"operation {op_name!r} is missing rows for {', '.join(missing)}",
-            op_line, op_col,
-        )
-    ordered = tuple(
-        tuple(matrix[r][c] for c in elements) for r in elements
-    )
-    return op_name, ordered
+            f"operation {op_name!r} is missing rows for {', '.join(missing)}", op_line, op_col)
+    return tuple(matrix[r] for r in elements)
 
 
 def parse(text):
-    """Parse a structure file, raising on the first problem found."""
+    """Parse a structure file, raising on the first problem found.
+
+    Each section keeps its comment-free lines as (line, offset, text) rows
+    and is tokenized in one pass, a table row by row; a token's line and
+    column are computed from those rows only when an error names it.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    heads = [(k, m) for k, line in enumerate(lines)
+             if ":" in line and (m := _HEADER.fullmatch(line.rstrip()))]
+    for k in range(heads[0][0] if heads else len(lines)):
+        if lines[k] and not lines[k].isspace():
+            raise ParseError("content before any section header", *_at([(k + 1, 0, lines[k])], 0))
     sections = []
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _HEADER.fullmatch(raw.split("#", 1)[0].rstrip())
-        if m:
-            kind = m.group(1) or "op"
-            rest = _tokens(m.group(3), lineno, offset=m.start(3))
-            if kind == "op":
-                current = (kind, (m.group(2), lineno, m.start(2) + 1), [(rest, lineno)])
-            else:
-                current = (kind, None, [(rest, lineno)])
-            sections.append(current)
-            continue
-        toks = _tokens(raw, lineno)
-        if not toks:
-            continue
-        if current is None:
-            raise ParseError("content before any section header", lineno, toks[0][2])
-        current[2].append((toks, lineno))
+    for (k, m), end in zip(heads, [k for k, _ in heads[1:]] + [len(lines)]):
+        op = m.group(2) and (m.group(2), k + 1, m.start(2) + 1)
+        rows = [(k + 1, m.start(3), m.group(3)), *zip(count(k + 2), repeat(0), lines[k + 1:end])]
+        sections.append((m.group(1) or "op", op, rows))
 
     if not sections or sections[0][0] != "elements":
-        line = sections[0][2][0][1] if sections else 1
-        raise ParseError("file must start with an elements section", line)
+        raise ParseError("file must start with an elements section",
+                         sections[0][2][0][0] if sections else 1)
 
-    elements = []
     seen_kinds = set()
-    covers = []
-    ops = []
-    op_names = set()
-    constants = []
-    const_keys = set()
-    for kind, name_tok, lines in sections:
-        flat = [tok for toks, _ in lines for tok in toks]
-        if kind == "elements":
-            if kind in seen_kinds:
-                raise ParseError("duplicate elements section", lines[0][1])
-            for tok in flat:
-                name = _check_name(tok)
-                if name in elements:
-                    raise ParseError(f"duplicate element {name!r}", tok[1], tok[2])
-                elements.append(name)
-            if not elements:
-                raise ParseError("elements section is empty", lines[0][1])
-        elif kind == "covers":
-            if kind in seen_kinds:
-                raise ParseError("duplicate covers section", lines[0][1])
-            for lo, hi in _parse_pairs(flat, "<", "cover"):
-                a = _require_known(lo, elements)
-                b = _require_known(hi, elements)
-                if a == b:
-                    raise ParseError(f"cover relates {a!r} to itself", lo[1], lo[2])
-                covers.append((a, b))
-        elif kind == "constants":
-            if kind in seen_kinds:
-                raise ParseError("duplicate constants section", lines[0][1])
-            for key, val in _parse_pairs(flat, "=", "constant"):
-                k = _check_name(key)
-                if k in const_keys:
-                    raise ParseError(f"duplicate constant {k!r}", key[1], key[2])
-                const_keys.add(k)
-                constants.append((k, _require_known(val, elements)))
-        else:
-            if name_tok[0] in op_names:
-                raise ParseError(f"duplicate operation {name_tok[0]!r}", name_tok[1], name_tok[2])
-            op_names.add(name_tok[0])
-            ops.append(_parse_table(name_tok, lines, elements))
+    pairs = constants = ()
+    ops = {}
+    for kind, op, rows in sections:
+        if kind in seen_kinds and kind != "op":
+            raise ParseError(f"duplicate {kind} section", rows[0][0])
         seen_kinds.add(kind)
+        if kind == "op":
+            if op[0] in ops:
+                raise ParseError(f"duplicate operation {op[0]!r}", op[1], op[2])
+            ops[op[0]] = _parse_table(op, rows, elements, known)
+            continue
+        toks = _TOKEN.findall("\n".join(map(itemgetter(2), rows)))
+        if kind == "elements":
+            if not _good_names(toks):
+                for k, name in enumerate(toks):
+                    if _bad_name(name):
+                        raise ParseError(f"invalid element name {name!r}", *_at(rows, k))
+                    if name in toks[:k]:
+                        raise ParseError(f"duplicate element {name!r}", *_at(rows, k))
+            if not toks:
+                raise ParseError("elements section is empty", rows[0][0])
+            elements, known = tuple(toks), set(toks)
+            index = {name: i for i, name in enumerate(elements)}
+        elif kind == "covers":
+            los, his = _pairs(toks, rows, "<", "cover")
+            if not known.issuperset(los + his) or any(map(str.__eq__, los, his)):
+                for c, (lo, hi) in enumerate(zip(los, his)):
+                    for k, name in ((3 * c, lo), (3 * c + 2, hi)):
+                        if name not in known:
+                            raise UnknownElementError(f"unknown element {name!r}", *_at(rows, k))
+                    if lo == hi:
+                        raise ParseError(f"cover relates {lo!r} to itself", *_at(rows, 3 * c))
+            pairs = sorted(set(zip(map(index.get, los), map(index.get, his))))
+        else:
+            keys, vals = _pairs(toks, rows, "=", "constant")
+            if not (_good_names(keys) and known.issuperset(vals)):
+                for c, (key, val) in enumerate(zip(keys, vals)):
+                    if _bad_name(key):
+                        raise ParseError(f"invalid element name {key!r}", *_at(rows, 3 * c))
+                    if key in keys[:c]:
+                        raise ParseError(f"duplicate constant {key!r}", *_at(rows, 3 * c))
+                    if val not in known:
+                        where = _at(rows, 3 * c + 2)
+                        raise UnknownElementError(f"unknown element {val!r}", *where)
+            constants = tuple(sorted(zip(keys, vals)))
 
-    index = {name: i for i, name in enumerate(elements)}
-    covers = sorted(set(covers), key=lambda c: (index[c[0]], index[c[1]]))
     return StructureFile(
-        elements=tuple(elements),
-        covers=tuple(covers),
-        ops=tuple(sorted(ops)),
-        constants=tuple(sorted(constants)),
-        op_headers=tuple(sorted(tok for _, tok, _ in sections if tok is not None)),
+        elements=elements,
+        covers=tuple([(elements[i], elements[j]) for i, j in pairs]),
+        ops=tuple(sorted(ops.items())),
+        constants=constants,
+        op_headers=tuple(sorted(op for _, op, _ in sections if op)),
     )
 
 

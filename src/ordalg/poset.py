@@ -11,10 +11,17 @@ from dataclasses import dataclass, field
 
 from . import _kernels as kernels
 from . import laws
-from ._kernels._core_py import _common_bounds, transpose
+from ._kernels._core_py import _common_bounds
 from .errors import CycleDetectedError, DuplicateNameError, SizeBudgetError, UnknownNameError
 
 MAX_ELEMENTS = 64
+
+# poset_index's faults other than a cycle
+_FAULTS = {
+    "carrier": "up-mask of %r has bits outside the carrier",
+    "reflexive": "order is not reflexive at %r",
+    "transitive": "order is not transitive at %r",
+}
 
 
 class Poset:
@@ -37,30 +44,18 @@ class Poset:
             raise DuplicateNameError(f"duplicate element name {dup!r}")
         if len(up) != n:
             raise ValueError("up-mask count does not match element count")
-        full = (1 << n) - 1
-        for i in range(n):
-            if up[i] & ~full:
-                raise ValueError(f"up-mask of {names[i]!r} has bits outside the carrier")
-            if not up[i] >> i & 1:
-                raise ValueError(f"order is not reflexive at {names[i]!r}")
-        down = transpose(n, up)
-        closed = up if _closed else kernels.closure(n, up)
-        for i in range(n):
-            if up[i] & down[i] != 1 << i:
-                m = up[i] & down[i] & ~(1 << i)
-                j = (m & -m).bit_length() - 1
+        index = kernels.poset_index(n, up, _closed)
+        if len(index) == 3:
+            kind, i, j = index
+            if kind == "cycle":
                 raise CycleDetectedError(names[i], names[j])
-            if closed[i] != up[i]:
-                raise ValueError(f"order is not transitive at {names[i]!r}")
+            raise ValueError(_FAULTS[kind] % (names[i],))
+        self.down, self.topo, self.top, self.bottom = index
         self.names = names
         self.up = up
-        self.down = tuple(down)
         self.n = n
-        self.full = full
-        self.topo = tuple(sorted(range(n), key=lambda i: (down[i].bit_count(), i)))
+        self.full = (1 << n) - 1
         self._index = {name: i for i, name in enumerate(names)}
-        self.top = next((i for i in range(n) if down[i] == full), None)
-        self.bottom = next((i for i in range(n) if up[i] == full), None)
         self._covers = None
 
     def leq(self, i, j):
@@ -75,17 +70,7 @@ class Poset:
     def covers(self):
         """Transitive reduction as (lower, upper) index pairs, sorted."""
         if self._covers is None:
-            out = []
-            for i in range(self.n):
-                strict = self.up[i] & ~(1 << i)
-                m = strict
-                while m:
-                    low = m & -m
-                    j = low.bit_length() - 1
-                    m ^= low
-                    if not strict & self.down[j] & ~(1 << j):
-                        out.append((i, j))
-            self._covers = tuple(sorted(out))
+            self._covers = kernels.poset_covers(self.n, self.up, self.down)
         return self._covers
 
     def mask_of(self, elems):
@@ -125,11 +110,11 @@ def make_poset(names, cover_pairs, max_size=MAX_ELEMENTS):
         raise SizeBudgetError(f"{len(names)} elements exceed the cap of {max_size}")
     index = {name: i for i, name in enumerate(names)}
     adj = [0] * len(names)
-    for lo, hi in cover_pairs:
-        for name in (lo, hi):
-            if name not in index:
-                raise UnknownNameError(f"cover references unknown element {name!r}")
-        adj[index[lo]] |= 1 << index[hi]
+    try:
+        for lo, hi in cover_pairs:
+            adj[index[lo]] |= 1 << index[hi]
+    except KeyError as exc:
+        raise UnknownNameError(f"cover references unknown element {exc.args[0]!r}") from None
     return Poset(names, kernels.closure(len(names), adj), _closed=True)
 
 

@@ -14,12 +14,14 @@ as sets of pairs, weak regularity by comparing blocks of one, the
 permutability term's replay over every pair of listed congruences, the
 operator scan's U(x, y) tables by
 comprehension, lattice failures by rescanning every pair, sectional
-pseudocomplements by the join formula and by a scan over every c, and
+pseudocomplements by the join formula and by a scan over every c,
 every lattice, residuation and operator law by the hand loop it had
-before the law engine.  Slow but
+before the law engine, and structure files by the parser that gave
+every token its line and column.  Slow but
 obviously correct, which is the point.
 """
 
+import re
 from functools import lru_cache
 from itertools import permutations
 
@@ -32,8 +34,12 @@ from ordalg import (
     FailureWitness,
     FiniteAlgebra,
     NotALattice,
+    ParseError,
     Poset,
     PreconditionError,
+    RaggedTableError,
+    StructureFile,
+    UnknownElementError,
     Verdict,
     as_lattice,
     lower_set,
@@ -853,3 +859,168 @@ def operator_laws_by_loops(op):
                 break
         out["v"] = law
     return out
+
+
+_PARSE_NAME = re.compile(r"[A-Za-z0-9_.\-]+\Z")
+_PARSE_TOKEN = re.compile(r"[^\s<=#]+|<|=")
+_PARSE_HEADER = re.compile(r"\s*(?:(elements|covers|constants)|op\s+([^\s:]+))\s*:\s*(.*)")
+
+
+def _line_tokens(line, lineno, offset=0):
+    text = line.split("#", 1)[0]
+    return [(m.group(), lineno, offset + m.start() + 1) for m in _PARSE_TOKEN.finditer(text)]
+
+
+def _checked_name(tok):
+    text, line, col = tok
+    if text in ("<", "=", "?", ".") or not _PARSE_NAME.match(text):
+        raise ParseError(f"invalid element name {text!r}", line, col)
+    return text
+
+
+def _known_token(tok, known):
+    text, line, col = tok
+    if text not in known:
+        raise UnknownElementError(f"unknown element {text!r}", line, col)
+    return text
+
+
+def _token_pairs(toks, sep, kind):
+    # stream of "left SEP right" triples
+    out = []
+    for i in range(0, len(toks), 3):
+        chunk = toks[i:i + 3]
+        if len(chunk) < 3 or chunk[1][0] != sep:
+            text, line, col = chunk[0]
+            raise ParseError(f"expected {kind} of the form x {sep} y near {text!r}", line, col)
+        out.append((chunk[0], chunk[2]))
+    return out
+
+
+def _token_table(name_tok, lines, elements):
+    op_name, op_line, op_col = name_tok
+    n = len(elements)
+    body = [(toks, lineno) for toks, lineno in lines if toks]
+    if not body:
+        raise ParseError(f"operation {op_name!r} has no table", op_line, op_col)
+    header, header_line = body[0]
+    if header[0][0] == ".":
+        header = header[1:]
+    cols = []
+    for tok in header:
+        colname = _known_token(tok, elements)
+        if colname in cols:
+            raise ParseError(f"duplicate column {colname!r}", tok[1], tok[2])
+        cols.append(colname)
+    if len(cols) != n:
+        missing = sorted(set(elements) - set(cols))
+        raise ParseError(
+            f"operation {op_name!r} header omits {', '.join(missing)}",
+            header_line,
+        )
+    matrix = {}
+    for toks, lineno in body[1:]:
+        rowname = _known_token(toks[0], elements)
+        if rowname in matrix:
+            raise ParseError(f"duplicate row {rowname!r}", lineno, toks[0][2])
+        cells = toks[1:]
+        if len(cells) != n:
+            raise RaggedTableError(
+                f"row {rowname!r} of {op_name!r} has {len(cells)} cells, expected {n}",
+                lineno,
+            )
+        row = {}
+        for colname, tok in zip(cols, cells):
+            row[colname] = None if tok[0] == "?" else _known_token(tok, elements)
+        matrix[rowname] = row
+    if len(matrix) != n:
+        missing = sorted(set(elements) - set(matrix))
+        raise ParseError(
+            f"operation {op_name!r} is missing rows for {', '.join(missing)}",
+            op_line, op_col,
+        )
+    ordered = tuple(
+        tuple(matrix[r][c] for c in elements) for r in elements
+    )
+    return op_name, ordered
+
+
+def parse_by_tokens(text):
+    """fileformat.parse as it was before: every token carries its line and column."""
+    sections = []
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _PARSE_HEADER.fullmatch(raw.split("#", 1)[0].rstrip())
+        if m:
+            kind = m.group(1) or "op"
+            rest = _line_tokens(m.group(3), lineno, offset=m.start(3))
+            if kind == "op":
+                current = (kind, (m.group(2), lineno, m.start(2) + 1), [(rest, lineno)])
+            else:
+                current = (kind, None, [(rest, lineno)])
+            sections.append(current)
+            continue
+        toks = _line_tokens(raw, lineno)
+        if not toks:
+            continue
+        if current is None:
+            raise ParseError("content before any section header", lineno, toks[0][2])
+        current[2].append((toks, lineno))
+
+    if not sections or sections[0][0] != "elements":
+        line = sections[0][2][0][1] if sections else 1
+        raise ParseError("file must start with an elements section", line)
+
+    elements = []
+    seen_kinds = set()
+    covers = []
+    ops = []
+    op_names = set()
+    constants = []
+    const_keys = set()
+    for kind, name_tok, lines in sections:
+        flat = [tok for toks, _ in lines for tok in toks]
+        if kind == "elements":
+            if kind in seen_kinds:
+                raise ParseError("duplicate elements section", lines[0][1])
+            for tok in flat:
+                name = _checked_name(tok)
+                if name in elements:
+                    raise ParseError(f"duplicate element {name!r}", tok[1], tok[2])
+                elements.append(name)
+            if not elements:
+                raise ParseError("elements section is empty", lines[0][1])
+        elif kind == "covers":
+            if kind in seen_kinds:
+                raise ParseError("duplicate covers section", lines[0][1])
+            for lo, hi in _token_pairs(flat, "<", "cover"):
+                a = _known_token(lo, elements)
+                b = _known_token(hi, elements)
+                if a == b:
+                    raise ParseError(f"cover relates {a!r} to itself", lo[1], lo[2])
+                covers.append((a, b))
+        elif kind == "constants":
+            if kind in seen_kinds:
+                raise ParseError("duplicate constants section", lines[0][1])
+            for key, val in _token_pairs(flat, "=", "constant"):
+                k = _checked_name(key)
+                if k in const_keys:
+                    raise ParseError(f"duplicate constant {k!r}", key[1], key[2])
+                const_keys.add(k)
+                constants.append((k, _known_token(val, elements)))
+        else:
+            if name_tok[0] in op_names:
+                raise ParseError(f"duplicate operation {name_tok[0]!r}", name_tok[1], name_tok[2])
+            op_names.add(name_tok[0])
+            ops.append(_token_table(name_tok, lines, elements))
+        seen_kinds.add(kind)
+
+    index = {name: i for i, name in enumerate(elements)}
+    covers = sorted(set(covers), key=lambda c: (index[c[0]], index[c[1]]))
+    return StructureFile(
+        elements=tuple(elements),
+        covers=tuple(covers),
+        ops=tuple(sorted(ops)),
+        constants=tuple(sorted(constants)),
+        op_headers=tuple(sorted(tok for _, tok, _ in sections if tok is not None)),
+    )

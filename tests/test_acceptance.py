@@ -59,7 +59,9 @@ def _report(num, label, problems, ms=None, limit_ms=None):
     status = "PASS" if not problems else "FAIL"
     timing = ""
     if ms is not None:
-        timing = f"  ({ms:.2f} ms, limit {limit_ms:g} ms)"
+        # sub-millisecond timings in µs, so that they do not read 0.00 ms
+        spent = f"{ms * 1000:.1f} µs" if ms < 1 else f"{ms:.2f} ms"
+        timing = f"  ({spent}, limit {limit_ms:g} ms)"
     line = f"criterion {num:2d} {status}  {label}{timing}"
     RESULTS.append((num, line))
     print(line)

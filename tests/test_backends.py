@@ -15,6 +15,7 @@ import pytest
 
 import oracles as o
 import test_congruence as tc
+import test_poset as tp
 from ordalg import _kernels as kernels
 from ordalg import (
     BinOp,
@@ -53,6 +54,33 @@ def test_enum_orders_identical():
     for n in range(1, 8):
         for lattices in (False, True):
             assert list(c.enum_orders(n, lattices)) == list(py.enum_orders(n, lattices))
+
+
+def typed(x):
+    """x with every value paired with its type, so that == compares the types too."""
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(map(typed, x))
+    return type(x), x
+
+
+def test_poset_index_and_covers_identical():
+    c = c_backend()
+    catalogs = (p.up for n in range(1, 8) for p in enumerate_structures(n, "all-posets").members)
+    wide = (fixture(name).poset.up for name in ("bool6", "chain64"))
+    extreme = [(-1, 2), (1, 1 << 64), (1, (1 << 64) - 1), (3, -2)]
+    kinds = set()
+    for up in itertools.chain(tp._relations(), catalogs, wide, extreme):
+        n = len(up)
+        for closed in (False, True):
+            index = c.poset_index(n, list(up), closed)
+            assert typed(index) == typed(py.poset_index(n, list(up), closed)), up
+            if len(index) == 3:
+                kinds.add(index[0])
+                continue
+            kinds.add("order")
+            down = index[0]
+            assert typed(c.poset_covers(n, up, down)) == typed(py.poset_covers(n, up, down))
+    assert kinds == {"order", "carrier", "reflexive", "cycle", "transitive"}
 
 
 def relabel(n, packed, perm):

@@ -1,7 +1,12 @@
 """Structure-file parsing, rendering, and error positions."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
+
+from ordalg import fileformat
 
 from ordalg import (
     ParseError,
@@ -15,6 +20,7 @@ from ordalg import (
     star_table_poset,
 )
 
+from oracles import parse_by_tokens
 from test_poset import random_posets
 
 PENTAGON_TEXT = """\
@@ -220,3 +226,68 @@ def test_round_trip_any_poset(p):
 def test_structure_file_is_normal_form_invariant():
     sf = StructureFile(elements=("a", "b"), covers=(("a", "b"),))
     assert parse(render(sf)) == sf
+
+
+def rendered_fixtures():
+    """The files `ordalg fixture NAME` writes for small fixtures, and a commented one."""
+    out = [PENTAGON_TEXT]
+    for name in ("pentagon", "bowtie", "residuated-chain", "diamond", "bool2", "chain3"):
+        fx = fixture(name)
+        ops = {key: op for key, op in (("*", fx.star), ("mult", fx.mult), ("imp", fx.imp))
+               if op is not None}
+        consts = {"one": fx.poset.top} if fx.poset.top is not None else {}
+        out.append(render(from_poset(fx.poset, ops, consts)))
+    return out
+
+
+MUTATION_PIECES = ("<", "=", "?", ".", "#", ":", "elements:", "covers:", "constants:",
+                   "op *:", "op f:", "\t", "\r", "\ufeff")
+
+
+def mutants(count, seed):
+    """Seeded texts, each one to three deletions or insertions away from a fixture file."""
+    rng = random.Random(seed)
+    texts = rendered_fixtures()
+    for _ in range(count):
+        text = rng.choice(texts)
+        pieces = MUTATION_PIECES + tuple(parse(text).elements)
+        for _ in range(rng.randint(1, 3)):
+            piece = rng.choice(pieces)
+            found = [m.start() for m in re.finditer(re.escape(piece), text)]
+            if found and rng.random() < 0.5:
+                k = rng.choice(found)
+                text = text[:k] + text[k + len(piece):]
+            else:
+                k = rng.randrange(len(text) + 1)
+                text = text[:k] + piece + text[k:]
+        yield text
+
+
+def parsed_or_raised(parser, text):
+    try:
+        sf = parser(text)
+    except Exception as exc:  # the oracle's own exception, whatever it is, must recur
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return sf, sf.op_headers
+
+
+def test_parse_matches_the_token_oracle_on_mutated_fixture_files():
+    outcomes = {}
+    for text in mutants(3000, seed=21):
+        want = parsed_or_raised(parse_by_tokens, text)
+        assert parsed_or_raised(parse, text) == want, repr(text)
+        kind = want[0] if isinstance(want[0], type) else StructureFile
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert set(outcomes) == {StructureFile, ParseError, UnknownElementError, RaggedTableError}
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_parse_computes_no_position_when_it_succeeds(monkeypatch):
+    def no_position(lines, k):
+        raise AssertionError("a position was computed")
+
+    monkeypatch.setattr(fileformat, "_at", no_position)
+    for text in rendered_fixtures():
+        assert parse(text).elements
+    with pytest.raises(AssertionError, match="position"):
+        parse("elements: a b\ncovers: a < z\n")

@@ -134,6 +134,18 @@ def test_poset_names_the_first_failing_check():
     assert exc.value.pair == ("a", "b")
 
 
+def test_poset_and_its_covers_are_one_kernel_call_each(monkeypatch):
+    calls = []
+    for name in ("closure", "poset_index", "poset_covers"):
+        kernel = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args, _name=name, _kernel=kernel:
+                            calls.append(_name) or _kernel(*args))
+    p = Poset(("a", "b", "c"), (0b111, 0b110, 0b100))
+    assert calls == ["poset_index"]
+    assert p.covers() == p.covers() == ((0, 1), (1, 2))
+    assert calls == ["poset_index", "poset_covers"]
+
+
 def test_size_budget():
     names = tuple(f"v{i}" for i in range(65))
     with pytest.raises(SizeBudgetError):
