@@ -12,18 +12,19 @@ empty carrier).  The catalog kernels ``enum_orders`` and
 ``canonical_keys`` work on packed 8-bit rows, so both twins take only
 1..8 elements.
 
-``poset_index(n, up, closed)`` returns ``(down, topo, top, bottom)`` for
-the up-masks of an order: the down-masks, the carrier sorted by (size of
-down-set, index), and the least index whose down-mask (top) or up-mask
-(bottom) is the whole carrier, else None; all four in tuples or ints.  At
-the first fault it returns ``(kind, i, j)`` instead, checking in this
-order: for each i, a mask with bits outside the carrier ("carrier"; a
-negative int or one of 2**64 or more counts) and then a mask without bit
-i ("reflexive"); then for each i, a cycle ("cycle", with j the least
-other element in up[i] & down[i]) and, unless ``closed``, a j above i
-whose up-mask leaves up[i] ("transitive").  j is None but for a cycle.
-``poset_covers(n, up, down)`` returns the transitive reduction as a
-sorted tuple of (lower, upper) index pairs.
+A kernel reads an order as ``(n, up, down)``; ``_core_py.topo_order``,
+``least_full`` and their C namesakes derive topo, the carrier sorted by
+(size of down-set, index), and top and bottom, the least index whose
+down-mask, or up-mask, is the whole carrier, else None.
+``poset_index(n, up, closed)`` returns ``(down, topo, top, bottom)``, in
+tuples or ints, for the up-masks of an order, or at the first fault
+``(kind, i, j)``, checking in this order: for each i, a mask with bits
+outside the carrier ("carrier"; a negative int or one of 2**64 or more
+counts) and then a mask without bit i ("reflexive"); then for each i, a
+cycle ("cycle", j the least other element in up[i] & down[i]) and, unless
+``closed``, a j above i whose up-mask leaves up[i] ("transitive"); j is
+None but for a cycle.  ``poset_covers(n, up, down)`` returns the
+transitive reduction as a sorted tuple of (lower, upper) index pairs.
 
 The table kernels ``poset_star_table`` and ``poset_relative_table``
 return ``(rows, total)``: a tuple of n row tuples, with None for an
@@ -31,29 +32,28 @@ undefined cell and an element index in every other, and whether no cell
 is None; both twins return exactly these types, so ``BinOp`` and
 ``LatticeOps`` take the tables as they are.  Their cell
 rules are ``_core_py.star_cell`` (sectional) and ``_core_py.relative_cell``
-(relative).  ``lattice_tables(n, topo, up, down)`` returns such tables,
-join and meet, or ``(kind, a, b, frontier)`` at the first pair (a, b) =
+(relative).  ``lattice_tables(n, up, down)`` returns such tables, join
+and meet, or ``(kind, a, b, frontier)`` at the first pair (a, b) =
 (topo[ra], topo[rb]), rb >= ra, without a lub (kind "join", checked
 first) or glb ("meet"); frontier masks the minimal common upper or maximal
-common lower bounds, and may be 0.  A topo that does not order the
-carrier raises ValueError.  ``operator_tables(n, up, down)`` returns
+common lower bounds, and may be 0.  ``operator_tables(n, up, down)`` returns
 ``(us, uid, low, lu)``: the distinct sets U(x, y) = up[x] & up[y]
 numbered in first-seen row-major order, n rows of each pair's number, the
 common lower bounds of each set, and n rows of each pair's common lower
 bounds; every row is a tuple, and both twins number the sets alike.
 
-``law_scan(n, topo, up, down, tables, consts, programs)`` returns each
-program's least failing tuple in ``topo`` order (first variable
-outermost), or None.  A program is ``(arity, opcode, operand, ...)``:
-arity 1..4, at most 64 instructions of ``LAW_OPS``, a stack of 16.
-``var`` i, ``const`` k and ``table`` t push variable i, ``consts[k]`` and
+``law_scan(n, up, down, tables, programs)`` returns each program's least
+failing tuple in topo order (first variable outermost), or None.  A
+program is ``(arity, opcode, operand, ...)``: arity 1..4, at most 64
+instructions of ``LAW_OPS``, a stack of 16.  ``var`` i, ``const`` k and
+``table`` t push variable i, top (k = 0) or bottom (k = 1), and
 ``tables[t][x][y]`` (popping x, y); ``up``/``down`` pop x and push its
 cone; ``leq``, ``eq``, ``and`` and ``subset`` pop x, y and push x <= y,
 x == y, x & y and whether mask x lies within y.  A tuple fails where the
-one value left is 0.  At most 8 constants (element indices) and 8 square
-tables of masks within the carrier (empty means absent; the compiled
-twin takes them up to 2080 wide); a value used as an index must be
-provably below what it indexes, or both twins raise ValueError.
+one value left is 0.  At most 8 square tables of masks within the
+carrier (empty means absent; the compiled twin takes them up to 2080
+wide); a value used as an index must be provably below what it indexes,
+and a pushed constant must exist, or both twins raise ValueError.
 
 ``congruence_scan(n, tables, one)`` takes the tables of any number of
 binary operations, each n rows of n element indices, and the index of the
@@ -108,8 +108,8 @@ def poset_covers(n, up, down):
     return _pick(n).poset_covers(n, up, down)
 
 
-def lattice_tables(n, topo, up, down):
-    return _pick(n).lattice_tables(n, topo, up, down)
+def lattice_tables(n, up, down):
+    return _pick(n).lattice_tables(n, up, down)
 
 
 def poset_star_table(n, up, down):
@@ -124,8 +124,8 @@ def operator_tables(n, up, down):
     return _pick(n).operator_tables(n, up, down)
 
 
-def law_scan(n, topo, up, down, tables, consts, programs):
-    return _pick(n).law_scan(n, topo, up, down, tables, consts, programs)
+def law_scan(n, up, down, tables, programs):
+    return _pick(n).law_scan(n, up, down, tables, programs)
 
 
 def congruence_scan(n, tables, one):

@@ -2,27 +2,29 @@
  * _core_py.py, for carriers of 1 to 64 elements.
  *
  * Bit j of up[i] set means element i lies below element j (reflexive);
- * down is the transpose.  poset_index returns an order's down-masks, topo,
- * top and bottom, or its first fault as (kind, i, j); poset_covers returns
- * its cover pairs.  The table kernels return tuples of n row tuples
- * with None for an undefined cell, every other cell an element index, so
- * BinOp and LatticeOps take them as they are; poset_star_table and
- * poset_relative_table pair theirs with whether no cell is None, and
- * lattice_tables returns (kind, a, b, frontier) at the first pair in topo
- * order without a lub or glb.  operator_tables returns (us, uid, low, lu):
- * the distinct sets U(x, y) = up[x] & up[y] in first-seen row-major order,
- * n rows numbering each pair's set, the lower set of each, and n rows of
- * each pair's lower set, all tuples.  law_scan takes rows and runs each
- * arity's programs as one loop nest; rrl_scan and divisibility_scan, which
- * no library code calls, take flat row-major sequences.  congruence_scan
- * takes any number of operation tables as rows of element indices and
- * returns the least-member labels of every principal congruence with the
- * first witness of permutability, congruence distributivity and weak
- * regularity, each decided from the principal congruences alone.  Every
- * kernel raises ValueError when n lies outside the sizes its fixed buffers
- * hold, a mask has bits outside the carrier (poset_index reports that as a
- * fault), topo does not order the carrier, or a table entry is not an
- * element index (for law_scan: may be used as an index it cannot be).
+ * down is the transpose.  An order enters as (n, up, down), and topo_order
+ * and least_full derive its topological order, top and bottom.
+ * poset_index returns an order's down-masks, topo, top and bottom, or its
+ * first fault as (kind, i, j); poset_covers returns its cover pairs.  The
+ * table kernels return tuples of n row tuples with None for an undefined
+ * cell, every other cell an element index, so BinOp and LatticeOps take
+ * them as they are; poset_star_table and poset_relative_table pair theirs
+ * with whether no cell is None, and lattice_tables returns (kind, a, b,
+ * frontier) at the first pair in topo order without a lub or glb.
+ * operator_tables returns (us, uid, low, lu): the distinct sets U(x, y) =
+ * up[x] & up[y] in first-seen row-major order, n rows numbering each
+ * pair's set, the lower set of each, and n rows of each pair's lower set,
+ * all tuples.  law_scan takes rows and runs each arity's programs as one
+ * loop nest; rrl_scan and divisibility_scan, which no library code calls,
+ * take flat row-major sequences.  congruence_scan takes any number of
+ * operation tables as rows of element indices and returns the least-member
+ * labels of every principal congruence with the first witness of
+ * permutability, congruence distributivity and weak regularity, each
+ * decided from the principal congruences alone.  Every kernel raises
+ * ValueError when n lies outside the sizes its fixed buffers hold, a mask
+ * has bits outside the carrier (poset_index reports that as a fault), or a
+ * table entry is not an element index (for law_scan: may be used as an
+ * index it cannot be, or a program pushes a constant the order lacks).
  * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
@@ -70,6 +72,29 @@ static uint64_t common_bounds(uint64_t full, const uint64_t *cone, uint64_t mask
     for (; mask; mask &= mask - 1)
         full &= cone[ctz64(mask)];
     return full;
+}
+
+/* The fixed topological order every scan follows: the carrier sorted by
+ * down-set size, index order within a size (a counting sort). */
+static void topo_order(int n, const uint64_t *down, uint8_t *topo)
+{
+    int start[66] = {0};
+    for (int i = 0; i < n; i++)
+        start[popcount64(down[i]) + 1]++;
+    for (int i = 1; i < 66; i++)
+        start[i] += start[i - 1];
+    for (int i = 0; i < n; i++)
+        topo[start[popcount64(down[i])]++] = (uint8_t)i;
+}
+
+/* The least index whose mask is the whole carrier, or -1: the top from the
+ * down-masks, the bottom from the up-masks. */
+static int least_full(int n, const uint64_t *mask)
+{
+    for (int i = 0; i < n; i++)
+        if (mask[i] == FULL(n))
+            return i;
+    return -1;
 }
 
 /* Check the argument count and read args[0] as n, which must lie in 1..hi. */
@@ -153,17 +178,6 @@ static int value_error(const char *msg)
     return -1;
 }
 
-/* Read the first n entries of seq: an order of the n-element carrier. */
-static int read_topo(PyObject *seq, int n, int *topo)
-{
-    uint64_t seen = 0;
-    if (read_indices(seq, n, n, topo))
-        return -1;
-    for (int i = 0; i < n; i++)
-        seen |= (uint64_t)1 << topo[i];
-    return seen == FULL(n) ? 0 : value_error("topo must order the carrier");
-}
-
 static PyObject *mask_tuple(const uint64_t *v, Py_ssize_t count)
 {
     PyObject *out = PyTuple_New(count);
@@ -243,7 +257,7 @@ static PyObject *poset_index(PyObject *self, PyObject *const *args, Py_ssize_t n
 {
     uint64_t ub[64], db[64] = {0};
     uint8_t topo[64];
-    int n, start[66] = {0}, top = -1, bottom = -1;
+    int n;
     const char *kind = NULL;
     if (read_n("poset_index", args, nargs, 3, 64, &n))
         return NULL;
@@ -281,19 +295,9 @@ static PyObject *poset_index(PyObject *self, PyObject *const *args, Py_ssize_t n
         if (!closed && reach != ub[i])
             return Py_BuildValue("(siO)", "transitive", i, Py_None);
     }
-    /* a counting sort by down-set size keeps index order within a size */
-    for (i = 0; i < n; i++)
-        start[popcount64(db[i]) + 1]++;
-    for (i = 1; i < 66; i++)
-        start[i] += start[i - 1];
-    for (i = 0; i < n; i++)
-        topo[start[popcount64(db[i])]++] = (uint8_t)i;
-    for (i = n - 1; i >= 0; i--) {
-        top = db[i] == FULL(n) ? i : top;
-        bottom = ub[i] == FULL(n) ? i : bottom;
-    }
+    topo_order(n, db, topo);
     return Py_BuildValue("(NNNN)", mask_tuple(db, n), label_tuple(topo, n),
-                         index_or_none(top), index_or_none(bottom));
+                         index_or_none(least_full(n, db)), index_or_none(least_full(n, ub)));
 }
 
 /* Pairs (i, j) with j covering i, in index order. */
@@ -330,10 +334,12 @@ static PyObject *poset_covers(PyObject *self, PyObject *const *args, Py_ssize_t 
 static PyObject *lattice_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t ub[64], db[64];
-    int topo[64], join[64 * 64], meet[64 * 64], n;
-    if (read_n("lattice_tables", args, nargs, 4, 64, &n) || read_topo(args[1], n, topo)
-        || read_masks(args[2], n, ub) || read_masks(args[3], n, db))
+    uint8_t topo[64];
+    int join[64 * 64], meet[64 * 64], n;
+    if (read_n("lattice_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
+        || read_masks(args[2], n, db))
         return NULL;
+    topo_order(n, db, topo);
     for (int ra = 0; ra < n; ra++)
         for (int rb = ra; rb < n; rb++) {
             int a = topo[ra], b = topo[rb];
@@ -517,31 +523,15 @@ enum { L_VAR, L_CONST, L_TABLE, L_UP, L_DOWN, L_LEQ, L_EQ, L_AND, L_SUBSET, L_OP
  * the widest table a product lowered over them needs */
 #define LAW_WIDTH 2080
 
-/* The checked inputs of one law_scan call. */
+/* The checked inputs of one law_scan call and what it derives from the
+ * order: topo, and the constants top and bottom (-1 when absent). */
 struct law_env {
-    int n, ntables, nconsts, topo[64];
-    uint64_t up[64], down[64], consts[LAW_TABLES];
+    int n, ntables, consts[2];
+    uint8_t topo[64];
+    uint64_t up[64], down[64];
     /* bound[t]: the largest entry of table t */
     uint64_t *tab[LAW_TABLES], width[LAW_TABLES], bound[LAW_TABLES];
 };
-
-/* Read the element indices a program may push as constants. */
-static int law_consts(PyObject *seq, struct law_env *e)
-{
-    PyObject *fast = PySequence_Fast(seq, "consts must be a sequence");
-    if (!fast)
-        return -1;
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(fast);
-    int ok = count <= LAW_TABLES;
-    for (Py_ssize_t k = 0; ok && k < count; k++)
-        ok = read_word(PySequence_Fast_GET_ITEM(fast, k), FULL(e->n), e->consts + k)
-             && e->consts[k] < (uint64_t)e->n;
-    Py_DECREF(fast);
-    e->nconsts = (int)count;
-    if (!ok && !PyErr_Occurred())
-        value_error("law_scan takes at most 8 constants, each an element index");
-    return ok ? 0 : -1;
-}
 
 /* Read the tables: square sequences of rows of words within the carrier; an
  * empty one is absent.  *buf receives one block that holds them all. */
@@ -649,7 +639,7 @@ static int law_check(const struct law_env *e, const struct law_code *c, struct l
         if (op < 0 || op >= L_OPS)
             return value_error("unknown law opcode");
         if ((op == L_VAR && (arg < 0 || arg >= b->arity))
-            || (op == L_CONST && (arg < 0 || arg >= e->nconsts))
+            || (op == L_CONST && (arg < 0 || arg > 1 || e->consts[arg] < 0))
             || (op == L_TABLE && (arg < 0 || arg >= e->ntables || !e->width[arg])))
             return value_error("law program operand out of range");
         int pops = op <= L_CONST ? 0 : op == L_UP || op == L_DOWN ? 1 : 2;
@@ -734,7 +724,7 @@ static void law_run(const struct law_env *e, const struct law_batch *b, uint64_t
                     v[j] = (uint64_t)e->topo[arg >= first ? rowrank[arg][j] : rank[arg]];
                 break;
             case L_CONST:
-                v[0] = e->consts[arg];
+                v[0] = (uint64_t)e->consts[arg];
                 break;
             case L_TABLE: {
                 const uint64_t *t = e->tab[arg], w = e->width[arg];
@@ -783,13 +773,15 @@ static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t narg
     struct law_env e;
     struct law_batch b = {0, 0, 0, NULL, NULL};
     uint64_t *buf = NULL, (*val)[64] = NULL, (*witness)[4] = NULL;
-    if (read_n("law_scan", args, nargs, 7, 64, &e.n) || read_topo(args[1], e.n, e.topo)
-        || read_masks(args[2], e.n, e.up) || read_masks(args[3], e.n, e.down)
-        || law_consts(args[5], &e))
+    if (read_n("law_scan", args, nargs, 5, 64, &e.n) || read_masks(args[1], e.n, e.up)
+        || read_masks(args[2], e.n, e.down))
         return NULL;
+    topo_order(e.n, e.down, e.topo);
+    e.consts[0] = least_full(e.n, e.down);
+    e.consts[1] = least_full(e.n, e.up);
     PyObject *result = NULL, *fast = NULL;
-    if (!law_tables(args[4], &e, &buf))
-        fast = PySequence_Fast(args[6], "programs must be a sequence");
+    if (!law_tables(args[3], &e, &buf))
+        fast = PySequence_Fast(args[4], "programs must be a sequence");
     Py_ssize_t count = fast ? PySequence_Fast_GET_SIZE(fast) : 0, size = 1;
     struct law_code *codes = PyMem_Malloc((count + 1) * sizeof *codes);
     int ok = fast && codes;
@@ -1341,7 +1333,7 @@ static PyMethodDef methods[] = {
            "(kind, i, j); see the pure twin."),
     KERNEL(poset_covers, "poset_covers(n, up, down)\n--\n\n"
            "The transitive reduction as a tuple of (lower, upper) pairs, sorted."),
-    KERNEL(lattice_tables, "lattice_tables(n, topo, up, down)\n--\n\n"
+    KERNEL(lattice_tables, "lattice_tables(n, up, down)\n--\n\n"
            "(join, meet) tables as tuples of row tuples, or (kind, a, b, frontier)\n"
            "at the first pair in topo order without a lub or glb; see the pure twin."),
     KERNEL(poset_star_table, "poset_star_table(n, up, down)\n--\n\n"
@@ -1361,10 +1353,11 @@ static PyMethodDef methods[] = {
            "bit 2: adjointness forward, bit 3: adjointness backward."),
     KERNEL(divisibility_scan, "divisibility_scan(n, join, mult, imp)\n--\n\n"
            "True when (x v y) * (x -> y) = y for every pair."),
-    KERNEL(law_scan, "law_scan(n, topo, up, down, tables, consts, programs)\n--\n\n"
-           "The least failing tuple of each program, or None, in topo order.\n\n"
-           "Same contract as the pure twin; the programs of each arity run as one\n"
-           "loop nest, and each op over the innermost variable's whole row."),
+    KERNEL(law_scan, "law_scan(n, up, down, tables, programs)\n--\n\n"
+           "The least failing tuple of each program, or None, in topological order.\n\n"
+           "Same contract as the pure twin; constant 0 is the top and 1 the bottom.\n"
+           "The programs of each arity run as one loop nest, and each op over the\n"
+           "innermost variable's whole row."),
     KERNEL(congruence_scan, "congruence_scan(n, tables, one)\n--\n\n"
            "(labels, permutable, distributive, regular): the labels of every principal\n"
            "congruence and the first witness of each criterion, or None; see the pure twin."),

@@ -1,9 +1,10 @@
 """Pure-Python kernels over int bitmasks.
 
 Bit j of ``up[i]`` set means element i lies below element j (reflexive).
-``down`` is the transpose.  The table kernels return a tuple of n row
-tuples with None for an undefined cell; the axiom scans take flat
-row-major sequences of length n*n, and ``law_scan`` takes sequences of rows.
+``down`` is the transpose; ``topo_order`` and ``least_full`` derive an
+order's topological order, top and bottom.  Table kernels return n row
+tuples, None for an undefined cell; the axiom scans take flat row-major
+sequences of length n*n, and ``law_scan`` takes sequences of rows.
 The compiled backend ``_core_c`` implements the same contracts for carriers
 of at most 64 elements; this module also covers larger carriers because
 Python ints are unbounded.  ``_pack`` and ``_unpack`` are the one codec,
@@ -26,6 +27,17 @@ def transpose(n, up):
             down[low.bit_length() - 1] |= 1 << i
             rest ^= low
     return down
+
+
+def topo_order(n, down):
+    """The carrier sorted by down-set size, then index: every scan's fixed order."""
+    return tuple(sorted(range(n), key=[d.bit_count() for d in down].__getitem__))
+
+
+def least_full(n, masks):
+    """The least index whose mask is the carrier, else None: top of down, bottom of up."""
+    full = (1 << n) - 1
+    return next((i for i in range(n) if masks[i] == full), None)
 
 
 def poset_index(n, up, closed):
@@ -51,10 +63,7 @@ def poset_index(n, up, closed):
             return "cycle", i, (loop & -loop).bit_length() - 1
         if not closed and any(up[i] >> j & 1 and up[j] & ~up[i] for j in range(n)):
             return "transitive", i, None
-    topo = tuple(sorted(range(n), key=lambda i: (down[i].bit_count(), i)))
-    top = next((i for i in range(n) if down[i] == full), None)
-    bottom = next((i for i in range(n) if up[i] == full), None)
-    return tuple(down), topo, top, bottom
+    return tuple(down), topo_order(n, down), least_full(n, down), least_full(n, up)
 
 
 def poset_covers(n, up, down):
@@ -103,17 +112,9 @@ def _frontier(mask, cone):
     return sum(1 << x for x in range(mask.bit_length()) if mask & cone[x] == 1 << x)
 
 
-def read_topo(n, topo):
-    """The first n entries of topo, which must order the n-element carrier."""
-    topo = tuple(topo)[:n]
-    if sorted(topo) != list(range(n)):
-        raise ValueError(f"topo must order the {n}-element carrier")
-    return topo
-
-
-def lattice_tables(n, topo, up, down):
+def lattice_tables(n, up, down):
     """(join, meet) tables or the first pair without a lub or glb, as ``_kernels`` states."""
-    topo = read_topo(n, topo)
+    topo = topo_order(n, down)
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for ra, a in enumerate(topo):
@@ -423,8 +424,8 @@ LAW_CODE = 64
 LAW_TABLES = 8
 
 
-def law_scan(n, topo, up, down, tables, consts, programs):
-    """The least failing tuple of each program, or None, in topo order.
+def law_scan(n, up, down, tables, programs):
+    """The least failing tuple of each program, or None, in topological order.
 
     The contract is in the docstring of the ``_kernels`` package.  The
     translator lives in ``_law_py``, imported on first use, so that a
@@ -432,7 +433,7 @@ def law_scan(n, topo, up, down, tables, consts, programs):
     """
     from . import _law_py
 
-    return _law_py.law_scan(n, topo, up, down, tables, consts, programs)
+    return _law_py.law_scan(n, up, down, tables, programs)
 
 
 def _pack(n, up):

@@ -6,7 +6,7 @@ in the docstring of the ``_kernels`` package.
 
 from functools import lru_cache
 
-from ._core_py import LAW_CODE, LAW_OPS, LAW_STACK, LAW_TABLES, read_topo
+from ._core_py import LAW_CODE, LAW_OPS, LAW_STACK, LAW_TABLES, least_full, topo_order
 
 # A value's bound is the least of its sources': -1 stands for n (a variable
 # or constant), -2 for 2 (a truth value), t >= 0 for table t's entries; no
@@ -33,7 +33,7 @@ def _plan(programs):
     if not 1 <= arity <= 4:
         raise ValueError("law arity must lie in 1..4")
     levels = [[] for _ in range(arity)]  # levels[0] runs before the loops
-    names, needs, tables, consts, tests = {}, [], set(), 0, []
+    names, needs, tables, consts, tests = {}, [], set(), set(), []
 
     def value(expr, depth, sources=()):
         if depth < arity - 1:
@@ -69,9 +69,9 @@ def _plan(programs):
                     raise ValueError(f"variable {arg!r} out of range")
                 v = (f"x{arg}", arg, _INDEX)
             elif name == "const":
-                if not 0 <= arg < LAW_TABLES:
+                if arg not in (0, 1):
                     raise ValueError(f"constant {arg!r} out of range")
-                consts = max(consts, arg + 1)
+                consts.add(arg)
                 v = value(f"C[{arg}]", -1, _INDEX)
             elif name == "table":
                 if not 0 <= arg < LAW_TABLES:
@@ -114,18 +114,15 @@ def _plan(programs):
     lines.append(f"    return {result}")
     scope = {}
     exec(compile("\n".join(lines), "<law>", "exec"), scope)
-    return scope["scan"], tuple(needs), tuple(sorted(tables)), consts
+    return scope["scan"], tuple(needs), tuple(sorted(tables)), tuple(consts)
 
 
-def law_scan(n, topo, up, down, tables, consts, programs):
-    """The least failing tuple of each program, or None, in topo order."""
+def law_scan(n, up, down, tables, programs):
+    """The least failing tuple of each program, or None, in topological order."""
     if n < 1:
         raise ValueError("law_scan supports 1 <= n")
-    topo = read_topo(n, topo)
-    if len(tables) > LAW_TABLES or len(consts) > LAW_TABLES:
-        raise ValueError(f"law_scan takes at most {LAW_TABLES} tables and constants")
-    if any(not 0 <= k < n for k in consts):
-        raise ValueError(f"constants must lie in 0..{n - 1}")
+    if len(tables) > LAW_TABLES:
+        raise ValueError(f"law_scan takes at most {LAW_TABLES} tables")
     widths, bounds = [], []
     for table in tables:
         if any(len(row) != len(table) for row in table):
@@ -141,10 +138,12 @@ def law_scan(n, topo, up, down, tables, consts, programs):
         if len(program) % 2 == 0:
             raise ValueError("a law program is (arity, opcode, operand, ...)")
         groups.setdefault(program[0], []).append((i, program))
+    topo, consts = topo_order(n, down), (least_full(n, down), least_full(n, up))
     out = [None] * len(programs)
     for group in groups.values():
-        fn, needs, used, nconst = _plan(tuple(program for _, program in group))
-        if nconst > len(consts) or any(t >= len(tables) or not widths[t] for t in used):
+        fn, needs, used, pushed = _plan(tuple(program for _, program in group))
+        if any(consts[k] is None for k in pushed) or any(
+                t >= len(tables) or not widths[t] for t in used):
             raise ValueError("law program operand out of range")
         for sources, limit in needs:
             bound = min(n if s == -1 else 2 if s == -2 else bounds[s] for s in sources)

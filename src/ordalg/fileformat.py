@@ -62,19 +62,19 @@ class StructureFile:
     def poset(self):
         return make_poset(self.elements, self.covers)
 
+    def _index(self):
+        return {name: i for i, name in enumerate(self.elements)}
+
     def binops(self):
-        index = {name: i for i, name in enumerate(self.elements)}
-        out = {}
-        for name, matrix in self.ops:
-            rows = tuple(
-                tuple(None if cell is None else index[cell] for cell in row)
-                for row in matrix
-            )
-            out[name] = BinOp(len(self.elements), rows)
-        return out
+        # an undefined cell, None, stays None; an unknown name raises KeyError
+        index = self._index()
+        index[None] = None
+        n = len(self.elements)
+        return {name: BinOp(n, tuple([tuple(map(index.__getitem__, row)) for row in matrix]))
+                for name, matrix in self.ops}
 
     def constant_indices(self):
-        index = {name: i for i, name in enumerate(self.elements)}
+        index = self._index()
         return {key: index[name] for key, name in self.constants}
 
 

@@ -61,12 +61,11 @@ class Law:
 def scan(p, checks, **tables):
     """The least failing tuple of each law, or None, in p's topological order.
 
-    Constant ``top`` is p's greatest element and ``bottom`` its least;
-    ``tables`` maps names of TABLES to square sequences of rows.
+    ``tables`` maps names of TABLES to square sequences of rows; the kernel
+    finds ``top`` and ``bottom`` in p.
     """
-    consts = () if p.top is None else (p.top,) if p.bottom is None else (p.top, p.bottom)
-    return kernels.law_scan(p.n, p.topo, p.up, p.down, [tables.get(name, ()) for name in TABLES],
-                            consts, [law.program for law in checks])
+    return kernels.law_scan(p.n, p.up, p.down, [tables.get(name, ()) for name in TABLES],
+                            [law.program for law in checks])
 
 
 # Lattices: a join table holds least upper bounds, and a meet table
@@ -106,13 +105,16 @@ LAW_IX = (Law(2, eq(eq(mult(a, b), bottom), leq(a, imp(b, bottom)))),
           Law(1, eq(mult(bottom, a), bottom)))
 PRODUCT_BELOW = DERIVED[4][1]
 
-# The four-identity basis; its identity ii is law v
+# The four-identity basis; its identity ii is law v.  With the groupoid
+# laws it holds exactly when the axioms do (README gives the proof)
 BASIS = (
-    ("i", Law(3, leq(imp(mult(join(a, b), join(c, b)), b), imp(join(c, b), imp(a, b))))),
+    ("i", Law(3, leq(join(c, b), imp(a, join(mult(join(a, b), join(c, b)), b))))),
     ("ii", PRODUCT_BELOW),
     ("iii", Law(3, leq(mult(a, b), mult(a, join(b, c))))),
     ("iv", Law(2, eq(imp(a, join(a, b)), top))),
 )
+# Currying, which the axioms do not imply
+CURRYING = Law(3, leq(imp(mult(join(a, b), join(c, b)), b), imp(join(c, b), imp(a, b))))
 MONOTONE_RIGHT = Law(3, leq(mult(a, b), mult(a, c)), guard=leq(b, c))
 
 # Operator residuation on subset masks: adjointness and the laws i-v

@@ -203,7 +203,7 @@ def as_lattice(p):
     Its tables are least upper and greatest lower bounds by its contract,
     so they enter LatticeOps without the law engine's check.
     """
-    tabs = kernels.lattice_tables(p.n, p.topo, p.up, p.down)
+    tabs = kernels.lattice_tables(p.n, p.up, p.down)
     if len(tabs) == 2:
         return LatticeOps._trusted(p, *tabs)
     kind, a, b, frontier = tabs

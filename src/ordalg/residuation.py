@@ -165,12 +165,12 @@ class IdentityBasisReport:
 def identity_basis_check(cand):
     """Check the four-identity basis; when it holds, cross-check the axioms.
 
-    One law scan runs the basis and the residuation axioms together.  If
-    every condition and the groupoid laws hold, the candidate must pass
-    the axioms outright, and their report, as ``check_residuation`` gives
-    it, is attached.  This verifies basis ⇒ axioms only: identity i fails
-    on residuations whose product is not associative, so a failing
-    condition does not mean the axioms fail.
+    One law scan runs the basis and the residuation axioms together.  The
+    basis with the groupoid laws holds exactly when the axioms do (see
+    ``laws.BASIS``), so when every condition and the groupoid laws hold
+    the candidate must pass the axioms outright, and their report, as
+    ``check_residuation`` gives it, is attached; a failing condition means
+    that the axioms fail too.
     """
     found = _axiom_scan(cand.lattice, cand.mult, cand.imp,
                         [law for _, law in laws.BASIS] + list(_AXIOMS))

@@ -737,8 +737,8 @@ def identity_basis_by_loops(cand):
     conds = []
     v = Verdict(True)
     for a, b, c in _triples(p):
-        ab, cb = join[a][b], join[c][b]
-        if not up[it[mt[ab][cb]][b]] >> it[cb][it[a][b]] & 1:
+        cb = join[c][b]
+        if not up[cb] >> it[a][join[mt[join[a][b]][cb]][b]] & 1:
             v = Verdict(False, (a, b, c), "i")
             break
     conds.append(("i", v))

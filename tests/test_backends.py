@@ -121,9 +121,8 @@ def test_tables_identical_on_catalog():
     undefined, failures = set(), set()
     for p in itertools.chain(catalog, wide):
         args = (p.n, list(p.up), list(p.down))
-        lattice_args = (p.n, p.topo) + args[1:]
         for twin in (c, py):
-            lattice = twin.lattice_tables(*lattice_args)
+            lattice = twin.lattice_tables(*args)
             star, rel = twin.poset_star_table(*args), twin.poset_relative_table(*args)
             for table, total in (star, rel):
                 assert type(total) is bool and total == all(None not in row for row in table)
@@ -143,7 +142,7 @@ def test_tables_identical_on_catalog():
                     assert {type(cell) for cell in row} <= {int, type(None)}
                     assert all(cell is None or 0 <= cell < p.n for cell in row)
                     undefined.update(cell is None for cell in row)
-        assert c.lattice_tables(*lattice_args) == py.lattice_tables(*lattice_args)
+        assert c.lattice_tables(*args) == py.lattice_tables(*args)
         assert c.poset_star_table(*args) == py.poset_star_table(*args)
         assert c.poset_relative_table(*args) == py.poset_relative_table(*args)
     assert undefined == {True, False}
@@ -195,13 +194,9 @@ def test_table_kernels_hold_no_reference_after_returning(twin, calls):
     # The bowtie covers lattice_tables' failure return; chain4 and the
     # projection algebra cover each of congruence_scan's witnesses.
     twin = c_backend() if twin == "c" else py
-    cases = []
-    for kernel, p in [(kernel, fixture("bool4").poset) for kernel in TABLE_KERNELS] + [
-            ("lattice_tables", fixture("bowtie").poset)]:
-        args = (p.n, list(p.up), list(p.down))
-        if kernel == "lattice_tables":
-            args = (p.n, p.topo) + args[1:]
-        cases.append((kernel, args))
+    cases = [(kernel, (p.n, list(p.up), list(p.down)))
+             for kernel, p in [(kernel, fixture("bool4").poset) for kernel in TABLE_KERNELS]
+             + [("lattice_tables", fixture("bowtie").poset)]]
     pointed = o.lattice_algebra(fixture("chain4").poset), tc.projection_algebra(3)
     cases += [("congruence_scan", scan_args(alg)) for alg in pointed]
     for kernel, args in cases:
@@ -311,7 +306,7 @@ def library_programs():
 
 
 def law_inputs():
-    """(n, topo, up, down, tables, consts) on which both twins must agree.
+    """(n, up, down, tables) on which both twins must agree.
 
     The tables follow laws.TABLES: join, meet, mult, imp, a residual of
     masks, ids of the distinct masks U(x, y), a product over those ids and
@@ -333,8 +328,7 @@ def law_inputs():
             resid = [[p.down[y] for y in row] for row in imp]
             prod = [[p.full & rng.randrange(1 << n) for _ in ids] for _ in ids]
             low = [[lower_set(p, p.up[x] & p.up[y]) for y in range(n)] for x in range(n)]
-            yield (n, p.topo, p.up, p.down,
-                   (lat.join, lat.meet, mult, imp, resid, uid, prod, low), (p.top, p.bottom))
+            yield n, p.up, p.down, (lat.join, lat.meet, mult, imp, resid, uid, prod, low)
 
 
 def rand_table(rng, n):
@@ -373,7 +367,7 @@ def test_law_scan_identical_on_random_programs():
     c = c_backend()
     rng = random.Random(15)
     outcomes = set()
-    for n, topo, up, down, tables, consts in itertools.islice(law_inputs(), 0, None, 3):
+    for n, up, down, tables in itertools.islice(law_inputs(), 0, None, 3):
         for k in range(300):
             arity = rng.randrange(1, 4)
             if k % 2:
@@ -384,7 +378,7 @@ def test_law_scan_identical_on_random_programs():
             got = []
             for twin in (c, py):
                 try:
-                    got.append(twin.law_scan(n, topo, up, down, tables, consts, [program]))
+                    got.append(twin.law_scan(n, up, down, tables, [program]))
                 except ValueError:
                     got.append(ValueError)
             assert got[0] == got[1], program
@@ -414,11 +408,11 @@ def test_law_scan_batches_agree_with_single_calls():
     library = library_programs()
     arities, witnesses = set(), set()
     inputs = [args for args in law_inputs() if args[0] <= 8]
-    for n, topo, up, down, tables, consts in inputs[::2]:
+    for n, up, down, tables in inputs[::2]:
 
         def scan(twin, programs):
             try:
-                return twin.law_scan(n, topo, up, down, tables, consts, programs)
+                return twin.law_scan(n, up, down, tables, programs)
             except ValueError:
                 return ValueError
 
@@ -447,7 +441,7 @@ def test_law_scan_batches_agree_with_single_calls():
     # the residuation axioms, law ix, the derived laws and the basis in one
     # call on bool3 with its passing residuation, and random terms until
     # the arity-3 group shares more than 64 registers
-    n, topo, up, down, tables, consts = inputs[4]
+    n, up, down, tables = inputs[4]
     assert n == 8
     named = [laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD,
              laws.ADJOINT_BACKWARD, *laws.LAW_IX] + [law for _, law in laws.DERIVED + laws.BASIS]
@@ -455,27 +449,89 @@ def test_law_scan_batches_agree_with_single_calls():
     while shared_registers([program for program in batch if program[0] == 3]) <= 64:
         program = (3, *random_term(rng, 3, 3))
         try:
-            py.law_scan(n, topo, up, down, tables, consts, [program])
+            py.law_scan(n, up, down, tables, [program])
         except ValueError:
             continue
         batch.append(program)
-    want = [py.law_scan(n, topo, up, down, tables, consts, [program])[0] for program in batch]
+    want = [py.law_scan(n, up, down, tables, [program])[0] for program in batch]
     assert want[:5] == [None] * 5
     for twin in (c, py):
-        assert twin.law_scan(n, topo, up, down, tables, consts, batch) == want
+        assert twin.law_scan(n, up, down, tables, batch) == want
+
+
+def first_failure(p, arity, fails):
+    """The least tuple in p.topo order at which fails holds, or None."""
+    return next((t for t in itertools.product(p.topo, repeat=arity) if fails(*t)), None)
+
+
+def test_kernels_derive_the_topological_order_top_and_bottom():
+    """lattice_tables and law_scan take an order as (n, up, down) alone.
+
+    On every poset of the n <= 6 catalog, as enumerated and with its labels
+    reversed, and on bool6 and chain64, both twins agree, result types
+    included; each scans Poset.topo, as the oracles that loop over it do;
+    and constant 0 is the top and 1 the bottom, or, when the order lacks
+    it, a program that pushes it raises ValueError in both twins.
+    """
+    c = c_backend()
+    var, const, table, leq, eq, both = (kernels.LAW_OPS.index(op) for op in (
+        "var", "const", "table", "leq", "eq", "and"))
+    rng = random.Random(22)
+    catalog = (q for n in range(1, 7) for p in enumerate_structures(n, "all-posets").members
+               for q in (p, o.relabeled(p, range(n - 1, -1, -1))))
+    wide = (fixture(name).poset for name in ("bool6", "chain64"))
+    bounds = set()
+    for p in itertools.chain(catalog, wide):
+        # truth values with about one cell in eight false, so that the
+        # least false tuple depends on a long prefix of the order
+        truth = [[int(rng.random() >= 0.125) for _ in range(p.n)] for _ in range(p.n)]
+        order = [
+            ((2, var, 0, var, 1, table, 0), 2, lambda x, y: not truth[x][y]),
+            ((3, var, 0, var, 1, table, 0, var, 1, var, 2, table, 0, both, 0), 3,
+             lambda x, y, z: not truth[x][y] & truth[y][z]),
+            ((2, var, 0, var, 1, leq, 0), 2, lambda x, y: not p.leq(x, y)),
+        ]
+        # (the constant each group pushes, or None when the order lacks it; the group)
+        groups = (
+            ("none", order),
+            (p.top, [((1, var, 0, const, 0, eq, 0), 1, lambda x: x != p.top),
+                     ((1, var, 0, const, 0, leq, 0), 1, lambda x: not p.leq(x, p.top))]),
+            (p.bottom, [((1, var, 0, const, 1, eq, 0), 1, lambda x: x != p.bottom),
+                        ((1, const, 1, var, 0, leq, 0), 1, lambda x: not p.leq(p.bottom, x))]),
+        )
+        bounds.add((p.top is not None, p.bottom is not None))
+        args = (p.n, p.up, p.down)
+        assert typed(c.lattice_tables(*args)) == typed(py.lattice_tables(*args))
+        for twin in (c, py):
+            assert tp.kernel_witness(twin, p) == o.not_a_lattice_by_rescan(p), p.up
+        for end, cases in groups:
+            programs = [program for program, _, _ in cases]
+            if end is None:
+                for twin in (c, py):
+                    with pytest.raises(ValueError, match="operand out of range"):
+                        twin.law_scan(*args, [truth], programs)
+                    # one such program fails the whole batch
+                    with pytest.raises(ValueError, match="operand out of range"):
+                        twin.law_scan(*args, [truth], [order[0][0], programs[0]])
+                continue
+            got = c.law_scan(*args, [truth], programs)
+            assert typed(got) == typed(py.law_scan(*args, [truth], programs))
+            assert got == [first_failure(p, arity, fails) for _, arity, fails in cases], p.up
+    # no top, no bottom, a bottom without a top, a top without a bottom, both
+    assert bounds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_kernels_reject_inputs_their_buffers_cannot_hold():
     c = c_backend()
     cases = (
         ("closure", 64, lambda n: (n, [0] * n)),
-        ("lattice_tables", 64, lambda n: (n, range(max(n, 0)), [0] * n, [0] * n)),
+        ("lattice_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("poset_star_table", 64, lambda n: (n, [0] * n, [0] * n)),
         ("poset_relative_table", 64, lambda n: (n, [0] * n, [0] * n)),
         ("operator_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
         ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
-        ("law_scan", 64, lambda n: (n, range(max(n, 0)), [0] * n, [0] * n, (), (), ())),
+        ("law_scan", 64, lambda n: (n, [0] * n, [0] * n, (), ())),
         ("enum_orders", 8, lambda n: (n, False)),
         ("canonical_keys", 8, lambda n: (n, [])),
         ("congruence_scan", 64, lambda n: (n, [], None)),
@@ -495,7 +551,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         lambda: c.closure(3, [8, 0, 0]),
         lambda: c.closure(3, [1, 2]),
         lambda: c.closure(64, [1 << 64] + [0] * 63),
-        lambda: c.lattice_tables(2, [0, 1], [3, 2], [1, 4]),
+        lambda: c.lattice_tables(2, [3, 2], [1, 4]),
         lambda: c.poset_star_table(2, [3, 2], [1, 4]),
         lambda: c.poset_relative_table(2, [3, 2], [1, 4]),
         lambda: c.poset_relative_table(2, [3, 6], [1, 3]),
@@ -511,23 +567,16 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         with pytest.raises(ValueError):
             bad()
 
-    # lattice_tables: an order that repeats, misses or leaves the carrier
-    for twin in (c, py):
-        for topo in ((0, 0, 1), (0, 1, 3), (2, 1), (0, 1, -1)):
-            with pytest.raises(ValueError):
-                twin.lattice_tables(3, topo, [7, 6, 4], [1, 3, 7])
-
-    # law_scan: every malformed table, constant, program or order; the
-    # pure twin takes wider carriers, but no empty one
+    # law_scan: every malformed table or program; the pure twin takes
+    # wider carriers, but no empty one
     chain = fixture("chain3").poset
     join = as_lattice(chain).join
     var, const, table, up, leq = (kernels.LAW_OPS.index(op) for op in (
         "var", "const", "table", "up", "leq"))
     masks = (chain.up, chain.down)
 
-    def scan(twin, tables=(join,), consts=(2,), program=(2, var, 0, var, 1, table, 0),
-             topo=(0, 1, 2), n=3):
-        return twin.law_scan(n, topo, *masks, tables, consts, [program])
+    def scan(twin, tables=(join,), program=(2, var, 0, var, 1, table, 0), n=3):
+        return twin.law_scan(n, *masks, tables, [program])
 
     eq = kernels.LAW_OPS.index("eq")
     pushes = (var, 0) * 17
@@ -544,9 +593,9 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
             dict(tables=([[0, 0, 0], [0, 0, 0], [0, 0, 8]],)),   # a mask outside the carrier
             dict(tables=([[0, 0], [0, 0]],)),                    # a table narrower than n
             dict(tables=([[0, 0, 0], [0, 0], [0, 0, 0]],)),      # a ragged table
-            dict(consts=(3,)), dict(consts=(-1,)),
             dict(program=(2, 99, 0)), dict(program=(2, -1, 0)),   # unknown opcodes
-            dict(program=(2, var, 2)), dict(program=(2, const, 1)),
+            dict(program=(2, var, 2)), dict(program=(2, const, 2)),
+            dict(program=(2, const, -1)),
             dict(program=(2, var, 0, var, 1, table, 1)),          # an absent table
             dict(program=(2, var, 0, var, 1, table, 9)),
             dict(program=(1, var, 0, table, 0)),                  # stack underflow
@@ -557,7 +606,6 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
             dict(program=(1, var, 0, up, 0, var, 0, leq, 0)),
             dict(program=(0, var, 0)), dict(program=(5, var, 0)),
             dict(program=(2, var)),
-            dict(topo=(0, 1, 1)), dict(topo=(0, 1, 3)),
         ):
             with pytest.raises(ValueError):
                 scan(twin, **bad)
@@ -571,9 +619,9 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
                         (1, var, 0, var, 0, table, 0, up, 0),
                         (1, var, 0, var, 0, table, 0, var, 0, leq, 0)):
             with pytest.raises(ValueError):
-                twin.law_scan(64, wide.topo, wide.up, wide.down, [ones], (), [program])
-        assert twin.law_scan(64, wide.topo, wide.up, wide.down, [ones], (),
-                             [(1, var, 0, var, 0, table, 0)]) == [None]
+                twin.law_scan(64, wide.up, wide.down, [ones], [program])
+        assert twin.law_scan(64, wide.up, wide.down, [ones], [(1, var, 0, var, 0, table, 0)]) \
+            == [None]
 
     # congruence_scan: a cell outside the carrier, a ragged or short table,
     # or one outside the carrier; the pure twin takes wider carriers

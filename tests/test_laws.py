@@ -9,6 +9,7 @@ inputs reach them.
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,8 @@ from ordalg import (
     half_adjointness,
     identity_basis_check,
     is_meet_semidistributive,
+    laws,
+    make_poset,
     operator_derived_laws,
     star_table_poset,
     synthesize_sectional,
@@ -137,6 +140,19 @@ def random_candidates(draw):
 @settings(max_examples=150, deadline=None)
 def test_residuation_laws_match_loops_on_drawn_tables(cand):
     assert_residuation_matches(cand)
+
+
+def test_scan_reads_the_bottom_of_an_order_without_a_top():
+    # the kernel finds top and bottom in the order itself: a law that
+    # pushes only bottom runs where there is no top, and one that pushes
+    # top raises ValueError
+    p = make_poset(("0", "a", "b"), (("0", "a"), ("0", "b")))
+    assert p.top is None and p.bottom == 0
+    x = laws.a
+    assert laws.scan(p, [laws.Law(1, laws.leq(laws.bottom, x)),
+                         laws.Law(1, laws.eq(x, laws.bottom))]) == [None, (1,)]
+    with pytest.raises(ValueError, match="operand out of range"):
+        laws.scan(p, [laws.Law(1, laws.leq(x, laws.top))])
 
 
 def test_operator_laws_match_loops():

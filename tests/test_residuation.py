@@ -1,5 +1,8 @@
 """Residuation axioms, divisibility, and the derived-law suite."""
 
+import itertools
+import random
+
 import pytest
 
 from ordalg import (
@@ -11,10 +14,13 @@ from ordalg import (
     check_divisibility,
     check_residuation,
     derived_laws,
+    enumerate_structures,
     fixture,
     from_sectional,
     half_adjointness,
     identity_basis_check,
+    laws,
+    synthesize_sectional,
 )
 from ordalg import _kernels as kernels
 
@@ -184,11 +190,11 @@ def test_identity_basis_flags_mutant():
     assert report.residuation is None
 
 
-def test_identity_i_fails_on_a_residuation_with_non_associative_product():
-    # An open question, not a settled verdict: on chain4 this product and
-    # implication pass every axiom and derived law, yet identity i of the
-    # basis fails.  The product is not associative; every residuation
-    # with n <= 7 on which identity i holds has an associative product.
+def test_currying_fails_on_a_residuation_with_non_associative_product():
+    # On chain4 this product and implication pass every axiom and derived
+    # law, and the basis holds, yet currying, the basis's identity i
+    # before, fails: the axioms do not imply it.  The product is not
+    # associative.
     lat = as_lattice(fixture("chain4").poset)
     mult = BinOp.from_rows([(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 3)])
     imp = BinOp.from_rows([(3, 3, 3, 3), (1, 3, 3, 3), (0, 2, 3, 3), (0, 1, 2, 3)])
@@ -199,10 +205,45 @@ def test_identity_i_fails_on_a_residuation_with_non_associative_product():
     assert any(mult.value(mult.value(x, y), z) != mult.value(x, mult.value(y, z))
                for x in r for y in r for z in r)
     report = identity_basis_check(cand)
-    assert report.groupoid and report.residuation is None
-    names = lat.poset.names
-    failed = [(name, tuple(names[i] for i in v.witness)) for name, v in report.conditions if not v]
-    assert failed == [("i", ("c2", "c0", "c2"))]
+    assert report.all_conditions_hold and report.residuation.passed
+    (currying,) = laws.scan(lat.poset, [laws.CURRYING], join=lat.join, mult=mult.table,
+                            imp=imp.table)
+    assert tuple(lat.poset.names[i] for i in currying) == ("c2", "c0", "c2")
+
+
+def test_basis_with_groupoid_laws_holds_exactly_when_the_axioms_do():
+    # both directions: every commutative product with unit top on chain3,
+    # each with a seeded sample of 1,000 implications, and the sectional
+    # candidate of every lattice with n <= 8 that has one
+    lat = as_lattice(fixture("chain3").poset)
+    top = lat.top
+    low = [x for x in range(3) if x != top]
+    pairs = [(x, y) for x in low for y in low if x <= y]
+    rng = random.Random(22)
+    cands = []
+    for cells in itertools.product(range(3), repeat=len(pairs)):
+        rows = [[y if x == top else x if y == top else None for y in range(3)] for x in range(3)]
+        for (x, y), cell in zip(pairs, cells):
+            rows[x][y] = rows[y][x] = cell
+        mult = BinOp.from_rows(rows)
+        for code in rng.sample(range(3 ** 9), 1000):
+            imp = BinOp.from_rows([[code // 3 ** (3 * x + y) % 3 for y in range(3)]
+                                   for x in range(3)])
+            cands.append(ResiduationCandidate(lat, mult, imp))
+    assert len(cands) == 27_000
+    sectional = 0
+    for p in (p for n in range(1, 9) for p in enumerate_structures(n, "lattices").members):
+        star = synthesize_sectional(as_lattice(p))
+        if isinstance(star, BinOp):
+            cands.append(from_sectional(as_lattice(p), star))
+            sectional += 1
+    assert sectional == 106
+    outcomes = set()
+    for cand in cands:
+        report, axioms = identity_basis_check(cand), check_residuation(cand)
+        assert report.all_conditions_hold == axioms.passed
+        outcomes.add(axioms.passed)
+    assert outcomes == {True, False}
 
 
 def test_candidate_rejects_partial_tables():

@@ -36,4 +36,5 @@ export ORDALG_NO_EXT=1 ORDALG_BACKEND=c PYTHONPATH="$TMP/src"
 "$PY" -c "import ordalg._kernels._core_c as c; assert c.__file__.startswith('$TMP'), c.__file__"
 cd "$ROOT"
 "$PY" -m pytest -q -p no:cacheprovider --capture=sys tests/test_backends.py tests/test_laws.py \
-    tests/test_congruence.py tests/test_poset.py tests/test_fileformat.py "$@"
+    tests/test_congruence.py tests/test_poset.py tests/test_fileformat.py \
+    tests/test_pseudocomplement.py tests/test_operators.py tests/test_residuation.py "$@"
