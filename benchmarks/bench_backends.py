@@ -76,6 +76,20 @@ def workloads():
     yield "divisibility scan n=40", "divisibility_scan", \
         (chain.n, lat.flat_join(), cand.mult.flat(), cand.imp.flat())
 
+    # the law scans of the library on an 8-element lattice, where a call's
+    # fixed costs outweigh its tuples: classify's three lattice laws, and the
+    # five residuation axioms on the lattice's sectional candidate
+    small = fixture("bool3").poset
+    small_lat = as_lattice(small)
+    small_cand = from_sectional(small_lat, synthesize_sectional(small_lat))
+    order = (small.n, small.up, small.down)
+    yield "law scan n=8, lattice laws", "law_scan", (*order, (small_lat.join, small_lat.meet), [
+        law.program for law in (laws.MODULAR, laws.DISTRIBUTIVE, laws.MEET_SEMIDISTRIBUTIVE)])
+    yield "law scan n=8, residuation axioms", "law_scan", (
+        *order, (small_lat.join, (), small_cand.mult.table, small_cand.imp.table), [
+            law.program for law in (laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE,
+                                    laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD)])
+
     # every lattice and residuation law at once; an implication that is top
     # everywhere makes most of them fail, several deep in the scan
     programs = [law.program for law in (

@@ -589,12 +589,12 @@ static int law_tables(PyObject *seq, struct law_env *e, uint64_t **buf)
 struct law_code { int len, code[2 * LAW_CODE + 1]; };
 
 /* A checked batch of programs of one arity in register form: register r
- * holds the result of op on registers x and y (0 when unused), depends on
- * the variables up to depth (-1 for none), and holds at most bound.
- * Repeated subterms, within a program or across the batch, share one
- * register; result[k] is the register program k leaves. */
+ * holds the result of op on registers x and y (0 when unused), reads the
+ * variables in the mask vars (bit i for variable i), and holds at most
+ * bound.  Repeated subterms, within a program or across the batch, share
+ * one register; result[k] is the register program k leaves. */
 struct law_reg {
-    int op, arg, x, y, depth;
+    int op, arg, x, y, vars;
     uint64_t bound;
 };
 struct law_batch {
@@ -657,9 +657,7 @@ static int law_check(const struct law_env *e, const struct law_code *c, struct l
         if (r == b->len) {
             reg[r] = (struct law_reg){
                 op, arg, x, y,
-                op == L_VAR ? arg
-                : op == L_CONST ? -1
-                : reg[x].depth > reg[y].depth ? reg[x].depth : reg[y].depth,
+                op == L_VAR ? 1 << arg : op == L_CONST ? 0 : reg[x].vars | reg[y].vars,
                 op <= L_CONST ? n - 1
                 : op == L_TABLE ? e->bound[arg]
                 : op <= L_DOWN ? UINT64_MAX
@@ -678,93 +676,135 @@ static int law_check(const struct law_env *e, const struct law_code *c, struct l
 
 /* Run a checked batch over every tuple in topological order, in one loop
  * nest.  The innermost variables whose tuples fit in 64 row positions
- * (one, unless n is at most 8) are the row variables: a result that
- * depends on one of them is a row over all their tuples, in order; any
- * other is a single value, recomputed only when a variable it depends on
- * moves.  Each program that has not failed yet is tested, and the scan
- * stops once all have failed.  val holds 64 words per register; witness[k]
- * receives program k's least failing tuple, and its first word stays
- * UINT64_MAX when the program passes. */
+ * (one, unless n is at most 8) are the row variables, the others the
+ * outer ones; a counter at each row variable gives its rank at each row
+ * position.  A register that reads a row variable is a row over all their
+ * tuples, in order; any other is a single value.  Each operation runs one
+ * loop for each shape of its operands, row or single, so a single operand
+ * is read once, not at every row position.  The first outer step computes
+ * every register; each later one only those that read a variable that
+ * changed: the outer variable that moved and the outer ones after it,
+ * which reset.  A register that reads no outer variable is thus computed
+ * once per batch.  A program's result is tested only where its register
+ * was computed: a value that did not fail there does not fail at a later
+ * step that leaves it as it was.  The scan stops once all programs have
+ * failed.  val holds 64 words per register; witness[k] receives program
+ * k's least failing tuple, and its first word stays UINT64_MAX when the
+ * program passes. */
 static void law_run(const struct law_env *e, const struct law_batch *b, uint64_t (*val)[64],
                     uint64_t (*witness)[4])
 {
-    int n = e->n, first = b->arity - 1, count = n, rank[4] = {0}, moved = -1, rowrank[4][64];
-    int left = b->count;
+    int n = e->n, first = b->arity - 1, count = n, rank[4] = {0}, left = b->count;
+    uint8_t rowrank[4][64];
     while (first > 0 && count * n <= 64) {
         first--;
         count *= n;
     }
-    /* rowrank[i][j]: the rank of row variable i at row position j */
+    /* rows: the row variables as a mask; changed: the variables that
+     * changed at this step, or -1 at the first */
+    int rows = (1 << b->arity) - (1 << first), changed = -1;
+    /* rowrank[i][j]: the rank of row variable i at row position j, which
+     * moves on once every stride positions */
     for (int i = b->arity - 1, stride = 1; i >= first; stride *= n, i--)
-        for (int j = 0; j < count; j++)
-            rowrank[i][j] = j / stride % n;
+        for (int j = 0, r = 0, s = 0; j < count; j++) {
+            rowrank[i][j] = (uint8_t)r;
+            if (++s == stride) {
+                s = 0;
+                r = r + 1 == n ? 0 : r + 1;
+            }
+        }
     for (int k = 0; k < b->count; k++)
         witness[k][0] = UINT64_MAX;
     for (;;) {
         for (int i = 0; i < b->len; i++) {
             const struct law_reg *r = b->reg + i;
-            int op = r->op, arg = r->arg, d = r->depth;
-            if (d < moved)
+            if (changed != -1 && !(r->vars & changed))
                 continue;
-            int len = d >= first ? count : 1;
-            /* a single value is read at index 0 of every row position */
-            int mx = b->reg[r->x].depth >= first ? -1 : 0, my = b->reg[r->y].depth >= first ? -1 : 0;
+            int op = r->op, arg = r->arg;
+            int xrow = b->reg[r->x].vars & rows, yrow = b->reg[r->y].vars & rows;
             const uint64_t *restrict x = val[r->x], *restrict y = val[r->y];
             uint64_t *restrict v = val[i];
-/* v[j] = expr over the operands a and b of row position j */
-#define LAW_ROW(expr)                                         \
-    for (int j = 0; j < len; j++) {                           \
-        uint64_t a = x[j & mx], b = y[j & my];                \
-        v[j] = (expr);                                        \
+/* v = expr over the operands a and b, in the loop for their shapes */
+#define LAW_ROWS(expr)                                        \
+    if (xrow && yrow)                                         \
+        for (int j = 0; j < count; j++) {                     \
+            uint64_t a = x[j], b = y[j];                      \
+            v[j] = (expr);                                    \
+        }                                                     \
+    else if (xrow) {                                          \
+        uint64_t b = y[0];                                    \
+        for (int j = 0; j < count; j++) {                     \
+            uint64_t a = x[j];                                \
+            v[j] = (expr);                                    \
+        }                                                     \
+    } else if (yrow) {                                        \
+        uint64_t a = x[0];                                    \
+        for (int j = 0; j < count; j++) {                     \
+            uint64_t b = y[j];                                \
+            v[j] = (expr);                                    \
+        }                                                     \
+    } else {                                                  \
+        uint64_t a = x[0], b = y[0];                          \
+        v[0] = (expr);                                        \
     }                                                         \
     break
             switch (op) {
             case L_VAR:
-                for (int j = 0; j < len; j++)
-                    v[j] = (uint64_t)e->topo[arg >= first ? rowrank[arg][j] : rank[arg]];
+                if (arg >= first)
+                    for (int j = 0; j < count; j++)
+                        v[j] = (uint64_t)e->topo[rowrank[arg][j]];
+                else
+                    v[0] = (uint64_t)e->topo[rank[arg]];
                 break;
             case L_CONST:
                 v[0] = (uint64_t)e->consts[arg];
                 break;
             case L_TABLE: {
                 const uint64_t *t = e->tab[arg], w = e->width[arg];
-                LAW_ROW(t[a * w + b]);
+                LAW_ROWS(t[a * w + b]);
             }
             case L_UP:
             case L_DOWN: {
                 const uint64_t *cone = op == L_UP ? e->up : e->down;
-                for (int j = 0; j < len; j++)
-                    v[j] = cone[x[j & mx]];
+                if (xrow)
+                    for (int j = 0; j < count; j++)
+                        v[j] = cone[x[j]];
+                else
+                    v[0] = cone[x[0]];
                 break;
             }
             case L_LEQ: {
                 const uint64_t *up = e->up;
-                LAW_ROW(up[a] >> b & 1);
+                LAW_ROWS(up[a] >> b & 1);
             }
             case L_EQ:
-                LAW_ROW(a == b);
+                LAW_ROWS(a == b);
             case L_AND:
-                LAW_ROW(a & b);
+                LAW_ROWS(a & b);
             default: /* L_SUBSET */
-                LAW_ROW(!(a & ~b));
+                LAW_ROWS(!(a & ~b));
             }
-#undef LAW_ROW
+#undef LAW_ROWS
         }
         for (int k = 0; k < b->count; k++) {
             uint64_t *w = witness[k];
-            int r = b->result[k], len = b->reg[r].depth >= first ? count : 1;
-            for (int j = 0; w[0] == UINT64_MAX && j < len; j++)
+            int r = b->result[k], vars = b->reg[r].vars;
+            if (w[0] != UINT64_MAX || (changed != -1 && !(vars & changed)))
+                continue;
+            for (int j = 0, len = vars & rows ? count : 1; j < len; j++)
                 if (!val[r][j]) {
                     for (int i = 0; i < b->arity; i++)
                         w[i] = (uint64_t)e->topo[i >= first ? rowrank[i][j] : rank[i]];
                     left--;
+                    break;
                 }
         }
-        moved = first - 1;
+        int moved = first - 1;
         while (moved >= 0 && ++rank[moved] == n)
             rank[moved--] = 0;
         if (!left || moved < 0)
             return;
+        changed = (1 << first) - (1 << moved);
     }
 }
 

@@ -37,7 +37,7 @@ from . import _kernels as kernels
 from ._kernels._core_py import block_masks, join_into, merge, principal
 from .binop import BinOp
 from .errors import BudgetError, MissingConstantError
-from .verdict import Verdict
+from .verdict import HOLDS, Verdict
 
 CONGRUENCE_BUDGET = 4096
 
@@ -258,7 +258,7 @@ def check_permutable(algebra, congs=None):
                     if diff:
                         z = (diff & -diff).bit_length() - 1
                         return Verdict(False, (theta, congs[j], (x, z)))
-    return Verdict(True)
+    return HOLDS
 
 
 class _OpTable(dict):
@@ -326,7 +326,7 @@ def check_congruence_distributive(algebra, congs=None):
             if lhs != rhs:
                 c = next(c for c in r if lhs[c] != rhs[c])
                 return Verdict(False, (congs[a], congs[b], congs[c]))
-    return Verdict(True)
+    return HOLDS
 
 
 def _implication(algebra):
@@ -364,7 +364,7 @@ def check_weakly_regular(algebra, congs=None):
                 both_one = t[x][y] == one and t[y][x] == one
                 if both_one != (x == y):
                     return Verdict(False, (x, y), f"term condition via {imp_name}")
-    return Verdict(True)
+    return HOLDS
 
 
 def maltsev_replay(algebra):

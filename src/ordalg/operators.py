@@ -13,7 +13,7 @@ from . import laws
 from .errors import NoTopError, OrdAlgError, PartialStarError, SubsetBudgetError
 from .poset import lower_set
 from .residuation import AxiomReport, _require_verified
-from .verdict import Verdict
+from .verdict import HOLDS, Verdict
 
 SUBSET_BUDGET = 12
 
@@ -147,7 +147,7 @@ def check_operator_axioms(op, exhaustive_subsets=False):
         raise SubsetBudgetError(
             f"powerset mode allows at most {SUBSET_BUDGET} elements, carrier has {p.n}"
         )
-    commut = unit = Verdict(True)
+    commut = unit = HOLDS
     if not isinstance(op.prod, CanonicalProduct):
         subsets = tuple(range(1 << p.n) if exhaustive_subsets else generated_family(p))
         commut, unit = _groupoid_verdicts(p, op.prod, subsets)
@@ -166,7 +166,7 @@ def check_operator_axioms(op, exhaustive_subsets=False):
 
 def _groupoid_verdicts(p, prod, subsets):
     top_mask = 1 << p.top
-    commut = unit = Verdict(True)
+    commut = unit = HOLDS
     for a_mask in subsets:
         for b_mask in subsets:
             if prod.m(a_mask, b_mask) != prod.m(b_mask, a_mask):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from . import laws
 from .binop import BinOp
 from .errors import NotVerifiedError, PreconditionError
-from .verdict import Verdict
+from .verdict import HOLDS, Verdict
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class IdentityBasisReport:
 
     subject: object = field(repr=False, compare=False)
     conditions: tuple = ()
-    groupoid: Verdict = Verdict(True)
+    groupoid: Verdict = HOLDS
     residuation: "AxiomReport | None" = None
 
     @property

@@ -1,4 +1,10 @@
-"""Uniform holds-or-witness result value."""
+"""Uniform holds-or-witness result value.
+
+Holding verdicts are one shared object, ``HOLDS``, which ``Verdict.of``
+returns for no witness; only a holding verdict with a detail, such as a
+skipped law, is a new object.  A failing verdict is a new object with its
+witness.  Compare verdicts with ``bool(v)`` or ``==``, not ``is``.
+"""
 
 from dataclasses import dataclass
 
@@ -16,5 +22,8 @@ class Verdict:
 
     @classmethod
     def of(cls, witness, detail=""):
-        """Holding for no witness (None), else failing with it and the detail."""
-        return cls(True) if witness is None else cls(False, witness, detail)
+        """HOLDS for no witness (None), else failing with it and the detail."""
+        return HOLDS if witness is None else cls(False, witness, detail)
+
+
+HOLDS = Verdict(True)

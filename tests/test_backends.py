@@ -305,6 +305,18 @@ def library_programs():
     return list(dict.fromkeys(found))
 
 
+def law_structures(rng):
+    """The lattices law_inputs() runs on: n = 1, 2, 3, 4, 5, 8, 16 and 64.
+
+    Their sizes split arities 3 and 4 into row and outer variables in every
+    way the compiled twin does: 0, 1, 2 or 3 outer variables.
+    """
+    structures = [fixture("chain2").poset, fixture("bool3").poset, fixture("bool6").poset]
+    structures.append(enumerate_structures(1, "lattices").members[0])
+    structures += rng.sample(enumerate_structures(8, "lattices").members, 4)
+    return structures + [fixture(name).poset for name in ("chain3", "bool2", "pentagon", "bool4")]
+
+
 def law_inputs():
     """(n, up, down, tables) on which both twins must agree.
 
@@ -313,10 +325,7 @@ def law_inputs():
     the common lower bounds of each U(x, y).
     """
     rng = random.Random(14)
-    structures = [fixture("chain2").poset, fixture("bool3").poset, fixture("bool6").poset]
-    structures.append(enumerate_structures(1, "lattices").members[0])
-    structures += rng.sample(enumerate_structures(8, "lattices").members, 4)
-    for p in structures:
+    for p in law_structures(rng):
         n = p.n
         lat = as_lattice(p)
         ids = {}
@@ -345,7 +354,7 @@ def test_law_scan_identical():
         assert got_c == py.law_scan(*args, programs)
         sizes.add(args[0])
         results.update(w is None for w in got_c)
-    assert sizes >= {1, 8, 64} and results == {True, False}
+    assert sizes == {1, 2, 3, 4, 5, 8, 16, 64} and results == {True, False}
 
 
 def random_term(rng, arity, depth):
@@ -462,6 +471,66 @@ def test_law_scan_batches_agree_with_single_calls():
 def first_failure(p, arity, fails):
     """The least tuple in p.topo order at which fails holds, or None."""
     return next((t for t in itertools.product(p.topo, repeat=arity) if fails(*t)), None)
+
+
+def outer_variables(n, arity):
+    """How many outer variables the compiled twin scans arity's tuples with:
+    the innermost variables whose tuples fit in 64 row positions are rows."""
+    first, count = arity - 1, n
+    while first > 0 and count * n <= 64:
+        first, count = first - 1, count * n
+    return first
+
+
+def test_law_scan_recomputes_only_what_moved():
+    """Programs whose result reads only outer variables, only row variables,
+    both or none, in one batch, on every row/outer split of arities 3 and 4.
+
+    Table 1 is false only at (top, top), so a program that tests the meet
+    of some variables there fails only where all of them are top, the last
+    element in topological order: for the outer variables, only at the
+    last outer step.  A register left stale when a variable it reads moves,
+    or a result not tested where it changes, gives a wrong or missing
+    witness against first_failure's brute force.
+    """
+    c = c_backend()
+    var, const, table, leq, eq = (kernels.LAW_OPS.index(op) for op in (
+        "var", "const", "table", "leq", "eq"))
+    splits = set()
+    for p in law_structures(random.Random(14)):
+        if p.n > 16:
+            continue
+        top = p.top
+        tables = (as_lattice(p).meet,
+                  [[int(not x == y == top) for y in range(p.n)] for x in range(p.n)])
+
+        def meet(vs):
+            code = [var, vs[0]]
+            for v in vs[1:]:
+                code += [var, v, table, 0]
+            return code
+
+        for arity in (3, 4):
+            first = outer_variables(p.n, arity)
+            splits.add((arity, first))
+            outer, rows, every = range(first), range(first, arity), range(arity)
+            cases = [((arity, const, 0, const, 0, eq, 0), lambda *t: False),
+                     ((arity, const, 0, const, 0, table, 1), lambda *t: True),
+                     ((arity, const, 0, const, 1, table, 1), lambda *t: top == p.bottom)]
+            for vs in (outer, rows, every, outer[-1:], (0, arity - 1)):
+                if vs:
+                    cases += [
+                        ((arity, *meet(vs), const, 0, table, 1),
+                         lambda *t, vs=vs: all(t[v] == top for v in vs)),
+                        ((arity, *meet(vs), const, 0, leq, 0), lambda *t: False),
+                    ]
+            programs = [program for program, _ in cases]
+            want = [first_failure(p, arity, fails) for _, fails in cases]
+            args = (p.n, p.up, p.down, tables)
+            assert c.law_scan(*args, programs) == py.law_scan(*args, programs) == want, \
+                (p.up, arity)
+            assert [c.law_scan(*args, [program])[0] for program in programs] == want
+    assert splits == {(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3)}
 
 
 def test_kernels_derive_the_topological_order_top_and_bottom():

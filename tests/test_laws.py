@@ -6,6 +6,7 @@ also run past their gate, on a report with no verdicts, so that failing
 inputs reach them.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from ordalg import (
     LatticeOps,
     PreconditionError,
     ResiduationCandidate,
+    Verdict,
     as_lattice,
     canonical_operators,
     check_divisibility,
@@ -153,6 +155,22 @@ def test_scan_reads_the_bottom_of_an_order_without_a_top():
                          laws.Law(1, laws.eq(x, laws.bottom))]) == [None, (1,)]
     with pytest.raises(ValueError, match="operand out of range"):
         laws.scan(p, [laws.Law(1, laws.leq(x, laws.top))])
+
+
+def test_holding_verdicts_are_one_shared_frozen_object():
+    holds = Verdict.of(None)
+    assert holds is Verdict.of(None, "ignored") and holds == Verdict(True)
+    assert holds.witness == () and holds.detail == ""
+    for field, value in (("holds", False), ("witness", (0,)), ("detail", "x")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(holds, field, value)
+    w = (1, 2)
+    failing = Verdict.of(w, "d")
+    assert (failing.holds, failing.witness, failing.detail) == (False, w, "d")
+    assert not failing and failing is not Verdict.of(w, "d") and failing == Verdict.of(w, "d")
+    # library checks hand out the shared object when a law holds
+    lat = as_lattice(make_poset(("0", "a", "1"), (("0", "a"), ("a", "1"))))
+    assert is_meet_semidistributive(lat) is holds
 
 
 def test_operator_laws_match_loops():
