@@ -16,8 +16,10 @@ import random
 import sys
 import time
 
-from ordalg import as_lattice, direct_product, fixture, from_sectional, laws, synthesize_sectional
+from ordalg import (as_lattice, canonical_operators, direct_product, fixture, from_sectional,
+                    laws, star_table_poset, synthesize_sectional)
 from ordalg._kernels import _core_py
+from ordalg.operators import _mask_tables
 
 try:
     from ordalg._kernels import _core_c
@@ -89,6 +91,20 @@ def workloads():
         *order, (small_lat.join, (), small_cand.mult.table, small_cand.imp.table), [
             law.program for law in (laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE,
                                     laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD)])
+
+    # the suites the library scans once per structure, passed as the
+    # library's own tuples, so that the compiled twin keeps their checked
+    # form after the first call: every law of a residuation candidate, on
+    # bool3 and bool6, and every operator law on bool3
+    for p in (small, fixture("bool6").poset):
+        p_lat = as_lattice(p)
+        p_cand = from_sectional(p_lat, synthesize_sectional(p_lat))
+        yield f"law scan n={p.n}, candidate suite", "law_scan", (
+            p.n, p.up, p.down, (p_lat.join, (), p_cand.mult.table, p_cand.imp.table),
+            laws.CANDIDATE)
+    mask_tables = _mask_tables(canonical_operators(small, star_table_poset(small)))
+    yield "law scan n=8, operator suite", "law_scan", (
+        *order, [mask_tables.get(name, ()) for name in laws.TABLES], laws.OPERATOR)
 
     # every lattice and residuation law at once; an implication that is top
     # everywhere makes most of them fail, several deep in the scan

@@ -53,7 +53,12 @@ x == y, x & y and whether mask x lies within y.  A tuple fails where the
 one value left is 0.  At most 8 square tables of masks within the
 carrier (empty means absent; the compiled twin takes them up to 2080
 wide); a value used as an index must be provably below what it indexes,
-and a pushed constant must exist, or both twins raise ValueError.
+and a pushed constant must exist, or both twins raise ValueError.  Both
+twins keep what they derive from programs they have read: the pure twin
+its translation of a batch, by value (``_law_py._plan``), and the
+compiled twin the checked form of the last 16 programs that are an exact
+tuple of exact tuples of ints, by identity, holding the tuple.  Every
+check that reads a call's own order and tables runs on every call.
 
 ``congruence_scan(n, tables, one)`` takes the tables of any number of
 binary operations, each n rows of n element indices, and the index of the

@@ -15,7 +15,8 @@
  * up[x] & up[y] in first-seen row-major order, n rows numbering each
  * pair's set, the lower set of each, and n rows of each pair's lower set,
  * all tuples.  law_scan takes rows and runs each arity's programs as one
- * loop nest; rrl_scan and divisibility_scan, which no library code calls,
+ * loop nest, and keeps the checked form of the last programs tuples it
+ * read; rrl_scan and divisibility_scan, which no library code calls,
  * take flat row-major sequences.  congruence_scan takes any number of
  * operation tables as rows of element indices and returns the least-member
  * labels of every principal congruence with the first witness of
@@ -589,17 +590,25 @@ static int law_tables(PyObject *seq, struct law_env *e, uint64_t **buf)
 struct law_code { int len, code[2 * LAW_CODE + 1]; };
 
 /* A checked batch of programs of one arity in register form: register r
- * holds the result of op on registers x and y (0 when unused), reads the
- * variables in the mask vars (bit i for variable i), and holds at most
- * bound.  Repeated subterms, within a program or across the batch, share
- * one register; result[k] is the register program k leaves. */
-struct law_reg {
-    int op, arg, x, y, vars;
-    uint64_t bound;
-};
+ * holds the result of op on registers x and y (0 when unused) and reads
+ * the variables in the mask vars (bit i for variable i).  Repeated
+ * subterms, within a program or across the batch, share one register.
+ * Program k of the batch, the program[k]th of the call, leaves register
+ * result[k]. */
+struct law_reg { int op, arg, x, y, vars; };
 struct law_batch {
-    int arity, len, count, *result;
+    int arity, len, count, *result, *program;
     struct law_reg *reg;
+};
+
+/* The programs of one call as checked batches, one for each arity, in one
+ * block with the arity of each program in call order; no batch has more
+ * than size registers.  A kept plan holds a reference to its programs. */
+struct law_plan {
+    PyObject *programs;
+    Py_ssize_t count, size;
+    struct law_batch batch[4];
+    uint8_t *arity;
 };
 
 /* Read a program: a sequence of an odd number of ints, at most 64
@@ -625,43 +634,62 @@ static int law_read(PyObject *program, struct law_code *c)
            : value_error("a program is (arity, opcode, operand, ...) with at most 64 instructions");
 }
 
-/* Add a program to the batch after checking it: opcodes, operands and
- * stack depth, and that every value used as an index stays below what it
- * indexes, by the bounds of the tables, constants and variables it comes
- * from. */
-static int law_check(const struct law_env *e, const struct law_code *c, struct law_batch *b)
+static int law_pops(int op)
+{
+    return op <= L_CONST ? 0 : op == L_UP || op == L_DOWN ? 1 : 2;
+}
+
+/* Whether the constant or table that op pushes exists in this call's
+ * order or tables; any other op pushes none. */
+static int law_present(const struct law_env *e, int op, int arg)
+{
+    return op == L_CONST ? e->consts[arg] >= 0
+           : op != L_TABLE || (arg < e->ntables && e->width[arg]);
+}
+
+/* Check that op, over operands that hold at most bx and by, uses no value
+ * as an index that may reach what it indexes, and set *most to the most
+ * its result holds. */
+static int law_bound(const struct law_env *e, int op, int arg, uint64_t bx, uint64_t by,
+                     uint64_t *most)
+{
+    uint64_t n = (uint64_t)e->n, limit = op == L_TABLE ? e->width[arg] : n;
+    int indexes = op == L_TABLE || op == L_LEQ || op == L_UP || op == L_DOWN;
+    if (indexes && (bx >= limit || by >= limit))
+        return value_error("law program indexes with a value that may be out of range");
+    *most = op <= L_CONST ? n - 1
+            : op == L_TABLE ? e->bound[arg]
+            : op <= L_DOWN ? UINT64_MAX
+            : op == L_AND ? (bx < by ? bx : by) : 1;
+    return 0;
+}
+
+/* Add a program to the batch after the checks that read no call's inputs:
+ * opcodes, operands within their static ranges, and stack depth.
+ * law_recheck makes the others on every call. */
+static int law_check(const struct law_code *c, struct law_batch *b)
 {
     struct law_reg *reg = b->reg;
-    uint64_t n = (uint64_t)e->n;
     int stack[LAW_STACK], sp = 0;
     for (int pc = 1; pc < c->len; pc += 2) {
         int op = c->code[pc], arg = c->code[pc + 1];
         if (op < 0 || op >= L_OPS)
             return value_error("unknown law opcode");
         if ((op == L_VAR && (arg < 0 || arg >= b->arity))
-            || (op == L_CONST && (arg < 0 || arg > 1 || e->consts[arg] < 0))
-            || (op == L_TABLE && (arg < 0 || arg >= e->ntables || !e->width[arg])))
+            || (op == L_CONST && (arg < 0 || arg > 1))
+            || (op == L_TABLE && (arg < 0 || arg >= LAW_TABLES)))
             return value_error("law program operand out of range");
-        int pops = op <= L_CONST ? 0 : op == L_UP || op == L_DOWN ? 1 : 2;
+        int pops = law_pops(op);
         if (sp < pops)
             return value_error("law program stack underflow");
         sp -= pops;
         int x = pops ? stack[sp] : 0, y = pops ? stack[sp + pops - 1] : 0, r = 0;
-        uint64_t bx = pops ? reg[x].bound : 0, by = pops ? reg[y].bound : 0;
-        uint64_t limit = op == L_TABLE ? e->width[arg] : n;
-        int indexes = op == L_TABLE || op == L_LEQ || op == L_UP || op == L_DOWN;
-        if (indexes && (bx >= limit || by >= limit))
-            return value_error("law program indexes with a value that may be out of range");
         while (r < b->len && !(reg[r].op == op && reg[r].arg == arg && reg[r].x == x && reg[r].y == y))
             r++;
         if (r == b->len) {
             reg[r] = (struct law_reg){
                 op, arg, x, y,
-                op == L_VAR ? 1 << arg : op == L_CONST ? 0 : reg[x].vars | reg[y].vars,
-                op <= L_CONST ? n - 1
-                : op == L_TABLE ? e->bound[arg]
-                : op <= L_DOWN ? UINT64_MAX
-                : op == L_AND ? (bx < by ? bx : by) : 1};
+                op == L_VAR ? 1 << arg : op == L_CONST ? 0 : reg[x].vars | reg[y].vars};
             b->len++;
         }
         if (sp == LAW_STACK)
@@ -672,6 +700,128 @@ static int law_check(const struct law_env *e, const struct law_code *c, struct l
         return value_error("a law program must leave one value");
     b->result[b->count++] = stack[0];
     return 0;
+}
+
+/* Check a batch against this call's order and tables, register by
+ * register: each constant or table it pushes is present, and every value
+ * used as an index stays below what it indexes, by the bounds of the
+ * tables, constants and variables it comes from.  bound[r] receives the
+ * most register r holds. */
+static int law_recheck(const struct law_env *e, const struct law_batch *b, uint64_t *bound)
+{
+    for (int r = 0; r < b->len; r++) {
+        const struct law_reg *g = b->reg + r;
+        int pops = law_pops(g->op);
+        if (!law_present(e, g->op, g->arg))
+            return value_error("law program operand out of range");
+        if (law_bound(e, g->op, g->arg, pops ? bound[g->x] : 0, pops ? bound[g->y] : 0, bound + r))
+            return -1;
+    }
+    return 0;
+}
+
+/* Read programs, a sequence, and check them into a new plan. */
+static struct law_plan *law_build(PyObject *programs)
+{
+    PyObject *fast = PySequence_Fast(programs, "programs must be a sequence");
+    if (!fast)
+        return NULL;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(fast), size = 1;
+    struct law_code *codes = PyMem_Malloc((count + 1) * sizeof *codes);
+    int ok = codes != NULL;
+    for (Py_ssize_t p = 0; ok && p < count; p++)
+        if ((ok = !law_read(PySequence_Fast_GET_ITEM(fast, p), codes + p)))
+            size += codes[p].len;
+    /* each instruction makes at most one register; after the plan, its
+     * block holds the registers, the results, the program indices and the
+     * arities */
+    struct law_plan *pl = NULL;
+    if (ok) {
+        pl = PyMem_Malloc(sizeof *pl + size * sizeof(struct law_reg)
+                          + (count + 1) * (2 * sizeof(int) + 1));
+        ok = pl != NULL;
+    }
+    if (ok) {
+        struct law_reg *reg = (struct law_reg *)(pl + 1);
+        int *result = (int *)(reg + size), *program = result + count + 1;
+        pl->programs = NULL;
+        pl->count = count;
+        pl->size = size;
+        pl->arity = (uint8_t *)(program + count + 1);
+        for (int a = 1; a <= 4; a++) {
+            struct law_batch *b = pl->batch + a - 1;
+            *b = (struct law_batch){a, 0, 0, result, program, reg};
+            for (Py_ssize_t p = 0; ok && p < count; p++)
+                if (codes[p].code[0] == a) {
+                    program[b->count] = (int)p;
+                    ok = !law_check(codes + p, b);
+                }
+            reg += b->len;
+            result += b->count;
+            program += b->count;
+        }
+        for (Py_ssize_t p = 0; p < count; p++)
+            pl->arity[p] = (uint8_t)codes[p].code[0];
+    }
+    /* only a failed allocation fails without an exception */
+    if (!ok && !PyErr_Occurred())
+        PyErr_NoMemory();
+    if (!ok) {
+        PyMem_Free(pl);
+        pl = NULL;
+    }
+    PyMem_Free(codes);
+    Py_DECREF(fast);
+    return pl;
+}
+
+static void law_free(struct law_plan *pl)
+{
+    if (pl)
+        Py_XDECREF(pl->programs);
+    PyMem_Free(pl);
+}
+
+/* The plans of the last LAW_KEPT programs tuples read, each holding its
+ * tuple.  Only an exact tuple of exact tuples of exact ints is kept: it
+ * cannot change while it is held, so a later call with the same object
+ * reuses its plan.  This mirrors the pure twin's _plan. */
+#define LAW_KEPT 16
+static struct law_plan *law_kept[LAW_KEPT];
+static int law_next;
+
+static int law_keeps(PyObject *programs)
+{
+    if (!PyTuple_CheckExact(programs))
+        return 0;
+    for (Py_ssize_t p = 0; p < PyTuple_GET_SIZE(programs); p++) {
+        PyObject *code = PyTuple_GET_ITEM(programs, p);
+        if (!PyTuple_CheckExact(code))
+            return 0;
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(code); i++)
+            if (!PyLong_CheckExact(PyTuple_GET_ITEM(code, i)))
+                return 0;
+    }
+    return 1;
+}
+
+/* The plan of programs: a kept one, or one built now and kept if it
+ * qualifies.  A plan that is not kept has no programs, and its caller
+ * frees it. */
+static struct law_plan *law_plan_of(PyObject *programs)
+{
+    for (int i = 0; i < LAW_KEPT; i++)
+        if (law_kept[i] && law_kept[i]->programs == programs)
+            return law_kept[i];
+    struct law_plan *pl = law_build(programs);
+    if (!pl || !law_keeps(programs))
+        return pl;
+    struct law_plan *old = law_kept[law_next];
+    pl->programs = Py_NewRef(programs);
+    law_kept[law_next] = pl;
+    law_next = (law_next + 1) % LAW_KEPT;
+    law_free(old);
+    return pl;
 }
 
 /* Run a checked batch over every tuple in topological order, in one loop
@@ -688,9 +838,9 @@ static int law_check(const struct law_env *e, const struct law_code *c, struct l
  * once per batch.  A program's result is tested only where its register
  * was computed: a value that did not fail there does not fail at a later
  * step that leaves it as it was.  The scan stops once all programs have
- * failed.  val holds 64 words per register; witness[k] receives program
- * k's least failing tuple, and its first word stays UINT64_MAX when the
- * program passes. */
+ * failed.  val holds 64 words per register; witness[p] receives the least
+ * failing tuple of program p of the call, and its first word stays
+ * UINT64_MAX when the program passes. */
 static void law_run(const struct law_env *e, const struct law_batch *b, uint64_t (*val)[64],
                     uint64_t (*witness)[4])
 {
@@ -714,7 +864,7 @@ static void law_run(const struct law_env *e, const struct law_batch *b, uint64_t
             }
         }
     for (int k = 0; k < b->count; k++)
-        witness[k][0] = UINT64_MAX;
+        witness[b->program[k]][0] = UINT64_MAX;
     for (;;) {
         for (int i = 0; i < b->len; i++) {
             const struct law_reg *r = b->reg + i;
@@ -787,7 +937,7 @@ static void law_run(const struct law_env *e, const struct law_batch *b, uint64_t
 #undef LAW_ROWS
         }
         for (int k = 0; k < b->count; k++) {
-            uint64_t *w = witness[k];
+            uint64_t *w = witness[b->program[k]];
             int r = b->result[k], vars = b->reg[r].vars;
             if (w[0] != UINT64_MAX || (changed != -1 && !(vars & changed)))
                 continue;
@@ -808,57 +958,63 @@ static void law_run(const struct law_env *e, const struct law_batch *b, uint64_t
     }
 }
 
+/* Check a plan against this call's inputs and run it: each program's
+ * least failing tuple, or None.  The plan is read only before the first
+ * Python object is made, since a collection that starts then may run code
+ * that replaces a kept plan. */
+static PyObject *law_results(const struct law_env *e, const struct law_plan *pl)
+{
+    Py_ssize_t count = pl->count, size = pl->size;
+    /* one block: the registers' bounds and values, then each program's
+     * witness and arity */
+    uint64_t *bound = PyMem_Malloc((size * 65 + (count + 1) * 4) * sizeof *bound + count + 1);
+    if (!bound)
+        return PyErr_NoMemory();
+    uint64_t (*val)[64] = (uint64_t (*)[64])(bound + size);
+    uint64_t (*witness)[4] = (uint64_t (*)[4])(val + size);
+    uint8_t *arity = (uint8_t *)(witness + count + 1);
+    memcpy(arity, pl->arity, count);
+    int ok = 1;
+    for (int a = 0; ok && a < 4; a++)
+        ok = !law_recheck(e, pl->batch + a, bound);
+    for (int a = 0; ok && a < 4; a++)
+        if (pl->batch[a].count)
+            law_run(e, pl->batch + a, val, witness);
+    PyObject *result = ok ? PyList_New(count) : NULL;
+    for (Py_ssize_t p = 0; result && p < count; p++) {
+        PyObject *item = witness[p][0] == UINT64_MAX ? Py_NewRef(Py_None)
+                         : mask_tuple(witness[p], arity[p]);
+        if (item)
+            PyList_SET_ITEM(result, p, item);
+        else
+            Py_CLEAR(result);
+    }
+    PyMem_Free(bound);
+    return result;
+}
+
+/* Every call reads its order and tables and checks its programs' plan
+ * against them; the plan is kept across calls when law_plan_of keeps it. */
 static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct law_env e;
-    struct law_batch b = {0, 0, 0, NULL, NULL};
-    uint64_t *buf = NULL, (*val)[64] = NULL, (*witness)[4] = NULL;
+    uint64_t *buf = NULL;
     if (read_n("law_scan", args, nargs, 5, 64, &e.n) || read_masks(args[1], e.n, e.up)
         || read_masks(args[2], e.n, e.down))
         return NULL;
     topo_order(e.n, e.down, e.topo);
     e.consts[0] = least_full(e.n, e.down);
     e.consts[1] = least_full(e.n, e.up);
-    PyObject *result = NULL, *fast = NULL;
-    if (!law_tables(args[3], &e, &buf))
-        fast = PySequence_Fast(args[4], "programs must be a sequence");
-    Py_ssize_t count = fast ? PySequence_Fast_GET_SIZE(fast) : 0, size = 1;
-    struct law_code *codes = PyMem_Malloc((count + 1) * sizeof *codes);
-    int ok = fast && codes;
-    for (Py_ssize_t p = 0; ok && p < count; p++)
-        if ((ok = !law_read(PySequence_Fast_GET_ITEM(fast, p), codes + p)))
-            size += codes[p].len;
-    /* one block holds a batch, whose registers and programs the programs'
-     * lengths bound: the values and witnesses, the registers and results */
-    if (ok && (val = PyMem_Malloc(size * (68 * sizeof(uint64_t) + sizeof *b.reg + sizeof(int))))) {
-        witness = (uint64_t (*)[4])(val + size);
-        b.reg = (struct law_reg *)(witness + size);
-        b.result = (int *)(b.reg + size);
-        result = PyList_New(count);
+    PyObject *result = NULL;
+    if (!law_tables(args[3], &e, &buf)) {
+        struct law_plan *pl = law_plan_of(args[4]);
+        /* read before law_results, which may replace a kept plan */
+        int own = pl && !pl->programs;
+        if (pl)
+            result = law_results(&e, pl);
+        if (own)
+            law_free(pl);
     }
-    /* the programs of each arity run as one batch */
-    for (b.arity = 1; result && b.arity <= 4; b.arity++) {
-        b.len = b.count = 0;
-        for (Py_ssize_t p = 0; ok && p < count; p++)
-            ok = codes[p].code[0] != b.arity || !law_check(&e, codes + p, &b);
-        if (ok && b.count)
-            law_run(&e, &b, val, witness);
-        for (Py_ssize_t p = 0, k = 0; ok && p < count; p++)
-            if (codes[p].code[0] == b.arity) {
-                const uint64_t *w = witness[k++];
-                PyObject *item = w[0] == UINT64_MAX ? Py_NewRef(Py_None) : mask_tuple(w, b.arity);
-                if ((ok = item != NULL))
-                    PyList_SET_ITEM(result, p, item);
-            }
-        if (!ok)
-            Py_CLEAR(result);
-    }
-    /* only a failed allocation fails without an exception */
-    if (fast && !result && !PyErr_Occurred())
-        PyErr_NoMemory();
-    Py_XDECREF(fast);
-    PyMem_Free(val);
-    PyMem_Free(codes);
     PyMem_Free(buf);
     return result;
 }
@@ -1397,7 +1553,8 @@ static PyMethodDef methods[] = {
            "The least failing tuple of each program, or None, in topological order.\n\n"
            "Same contract as the pure twin; constant 0 is the top and 1 the bottom.\n"
            "The programs of each arity run as one loop nest, and each op over the\n"
-           "innermost variable's whole row."),
+           "innermost variable's whole row.  The checked form of a tuple of program\n"
+           "tuples is kept, and only what reads this call's inputs is checked again."),
     KERNEL(congruence_scan, "congruence_scan(n, tables, one)\n--\n\n"
            "(labels, permutable, distributive, regular): the labels of every principal\n"
            "congruence and the first witness of each criterion, or None; see the pure twin."),

@@ -7,9 +7,13 @@ tuples built with the helpers below: element operations read tables
 subset masks (the residual table ``resid``, cones, ``within`` for
 inclusion, and, for the set U(x, y) of common upper bounds of x and y,
 ``LU`` for its common lower bounds and ``prod`` for the product of two
-such sets).  ``Law`` compiles each term once to a postfix program, and
-``scan`` hands a batch of them to the ``law_scan`` kernel, which returns
-each one's least failing tuple in the poset's fixed topological order.
+such sets).  ``Law`` compiles each term once to a postfix program.  Each
+batch the library scans is a suite, a module-level tuple of programs
+built once, and ``scan`` hands one to the ``law_scan`` kernel, which
+returns each program's least failing tuple in the poset's fixed
+topological order.  The compiled twin keeps the checked form of a
+programs tuple it has read, and the pure twin its translation, so each
+suite is read once per process.
 """
 
 from . import _kernels as kernels
@@ -58,14 +62,20 @@ class Law:
         self.program = tuple(code)
 
 
-def scan(p, checks, **tables):
-    """The least failing tuple of each law, or None, in p's topological order.
+def suite(checks):
+    """The programs of a batch of laws, as one tuple for ``scan``."""
+    return tuple(law.program for law in checks)
 
-    ``tables`` maps names of TABLES to square sequences of rows; the kernel
-    finds ``top`` and ``bottom`` in p.
+
+def scan(p, programs, **tables):
+    """The least failing tuple of each program, or None, in p's topological order.
+
+    ``programs`` is a suite, passed to the kernel as it is; ``tables`` maps
+    names of TABLES to square sequences of rows; the kernel finds ``top``
+    and ``bottom`` in p.
     """
     return kernels.law_scan(p.n, p.up, p.down, [tables.get(name, ()) for name in TABLES],
-                            [law.program for law in checks])
+                            programs)
 
 
 # Lattices: a join table holds least upper bounds, and a meet table
@@ -76,6 +86,11 @@ MODULAR = Law(3, eq(join(a, meet(b, c)), meet(join(a, b), c)), guard=leq(a, c))
 DISTRIBUTIVE = Law(3, eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c))))
 MEET_SEMIDISTRIBUTIVE = Law(3, eq(meet(a, join(b, c)), meet(a, b)),
                             guard=eq(meet(a, b), meet(a, c)))
+LATTICE_OPS = suite((JOIN_IS_LUB, MEET_IS_GLB))
+# classify scans meet semidistributivity apart: it runs to the end on most
+# lattices, where the other two fail early
+MODULAR_DISTRIBUTIVE = suite((MODULAR, DISTRIBUTIVE))
+SEMIDISTRIBUTIVE = suite((MEET_SEMIDISTRIBUTIVE,))
 
 # Residuation axioms: a commutative groupoid with unit top, monotone
 # multiplication, and (a v b) * (c v b) <= b iff c v b <= a -> b
@@ -117,6 +132,15 @@ BASIS = (
 CURRYING = Law(3, leq(imp(mult(join(a, b), join(c, b)), b), imp(join(c, b), imp(a, b))))
 MONOTONE_RIGHT = Law(3, leq(mult(a, b), mult(a, c)), guard=leq(b, c))
 
+# Every law a check on a residuation candidate reads, scanned together
+# once per candidate: the axioms, divisibility, the derived laws i-ix and
+# the basis identities but ii, which is law v
+CANDIDATE_LAWS = (COMMUTATIVE, UNIT, MONOTONE, ADJOINT_FORWARD, ADJOINT_BACKWARD, DIVISIBLE,
+                  *(law for _, law in DERIVED), *LAW_IX,
+                  *(law for name, law in BASIS if name != "ii"))
+CANDIDATE = suite(CANDIDATE_LAWS)
+HALF_ADJOINT = suite((MONOTONE_RIGHT, PRODUCT_BELOW, ADJOINT_BACKWARD))
+
 # Operator residuation on subset masks: adjointness and the laws i-v
 _prod_below_b = within(prod((a, b), (c, b)), down(b))
 _lower_within = within(LU(c, b), resid(a, b))
@@ -130,3 +154,9 @@ OPERATOR_LAWS = (
     ("v", Law(2, eq(within(prod((a, a), (b, b)), down(bottom)),
                     within(down(a), resid(b, bottom))))),
 )
+# Both adjointness directions and the laws i-v, scanned together once per
+# operator poset; law v pushes bottom, so an order without one is scanned
+# without it
+OPERATOR_CHECKS = (OPERATOR_FORWARD, OPERATOR_BACKWARD, *(law for _, law in OPERATOR_LAWS))
+OPERATOR = suite(OPERATOR_CHECKS)
+OPERATOR_WITHOUT_BOTTOM = OPERATOR[:-1]

@@ -106,8 +106,9 @@ class OperatorPoset:
     poset: object
     prod: object
     resid: object
-    # the mask tables the operator laws read, built on the first scan
-    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # each law of laws.OPERATOR_CHECKS to its least failing tuple or None,
+    # filled by the first check that runs on this operator poset
+    found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.poset.top is None:
@@ -140,7 +141,8 @@ def check_operator_axioms(op, exhaustive_subsets=False):
     law hold by construction: L(A u B) = L(B u A), and L(A u {top}) = L(A)
     because every element lies below top.  Only a table-backed product is
     scanned for them.  Each adjointness direction reports its first
-    failing triple in the fixed topological order.
+    failing triple in the fixed topological order, from the operator
+    poset's one law scan, which this check makes when it runs first.
     """
     p = op.poset
     if exhaustive_subsets and p.n > SUBSET_BUDGET:
@@ -151,8 +153,9 @@ def check_operator_axioms(op, exhaustive_subsets=False):
     if not isinstance(op.prod, CanonicalProduct):
         subsets = tuple(range(1 << p.n) if exhaustive_subsets else generated_family(p))
         commut, unit = _groupoid_verdicts(p, op.prod, subsets)
-    fwd, bwd = map(Verdict.of, _operator_scan(op, (laws.OPERATOR_FORWARD,
-                                                     laws.OPERATOR_BACKWARD)))
+    found = _operator_found(op)
+    fwd = Verdict.of(found[laws.OPERATOR_FORWARD])
+    bwd = Verdict.of(found[laws.OPERATOR_BACKWARD])
     return AxiomReport(
         subject=op,
         verdicts=(
@@ -182,37 +185,49 @@ def _groupoid_verdicts(p, prod, subsets):
     return commut, unit
 
 
-def _operator_scan(op, checks):
-    """Scan the operator laws over mask tables, built once per operator poset.
+def _operator_found(op):
+    """Each law of laws.OPERATOR_CHECKS to its least failing tuple on op, or None.
 
-    The tables hold the residual of each pair and, over the distinct sets
-    U(x, y) of common upper bounds, which the uid table numbers, their
-    common lower bounds and the product of each two of them.  The
-    ``operator_tables`` kernel gives the sets, uid and lu tables.
+    One law scan per operator poset runs them all over its mask tables.
+    Law v, which needs a least element, is left out without one.
     """
-    p, prod, resid, tables = op.poset, op.prod, op.resid, op.tables
-    if not tables:
-        if isinstance(resid, CanonicalResidual):
-            rows = [[p.down[s] for s in row] for row in resid.star.table]
-        else:
-            rows = [[resid.r(x, y) for y in range(p.n)] for x in range(p.n)]
-        us, uid, low, lu = kernels.operator_tables(p.n, p.up, p.down)
-        if isinstance(prod, CanonicalProduct) and prod.poset is p:
-            prod._lower.update(zip(us, low))
-        tables.update(resid=rows, uid=uid, prod=[[prod.m(u, v) for v in us] for u in us], lu=lu)
-    return laws.scan(p, checks, **tables)
+    found = op.found
+    if not found:
+        p = op.poset
+        programs = laws.OPERATOR if p.bottom is not None else laws.OPERATOR_WITHOUT_BOTTOM
+        found.update(zip(laws.OPERATOR_CHECKS, laws.scan(p, programs, **_mask_tables(op))))
+    return found
+
+
+def _mask_tables(op):
+    """The tables the operator laws read, by their names in laws.TABLES.
+
+    They hold the residual of each pair and, over the distinct sets U(x, y)
+    of common upper bounds, which the uid table numbers, their common lower
+    bounds and the product of each two of them.  The ``operator_tables``
+    kernel gives the sets, uid and lu tables.
+    """
+    p, prod, resid = op.poset, op.prod, op.resid
+    if isinstance(resid, CanonicalResidual):
+        rows = [[p.down[s] for s in row] for row in resid.star.table]
+    else:
+        rows = [[resid.r(x, y) for y in range(p.n)] for x in range(p.n)]
+    us, uid, low, lu = kernels.operator_tables(p.n, p.up, p.down)
+    if isinstance(prod, CanonicalProduct) and prod.poset is p:
+        prod._lower.update(zip(us, low))
+    return {"resid": rows, "uid": uid, "prod": [[prod.m(u, v) for v in us] for u in us], "lu": lu}
 
 
 def operator_derived_laws(op, checked):
     """The five consequences for a verified operator poset.
 
     ``checked`` must be a passing AxiomReport for this operator poset.
-    Law v needs a least element and is skipped without one.
+    The witnesses come from the operator poset's one law scan.  Law v
+    needs a least element and is skipped without one.
     """
     _require_verified(checked, op)
-    named = laws.OPERATOR_LAWS if op.poset.bottom is not None else laws.OPERATOR_LAWS[:-1]
-    found = _operator_scan(op, [law for _, law in named])
-    out = {name: Verdict.of(w, name) for (name, _), w in zip(named, found)}
+    found = _operator_found(op)
+    out = {name: Verdict.of(found[law], name) for name, law in laws.OPERATOR_LAWS if law in found}
     if op.poset.bottom is None:
         out["v"] = Verdict(True, (), "skipped: no least element")
     return out

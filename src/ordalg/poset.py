@@ -165,7 +165,7 @@ class LatticeOps:
 
     def __post_init__(self):
         p = self.poset
-        found = laws.scan(p, (laws.JOIN_IS_LUB, laws.MEET_IS_GLB), join=self.join, meet=self.meet)
+        found = laws.scan(p, laws.LATTICE_OPS, join=self.join, meet=self.meet)
         for name, pair in zip(("join", "meet"), found):
             if pair is not None:
                 raise ValueError(f"{name} table wrong at ({p.names[pair[0]]}, {p.names[pair[1]]})")

@@ -80,11 +80,11 @@ def relative_table_poset(p):
 
 def is_meet_semidistributive(lat):
     """Verdict of: a^b = a^c implies a^(b v c) = a^b, scanned over triples."""
-    return Verdict.of(_lattice_scan(lat, (laws.MEET_SEMIDISTRIBUTIVE,))[0])
+    return Verdict.of(_lattice_scan(lat, laws.SEMIDISTRIBUTIVE)[0])
 
 
-def _lattice_scan(lat, checks):
-    return laws.scan(lat.poset, checks, join=lat.join, meet=lat.meet)
+def _lattice_scan(lat, programs):
+    return laws.scan(lat.poset, programs, join=lat.join, meet=lat.meet)
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def classify(p, lattice=None):
         witnesses["has_bottom"] = tuple(i for i in p.topo if p.down[i] == 1 << i)
     is_modular = is_distributive = is_semi = None
     if is_lattice:
-        found = _lattice_scan(lat, (laws.MODULAR, laws.DISTRIBUTIVE))
+        found = _lattice_scan(lat, laws.MODULAR_DISTRIBUTIVE)
         semi = is_meet_semidistributive(lat)
         found.append(None if semi else semi.witness)
         for key, w in zip(("is_modular", "is_distributive", "is_meet_semidistributive"), found):

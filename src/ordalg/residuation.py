@@ -1,9 +1,14 @@
 """Relative residuation on finite lattices with a greatest element.
 
 A candidate bundles a lattice with total multiplication and implication
-tables.  ``check_residuation`` scans every instance of the defining axioms;
-the consequence suite and the identity-basis check are gated on a passing
-axiom report so nothing downstream runs on an unverified structure.
+tables.  ``check_residuation`` scans every instance of the defining axioms,
+``check_divisibility`` one identity, ``derived_laws`` the consequences of
+the axioms and ``identity_basis_check`` the four-identity basis.  The
+first of them to run on a candidate scans every law the four read,
+``laws.CANDIDATE``, in one law scan and keeps each law's least failing
+tuple on the candidate; each check reads its own laws from there.
+``derived_laws`` is gated on a passing axiom report, so no consequence is
+reported for an unverified structure.
 """
 
 from dataclasses import dataclass, field, replace
@@ -21,6 +26,9 @@ class ResiduationCandidate:
     lattice: object
     mult: BinOp
     imp: BinOp
+    # each law of laws.CANDIDATE_LAWS to its least failing tuple or None,
+    # filled by the first check that runs on this candidate
+    found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_total(self.lattice.poset.n, mult=self.mult, imp=self.imp)
@@ -55,8 +63,17 @@ class AxiomReport:
         return tuple(name for name, v in self.verdicts if not v)
 
 
-def _axiom_scan(lat, mult, imp, checks):
-    return laws.scan(lat.poset, checks, join=lat.join, mult=mult.table, imp=imp.table)
+def _axiom_scan(lat, mult, imp, programs):
+    return laws.scan(lat.poset, programs, join=lat.join, mult=mult.table, imp=imp.table)
+
+
+def _found(cand):
+    """Each law of laws.CANDIDATE_LAWS to its least failing tuple on cand, or None."""
+    found = cand.found
+    if not found:
+        found.update(zip(laws.CANDIDATE_LAWS,
+                         _axiom_scan(cand.lattice, cand.mult, cand.imp, laws.CANDIDATE)))
+    return found
 
 
 def _groupoid_verdict(commutative, unit):
@@ -65,20 +82,15 @@ def _groupoid_verdict(commutative, unit):
     return Verdict.of(unit, "unit")
 
 
-_AXIOMS = (laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD,
-           laws.ADJOINT_BACKWARD)
-
-
 def _residuation_report(cand, found):
-    # the report of the least failing tuples of _AXIOMS, in its order
-    comm, unit, mono, fwd, bwd = found
     return AxiomReport(
         subject=cand,
         verdicts=(
-            ("commutative-groupoid-with-unit", _groupoid_verdict(comm, unit)),
-            ("mult-monotone", Verdict.of(mono)),
-            ("adjointness-forward", Verdict.of(fwd)),
-            ("adjointness-backward", Verdict.of(bwd)),
+            ("commutative-groupoid-with-unit",
+             _groupoid_verdict(found[laws.COMMUTATIVE], found[laws.UNIT])),
+            ("mult-monotone", Verdict.of(found[laws.MONOTONE])),
+            ("adjointness-forward", Verdict.of(found[laws.ADJOINT_FORWARD])),
+            ("adjointness-backward", Verdict.of(found[laws.ADJOINT_BACKWARD])),
         ),
     )
 
@@ -86,22 +98,22 @@ def _residuation_report(cand, found):
 def check_residuation(cand):
     """Exhaustive check of the residuation axioms; every failure has a witness.
 
-    One law scan finds each axiom's least failing tuple in the fixed
-    topological order.
+    Each axiom's witness is its least failing tuple in the fixed
+    topological order, from the candidate's one law scan, which this
+    check makes when it runs first.
     """
-    return _residuation_report(cand, _axiom_scan(cand.lattice, cand.mult, cand.imp, _AXIOMS))
+    return _residuation_report(cand, _found(cand))
 
 
 def check_divisibility(cand):
     """Verdict of (x v y) * (x -> y) = y over all pairs.
 
-    The law engine scans ``laws.DIVISIBLE`` once, and a failure's witness is
-    its least failing pair in the fixed topological order.  To read the
-    identity with the lattice meet as the product, check a candidate
-    built with the meet table as its multiplication.
+    A failure's witness is the least failing pair of ``laws.DIVISIBLE`` in
+    the fixed topological order, from the candidate's one law scan.  To
+    read the identity with the lattice meet as the product, check a
+    candidate built with the meet table as its multiplication.
     """
-    (witness,) = _axiom_scan(cand.lattice, cand.mult, cand.imp, (laws.DIVISIBLE,))
-    return Verdict.of(witness, "divisibility")
+    return Verdict.of(_found(cand)[laws.DIVISIBLE], "divisibility")
 
 
 def from_sectional(lat, star):
@@ -121,13 +133,14 @@ def _require_verified(report, subject):
 def derived_laws(cand, checked):
     """The nine consequences of the axioms, each exhaustively verified.
 
-    ``checked`` must be a passing AxiomReport for this very candidate.
+    ``checked`` must be a passing AxiomReport for this very candidate.  The
+    witnesses come from the candidate's one law scan.
     """
     _require_verified(checked, cand)
-    found = _axiom_scan(cand.lattice, cand.mult, cand.imp,
-                        [law for _, law in laws.DERIVED] + list(laws.LAW_IX))
-    out = {name: Verdict.of(w, name) for (name, _), w in zip(laws.DERIVED, found)}
-    out["ix"] = Verdict.of(found[-2] or found[-1], "ix")
+    found = _found(cand)
+    out = {name: Verdict.of(found[law], name) for name, law in laws.DERIVED}
+    ix, ix_bottom = laws.LAW_IX
+    out["ix"] = Verdict.of(found[ix] or found[ix_bottom], "ix")
     return out
 
 
@@ -139,8 +152,7 @@ def half_adjointness(lat, mult, imp):
     otherwise verifies that (c v b) <= a -> b forces (a v b) * (c v b) <= b.
     """
     _require_total(lat.poset.n, mult=mult, imp=imp)
-    monotone, below, found = _axiom_scan(
-        lat, mult, imp, (laws.MONOTONE_RIGHT, laws.PRODUCT_BELOW, laws.ADJOINT_BACKWARD))
+    monotone, below, found = _axiom_scan(lat, mult, imp, laws.HALF_ADJOINT)
     if monotone:
         raise PreconditionError("mult monotone in second argument", monotone)
     if below:
@@ -165,17 +177,16 @@ class IdentityBasisReport:
 def identity_basis_check(cand):
     """Check the four-identity basis; when it holds, cross-check the axioms.
 
-    One law scan runs the basis and the residuation axioms together.  The
-    basis with the groupoid laws holds exactly when the axioms do (see
-    ``laws.BASIS``), so when every condition and the groupoid laws hold
-    the candidate must pass the axioms outright, and their report, as
+    The basis and the residuation axioms come from the candidate's one law
+    scan.  The basis with the groupoid laws holds exactly when the axioms
+    do (see ``laws.BASIS``), so when every condition and the groupoid laws
+    hold the candidate must pass the axioms outright, and their report, as
     ``check_residuation`` gives it, is attached; a failing condition means
     that the axioms fail too.
     """
-    found = _axiom_scan(cand.lattice, cand.mult, cand.imp,
-                        [law for _, law in laws.BASIS] + list(_AXIOMS))
-    conds = tuple((name, Verdict.of(w, name)) for (name, _), w in zip(laws.BASIS, found))
-    axioms = _residuation_report(cand, found[len(laws.BASIS):])
+    found = _found(cand)
+    conds = tuple((name, Verdict.of(found[law], name)) for name, law in laws.BASIS)
+    axioms = _residuation_report(cand, found)
     report = IdentityBasisReport(subject=cand, conditions=conds,
                                  groupoid=axioms.verdict("commutative-groupoid-with-unit"))
     return replace(report, residuation=axioms) if report.all_conditions_hold else report

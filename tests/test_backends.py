@@ -371,28 +371,98 @@ def random_term(rng, arity, depth):
     return code + [op(name), rng.randrange(len(laws.TABLES)) if name == "table" else 0]
 
 
+def random_program(rng, k):
+    """A random term when k is odd, else random code."""
+    arity = rng.randrange(1, 4)
+    if k % 2:
+        return [arity] + random_term(rng, arity, 4)
+    return [rng.randrange(0, 6)] + [rng.randrange(-1, 12) for _ in range(2 * rng.randrange(1, 8))]
+
+
+def law_scan_outcome(twin, args, programs):
+    try:
+        return twin.law_scan(*args, programs)
+    except ValueError:
+        return ValueError
+
+
 def test_law_scan_identical_on_random_programs():
     """Random terms and random code, often malformed: both twins raise or agree."""
     c = c_backend()
     rng = random.Random(15)
     outcomes = set()
-    for n, up, down, tables in itertools.islice(law_inputs(), 0, None, 3):
+    for args in itertools.islice(law_inputs(), 0, None, 3):
         for k in range(300):
-            arity = rng.randrange(1, 4)
-            if k % 2:
-                program = [arity] + random_term(rng, arity, 4)
-            else:
-                program = [rng.randrange(0, 6)] + [rng.randrange(-1, 12) for _ in range(
-                    2 * rng.randrange(1, 8))]
-            got = []
-            for twin in (c, py):
-                try:
-                    got.append(twin.law_scan(n, up, down, tables, [program]))
-                except ValueError:
-                    got.append(ValueError)
+            program = random_program(rng, k)
+            got = [law_scan_outcome(twin, args, [program]) for twin in (c, py)]
             assert got[0] == got[1], program
             outcomes.add("error" if got[0] is ValueError else got[0][0] is None)
     assert outcomes == {"error", True, False}
+
+
+def test_law_scan_identical_on_random_programs_in_one_kept_tuple():
+    """The same, with each program passed as one tuple reused on every input,
+    so that the compiled twin checks its kept form against each call's order
+    and tables."""
+    c = c_backend()
+    rng = random.Random(15)
+    inputs = list(itertools.islice(law_inputs(), 0, None, 3))
+    outcomes = set()
+    for k in range(300):
+        programs = (tuple(random_program(rng, k)),)
+        for args in inputs:
+            got = [law_scan_outcome(twin, args, programs) for twin in (c, py)]
+            assert got[0] == got[1], programs
+            outcomes.add("error" if got[0] is ValueError else got[0][0] is None)
+    assert outcomes == {"error", True, False}
+
+
+def test_law_scan_rechecks_a_kept_tuple_on_every_call():
+    """A programs tuple the compiled twin has read is checked again against
+    each call's carrier, tables and constants, and a list is read anew."""
+    c = c_backend()
+    op = kernels.LAW_OPS.index
+    var, const, table, leq = op("var"), op("const"), op("table"), op("leq")
+    # table 0 indexed by the variables, its entry used as an element
+    indexed = (2, var, 0, var, 1, table, 0, var, 0, leq, 0)
+    # table 1 indexed by table 0's entries
+    nested = (2, var, 0, var, 1, table, 0, var, 1, table, 1)
+    bottom = (1, const, 1, var, 0, leq, 0)
+    kept = (indexed, nested, bottom)
+    chain3, bool2 = (fixture(name).poset for name in ("chain3", "bool2"))
+    no_bottom = make_poset(("a", "b", "1"), (("a", "1"), ("b", "1")))
+
+    def order(p):
+        return p.n, p.up, p.down
+
+    def join(p, width=None):
+        return [row[:width] for row in as_lattice(p).join[:width]]
+
+    index, operand = "indexes with a value", "operand out of range"
+    cases = [
+        (order(chain3), [join(chain3), join(chain3)], None),
+        (order(bool2), [join(bool2), join(bool2)], None),  # another n
+        (order(chain3), [join(chain3, 2), join(chain3)], index),  # a narrower table
+        (order(chain3), [(), join(chain3)], operand),  # an absent table
+        (order(chain3), [join(chain3), join(chain3, 2)], index),
+        (order(chain3), [[[4] * 3] * 3, join(chain3)], index),  # mask 4 is no element
+        (order(no_bottom), [join(chain3), join(chain3)], operand),  # no bottom to push
+        (order(chain3), [join(chain3), join(chain3)], None),
+    ]
+    for args, tables, error in cases:
+        for twin in (c, py):
+            if error is None:
+                assert twin.law_scan(*args, tables, kept) == py.law_scan(*args, tables, list(kept))
+            else:
+                with pytest.raises(ValueError, match=error):
+                    twin.law_scan(*args, tables, kept)
+    # a list is never kept: what it holds on each call is what runs
+    programs = [indexed]
+    tables = [join(chain3), join(chain3, 2)]
+    for program, want in ((indexed, [(0, 1)]), (bottom, [None]), (nested, ValueError)):
+        programs[0] = program
+        got = law_scan_outcome(c, (*order(chain3), tables), programs)
+        assert got == law_scan_outcome(py, (*order(chain3), tables), programs) == want
 
 
 def shared_registers(programs):

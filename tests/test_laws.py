@@ -40,6 +40,7 @@ from ordalg import (
     star_table_poset,
     synthesize_sectional,
 )
+from ordalg import _kernels as kernels
 from test_operators import _broken_operators, _posets_with_top, _wide_posets
 
 LATTICES = tuple(p for n in range(1, 9) for p in enumerate_structures(n, "lattices").members)
@@ -128,6 +129,88 @@ def test_residuation_laws_match_loops_on_synthesized_candidates_and_mutants():
     assert candidates > 100 and mutants == 2 * candidates
 
 
+def _basis_outcome(report):
+    attached = None if report.residuation is None else report.residuation.verdicts
+    return report.conditions, report.groupoid, attached
+
+
+# the four checks on a candidate, derived_laws past its gate
+FOUR_CHECKS = {
+    "residuation": lambda cand: check_residuation(cand).verdicts,
+    "divisibility": check_divisibility,
+    "derived": lambda cand: list(derived_laws(cand, AxiomReport(subject=cand)).items()),
+    "basis": lambda cand: _basis_outcome(identity_basis_check(cand)),
+}
+
+
+def _four_checks_by_loops(cand):
+    axioms = o.residuation_by_loops(cand)
+    conds, groupoid = o.identity_basis_by_loops(cand)
+    holds = bool(groupoid) and all(v for _, v in conds)
+    return {"residuation": axioms, "divisibility": o.divisibility_by_loops(cand),
+            "derived": list(o.derived_laws_by_loops(cand).items()),
+            "basis": (conds, groupoid, axioms if holds else None)}
+
+
+@pytest.fixture
+def law_scan_calls(monkeypatch):
+    calls = []
+    scan = kernels.law_scan
+    monkeypatch.setattr(kernels, "law_scan", lambda *args: calls.append(1) or scan(*args))
+    return calls
+
+
+def test_residuation_checks_share_one_scan_in_any_order(law_scan_calls):
+    # whichever check runs first on a fresh candidate scans for all four,
+    # and each then gives what it gives alone
+    orders = (("basis", "residuation", "divisibility", "derived"),
+              ("derived", "divisibility", "basis", "residuation"),
+              ("divisibility", "derived", "residuation", "basis"))
+    rng = random.Random(23)
+    checked = 0
+    for p in LATTICES:
+        lat = as_lattice(p)
+        star = synthesize_sectional(lat)
+        if not isinstance(star, BinOp):
+            continue
+        cand = from_sectional(lat, star)
+        for subject in (cand, _mutant(cand, rng), _mutant(cand, rng)):
+            want = _four_checks_by_loops(subject)
+            for order in orders:
+                fresh = ResiduationCandidate(lat, subject.mult, subject.imp)
+                law_scan_calls.clear()
+                got = {name: FOUR_CHECKS[name](fresh) for name in order}
+                assert got == want, (p.up, order)
+                assert len(law_scan_calls) == 1
+                checked += 1
+    assert checked == 3 * 3 * 106
+
+
+def test_operator_checks_share_one_scan_with_and_without_bottom(law_scan_calls):
+    rng = random.Random(24)
+    kinds = set()
+    for p in _posets_with_top(5):
+        star = star_table_poset(p)
+        canonical = [canonical_operators(p, star)] if star.is_total else []
+        for op in canonical + list(_broken_operators(p, rng)):
+            fwd, bwd = o.operator_adjointness_by_loops(p, op.prod, op.resid)
+            want = list(o.operator_laws_by_loops(op).items())
+            law_scan_calls.clear()
+            axioms = check_operator_axioms(op)
+            assert axioms.verdicts[2:] == (("adjointness-forward", fwd),
+                                           ("adjointness-backward", bwd))
+            assert list(operator_derived_laws(op, AxiomReport(subject=op)).items()) == want
+            assert len(law_scan_calls) == 1
+            # the laws first, on a fresh operator poset
+            again = dataclasses.replace(op)
+            law_scan_calls.clear()
+            assert list(operator_derived_laws(again, AxiomReport(subject=again)).items()) == want
+            assert check_operator_axioms(again).verdicts == axioms.verdicts
+            assert len(law_scan_calls) == 1
+            kinds.add(p.bottom is None)
+    assert kinds == {True, False}
+
+
 @st.composite
 def random_candidates(draw):
     n = draw(st.integers(1, 6))
@@ -151,10 +234,10 @@ def test_scan_reads_the_bottom_of_an_order_without_a_top():
     p = make_poset(("0", "a", "b"), (("0", "a"), ("0", "b")))
     assert p.top is None and p.bottom == 0
     x = laws.a
-    assert laws.scan(p, [laws.Law(1, laws.leq(laws.bottom, x)),
-                         laws.Law(1, laws.eq(x, laws.bottom))]) == [None, (1,)]
+    assert laws.scan(p, laws.suite((laws.Law(1, laws.leq(laws.bottom, x)),
+                                    laws.Law(1, laws.eq(x, laws.bottom))))) == [None, (1,)]
     with pytest.raises(ValueError, match="operand out of range"):
-        laws.scan(p, [laws.Law(1, laws.leq(x, laws.top))])
+        laws.scan(p, laws.suite((laws.Law(1, laws.leq(x, laws.top)),)))
 
 
 def test_holding_verdicts_are_one_shared_frozen_object():

@@ -279,8 +279,7 @@ def test_cone_galois_connection(p):
 
 def tables_are_bounds(lat):
     """True when lat's join and meet are least upper and greatest lower bounds."""
-    found = laws.scan(lat.poset, (laws.JOIN_IS_LUB, laws.MEET_IS_GLB),
-                      join=lat.join, meet=lat.meet)
+    found = laws.scan(lat.poset, laws.LATTICE_OPS, join=lat.join, meet=lat.meet)
     return found == [None, None]
 
 
