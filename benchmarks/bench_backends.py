@@ -17,7 +17,7 @@ import sys
 import time
 
 from ordalg import (as_lattice, canonical_operators, direct_product, fixture, from_sectional,
-                    laws, star_table_poset, synthesize_sectional)
+                    laws, make_poset, star_table_poset, synthesize_sectional)
 from ordalg._kernels import _core_py
 from ordalg.operators import _mask_tables
 
@@ -68,6 +68,12 @@ def workloads():
         (prod.n, list(prod.up), list(prod.down))
     yield "operator tables n=30 (non-lattice)", "operator_tables", \
         (prod.n, list(prod.up), list(prod.down))
+    # the bowtie product's first failure is a join; two atoms under a top
+    # times bool4 has no bottom, so its first failure is a meet, (0, 16)
+    vee = make_poset(("a", "b", "1"), (("a", "1"), ("b", "1")))
+    no_meet = direct_product(vee, fixture("bool4").poset)
+    yield "lattice tables n=48 (meet failure)", "lattice_tables", \
+        (no_meet.n, list(no_meet.up), list(no_meet.down))
 
     chain = fixture("chain40").poset
     lat = as_lattice(chain)

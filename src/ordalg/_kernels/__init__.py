@@ -35,8 +35,10 @@ rules are ``_core_py.star_cell`` (sectional) and ``_core_py.relative_cell``
 (relative).  ``lattice_tables(n, up, down)`` returns such tables, join
 and meet, or ``(kind, a, b, frontier)`` at the first pair (a, b) =
 (topo[ra], topo[rb]), rb >= ra, without a lub (kind "join", checked
-first) or glb ("meet"); frontier masks the minimal common upper or maximal
-common lower bounds, and may be 0.  ``operator_tables(n, up, down)`` returns
+first) or glb ("meet"); for a join, frontier masks the minimal common upper
+bounds, and may be 0, and for a meet it is 0: two maximal common lower
+bounds have no join, and their pair comes earlier.
+``operator_tables(n, up, down)`` returns
 ``(us, uid, low, lu)``: the distinct sets U(x, y) = up[x] & up[y]
 numbered in first-seen row-major order, n rows of each pair's number, the
 common lower bounds of each set, and n rows of each pair's common lower

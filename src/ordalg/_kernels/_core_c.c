@@ -10,7 +10,8 @@
  * cell, every other cell an element index, so BinOp and LatticeOps take
  * them as they are; poset_star_table and poset_relative_table pair theirs
  * with whether no cell is None, and lattice_tables returns (kind, a, b,
- * frontier) at the first pair in topo order without a lub or glb.
+ * frontier) at the first pair in topo order without a lub or glb, the
+ * frontier masking a join failure's minimal upper bounds and 0 for a meet.
  * operator_tables returns (us, uid, low, lu): the distinct sets U(x, y) =
  * up[x] & up[y] in first-seen row-major order, n rows numbering each
  * pair's set, the lower set of each, and n rows of each pair's lower set,
@@ -57,13 +58,12 @@ static int extreme(uint64_t mask, const uint64_t *cone)
     return -1;
 }
 
-/* The x of mask whose cone meets mask in x alone: its minimal elements when
- * cone is down, its maximal ones when cone is up. */
-static uint64_t frontier(uint64_t mask, const uint64_t *cone)
+/* The minimal elements of mask: the x whose down-set meets mask in x alone. */
+static uint64_t minimal(uint64_t mask, const uint64_t *down)
 {
     uint64_t out = 0;
     for (uint64_t m = mask; m; m &= m - 1)
-        out |= (mask & cone[ctz64(m)]) == (m & -m) ? m & -m : 0;
+        out |= (mask & down[ctz64(m)]) == (m & -m) ? m & -m : 0;
     return out;
 }
 
@@ -331,7 +331,9 @@ static PyObject *poset_covers(PyObject *self, PyObject *const *args, Py_ssize_t 
     return out;
 }
 
-/* Pairs (topo[ra], topo[rb]) with rb >= ra in order, join before meet. */
+/* Pairs (topo[ra], topo[rb]) with rb >= ra in order, join before meet.  A
+ * meet failure's frontier is 0: two maximal common lower bounds have no
+ * join, and their pair comes earlier in topo order. */
 static PyObject *lattice_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t ub[64], db[64];
@@ -344,13 +346,13 @@ static PyObject *lattice_tables(PyObject *self, PyObject *const *args, Py_ssize_
     for (int ra = 0; ra < n; ra++)
         for (int rb = ra; rb < n; rb++) {
             int a = topo[ra], b = topo[rb];
-            uint64_t u = ub[a] & ub[b], d = db[a] & db[b];
+            uint64_t u = ub[a] & ub[b];
             int j = extreme(u, ub);
             if (j < 0)
-                return Py_BuildValue("(siiK)", "join", a, b, (unsigned long long)frontier(u, db));
-            int m = extreme(d, db);
+                return Py_BuildValue("(siiK)", "join", a, b, (unsigned long long)minimal(u, db));
+            int m = extreme(db[a] & db[b], db);
             if (m < 0)
-                return Py_BuildValue("(siiK)", "meet", a, b, (unsigned long long)frontier(d, ub));
+                return Py_BuildValue("(siii)", "meet", a, b, 0);
             join[a * n + b] = join[b * n + a] = j;
             meet[a * n + b] = meet[b * n + a] = m;
         }
@@ -1299,37 +1301,22 @@ static PyObject *congruence_scan(PyObject *self, PyObject *const *args, Py_ssize
     return result;
 }
 
-/* Every new pair keeps a glb, and every pair now under i still has a
- * unique minimal common upper bound. */
-static int enum_prune(int i, const uint64_t *up, const uint64_t *down)
+/* Element i has a greatest common lower bound with every earlier element. */
+static int enum_meets(int i, const uint64_t *down)
 {
     for (int j = 0; j < i; j++)
         if (extreme(down[i] & down[j], down) < 0)
             return 0;
-    for (uint64_t m1 = down[i] & ~((uint64_t)1 << i); m1; m1 &= m1 - 1) {
-        int j = ctz64(m1);
-        for (uint64_t m2 = m1 & (m1 - 1); m2; m2 &= m2 - 1)
-            if (extreme(up[j] & up[ctz64(m2)], up) < 0)
-                return 0;
-    }
-    return 1;
-}
-
-static int enum_complete(int n, const uint64_t *up, const uint64_t *down)
-{
-    for (int j = 0; j < n; j++)
-        for (int k = j + 1; k < n; k++)
-            if (extreme(up[j] & up[k], up) < 0 || extreme(down[j] & down[k], down) < 0)
-                return 0;
     return 1;
 }
 
 /* Extend the naturally labeled prefix 0..i-1 by element i over each of its
- * down-closed subsets; 0 on success, -1 with an exception set. */
+ * down-closed subsets; 0 on success, -1 with an exception set.  For
+ * lattices, as in the pure twin: all meets and element n - 1 the top. */
 static int enum_rec(int n, int i, int lattices_only, uint64_t *up, uint64_t *down, PyObject *out)
 {
     if (i == n) {
-        if (lattices_only && !enum_complete(n, up, down))
+        if (lattices_only && down[n - 1] != FULL(n))
             return 0;
         uint64_t packed = 0;
         for (int k = 0; k < n; k++)
@@ -1350,7 +1337,7 @@ static int enum_rec(int n, int i, int lattices_only, uint64_t *up, uint64_t *dow
         up[i] = bi;
         for (m = s; m; m &= m - 1)
             up[ctz64(m)] |= bi;
-        int err = (!lattices_only || enum_prune(i, up, down))
+        int err = (!lattices_only || enum_meets(i, down))
                   && enum_rec(n, i + 1, lattices_only, up, down, out);
         for (m = s; m; m &= m - 1)
             up[ctz64(m)] &= ~bi;

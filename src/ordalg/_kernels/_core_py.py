@@ -106,14 +106,17 @@ def _extreme(mask, cone):
     return -1
 
 
-def _frontier(mask, cone):
-    # the x of the set whose cone meets it in x alone: its minimal elements
-    # when cone is down, its maximal ones when cone is up
-    return sum(1 << x for x in range(mask.bit_length()) if mask & cone[x] == 1 << x)
+def _minimal(mask, down):
+    # the x of the set whose down-set meets it in x alone
+    return sum(1 << x for x in range(mask.bit_length()) if mask & down[x] == 1 << x)
 
 
 def lattice_tables(n, up, down):
-    """(join, meet) tables or the first pair without a lub or glb, as ``_kernels`` states."""
+    """(join, meet) tables or the first pair without a lub or glb, as ``_kernels`` states.
+
+    A meet failure's frontier is 0: two maximal common lower bounds of a
+    and b have no join, and their pair comes earlier in topo order.
+    """
     topo = topo_order(n, down)
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
@@ -122,12 +125,11 @@ def lattice_tables(n, up, down):
             u = up[a] & up[b]
             m = _extreme(u, up)
             if m < 0:
-                return "join", a, b, _frontier(u, down)
+                return "join", a, b, _minimal(u, down)
             join[a][b] = join[b][a] = m
-            d = down[a] & down[b]
-            m = _extreme(d, down)
+            m = _extreme(down[a] & down[b], down)
             if m < 0:
-                return "meet", a, b, _frontier(d, up)
+                return "meet", a, b, 0
             meet[a][b] = meet[b][a] = m
     return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
@@ -451,8 +453,11 @@ def enum_orders(n, lattices_only):
     """Packed order matrices of all naturally labeled posets on n points.
 
     Index order is a linear extension: element i may only lie above earlier
-    elements.  With ``lattices_only`` the search prunes prefixes that can
-    no longer complete to a lattice and keeps exactly the lattices.
+    elements, so its down-set is final once it is placed.  With
+    ``lattices_only`` the search keeps element i only when it has a greatest
+    common lower bound with every earlier element, and keeps a finished
+    order only when element n - 1 is its top: a finite order with a top and
+    all binary meets is a lattice, and the top of a lattice comes last.
     One uint64 per poset: row i occupies bits 8i..8i+n.
     """
     if not 1 <= n <= 8:
@@ -460,6 +465,7 @@ def enum_orders(n, lattices_only):
     out = []
     up = [0] * n
     down = [0] * n
+    full = (1 << n) - 1
 
     def lower_sets(i):
         res = []
@@ -476,37 +482,12 @@ def enum_orders(n, lattices_only):
                 res.append(s)
         return res
 
-    def prune_ok(i):
-        # every new pair keeps a glb, and every pair now under i still has
-        # a unique minimal common upper bound
-        di = down[i]
-        for j in range(i):
-            if _extreme(di & down[j], down) < 0:
-                return False
-        m1 = di & ~(1 << i)
-        while m1:
-            low1 = m1 & -m1
-            j = low1.bit_length() - 1
-            m1 ^= low1
-            m2 = m1
-            while m2:
-                low2 = m2 & -m2
-                k = low2.bit_length() - 1
-                m2 ^= low2
-                if _extreme(up[j] & up[k], up) < 0:
-                    return False
-        return True
-
-    def complete():
-        for j in range(n):
-            for k in range(j + 1, n):
-                if _extreme(up[j] & up[k], up) < 0 or _extreme(down[j] & down[k], down) < 0:
-                    return False
-        return True
+    def meets(i):
+        return all(_extreme(down[i] & down[j], down) >= 0 for j in range(i))
 
     def rec(i):
         if i == n:
-            if not lattices_only or complete():
+            if not lattices_only or down[n - 1] == full:
                 out.append(_pack(n, up))
             return
         bi = 1 << i
@@ -518,7 +499,7 @@ def enum_orders(n, lattices_only):
                 low = m & -m
                 up[low.bit_length() - 1] |= bi
                 m ^= low
-            if not lattices_only or prune_ok(i):
+            if not lattices_only or meets(i):
                 rec(i + 1)
             m = s
             while m:

@@ -16,8 +16,8 @@ _FORMS = {"up": "U[{0}]", "down": "D[{0}]", "leq": "({0} >> {1} & 1)", "eq": "({
           "and": "({0} & {1})", "subset": "(not {0} & ~{1})"}
 
 
-# the library's laws form a few dozen batches; the bound keeps other
-# callers' programs from piling up
+# the library scans seven suites, the tuples built in laws.py; the bound
+# keeps other callers' programs from piling up
 @lru_cache(maxsize=256)
 def _plan(programs):
     """(scan function, index needs, tables used, constants used) of programs.

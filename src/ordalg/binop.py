@@ -8,7 +8,9 @@ class BinOp:
     """n-by-n table of element indices; a None cell means undefined.
 
     Rows are stored as tuples, so ``is_total``, computed once here, cannot
-    go stale.
+    go stale.  Every other cell must be an int in range(n), checked over the
+    distinct cells: a cell equal to an int cell before it, such as 1.0 after
+    1, is not seen.
     """
 
     n: int
@@ -22,13 +24,18 @@ class BinOp:
         cells = set().union(*table)
         total = None not in cells
         cells.discard(None)
-        if {*map(len, table)} != {n} or not cells.issubset(range(n)):
+        if {*map(len, table)} != {n} or not cells.issubset(range(n)) \
+                or not all(isinstance(cell, int) for cell in cells):
             # name the first fault in row order
             for row in table:
                 if len(row) != n:
                     raise ValueError("table rows must all have length n")
                 for cell in row:
-                    if cell is not None and not 0 <= cell < n:
+                    if cell is None:
+                        continue
+                    if not isinstance(cell, int):
+                        raise ValueError(f"cell {cell!r} is not an int")
+                    if not 0 <= cell < n:
                         raise ValueError(f"cell {cell!r} outside the carrier")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "is_total", total)

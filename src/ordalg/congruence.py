@@ -60,6 +60,8 @@ class FiniteAlgebra:
             if not isinstance(op, BinOp) or op.n != n or not op.is_total:
                 raise ValueError(f"op {name!r} must be a total table on the carrier")
         for name, c in self.constants:
+            if not isinstance(c, int):
+                raise ValueError(f"constant {name!r} is {c!r}, not an int")
             if not 0 <= c < n:
                 raise ValueError(f"constant {name!r} outside the carrier")
 
@@ -253,8 +255,9 @@ def check_permutable(algebra, congs=None):
             left = _compose(masks[i], masks[j])
             right = _compose(masks[j], masks[i])
             if left != right:
+                # phi;theta is the converse of theta;phi, so left is not within right
                 for x in range(algebra.n):
-                    diff = left[x] ^ right[x]
+                    diff = left[x] & ~right[x]
                     if diff:
                         z = (diff & -diff).bit_length() - 1
                         return Verdict(False, (theta, congs[j], (x, z)))

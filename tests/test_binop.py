@@ -57,6 +57,19 @@ def test_validation_names_the_first_fault_in_row_order():
         assert str(caught.value) == message, table
 
 
+def test_cells_must_be_ints():
+    # 1.0 in range(2) is true, so only a type check keeps a float out of
+    # the kernels, which would raise TypeError on it
+    for table, cell in ((((0, 1.0), (1, 1)), "1.0"), (((0, None), ("1", 1)), "'1'"),
+                        (((0.0, 1), (1, 1)), "0.0")):
+        with pytest.raises(ValueError, match=f"^cell {cell} is not an int$"):
+            BinOp(2, table)
+    # the type is checked before the range, in row order
+    with pytest.raises(ValueError, match="^cell 1.5 is not an int$"):
+        BinOp(2, ((0, 1.5), (1, 9)))
+    assert BinOp(2, ((0, True), (1, 1))).table == ((0, 1), (1, 1))
+
+
 def test_is_total_on_partial_and_total_tables():
     assert BinOp(2, ((0, 1), (1, 0))).is_total
     assert BinOp(1, ((None,),)).is_total is False

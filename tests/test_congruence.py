@@ -182,6 +182,23 @@ def projection_algebra(n):
     return FiniteAlgebra.build(poset_from_edges(n, ()), {"*": BinOp(n, table)})
 
 
+def test_listed_permutability_witness_lies_in_theta_phi_only():
+    # every ordered pair of partitions of four points: (x, z) must lie in
+    # theta;phi and not in phi;theta, never the other way round
+    alg = projection_algebra(4)
+    failures = 0
+    for theta in all_partitions(4):
+        for phi in all_partitions(4):
+            got = check_permutable(alg, [theta, phi])
+            assert bool(got) == permutable_by_relations([theta, phi])
+            if not got:
+                failures += 1
+                t, f, (x, z) = got.witness
+                assert (t, f) == (theta, phi)
+                assert _composes(theta, phi, x, z) and not _composes(phi, theta, x, z)
+    assert failures > 50
+
+
 def test_projection_algebra_fails_distributivity_with_first_triple():
     # the partition lattice on three or more points is not distributive
     for n in range(3, 6):
@@ -244,6 +261,7 @@ def assert_default_path_matches(alg, oracle_congs):
         blocks_ok = bool(got[2]) or got[2].detail != "same block of one"
         assert blocks_ok == weakly_regular_by_blocks(oracle_congs, alg.constant("one"))
     assert_witnesses_hold(alg, *got)
+    assert_witnesses_hold(alg, *listed)
     return got
 
 
@@ -447,6 +465,9 @@ def test_build_rejects_partial_ops_and_outside_constants():
         FiniteAlgebra.build(p, {"*": BinOp(2, ((0, None), (1, 1)))})
     with pytest.raises(ValueError, match="constant 'one' outside the carrier"):
         FiniteAlgebra.build(p, {"*": BinOp(2, ((0, 1), (1, 1)))}, {"one": 2})
+    # 1.0 would pass a range check and then fail inside a kernel
+    with pytest.raises(ValueError, match="constant 'one' is 1.0, not an int"):
+        FiniteAlgebra.build(p, {"*": BinOp(2, ((0, 1), (1, 1)))}, {"one": 1.0})
 
 
 def test_carrier_budget():

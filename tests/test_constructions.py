@@ -150,12 +150,12 @@ def test_labeled_enumeration_matches_naive_oracle():
 
 
 def test_lattice_enumeration_is_a_filter_of_posets():
+    # the same list in the same order: the lattice search prunes only
+    # subtrees without a lattice, so its leaves come in the poset order
     for n in range(1, 7):
         every = enumerate_structures(n, "all-posets", dedup=False).members
-        expected = sorted(
-            p.up for p in every if isinstance(as_lattice(p), LatticeOps)
-        )
-        got = sorted(p.up for p in enumerate_structures(n, "lattices", dedup=False).members)
+        expected = [p.up for p in every if isinstance(as_lattice(p), LatticeOps)]
+        got = [p.up for p in enumerate_structures(n, "lattices", dedup=False).members]
         assert got == expected
 
 
