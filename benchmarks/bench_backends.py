@@ -7,8 +7,9 @@ Run as a script::
 Each kernel runs on a fixed workload with both backends; the table shows
 the best wall time per backend and the speedup.  Every repeat times one
 pure call and then one compiled call, so a slowdown of the host lands on
-both columns alike.  Exits nonzero if any kernel pair disagrees on its
-result or its type.
+both columns alike.  A law scan takes a suite, and each backend is given
+its own plan of it; every suite that ``laws`` builds is scanned.  Exits
+nonzero if any kernel pair disagrees on its result or its type.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import time
 
 from ordalg import (as_lattice, canonical_operators, direct_product, fixture, from_sectional,
                     laws, make_poset, star_table_poset, synthesize_sectional)
-from ordalg._kernels import _core_py
+from ordalg._kernels import LawSuite, _core_py
 from ordalg.operators import _mask_tables
 
 try:
@@ -27,15 +28,23 @@ except ImportError:
     _core_c = None
 
 
-def best_ms(fns, call_args, repeats):
-    """Best wall time of each function, calling them in turn within each repeat."""
-    best = [float("inf")] * len(fns)
+def best_ms(calls, repeats):
+    """Best wall time of each (function, arguments), calling them in turn within each repeat."""
+    best = [float("inf")] * len(calls)
     for _ in range(repeats):
-        for i, fn in enumerate(fns):
+        for i, (fn, call_args) in enumerate(calls):
             t0 = time.perf_counter()
             fn(*call_args)
             best[i] = min(best[i], (time.perf_counter() - t0) * 1000.0)
     return best
+
+
+def twin_args(call_args, twin):
+    """The arguments for one backend: a law suite becomes that backend's plan of it."""
+    if call_args and isinstance(call_args[-1], LawSuite):
+        suite = call_args[-1]
+        return call_args[:-1] + (suite.py_plan if twin is _core_py else suite.c_plan,)
+    return call_args
 
 
 def workloads():
@@ -91,39 +100,46 @@ def workloads():
     small_lat = as_lattice(small)
     small_cand = from_sectional(small_lat, synthesize_sectional(small_lat))
     order = (small.n, small.up, small.down)
-    yield "law scan n=8, lattice laws", "law_scan", (*order, (small_lat.join, small_lat.meet), [
-        law.program for law in (laws.MODULAR, laws.DISTRIBUTIVE, laws.MEET_SEMIDISTRIBUTIVE)])
-    yield "law scan n=8, residuation axioms", "law_scan", (
-        *order, (small_lat.join, (), small_cand.mult.table, small_cand.imp.table), [
-            law.program for law in (laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE,
-                                    laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD)])
+    lattice = (small_lat.join, small_lat.meet)
+    candidate = (small_lat.join, (), small_cand.mult.table, small_cand.imp.table)
+    yield "law scan n=8, lattice laws", "law_scan", (*order, lattice, laws.suite((
+        laws.MODULAR, laws.DISTRIBUTIVE, laws.MEET_SEMIDISTRIBUTIVE)))
+    yield "law scan n=8, residuation axioms", "law_scan", (*order, candidate, laws.suite((
+        laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD)))
 
-    # the suites the library scans once per structure, passed as the
-    # library's own tuples, so that the compiled twin keeps their checked
-    # form after the first call: every law of a residuation candidate, on
-    # bool3 and bool6, and every operator law on bool3
-    for p in (small, fixture("bool6").poset):
-        p_lat = as_lattice(p)
-        p_cand = from_sectional(p_lat, synthesize_sectional(p_lat))
-        yield f"law scan n={p.n}, candidate suite", "law_scan", (
-            p.n, p.up, p.down, (p_lat.join, (), p_cand.mult.table, p_cand.imp.table),
-            laws.CANDIDATE)
-    mask_tables = _mask_tables(canonical_operators(small, star_table_poset(small)))
-    yield "law scan n=8, operator suite", "law_scan", (
-        *order, [mask_tables.get(name, ()) for name in laws.TABLES], laws.OPERATOR)
+    # every suite the library scans, on the tables the library scans it on:
+    # the lattice suites and the residuation suites on bool3, the candidate
+    # suite on bool6 too, and the operator suites on bool3 and, without a
+    # bottom, on two atoms under a top times bool2
+    for name in ("LATTICE_OPS", "MODULAR_DISTRIBUTIVE", "SEMIDISTRIBUTIVE"):
+        yield f"law scan n=8, laws.{name}", "law_scan", (*order, lattice, getattr(laws, name))
+    for name in ("CANDIDATE", "HALF_ADJOINT"):
+        yield f"law scan n=8, laws.{name}", "law_scan", (*order, candidate, getattr(laws, name))
+    big = fixture("bool6").poset
+    big_lat = as_lattice(big)
+    big_cand = from_sectional(big_lat, synthesize_sectional(big_lat))
+    yield "law scan n=64, laws.CANDIDATE", "law_scan", (
+        big.n, big.up, big.down, (big_lat.join, (), big_cand.mult.table, big_cand.imp.table),
+        laws.CANDIDATE)
+    no_bottom = direct_product(vee, fixture("bool2").poset)
+    for p, name in ((small, "OPERATOR"), (no_bottom, "OPERATOR_WITHOUT_BOTTOM")):
+        mask_tables = _mask_tables(canonical_operators(p, star_table_poset(p)))
+        yield f"law scan n={p.n}, laws.{name}", "law_scan", (
+            p.n, p.up, p.down, [mask_tables.get(table, ()) for table in laws.TABLES],
+            getattr(laws, name))
 
     # every lattice and residuation law at once; an implication that is top
     # everywhere makes most of them fail, several deep in the scan
-    programs = [law.program for law in (
+    every = laws.suite((
         laws.MODULAR, laws.DISTRIBUTIVE, laws.MEET_SEMIDISTRIBUTIVE, laws.COMMUTATIVE,
         laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD, laws.DIVISIBLE,
         *(law for _, law in laws.DERIVED + laws.BASIS), *laws.LAW_IX, laws.MONOTONE_RIGHT,
-        laws.CURRYING)]
+        laws.CURRYING))
     top_imp = ((chain.top,) * chain.n,) * chain.n
     for label, imp in (("passing", cand.imp.table), ("failing", top_imp)):
         tables = (lat.join, lat.meet, cand.mult.table, imp)
         yield f"law scan n=40, {label}", "law_scan", \
-            (chain.n, chain.up, chain.down, tables, programs)
+            (chain.n, chain.up, chain.down, tables, every)
 
     # principal congruences and the three verdicts of join/meet algebras;
     # chain16 fails permutability and weak regularity, bool4 passes
@@ -152,17 +168,15 @@ def main(argv=None):
     print(f"{'workload':<{width}}  {'python':>10}  {'compiled':>10}  speedup")
     mismatches = 0
     for label, kernel, call_args in workloads():
-        py_fn = getattr(_core_py, kernel)
-        c_fn = getattr(_core_c, kernel)
-        py_out = py_fn(*call_args)
-        c_out = c_fn(*call_args)
+        calls = [(getattr(twin, kernel), twin_args(call_args, twin)) for twin in (_core_py, _core_c)]
+        py_out, c_out = (fn(*fn_args) for fn, fn_args in calls)
         # the kernel contract fixes the result types, so a list where the
         # other twin returns a tuple is a disagreement too
         if not (py_out == c_out and type(py_out) is type(c_out)):
             mismatches += 1
             print(f"{label:<{width}}  RESULTS DISAGREE")
             continue
-        py_ms, c_ms = best_ms((py_fn, c_fn), call_args, args.repeats)
+        py_ms, c_ms = best_ms(calls, args.repeats)
         ratio = py_ms / c_ms if c_ms > 0 else float("inf")
         print(f"{label:<{width}}  {py_ms:>8.2f}ms  {c_ms:>8.3f}ms  {ratio:>6.1f}x")
     return 1 if mismatches else 0

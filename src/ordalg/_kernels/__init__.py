@@ -44,7 +44,7 @@ numbered in first-seen row-major order, n rows of each pair's number, the
 common lower bounds of each set, and n rows of each pair's common lower
 bounds; every row is a tuple, and both twins number the sets alike.
 
-``law_scan(n, up, down, tables, programs)`` returns each program's least
+``law_scan(n, up, down, tables, plan)`` returns each program's least
 failing tuple in topo order (first variable outermost), or None.  A
 program is ``(arity, opcode, operand, ...)``: arity 1..4, at most 64
 instructions of ``LAW_OPS``, a stack of 16.  ``var`` i, ``const`` k and
@@ -52,15 +52,23 @@ instructions of ``LAW_OPS``, a stack of 16.  ``var`` i, ``const`` k and
 ``tables[t][x][y]`` (popping x, y); ``up``/``down`` pop x and push its
 cone; ``leq``, ``eq``, ``and`` and ``subset`` pop x, y and push x <= y,
 x == y, x & y and whether mask x lies within y.  A tuple fails where the
-one value left is 0.  At most 8 square tables of masks within the
-carrier (empty means absent; the compiled twin takes them up to 2080
-wide); a value used as an index must be provably below what it indexes,
-and a pushed constant must exist, or both twins raise ValueError.  Both
-twins keep what they derive from programs they have read: the pure twin
-its translation of a batch, by value (``_law_py._plan``), and the
-compiled twin the checked form of the last 16 programs that are an exact
-tuple of exact tuples of ints, by identity, holding the tuple.  Every
-check that reads a call's own order and tables runs on every call.
+one value left is 0.  ``_core_py.law_compile(programs)`` checks a suite of
+programs against these rules, raising ValueError, and returns its register
+form ``(registers, results)``: registers[a - 1] holds, for the programs of
+arity a, one ``(op, arg, x, y)`` per distinct subterm, computing op on the
+earlier registers x and y (0 for ``var`` and ``const``, x twice for ``up``
+and ``down``; arg 0 but for the three leaves), and results one
+``(arity, register)`` per program, the register it leaves.  Each twin's
+``law_plan(compiled)`` makes its plan of that form, once per suite: the
+compiled twin checks only its structure and returns a capsule, and the pure
+twin generates its loops.  ``LawSuite`` holds a suite's programs, its
+compiled form and both plans, and ``law_scan`` here hands a twin its own
+plan; a twin's ``law_scan`` given anything else raises TypeError.  Each call
+checks the plan against its own order and tables: at most 8 square tables
+of masks within the carrier (empty means absent; the compiled twin takes
+them up to 2080 wide), every table read present, every value used as an
+index provably below what it indexes, and every pushed constant present,
+or both twins raise ValueError.
 
 ``congruence_scan(n, tables, one)`` takes the tables of any number of
 binary operations, each n rows of n element indices, and the index of the
@@ -77,6 +85,7 @@ join R of the Θ(one, z) over its block of one (None when one is None).
 The pure twin's docstring states the order of the scans.
 """
 
+import functools
 import os
 
 from . import _core_py as _py
@@ -131,8 +140,26 @@ def operator_tables(n, up, down):
     return _pick(n).operator_tables(n, up, down)
 
 
-def law_scan(n, up, down, tables, programs):
-    return _pick(n).law_scan(n, up, down, tables, programs)
+class LawSuite:
+    """A suite of law programs compiled once, with each twin's plan of it.
+
+    The compiled twin's plan is made here, the pure twin's on first use, so
+    a process that scans only on the compiled twin never generates loops.
+    """
+
+    def __init__(self, programs):
+        self.programs = tuple(map(tuple, programs))
+        self.compiled = _py.law_compile(self.programs)
+        self.c_plan = None if _c is None else _c.law_plan(self.compiled)
+
+    @functools.cached_property
+    def py_plan(self):
+        return _py.law_plan(self.compiled)
+
+
+def law_scan(n, up, down, tables, suite):
+    twin = _pick(n)
+    return twin.law_scan(n, up, down, tables, suite.c_plan if twin is _c else suite.py_plan)
 
 
 def congruence_scan(n, tables, one):

@@ -15,14 +15,15 @@
  * operator_tables returns (us, uid, low, lu): the distinct sets U(x, y) =
  * up[x] & up[y] in first-seen row-major order, n rows numbering each
  * pair's set, the lower set of each, and n rows of each pair's lower set,
- * all tuples.  law_scan takes rows and runs each arity's programs as one
- * loop nest, and keeps the checked form of the last programs tuples it
- * read; rrl_scan and divisibility_scan, which no library code calls,
- * take flat row-major sequences.  congruence_scan takes any number of
- * operation tables as rows of element indices and returns the least-member
- * labels of every principal congruence with the first witness of
- * permutability, congruence distributivity and weak regularity, each
- * decided from the principal congruences alone.  Every kernel raises
+ * all tuples.  law_plan reads a suite of law programs that the pure twin's
+ * law_compile has put in register form, and law_scan runs a plan on rows,
+ * each arity's programs as one loop nest; rrl_scan and divisibility_scan,
+ * which no library code calls, take flat row-major sequences.
+ * congruence_scan takes any number of operation tables as rows of element
+ * indices and returns the least-member labels of every principal
+ * congruence with the first witness of permutability, congruence
+ * distributivity and weak regularity, each decided from the principal
+ * congruences alone.  Every kernel raises
  * ValueError when n lies outside the sizes its fixed buffers hold, a mask
  * has bits outside the carrier (poset_index reports that as a fault), or a
  * table entry is not an element index (for law_scan: may be used as an
@@ -516,11 +517,9 @@ static PyObject *divisibility_scan(PyObject *self, PyObject *const *args, Py_ssi
     Py_RETURN_TRUE;
 }
 
-/* law_scan opcodes, numbered as the pure twin's LAW_OPS, and the limits
- * both twins share. */
+/* law_scan opcodes, numbered as the pure twin's LAW_OPS, and the number
+ * of tables both twins take. */
 enum { L_VAR, L_CONST, L_TABLE, L_UP, L_DOWN, L_LEQ, L_EQ, L_AND, L_SUBSET, L_OPS };
-#define LAW_STACK 16
-#define LAW_CODE 64
 #define LAW_TABLES 8
 /* the most distinct masks U(x, y) = up[x] & up[y] on 64 elements, which is
  * the widest table a product lowered over them needs */
@@ -588,53 +587,25 @@ static int law_tables(PyObject *seq, struct law_env *e, uint64_t **buf)
     return ok ? 0 : -1;
 }
 
-/* A program as read: its length, counting the arity, and its code. */
-struct law_code { int len, code[2 * LAW_CODE + 1]; };
-
-/* A checked batch of programs of one arity in register form: register r
- * holds the result of op on registers x and y (0 when unused) and reads
- * the variables in the mask vars (bit i for variable i).  Repeated
- * subterms, within a program or across the batch, share one register.
- * Program k of the batch, the program[k]th of the call, leaves register
- * result[k]. */
+/* A batch of programs of one arity in register form: register r holds the
+ * result of op on registers x and y and reads the variables in the mask
+ * vars (bit i for variable i).  Program k of the batch, the program[k]th
+ * of the suite, leaves register result[k]. */
 struct law_reg { int op, arg, x, y, vars; };
 struct law_batch {
     int arity, len, count, *result, *program;
     struct law_reg *reg;
 };
 
-/* The programs of one call as checked batches, one for each arity, in one
- * block with the arity of each program in call order; no batch has more
- * than size registers.  A kept plan holds a reference to its programs. */
+/* A suite's plan: one batch for each arity, in one block with the arity
+ * of each program in suite order; size counts the registers of all four.
+ * A capsule named LAW_PLAN owns it. */
 struct law_plan {
-    PyObject *programs;
     Py_ssize_t count, size;
     struct law_batch batch[4];
     uint8_t *arity;
 };
-
-/* Read a program: a sequence of an odd number of ints, at most 64
- * instructions after an arity of 1..4. */
-static int law_read(PyObject *program, struct law_code *c)
-{
-    PyObject *fast = PySequence_Fast(program, "a program must be a sequence");
-    if (!fast)
-        return -1;
-    Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
-    int ok = len % 2 == 1 && len <= 2 * LAW_CODE + 1;
-    for (Py_ssize_t i = 0; ok && i < len; i++) {
-        int overflow;
-        long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(fast, i), &overflow);
-        ok = !(v == -1 && PyErr_Occurred());
-        c->code[i] = overflow || v < INT_MIN || v > INT_MAX ? -1 : (int)v;
-    }
-    Py_DECREF(fast);
-    c->len = (int)len;
-    if (ok && (c->code[0] < 1 || c->code[0] > 4))
-        return value_error("law arity must lie in 1..4");
-    return ok ? 0 : PyErr_Occurred() ? -1
-           : value_error("a program is (arity, opcode, operand, ...) with at most 64 instructions");
-}
+#define LAW_PLAN "ordalg._core_c.law_plan"
 
 static int law_pops(int op)
 {
@@ -666,44 +637,6 @@ static int law_bound(const struct law_env *e, int op, int arg, uint64_t bx, uint
     return 0;
 }
 
-/* Add a program to the batch after the checks that read no call's inputs:
- * opcodes, operands within their static ranges, and stack depth.
- * law_recheck makes the others on every call. */
-static int law_check(const struct law_code *c, struct law_batch *b)
-{
-    struct law_reg *reg = b->reg;
-    int stack[LAW_STACK], sp = 0;
-    for (int pc = 1; pc < c->len; pc += 2) {
-        int op = c->code[pc], arg = c->code[pc + 1];
-        if (op < 0 || op >= L_OPS)
-            return value_error("unknown law opcode");
-        if ((op == L_VAR && (arg < 0 || arg >= b->arity))
-            || (op == L_CONST && (arg < 0 || arg > 1))
-            || (op == L_TABLE && (arg < 0 || arg >= LAW_TABLES)))
-            return value_error("law program operand out of range");
-        int pops = law_pops(op);
-        if (sp < pops)
-            return value_error("law program stack underflow");
-        sp -= pops;
-        int x = pops ? stack[sp] : 0, y = pops ? stack[sp + pops - 1] : 0, r = 0;
-        while (r < b->len && !(reg[r].op == op && reg[r].arg == arg && reg[r].x == x && reg[r].y == y))
-            r++;
-        if (r == b->len) {
-            reg[r] = (struct law_reg){
-                op, arg, x, y,
-                op == L_VAR ? 1 << arg : op == L_CONST ? 0 : reg[x].vars | reg[y].vars};
-            b->len++;
-        }
-        if (sp == LAW_STACK)
-            return value_error("law program stack overflow");
-        stack[sp++] = r;
-    }
-    if (sp != 1)
-        return value_error("a law program must leave one value");
-    b->result[b->count++] = stack[0];
-    return 0;
-}
-
 /* Check a batch against this call's order and tables, register by
  * register: each constant or table it pushes is present, and every value
  * used as an index stays below what it indexes, by the bounds of the
@@ -722,108 +655,105 @@ static int law_recheck(const struct law_env *e, const struct law_batch *b, uint6
     return 0;
 }
 
-/* Read programs, a sequence, and check them into a new plan. */
-static struct law_plan *law_build(PyObject *programs)
+/* Read t, a tuple of count ints, into out; 0 when it is not one.  A value
+ * that does not fit an int reads as -1, which no field takes. */
+static int law_ints(PyObject *t, Py_ssize_t count, int *out)
 {
-    PyObject *fast = PySequence_Fast(programs, "programs must be a sequence");
-    if (!fast)
-        return NULL;
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(fast), size = 1;
-    struct law_code *codes = PyMem_Malloc((count + 1) * sizeof *codes);
-    int ok = codes != NULL;
-    for (Py_ssize_t p = 0; ok && p < count; p++)
-        if ((ok = !law_read(PySequence_Fast_GET_ITEM(fast, p), codes + p)))
-            size += codes[p].len;
-    /* each instruction makes at most one register; after the plan, its
-     * block holds the registers, the results, the program indices and the
-     * arities */
-    struct law_plan *pl = NULL;
-    if (ok) {
-        pl = PyMem_Malloc(sizeof *pl + size * sizeof(struct law_reg)
-                          + (count + 1) * (2 * sizeof(int) + 1));
-        ok = pl != NULL;
+    int ok = PyTuple_Check(t) && PyTuple_GET_SIZE(t) == count;
+    for (Py_ssize_t i = 0; ok && i < count; i++) {
+        PyObject *item = PyTuple_GET_ITEM(t, i);
+        int overflow = 0;
+        long v = PyLong_Check(item) ? PyLong_AsLongAndOverflow(item, &overflow) : (ok = 0);
+        out[i] = overflow || v < INT_MIN || v > INT_MAX ? -1 : (int)v;
     }
-    if (ok) {
-        struct law_reg *reg = (struct law_reg *)(pl + 1);
-        int *result = (int *)(reg + size), *program = result + count + 1;
-        pl->programs = NULL;
-        pl->count = count;
-        pl->size = size;
-        pl->arity = (uint8_t *)(program + count + 1);
-        for (int a = 1; a <= 4; a++) {
-            struct law_batch *b = pl->batch + a - 1;
-            *b = (struct law_batch){a, 0, 0, result, program, reg};
-            for (Py_ssize_t p = 0; ok && p < count; p++)
-                if (codes[p].code[0] == a) {
-                    program[b->count] = (int)p;
-                    ok = !law_check(codes + p, b);
-                }
-            reg += b->len;
-            result += b->count;
-            program += b->count;
-        }
-        for (Py_ssize_t p = 0; p < count; p++)
-            pl->arity[p] = (uint8_t)codes[p].code[0];
-    }
-    /* only a failed allocation fails without an exception */
-    if (!ok && !PyErr_Occurred())
-        PyErr_NoMemory();
-    if (!ok) {
-        PyMem_Free(pl);
-        pl = NULL;
-    }
-    PyMem_Free(codes);
-    Py_DECREF(fast);
-    return pl;
+    return ok;
 }
 
-static void law_free(struct law_plan *pl)
+/* Read register r of a batch of arity a, or return 0 when it is malformed:
+ * op and arg in range (arg 0 for an op that takes none), a leaf's operands
+ * 0, any other op's earlier registers, the same one twice for up and down.
+ * Its vars are derived from its operands'. */
+static int law_register(PyObject *item, int a, int r, struct law_reg *reg)
 {
-    if (pl)
-        Py_XDECREF(pl->programs);
-    PyMem_Free(pl);
-}
-
-/* The plans of the last LAW_KEPT programs tuples read, each holding its
- * tuple.  Only an exact tuple of exact tuples of exact ints is kept: it
- * cannot change while it is held, so a later call with the same object
- * reuses its plan.  This mirrors the pure twin's _plan. */
-#define LAW_KEPT 16
-static struct law_plan *law_kept[LAW_KEPT];
-static int law_next;
-
-static int law_keeps(PyObject *programs)
-{
-    if (!PyTuple_CheckExact(programs))
+    int v[4];
+    if (!law_ints(item, 4, v))
         return 0;
-    for (Py_ssize_t p = 0; p < PyTuple_GET_SIZE(programs); p++) {
-        PyObject *code = PyTuple_GET_ITEM(programs, p);
-        if (!PyTuple_CheckExact(code))
-            return 0;
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(code); i++)
-            if (!PyLong_CheckExact(PyTuple_GET_ITEM(code, i)))
-                return 0;
-    }
+    int op = v[0], arg = v[1], x = v[2], y = v[3];
+    int pops = op >= 0 && op < L_OPS ? law_pops(op) : -1;
+    if (pops < 0
+        || !(op == L_VAR ? arg >= 0 && arg < a
+             : op == L_CONST ? arg == 0 || arg == 1
+             : op == L_TABLE ? arg >= 0 && arg < LAW_TABLES : !arg)
+        || !(pops ? x >= 0 && x < r && y >= 0 && y < r && (pops == 2 || x == y) : !x && !y))
+        return 0;
+    reg[r] = (struct law_reg){op, arg, x, y,
+                              op == L_VAR ? 1 << arg : pops ? reg[x].vars | reg[y].vars : 0};
     return 1;
 }
 
-/* The plan of programs: a kept one, or one built now and kept if it
- * qualifies.  A plan that is not kept has no programs, and its caller
- * frees it. */
-static struct law_plan *law_plan_of(PyObject *programs)
+static PyObject *law_malformed(void)
 {
-    for (int i = 0; i < LAW_KEPT; i++)
-        if (law_kept[i] && law_kept[i]->programs == programs)
-            return law_kept[i];
-    struct law_plan *pl = law_build(programs);
-    if (!pl || !law_keeps(programs))
-        return pl;
-    struct law_plan *old = law_kept[law_next];
-    pl->programs = Py_NewRef(programs);
-    law_kept[law_next] = pl;
-    law_next = (law_next + 1) % LAW_KEPT;
-    law_free(old);
-    return pl;
+    PyErr_SetString(PyExc_ValueError, "a compiled suite is (registers, results) as law_compile "
+                    "makes it: each register in range and read after its operands");
+    return NULL;
+}
+
+static void law_plan_free(PyObject *capsule)
+{
+    PyMem_Free(PyCapsule_GetPointer(capsule, LAW_PLAN));
+}
+
+/* The plan of a compiled suite, (registers, results) from the pure twin's
+ * law_compile, which makes every check that reads no call's inputs; this
+ * reader checks only the structure law_run relies on to stay within its
+ * buffers.  registers holds one tuple of registers per arity, results one
+ * (arity, register) per program, the register in its arity's batch. */
+static PyObject *law_plan(PyObject *self, PyObject *compiled)
+{
+    int pair = PyTuple_Check(compiled) && PyTuple_GET_SIZE(compiled) == 2;
+    PyObject *regs = pair ? PyTuple_GET_ITEM(compiled, 0) : NULL;
+    PyObject *results = pair ? PyTuple_GET_ITEM(compiled, 1) : NULL;
+    int ok = regs && PyTuple_Check(regs) && PyTuple_GET_SIZE(regs) == 4 && PyTuple_Check(results);
+    Py_ssize_t count = ok ? PyTuple_GET_SIZE(results) : 0, total = 0;
+    for (int a = 0; ok && a < 4; a++) {
+        PyObject *batch = PyTuple_GET_ITEM(regs, a);
+        Py_ssize_t len = PyTuple_Check(batch) ? PyTuple_GET_SIZE(batch) : INT_MAX;
+        ok = len < INT_MAX;
+        total += len;
+    }
+    if (!ok)
+        return law_malformed();
+    /* after the plan, its block holds the registers, the results, the
+     * program indices and the arities */
+    struct law_plan *pl = PyMem_Malloc(sizeof *pl + total * sizeof(struct law_reg)
+                                       + count * (2 * sizeof(int) + 1));
+    if (!pl)
+        return PyErr_NoMemory();
+    struct law_reg *reg = (struct law_reg *)(pl + 1);
+    int *result = (int *)(reg + total), *program = result + count, v[2];
+    *pl = (struct law_plan){count, total, .arity = (uint8_t *)(program + count)};
+    for (int a = 1; ok && a <= 4; a++) {
+        PyObject *batch = PyTuple_GET_ITEM(regs, a - 1);
+        struct law_batch *b = pl->batch + a - 1;
+        *b = (struct law_batch){a, (int)PyTuple_GET_SIZE(batch), 0, result, program, reg};
+        for (int r = 0; ok && r < b->len; r++)
+            ok = law_register(PyTuple_GET_ITEM(batch, r), a, r, reg);
+        for (Py_ssize_t p = 0; ok && p < count; p++)
+            if ((ok = law_ints(PyTuple_GET_ITEM(results, p), 2, v) && v[0] >= 1 && v[0] <= 4)
+                && v[0] == a) {
+                ok = v[1] >= 0 && v[1] < b->len;
+                pl->arity[p] = (uint8_t)a;
+                program[b->count] = (int)p;
+                result[b->count++] = v[1];
+            }
+        reg += b->len;
+        result += b->count;
+        program += b->count;
+    }
+    PyObject *capsule = ok ? PyCapsule_New(pl, LAW_PLAN, law_plan_free) : NULL;
+    if (!capsule)
+        PyMem_Free(pl);
+    return capsule || PyErr_Occurred() ? capsule : law_malformed();
 }
 
 /* Run a checked batch over every tuple in topological order, in one loop
@@ -961,21 +891,16 @@ static void law_run(const struct law_env *e, const struct law_batch *b, uint64_t
 }
 
 /* Check a plan against this call's inputs and run it: each program's
- * least failing tuple, or None.  The plan is read only before the first
- * Python object is made, since a collection that starts then may run code
- * that replaces a kept plan. */
+ * least failing tuple, or None. */
 static PyObject *law_results(const struct law_env *e, const struct law_plan *pl)
 {
     Py_ssize_t count = pl->count, size = pl->size;
-    /* one block: the registers' bounds and values, then each program's
-     * witness and arity */
-    uint64_t *bound = PyMem_Malloc((size * 65 + (count + 1) * 4) * sizeof *bound + count + 1);
+    /* one block: the registers' bounds and values, and each program's witness */
+    uint64_t *bound = PyMem_Malloc((size * 65 + (count + 1) * 4) * sizeof *bound);
     if (!bound)
         return PyErr_NoMemory();
     uint64_t (*val)[64] = (uint64_t (*)[64])(bound + size);
     uint64_t (*witness)[4] = (uint64_t (*)[4])(val + size);
-    uint8_t *arity = (uint8_t *)(witness + count + 1);
-    memcpy(arity, pl->arity, count);
     int ok = 1;
     for (int a = 0; ok && a < 4; a++)
         ok = !law_recheck(e, pl->batch + a, bound);
@@ -985,7 +910,7 @@ static PyObject *law_results(const struct law_env *e, const struct law_plan *pl)
     PyObject *result = ok ? PyList_New(count) : NULL;
     for (Py_ssize_t p = 0; result && p < count; p++) {
         PyObject *item = witness[p][0] == UINT64_MAX ? Py_NewRef(Py_None)
-                         : mask_tuple(witness[p], arity[p]);
+                         : mask_tuple(witness[p], pl->arity[p]);
         if (item)
             PyList_SET_ITEM(result, p, item);
         else
@@ -995,8 +920,7 @@ static PyObject *law_results(const struct law_env *e, const struct law_plan *pl)
     return result;
 }
 
-/* Every call reads its order and tables and checks its programs' plan
- * against them; the plan is kept across calls when law_plan_of keeps it. */
+/* Every call reads its order and tables and checks its plan against them. */
 static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct law_env e;
@@ -1004,19 +928,14 @@ static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t narg
     if (read_n("law_scan", args, nargs, 5, 64, &e.n) || read_masks(args[1], e.n, e.up)
         || read_masks(args[2], e.n, e.down))
         return NULL;
+    const struct law_plan *pl = PyCapsule_IsValid(args[4], LAW_PLAN)
+                                ? PyCapsule_GetPointer(args[4], LAW_PLAN) : NULL;
+    if (!pl)
+        return PyErr_Format(PyExc_TypeError, "law_scan takes a plan that law_plan made");
     topo_order(e.n, e.down, e.topo);
     e.consts[0] = least_full(e.n, e.down);
     e.consts[1] = least_full(e.n, e.up);
-    PyObject *result = NULL;
-    if (!law_tables(args[3], &e, &buf)) {
-        struct law_plan *pl = law_plan_of(args[4]);
-        /* read before law_results, which may replace a kept plan */
-        int own = pl && !pl->programs;
-        if (pl)
-            result = law_results(&e, pl);
-        if (own)
-            law_free(pl);
-    }
+    PyObject *result = law_tables(args[3], &e, &buf) ? NULL : law_results(&e, pl);
     PyMem_Free(buf);
     return result;
 }
@@ -1536,12 +1455,12 @@ static PyMethodDef methods[] = {
            "bit 2: adjointness forward, bit 3: adjointness backward."),
     KERNEL(divisibility_scan, "divisibility_scan(n, join, mult, imp)\n--\n\n"
            "True when (x v y) * (x -> y) = y for every pair."),
-    KERNEL(law_scan, "law_scan(n, up, down, tables, programs)\n--\n\n"
-           "The least failing tuple of each program, or None, in topological order.\n\n"
-           "Same contract as the pure twin; constant 0 is the top and 1 the bottom.\n"
-           "The programs of each arity run as one loop nest, and each op over the\n"
-           "innermost variable's whole row.  The checked form of a tuple of program\n"
-           "tuples is kept, and only what reads this call's inputs is checked again."),
+    {"law_plan", law_plan, METH_O, "law_plan(compiled)\n--\n\n"
+     "The plan of a suite compiled by the pure twin's law_compile, as a capsule."},
+    KERNEL(law_scan, "law_scan(n, up, down, tables, plan)\n--\n\n"
+           "Each program's least failing tuple, or None, in topological order.\n\n"
+           "Same contract as the pure twin; the programs of each arity run as one loop\n"
+           "nest, each op over the innermost variables' whole rows."),
     KERNEL(congruence_scan, "congruence_scan(n, tables, one)\n--\n\n"
            "(labels, permutable, distributive, regular): the labels of every principal\n"
            "congruence and the first witness of each criterion, or None; see the pure twin."),

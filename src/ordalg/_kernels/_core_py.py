@@ -4,7 +4,8 @@ Bit j of ``up[i]`` set means element i lies below element j (reflexive).
 ``down`` is the transpose; ``topo_order`` and ``least_full`` derive an
 order's topological order, top and bottom.  Table kernels return n row
 tuples, None for an undefined cell; the axiom scans take flat row-major
-sequences of length n*n, and ``law_scan`` takes sequences of rows.
+sequences of length n*n, and ``law_scan`` takes sequences of rows; the
+law engine's compiler, plans and scan come from ``_law_py``.
 The compiled backend ``_core_c`` implements the same contracts for carriers
 of at most 64 elements; this module also covers larger carriers because
 Python ints are unbounded.  ``_pack`` and ``_unpack`` are the one codec,
@@ -15,6 +16,9 @@ union-find of least-member labels, here and in ``congruence``, and
 """
 
 from itertools import permutations, product
+
+# the law engine's entry points, part of this twin's API
+from ._law_py import LAW_OPS, law_compile, law_plan, law_scan  # noqa: F401
 
 
 def transpose(n, up):
@@ -417,25 +421,6 @@ def _regular(n, theta, distinct, one):
         if label[x] != label[y]:
             return tuple(label), lab
     return None
-
-
-# law_scan opcodes, numbered by position; _core_c.c lists them in this order.
-LAW_OPS = ("var", "const", "table", "up", "down", "leq", "eq", "and", "subset")
-LAW_STACK = 16
-LAW_CODE = 64
-LAW_TABLES = 8
-
-
-def law_scan(n, up, down, tables, programs):
-    """The least failing tuple of each program, or None, in topological order.
-
-    The contract is in the docstring of the ``_kernels`` package.  The
-    translator lives in ``_law_py``, imported on first use, so that a
-    process that runs every law scan on the compiled twin never compiles it.
-    """
-    from . import _law_py
-
-    return _law_py.law_scan(n, up, down, tables, programs)
 
 
 def _pack(n, up):

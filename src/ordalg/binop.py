@@ -8,9 +8,9 @@ class BinOp:
     """n-by-n table of element indices; a None cell means undefined.
 
     Rows are stored as tuples, so ``is_total``, computed once here, cannot
-    go stale.  Every other cell must be an int in range(n), checked over the
-    distinct cells: a cell equal to an int cell before it, such as 1.0 after
-    1, is not seen.
+    go stale.  Every other cell must be an int in range(n); on a total table
+    of at most 256 elements, ``_total_below`` reads the rows at C speed and
+    also takes an integer of another type, one with ``__index__``.
     """
 
     n: int
@@ -21,21 +21,20 @@ class BinOp:
         n, table = self.n, tuple(map(tuple, self.table))
         if len(table) != n:
             raise ValueError("table must have one row per element")
-        cells = set().union(*table)
-        total = None not in cells
-        cells.discard(None)
-        if {*map(len, table)} != {n} or not cells.issubset(range(n)) \
-                or not all(isinstance(cell, int) for cell in cells):
-            # name the first fault in row order
+        total = _total_below(table, n)
+        if not total:
+            # a partial or wide table, or a fault: every cell, in row order,
+            # naming the first fault
+            total = True
             for row in table:
                 if len(row) != n:
                     raise ValueError("table rows must all have length n")
                 for cell in row:
                     if cell is None:
-                        continue
-                    if not isinstance(cell, int):
+                        total = False
+                    elif not isinstance(cell, int):
                         raise ValueError(f"cell {cell!r} is not an int")
-                    if not 0 <= cell < n:
+                    elif not 0 <= cell < n:
                         raise ValueError(f"cell {cell!r} outside the carrier")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "is_total", total)
@@ -79,3 +78,19 @@ class BinOp:
 
     def flat(self):
         return [-1 if cell is None else cell for row in self.table for cell in row]
+
+
+def _total_below(table, n):
+    """Whether each of the n rows of table holds n integers in range(n).
+
+    ``bytes`` reads a row at C speed and takes it only when every cell is an
+    integer below 256, so a None, or a float equal to an int, fails it;
+    deleting the bytes below n then leaves nothing.
+    """
+    if n > 256:
+        return False
+    try:
+        rows = list(map(bytes, table))
+    except (TypeError, ValueError):
+        return False
+    return {*map(len, rows)} <= {n} and not b"".join(rows).translate(None, bytes(range(n)))

@@ -8,12 +8,12 @@ subset masks (the residual table ``resid``, cones, ``within`` for
 inclusion, and, for the set U(x, y) of common upper bounds of x and y,
 ``LU`` for its common lower bounds and ``prod`` for the product of two
 such sets).  ``Law`` compiles each term once to a postfix program.  Each
-batch the library scans is a suite, a module-level tuple of programs
-built once, and ``scan`` hands one to the ``law_scan`` kernel, which
+batch the library scans is a suite, built once at import: ``suite``
+compiles its programs to registers, merging equal subterms, and makes the
+compiled twin's plan of them, and the pure twin's plan is made on its
+first scan.  ``scan`` hands a suite to the ``law_scan`` kernel, which
 returns each program's least failing tuple in the poset's fixed
-topological order.  The compiled twin keeps the checked form of a
-programs tuple it has read, and the pure twin its translation, so each
-suite is read once per process.
+topological order.
 """
 
 from . import _kernels as kernels
@@ -63,8 +63,8 @@ class Law:
 
 
 def suite(checks):
-    """The programs of a batch of laws, as one tuple for ``scan``."""
-    return tuple(law.program for law in checks)
+    """A batch of laws compiled once for ``scan``, as a ``kernels.LawSuite``."""
+    return kernels.LawSuite(law.program for law in checks)
 
 
 def scan(p, programs, **tables):
@@ -159,4 +159,4 @@ OPERATOR_LAWS = (
 # without it
 OPERATOR_CHECKS = (OPERATOR_FORWARD, OPERATOR_BACKWARD, *(law for _, law in OPERATOR_LAWS))
 OPERATOR = suite(OPERATOR_CHECKS)
-OPERATOR_WITHOUT_BOTTOM = OPERATOR[:-1]
+OPERATOR_WITHOUT_BOTTOM = suite(OPERATOR_CHECKS[:-1])

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from . import _kernels as kernels
 from . import laws
 from ._kernels._core_py import _common_bounds
+from .binop import BinOp
 from .errors import CycleDetectedError, DuplicateNameError, SizeBudgetError, UnknownNameError
 
 MAX_ELEMENTS = 64
@@ -165,12 +166,20 @@ class LatticeOps:
 
     def __post_init__(self):
         p = self.poset
+        # BinOp's rules first, so that only element indices reach the scan
+        for name in ("join", "meet"):
+            try:
+                op = BinOp(p.n, getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name} table: {exc}") from None
+            if not op.is_total:
+                a, b = op.first_undefined(p.topo)
+                raise ValueError(f"{name} table undefined at ({p.names[a]}, {p.names[b]})")
+            object.__setattr__(self, name, op.table)
         found = laws.scan(p, laws.LATTICE_OPS, join=self.join, meet=self.meet)
         for name, pair in zip(("join", "meet"), found):
             if pair is not None:
                 raise ValueError(f"{name} table wrong at ({p.names[pair[0]]}, {p.names[pair[1]]})")
-        object.__setattr__(self, "join", tuple(map(tuple, self.join)))
-        object.__setattr__(self, "meet", tuple(map(tuple, self.meet)))
         object.__setattr__(self, "top", p.top)
         object.__setattr__(self, "bottom", p.bottom)
 

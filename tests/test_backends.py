@@ -20,6 +20,7 @@ from ordalg import _kernels as kernels
 from ordalg import (
     BinOp,
     FiniteAlgebra,
+    LatticeOps,
     check_congruence_distributive,
     check_permutable,
     check_weakly_regular,
@@ -344,14 +345,20 @@ def rand_table(rng, n):
     return tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
 
 
+def plan_of(twin, programs):
+    """twin's plan of programs, compiled by the one compiler."""
+    return twin.law_plan(py.law_compile(programs))
+
+
 def test_law_scan_identical():
     c = c_backend()
     programs = library_programs()
     assert len(programs) > 30
+    plans = plan_of(c, programs), plan_of(py, programs)
     sizes, results = set(), set()
     for args in law_inputs():
-        got_c = c.law_scan(*args, programs)
-        assert got_c == py.law_scan(*args, programs)
+        got_c = c.law_scan(*args, plans[0])
+        assert got_c == py.law_scan(*args, plans[1])
         sizes.add(args[0])
         results.update(w is None for w in got_c)
     assert sizes == {1, 2, 3, 4, 5, 8, 16, 64} and results == {True, False}
@@ -379,47 +386,60 @@ def random_program(rng, k):
     return [rng.randrange(0, 6)] + [rng.randrange(-1, 12) for _ in range(2 * rng.randrange(1, 8))]
 
 
-def law_scan_outcome(twin, args, programs):
+def law_scan_outcome(twin, args, plan):
     try:
-        return twin.law_scan(*args, programs)
+        return twin.law_scan(*args, plan)
     except ValueError:
         return ValueError
 
 
+def random_plans(rng, k):
+    """Both twins' plans of random_program(rng, k), or None when it does not compile."""
+    try:
+        compiled = py.law_compile([random_program(rng, k)])
+    except ValueError:
+        return None
+    return c_backend().law_plan(compiled), py.law_plan(compiled)
+
+
 def test_law_scan_identical_on_random_programs():
-    """Random terms and random code, often malformed: both twins raise or agree."""
+    """Random terms and random code, often malformed, each program on one
+    input: both twins raise or agree, and code the compiler rejects is never
+    scanned."""
     c = c_backend()
     rng = random.Random(15)
     outcomes = set()
     for args in itertools.islice(law_inputs(), 0, None, 3):
         for k in range(300):
-            program = random_program(rng, k)
-            got = [law_scan_outcome(twin, args, [program]) for twin in (c, py)]
-            assert got[0] == got[1], program
+            plans = random_plans(rng, k)
+            if plans is None:
+                outcomes.add("rejected")
+                continue
+            got = [law_scan_outcome(twin, args, plan) for twin, plan in zip((c, py), plans)]
+            assert got[0] == got[1], k
             outcomes.add("error" if got[0] is ValueError else got[0][0] is None)
-    assert outcomes == {"error", True, False}
+    assert outcomes == {"rejected", "error", True, False}
 
 
-def test_law_scan_identical_on_random_programs_in_one_kept_tuple():
-    """The same, with each program passed as one tuple reused on every input,
-    so that the compiled twin checks its kept form against each call's order
-    and tables."""
+def test_law_scan_identical_on_random_programs_with_one_plan_per_program():
+    """The same, with each program's plans made once and reused on every
+    input, so that each call checks them against its own order and tables."""
     c = c_backend()
     rng = random.Random(15)
     inputs = list(itertools.islice(law_inputs(), 0, None, 3))
     outcomes = set()
     for k in range(300):
-        programs = (tuple(random_program(rng, k)),)
-        for args in inputs:
-            got = [law_scan_outcome(twin, args, programs) for twin in (c, py)]
-            assert got[0] == got[1], programs
+        plans = random_plans(rng, k)
+        for args in inputs if plans else ():
+            got = [law_scan_outcome(twin, args, plan) for twin, plan in zip((c, py), plans)]
+            assert got[0] == got[1], k
             outcomes.add("error" if got[0] is ValueError else got[0][0] is None)
     assert outcomes == {"error", True, False}
 
 
-def test_law_scan_rechecks_a_kept_tuple_on_every_call():
-    """A programs tuple the compiled twin has read is checked again against
-    each call's carrier, tables and constants, and a list is read anew."""
+def test_law_scan_rechecks_one_plan_on_every_call():
+    """Each twin's plan of a suite, made once, is checked again against each
+    call's carrier, tables and constants."""
     c = c_backend()
     op = kernels.LAW_OPS.index
     var, const, table, leq = op("var"), op("const"), op("table"), op("leq")
@@ -428,7 +448,7 @@ def test_law_scan_rechecks_a_kept_tuple_on_every_call():
     # table 1 indexed by table 0's entries
     nested = (2, var, 0, var, 1, table, 0, var, 1, table, 1)
     bottom = (1, const, 1, var, 0, leq, 0)
-    kept = (indexed, nested, bottom)
+    plans = {twin: plan_of(twin, (indexed, nested, bottom)) for twin in (c, py)}
     chain3, bool2 = (fixture(name).poset for name in ("chain3", "bool2"))
     no_bottom = make_poset(("a", "b", "1"), (("a", "1"), ("b", "1")))
 
@@ -452,17 +472,11 @@ def test_law_scan_rechecks_a_kept_tuple_on_every_call():
     for args, tables, error in cases:
         for twin in (c, py):
             if error is None:
-                assert twin.law_scan(*args, tables, kept) == py.law_scan(*args, tables, list(kept))
+                assert twin.law_scan(*args, tables, plans[twin]) == \
+                    py.law_scan(*args, tables, plan_of(py, (indexed, nested, bottom)))
             else:
                 with pytest.raises(ValueError, match=error):
-                    twin.law_scan(*args, tables, kept)
-    # a list is never kept: what it holds on each call is what runs
-    programs = [indexed]
-    tables = [join(chain3), join(chain3, 2)]
-    for program, want in ((indexed, [(0, 1)]), (bottom, [None]), (nested, ValueError)):
-        programs[0] = program
-        got = law_scan_outcome(c, (*order(chain3), tables), programs)
-        assert got == law_scan_outcome(py, (*order(chain3), tables), programs) == want
+                    twin.law_scan(*args, tables, plans[twin])
 
 
 def shared_registers(programs):
@@ -491,7 +505,7 @@ def test_law_scan_batches_agree_with_single_calls():
 
         def scan(twin, programs):
             try:
-                return twin.law_scan(n, up, down, tables, programs)
+                return twin.law_scan(n, up, down, tables, plan_of(twin, programs))
             except ValueError:
                 return ValueError
 
@@ -528,14 +542,14 @@ def test_law_scan_batches_agree_with_single_calls():
     while shared_registers([program for program in batch if program[0] == 3]) <= 64:
         program = (3, *random_term(rng, 3, 3))
         try:
-            py.law_scan(n, up, down, tables, [program])
+            py.law_scan(n, up, down, tables, plan_of(py, [program]))
         except ValueError:
             continue
         batch.append(program)
-    want = [py.law_scan(n, up, down, tables, [program])[0] for program in batch]
+    want = [py.law_scan(n, up, down, tables, plan_of(py, [program]))[0] for program in batch]
     assert want[:5] == [None] * 5
     for twin in (c, py):
-        assert twin.law_scan(n, up, down, tables, batch) == want
+        assert twin.law_scan(n, up, down, tables, plan_of(twin, batch)) == want
 
 
 def first_failure(p, arity, fails):
@@ -597,9 +611,9 @@ def test_law_scan_recomputes_only_what_moved():
             programs = [program for program, _ in cases]
             want = [first_failure(p, arity, fails) for _, fails in cases]
             args = (p.n, p.up, p.down, tables)
-            assert c.law_scan(*args, programs) == py.law_scan(*args, programs) == want, \
-                (p.up, arity)
-            assert [c.law_scan(*args, [program])[0] for program in programs] == want
+            assert c.law_scan(*args, plan_of(c, programs)) == \
+                py.law_scan(*args, plan_of(py, programs)) == want, (p.up, arity)
+            assert [c.law_scan(*args, plan_of(c, [program]))[0] for program in programs] == want
     assert splits == {(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3)}
 
 
@@ -648,13 +662,13 @@ def test_kernels_derive_the_topological_order_top_and_bottom():
             if end is None:
                 for twin in (c, py):
                     with pytest.raises(ValueError, match="operand out of range"):
-                        twin.law_scan(*args, [truth], programs)
+                        twin.law_scan(*args, [truth], plan_of(twin, programs))
                     # one such program fails the whole batch
                     with pytest.raises(ValueError, match="operand out of range"):
-                        twin.law_scan(*args, [truth], [order[0][0], programs[0]])
+                        twin.law_scan(*args, [truth], plan_of(twin, [order[0][0], programs[0]]))
                 continue
-            got = c.law_scan(*args, [truth], programs)
-            assert typed(got) == typed(py.law_scan(*args, [truth], programs))
+            got = c.law_scan(*args, [truth], plan_of(c, programs))
+            assert typed(got) == typed(py.law_scan(*args, [truth], plan_of(py, programs)))
             assert got == [first_failure(p, arity, fails) for _, arity, fails in cases], p.up
     # no top, no bottom, a bottom without a top, a top without a bottom, both
     assert bounds == {(False, False), (False, True), (True, False), (True, True)}
@@ -670,7 +684,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         ("operator_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
         ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
-        ("law_scan", 64, lambda n: (n, [0] * n, [0] * n, (), ())),
+        ("law_scan", 64, lambda n: (n, [0] * n, [0] * n, (), plan_of(c, ()))),
         ("enum_orders", 8, lambda n: (n, False)),
         ("canonical_keys", 8, lambda n: (n, [])),
         ("congruence_scan", 64, lambda n: (n, [], None)),
@@ -706,8 +720,9 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         with pytest.raises(ValueError):
             bad()
 
-    # law_scan: every malformed table or program; the pure twin takes
-    # wider carriers, but no empty one
+    # law_scan: every malformed table, and every program that only a call's
+    # order and tables make malformed (law_compile rejects the others); the
+    # pure twin takes wider carriers, but no empty one
     chain = fixture("chain3").poset
     join = as_lattice(chain).join
     var, const, table, up, leq = (kernels.LAW_OPS.index(op) for op in (
@@ -715,11 +730,8 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     masks = (chain.up, chain.down)
 
     def scan(twin, tables=(join,), program=(2, var, 0, var, 1, table, 0), n=3):
-        return twin.law_scan(n, *masks, tables, [program])
+        return twin.law_scan(n, *masks, tables, plan_of(twin, [program]))
 
-    eq = kernels.LAW_OPS.index("eq")
-    pushes = (var, 0) * 17
-    too_long = (var, 0) + (var, 0, eq, 0) * 32
     for twin in (c, py):
         assert scan(twin) == [(0, 0)]  # join(0, 0) = 0 reads as a failure
         for n in (-1, 0):
@@ -732,19 +744,10 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
             dict(tables=([[0, 0, 0], [0, 0, 0], [0, 0, 8]],)),   # a mask outside the carrier
             dict(tables=([[0, 0], [0, 0]],)),                    # a table narrower than n
             dict(tables=([[0, 0, 0], [0, 0], [0, 0, 0]],)),      # a ragged table
-            dict(program=(2, 99, 0)), dict(program=(2, -1, 0)),   # unknown opcodes
-            dict(program=(2, var, 2)), dict(program=(2, const, 2)),
-            dict(program=(2, const, -1)),
+            dict(tables=(join,) * 9),                            # nine tables
             dict(program=(2, var, 0, var, 1, table, 1)),          # an absent table
-            dict(program=(2, var, 0, var, 1, table, 9)),
-            dict(program=(1, var, 0, table, 0)),                  # stack underflow
-            dict(program=(1,) + pushes),                          # stack overflow
-            dict(program=(1,) + too_long),                        # 65 instructions
-            dict(program=(1, var, 0, var, 0)),                    # two values left
             dict(program=(1, var, 0, up, 0, up, 0)),              # a mask used as an index
             dict(program=(1, var, 0, up, 0, var, 0, leq, 0)),
-            dict(program=(0, var, 0)), dict(program=(5, var, 0)),
-            dict(program=(2, var)),
         ):
             with pytest.raises(ValueError):
                 scan(twin, **bad)
@@ -758,9 +761,9 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
                         (1, var, 0, var, 0, table, 0, up, 0),
                         (1, var, 0, var, 0, table, 0, var, 0, leq, 0)):
             with pytest.raises(ValueError):
-                twin.law_scan(64, wide.up, wide.down, [ones], [program])
-        assert twin.law_scan(64, wide.up, wide.down, [ones], [(1, var, 0, var, 0, table, 0)]) \
-            == [None]
+                twin.law_scan(64, wide.up, wide.down, [ones], plan_of(twin, [program]))
+        plan = plan_of(twin, [(1, var, 0, var, 0, table, 0)])
+        assert twin.law_scan(64, wide.up, wide.down, [ones], plan) == [None]
 
     # congruence_scan: a cell outside the carrier, a ragged or short table,
     # or one outside the carrier; the pure twin takes wider carriers
@@ -781,6 +784,199 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         for n, word in ((3, 1 << 3), (3, 1 << 24), (3, -1), (8, 1 << 64)):
             with pytest.raises(ValueError, match="within the"):
                 twin.canonical_keys(n, [1, word])
+
+
+LIBRARY_SUITES = ("LATTICE_OPS", "MODULAR_DISTRIBUTIVE", "SEMIDISTRIBUTIVE", "CANDIDATE",
+                  "HALF_ADJOINT", "OPERATOR", "OPERATOR_WITHOUT_BOTTOM")
+
+
+def test_library_suites_share_every_subterm():
+    """law_run's speed rests on one register per distinct subterm: each
+    library suite's batches are exactly as large as shared_registers says,
+    and each program's result is the register its code leaves."""
+    for name in LIBRARY_SUITES:
+        suite = getattr(laws, name)
+        registers, results = suite.compiled
+        assert [len(batch) for batch in registers] == [
+            shared_registers([p for p in suite.programs if p[0] == arity])
+            for arity in range(1, 5)], name
+        assert [arity for arity, _ in results] == [p[0] for p in suite.programs]
+        for program, (arity, r) in zip(suite.programs, results):
+            # the last instruction makes the register the program leaves
+            assert registers[arity - 1][r][0] == program[-2]
+
+
+def test_law_compile_rejects_each_static_fault():
+    """Every check that reads no call's inputs is made once, by law_compile,
+    for both twins, with its message; one bad program rejects its suite."""
+    var, const, table, eq = (kernels.LAW_OPS.index(op) for op in ("var", "const", "table", "eq"))
+    length = r"\(arity, opcode, operand, ...\) with at most 64 instructions"
+    good = (2, var, 0, var, 1, table, 0)
+    for program, error in (
+        ((2, var), length),
+        ((1, var, 0) + (var, 0, var, 0, eq, 0) * 32, length),  # 65 instructions
+        ((0, var, 0), "arity must lie in 1..4"), ((5, var, 0), "arity must lie in 1..4"),
+        ((2, 99, 0), "unknown law opcode 99"), ((2, -1, 0), "unknown law opcode -1"),
+        ((2, var, 2), "operand out of range: var 2"),
+        ((2, const, 2), "operand out of range: const 2"),
+        ((2, const, -1), "operand out of range: const -1"),
+        ((2, var, 0, var, 1, table, 8), "operand out of range: table 8"),
+        ((1, var, 0, table, 0), "stack underflow"),
+        ((1,) + (var, 0) * 17, "stack overflow"),
+        ((1, var, 0, var, 0), "must leave one value, not 2"),
+    ):
+        for programs in ([program], [good, program]):
+            with pytest.raises(ValueError, match=error):
+                py.law_compile(programs)
+            with pytest.raises(ValueError, match=error):
+                kernels.LawSuite(programs)
+    for programs in ([(1, var, 0.0)], [(1.0, var, 0)], [(1, "var", 0)], [5]):
+        with pytest.raises(TypeError):
+            py.law_compile(programs)
+    # an operand that an op does not read is not part of its register
+    assert py.law_compile([(1, var, 0, var, 0, eq, 7)]) == \
+        ((((0, 0, 0, 0), (eq, 0, 0, 0)), (), (), ()), ((1, 1),))
+
+
+def test_law_plan_reads_only_well_formed_suites():
+    """The compiled twin's reader is a trust boundary: a malformed compiled
+    suite raises ValueError or TypeError, never crashes, and law_scan takes
+    nothing but a plan that law_plan made."""
+    import datetime
+
+    c = c_backend()
+    var, table, up, down, subset = (kernels.LAW_OPS.index(op) for op in (
+        "var", "table", "up", "down", "subset"))
+    compiled = py.law_compile([(2, var, 0, var, 1, table, 0),
+                               (1, var, 0, up, 0, var, 0, down, 0, subset, 0)])
+    # x0, up(x0), down(x0), up(x0) within down(x0); x0, x1, join[x0][x1]
+    assert compiled == ((((var, 0, 0, 0), (up, 0, 0, 0), (down, 0, 0, 0), (subset, 0, 1, 2)),
+                         ((var, 0, 0, 0), (var, 1, 0, 0), (table, 0, 0, 1)), (), ()),
+                        ((2, 2), (1, 3)))
+    regs, results = compiled
+
+    def with_register(arity, r, register):
+        batch = list(regs[arity - 1])
+        batch[r] = register
+        return tuple(tuple(batch) if a == arity - 1 else b for a, b in enumerate(regs)), results
+
+    chain3 = fixture("chain3").poset
+    join = as_lattice(chain3).join
+    assert c.law_scan(3, chain3.up, chain3.down, [join], c.law_plan(compiled)) == \
+        py.law_scan(3, chain3.up, chain3.down, [join], py.law_plan(compiled))
+    malformed = [
+        with_register(2, 2, (2, 0, 2, 1)),      # an operand naming its own register
+        with_register(2, 2, (2, 0, 0, 3)),      # or a later one
+        with_register(2, 2, (2, 0, -1, 1)),
+        with_register(2, 2, (9, 0, 0, 1)),      # no op 9
+        with_register(2, 2, (-1, 0, 0, 1)),
+        with_register(2, 1, (0, 2, 0, 0)),      # variable 2 of arity 2
+        with_register(2, 1, (1, 2, 0, 0)),      # constant 2
+        with_register(2, 1, (1, -1, 0, 0)),
+        with_register(2, 2, (2, 8, 0, 1)),      # table 8
+        with_register(2, 2, (5, 1, 0, 1)),      # an arg for an op that takes none
+        with_register(2, 1, (0, 1, 1, 0)),      # a leaf with an operand
+        with_register(1, 2, (down, 0, 0, 1)),   # down with two operands
+        with_register(2, 2, (2, 1 << 40, 0, 1)),
+        (regs, ((2, 3), (1, 3))),               # results out of range
+        (regs, ((2, -1), (1, 3))),
+        (regs, ((5, 0), (1, 3))),
+        (regs, ((0, 0), (1, 3))),
+        (regs, ((2, 2), (1, 4))),
+        ((regs[1], regs[0], (), ()), results),  # a result in a batch too short
+    ]
+    for bad in malformed:
+        with pytest.raises(ValueError):
+            c.law_plan(bad)
+    for bad in (None, [regs, results], (regs,), (regs, results, ()), (regs[:3], results),
+                (regs, [(2, 2)]), (regs, ((2, 2.0), (1, 3))), (regs, ((2,), (1, 3))),
+                with_register(2, 2, (2, 0, 0)), with_register(2, 2, [2, 0, 0, 1]),
+                with_register(2, 2, (2, 0, 0, 1.0)), with_register(2, 2, (2, "0", 0, 1)),
+                ((regs[0], list(regs[1]), (), ()), results)):
+        with pytest.raises((TypeError, ValueError)):
+            c.law_plan(bad)
+    with pytest.raises(TypeError):
+        c.law_plan(compiled, compiled)
+
+    # random edits of a library suite's compiled form: the reader refuses
+    # each, or both twins run the plan alike
+    rng = random.Random(23)
+    regs, results = laws.CANDIDATE.compiled
+    # the candidate's own tables, join, mult and imp, and no meet
+    inputs = [(*args[:3], (args[3][0], (), *args[3][2:4])) for args in law_inputs()
+              if args[0] == 8][:2]
+    outcomes = set()
+    for _ in range(400):
+        batches, outs = [list(batch) for batch in regs], list(results)
+        for _ in range(rng.randrange(1, 4)):
+            value = rng.choice((rng.randrange(-2, 12), rng.randrange(64), 1 << 33))
+            if rng.random() < 0.8:
+                batch = rng.choice([b for b in batches if b])
+                r = rng.randrange(len(batch))
+                register = list(batch[r])
+                register[rng.randrange(4)] = value
+                batch[r] = tuple(register)
+            else:
+                p = rng.randrange(len(outs))
+                outs[p] = (value, outs[p][1]) if rng.random() < 0.5 else (outs[p][0], value)
+        edited = tuple(map(tuple, batches)), tuple(outs)
+        try:
+            plan = c.law_plan(edited)
+        except ValueError:
+            outcomes.add("refused")
+            continue
+        for args in inputs:
+            got = [law_scan_outcome(twin, args, p) for twin, p in
+                   ((c, plan), (py, py.law_plan(edited)))]
+            assert got[0] == got[1], edited
+            outcomes.add("error" if got[0] is ValueError else "ran")
+    assert outcomes == {"refused", "error", "ran"}
+
+    # law_scan takes a plan that its own twin's law_plan made, and a plan
+    # outlives the compiled form it was read from
+    py_plan = py.law_plan(compiled)
+    args = (3, chain3.up, chain3.down, [join])
+    for twin, bad in ((c, None), (c, compiled), (c, py_plan), (c, datetime.datetime_CAPI),
+                      (py, c.law_plan(compiled)), (py, compiled), (py, None)):
+        with pytest.raises(TypeError):
+            twin.law_scan(*args, bad)
+    plan = c.law_plan(py.law_compile([(2, var, 0, var, 1, table, 0)]))
+    gc.collect()
+    assert c.law_scan(*args, plan) == [(0, 0)]
+
+
+def test_each_twin_scans_with_its_own_plan_of_a_suite(monkeypatch):
+    """The dispatcher hands the compiled twin the suite's capsule and the
+    pure twin, on carriers wider than 64, its loops; the same plan on every
+    call."""
+    c = c_backend()
+    seen = []
+    for twin in (c, py):
+        monkeypatch.setattr(twin, "law_scan", lambda *args, twin=twin, scan=twin.law_scan:
+                            seen.append((twin, args[4])) or scan(*args))
+    names = tuple(f"c{i}" for i in range(70))
+    for p in (fixture("chain3").poset, fixture("bool3").poset,
+              make_poset(names, tuple(zip(names, names[1:])), max_size=128)):
+        lat = as_lattice(p)
+        LatticeOps(p, lat.join, lat.meet)
+    suite = laws.LATTICE_OPS
+    assert seen == [(c, suite.c_plan), (c, suite.c_plan), (py, suite.py_plan)]
+
+
+def test_a_process_on_the_compiled_twin_never_generates_loops():
+    """The pure twin's plan of a suite is made on its first use, so checks
+    that all run on the compiled twin make none, and never run exec."""
+    code = ("import builtins, ordalg\n"
+            "from ordalg import laws\n"
+            "builtins.exec = None\n"
+            "lat = ordalg.as_lattice(ordalg.fixture('bool3').poset)\n"
+            "cand = ordalg.from_sectional(lat, ordalg.synthesize_sectional(lat))\n"
+            "assert ordalg.check_residuation(cand) and ordalg.classify(lat.poset, lat)\n"
+            f"print([name for name in {LIBRARY_SUITES} if 'py_plan' in vars(getattr(laws, name))])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, ORDALG_BACKEND="c"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_env_var_selects_backend():

@@ -1,5 +1,8 @@
 """Partial operation tables."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from ordalg import BinOp
@@ -68,6 +71,18 @@ def test_cells_must_be_ints():
     with pytest.raises(ValueError, match="^cell 1.5 is not an int$"):
         BinOp(2, ((0, 1.5), (1, 9)))
     assert BinOp(2, ((0, True), (1, 1))).table == ((0, 1), (1, 1))
+
+
+def test_a_non_int_cell_equal_to_an_int_cell_before_it_is_caught():
+    # a check over the distinct cells keeps the first of equal values, so
+    # each of these would pass it; total, partial and wide tables alike
+    wide = [[0] * 300 for _ in range(300)]
+    wide[7][9] = 0.0
+    for n, table, cell in ((2, ((0, 1), (1.0, 1)), 1.0), (2, ((0, 1), (1, Fraction(1))), Fraction(1)),
+                           (2, ((1, None), (0, 1.0)), 1.0), (300, wide, 0.0)):
+        with pytest.raises(ValueError, match=f"^cell {re.escape(repr(cell))} is not an int$"):
+            BinOp(n, table)
+    assert BinOp(300, [[0] * 300] * 300).is_total
 
 
 def test_is_total_on_partial_and_total_tables():

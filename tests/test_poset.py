@@ -1,6 +1,7 @@
 """Order construction, validation, and lattice recognition."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -230,6 +231,28 @@ def test_lattice_ops_validation_rejects_bad_table():
     rows[1][2] = p.index("c")
     with pytest.raises(ValueError):
         LatticeOps(p, tuple(tuple(r) for r in rows), lat.meet)
+
+
+@pytest.mark.parametrize("twin", ["compiled", "pure"])
+def test_lattice_ops_names_a_cell_that_is_not_an_element(twin, monkeypatch):
+    """A float, a string, an index outside the carrier or None in a join or
+    meet table is a ValueError naming the cell, on either kernel twin."""
+    if twin == "pure":
+        monkeypatch.setattr(kernels, "_active", kernels._py)
+    elif not kernels.HAVE_C:
+        pytest.skip("compiled backend not built")
+    p = fixture("chain3").poset
+    lat = as_lattice(p)
+    for which in ("join", "meet"):
+        for cell, message in ((2.0, "cell 2.0 is not an int"), ("2", "cell '2' is not an int"),
+                              (3, "cell 3 outside the carrier"), (None, "undefined at (c2, c1)")):
+            tables = {"join": lat.join, "meet": lat.meet}
+            rows = [list(row) for row in tables[which]]
+            rows[2][1] = cell
+            tables[which] = rows
+            with pytest.raises(ValueError, match=f"^{which} table:? {re.escape(message)}$"):
+                LatticeOps(p, tables["join"], tables["meet"])
+    assert LatticeOps(p, [list(row) for row in lat.join], lat.meet).join == lat.join
 
 
 @st.composite
