@@ -44,31 +44,34 @@ numbered in first-seen row-major order, n rows of each pair's number, the
 common lower bounds of each set, and n rows of each pair's common lower
 bounds; every row is a tuple, and both twins number the sets alike.
 
-``law_scan(n, up, down, tables, plan)`` returns each program's least
-failing tuple in topo order (first variable outermost), or None.  A
-program is ``(arity, opcode, operand, ...)``: arity 1..4, at most 64
-instructions of ``LAW_OPS``, a stack of 16.  ``var`` i, ``const`` k and
-``table`` t push variable i, top (k = 0) or bottom (k = 1), and
-``tables[t][x][y]`` (popping x, y); ``up``/``down`` pop x and push its
-cone; ``leq``, ``eq``, ``and`` and ``subset`` pop x, y and push x <= y,
-x == y, x & y and whether mask x lies within y.  A tuple fails where the
-one value left is 0.  ``_core_py.law_compile(programs)`` checks a suite of
-programs against these rules, raising ValueError, and returns its register
-form ``(registers, results)``: registers[a - 1] holds, for the programs of
-arity a, one ``(op, arg, x, y)`` per distinct subterm, computing op on the
+``law_scan(n, up, down, tables, plan)`` returns each law's least failing
+tuple in topo order (first variable outermost), or None.  A law is
+``(arity, term)``: arity 1..4, and a term of at most 64 nodes, each a
+tuple ``(head, operand, ...)`` whose head is one of ``LAW_OPS``.
+``("var", i)``, ``("const", k)`` and ``("table", t, x, y)`` are variable
+i, top (k = 0) or bottom (k = 1), and ``tables[t][x][y]``; ``("up", x)``
+and ``("down", x)`` are the cones of x; ``("leq", x, y)``, ``("eq", x,
+y)``, ``("and", x, y)`` and ``("subset", x, y)`` are x <= y, x == y, x & y
+and whether mask x lies within y.  A tuple fails where the term is 0.
+``_core_py.law_compile(laws)`` checks a suite of laws against these rules,
+raising ValueError, and returns its register form ``(registers,
+results)``: registers[a - 1] holds, for the laws of arity a, one ``(op,
+arg, x, y)`` per distinct subterm in post-order, computing op on the
 earlier registers x and y (0 for ``var`` and ``const``, x twice for ``up``
-and ``down``; arg 0 but for the three leaves), and results one
-``(arity, register)`` per program, the register it leaves.  Each twin's
+and ``down``; arg 0 but for the three leaves), and results one ``(arity,
+register)`` per law, the register of its term.  Each twin's
 ``law_plan(compiled)`` makes its plan of that form, once per suite: the
 compiled twin checks only its structure and returns a capsule, and the pure
-twin generates its loops.  ``LawSuite`` holds a suite's programs, its
-compiled form and both plans, and ``law_scan`` here hands a twin its own
-plan; a twin's ``law_scan`` given anything else raises TypeError.  Each call
-checks the plan against its own order and tables: at most 8 square tables
-of masks within the carrier (empty means absent; the compiled twin takes
-them up to 2080 wide), every table read present, every value used as an
-index provably below what it indexes, and every pushed constant present,
-or both twins raise ValueError.
+twin generates its loops.  ``LawSuite`` holds a suite's compiled form and
+both plans, and ``law_scan`` here hands a twin its own plan; a twin's
+``law_scan`` given anything else raises TypeError.  Each call checks the
+plan against its own order and tables: at most 8 square tables of masks
+within the carrier (empty means absent; the compiled twin takes them up to
+2080 wide), then every register in turn, batch by batch in order of arity:
+the constant or table it reads present ("operand out of range"), and every
+value it uses as an index provably below what it indexes ("indexes with a
+value that may be out of range"), or both twins raise ValueError naming
+the first fault.
 
 ``congruence_scan(n, tables, one)`` takes the tables of any number of
 binary operations, each n rows of n element indices, and the index of the
@@ -141,15 +144,14 @@ def operator_tables(n, up, down):
 
 
 class LawSuite:
-    """A suite of law programs compiled once, with each twin's plan of it.
+    """A suite of (arity, term) laws compiled once, with each twin's plan of it.
 
     The compiled twin's plan is made here, the pure twin's on first use, so
     a process that scans only on the compiled twin never generates loops.
     """
 
-    def __init__(self, programs):
-        self.programs = tuple(map(tuple, programs))
-        self.compiled = _py.law_compile(self.programs)
+    def __init__(self, laws):
+        self.compiled = _py.law_compile(laws)
         self.c_plan = None if _c is None else _c.law_plan(self.compiled)
 
     @functools.cached_property

@@ -15,10 +15,11 @@
  * operator_tables returns (us, uid, low, lu): the distinct sets U(x, y) =
  * up[x] & up[y] in first-seen row-major order, n rows numbering each
  * pair's set, the lower set of each, and n rows of each pair's lower set,
- * all tuples.  law_plan reads a suite of law programs that the pure twin's
- * law_compile has put in register form, and law_scan runs a plan on rows,
- * each arity's programs as one loop nest; rrl_scan and divisibility_scan,
- * which no library code calls, take flat row-major sequences.
+ * all tuples.  law_plan reads a suite of law terms that the pure twin's
+ * law_compile has put in register form, one register per distinct
+ * subterm, and law_scan runs a plan on rows, each arity's laws as one
+ * loop nest; rrl_scan and divisibility_scan, which no library code calls,
+ * take flat row-major sequences.
  * congruence_scan takes any number of operation tables as rows of element
  * indices and returns the least-member labels of every principal
  * congruence with the first witness of permutability, congruence
@@ -27,7 +28,9 @@
  * ValueError when n lies outside the sizes its fixed buffers hold, a mask
  * has bits outside the carrier (poset_index reports that as a fault), or a
  * table entry is not an element index (for law_scan: may be used as an
- * index it cannot be, or a program pushes a constant the order lacks).
+ * index it cannot be, or a law reads a constant the order lacks or an
+ * absent table; law_recheck names the first such register, and the pure
+ * twin walks the registers in the same order).
  * Build: python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN

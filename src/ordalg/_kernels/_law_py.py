@@ -1,10 +1,11 @@
 """The law engine's Python half: the one compiler, and the pure twin's plans.
 
-``law_compile`` turns a suite of law programs into the register form that
+``law_compile`` turns a suite of law terms into the register form that
 each twin's ``law_plan`` reads; the pure twin's ``law_plan`` turns each
-batch of registers into Python loops, and its ``law_scan`` runs them.
-``_core_py`` exports all three; the contract is in the docstring of the
-``_kernels`` package.
+batch of registers into Python loops, and its ``law_scan`` checks the
+registers against each call's inputs, as the compiled twin does, and runs
+the loops.  ``_core_py`` exports all three; the contract is in the
+docstring of the ``_kernels`` package.
 """
 
 from collections import namedtuple
@@ -12,116 +13,99 @@ from math import inf
 
 # law_scan opcodes, numbered by position; _core_c.c lists them in this order.
 LAW_OPS = ("var", "const", "table", "up", "down", "leq", "eq", "and", "subset")
-LAW_STACK = 16
-LAW_CODE = 64
+LAW_NODES = 64
 LAW_TABLES = 8
-# how many values each opcode pops
-_POPS = (0, 0, 2, 1, 1, 2, 2, 2, 2)
+# how many operands follow each opcode's head in a term: an int for the
+# three leaves, then its subterms
+_OPERANDS = (1, 1, 3, 1, 1, 2, 2, 2, 2)
 
 
-def law_compile(programs):
-    """The register form of a suite of law programs, which each twin's ``law_plan`` reads.
+def law_compile(laws):
+    """The register form of a suite of (arity, term) laws, which each twin's ``law_plan`` reads.
 
     The contract is in the docstring of the ``_kernels`` package.  This is
     the one place that checks what reads no call's inputs, and merges equal
     subterms.
     """
     batches, results = ({}, {}, {}, {}), []
-    for program in map(tuple, programs):
-        if not all(isinstance(v, int) for v in program):
-            raise TypeError("a law program is a sequence of ints")
-        if len(program) % 2 == 0 or len(program) > 2 * LAW_CODE + 1:
-            raise ValueError("a law program is (arity, opcode, operand, ...) "
-                             f"with at most {LAW_CODE} instructions")
-        arity = program[0]
+    for arity, term in laws:
         if not 1 <= arity <= 4:
             raise ValueError("law arity must lie in 1..4")
-        registers, stack = batches[arity - 1], []
-        for op, arg in zip(program[1::2], program[2::2]):
-            if not 0 <= op < len(LAW_OPS):
-                raise ValueError(f"unknown law opcode {op!r}")
-            if op <= 2 and not 0 <= arg < (arity, 2, LAW_TABLES)[op]:
-                raise ValueError(f"law program operand out of range: {LAW_OPS[op]} {arg!r}")
-            pops = _POPS[op]
-            if len(stack) < pops:
-                raise ValueError("law program stack underflow")
+        registers, nodes = batches[arity - 1], 0
+
+        def register(term):
+            nonlocal nodes
+            nodes += 1
+            if nodes > LAW_NODES:
+                raise ValueError(f"a law term has at most {LAW_NODES} nodes")
+            if not (type(term) is tuple and term and term[0] in LAW_OPS):
+                raise ValueError(f"a law term is a tuple headed by one of LAW_OPS, not {term!r}")
+            head, *operands = term
+            op = LAW_OPS.index(head)
+            if len(operands) != _OPERANDS[op]:
+                raise ValueError(f"law term {head} takes {_OPERANDS[op]} operand(s), "
+                                 f"not {len(operands)}")
+            arg = operands.pop(0) if op <= 2 else 0
+            if op <= 2 and not (isinstance(arg, int) and 0 <= arg < (arity, 2, LAW_TABLES)[op]):
+                raise ValueError(f"law term operand out of range: {head} {arg!r}")
             # a leaf's operands are 0, and up and down name theirs twice
-            x, y = (stack[-pops], stack[-1]) if pops else (0, 0)
-            del stack[len(stack) - pops:]
-            stack.append(registers.setdefault((op, arg if op <= 2 else 0, x, y), len(registers)))
-            if len(stack) > LAW_STACK:
-                raise ValueError("law program stack overflow")
-        if len(stack) != 1:
-            raise ValueError(f"a law program must leave one value, not {len(stack)}")
-        results.append((arity, stack[0]))
+            subterms = [register(t) for t in operands] or [0]
+            return registers.setdefault((op, arg, subterms[0], subterms[-1]), len(registers))
+
+        results.append((arity, register(term)))
     return tuple(map(tuple, batches)), tuple(results)
 
 
-# A value's bound is the least of its sources': -1 stands for n (a variable
-# or constant), -2 for 2 (a truth value), t >= 0 for table t's entries; no
-# source means an unbounded mask.
-_INDEX, _TRUTH = (-1,), (-2,)
 _FORMS = {"up": "U[{0}]", "down": "D[{0}]", "leq": "({0} >> {1} & 1)", "eq": "({0} == {1})",
           "and": "({0} & {1})", "subset": "(not {0} & ~{1})"}
 
 
-# A compiled suite as Python loops: its program count, and for each arity
-# that has programs, (program indices, scan function, index needs, tables
-# used, constants used)
+# A compiled suite as Python loops: its law count, and for each arity that
+# has laws, (law indices, registers, scan function)
 Plan = namedtuple("Plan", "count batches")
 
 
 def _nest(arity, registers, outputs):
-    """(scan function, index needs, tables used, constants used) of a batch.
+    """The scan function of a batch.
 
-    The function runs one nest of loops for the batch and returns the least
-    failing tuple or None of each output register.  A register that does
-    not depend on the innermost variable is computed once, in the loop of
-    the innermost variable it does depend on.  A need (sources, limit) says
-    that a value used as an index must stay below n when limit is -1, else
-    below the width of table limit.
+    It runs one nest of loops for the batch and returns the least failing
+    tuple or None of each output register.  A register that does not depend
+    on the innermost variable is computed once, in the loop of the
+    innermost variable it does depend on.
     """
     levels = [[] for _ in range(arity)]  # levels[0] runs before the loops
-    names, needs, tables, consts, values = {}, [], set(), set(), []
+    names, values, truths = {}, [], set()  # truths: the truth-valued registers
 
-    def value(expr, depth, sources=()):
+    def value(expr, depth):
         if depth < arity - 1:
             if expr not in names:
                 names[expr] = f"v{len(names)}"
                 levels[depth + 1].append(f"{names[expr]} = {expr}")
             expr = names[expr]
-        return expr, depth, sources
+        return expr, depth
 
-    def index(v, limit):
-        needs.append((v[2], limit))
-        return v[0]
-
-    for op, arg, x, y in registers:
+    for r, (op, arg, x, y) in enumerate(registers):
         name = LAW_OPS[op]
-        if _POPS[op]:
-            x, y = values[x], values[y]
-            depth = max(x[1], y[1])
+        if op > 1:
+            (a, da), (b, db) = values[x], values[y]
+            depth = max(da, db)
         if name == "var":
-            v = (f"x{arg:d}", arg, _INDEX)
+            v = (f"x{arg:d}", arg)
         elif name == "const":
-            consts.add(arg)
-            v = value(f"C[{arg:d}]", -1, _INDEX)
+            v = value(f"C[{arg:d}]", -1)
         elif name == "table":
-            tables.add(arg)
-            row = value(f"{value(f'T[{arg:d}]', -1)[0]}[{index(x, arg)}]", x[1])
-            v = value(f"{row[0]}[{index(y, arg)}]", depth, (arg,))
-        elif name in ("up", "down"):
-            v = value(_FORMS[name].format(index(x, -1)), depth)
+            row = value(f"{value(f'T[{arg:d}]', -1)[0]}[{a}]", da)
+            v = value(f"{row[0]}[{b}]", depth)
         elif name == "leq":
-            row = value(f"U[{index(x, -1)}]", x[1])
-            v = value(_FORMS[name].format(row[0], index(y, -1)), depth, _TRUTH)
-        elif name == "and":
-            v = value(_FORMS[name].format(x[0], y[0]), depth, tuple(set(x[2] + y[2])))
-        elif name == "subset" and x[2] == y[2] == _TRUTH:
+            row = value(f"U[{a}]", da)
+            v = value(_FORMS[name].format(row[0], b), depth)
+        elif name == "subset" and {x, y} <= truths:
             # an implication: its conclusion is evaluated only where needed
-            v = value(f"(not {x[0]} or {y[0]})", depth, _TRUTH)
+            v = value(f"(not {a} or {b})", depth)
         else:
-            v = value(_FORMS[name].format(x[0], y[0]), depth, _TRUTH)
+            v = value(_FORMS[name].format(a, b), depth)
+        if name in ("leq", "eq", "subset") or name == "and" and {x, y} <= truths:
+            truths.add(r)
         values.append(v)
 
     tests = [values[r][0] for r in outputs]
@@ -133,7 +117,7 @@ def _nest(arity, registers, outputs):
         lines += [pad + line for line in level] + [f"{pad}for x{depth} in order:"]
     pad = "    " * (arity + 1)
     for w, test in zip(found, tests):
-        # once a program has failed, the loops go on only for the others
+        # once a law has failed, the loops go on only for the others
         lines += [f"{pad}if {w} is None and not {test}:",
                   f"{pad}    {w} = ({''.join(f'x{i}, ' for i in range(arity))})",
                   f"{pad}    if {' and '.join(f'{v} is not None' for v in found)}:",
@@ -141,7 +125,7 @@ def _nest(arity, registers, outputs):
     lines.append(f"    return {result}")
     scope = {}
     exec(compile("\n".join(lines), "<law>", "exec"), scope)
-    return scope["scan"], tuple(needs), tuple(sorted(tables)), tuple(consts)
+    return scope["scan"]
 
 
 def law_plan(compiled):
@@ -149,15 +133,15 @@ def law_plan(compiled):
     registers, results = compiled
     batches = []
     for arity, batch in enumerate(registers, 1):
-        programs = [p for p, (a, _) in enumerate(results) if a == arity]
-        if programs:
-            outputs = [results[p][1] for p in programs]
-            batches.append((programs, *_nest(arity, batch, outputs)))
+        members = [p for p, (a, _) in enumerate(results) if a == arity]
+        if members:
+            outputs = [results[p][1] for p in members]
+            batches.append((members, batch, _nest(arity, batch, outputs)))
     return Plan(len(results), tuple(batches))
 
 
 def law_scan(n, up, down, tables, plan):
-    """The least failing tuple of each program of plan, or None, in topological order."""
+    """The least failing tuple of each law of plan, or None, in topological order."""
     from ._core_py import least_full, topo_order
 
     if n < 1:
@@ -174,18 +158,26 @@ def law_scan(n, up, down, tables, plan):
         if cells and (min(cells) < 0 or max(cells) >> n):
             raise ValueError("law table entries must be masks within the carrier")
         widths.append(len(table))
-        bounds.append(max(cells, default=0) + 1)
+        bounds.append(max(cells, default=0))
     topo, consts = topo_order(n, down), (least_full(n, down), least_full(n, up))
-    out = [None] * plan.count
-    for programs, fn, needs, used, pushed in plan.batches:
-        if any(consts[k] is None for k in pushed) or any(
-                t >= len(tables) or not widths[t] for t in used):
-            raise ValueError("law program operand out of range")
-        for sources, limit in needs:
-            bound = min((n if s == -1 else 2 if s == -2 else bounds[s] for s in sources),
-                        default=inf)
-            if bound > (n if limit < 0 else widths[limit]):
+    # every batch's registers in turn, as the compiled twin checks them: each
+    # constant or table read is present, and no value used as an index may
+    # reach what it indexes, by the most each register holds
+    for _, registers, _ in plan.batches:
+        most = []
+        for op, arg, x, y in registers:
+            name = LAW_OPS[op]
+            if name == "const" and consts[arg] is None or name == "table" and (
+                    arg >= len(tables) or not widths[arg]):
+                raise ValueError("law program operand out of range")
+            a, b = (most[x], most[y]) if op > 1 else (0, 0)
+            if name in ("table", "up", "down", "leq") and max(a, b) >= (
+                    widths[arg] if name == "table" else n):
                 raise ValueError("law program indexes with a value that may be out of range")
-        for p, witness in zip(programs, fn(topo, tables, up, down, consts)):
+            most.append(n - 1 if op <= 1 else bounds[arg] if name == "table"
+                        else inf if name in ("up", "down") else min(a, b) if name == "and" else 1)
+    out = [None] * plan.count
+    for members, _, fn in plan.batches:
+        for p, witness in zip(members, fn(topo, tables, up, down, consts)):
             out[p] = witness
     return out

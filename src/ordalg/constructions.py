@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from . import _kernels as kernels
 from ._kernels._core_py import _pack, _unpack
 from .binop import BinOp
-from .errors import BudgetError, SizeBudgetError, UnknownFixtureError
+from .errors import BudgetError, DuplicateNameError, SizeBudgetError, UnknownFixtureError
 from .poset import MAX_ELEMENTS, Poset, make_poset
 
 
@@ -132,8 +132,17 @@ def direct_product(p, q, max_size=MAX_ELEMENTS):
                 mask |= q.up[j] << (low.bit_length() - 1) * m
                 rest ^= low
             up.append(mask)
-    # the componentwise order of two orders is transitive
-    return Poset(names, up, _closed=True)
+    try:
+        # the componentwise order of two orders is transitive
+        return Poset(names, up, _closed=True)
+    except DuplicateNameError:
+        # a dot in an element name can make two pairs' names alike
+        first = {}
+        for pair, name in zip(((a, b) for a in p.names for b in q.names), names):
+            if first.setdefault(name, pair) != pair:
+                raise DuplicateNameError(f"product elements ({', '.join(first[name])}) and "
+                                         f"({', '.join(pair)}) are both named {name!r}") from None
+        raise
 
 
 CATALOG_KINDS = ("all-posets", "posets-with-top", "lattices", "lattices-with-top")

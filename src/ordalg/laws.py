@@ -7,19 +7,20 @@ tuples built with the helpers below: element operations read tables
 subset masks (the residual table ``resid``, cones, ``within`` for
 inclusion, and, for the set U(x, y) of common upper bounds of x and y,
 ``LU`` for its common lower bounds and ``prod`` for the product of two
-such sets).  ``Law`` compiles each term once to a postfix program.  Each
-batch the library scans is a suite, built once at import: ``suite``
-compiles its programs to registers, merging equal subterms, and makes the
-compiled twin's plan of them, and the pure twin's plan is made on its
-first scan.  ``scan`` hands a suite to the ``law_scan`` kernel, which
-returns each program's least failing tuple in the poset's fixed
-topological order.
+such sets).  A term is ``(head, operand, ...)``, its head one of
+``kernels.LAW_OPS``: ``("var", i)``, ``("const", k)``, ``("table", t, x,
+y)``, ``("up", x)``, ``("down", x)``, and ``(op, x, y)`` for ``leq``,
+``eq``, ``and`` and ``subset``.  Each batch the library scans is a suite,
+built once at import: ``suite`` compiles its laws' terms to registers,
+merging equal subterms, and makes the compiled twin's plan of them, and
+the pure twin's plan is made on its first scan.  ``scan`` hands a suite to
+the ``law_scan`` kernel, which returns each law's least failing tuple in
+the poset's fixed topological order.
 """
 
 from . import _kernels as kernels
 
 TABLES = ("join", "meet", "mult", "imp", "resid", "uid", "prod", "lu")
-_OP = {name: code for code, name in enumerate(kernels.LAW_OPS)}
 
 a, b, c = (("var", i) for i in range(3))
 top, bottom = ("const", 0), ("const", 1)
@@ -43,39 +44,29 @@ def prod(xy, zw):
     return _prod(_uid(*xy), _uid(*zw))
 
 
-def _emit(term, code):
-    head = term[0]
-    leaf = head in ("var", "const", "table")
-    for arg in term[2 if leaf else 1:]:
-        _emit(arg, code)
-    code += (_OP[head], term[1] if leaf else 0)
-
-
 class Law:
-    """A law compiled to a ``law_scan`` program."""
+    """A law: its arity and its term, the guard folded in as an implication."""
 
-    __slots__ = ("program",)
+    __slots__ = ("arity", "term")
 
     def __init__(self, arity, term, guard=None):
-        code = [arity]
-        _emit(term if guard is None else within(guard, term), code)
-        self.program = tuple(code)
+        self.arity, self.term = arity, term if guard is None else within(guard, term)
 
 
 def suite(checks):
     """A batch of laws compiled once for ``scan``, as a ``kernels.LawSuite``."""
-    return kernels.LawSuite(law.program for law in checks)
+    return kernels.LawSuite((law.arity, law.term) for law in checks)
 
 
-def scan(p, programs, **tables):
-    """The least failing tuple of each program, or None, in p's topological order.
+def scan(p, checks, **tables):
+    """The least failing tuple of each law, or None, in p's topological order.
 
-    ``programs`` is a suite, passed to the kernel as it is; ``tables`` maps
+    ``checks`` is a suite, passed to the kernel as it is; ``tables`` maps
     names of TABLES to square sequences of rows; the kernel finds ``top``
     and ``bottom`` in p.
     """
     return kernels.law_scan(p.n, p.up, p.down, [tables.get(name, ()) for name in TABLES],
-                            programs)
+                            checks)
 
 
 # Lattices: a join table holds least upper bounds, and a meet table
@@ -87,8 +78,10 @@ DISTRIBUTIVE = Law(3, eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c))))
 MEET_SEMIDISTRIBUTIVE = Law(3, eq(meet(a, join(b, c)), meet(a, b)),
                             guard=eq(meet(a, b), meet(a, c)))
 LATTICE_OPS = suite((JOIN_IS_LUB, MEET_IS_GLB))
-# classify scans meet semidistributivity apart: it runs to the end on most
-# lattices, where the other two fail early
+# classify scans meet semidistributivity apart because it reuses the public
+# is_meet_semidistributive check.  Of the 300 lattices with n <= 8, MSD
+# holds on 106 and fails on 194; modularity and distributivity both hold
+# on 36
 MODULAR_DISTRIBUTIVE = suite((MODULAR, DISTRIBUTIVE))
 SEMIDISTRIBUTIVE = suite((MEET_SEMIDISTRIBUTIVE,))
 

@@ -194,8 +194,8 @@ def _operator_found(op):
     found = op.found
     if not found:
         p = op.poset
-        programs = laws.OPERATOR if p.bottom is not None else laws.OPERATOR_WITHOUT_BOTTOM
-        found.update(zip(laws.OPERATOR_CHECKS, laws.scan(p, programs, **_mask_tables(op))))
+        checks = laws.OPERATOR if p.bottom is not None else laws.OPERATOR_WITHOUT_BOTTOM
+        found.update(zip(laws.OPERATOR_CHECKS, laws.scan(p, checks, **_mask_tables(op))))
     return found
 
 

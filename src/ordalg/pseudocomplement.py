@@ -83,8 +83,8 @@ def is_meet_semidistributive(lat):
     return Verdict.of(_lattice_scan(lat, laws.SEMIDISTRIBUTIVE)[0])
 
 
-def _lattice_scan(lat, programs):
-    return laws.scan(lat.poset, programs, join=lat.join, meet=lat.meet)
+def _lattice_scan(lat, checks):
+    return laws.scan(lat.poset, checks, join=lat.join, meet=lat.meet)
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,8 @@ class AxiomReport:
         return tuple(name for name, v in self.verdicts if not v)
 
 
-def _axiom_scan(lat, mult, imp, programs):
-    return laws.scan(lat.poset, programs, join=lat.join, mult=mult.table, imp=imp.table)
+def _axiom_scan(lat, mult, imp, checks):
+    return laws.scan(lat.poset, checks, join=lat.join, mult=mult.table, imp=imp.table)
 
 
 def _found(cand):

@@ -294,16 +294,40 @@ def test_axiom_scans_identical_on_random_tables():
             py.divisibility_scan(n, join, mult, imp)
 
 
-def library_programs():
-    """Every program of the law library."""
+def library_laws():
+    """Every law of the law library, as an (arity, term) pair."""
     found = []
     for value in vars(laws).values():
         items = value if isinstance(value, tuple) else (value,)
         for item in items:
             law = item[1] if isinstance(item, tuple) and len(item) == 2 else item
             if isinstance(law, laws.Law):
-                found.append(law.program)
+                found.append((law.arity, law.term))
     return list(dict.fromkeys(found))
+
+
+# term builders that name tables by index; laws has the others
+x0, x1, x2 = (("var", i) for i in range(3))
+
+
+def table(t, x, y):
+    return ("table", t, x, y)
+
+
+def fold(t, xs):
+    """table t folded left over the terms xs."""
+    term = xs[0]
+    for x in xs[1:]:
+        term = table(t, term, x)
+    return term
+
+
+def ups(count):
+    """x0 under count ups: a term count + 1 deep."""
+    term = x0
+    for _ in range(count):
+        term = laws.up(term)
+    return term
 
 
 def law_structures(rng):
@@ -345,16 +369,16 @@ def rand_table(rng, n):
     return tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
 
 
-def plan_of(twin, programs):
-    """twin's plan of programs, compiled by the one compiler."""
-    return twin.law_plan(py.law_compile(programs))
+def plan_of(twin, suite):
+    """twin's plan of a suite of (arity, term) laws, compiled by the one compiler."""
+    return twin.law_plan(py.law_compile(suite))
 
 
 def test_law_scan_identical():
     c = c_backend()
-    programs = library_programs()
-    assert len(programs) > 30
-    plans = plan_of(c, programs), plan_of(py, programs)
+    library = library_laws()
+    assert len(library) > 30
+    plans = plan_of(c, library), plan_of(py, library)
     sizes, results = set(), set()
     for args in law_inputs():
         got_c = c.law_scan(*args, plans[0])
@@ -365,25 +389,30 @@ def test_law_scan_identical():
 
 
 def random_term(rng, arity, depth):
-    """Postfix code of a random term; often ill-typed, as when a mask is an index."""
-    op = kernels.LAW_OPS.index
+    """A random well-formed term; often ill-typed, as when a mask is an index."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.8:
-            return [op("var"), rng.randrange(arity)]
-        return [op("const"), rng.randrange(2)]
+            return ("var", rng.randrange(arity))
+        return ("const", rng.randrange(2))
     name = rng.choice(kernels.LAW_OPS[2:])
-    code = random_term(rng, arity, depth - 1)
-    if name not in ("up", "down"):
-        code += random_term(rng, arity, depth - 1)
-    return code + [op(name), rng.randrange(len(laws.TABLES)) if name == "table" else 0]
+    head = (name, rng.randrange(len(laws.TABLES))) if name == "table" else (name,)
+    width = 1 if name in ("up", "down") else 2
+    return head + tuple(random_term(rng, arity, depth - 1) for _ in range(width))
 
 
-def random_program(rng, k):
-    """A random term when k is odd, else random code."""
-    arity = rng.randrange(1, 4)
+def random_tree(rng, depth):
+    """A random tuple of a head, ints and subtrees; often no term at all."""
+    operands = (random_tree(rng, depth - 1) if depth and rng.random() < 0.5
+                else rng.randrange(-1, 9) for _ in range(rng.randrange(4)))
+    return (rng.choice(kernels.LAW_OPS + ("nor",)), *operands)
+
+
+def random_law(rng, k):
+    """A random term when k is odd, else a random tree, with an arity."""
     if k % 2:
-        return [arity] + random_term(rng, arity, 4)
-    return [rng.randrange(0, 6)] + [rng.randrange(-1, 12) for _ in range(2 * rng.randrange(1, 8))]
+        arity = rng.randrange(1, 4)
+        return arity, random_term(rng, arity, 4)
+    return rng.randrange(0, 6), random_tree(rng, 3)
 
 
 def law_scan_outcome(twin, args, plan):
@@ -394,18 +423,18 @@ def law_scan_outcome(twin, args, plan):
 
 
 def random_plans(rng, k):
-    """Both twins' plans of random_program(rng, k), or None when it does not compile."""
+    """Both twins' plans of random_law(rng, k), or None when it does not compile."""
     try:
-        compiled = py.law_compile([random_program(rng, k)])
+        compiled = py.law_compile([random_law(rng, k)])
     except ValueError:
         return None
     return c_backend().law_plan(compiled), py.law_plan(compiled)
 
 
-def test_law_scan_identical_on_random_programs():
-    """Random terms and random code, often malformed, each program on one
-    input: both twins raise or agree, and code the compiler rejects is never
-    scanned."""
+def test_law_scan_identical_on_random_terms():
+    """Random terms and random trees, often malformed, each law on one
+    input: both twins raise or agree, and a tree the compiler rejects is
+    never scanned."""
     c = c_backend()
     rng = random.Random(15)
     outcomes = set()
@@ -421,9 +450,9 @@ def test_law_scan_identical_on_random_programs():
     assert outcomes == {"rejected", "error", True, False}
 
 
-def test_law_scan_identical_on_random_programs_with_one_plan_per_program():
-    """The same, with each program's plans made once and reused on every
-    input, so that each call checks them against its own order and tables."""
+def test_law_scan_identical_on_random_terms_with_one_plan_per_law():
+    """The same, with each law's plans made once and reused on every input,
+    so that each call checks them against its own order and tables."""
     c = c_backend()
     rng = random.Random(15)
     inputs = list(itertools.islice(law_inputs(), 0, None, 3))
@@ -441,13 +470,11 @@ def test_law_scan_rechecks_one_plan_on_every_call():
     """Each twin's plan of a suite, made once, is checked again against each
     call's carrier, tables and constants."""
     c = c_backend()
-    op = kernels.LAW_OPS.index
-    var, const, table, leq = op("var"), op("const"), op("table"), op("leq")
     # table 0 indexed by the variables, its entry used as an element
-    indexed = (2, var, 0, var, 1, table, 0, var, 0, leq, 0)
+    indexed = (2, laws.leq(table(0, x0, x1), x0))
     # table 1 indexed by table 0's entries
-    nested = (2, var, 0, var, 1, table, 0, var, 1, table, 1)
-    bottom = (1, const, 1, var, 0, leq, 0)
+    nested = (2, table(1, table(0, x0, x1), x1))
+    bottom = (1, laws.leq(laws.bottom, x0))
     plans = {twin: plan_of(twin, (indexed, nested, bottom)) for twin in (c, py)}
     chain3, bool2 = (fixture(name).poset for name in ("chain3", "bool2"))
     no_bottom = make_poset(("a", "b", "1"), (("a", "1"), ("b", "1")))
@@ -479,53 +506,93 @@ def test_law_scan_rechecks_one_plan_on_every_call():
                     twin.law_scan(*args, tables, plans[twin])
 
 
-def shared_registers(programs):
+def test_both_twins_name_the_first_fault_of_the_register_walk():
+    """Each twin checks a plan register by register, in the same order, so
+    both name the same fault.  Here table 0's entry 4 is used as an element
+    before bottom, which the order lacks, is read."""
+    no_bottom = make_poset(("a", "b", "1"), (("a", "1"), ("b", "1")))
+    args = (no_bottom.n, no_bottom.up, no_bottom.down, [[[4] * 3] * 3])
+    law = (2, laws.both(laws.leq(table(0, x0, x1), x0), laws.eq(laws.bottom, x0)))
+    for twin in (c_backend(), py):
+        with pytest.raises(ValueError, match="indexes with a value that may be out of range"):
+            twin.law_scan(*args, plan_of(twin, [law]))
+
+
+def nested_eq(term, count, right):
+    """term under count eqs, each against x0 and x1 in turn, on the right or left."""
+    for i in range(count):
+        term = laws.eq(("var", i % 2), term) if right else laws.eq(term, ("var", i % 2))
+    return term
+
+
+def test_law_terms_compile_to_any_shape_within_64_nodes():
+    """A term's depth is bounded only by its 64 nodes: a right-nested eq
+    term 17 deep, and the deepest 64-node shapes (a chain of up, and eq
+    nested left and right over one up), plan and scan alike on both twins;
+    one node more is rejected."""
+    c = c_backend()
+    deepest = [ups(63)] + [nested_eq(laws.up(x0), 31, right) for right in (False, True)]
+    assert [sum(1 for _ in subterms(term)) for term in deepest] == [64] * 3
+    outcomes = set()
+    for term in [nested_eq(x0, 16, True), *deepest]:
+        plans = plan_of(c, [(2, term)]), plan_of(py, [(2, term)])
+        for args in itertools.islice(law_inputs(), 0, None, 4):
+            got = [law_scan_outcome(twin, args, plan) for twin, plan in zip((c, py), plans)]
+            assert got[0] == got[1], term
+            outcomes.add("error" if got[0] is ValueError else "ran")
+    for term in deepest:
+        with pytest.raises(ValueError, match="at most 64 nodes"):
+            py.law_compile([(2, laws.up(term))])
+    assert outcomes == {"error", "ran"}
+
+
+def subterms(term):
+    """term and every subterm in it, repeats included."""
+    yield term
+    for operand in term[1:]:
+        if isinstance(operand, tuple):
+            yield from subterms(operand)
+
+
+def distinct_subterms(terms):
     """The registers a batch of one arity needs when equal subterms share one."""
-    regs = {}
-    for program in programs:
-        stack = []
-        for op, arg in zip(program[1::2], program[2::2]):
-            pops = 0 if op <= 1 else 1 if kernels.LAW_OPS[op] in ("up", "down") else 2
-            operands = tuple(stack[len(stack) - pops:])
-            del stack[len(stack) - pops:]
-            stack.append(regs.setdefault((op, arg) + operands, len(regs)))
-    return len(regs)
+    return len({sub for term in terms for sub in subterms(term)})
 
 
 def test_law_scan_batches_agree_with_single_calls():
-    """Batches of 2..12 programs mixing arities 1..4: both twins agree, each
-    witness is the program's witness when scanned alone, and one malformed
-    program in mid-batch makes both raise."""
+    """Batches of 2..12 laws mixing arities 1..4: both twins agree, each
+    witness is the law's witness when scanned alone, and one law that no
+    call can scan in mid-batch makes both raise."""
     c = c_backend()
     rng = random.Random(16)
-    library = library_programs()
+    library = library_laws()
     arities, witnesses = set(), set()
     inputs = [args for args in law_inputs() if args[0] <= 8]
     for n, up, down, tables in inputs[::2]:
 
-        def scan(twin, programs):
+        def scan(twin, suite):
             try:
-                return twin.law_scan(n, up, down, tables, plan_of(twin, programs))
+                return twin.law_scan(n, up, down, tables, plan_of(twin, suite))
             except ValueError:
                 return ValueError
 
-        alone = {program: scan(py, [program])[0] for program in library}
+        alone = {law: scan(py, [law])[0] for law in library}
         malformed = []
         while len(alone) < len(library) + 20 or not malformed:
             arity = rng.randrange(1, 5)
-            program = (arity, *random_term(rng, arity, 3))
-            got = scan(py, [program])
-            assert scan(c, [program]) == got, program
+            law = (arity, random_term(rng, arity, 3))
+            got = scan(py, [law])
+            assert scan(c, [law]) == got, law
             if got is ValueError:
-                malformed.append(program)
+                malformed.append(law)
             else:
-                alone[program] = got[0]
+                alone[law] = got[0]
         pool = list(alone)
         for _ in range(8):
             batch = rng.choices(pool, k=rng.randrange(2, 13))
-            want = [alone[program] for program in batch]
+            want = [alone[law] for law in batch]
             assert scan(c, batch) == scan(py, batch) == want, batch
-            arities.update(program[0] for program in batch)
+            arities.update(arity for arity, _ in batch)
             witnesses.update(w is None for w in want)
             batch.insert(rng.randrange(1, len(batch)), rng.choice(malformed))
             assert scan(c, batch) is scan(py, batch) is ValueError, batch
@@ -538,15 +605,15 @@ def test_law_scan_batches_agree_with_single_calls():
     assert n == 8
     named = [laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD,
              laws.ADJOINT_BACKWARD, *laws.LAW_IX] + [law for _, law in laws.DERIVED + laws.BASIS]
-    batch = [law.program for law in named]
-    while shared_registers([program for program in batch if program[0] == 3]) <= 64:
-        program = (3, *random_term(rng, 3, 3))
+    batch = [(law.arity, law.term) for law in named]
+    while distinct_subterms([term for arity, term in batch if arity == 3]) <= 64:
+        law = (3, random_term(rng, 3, 3))
         try:
-            py.law_scan(n, up, down, tables, plan_of(py, [program]))
+            py.law_scan(n, up, down, tables, plan_of(py, [law]))
         except ValueError:
             continue
-        batch.append(program)
-    want = [py.law_scan(n, up, down, tables, plan_of(py, [program]))[0] for program in batch]
+        batch.append(law)
+    want = [py.law_scan(n, up, down, tables, plan_of(py, [law]))[0] for law in batch]
     assert want[:5] == [None] * 5
     for twin in (c, py):
         assert twin.law_scan(n, up, down, tables, plan_of(twin, batch)) == want
@@ -567,10 +634,10 @@ def outer_variables(n, arity):
 
 
 def test_law_scan_recomputes_only_what_moved():
-    """Programs whose result reads only outer variables, only row variables,
-    both or none, in one batch, on every row/outer split of arities 3 and 4.
+    """Laws whose term reads only outer variables, only row variables, both
+    or none, in one batch, on every row/outer split of arities 3 and 4.
 
-    Table 1 is false only at (top, top), so a program that tests the meet
+    Table 1 is false only at (top, top), so a law that tests the meet
     of some variables there fails only where all of them are top, the last
     element in topological order: for the outer variables, only at the
     last outer step.  A register left stale when a variable it reads moves,
@@ -578,42 +645,34 @@ def test_law_scan_recomputes_only_what_moved():
     witness against first_failure's brute force.
     """
     c = c_backend()
-    var, const, table, leq, eq = (kernels.LAW_OPS.index(op) for op in (
-        "var", "const", "table", "leq", "eq"))
+    top, bottom = laws.top, laws.bottom
     splits = set()
     for p in law_structures(random.Random(14)):
         if p.n > 16:
             continue
-        top = p.top
         tables = (as_lattice(p).meet,
-                  [[int(not x == y == top) for y in range(p.n)] for x in range(p.n)])
-
-        def meet(vs):
-            code = [var, vs[0]]
-            for v in vs[1:]:
-                code += [var, v, table, 0]
-            return code
-
+                  [[int(not x == y == p.top) for y in range(p.n)] for x in range(p.n)])
         for arity in (3, 4):
             first = outer_variables(p.n, arity)
             splits.add((arity, first))
             outer, rows, every = range(first), range(first, arity), range(arity)
-            cases = [((arity, const, 0, const, 0, eq, 0), lambda *t: False),
-                     ((arity, const, 0, const, 0, table, 1), lambda *t: True),
-                     ((arity, const, 0, const, 1, table, 1), lambda *t: top == p.bottom)]
+            cases = [((arity, laws.eq(top, top)), lambda *t: False),
+                     ((arity, table(1, top, top)), lambda *t: True),
+                     ((arity, table(1, top, bottom)), lambda *t: p.top == p.bottom)]
             for vs in (outer, rows, every, outer[-1:], (0, arity - 1)):
                 if vs:
+                    meet = fold(0, [("var", v) for v in vs])
                     cases += [
-                        ((arity, *meet(vs), const, 0, table, 1),
-                         lambda *t, vs=vs: all(t[v] == top for v in vs)),
-                        ((arity, *meet(vs), const, 0, leq, 0), lambda *t: False),
+                        ((arity, table(1, meet, top)),
+                         lambda *t, vs=vs: all(t[v] == p.top for v in vs)),
+                        ((arity, laws.leq(meet, top)), lambda *t: False),
                     ]
-            programs = [program for program, _ in cases]
+            suite = [law for law, _ in cases]
             want = [first_failure(p, arity, fails) for _, fails in cases]
             args = (p.n, p.up, p.down, tables)
-            assert c.law_scan(*args, plan_of(c, programs)) == \
-                py.law_scan(*args, plan_of(py, programs)) == want, (p.up, arity)
-            assert [c.law_scan(*args, plan_of(c, [program]))[0] for program in programs] == want
+            assert c.law_scan(*args, plan_of(c, suite)) == \
+                py.law_scan(*args, plan_of(py, suite)) == want, (p.up, arity)
+            assert [c.law_scan(*args, plan_of(c, [law]))[0] for law in suite] == want
     assert splits == {(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3)}
 
 
@@ -624,11 +683,10 @@ def test_kernels_derive_the_topological_order_top_and_bottom():
     reversed, and on bool6 and chain64, both twins agree, result types
     included; each scans Poset.topo, as the oracles that loop over it do;
     and constant 0 is the top and 1 the bottom, or, when the order lacks
-    it, a program that pushes it raises ValueError in both twins.
+    it, a law that reads it raises ValueError in both twins.
     """
     c = c_backend()
-    var, const, table, leq, eq, both = (kernels.LAW_OPS.index(op) for op in (
-        "var", "const", "table", "leq", "eq", "and"))
+    leq, eq, top, bottom = laws.leq, laws.eq, laws.top, laws.bottom
     rng = random.Random(22)
     catalog = (q for n in range(1, 7) for p in enumerate_structures(n, "all-posets").members
                for q in (p, o.relabeled(p, range(n - 1, -1, -1))))
@@ -639,18 +697,18 @@ def test_kernels_derive_the_topological_order_top_and_bottom():
         # least false tuple depends on a long prefix of the order
         truth = [[int(rng.random() >= 0.125) for _ in range(p.n)] for _ in range(p.n)]
         order = [
-            ((2, var, 0, var, 1, table, 0), 2, lambda x, y: not truth[x][y]),
-            ((3, var, 0, var, 1, table, 0, var, 1, var, 2, table, 0, both, 0), 3,
+            ((2, table(0, x0, x1)), 2, lambda x, y: not truth[x][y]),
+            ((3, laws.both(table(0, x0, x1), table(0, x1, x2))), 3,
              lambda x, y, z: not truth[x][y] & truth[y][z]),
-            ((2, var, 0, var, 1, leq, 0), 2, lambda x, y: not p.leq(x, y)),
+            ((2, leq(x0, x1)), 2, lambda x, y: not p.leq(x, y)),
         ]
-        # (the constant each group pushes, or None when the order lacks it; the group)
+        # (the constant each group reads, or None when the order lacks it; the group)
         groups = (
             ("none", order),
-            (p.top, [((1, var, 0, const, 0, eq, 0), 1, lambda x: x != p.top),
-                     ((1, var, 0, const, 0, leq, 0), 1, lambda x: not p.leq(x, p.top))]),
-            (p.bottom, [((1, var, 0, const, 1, eq, 0), 1, lambda x: x != p.bottom),
-                        ((1, const, 1, var, 0, leq, 0), 1, lambda x: not p.leq(p.bottom, x))]),
+            (p.top, [((1, eq(x0, top)), 1, lambda x: x != p.top),
+                     ((1, leq(x0, top)), 1, lambda x: not p.leq(x, p.top))]),
+            (p.bottom, [((1, eq(x0, bottom)), 1, lambda x: x != p.bottom),
+                        ((1, leq(bottom, x0)), 1, lambda x: not p.leq(p.bottom, x))]),
         )
         bounds.add((p.top is not None, p.bottom is not None))
         args = (p.n, p.up, p.down)
@@ -658,17 +716,17 @@ def test_kernels_derive_the_topological_order_top_and_bottom():
         for twin in (c, py):
             assert tp.kernel_witness(twin, p) == o.not_a_lattice_by_rescan(p), p.up
         for end, cases in groups:
-            programs = [program for program, _, _ in cases]
+            suite = [law for law, _, _ in cases]
             if end is None:
                 for twin in (c, py):
                     with pytest.raises(ValueError, match="operand out of range"):
-                        twin.law_scan(*args, [truth], plan_of(twin, programs))
-                    # one such program fails the whole batch
+                        twin.law_scan(*args, [truth], plan_of(twin, suite))
+                    # one such law fails the whole batch
                     with pytest.raises(ValueError, match="operand out of range"):
-                        twin.law_scan(*args, [truth], plan_of(twin, [order[0][0], programs[0]]))
+                        twin.law_scan(*args, [truth], plan_of(twin, [order[0][0], suite[0]]))
                 continue
-            got = c.law_scan(*args, [truth], plan_of(c, programs))
-            assert typed(got) == typed(py.law_scan(*args, [truth], plan_of(py, programs)))
+            got = c.law_scan(*args, [truth], plan_of(c, suite))
+            assert typed(got) == typed(py.law_scan(*args, [truth], plan_of(py, suite)))
             assert got == [first_failure(p, arity, fails) for _, arity, fails in cases], p.up
     # no top, no bottom, a bottom without a top, a top without a bottom, both
     assert bounds == {(False, False), (False, True), (True, False), (True, True)}
@@ -720,17 +778,15 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         with pytest.raises(ValueError):
             bad()
 
-    # law_scan: every malformed table, and every program that only a call's
+    # law_scan: every malformed table, and every law that only a call's
     # order and tables make malformed (law_compile rejects the others); the
     # pure twin takes wider carriers, but no empty one
-    chain = fixture("chain3").poset
-    join = as_lattice(chain).join
-    var, const, table, up, leq = (kernels.LAW_OPS.index(op) for op in (
-        "var", "const", "table", "up", "leq"))
-    masks = (chain.up, chain.down)
+    chain3 = fixture("chain3").poset
+    join = as_lattice(chain3).join
+    masks = (chain3.up, chain3.down)
 
-    def scan(twin, tables=(join,), program=(2, var, 0, var, 1, table, 0), n=3):
-        return twin.law_scan(n, *masks, tables, plan_of(twin, [program]))
+    def scan(twin, tables=(join,), law=(2, table(0, x0, x1)), n=3):
+        return twin.law_scan(n, *masks, tables, plan_of(twin, [law]))
 
     for twin in (c, py):
         assert scan(twin) == [(0, 0)]  # join(0, 0) = 0 reads as a failure
@@ -739,15 +795,15 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
                 scan(twin, n=n)
         for bad in (
             dict(tables=([[0, 0, 0], [0, 0, 0], [0, 0, 5]],),   # an entry used as an index
-                 program=(2, var, 0, var, 1, table, 0, var, 1, table, 0)),
+                 law=(2, fold(0, [x0, x1, x1]))),
             dict(tables=([[0, 0, 0], [0, -1, 0], [0, 0, 0]],)),  # an entry that is no mask
             dict(tables=([[0, 0, 0], [0, 0, 0], [0, 0, 8]],)),   # a mask outside the carrier
             dict(tables=([[0, 0], [0, 0]],)),                    # a table narrower than n
             dict(tables=([[0, 0, 0], [0, 0], [0, 0, 0]],)),      # a ragged table
             dict(tables=(join,) * 9),                            # nine tables
-            dict(program=(2, var, 0, var, 1, table, 1)),          # an absent table
-            dict(program=(1, var, 0, up, 0, up, 0)),              # a mask used as an index
-            dict(program=(1, var, 0, up, 0, var, 0, leq, 0)),
+            dict(law=(2, table(1, x0, x1))),                     # an absent table
+            dict(law=(1, laws.up(laws.up(x0)))),                 # a mask used as an index
+            dict(law=(1, laws.leq(laws.up(x0), x0))),
         ):
             with pytest.raises(ValueError):
                 scan(twin, **bad)
@@ -757,12 +813,11 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     wide = fixture("bool6").poset
     ones = [[(1 << 64) - 1] * 64 for _ in range(64)]
     for twin in (c, py):
-        for program in ((1, var, 0, var, 0, table, 0, var, 0, table, 0),
-                        (1, var, 0, var, 0, table, 0, up, 0),
-                        (1, var, 0, var, 0, table, 0, var, 0, leq, 0)):
+        for term in (fold(0, [x0, x0, x0]), laws.up(table(0, x0, x0)),
+                     laws.leq(table(0, x0, x0), x0)):
             with pytest.raises(ValueError):
-                twin.law_scan(64, wide.up, wide.down, [ones], plan_of(twin, [program]))
-        plan = plan_of(twin, [(1, var, 0, var, 0, table, 0)])
+                twin.law_scan(64, wide.up, wide.down, [ones], plan_of(twin, [(1, term)]))
+        plan = plan_of(twin, [(1, table(0, x0, x0))])
         assert twin.law_scan(64, wide.up, wide.down, [ones], plan) == [None]
 
     # congruence_scan: a cell outside the carrier, a ragged or short table,
@@ -790,52 +845,68 @@ LIBRARY_SUITES = ("LATTICE_OPS", "MODULAR_DISTRIBUTIVE", "SEMIDISTRIBUTIVE", "CA
                   "HALF_ADJOINT", "OPERATOR", "OPERATOR_WITHOUT_BOTTOM")
 
 
+# each library suite's laws
+SUITE_LAWS = {
+    "LATTICE_OPS": (laws.JOIN_IS_LUB, laws.MEET_IS_GLB),
+    "MODULAR_DISTRIBUTIVE": (laws.MODULAR, laws.DISTRIBUTIVE),
+    "SEMIDISTRIBUTIVE": (laws.MEET_SEMIDISTRIBUTIVE,),
+    "CANDIDATE": laws.CANDIDATE_LAWS,
+    "HALF_ADJOINT": (laws.MONOTONE_RIGHT, laws.PRODUCT_BELOW, laws.ADJOINT_BACKWARD),
+    "OPERATOR": laws.OPERATOR_CHECKS,
+    "OPERATOR_WITHOUT_BOTTOM": laws.OPERATOR_CHECKS[:-1],
+}
+
+
 def test_library_suites_share_every_subterm():
     """law_run's speed rests on one register per distinct subterm: each
-    library suite's batches are exactly as large as shared_registers says,
-    and each program's result is the register its code leaves."""
-    for name in LIBRARY_SUITES:
-        suite = getattr(laws, name)
-        registers, results = suite.compiled
+    library suite's batches hold exactly its distinct subterms, and each
+    law's result is the register of its term's head."""
+    assert set(SUITE_LAWS) == set(LIBRARY_SUITES)
+    for name, checks in SUITE_LAWS.items():
+        registers, results = compiled = getattr(laws, name).compiled
+        assert compiled == laws.suite(checks).compiled, name
         assert [len(batch) for batch in registers] == [
-            shared_registers([p for p in suite.programs if p[0] == arity])
+            distinct_subterms([law.term for law in checks if law.arity == arity])
             for arity in range(1, 5)], name
-        assert [arity for arity, _ in results] == [p[0] for p in suite.programs]
-        for program, (arity, r) in zip(suite.programs, results):
-            # the last instruction makes the register the program leaves
-            assert registers[arity - 1][r][0] == program[-2]
+        assert [arity for arity, _ in results] == [law.arity for law in checks]
+        for law, (arity, r) in zip(checks, results):
+            assert kernels.LAW_OPS[registers[arity - 1][r][0]] == law.term[0]
 
 
 def test_law_compile_rejects_each_static_fault():
     """Every check that reads no call's inputs is made once, by law_compile,
-    for both twins, with its message; one bad program rejects its suite."""
-    var, const, table, eq = (kernels.LAW_OPS.index(op) for op in ("var", "const", "table", "eq"))
-    length = r"\(arity, opcode, operand, ...\) with at most 64 instructions"
-    good = (2, var, 0, var, 1, table, 0)
-    for program, error in (
-        ((2, var), length),
-        ((1, var, 0) + (var, 0, var, 0, eq, 0) * 32, length),  # 65 instructions
-        ((0, var, 0), "arity must lie in 1..4"), ((5, var, 0), "arity must lie in 1..4"),
-        ((2, 99, 0), "unknown law opcode 99"), ((2, -1, 0), "unknown law opcode -1"),
-        ((2, var, 2), "operand out of range: var 2"),
-        ((2, const, 2), "operand out of range: const 2"),
-        ((2, const, -1), "operand out of range: const -1"),
-        ((2, var, 0, var, 1, table, 8), "operand out of range: table 8"),
-        ((1, var, 0, table, 0), "stack underflow"),
-        ((1,) + (var, 0) * 17, "stack overflow"),
-        ((1, var, 0, var, 0), "must leave one value, not 2"),
+    for both twins, with its message; one bad law rejects its suite."""
+    eq = laws.eq
+    good = (2, table(0, x0, x1))
+    head = "a law term is a tuple headed by one of LAW_OPS"
+    for law, error in (
+        ((0, x0), "arity must lie in 1..4"), ((5, x0), "arity must lie in 1..4"),
+        ((2, ("join", x0, x1)), head), ((2, ()), head), ((2, eq(x0, 3)), head),
+        ((2, ["var", 0]), head),
+        ((2, ("var",)), r"var takes 1 operand\(s\), not 0"),
+        ((2, ("var", 0, 1)), r"var takes 1 operand\(s\), not 2"),
+        ((2, ("table", 0, x0)), r"table takes 3 operand\(s\), not 2"),
+        ((2, ("up", x0, x1)), r"up takes 1 operand\(s\), not 2"),
+        ((2, ("eq", x0)), r"eq takes 2 operand\(s\), not 1"),
+        ((2, ("var", 2)), "operand out of range: var 2"),
+        ((2, ("var", 0.0)), "operand out of range: var 0.0"),
+        ((2, ("const", 2)), "operand out of range: const 2"),
+        ((2, ("const", -1)), "operand out of range: const -1"),
+        ((2, table(8, x0, x1)), "operand out of range: table 8"),
+        ((2, table(x0, x0, x1)), r"operand out of range: table \('var', 0\)"),
+        ((1, ups(64)), "at most 64 nodes"),               # 65 nodes
+        ((1, fold(0, [x0] * 33)), "at most 64 nodes"),    # 65 nodes, 33 deep
     ):
-        for programs in ([program], [good, program]):
+        for suite in ([law], [good, law]):
             with pytest.raises(ValueError, match=error):
-                py.law_compile(programs)
+                py.law_compile(suite)
             with pytest.raises(ValueError, match=error):
-                kernels.LawSuite(programs)
-    for programs in ([(1, var, 0.0)], [(1.0, var, 0)], [(1, "var", 0)], [5]):
+                kernels.LawSuite(suite)
+    for suite in ([(1.0, x0)], [5], [("var", 0)]):
         with pytest.raises(TypeError):
-            py.law_compile(programs)
-    # an operand that an op does not read is not part of its register
-    assert py.law_compile([(1, var, 0, var, 0, eq, 7)]) == \
-        ((((0, 0, 0, 0), (eq, 0, 0, 0)), (), (), ()), ((1, 1),))
+            py.law_compile(suite)
+    # 64 nodes compile
+    assert len(py.law_compile([(1, ups(63))])[0][0]) == 64
 
 
 def test_law_plan_reads_only_well_formed_suites():
@@ -845,13 +916,13 @@ def test_law_plan_reads_only_well_formed_suites():
     import datetime
 
     c = c_backend()
-    var, table, up, down, subset = (kernels.LAW_OPS.index(op) for op in (
+    var, table_, up, down, subset = (kernels.LAW_OPS.index(op) for op in (
         "var", "table", "up", "down", "subset"))
-    compiled = py.law_compile([(2, var, 0, var, 1, table, 0),
-                               (1, var, 0, up, 0, var, 0, down, 0, subset, 0)])
+    compiled = py.law_compile([(2, table(0, x0, x1)),
+                               (1, laws.within(laws.up(x0), laws.down(x0)))])
     # x0, up(x0), down(x0), up(x0) within down(x0); x0, x1, join[x0][x1]
     assert compiled == ((((var, 0, 0, 0), (up, 0, 0, 0), (down, 0, 0, 0), (subset, 0, 1, 2)),
-                         ((var, 0, 0, 0), (var, 1, 0, 0), (table, 0, 0, 1)), (), ()),
+                         ((var, 0, 0, 0), (var, 1, 0, 0), (table_, 0, 0, 1)), (), ()),
                         ((2, 2), (1, 3)))
     regs, results = compiled
 
@@ -940,7 +1011,7 @@ def test_law_plan_reads_only_well_formed_suites():
                       (py, c.law_plan(compiled)), (py, compiled), (py, None)):
         with pytest.raises(TypeError):
             twin.law_scan(*args, bad)
-    plan = c.law_plan(py.law_compile([(2, var, 0, var, 1, table, 0)]))
+    plan = c.law_plan(py.law_compile([(2, table(0, x0, x1))]))
     gc.collect()
     assert c.law_scan(*args, plan) == [(0, 0)]
 

@@ -348,6 +348,16 @@ def test_product(write_fixture, tmp_path, capsys):
     assert sf.ops == ()
 
 
+def test_product_names_both_pairs_of_a_name_collision(tmp_path, capsys):
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    left.write_text("elements: x x.y\ncovers:\n  x < x.y\n")
+    right.write_text("elements: y.z z\ncovers:\n  y.z < z\n")
+    assert main(["product", str(left), str(right), "-o", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err == \
+        "error: product elements (x, y.z) and (x.y, z) are both named 'x.y.z'\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_operators_modes(write_fixture, capsys):
     path = write_fixture("pentagon")
     assert main(["operators", str(path)]) == 0

@@ -95,7 +95,8 @@ def test_direct_product_name_collision():
     p = Poset(("x", "x.y"), (0b01, 0b10))
     q = Poset(("y.z", "z"), (0b01, 0b10))
     # (x, y.z) and (x.y, z) are both named x.y.z
-    with pytest.raises(DuplicateNameError, match=r"^duplicate element name 'x\.y\.z'$"):
+    with pytest.raises(DuplicateNameError, match=r"^product elements \(x, y\.z\) and "
+                                                 r"\(x\.y, z\) are both named 'x\.y\.z'$"):
         direct_product(p, q)
 
 
