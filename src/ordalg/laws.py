@@ -1,7 +1,8 @@
 """Every law the library checks, each stated once.
 
-A law is a term with an arity of 1 to 4 and an optional guard; it fails at
-a tuple where the guard holds and the term does not.  Terms are nested
+A law is a term with an optional guard; it fails at a tuple where the
+guard holds and the term does not.  Its arity, 1 to 4, is one more than
+the highest variable the guarded term reads.  Terms are nested
 tuples built with the helpers below: element operations read tables
 (``join``, ``meet``, ``mult``, ``imp``), and the operator laws work on
 subset masks (the residual table ``resid``, cones, ``within`` for
@@ -44,13 +45,21 @@ def prod(xy, zw):
     return _prod(_uid(*xy), _uid(*zw))
 
 
+def _arity(term):
+    """One more than the highest variable index the term reads, or 0."""
+    if term[0] == "var":
+        return term[1] + 1
+    return max((_arity(t) for t in term[1:] if type(t) is tuple), default=0)
+
+
 class Law:
-    """A law: its arity and its term, the guard folded in as an implication."""
+    """A law: its term, the guard folded in as an implication, and its arity."""
 
     __slots__ = ("arity", "term")
 
-    def __init__(self, arity, term, guard=None):
-        self.arity, self.term = arity, term if guard is None else within(guard, term)
+    def __init__(self, term, guard=None):
+        self.term = term if guard is None else within(guard, term)
+        self.arity = _arity(self.term)
 
 
 def suite(checks):
@@ -71,11 +80,11 @@ def scan(p, checks, **tables):
 
 # Lattices: a join table holds least upper bounds, and a meet table
 # greatest lower bounds, exactly when these hold; then the three laws
-JOIN_IS_LUB = Law(2, eq(both(up(a), up(b)), up(join(a, b))))
-MEET_IS_GLB = Law(2, eq(both(down(a), down(b)), down(meet(a, b))))
-MODULAR = Law(3, eq(join(a, meet(b, c)), meet(join(a, b), c)), guard=leq(a, c))
-DISTRIBUTIVE = Law(3, eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c))))
-MEET_SEMIDISTRIBUTIVE = Law(3, eq(meet(a, join(b, c)), meet(a, b)),
+JOIN_IS_LUB = Law(eq(both(up(a), up(b)), up(join(a, b))))
+MEET_IS_GLB = Law(eq(both(down(a), down(b)), down(meet(a, b))))
+MODULAR = Law(eq(join(a, meet(b, c)), meet(join(a, b), c)), guard=leq(a, c))
+DISTRIBUTIVE = Law(eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c))))
+MEET_SEMIDISTRIBUTIVE = Law(eq(meet(a, join(b, c)), meet(a, b)),
                             guard=eq(meet(a, b), meet(a, c)))
 LATTICE_OPS = suite((JOIN_IS_LUB, MEET_IS_GLB))
 # classify scans meet semidistributivity apart because it reuses the public
@@ -87,43 +96,43 @@ SEMIDISTRIBUTIVE = suite((MEET_SEMIDISTRIBUTIVE,))
 
 # Residuation axioms: a commutative groupoid with unit top, monotone
 # multiplication, and (a v b) * (c v b) <= b iff c v b <= a -> b
-COMMUTATIVE = Law(2, eq(mult(a, b), mult(b, a)))
-UNIT = Law(1, eq(mult(top, a), a))
-MONOTONE = Law(3, both(leq(mult(a, c), mult(b, c)), leq(mult(c, a), mult(c, b))),
+COMMUTATIVE = Law(eq(mult(a, b), mult(b, a)))
+UNIT = Law(eq(mult(top, a), a))
+MONOTONE = Law(both(leq(mult(a, c), mult(b, c)), leq(mult(c, a), mult(c, b))),
                guard=leq(a, b))
 _below_b = leq(mult(join(a, b), join(c, b)), b)
 _below_imp = leq(join(c, b), imp(a, b))
-ADJOINT_FORWARD = Law(3, _below_imp, guard=_below_b)
-ADJOINT_BACKWARD = Law(3, _below_b, guard=_below_imp)
-DIVISIBLE = Law(2, eq(mult(join(a, b), imp(a, b)), b))
+ADJOINT_FORWARD = Law(_below_imp, guard=_below_b)
+ADJOINT_BACKWARD = Law(_below_b, guard=_below_imp)
+DIVISIBLE = Law(eq(mult(join(a, b), imp(a, b)), b))
 
 # The derived laws i-viii, and law ix in two stages: the second, that
 # bottom * x = bottom, runs only when the first holds
 DERIVED = (
-    ("i", Law(1, eq(imp(top, a), a))),
-    ("ii", Law(2, eq(leq(a, b), eq(imp(a, b), top)))),
-    ("iii", Law(2, leq(mult(a, join(a, b)), a))),
-    ("iv", Law(2, leq(b, imp(a, b)))),
-    ("v", Law(2, leq(mult(join(a, b), imp(a, b)), b))),
-    ("vi", Law(2, eq(imp(a, b), imp(join(a, b), b)))),
-    ("vii", Law(2, leq(join(a, b), imp(imp(a, b), b)))),
-    ("viii", Law(3, leq(imp(b, c), imp(a, c)), guard=leq(a, b))),
+    ("i", Law(eq(imp(top, a), a))),
+    ("ii", Law(eq(leq(a, b), eq(imp(a, b), top)))),
+    ("iii", Law(leq(mult(a, join(a, b)), a))),
+    ("iv", Law(leq(b, imp(a, b)))),
+    ("v", Law(leq(mult(join(a, b), imp(a, b)), b))),
+    ("vi", Law(eq(imp(a, b), imp(join(a, b), b)))),
+    ("vii", Law(leq(join(a, b), imp(imp(a, b), b)))),
+    ("viii", Law(leq(imp(b, c), imp(a, c)), guard=leq(a, b))),
 )
-LAW_IX = (Law(2, eq(eq(mult(a, b), bottom), leq(a, imp(b, bottom)))),
-          Law(1, eq(mult(bottom, a), bottom)))
+LAW_IX = (Law(eq(eq(mult(a, b), bottom), leq(a, imp(b, bottom)))),
+          Law(eq(mult(bottom, a), bottom)))
 PRODUCT_BELOW = DERIVED[4][1]
 
 # The four-identity basis; its identity ii is law v.  With the groupoid
 # laws it holds exactly when the axioms do (README gives the proof)
 BASIS = (
-    ("i", Law(3, leq(join(c, b), imp(a, join(mult(join(a, b), join(c, b)), b))))),
+    ("i", Law(leq(join(c, b), imp(a, join(mult(join(a, b), join(c, b)), b))))),
     ("ii", PRODUCT_BELOW),
-    ("iii", Law(3, leq(mult(a, b), mult(a, join(b, c))))),
-    ("iv", Law(2, eq(imp(a, join(a, b)), top))),
+    ("iii", Law(leq(mult(a, b), mult(a, join(b, c))))),
+    ("iv", Law(eq(imp(a, join(a, b)), top))),
 )
 # Currying, which the axioms do not imply
-CURRYING = Law(3, leq(imp(mult(join(a, b), join(c, b)), b), imp(join(c, b), imp(a, b))))
-MONOTONE_RIGHT = Law(3, leq(mult(a, b), mult(a, c)), guard=leq(b, c))
+CURRYING = Law(leq(imp(mult(join(a, b), join(c, b)), b), imp(join(c, b), imp(a, b))))
+MONOTONE_RIGHT = Law(leq(mult(a, b), mult(a, c)), guard=leq(b, c))
 
 # Every law a check on a residuation candidate reads, scanned together
 # once per candidate: the axioms, divisibility, the derived laws i-ix and
@@ -137,15 +146,15 @@ HALF_ADJOINT = suite((MONOTONE_RIGHT, PRODUCT_BELOW, ADJOINT_BACKWARD))
 # Operator residuation on subset masks: adjointness and the laws i-v
 _prod_below_b = within(prod((a, b), (c, b)), down(b))
 _lower_within = within(LU(c, b), resid(a, b))
-OPERATOR_FORWARD = Law(3, _lower_within, guard=_prod_below_b)
-OPERATOR_BACKWARD = Law(3, _prod_below_b, guard=_lower_within)
+OPERATOR_FORWARD = Law(_lower_within, guard=_prod_below_b)
+OPERATOR_BACKWARD = Law(_prod_below_b, guard=_lower_within)
 OPERATOR_LAWS = (
-    ("i", Law(1, within(down(a), resid(top, a)))),
-    ("ii", Law(2, eq(leq(a, b), eq(resid(a, b), down(top))))),
-    ("iii", Law(2, within(prod((a, a), (a, b)), down(a)))),
-    ("iv", Law(2, within(down(b), resid(a, b)))),
-    ("v", Law(2, eq(within(prod((a, a), (b, b)), down(bottom)),
-                    within(down(a), resid(b, bottom))))),
+    ("i", Law(within(down(a), resid(top, a)))),
+    ("ii", Law(eq(leq(a, b), eq(resid(a, b), down(top))))),
+    ("iii", Law(within(prod((a, a), (a, b)), down(a)))),
+    ("iv", Law(within(down(b), resid(a, b)))),
+    ("v", Law(eq(within(prod((a, a), (b, b)), down(bottom)),
+                 within(down(a), resid(b, bottom))))),
 )
 # Both adjointness directions and the laws i-v, scanned together once per
 # operator poset; law v pushes bottom, so an order without one is scanned

@@ -6,7 +6,8 @@ their sectional pseudocomplement.  Explicit table-backed operators exist
 so tests can inject broken operators and watch the axioms fail.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import _kernels as kernels
 from . import laws
@@ -26,8 +27,6 @@ class CanonicalProduct:
     lower sets of every U(x, y) from the ``operator_tables`` kernel, so
     the product table it builds does no ``lower_set`` work.
     """
-
-    kind = "canonical-product"
 
     def __init__(self, poset):
         self.poset = poset
@@ -52,8 +51,6 @@ class _LowerSets(dict):
 class CanonicalResidual:
     """Residual of an element pair: lower cone of the star-table entry."""
 
-    kind = "canonical-residual"
-
     def __init__(self, poset, star):
         if star.n != poset.n:
             raise ValueError(f"star table carrier size {star.n} != {poset.n}")
@@ -70,8 +67,6 @@ class CanonicalResidual:
 class ExplicitProduct:
     """Product given by a mask-pair table; evaluation outside it is an error."""
 
-    kind = "table-backed"
-
     def __init__(self, poset, mapping):
         self.poset = poset
         self.mapping = dict(mapping)
@@ -85,8 +80,6 @@ class ExplicitProduct:
 
 class ExplicitResidual:
     """Residual given by an element-pair table."""
-
-    kind = "table-backed"
 
     def __init__(self, poset, mapping):
         self.poset = poset
@@ -106,13 +99,21 @@ class OperatorPoset:
     poset: object
     prod: object
     resid: object
-    # each law of laws.OPERATOR_CHECKS to its least failing tuple or None,
-    # filled by the first check that runs on this operator poset
-    found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.poset.top is None:
             raise NoTopError("operator residuation needs a greatest element")
+
+    @cached_property
+    def found(self):
+        """Each law of laws.OPERATOR_CHECKS to its least failing tuple, or None.
+
+        One law scan per operator poset runs them all over its mask tables.
+        Law v, which needs a least element, is left out without one.
+        """
+        p = self.poset
+        checks = laws.OPERATOR if p.bottom is not None else laws.OPERATOR_WITHOUT_BOTTOM
+        return dict(zip(laws.OPERATOR_CHECKS, laws.scan(p, checks, **_mask_tables(self))))
 
 
 def canonical_operators(p, star):
@@ -153,7 +154,7 @@ def check_operator_axioms(op, exhaustive_subsets=False):
     if not isinstance(op.prod, CanonicalProduct):
         subsets = tuple(range(1 << p.n) if exhaustive_subsets else generated_family(p))
         commut, unit = _groupoid_verdicts(p, op.prod, subsets)
-    found = _operator_found(op)
+    found = op.found
     fwd = Verdict.of(found[laws.OPERATOR_FORWARD])
     bwd = Verdict.of(found[laws.OPERATOR_BACKWARD])
     return AxiomReport(
@@ -185,20 +186,6 @@ def _groupoid_verdicts(p, prod, subsets):
     return commut, unit
 
 
-def _operator_found(op):
-    """Each law of laws.OPERATOR_CHECKS to its least failing tuple on op, or None.
-
-    One law scan per operator poset runs them all over its mask tables.
-    Law v, which needs a least element, is left out without one.
-    """
-    found = op.found
-    if not found:
-        p = op.poset
-        checks = laws.OPERATOR if p.bottom is not None else laws.OPERATOR_WITHOUT_BOTTOM
-        found.update(zip(laws.OPERATOR_CHECKS, laws.scan(p, checks, **_mask_tables(op))))
-    return found
-
-
 def _mask_tables(op):
     """The tables the operator laws read, by their names in laws.TABLES.
 
@@ -226,7 +213,7 @@ def operator_derived_laws(op, checked):
     needs a least element and is skipped without one.
     """
     _require_verified(checked, op)
-    found = _operator_found(op)
+    found = op.found
     out = {name: Verdict.of(found[law], name) for name, law in laws.OPERATOR_LAWS if law in found}
     if op.poset.bottom is None:
         out["v"] = Verdict(True, (), "skipped: no least element")

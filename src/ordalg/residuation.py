@@ -12,6 +12,7 @@ reported for an unverified structure.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import laws
 from .binop import BinOp
@@ -26,12 +27,15 @@ class ResiduationCandidate:
     lattice: object
     mult: BinOp
     imp: BinOp
-    # each law of laws.CANDIDATE_LAWS to its least failing tuple or None,
-    # filled by the first check that runs on this candidate
-    found: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_total(self.lattice.poset.n, mult=self.mult, imp=self.imp)
+
+    @cached_property
+    def found(self):
+        """Each law of laws.CANDIDATE_LAWS to its least failing tuple, or None."""
+        return dict(zip(laws.CANDIDATE_LAWS,
+                        _axiom_scan(self.lattice, self.mult, self.imp, laws.CANDIDATE)))
 
 
 def _require_total(n, **ops):
@@ -67,15 +71,6 @@ def _axiom_scan(lat, mult, imp, checks):
     return laws.scan(lat.poset, checks, join=lat.join, mult=mult.table, imp=imp.table)
 
 
-def _found(cand):
-    """Each law of laws.CANDIDATE_LAWS to its least failing tuple on cand, or None."""
-    found = cand.found
-    if not found:
-        found.update(zip(laws.CANDIDATE_LAWS,
-                         _axiom_scan(cand.lattice, cand.mult, cand.imp, laws.CANDIDATE)))
-    return found
-
-
 def _groupoid_verdict(commutative, unit):
     if commutative:
         return Verdict(False, commutative, "commutativity")
@@ -102,7 +97,7 @@ def check_residuation(cand):
     topological order, from the candidate's one law scan, which this
     check makes when it runs first.
     """
-    return _residuation_report(cand, _found(cand))
+    return _residuation_report(cand, cand.found)
 
 
 def check_divisibility(cand):
@@ -113,7 +108,7 @@ def check_divisibility(cand):
     read the identity with the lattice meet as the product, check a
     candidate built with the meet table as its multiplication.
     """
-    return Verdict.of(_found(cand)[laws.DIVISIBLE], "divisibility")
+    return Verdict.of(cand.found[laws.DIVISIBLE], "divisibility")
 
 
 def from_sectional(lat, star):
@@ -137,7 +132,7 @@ def derived_laws(cand, checked):
     witnesses come from the candidate's one law scan.
     """
     _require_verified(checked, cand)
-    found = _found(cand)
+    found = cand.found
     out = {name: Verdict.of(found[law], name) for name, law in laws.DERIVED}
     ix, ix_bottom = laws.LAW_IX
     out["ix"] = Verdict.of(found[ix] or found[ix_bottom], "ix")
@@ -184,7 +179,7 @@ def identity_basis_check(cand):
     ``check_residuation`` gives it, is attached; a failing condition means
     that the axioms fail too.
     """
-    found = _found(cand)
+    found = cand.found
     conds = tuple((name, Verdict.of(found[law], name)) for name, law in laws.BASIS)
     axioms = _residuation_report(cand, found)
     report = IdentityBasisReport(subject=cand, conditions=conds,

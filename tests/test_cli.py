@@ -370,6 +370,15 @@ def test_operators_modes(write_fixture, capsys):
     assert "law v: ok" in out
 
 
+def test_operators_skips_law_v_without_a_least_element(tmp_path, capsys):
+    path = tmp_path / "vee.txt"
+    path.write_text("elements: a b c\n\ncovers:\n  a < c\n  b < c\n")
+    assert main(["operators", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "law v: skipped (no least element)"
+    assert "law v: ok" not in out
+
+
 def test_operators_needs_total_star(write_fixture, capsys):
     path = write_fixture("diamond")
     assert main(["operators", str(path)]) == 1

@@ -234,10 +234,21 @@ def test_scan_reads_the_bottom_of_an_order_without_a_top():
     p = make_poset(("0", "a", "b"), (("0", "a"), ("0", "b")))
     assert p.top is None and p.bottom == 0
     x = laws.a
-    assert laws.scan(p, laws.suite((laws.Law(1, laws.leq(laws.bottom, x)),
-                                    laws.Law(1, laws.eq(x, laws.bottom))))) == [None, (1,)]
+    assert laws.scan(p, laws.suite((laws.Law(laws.leq(laws.bottom, x)),
+                                    laws.Law(laws.eq(x, laws.bottom))))) == [None, (1,)]
     with pytest.raises(ValueError, match="operand out of range"):
-        laws.scan(p, laws.suite((laws.Law(1, laws.leq(x, laws.top)),)))
+        laws.scan(p, laws.suite((laws.Law(laws.leq(x, laws.top)),)))
+
+
+def test_a_law_takes_its_arity_from_the_variables_it_reads():
+    a, b, c = laws.a, laws.b, laws.c
+    assert laws.Law(laws.eq(c, c)).arity == 3
+    assert laws.Law(laws.eq(laws.mult(laws.top, a), a)).arity == 1
+    # the guard's variables count too
+    assert laws.Law(laws.eq(a, a), guard=laws.leq(a, b)).arity == 2
+    # a law that reads no variable has arity 0, which no suite takes
+    with pytest.raises(ValueError, match="law arity must lie in 1..4"):
+        laws.suite((laws.Law(laws.eq(laws.top, laws.top)),))
 
 
 def test_holding_verdicts_are_one_shared_frozen_object():

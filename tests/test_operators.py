@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from ordalg import (
+    AxiomReport,
     CanonicalProduct,
     CanonicalResidual,
     ExplicitProduct,
@@ -14,6 +15,7 @@ from ordalg import (
     NoTopError,
     NotVerifiedError,
     OperatorPoset,
+    OrdAlgError,
     PartialStarError,
     SubsetBudgetError,
     adjointness_solutions,
@@ -70,6 +72,18 @@ def test_derived_laws_gate_on_verified_report():
     other_report = check_operator_axioms(other)
     with pytest.raises(NotVerifiedError):
         operator_derived_laws(op, other_report)
+
+
+def test_a_failed_first_scan_caches_nothing():
+    fx = fixture("pentagon")
+    p = fx.poset
+    op = OperatorPoset(p, ExplicitProduct(p, {}), CanonicalResidual(p, fx.star))
+    for _ in range(2):
+        with pytest.raises(OrdAlgError, match="outside its table"):
+            check_operator_axioms(op)
+        with pytest.raises(OrdAlgError, match="outside its table"):
+            operator_derived_laws(op, AxiomReport(subject=op))
+    assert "found" not in vars(op)
 
 
 def test_generated_family_contents():

@@ -4,11 +4,11 @@
 #   tools/check.sh
 #
 # The steps: the unit suite on the default backend, the unit suite on the
-# pure twin (ORDALG_BACKEND=py), the perfbench self-tests, one round of the
-# backend timings, and the sanitizer run of tools/sanitize.sh.  Each step's
-# output goes to a log; a passing step prints one summary line with the
-# log's last line, and a failing one prints its whole log and exits with
-# the step's exit code.
+# pure twin (ORDALG_BACKEND=py), the perfbench self-tests, the benchmark's
+# answer checks, one round of the backend timings, and the sanitizer run of
+# tools/sanitize.sh.  Each step's output goes to a log; a passing step
+# prints one summary line with the log's last line, and a failing one
+# prints its whole log and exits with the step's exit code.
 set -u
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 TMP=$(mktemp -d)
@@ -35,5 +35,11 @@ step() {
 step "tier-1" python3 -m pytest -q --continue-on-collection-errors
 step "tier-1, pure twin" env ORDALG_BACKEND=py python3 -m pytest -q --continue-on-collection-errors
 step "perfbench self-tests" python3 -m pytest -q perfbench
+# Each workload's answers and twin gate, in a 3-second run: the run exits
+# nonzero on a wrong answer or a failed gate.  Its figures are not timings.
+for workload in sweep cli; do
+    step "benchmark answers, $workload" \
+        python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0
+done
 step "backend timings" python3 benchmarks/bench_backends.py --repeats 1
 step "sanitizers" tools/sanitize.sh
