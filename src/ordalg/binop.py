@@ -1,10 +1,9 @@
 """Partial binary operation tables; None is the in-band undefined value."""
 
-from dataclasses import dataclass, field
+from .verdict import Record
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     """n-by-n table of element indices; a None cell means undefined.
 
     Rows are stored as tuples, so ``is_total``, computed once here, cannot
@@ -13,12 +12,11 @@ class BinOp:
     also takes an integer of another type, one with ``__index__``.
     """
 
-    n: int
-    table: tuple
-    is_total: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "table", "is_total")
+    _hidden = ("is_total",)
 
-    def __post_init__(self):
-        n, table = self.n, tuple(map(tuple, self.table))
+    def __init__(self, n, table):
+        table = tuple(map(tuple, table))
         if len(table) != n:
             raise ValueError("table must have one row per element")
         total = _total_below(table, n)
@@ -36,6 +34,7 @@ class BinOp:
                         raise ValueError(f"cell {cell!r} is not an int")
                     elif not 0 <= cell < n:
                         raise ValueError(f"cell {cell!r} outside the carrier")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "is_total", total)
 
@@ -52,7 +51,9 @@ class BinOp:
         table kernels return them.
         """
         op = object.__new__(cls)
-        vars(op).update(n=len(rows), table=rows, is_total=total)
+        object.__setattr__(op, "n", len(rows))
+        object.__setattr__(op, "table", rows)
+        object.__setattr__(op, "is_total", total)
         return op
 
     def value(self, a, b):

@@ -30,40 +30,39 @@ distributivity (through join and meet tables computed once per pair) and
 the block of one of each congruence for weak regularity.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels as kernels
 from ._kernels._core_py import block_masks, join_into, merge, principal
 from .binop import BinOp
 from .errors import BudgetError, MissingConstantError
-from .verdict import HOLDS, Verdict
+from .verdict import HOLDS, Record, Verdict
 
 CONGRUENCE_BUDGET = 4096
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     """Carrier with named total binary operations and named constants.
 
     Conventional op names: join, meet, *, mult, imp.  Constants map a
     name like 'one' to an element index.
     """
 
-    poset: object
-    ops: tuple
-    constants: tuple = ()
+    __slots__ = ("poset", "ops", "constants")
 
-    def __post_init__(self):
-        n = self.poset.n
-        for name, op in self.ops:
+    def __init__(self, poset, ops, constants=()):
+        n = poset.n
+        for name, op in ops:
             if not isinstance(op, BinOp) or op.n != n or not op.is_total:
                 raise ValueError(f"op {name!r} must be a total table on the carrier")
-        for name, c in self.constants:
+        for name, c in constants:
             if not isinstance(c, int):
                 raise ValueError(f"constant {name!r} is {c!r}, not an int")
             if not 0 <= c < n:
                 raise ValueError(f"constant {name!r} outside the carrier")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "constants", constants)
 
     @classmethod
     def build(cls, poset, ops, constants=()):
@@ -90,11 +89,13 @@ class FiniteAlgebra:
         raise MissingConstantError(f"algebra has no constant {name!r}")
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """Partition by least-member labels; equality is structural."""
 
-    labels: tuple
+    __slots__ = ("labels",)
+
+    def __init__(self, labels):
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self):

@@ -14,25 +14,26 @@ the one codec for them.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from . import _kernels as kernels
 from ._kernels._core_py import _pack, _unpack
 from .binop import BinOp
 from .errors import BudgetError, DuplicateNameError, SizeBudgetError, UnknownFixtureError
 from .poset import MAX_ELEMENTS, Poset, make_poset
+from .verdict import Record
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     """A named poset plus whatever frozen operation tables it carries."""
 
-    name: str
-    poset: Poset
-    star: Optional[BinOp] = None
-    mult: Optional[BinOp] = None
-    imp: Optional[BinOp] = None
+    __slots__ = ("name", "poset", "star", "mult", "imp")
+
+    def __init__(self, name, poset, star=None, mult=None, imp=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "star", star)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "imp", imp)
 
 
 # star tables are stored over the declared element order
@@ -152,14 +153,16 @@ _POSET_LIMIT = 7
 _LATTICE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Record):
     """Every structure of one size, in a deterministic order."""
 
-    kind: str
-    size: int
-    deduped: bool
-    members: Tuple[Poset, ...]
+    __slots__ = ("kind", "size", "deduped", "members")
+
+    def __init__(self, kind, size, deduped, members):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "deduped", deduped)
+        object.__setattr__(self, "members", members)
 
     def __len__(self):
         return len(self.members)

@@ -34,30 +34,32 @@ column, computed from the stored line text when an error is raised.
 """
 
 import re
-from dataclasses import dataclass, field
 from itertools import count, repeat
 from operator import itemgetter
-from typing import Optional, Tuple
 
 from .binop import BinOp
 from .errors import ParseError, RaggedTableError, UnknownElementError
 from .poset import make_poset
+from .verdict import Record
 
 _NAME = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 _TOKEN = re.compile(r"[^\s<=#]+|<|=")
 _HEADER = re.compile(r"\s*(?:(elements|covers|constants)|op\s+([^\s:]+))\s*:\s*(.*)")
 
 
-@dataclass(frozen=True)
-class StructureFile:
+class StructureFile(Record):
     """Parsed structure description; operation cells hold names or None."""
 
-    elements: Tuple[str, ...]
-    covers: Tuple[Tuple[str, str], ...] = ()
-    ops: Tuple[Tuple[str, Tuple[Tuple[Optional[str], ...], ...]], ...] = ()
-    constants: Tuple[Tuple[str, str], ...] = ()
-    # (name, line, column) of each op's "op NAME:" header in the parsed text
-    op_headers: Tuple[Tuple[str, int, int], ...] = field(default=(), compare=False, repr=False)
+    # op_headers: (name, line, column) of each op's "op NAME:" header in the parsed text
+    __slots__ = ("elements", "covers", "ops", "constants", "op_headers")
+    _hidden = ("op_headers",)
+
+    def __init__(self, elements, covers=(), ops=(), constants=(), op_headers=()):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "op_headers", op_headers)
 
     def poset(self):
         return make_poset(self.elements, self.covers)
@@ -109,7 +111,7 @@ def _pairs(toks, rows, sep, kind):
 def _parse_table(op, rows, elements, known):
     op_name, op_line, op_col = op
     n = len(elements)
-    body = [(row, _TOKEN.findall(row[2])) for row in rows]
+    body = [(row, row[2].replace("<", " < ").replace("=", " = ").split()) for row in rows]
     body = [(line, toks) for line, toks in body if toks]
     if not body:
         raise ParseError(f"operation {op_name!r} has no table", op_line, op_col)
@@ -185,7 +187,7 @@ def parse(text):
                 raise ParseError(f"duplicate operation {op[0]!r}", op[1], op[2])
             ops[op[0]] = _parse_table(op, rows, elements, known)
             continue
-        toks = _TOKEN.findall("\n".join(map(itemgetter(2), rows)))
+        toks = "\n".join(map(itemgetter(2), rows)).replace("<", " < ").replace("=", " = ").split()
         if kind == "elements":
             if not _good_names(toks):
                 for k, name in enumerate(toks):

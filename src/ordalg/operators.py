@@ -6,7 +6,6 @@ their sectional pseudocomplement.  Explicit table-backed operators exist
 so tests can inject broken operators and watch the axioms fail.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernels as kernels
@@ -14,7 +13,7 @@ from . import laws
 from .errors import NoTopError, OrdAlgError, PartialStarError, SubsetBudgetError
 from .poset import lower_set
 from .residuation import AxiomReport, _require_verified
-from .verdict import HOLDS, Verdict
+from .verdict import HOLDS, Record, Verdict
 
 SUBSET_BUDGET = 12
 
@@ -92,17 +91,17 @@ class ExplicitResidual:
             raise OrdAlgError("table-backed residual queried outside its table") from None
 
 
-@dataclass(frozen=True)
-class OperatorPoset:
+class OperatorPoset(Record):
     """Poset with top plus product and residual subset operators."""
 
-    poset: object
-    prod: object
-    resid: object
+    __slots__ = ("poset", "prod", "resid", "__dict__")
 
-    def __post_init__(self):
-        if self.poset.top is None:
+    def __init__(self, poset, prod, resid):
+        if poset.top is None:
             raise NoTopError("operator residuation needs a greatest element")
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "prod", prod)
+        object.__setattr__(self, "resid", resid)
 
     @cached_property
     def found(self):

@@ -7,13 +7,12 @@ witness searches, so every reported counterexample is deterministic and
 lexicographically least in that order.
 """
 
-from dataclasses import dataclass, field
-
 from . import _kernels as kernels
 from . import laws
 from ._kernels._core_py import _common_bounds
 from .binop import BinOp
 from .errors import CycleDetectedError, DuplicateNameError, SizeBudgetError, UnknownNameError
+from .verdict import Record
 
 MAX_ELEMENTS = 64
 
@@ -134,8 +133,7 @@ def bounds(p):
     return (p.bottom, p.top)
 
 
-@dataclass(frozen=True)
-class NotALattice:
+class NotALattice(Record):
     """Witness that a pair has no lub or no glb.
 
     ``frontier`` holds the minimal upper bounds (kind 'join') or maximal
@@ -145,27 +143,26 @@ class NotALattice:
     bounds of a pair have no join, and their own pair comes first.
     """
 
-    kind: str
-    pair: tuple
-    frontier: tuple
+    __slots__ = ("kind", "pair", "frontier")
+
+    def __init__(self, kind, pair, frontier):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "frontier", frontier)
 
 
-@dataclass(frozen=True)
-class LatticeOps:
+class LatticeOps(Record):
     """Total join/meet tables over a poset; verified against the order.
 
     The rows are tuples.  Tables derived from the poset are not kept here:
     ``star_table_poset`` keeps the last poset's star table.
     """
 
-    poset: Poset
-    join: tuple
-    meet: tuple
-    top: int = field(init=False)
-    bottom: int = field(init=False)
+    __slots__ = ("poset", "join", "meet", "top", "bottom")
 
-    def __post_init__(self):
-        p = self.poset
+    def __init__(self, poset, join, meet):
+        p = poset
+        self._own(p, join, meet)
         # BinOp's rules first, so that only element indices reach the scan
         for name in ("join", "meet"):
             try:
@@ -180,15 +177,20 @@ class LatticeOps:
         for name, pair in zip(("join", "meet"), found):
             if pair is not None:
                 raise ValueError(f"{name} table wrong at ({p.names[pair[0]]}, {p.names[pair[1]]})")
-        object.__setattr__(self, "top", p.top)
-        object.__setattr__(self, "bottom", p.bottom)
 
     @classmethod
     def _trusted(cls, p, join, meet):
         """LatticeOps over the ``lattice_tables`` kernel's join and meet, taken unchecked."""
         lat = object.__new__(cls)
-        vars(lat).update(poset=p, join=join, meet=meet, top=p.top, bottom=p.bottom)
+        lat._own(p, join, meet)
         return lat
+
+    def _own(self, p, join, meet):
+        object.__setattr__(self, "poset", p)
+        object.__setattr__(self, "join", join)
+        object.__setattr__(self, "meet", meet)
+        object.__setattr__(self, "top", p.top)
+        object.__setattr__(self, "bottom", p.bottom)
 
     @property
     def n(self):

@@ -10,7 +10,6 @@ those rules.  The lattice route stays plain Python, independent of them.
 The join formula of ``synthesize_sectional`` only explains a failure.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels as kernels
@@ -18,7 +17,7 @@ from . import laws
 from ._kernels._core_py import _extreme, relative_cell, star_cell
 from .binop import BinOp
 from .poset import LatticeOps, NotALattice, as_lattice, lower_set
-from .verdict import Verdict
+from .verdict import Record, Verdict
 
 
 def sectional_pc_lattice(lat, a, b):
@@ -87,13 +86,15 @@ def _lattice_scan(lat, checks):
     return laws.scan(lat.poset, checks, join=lat.join, meet=lat.meet)
 
 
-@dataclass(frozen=True)
-class FailureWitness:
+class FailureWitness(Record):
     """Pair where the join-of-candidates formula misses the defining identity."""
 
-    pair: tuple
-    candidate: int
-    meet_value: int
+    __slots__ = ("pair", "candidate", "meet_value")
+
+    def __init__(self, pair, candidate, meet_value):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "meet_value", meet_value)
 
 
 def synthesize_sectional(lat):
@@ -119,8 +120,7 @@ def synthesize_sectional(lat):
     return FailureWitness((a, b), cand, lat.meet[vee][cand])
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Yes/no flags with a witness for every flag that is False.
 
     Lattice-only flags are None on non-lattices.  Witness shapes:
@@ -129,15 +129,20 @@ class ClassificationReport:
     violating triple; sectional/relative pc: the first undefined pair.
     """
 
-    is_lattice: bool
-    has_top: bool
-    has_bottom: bool
-    is_modular: "bool | None"
-    is_distributive: "bool | None"
-    is_meet_semidistributive: "bool | None"
-    is_sectionally_pc: bool
-    is_relatively_pc: bool
-    witnesses: dict
+    __slots__ = ("is_lattice", "has_top", "has_bottom", "is_modular", "is_distributive",
+                 "is_meet_semidistributive", "is_sectionally_pc", "is_relatively_pc", "witnesses")
+
+    def __init__(self, is_lattice, has_top, has_bottom, is_modular, is_distributive,
+                 is_meet_semidistributive, is_sectionally_pc, is_relatively_pc, witnesses):
+        object.__setattr__(self, "is_lattice", is_lattice)
+        object.__setattr__(self, "has_top", has_top)
+        object.__setattr__(self, "has_bottom", has_bottom)
+        object.__setattr__(self, "is_modular", is_modular)
+        object.__setattr__(self, "is_distributive", is_distributive)
+        object.__setattr__(self, "is_meet_semidistributive", is_meet_semidistributive)
+        object.__setattr__(self, "is_sectionally_pc", is_sectionally_pc)
+        object.__setattr__(self, "is_relatively_pc", is_relatively_pc)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def classify(p, lattice=None):

@@ -11,25 +11,24 @@ tuple on the candidate; each check reads its own laws from there.
 reported for an unverified structure.
 """
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import laws
 from .binop import BinOp
 from .errors import NotVerifiedError, PreconditionError
-from .verdict import HOLDS, Verdict
+from .verdict import HOLDS, Record, Verdict
 
 
-@dataclass(frozen=True)
-class ResiduationCandidate:
+class ResiduationCandidate(Record):
     """Lattice plus total mult/imp tables over the same carrier."""
 
-    lattice: object
-    mult: BinOp
-    imp: BinOp
+    __slots__ = ("lattice", "mult", "imp", "__dict__")
 
-    def __post_init__(self):
-        _require_total(self.lattice.poset.n, mult=self.mult, imp=self.imp)
+    def __init__(self, lattice, mult, imp):
+        _require_total(lattice.poset.n, mult=mult, imp=imp)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "imp", imp)
 
     @cached_property
     def found(self):
@@ -46,12 +45,15 @@ def _require_total(n, **ops):
             raise ValueError(f"{name} table must be total")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Named verdicts for one checked structure."""
 
-    subject: object = field(repr=False, compare=False)
-    verdicts: tuple = ()
+    __slots__ = ("subject", "verdicts")
+    _hidden = ("subject",)
+
+    def __init__(self, subject, verdicts=()):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def passed(self):
@@ -155,14 +157,17 @@ def half_adjointness(lat, mult, imp):
     return Verdict.of(found)
 
 
-@dataclass(frozen=True)
-class IdentityBasisReport:
+class IdentityBasisReport(Record):
     """Four inequality checks plus the groupoid laws and their consequence."""
 
-    subject: object = field(repr=False, compare=False)
-    conditions: tuple = ()
-    groupoid: Verdict = HOLDS
-    residuation: "AxiomReport | None" = None
+    __slots__ = ("subject", "conditions", "groupoid", "residuation")
+    _hidden = ("subject",)
+
+    def __init__(self, subject, conditions=(), groupoid=HOLDS, residuation=None):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "groupoid", groupoid)
+        object.__setattr__(self, "residuation", residuation)
 
     @property
     def all_conditions_hold(self):
@@ -182,6 +187,6 @@ def identity_basis_check(cand):
     found = cand.found
     conds = tuple((name, Verdict.of(found[law], name)) for name, law in laws.BASIS)
     axioms = _residuation_report(cand, found)
-    report = IdentityBasisReport(subject=cand, conditions=conds,
-                                 groupoid=axioms.verdict("commutative-groupoid-with-unit"))
-    return replace(report, residuation=axioms) if report.all_conditions_hold else report
+    groupoid = axioms.verdict("commutative-groupoid-with-unit")
+    holds = groupoid and all(v for _, v in conds)
+    return IdentityBasisReport(cand, conds, groupoid, axioms if holds else None)

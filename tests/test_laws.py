@@ -6,7 +6,6 @@ also run past their gate, on a report with no verdicts, so that failing
 inputs reach them.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -19,6 +18,7 @@ from ordalg import (
     AxiomReport,
     BinOp,
     LatticeOps,
+    OperatorPoset,
     PreconditionError,
     ResiduationCandidate,
     Verdict,
@@ -202,7 +202,7 @@ def test_operator_checks_share_one_scan_with_and_without_bottom(law_scan_calls):
             assert list(operator_derived_laws(op, AxiomReport(subject=op)).items()) == want
             assert len(law_scan_calls) == 1
             # the laws first, on a fresh operator poset
-            again = dataclasses.replace(op)
+            again = OperatorPoset(op.poset, op.prod, op.resid)
             law_scan_calls.clear()
             assert list(operator_derived_laws(again, AxiomReport(subject=again)).items()) == want
             assert check_operator_axioms(again).verdicts == axioms.verdicts
@@ -256,7 +256,7 @@ def test_holding_verdicts_are_one_shared_frozen_object():
     assert holds is Verdict.of(None, "ignored") and holds == Verdict(True)
     assert holds.witness == () and holds.detail == ""
     for field, value in (("holds", False), ("witness", (0,)), ("detail", "x")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(holds, field, value)
     w = (1, 2)
     failing = Verdict.of(w, "d")
