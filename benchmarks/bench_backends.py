@@ -94,16 +94,14 @@ def workloads():
         (chain.n, lat.flat_join(), cand.mult.flat(), cand.imp.flat())
 
     # the law scans of the library on an 8-element lattice, where a call's
-    # fixed costs outweigh its tuples: classify's three lattice laws, and the
-    # five residuation axioms on the lattice's sectional candidate
+    # fixed costs outweigh its tuples: the five residuation axioms on the
+    # lattice's sectional candidate
     small = fixture("bool3").poset
     small_lat = as_lattice(small)
     small_cand = from_sectional(small_lat, synthesize_sectional(small_lat))
     order = (small.n, small.up, small.down)
     lattice = (small_lat.join, small_lat.meet)
     candidate = (small_lat.join, (), small_cand.mult.table, small_cand.imp.table)
-    yield "law scan n=8, lattice laws", "law_scan", (*order, lattice, laws.suite((
-        laws.MODULAR, laws.DISTRIBUTIVE, laws.MEET_SEMIDISTRIBUTIVE)))
     yield "law scan n=8, residuation axioms", "law_scan", (*order, candidate, laws.suite((
         laws.COMMUTATIVE, laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD)))
 
@@ -111,7 +109,7 @@ def workloads():
     # the lattice suites and the residuation suites on bool3, the candidate
     # suite on bool6 too, and the operator suites on bool3 and, without a
     # bottom, on two atoms under a top times bool2
-    for name in ("LATTICE_OPS", "MODULAR_DISTRIBUTIVE", "SEMIDISTRIBUTIVE"):
+    for name in ("LATTICE_OPS", "LATTICE"):
         yield f"law scan n=8, laws.{name}", "law_scan", (*order, lattice, getattr(laws, name))
     for name in ("CANDIDATE", "HALF_ADJOINT"):
         yield f"law scan n=8, laws.{name}", "law_scan", (*order, candidate, getattr(laws, name))

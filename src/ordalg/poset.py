@@ -7,6 +7,8 @@ witness searches, so every reported counterexample is deterministic and
 lexicographically least in that order.
 """
 
+from functools import cached_property
+
 from . import _kernels as kernels
 from . import laws
 from ._kernels._core_py import _common_bounds
@@ -154,11 +156,13 @@ class NotALattice(Record):
 class LatticeOps(Record):
     """Total join/meet tables over a poset; verified against the order.
 
-    The rows are tuples.  Tables derived from the poset are not kept here:
-    ``star_table_poset`` keeps the last poset's star table.
+    The rows are tuples.  The first lattice check to run scans the three
+    laws of ``laws.LATTICE`` once and keeps the result as ``found``.
+    Tables derived from the poset are not kept here: ``star_table_poset``
+    keeps the last poset's star table.
     """
 
-    __slots__ = ("poset", "join", "meet", "top", "bottom")
+    __slots__ = ("poset", "join", "meet", "top", "bottom", "__dict__")
 
     def __init__(self, poset, join, meet):
         p = poset
@@ -191,6 +195,12 @@ class LatticeOps(Record):
         object.__setattr__(self, "meet", meet)
         object.__setattr__(self, "top", p.top)
         object.__setattr__(self, "bottom", p.bottom)
+
+    @cached_property
+    def found(self):
+        """Each law of laws.LATTICE_LAWS to its least failing triple, or None."""
+        return dict(zip(laws.LATTICE_LAWS,
+                        laws.scan(self.poset, laws.LATTICE, join=self.join, meet=self.meet)))
 
     @property
     def n(self):

@@ -8,6 +8,9 @@ to that.  The poset route is the kernels (``poset_star_table``,
 (``star_cell``, ``relative_cell``); the single-cell functions here call
 those rules.  The lattice route stays plain Python, independent of them.
 The join formula of ``synthesize_sectional`` only explains a failure.
+``classify`` and ``is_meet_semidistributive`` read modularity,
+distributivity and meet semidistributivity from the lattice's one kept
+law scan, ``LatticeOps.found``, whichever of them runs first.
 """
 
 from functools import lru_cache
@@ -78,12 +81,8 @@ def relative_table_poset(p):
 
 
 def is_meet_semidistributive(lat):
-    """Verdict of: a^b = a^c implies a^(b v c) = a^b, scanned over triples."""
-    return Verdict.of(_lattice_scan(lat, laws.SEMIDISTRIBUTIVE)[0])
-
-
-def _lattice_scan(lat, checks):
-    return laws.scan(lat.poset, checks, join=lat.join, meet=lat.meet)
+    """Verdict of: a^b = a^c implies a^(b v c) = a^b, from the lattice's law scan."""
+    return Verdict.of(lat.found[laws.MEET_SEMIDISTRIBUTIVE])
 
 
 class FailureWitness(Record):
@@ -146,15 +145,18 @@ class ClassificationReport(Record):
 
 
 def classify(p, lattice=None):
-    """Classify a poset; pass a prebuilt LatticeOps to skip recomputing it.
+    """Classify a poset; pass a prebuilt LatticeOps of p to skip recomputing it.
 
-    The star table is ``star_table_poset``'s, kept for the checks that follow.
+    The lattice laws come from the lattice's kept law scan, and the star
+    table is ``star_table_poset``'s, kept for the checks that follow.
     """
     witnesses = {}
     lat = lattice if lattice is not None else as_lattice(p)
     is_lattice = not isinstance(lat, NotALattice)
     if not is_lattice:
         witnesses["is_lattice"] = (lat.kind, *lat.pair, lat.frontier)
+    elif lat.poset is not p and lat.poset != p:
+        raise ValueError("lattice is over another poset")
     has_top = p.top is not None
     if not has_top:
         witnesses["has_top"] = tuple(i for i in p.topo if p.up[i] == 1 << i)
@@ -163,9 +165,9 @@ def classify(p, lattice=None):
         witnesses["has_bottom"] = tuple(i for i in p.topo if p.down[i] == 1 << i)
     is_modular = is_distributive = is_semi = None
     if is_lattice:
-        found = _lattice_scan(lat, laws.MODULAR_DISTRIBUTIVE)
         semi = is_meet_semidistributive(lat)
-        found.append(None if semi else semi.witness)
+        found = (lat.found[laws.MODULAR], lat.found[laws.DISTRIBUTIVE],
+                 None if semi else semi.witness)
         for key, w in zip(("is_modular", "is_distributive", "is_meet_semidistributive"), found):
             if w is not None:
                 witnesses[key] = w

@@ -44,8 +44,9 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state):
-        # copy and pickle pass the (__dict__, slots) pair of object.__getstate__
-        for name, value in {**(state[0] or {}), **state[1]}.items():
+        # copy and pickle pass the (__dict__, slots) pair of object.__getstate__;
+        # the __dict__ is dropped: its law scans are keyed by this process's laws
+        for name, value in state[1].items():
             object.__setattr__(self, name, value)
 
 

@@ -841,15 +841,14 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
                 twin.canonical_keys(n, [1, word])
 
 
-LIBRARY_SUITES = ("LATTICE_OPS", "MODULAR_DISTRIBUTIVE", "SEMIDISTRIBUTIVE", "CANDIDATE",
-                  "HALF_ADJOINT", "OPERATOR", "OPERATOR_WITHOUT_BOTTOM")
+LIBRARY_SUITES = ("LATTICE_OPS", "LATTICE", "CANDIDATE", "HALF_ADJOINT", "OPERATOR",
+                  "OPERATOR_WITHOUT_BOTTOM")
 
 
 # each library suite's laws
 SUITE_LAWS = {
     "LATTICE_OPS": (laws.JOIN_IS_LUB, laws.MEET_IS_GLB),
-    "MODULAR_DISTRIBUTIVE": (laws.MODULAR, laws.DISTRIBUTIVE),
-    "SEMIDISTRIBUTIVE": (laws.MEET_SEMIDISTRIBUTIVE,),
+    "LATTICE": laws.LATTICE_LAWS,
     "CANDIDATE": laws.CANDIDATE_LAWS,
     "HALF_ADJOINT": (laws.MONOTONE_RIGHT, laws.PRODUCT_BELOW, laws.ADJOINT_BACKWARD),
     "OPERATOR": laws.OPERATOR_CHECKS,

@@ -160,6 +160,36 @@ def law_scan_calls(monkeypatch):
     return calls
 
 
+def _lattice_verdicts(p, lat):
+    rep = classify(p, lat)
+    return tuple(Verdict(getattr(rep, key), rep.witnesses.get(key, ()))
+                 for key in ("is_modular", "is_distributive", "is_meet_semidistributive"))
+
+
+# the two checks on a lattice that read its law scan
+LATTICE_CHECKS = {
+    "classify": _lattice_verdicts,
+    "semi": lambda p, lat: is_meet_semidistributive(lat),
+}
+
+
+def test_lattice_checks_share_one_scan_in_any_order(law_scan_calls):
+    # whichever check runs first on a fresh lattice scans the three lattice
+    # laws, alone or with the other check, and each gives what it gives alone
+    orders = (("classify",), ("semi",), ("classify", "semi"), ("semi", "classify", "semi"))
+    for p in LATTICES:
+        lat = as_lattice(p)
+        semi = o.meet_semidistributive_by_triples(lat)
+        want = {"classify": (o.modularity_by_triples(lat), o.distributivity_by_triples(lat), semi),
+                "semi": semi}
+        for order in orders:
+            fresh = as_lattice(p)
+            law_scan_calls.clear()
+            got = {name: LATTICE_CHECKS[name](p, fresh) for name in order}
+            assert got == {name: want[name] for name in order}, (p.up, order)
+            assert len(law_scan_calls) == 1
+
+
 def test_residuation_checks_share_one_scan_in_any_order(law_scan_calls):
     # whichever check runs first on a fresh candidate scans for all four,
     # and each then gives what it gives alone

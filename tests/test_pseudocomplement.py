@@ -2,12 +2,14 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from ordalg import (
     BinOp,
     FailureWitness,
     LatticeOps,
+    Poset,
     as_lattice,
     classify,
     direct_product,
@@ -175,6 +177,17 @@ def test_classify_bowtie():
     assert rep.is_sectionally_pc and rep.is_relatively_pc
     kind, a, b, frontier = rep.witnesses["is_lattice"]
     assert kind == "join" and len(frontier) == 2
+
+
+def test_classify_rejects_a_lattice_over_another_poset():
+    # the diamond's lattice would answer the pentagon's lattice laws; an
+    # equal poset built apart is the same order and is accepted
+    pentagon = fixture("pentagon").poset
+    with pytest.raises(ValueError, match="another poset"):
+        classify(pentagon, as_lattice(fixture("diamond").poset))
+    twin = Poset(pentagon.names, pentagon.up)
+    assert twin is not pentagon
+    assert classify(pentagon, as_lattice(twin)) == classify(pentagon)
 
 
 def test_classify_and_the_checks_after_it_build_the_star_table_once(monkeypatch):

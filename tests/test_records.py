@@ -24,12 +24,15 @@ from ordalg import (
     all_congruences,
     as_lattice,
     canonical_operators,
+    check_divisibility,
+    check_operator_axioms,
     check_residuation,
     classify,
     enumerate_structures,
     fixture,
     from_sectional,
     identity_basis_check,
+    is_meet_semidistributive,
     parse,
     star_table_poset,
     synthesize_sectional,
@@ -124,6 +127,21 @@ def test_records_compare_hash_and_print_their_shown_fields_and_are_frozen(cls, m
     assert record != tuple(getattr(record, f) for f in shown)
     if cls is not OperatorPoset:  # its product and residual compare by identity
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_copies_of_a_scanned_subject_scan_again():
+    # a kept law scan is keyed by the laws of the process that made it, so
+    # a copy, deep copy or unpickled record leaves it out and scans again
+    p = fixture("pentagon").poset
+    for subject, check in ((as_lattice(p), is_meet_semidistributive),
+                           (_pentagon_candidate(), check_divisibility),
+                           (canonical_operators(p, star_table_poset(p)),
+                            lambda op: check_operator_axioms(op).verdicts)):
+        want = check(subject)
+        for twin in (copy.copy(subject), copy.deepcopy(subject),
+                     pickle.loads(pickle.dumps(subject))):
+            assert "found" not in vars(twin)
+            assert check(twin) == want
 
 
 def test_witness_reprs_keep_their_text():

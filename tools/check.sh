@@ -5,10 +5,11 @@
 #
 # The steps: the unit suite on the default backend, the unit suite on the
 # pure twin (ORDALG_BACKEND=py), the perfbench self-tests, the benchmark's
-# answer checks, one traced run, one round of the backend timings, and the
-# sanitizer run of tools/sanitize.sh.  Each step's output goes to a log; a
-# passing step prints one summary line with the log's last line, and a
-# failing one prints its whole log and exits with the step's exit code.
+# answer checks, a traced run of each workload, one round of the backend
+# timings, and the sanitizer run of tools/sanitize.sh.  Each step's output
+# goes to a log; a passing step prints one summary line with the log's last
+# line, and a failing one prints its whole log and exits with the step's
+# exit code.
 set -u
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 TMP=$(mktemp -d)
@@ -42,7 +43,11 @@ for workload in sweep cli; do
         python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0
 done
 # The tracer end to end: it wraps every public function and the counted
-# methods (Congruence.join, CanonicalProduct.m) and still gets every answer.
-step "traced run, cli" python3 perfbench/run.py --workload cli --seed 1 --seconds 3 --trace 1
+# methods (Congruence.join, CanonicalProduct.m) and still gets every answer;
+# sweep runs it over classify's nested spans on all 706 structures.
+for workload in cli sweep; do
+    step "traced run, $workload" \
+        python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 1
+done
 step "backend timings" python3 benchmarks/bench_backends.py --repeats 1
 step "sanitizers" tools/sanitize.sh
