@@ -16,15 +16,15 @@ A kernel reads an order as ``(n, up, down)``; ``_core_py.topo_order``,
 ``least_full`` and their C namesakes derive topo, the carrier sorted by
 (size of down-set, index), and top and bottom, the least index whose
 down-mask, or up-mask, is the whole carrier, else None.
-``poset_index(n, up, closed)`` returns ``(down, topo, top, bottom)``, in
-tuples or ints, for the up-masks of an order, or at the first fault
-``(kind, i, j)``, checking in this order: for each i, a mask with bits
-outside the carrier ("carrier"; a negative int or one of 2**64 or more
-counts) and then a mask without bit i ("reflexive"); then for each i, a
-cycle ("cycle", j the least other element in up[i] & down[i]) and, unless
-``closed``, a j above i whose up-mask leaves up[i] ("transitive"); j is
-None but for a cycle.  ``poset_covers(n, up, down)`` returns the
-transitive reduction as a sorted tuple of (lower, upper) index pairs.
+``poset_index(n, up, closed)`` returns ``(down, topo, top, bottom,
+covers)``, in tuples or ints, for the up-masks of an order, covers the
+transitive reduction as a sorted tuple of (lower, upper) index pairs, or
+at the first fault ``(kind, i, j)``, checking in this order: for each i,
+a mask with bits outside the carrier ("carrier"; a negative int or one of
+2**64 or more counts) and then a mask without bit i ("reflexive"); then
+for each i, a cycle ("cycle", j the least other element in up[i] &
+down[i]) and, unless ``closed``, a j above i whose up-mask leaves up[i]
+("transitive"); j is None but for a cycle.
 
 The table kernels ``poset_star_table`` and ``poset_relative_table``
 return ``(rows, total)``: a tuple of n row tuples, with None for an
@@ -121,10 +121,6 @@ def closure(n, up):
 
 def poset_index(n, up, closed):
     return _pick(n).poset_index(n, up, closed)
-
-
-def poset_covers(n, up, down):
-    return _pick(n).poset_covers(n, up, down)
 
 
 def lattice_tables(n, up, down):

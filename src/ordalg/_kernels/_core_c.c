@@ -4,10 +4,10 @@
  * Bit j of up[i] set means element i lies below element j (reflexive);
  * down is the transpose.  An order enters as (n, up, down), and topo_order
  * and least_full derive its topological order, top and bottom.
- * poset_index returns an order's down-masks, topo, top and bottom, or its
- * first fault as (kind, i, j); poset_covers returns its cover pairs.  The
- * table kernels return tuples of n row tuples with None for an undefined
- * cell, every other cell an element index, so BinOp and LatticeOps take
+ * poset_index returns an order's down-masks, topo, top, bottom and cover
+ * pairs, or its first fault as (kind, i, j).  The table kernels return
+ * tuples of n row tuples with None for an undefined cell, every other
+ * cell an element index, so BinOp and LatticeOps take
  * them as they are; poset_star_table and poset_relative_table pair theirs
  * with whether no cell is None, and lattice_tables returns (kind, a, b,
  * frontier) at the first pair in topo order without a lub or glb, the
@@ -254,10 +254,36 @@ static PyObject *closure(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     return mask_tuple(buf, n);
 }
 
-/* (down, topo, top, bottom) of an order's up-masks, or the first fault
- * (kind, i, j) in the pure twin's order: carrier bits and reflexivity for
- * each i, then a cycle (j the least other element above and below i) and,
- * unless closed, transitivity for each i. */
+/* The pairs (i, j) with j covering i, in index order, as a tuple. */
+static PyObject *cover_pairs(int n, const uint64_t *ub, const uint64_t *db)
+{
+    uint8_t lo[64 * 64], hi[64 * 64];
+    int count = 0;
+    for (int i = 0; i < n; i++) {
+        uint64_t strict = ub[i] & ~((uint64_t)1 << i);
+        for (uint64_t m = strict; m; m &= m - 1) {
+            int j = ctz64(m);
+            if (!(strict & db[j] & ~((uint64_t)1 << j))) {
+                lo[count] = (uint8_t)i;
+                hi[count++] = (uint8_t)j;
+            }
+        }
+    }
+    PyObject *out = PyTuple_New(count);
+    for (int k = 0; out && k < count; k++) {
+        PyObject *pair = Py_BuildValue("(ii)", lo[k], hi[k]);
+        if (!pair)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, pair);
+    }
+    return out;
+}
+
+/* (down, topo, top, bottom, covers) of an order's up-masks, or the first
+ * fault (kind, i, j) in the pure twin's order: carrier bits and
+ * reflexivity for each i, then a cycle (j the least other element above
+ * and below i) and, unless closed, transitivity for each i. */
 static PyObject *poset_index(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t ub[64], db[64] = {0};
@@ -301,38 +327,9 @@ static PyObject *poset_index(PyObject *self, PyObject *const *args, Py_ssize_t n
             return Py_BuildValue("(siO)", "transitive", i, Py_None);
     }
     topo_order(n, db, topo);
-    return Py_BuildValue("(NNNN)", mask_tuple(db, n), label_tuple(topo, n),
-                         index_or_none(least_full(n, db)), index_or_none(least_full(n, ub)));
-}
-
-/* Pairs (i, j) with j covering i, in index order. */
-static PyObject *poset_covers(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    uint64_t ub[64], db[64];
-    uint8_t lo[64 * 64], hi[64 * 64];
-    int n, count = 0;
-    if (read_n("poset_covers", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
-        || read_masks(args[2], n, db))
-        return NULL;
-    for (int i = 0; i < n; i++) {
-        uint64_t strict = ub[i] & ~((uint64_t)1 << i);
-        for (uint64_t m = strict; m; m &= m - 1) {
-            int j = ctz64(m);
-            if (!(strict & db[j] & ~((uint64_t)1 << j))) {
-                lo[count] = (uint8_t)i;
-                hi[count++] = (uint8_t)j;
-            }
-        }
-    }
-    PyObject *out = PyTuple_New(count);
-    for (int k = 0; out && k < count; k++) {
-        PyObject *pair = Py_BuildValue("(ii)", lo[k], hi[k]);
-        if (!pair)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, k, pair);
-    }
-    return out;
+    return Py_BuildValue("(NNNNN)", mask_tuple(db, n), label_tuple(topo, n),
+                         index_or_none(least_full(n, db)), index_or_none(least_full(n, ub)),
+                         cover_pairs(n, ub, db));
 }
 
 /* Pairs (topo[ra], topo[rb]) with rb >= ra in order, join before meet.  A
@@ -1434,10 +1431,8 @@ static PyObject *canonical_keys(PyObject *self, PyObject *const *args, Py_ssize_
 static PyMethodDef methods[] = {
     KERNEL(closure, "closure(n, up)\n--\n\nReflexive-transitive closure of an up-mask adjacency."),
     KERNEL(poset_index, "poset_index(n, up, closed)\n--\n\n"
-           "(down, topo, top, bottom) of an order's up-masks, or its first fault\n"
-           "(kind, i, j); see the pure twin."),
-    KERNEL(poset_covers, "poset_covers(n, up, down)\n--\n\n"
-           "The transitive reduction as a tuple of (lower, upper) pairs, sorted."),
+           "(down, topo, top, bottom, covers) of an order's up-masks, or its first\n"
+           "fault (kind, i, j); see the pure twin."),
     KERNEL(lattice_tables, "lattice_tables(n, up, down)\n--\n\n"
            "(join, meet) tables as tuples of row tuples, or (kind, a, b, frontier)\n"
            "at the first pair in topo order without a lub or glb; see the pure twin."),

@@ -44,15 +44,31 @@ def least_full(n, masks):
     return next((i for i in range(n) if masks[i] == full), None)
 
 
+def _covers(n, up, down):
+    # the transitive reduction as a tuple of (lower, upper) pairs, sorted
+    out = []
+    for i in range(n):
+        strict = up[i] & ~(1 << i)
+        m = strict
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            m ^= low
+            if not strict & down[j] & ~(1 << j):
+                out.append((i, j))
+    return tuple(out)
+
+
 def poset_index(n, up, closed):
-    """(down, topo, top, bottom) of an order's up-masks, or its first fault.
+    """(down, topo, top, bottom, covers) of an order's up-masks, or its first fault.
 
     A fault is ``(kind, i, j)``.  Each i in turn is checked for a mask with
     bits outside the carrier ("carrier") and then for reflexivity
     ("reflexive"); then each i in turn for a cycle ("cycle", with j the
     least other element both above and below i) and, unless ``closed``,
     for transitivity ("transitive": some j above i has an up-set outside
-    up[i]).  j is None except for a cycle.
+    up[i]).  j is None except for a cycle.  covers is the transitive
+    reduction as a tuple of (lower, upper) pairs, sorted.
     """
     full = (1 << n) - 1
     for i in range(n):
@@ -67,22 +83,8 @@ def poset_index(n, up, closed):
             return "cycle", i, (loop & -loop).bit_length() - 1
         if not closed and any(up[i] >> j & 1 and up[j] & ~up[i] for j in range(n)):
             return "transitive", i, None
-    return tuple(down), topo_order(n, down), least_full(n, down), least_full(n, up)
-
-
-def poset_covers(n, up, down):
-    """The transitive reduction as a tuple of (lower, upper) pairs, sorted."""
-    out = []
-    for i in range(n):
-        strict = up[i] & ~(1 << i)
-        m = strict
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            if not strict & down[j] & ~(1 << j):
-                out.append((i, j))
-    return tuple(out)
+    return (tuple(down), topo_order(n, down), least_full(n, down), least_full(n, up),
+            _covers(n, up, down))
 
 
 def closure(n, up):

@@ -11,17 +11,19 @@ inclusion, and, for the set U(x, y) of common upper bounds of x and y,
 such sets).  A term is ``(head, operand, ...)``, its head one of
 ``kernels.LAW_OPS``: ``("var", i)``, ``("const", k)``, ``("table", t, x,
 y)``, ``("up", x)``, ``("down", x)``, and ``(op, x, y)`` for ``leq``,
-``eq``, ``and`` and ``subset``.  Each batch the library scans is a suite,
-built once at import: ``suite`` compiles its laws' terms to registers,
-merging equal subterms, and makes the compiled twin's plan of them, and
-the pure twin's plan is made on its first scan.  ``scan`` hands a suite to
-the ``law_scan`` kernel, which returns each law's least failing tuple in
-the poset's fixed topological order.
+``eq``, ``and`` and ``subset``.  Each batch the library scans is a
+``Suite``, built once at import: it keeps its laws in order, compiles
+their terms to registers, merging equal subterms, and makes the compiled
+twin's plan of them, and the pure twin's plan is made on its first scan.
+``scan`` hands a suite to the ``law_scan`` kernel and returns a dict from
+each of the suite's laws to its least failing tuple in the poset's fixed
+topological order, or None.
 """
 
 from . import _kernels as kernels
 
 TABLES = ("join", "meet", "mult", "imp", "resid", "uid", "prod", "lu")
+_TABLE_NAMES = frozenset(TABLES)
 
 a, b, c = (("var", i) for i in range(3))
 top, bottom = ("const", 0), ("const", 1)
@@ -62,20 +64,25 @@ class Law:
         self.arity = _arity(self.term)
 
 
-def suite(checks):
-    """A batch of laws compiled once for ``scan``, as a ``kernels.LawSuite``."""
-    return kernels.LawSuite((law.arity, law.term) for law in checks)
+class Suite(kernels.LawSuite):
+    """A batch of laws, kept in order as ``laws``, compiled once for ``scan``."""
+
+    def __init__(self, laws):
+        self.laws = tuple(laws)
+        super().__init__((law.arity, law.term) for law in self.laws)
 
 
-def scan(p, checks, **tables):
-    """The least failing tuple of each law, or None, in p's topological order.
+def scan(p, suite, **tables):
+    """Each law of the suite to its least failing tuple, or None.
 
-    ``checks`` is a suite, passed to the kernel as it is; ``tables`` maps
-    names of TABLES to square sequences of rows; the kernel finds ``top``
-    and ``bottom`` in p.
+    Tuples are ordered by p's topological order.  ``tables`` maps names of
+    TABLES to square sequences of rows, and any other name raises
+    ValueError; the kernel finds ``top`` and ``bottom`` in p.
     """
-    return kernels.law_scan(p.n, p.up, p.down, [tables.get(name, ()) for name in TABLES],
-                            checks)
+    if not _TABLE_NAMES.issuperset(tables):
+        raise ValueError(f"unknown tables: {', '.join(sorted(tables.keys() - _TABLE_NAMES))}")
+    return dict(zip(suite.laws, kernels.law_scan(
+        p.n, p.up, p.down, [tables.get(name, ()) for name in TABLES], suite)))
 
 
 # Lattices: a join table holds least upper bounds, and a meet table
@@ -86,10 +93,9 @@ MODULAR = Law(eq(join(a, meet(b, c)), meet(join(a, b), c)), guard=leq(a, c))
 DISTRIBUTIVE = Law(eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c))))
 MEET_SEMIDISTRIBUTIVE = Law(eq(meet(a, join(b, c)), meet(a, b)),
                             guard=eq(meet(a, b), meet(a, c)))
-LATTICE_OPS = suite((JOIN_IS_LUB, MEET_IS_GLB))
+LATTICE_OPS = Suite((JOIN_IS_LUB, MEET_IS_GLB))
 # The three laws classify reads, scanned together once per lattice
-LATTICE_LAWS = (MODULAR, DISTRIBUTIVE, MEET_SEMIDISTRIBUTIVE)
-LATTICE = suite(LATTICE_LAWS)
+LATTICE = Suite((MODULAR, DISTRIBUTIVE, MEET_SEMIDISTRIBUTIVE))
 
 # Residuation axioms: a commutative groupoid with unit top, monotone
 # multiplication, and (a v b) * (c v b) <= b iff c v b <= a -> b
@@ -134,11 +140,10 @@ MONOTONE_RIGHT = Law(leq(mult(a, b), mult(a, c)), guard=leq(b, c))
 # Every law a check on a residuation candidate reads, scanned together
 # once per candidate: the axioms, divisibility, the derived laws i-ix and
 # the basis identities but ii, which is law v
-CANDIDATE_LAWS = (COMMUTATIVE, UNIT, MONOTONE, ADJOINT_FORWARD, ADJOINT_BACKWARD, DIVISIBLE,
-                  *(law for _, law in DERIVED), *LAW_IX,
-                  *(law for name, law in BASIS if name != "ii"))
-CANDIDATE = suite(CANDIDATE_LAWS)
-HALF_ADJOINT = suite((MONOTONE_RIGHT, PRODUCT_BELOW, ADJOINT_BACKWARD))
+CANDIDATE = Suite((COMMUTATIVE, UNIT, MONOTONE, ADJOINT_FORWARD, ADJOINT_BACKWARD, DIVISIBLE,
+                   *(law for _, law in DERIVED), *LAW_IX,
+                   *(law for name, law in BASIS if name != "ii")))
+HALF_ADJOINT = Suite((MONOTONE_RIGHT, PRODUCT_BELOW, ADJOINT_BACKWARD))
 
 # Operator residuation on subset masks: adjointness and the laws i-v
 _prod_below_b = within(prod((a, b), (c, b)), down(b))
@@ -156,6 +161,5 @@ OPERATOR_LAWS = (
 # Both adjointness directions and the laws i-v, scanned together once per
 # operator poset; law v pushes bottom, so an order without one is scanned
 # without it
-OPERATOR_CHECKS = (OPERATOR_FORWARD, OPERATOR_BACKWARD, *(law for _, law in OPERATOR_LAWS))
-OPERATOR = suite(OPERATOR_CHECKS)
-OPERATOR_WITHOUT_BOTTOM = suite(OPERATOR_CHECKS[:-1])
+OPERATOR = Suite((OPERATOR_FORWARD, OPERATOR_BACKWARD, *(law for _, law in OPERATOR_LAWS)))
+OPERATOR_WITHOUT_BOTTOM = Suite(OPERATOR.laws[:-1])

@@ -105,14 +105,14 @@ class OperatorPoset(Record):
 
     @cached_property
     def found(self):
-        """Each law of laws.OPERATOR_CHECKS to its least failing tuple, or None.
+        """Each law of laws.OPERATOR to its least failing tuple, or None.
 
         One law scan per operator poset runs them all over its mask tables.
         Law v, which needs a least element, is left out without one.
         """
         p = self.poset
-        checks = laws.OPERATOR if p.bottom is not None else laws.OPERATOR_WITHOUT_BOTTOM
-        return dict(zip(laws.OPERATOR_CHECKS, laws.scan(p, checks, **_mask_tables(self))))
+        suite = laws.OPERATOR if p.bottom is not None else laws.OPERATOR_WITHOUT_BOTTOM
+        return laws.scan(p, suite, **_mask_tables(self))
 
 
 def canonical_operators(p, star):

@@ -52,13 +52,12 @@ class Poset:
             if kind == "cycle":
                 raise CycleDetectedError(names[i], names[j])
             raise ValueError(_FAULTS[kind] % (names[i],))
-        self.down, self.topo, self.top, self.bottom = index
+        self.down, self.topo, self.top, self.bottom, self._covers = index
         self.names = names
         self.up = up
         self.n = n
         self.full = (1 << n) - 1
         self._index = {name: i for i, name in enumerate(names)}
-        self._covers = None
 
     def leq(self, i, j):
         return bool(self.up[i] >> j & 1)
@@ -70,9 +69,10 @@ class Poset:
             raise UnknownNameError(f"unknown element {name!r}") from None
 
     def covers(self):
-        """Transitive reduction as (lower, upper) index pairs, sorted."""
-        if self._covers is None:
-            self._covers = kernels.poset_covers(self.n, self.up, self.down)
+        """Transitive reduction as (lower, upper) index pairs, sorted.
+
+        ``poset_index`` returns it with the down-masks when the poset is built.
+        """
         return self._covers
 
     def mask_of(self, elems):
@@ -142,15 +142,18 @@ class NotALattice(Record):
     lower bounds (kind 'meet') of the offending pair; it is an antichain
     that never has exactly one member.  ``as_lattice`` reports a meet
     failure only at a pair without common lower bounds: two maximal lower
-    bounds of a pair have no join, and their own pair comes first.
+    bounds of a pair have no join, and their own pair comes first.  The
+    hidden ``poset`` is the order ``as_lattice`` was given, or None.
     """
 
-    __slots__ = ("kind", "pair", "frontier")
+    __slots__ = ("kind", "pair", "frontier", "poset")
+    _hidden = ("poset",)
 
-    def __init__(self, kind, pair, frontier):
+    def __init__(self, kind, pair, frontier, poset=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "frontier", frontier)
+        object.__setattr__(self, "poset", poset)
 
 
 class LatticeOps(Record):
@@ -178,7 +181,7 @@ class LatticeOps(Record):
                 raise ValueError(f"{name} table undefined at ({p.names[a]}, {p.names[b]})")
             object.__setattr__(self, name, op.table)
         found = laws.scan(p, laws.LATTICE_OPS, join=self.join, meet=self.meet)
-        for name, pair in zip(("join", "meet"), found):
+        for name, pair in (("join", found[laws.JOIN_IS_LUB]), ("meet", found[laws.MEET_IS_GLB])):
             if pair is not None:
                 raise ValueError(f"{name} table wrong at ({p.names[pair[0]]}, {p.names[pair[1]]})")
 
@@ -198,9 +201,8 @@ class LatticeOps(Record):
 
     @cached_property
     def found(self):
-        """Each law of laws.LATTICE_LAWS to its least failing triple, or None."""
-        return dict(zip(laws.LATTICE_LAWS,
-                        laws.scan(self.poset, laws.LATTICE, join=self.join, meet=self.meet)))
+        """Each law of laws.LATTICE to its least failing triple, or None."""
+        return laws.scan(self.poset, laws.LATTICE, join=self.join, meet=self.meet)
 
     @property
     def n(self):
@@ -228,4 +230,4 @@ def as_lattice(p):
     if len(tabs) == 2:
         return LatticeOps._trusted(p, *tabs)
     kind, a, b, frontier = tabs
-    return NotALattice(kind, (a, b), tuple(i for i in p.topo if frontier >> i & 1))
+    return NotALattice(kind, (a, b), tuple(i for i in p.topo if frontier >> i & 1), p)

@@ -145,18 +145,19 @@ class ClassificationReport(Record):
 
 
 def classify(p, lattice=None):
-    """Classify a poset; pass a prebuilt LatticeOps of p to skip recomputing it.
+    """Classify a poset; pass ``as_lattice(p)`` to skip recomputing it.
 
-    The lattice laws come from the lattice's kept law scan, and the star
-    table is ``star_table_poset``'s, kept for the checks that follow.
+    A LatticeOps or NotALattice of another poset raises ValueError.  The
+    lattice laws come from the lattice's kept law scan, and the star table
+    is ``star_table_poset``'s, kept for the checks that follow.
     """
     witnesses = {}
     lat = lattice if lattice is not None else as_lattice(p)
+    if lat.poset not in (p, None):
+        raise ValueError("lattice is over another poset")
     is_lattice = not isinstance(lat, NotALattice)
     if not is_lattice:
         witnesses["is_lattice"] = (lat.kind, *lat.pair, lat.frontier)
-    elif lat.poset is not p and lat.poset != p:
-        raise ValueError("lattice is over another poset")
     has_top = p.top is not None
     if not has_top:
         witnesses["has_top"] = tuple(i for i in p.topo if p.up[i] == 1 << i)

@@ -32,9 +32,10 @@ class ResiduationCandidate(Record):
 
     @cached_property
     def found(self):
-        """Each law of laws.CANDIDATE_LAWS to its least failing tuple, or None."""
-        return dict(zip(laws.CANDIDATE_LAWS,
-                        _axiom_scan(self.lattice, self.mult, self.imp, laws.CANDIDATE)))
+        """Each law of laws.CANDIDATE to its least failing tuple, or None."""
+        lat = self.lattice
+        return laws.scan(lat.poset, laws.CANDIDATE, join=lat.join, mult=self.mult.table,
+                         imp=self.imp.table)
 
 
 def _require_total(n, **ops):
@@ -67,10 +68,6 @@ class AxiomReport(Record):
 
     def failed(self):
         return tuple(name for name, v in self.verdicts if not v)
-
-
-def _axiom_scan(lat, mult, imp, checks):
-    return laws.scan(lat.poset, checks, join=lat.join, mult=mult.table, imp=imp.table)
 
 
 def _groupoid_verdict(commutative, unit):
@@ -149,12 +146,13 @@ def half_adjointness(lat, mult, imp):
     otherwise verifies that (c v b) <= a -> b forces (a v b) * (c v b) <= b.
     """
     _require_total(lat.poset.n, mult=mult, imp=imp)
-    monotone, below, found = _axiom_scan(lat, mult, imp, laws.HALF_ADJOINT)
-    if monotone:
-        raise PreconditionError("mult monotone in second argument", monotone)
-    if below:
-        raise PreconditionError("(a v b) * (a -> b) <= b", below)
-    return Verdict.of(found)
+    found = laws.scan(lat.poset, laws.HALF_ADJOINT, join=lat.join, mult=mult.table,
+                      imp=imp.table)
+    if found[laws.MONOTONE_RIGHT]:
+        raise PreconditionError("mult monotone in second argument", found[laws.MONOTONE_RIGHT])
+    if found[laws.PRODUCT_BELOW]:
+        raise PreconditionError("(a v b) * (a -> b) <= b", found[laws.PRODUCT_BELOW])
+    return Verdict.of(found[laws.ADJOINT_BACKWARD])
 
 
 class IdentityBasisReport(Record):

@@ -30,6 +30,7 @@ from ordalg import (
     classify,
     derived_laws,
     enumerate_structures,
+    fixture,
     from_sectional,
     half_adjointness,
     identity_basis_check,
@@ -264,10 +265,39 @@ def test_scan_reads_the_bottom_of_an_order_without_a_top():
     p = make_poset(("0", "a", "b"), (("0", "a"), ("0", "b")))
     assert p.top is None and p.bottom == 0
     x = laws.a
-    assert laws.scan(p, laws.suite((laws.Law(laws.leq(laws.bottom, x)),
-                                    laws.Law(laws.eq(x, laws.bottom))))) == [None, (1,)]
+    above, equal = laws.Law(laws.leq(laws.bottom, x)), laws.Law(laws.eq(x, laws.bottom))
+    assert laws.scan(p, laws.Suite((above, equal))) == {above: None, equal: (1,)}
     with pytest.raises(ValueError, match="operand out of range"):
-        laws.scan(p, laws.suite((laws.Law(laws.leq(x, laws.top)),)))
+        laws.scan(p, laws.Suite((laws.Law(laws.leq(x, laws.top)),)))
+
+
+def test_scan_rejects_table_names_it_does_not_know():
+    # an extra table and a misspelled one a law reads are both named,
+    # rather than ignored or left to the kernel as a missing operand
+    lat = as_lattice(fixture("pentagon").poset)
+    p = lat.poset
+    with pytest.raises(ValueError, match="^unknown tables: mlt$"):
+        laws.scan(p, laws.LATTICE_OPS, join=lat.join, meet=lat.meet, mlt=lat.meet)
+    with pytest.raises(ValueError, match="^unknown tables: mete$"):
+        laws.scan(p, laws.LATTICE_OPS, join=lat.join, mete=lat.meet)
+    with pytest.raises(ValueError, match="^unknown tables: a, b$"):
+        laws.scan(p, laws.LATTICE_OPS, join=lat.join, meet=lat.meet, b=(), a=())
+
+
+def test_a_suite_answers_by_law_whatever_its_order():
+    # an implication that is top everywhere fails several candidate laws at
+    # different tuples; the suite in reverse order compiles to other
+    # registers and gives the same dict
+    lat = as_lattice(fixture("chain4").poset)
+    cand = from_sectional(lat, synthesize_sectional(lat))
+    imp = ((lat.top,) * 4,) * 4
+    tables = {"join": lat.join, "mult": cand.mult.table, "imp": imp}
+    reverse = laws.Suite(reversed(laws.CANDIDATE.laws))
+    assert reverse.compiled != laws.CANDIDATE.compiled
+    found = laws.scan(lat.poset, laws.CANDIDATE, **tables)
+    assert list(found) == list(laws.CANDIDATE.laws)
+    assert laws.scan(lat.poset, reverse, **tables) == found
+    assert len({w for w in found.values() if w is not None}) >= 3
 
 
 def test_a_law_takes_its_arity_from_the_variables_it_reads():
@@ -278,7 +308,7 @@ def test_a_law_takes_its_arity_from_the_variables_it_reads():
     assert laws.Law(laws.eq(a, a), guard=laws.leq(a, b)).arity == 2
     # a law that reads no variable has arity 0, which no suite takes
     with pytest.raises(ValueError, match="law arity must lie in 1..4"):
-        laws.suite((laws.Law(laws.eq(laws.top, laws.top)),))
+        laws.Suite((laws.Law(laws.eq(laws.top, laws.top)),))
 
 
 def test_holding_verdicts_are_one_shared_frozen_object():

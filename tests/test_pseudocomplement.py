@@ -9,6 +9,7 @@ from ordalg import (
     BinOp,
     FailureWitness,
     LatticeOps,
+    NotALattice,
     Poset,
     as_lattice,
     classify,
@@ -188,6 +189,20 @@ def test_classify_rejects_a_lattice_over_another_poset():
     twin = Poset(pentagon.names, pentagon.up)
     assert twin is not pentagon
     assert classify(pentagon, as_lattice(twin)) == classify(pentagon)
+
+
+def test_classify_rejects_a_non_lattice_witness_of_another_poset():
+    # as_lattice's witness keeps its poset, so the bowtie's join failure is
+    # not reported as the pentagon's; a witness built by hand names no
+    # poset and is taken as p's
+    pentagon, bowtie = fixture("pentagon").poset, fixture("bowtie").poset
+    witness = as_lattice(bowtie)
+    with pytest.raises(ValueError, match="another poset"):
+        classify(pentagon, witness)
+    assert classify(bowtie, witness) == classify(bowtie)
+    by_hand = NotALattice(witness.kind, witness.pair, witness.frontier)
+    assert by_hand == witness and by_hand.poset is None and witness.poset is bowtie
+    assert classify(bowtie, by_hand) == classify(bowtie)
 
 
 def test_classify_and_the_checks_after_it_build_the_star_table_once(monkeypatch):

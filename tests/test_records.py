@@ -67,7 +67,8 @@ def _pentagon_algebra():
 RECORDS = [
     (Verdict, lambda: Verdict(False, (1, 2), "x"), ("holds", "witness", "detail"), ()),
     (BinOp, lambda: BinOp(2, ((0, None), (1, 1))), ("n", "table", "is_total"), ("is_total",)),
-    (NotALattice, lambda: NotALattice("join", (1, 2), (3, 4)), ("kind", "pair", "frontier"), ()),
+    (NotALattice, lambda: as_lattice(fixture("bowtie").poset),
+     ("kind", "pair", "frontier", "poset"), ("poset",)),
     (LatticeOps, lambda: as_lattice(fixture("pentagon").poset),
      ("poset", "join", "meet", "top", "bottom"), ()),
     (FailureWitness, lambda: FailureWitness((1, 2), 3, 4), ("pair", "candidate", "meet_value"),

@@ -206,8 +206,8 @@ def test_currying_fails_on_a_residuation_with_non_associative_product():
                for x in r for y in r for z in r)
     report = identity_basis_check(cand)
     assert report.all_conditions_hold and report.residuation.passed
-    (currying,) = laws.scan(lat.poset, laws.suite((laws.CURRYING,)), join=lat.join,
-                            mult=mult.table, imp=imp.table)
+    currying = laws.scan(lat.poset, laws.Suite((laws.CURRYING,)), join=lat.join,
+                         mult=mult.table, imp=imp.table)[laws.CURRYING]
     assert tuple(lat.poset.names[i] for i in currying) == ("c2", "c0", "c2")
 
 

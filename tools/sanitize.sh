@@ -1,6 +1,7 @@
 #!/bin/sh
-# Run the whole test suite against the compiled twin built with
-# AddressSanitizer and UndefinedBehaviorSanitizer.
+# Run the whole test suite, and then the backend timings' fixed inputs,
+# against the compiled twin built with AddressSanitizer and
+# UndefinedBehaviorSanitizer.
 #
 #   tools/sanitize.sh [extra pytest arguments]
 #
@@ -36,3 +37,4 @@ export ORDALG_NO_EXT=1 ORDALG_BACKEND=c PYTHONPATH="$TMP/src"
 "$PY" -c "import ordalg._kernels._core_c as c; assert c.__file__.startswith('$TMP'), c.__file__"
 cd "$ROOT"
 "$PY" -m pytest -q -p no:cacheprovider --capture=sys tests "$@"
+"$PY" benchmarks/bench_backends.py --repeats 1
