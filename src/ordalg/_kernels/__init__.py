@@ -18,7 +18,8 @@ A kernel reads an order as ``(n, up, down)``; ``_core_py.topo_order``,
 down-mask, or up-mask, is the whole carrier, else None.
 ``poset_index(n, up, closed)`` returns ``(down, topo, top, bottom,
 covers)``, in tuples or ints, for the up-masks of an order, covers the
-transitive reduction as a sorted tuple of (lower, upper) index pairs, or
+transitive reduction as n masks, mask i holding i's upper covers (its
+strict upper bounds that lie strictly above none of the others), or
 at the first fault ``(kind, i, j)``, checking in this order: for each i,
 a mask with bits outside the carrier ("carrier"; a negative int or one of
 2**64 or more counts) and then a mask without bit i ("reflexive"); then

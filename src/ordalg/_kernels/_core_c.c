@@ -4,10 +4,10 @@
  * Bit j of up[i] set means element i lies below element j (reflexive);
  * down is the transpose.  An order enters as (n, up, down), and topo_order
  * and least_full derive its topological order, top and bottom.
- * poset_index returns an order's down-masks, topo, top, bottom and cover
- * pairs, or its first fault as (kind, i, j).  The table kernels return
- * tuples of n row tuples with None for an undefined cell, every other
- * cell an element index, so BinOp and LatticeOps take
+ * poset_index returns an order's down-masks, topo, top, bottom and upper
+ * covers, one mask per element, or its first fault as (kind, i, j).  The
+ * table kernels return tuples of n row tuples with None for an undefined
+ * cell, every other cell an element index, so BinOp and LatticeOps take
  * them as they are; poset_star_table and poset_relative_table pair theirs
  * with whether no cell is None, and lattice_tables returns (kind, a, b,
  * frontier) at the first pair in topo order without a lub or glb, the
@@ -254,39 +254,14 @@ static PyObject *closure(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     return mask_tuple(buf, n);
 }
 
-/* The pairs (i, j) with j covering i, in index order, as a tuple. */
-static PyObject *cover_pairs(int n, const uint64_t *ub, const uint64_t *db)
-{
-    uint8_t lo[64 * 64], hi[64 * 64];
-    int count = 0;
-    for (int i = 0; i < n; i++) {
-        uint64_t strict = ub[i] & ~((uint64_t)1 << i);
-        for (uint64_t m = strict; m; m &= m - 1) {
-            int j = ctz64(m);
-            if (!(strict & db[j] & ~((uint64_t)1 << j))) {
-                lo[count] = (uint8_t)i;
-                hi[count++] = (uint8_t)j;
-            }
-        }
-    }
-    PyObject *out = PyTuple_New(count);
-    for (int k = 0; out && k < count; k++) {
-        PyObject *pair = Py_BuildValue("(ii)", lo[k], hi[k]);
-        if (!pair)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, k, pair);
-    }
-    return out;
-}
-
-/* (down, topo, top, bottom, covers) of an order's up-masks, or the first
- * fault (kind, i, j) in the pure twin's order: carrier bits and
- * reflexivity for each i, then a cycle (j the least other element above
- * and below i) and, unless closed, transitivity for each i. */
+/* (down, topo, top, bottom, covers) of an order's up-masks, covers[i] the
+ * mask of i's upper covers (its strict upper bounds above none of the
+ * others), or the first fault (kind, i, j) in the pure twin's order:
+ * carrier bits and reflexivity for each i, then a cycle (j the least other
+ * element above and below i) and, unless closed, transitivity for each i. */
 static PyObject *poset_index(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    uint64_t ub[64], db[64] = {0};
+    uint64_t ub[64], db[64] = {0}, cov[64];
     uint8_t topo[64];
     int n;
     const char *kind = NULL;
@@ -326,10 +301,17 @@ static PyObject *poset_index(PyObject *self, PyObject *const *args, Py_ssize_t n
         if (!closed && reach != ub[i])
             return Py_BuildValue("(siO)", "transitive", i, Py_None);
     }
+    for (i = 0; i < n; i++) {
+        uint64_t strict = ub[i] & ~((uint64_t)1 << i);
+        cov[i] = 0;
+        for (uint64_t m = strict; m; m &= m - 1)
+            if (!(strict & db[ctz64(m)] & ~(m & -m)))
+                cov[i] |= m & -m;
+    }
     topo_order(n, db, topo);
     return Py_BuildValue("(NNNNN)", mask_tuple(db, n), label_tuple(topo, n),
                          index_or_none(least_full(n, db)), index_or_none(least_full(n, ub)),
-                         cover_pairs(n, ub, db));
+                         mask_tuple(cov, n));
 }
 
 /* Pairs (topo[ra], topo[rb]) with rb >= ra in order, join before meet.  A

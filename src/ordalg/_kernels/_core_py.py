@@ -45,17 +45,18 @@ def least_full(n, masks):
 
 
 def _covers(n, up, down):
-    # the transitive reduction as a tuple of (lower, upper) pairs, sorted
+    # mask i: i's upper covers, the strict upper bounds of i above none of the others
     out = []
     for i in range(n):
         strict = up[i] & ~(1 << i)
+        covers = 0
         m = strict
         while m:
             low = m & -m
-            j = low.bit_length() - 1
             m ^= low
-            if not strict & down[j] & ~(1 << j):
-                out.append((i, j))
+            if not strict & down[low.bit_length() - 1] & ~low:
+                covers |= low
+        out.append(covers)
     return tuple(out)
 
 
@@ -68,7 +69,8 @@ def poset_index(n, up, closed):
     least other element both above and below i) and, unless ``closed``,
     for transitivity ("transitive": some j above i has an up-set outside
     up[i]).  j is None except for a cycle.  covers is the transitive
-    reduction as a tuple of (lower, upper) pairs, sorted.
+    reduction as n masks, mask i holding i's upper covers: its strict upper
+    bounds that lie strictly above none of the others.
     """
     full = (1 << n) - 1
     for i in range(n):

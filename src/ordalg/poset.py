@@ -30,7 +30,7 @@ class Poset:
     """Immutable finite poset: element names plus closed up-masks."""
 
     __slots__ = (
-        "names", "up", "down", "n", "full", "topo", "top", "bottom", "_index", "_covers",
+        "names", "up", "down", "n", "full", "topo", "top", "bottom", "_covers",
     )
 
     def __init__(self, names, up, *, _closed=False):
@@ -57,33 +57,23 @@ class Poset:
         self.up = up
         self.n = n
         self.full = (1 << n) - 1
-        self._index = {name: i for i, name in enumerate(names)}
 
     def leq(self, i, j):
         return bool(self.up[i] >> j & 1)
 
     def index(self, name):
         try:
-            return self._index[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise UnknownNameError(f"unknown element {name!r}") from None
 
     def covers(self):
         """Transitive reduction as (lower, upper) index pairs, sorted.
 
-        ``poset_index`` returns it with the down-masks when the poset is built.
+        ``poset_index`` returns it with the down-masks when the poset is
+        built, as one mask of upper covers per element; this expands it.
         """
-        return self._covers
-
-    def mask_of(self, elems):
-        """Bitmask for an iterable of element names or indices."""
-        mask = 0
-        for e in elems:
-            mask |= 1 << (e if isinstance(e, int) else self.index(e))
-        return mask
-
-    def names_of(self, mask):
-        return tuple(self.names[i] for i in range(self.n) if mask >> i & 1)
+        return tuple((i, j) for i, mask in enumerate(self._covers) for j in self.iter_mask(mask))
 
     def iter_mask(self, mask):
         while mask:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: partitions are enumerated as
 restricted growth strings, posets as transitive upper-triangular
-relations, a poset's checks with the one-step transitivity rule,
+relations, a poset's checks with the one-step transitivity rule, its
+covers as the strict pairs with nothing strictly between,
 isomorphism by trying every permutation, relative
 pseudocomplements cell by cell, operator axioms triple by triple,
 principal congruences by re-sweeping every related pair, the
@@ -376,6 +377,14 @@ def checked_order(names, up):
             if up[i] >> j & 1 and up[j] & ~up[i]:
                 raise ValueError(f"order is not transitive at {names[i]!r}")
     return tuple(up), tuple(down)
+
+
+def covers_by_definition(up):
+    """An order's cover pairs (i, j), sorted: i < j with no k strictly between."""
+    n = len(up)
+    strict = [up[i] & ~(1 << i) for i in range(n)]
+    return tuple((i, j) for i in range(n) for j in range(n) if strict[i] >> j & 1
+                 and not any(strict[i] >> k & 1 and strict[k] >> j & 1 for k in range(n)))
 
 
 def poset_from_edges(n, edges):

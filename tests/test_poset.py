@@ -28,7 +28,13 @@ from ordalg import (
 )
 from ordalg import _kernels as kernels
 
-from oracles import checked_order, not_a_lattice_by_rescan, poset_from_edges, relabeled
+from oracles import (
+    checked_order,
+    covers_by_definition,
+    not_a_lattice_by_rescan,
+    poset_from_edges,
+    relabeled,
+)
 
 
 def pentagon():
@@ -137,7 +143,8 @@ def test_poset_names_the_first_failing_check():
 
 def test_poset_and_its_covers_are_one_kernel_call_each(monkeypatch):
     # poset_index returns the covers with the down-masks, so a Poset and its
-    # covers are one call, and make_poset adds only the closure before it
+    # covers are one call, covers() makes none, and make_poset adds only the
+    # closure before it
     calls = []
     for name in ("closure", "poset_index"):
         kernel = getattr(kernels, name)
@@ -161,8 +168,9 @@ def test_size_budget():
 
 
 def test_index_error_names_element():
-    with pytest.raises(UnknownNameError):
-        pentagon().index("zz")
+    for name in ("zz", ["a"], 0):
+        with pytest.raises(UnknownNameError, match="^unknown element "):
+            pentagon().index(name)
 
 
 def test_topo_is_linear_extension():
@@ -180,6 +188,19 @@ def test_covers_of_pentagon():
     assert named == {("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")}
 
 
+@pytest.mark.parametrize("twin", ["compiled", "pure"])
+def test_covers_are_the_pairs_with_nothing_between(twin, monkeypatch):
+    orders = [p.up for n in range(1, 8) for p in enumerate_structures(n, "all-posets").members]
+    orders += [fixture(name).poset.up for name in ("bool6", "chain64")]
+    if twin == "pure":
+        monkeypatch.setattr(kernels, "_active", kernels._py)
+    elif not kernels.HAVE_C:
+        pytest.skip("compiled backend not built")
+    for up in orders:
+        p = Poset(tuple(f"e{i}" for i in range(len(up))), up)
+        assert p.covers() == covers_by_definition(up), up
+
+
 def test_covers_regenerate_order():
     p = fixture("bowtie").poset
     q = make_poset(p.names, tuple((p.names[i], p.names[j]) for i, j in p.covers()))
@@ -190,11 +211,14 @@ def test_bounds_and_cones():
     p = pentagon()
     bottom, top = bounds(p)
     assert (p.names[bottom], p.names[top]) == ("0", "1")
-    a, b = p.index("a"), p.index("b")
-    assert p.names_of(upper_set(p, p.mask_of("ab"))) == ("1",)
-    assert p.names_of(lower_set(p, p.mask_of("ab"))) == ("0",)
+
+    def mask(names):
+        return sum(1 << p.index(x) for x in names)
+
+    assert upper_set(p, mask("ab")) == mask("1")
+    assert lower_set(p, mask("ab")) == mask("0")
     assert upper_set(p, 0) == p.full
-    assert p.names_of(upper_set(p, 1 << a)) == ("a", "c", "1")
+    assert upper_set(p, mask("a")) == mask("ac1")
 
 
 def test_as_lattice_tables_cross_verified():
