@@ -34,9 +34,7 @@ class BinOp(Record):
                         raise ValueError(f"cell {cell!r} is not an int")
                     elif not 0 <= cell < n:
                         raise ValueError(f"cell {cell!r} outside the carrier")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "is_total", total)
+        self._fill(n, table, total)
 
     @classmethod
     def from_rows(cls, rows):
@@ -51,9 +49,7 @@ class BinOp(Record):
         table kernels return them.
         """
         op = object.__new__(cls)
-        object.__setattr__(op, "n", len(rows))
-        object.__setattr__(op, "table", rows)
-        object.__setattr__(op, "is_total", total)
+        op._fill(len(rows), rows, total)
         return op
 
     def value(self, a, b):

@@ -60,9 +60,7 @@ class FiniteAlgebra(Record):
                 raise ValueError(f"constant {name!r} is {c!r}, not an int")
             if not 0 <= c < n:
                 raise ValueError(f"constant {name!r} outside the carrier")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "constants", constants)
+        self._fill(poset, ops, constants)
 
     @classmethod
     def build(cls, poset, ops, constants=()):
@@ -93,9 +91,6 @@ class Congruence(Record):
     """Partition by least-member labels; equality is structural."""
 
     __slots__ = ("labels",)
-
-    def __init__(self, labels):
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self):

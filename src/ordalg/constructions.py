@@ -27,13 +27,7 @@ class Fixture(Record):
     """A named poset plus whatever frozen operation tables it carries."""
 
     __slots__ = ("name", "poset", "star", "mult", "imp")
-
-    def __init__(self, name, poset, star=None, mult=None, imp=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "star", star)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "imp", imp)
+    _defaults = {"star": None, "mult": None, "imp": None}
 
 
 # star tables are stored over the declared element order
@@ -157,12 +151,6 @@ class Catalog(Record):
     """Every structure of one size, in a deterministic order."""
 
     __slots__ = ("kind", "size", "deduped", "members")
-
-    def __init__(self, kind, size, deduped, members):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "deduped", deduped)
-        object.__setattr__(self, "members", members)
 
     def __len__(self):
         return len(self.members)

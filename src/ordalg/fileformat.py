@@ -53,13 +53,7 @@ class StructureFile(Record):
     # op_headers: (name, line, column) of each op's "op NAME:" header in the parsed text
     __slots__ = ("elements", "covers", "ops", "constants", "op_headers")
     _hidden = ("op_headers",)
-
-    def __init__(self, elements, covers=(), ops=(), constants=(), op_headers=()):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covers", covers)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "op_headers", op_headers)
+    _defaults = {"covers": (), "ops": (), "constants": (), "op_headers": ()}
 
     def poset(self):
         return make_poset(self.elements, self.covers)

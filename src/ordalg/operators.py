@@ -99,9 +99,7 @@ class OperatorPoset(Record):
     def __init__(self, poset, prod, resid):
         if poset.top is None:
             raise NoTopError("operator residuation needs a greatest element")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "prod", prod)
-        object.__setattr__(self, "resid", resid)
+        self._fill(poset, prod, resid)
 
     @cached_property
     def found(self):

@@ -138,12 +138,7 @@ class NotALattice(Record):
 
     __slots__ = ("kind", "pair", "frontier", "poset")
     _hidden = ("poset",)
-
-    def __init__(self, kind, pair, frontier, poset=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "frontier", frontier)
-        object.__setattr__(self, "poset", poset)
+    _defaults = {"poset": None}
 
 
 class LatticeOps(Record):
@@ -159,35 +154,30 @@ class LatticeOps(Record):
 
     def __init__(self, poset, join, meet):
         p = poset
-        self._own(p, join, meet)
+        tables = []
         # BinOp's rules first, so that only element indices reach the scan
-        for name in ("join", "meet"):
+        for name, table in (("join", join), ("meet", meet)):
             try:
-                op = BinOp(p.n, getattr(self, name))
+                op = BinOp(p.n, table)
             except ValueError as exc:
                 raise ValueError(f"{name} table: {exc}") from None
             if not op.is_total:
                 a, b = op.first_undefined(p.topo)
                 raise ValueError(f"{name} table undefined at ({p.names[a]}, {p.names[b]})")
-            object.__setattr__(self, name, op.table)
-        found = laws.scan(p, laws.LATTICE_OPS, join=self.join, meet=self.meet)
+            tables.append(op.table)
+        join, meet = tables
+        found = laws.scan(p, laws.LATTICE_OPS, join=join, meet=meet)
         for name, pair in (("join", found[laws.JOIN_IS_LUB]), ("meet", found[laws.MEET_IS_GLB])):
             if pair is not None:
                 raise ValueError(f"{name} table wrong at ({p.names[pair[0]]}, {p.names[pair[1]]})")
+        self._fill(p, join, meet, p.top, p.bottom)
 
     @classmethod
     def _trusted(cls, p, join, meet):
         """LatticeOps over the ``lattice_tables`` kernel's join and meet, taken unchecked."""
         lat = object.__new__(cls)
-        lat._own(p, join, meet)
+        lat._fill(p, join, meet, p.top, p.bottom)
         return lat
-
-    def _own(self, p, join, meet):
-        object.__setattr__(self, "poset", p)
-        object.__setattr__(self, "join", join)
-        object.__setattr__(self, "meet", meet)
-        object.__setattr__(self, "top", p.top)
-        object.__setattr__(self, "bottom", p.bottom)
 
     @cached_property
     def found(self):

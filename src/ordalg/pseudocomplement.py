@@ -90,11 +90,6 @@ class FailureWitness(Record):
 
     __slots__ = ("pair", "candidate", "meet_value")
 
-    def __init__(self, pair, candidate, meet_value):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "meet_value", meet_value)
-
 
 def synthesize_sectional(lat):
     """Total sectional pseudocomplement table of a lattice, or a FailureWitness.
@@ -130,18 +125,6 @@ class ClassificationReport(Record):
 
     __slots__ = ("is_lattice", "has_top", "has_bottom", "is_modular", "is_distributive",
                  "is_meet_semidistributive", "is_sectionally_pc", "is_relatively_pc", "witnesses")
-
-    def __init__(self, is_lattice, has_top, has_bottom, is_modular, is_distributive,
-                 is_meet_semidistributive, is_sectionally_pc, is_relatively_pc, witnesses):
-        object.__setattr__(self, "is_lattice", is_lattice)
-        object.__setattr__(self, "has_top", has_top)
-        object.__setattr__(self, "has_bottom", has_bottom)
-        object.__setattr__(self, "is_modular", is_modular)
-        object.__setattr__(self, "is_distributive", is_distributive)
-        object.__setattr__(self, "is_meet_semidistributive", is_meet_semidistributive)
-        object.__setattr__(self, "is_sectionally_pc", is_sectionally_pc)
-        object.__setattr__(self, "is_relatively_pc", is_relatively_pc)
-        object.__setattr__(self, "witnesses", witnesses)
 
 
 def classify(p, lattice=None):

@@ -26,9 +26,7 @@ class ResiduationCandidate(Record):
 
     def __init__(self, lattice, mult, imp):
         _require_total(lattice.poset.n, mult=mult, imp=imp)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "imp", imp)
+        self._fill(lattice, mult, imp)
 
     @cached_property
     def found(self):
@@ -51,10 +49,7 @@ class AxiomReport(Record):
 
     __slots__ = ("subject", "verdicts")
     _hidden = ("subject",)
-
-    def __init__(self, subject, verdicts=()):
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "verdicts", verdicts)
+    _defaults = {"verdicts": ()}
 
     @property
     def passed(self):
@@ -160,12 +155,7 @@ class IdentityBasisReport(Record):
 
     __slots__ = ("subject", "conditions", "groupoid", "residuation")
     _hidden = ("subject",)
-
-    def __init__(self, subject, conditions=(), groupoid=HOLDS, residuation=None):
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "groupoid", groupoid)
-        object.__setattr__(self, "residuation", residuation)
+    _defaults = {"conditions": (), "groupoid": HOLDS, "residuation": None}
 
     @property
     def all_conditions_hold(self):

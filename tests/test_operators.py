@@ -77,13 +77,16 @@ def test_derived_laws_gate_on_verified_report():
 def test_a_failed_first_scan_caches_nothing():
     fx = fixture("pentagon")
     p = fx.poset
-    op = OperatorPoset(p, ExplicitProduct(p, {}), CanonicalResidual(p, fx.star))
-    for _ in range(2):
-        with pytest.raises(OrdAlgError, match="outside its table"):
-            check_operator_axioms(op)
-        with pytest.raises(OrdAlgError, match="outside its table"):
-            operator_derived_laws(op, AxiomReport(subject=op))
-    assert "found" not in vars(op)
+    for op, which in ((OperatorPoset(p, ExplicitProduct(p, {}), CanonicalResidual(p, fx.star)),
+                       "product"),
+                      (OperatorPoset(p, CanonicalProduct(p), ExplicitResidual(p, {})),
+                       "residual")):
+        for _ in range(2):
+            with pytest.raises(OrdAlgError, match=f"^table-backed {which} queried outside"):
+                check_operator_axioms(op)
+            with pytest.raises(OrdAlgError, match=f"^table-backed {which} queried outside"):
+                operator_derived_laws(op, AxiomReport(subject=op))
+        assert "found" not in vars(op)
 
 
 def test_generated_family_contents():
@@ -149,6 +152,9 @@ def test_no_top_rejected():
     p = make_poset(("x", "y"), ())
     with pytest.raises(NoTopError):
         canonical_operators(p, star_table_poset(make_poset(("x",), ())))
+    # direct construction skips canonical_operators' check
+    with pytest.raises(NoTopError):
+        OperatorPoset(p, CanonicalProduct(p), ExplicitResidual(p, {}))
 
 
 def test_subset_budget_guard():

@@ -133,6 +133,10 @@ def test_poset_checks_match_the_one_step_oracle():
 
 
 def test_poset_names_the_first_failing_check():
+    with pytest.raises(ValueError, match="^poset needs at least one element$"):
+        Poset((), ())
+    with pytest.raises(ValueError, match="^up-mask count does not match element count$"):
+        Poset(("a", "b"), (1,))
     names = ("a", "b", "c")
     with pytest.raises(ValueError, match="^order is not transitive at 'a'$"):
         Poset(names, (0b011, 0b110, 0b100))

@@ -1,6 +1,7 @@
 """The record types: a light import and frozen value semantics."""
 
 import copy
+import inspect
 import pickle
 import subprocess
 import sys
@@ -62,36 +63,48 @@ def _pentagon_algebra():
                                {"one": lat.top})
 
 
-# each record type, an example, its fields in order, and the fields that
-# ==, hash and repr leave out
+# each record type, an example, its fields in order, the fields that ==,
+# hash and repr leave out, and its constructor's parameters
 RECORDS = [
-    (Verdict, lambda: Verdict(False, (1, 2), "x"), ("holds", "witness", "detail"), ()),
-    (BinOp, lambda: BinOp(2, ((0, None), (1, 1))), ("n", "table", "is_total"), ("is_total",)),
+    (Verdict, lambda: Verdict(False, (1, 2), "x"), ("holds", "witness", "detail"), (),
+     ("holds", "witness=()", "detail=''")),
+    (BinOp, lambda: BinOp(2, ((0, None), (1, 1))), ("n", "table", "is_total"), ("is_total",),
+     ("n", "table")),
     (NotALattice, lambda: as_lattice(fixture("bowtie").poset),
-     ("kind", "pair", "frontier", "poset"), ("poset",)),
+     ("kind", "pair", "frontier", "poset"), ("poset",),
+     ("kind", "pair", "frontier", "poset=None")),
     (LatticeOps, lambda: as_lattice(fixture("pentagon").poset),
-     ("poset", "join", "meet", "top", "bottom"), ()),
+     ("poset", "join", "meet", "top", "bottom"), (), ("poset", "join", "meet")),
     (FailureWitness, lambda: FailureWitness((1, 2), 3, 4), ("pair", "candidate", "meet_value"),
-     ()),
+     (), ("pair", "candidate", "meet_value")),
     (ClassificationReport, lambda: classify(fixture("bowtie").poset),
      ("is_lattice", "has_top", "has_bottom", "is_modular", "is_distributive",
-      "is_meet_semidistributive", "is_sectionally_pc", "is_relatively_pc", "witnesses"), ()),
-    (ResiduationCandidate, _pentagon_candidate, ("lattice", "mult", "imp"), ()),
+      "is_meet_semidistributive", "is_sectionally_pc", "is_relatively_pc", "witnesses"), (),
+     ("is_lattice", "has_top", "has_bottom", "is_modular", "is_distributive",
+      "is_meet_semidistributive", "is_sectionally_pc", "is_relatively_pc", "witnesses")),
+    (ResiduationCandidate, _pentagon_candidate, ("lattice", "mult", "imp"), (),
+     ("lattice", "mult", "imp")),
     (AxiomReport, lambda: check_residuation(_pentagon_candidate()), ("subject", "verdicts"),
-     ("subject",)),
+     ("subject",), ("subject", "verdicts=()")),
     (IdentityBasisReport, lambda: identity_basis_check(_pentagon_candidate()),
-     ("subject", "conditions", "groupoid", "residuation"), ("subject",)),
+     ("subject", "conditions", "groupoid", "residuation"), ("subject",),
+     ("subject", "conditions=()", "groupoid=Verdict(holds=True, witness=(), detail='')",
+      "residuation=None")),
     (OperatorPoset, lambda: canonical_operators(fixture("pentagon").poset,
                                                 star_table_poset(fixture("pentagon").poset)),
-     ("poset", "prod", "resid"), ()),
-    (FiniteAlgebra, _pentagon_algebra, ("poset", "ops", "constants"), ()),
-    (Congruence, lambda: all_congruences(_pentagon_algebra())[1], ("labels",), ()),
-    (Fixture, lambda: fixture("pentagon"), ("name", "poset", "star", "mult", "imp"), ()),
+     ("poset", "prod", "resid"), (), ("poset", "prod", "resid")),
+    (FiniteAlgebra, _pentagon_algebra, ("poset", "ops", "constants"), (),
+     ("poset", "ops", "constants=()")),
+    (Congruence, lambda: all_congruences(_pentagon_algebra())[1], ("labels",), (), ("labels",)),
+    (Fixture, lambda: fixture("pentagon"), ("name", "poset", "star", "mult", "imp"), (),
+     ("name", "poset", "star=None", "mult=None", "imp=None")),
     (Catalog, lambda: enumerate_structures(4, "lattices"), ("kind", "size", "deduped", "members"),
-     ()),
+     (), ("kind", "size", "deduped", "members")),
     (StructureFile, lambda: parse(PENTAGON_TEXT),
-     ("elements", "covers", "ops", "constants", "op_headers"), ("op_headers",)),
+     ("elements", "covers", "ops", "constants", "op_headers"), ("op_headers",),
+     ("elements", "covers=()", "ops=()", "constants=()", "op_headers=()")),
 ]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 
 def _hash(record):
@@ -101,8 +114,8 @@ def _hash(record):
         return None
 
 
-@pytest.mark.parametrize(("cls", "make", "fields", "hidden"), RECORDS,
-                         ids=[cls.__name__ for cls, *_ in RECORDS])
+@pytest.mark.parametrize(("cls", "make", "fields", "hidden"), [r[:4] for r in RECORDS],
+                         ids=IDS)
 def test_records_compare_hash_and_print_their_shown_fields_and_are_frozen(cls, make, fields,
                                                                          hidden):
     record = make()
@@ -128,6 +141,31 @@ def test_records_compare_hash_and_print_their_shown_fields_and_are_frozen(cls, m
     assert record != tuple(getattr(record, f) for f in shown)
     if cls is not OperatorPoset:  # its product and residual compare by identity
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize(("cls", "make", "params"), [(r[0], r[1], r[4]) for r in RECORDS],
+                         ids=IDS)
+def test_record_constructors_keep_their_signatures(cls, make, params):
+    signature = inspect.signature(cls)
+    assert str(signature) == f"({', '.join(params)})"
+    # every parameter is a field, so the example's fields rebuild it
+    record = make()
+    names = list(signature.parameters)
+    args = [getattr(record, name) for name in names]
+    assert cls(*args) == record
+    assert cls(**dict(zip(names, args))) == record
+    required = sum("=" not in p for p in params)
+    with pytest.raises(TypeError):
+        cls(*args[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*args, unknown=None)
+
+
+def test_lookups_by_an_unknown_name_raise_key_error():
+    with pytest.raises(KeyError, match="imp"):
+        _pentagon_algebra().op("imp")
+    with pytest.raises(KeyError, match="no-such-law"):
+        check_residuation(_pentagon_candidate()).verdict("no-such-law")
 
 
 def test_copies_of_a_scanned_subject_scan_again():

@@ -3,10 +3,11 @@
 #
 #   tools/check.sh
 #
-# The steps: the unit suite on the default backend, the unit suite on the
-# pure twin (ORDALG_BACKEND=py), the perfbench self-tests, the benchmark's
-# answer checks, a traced run of each workload, one round of the backend
-# timings, and the sanitizer run of tools/sanitize.sh.  Each step's output
+# The steps: the unit suite on the default backend, which fails on any
+# skipped test, the unit suite on the pure twin (ORDALG_BACKEND=py), the
+# perfbench self-tests, the benchmark's answer checks, a traced run of each
+# workload, one round of the backend timings, and the sanitizer run of
+# tools/sanitize.sh.  Each step's output
 # goes to a log; a passing step prints one summary line with the log's last
 # line, and a failing one prints its whole log and exits with the step's
 # exit code.
@@ -33,7 +34,21 @@ step() {
     echo "ok    $name  (${secs} s)  $last"
 }
 
-step "tier-1" python3 -m pytest -q --continue-on-collection-errors
+# Run a command and fail if its output reports a skipped test.
+no_skips() {
+    out=$("$@" 2>&1)
+    code=$?
+    printf '%s\n' "$out"
+    [ "$code" -ne 0 ] && return "$code"
+    if printf '%s\n' "$out" | tail -n 1 | grep -q '[0-9] skipped'; then
+        echo "tier-1 skipped tests: the compiled twin must run, not skip"
+        return 1
+    fi
+}
+
+# The default backend runs every test: a skip means the compiled twin did not
+# build, and the differential tests in tests/test_backends.py did not run.
+step "tier-1" no_skips python3 -m pytest -q -rs --continue-on-collection-errors
 step "tier-1, pure twin" env ORDALG_BACKEND=py python3 -m pytest -q --continue-on-collection-errors
 step "perfbench self-tests" python3 -m pytest -q perfbench
 # Each workload's answers and twin gate, in a 3-second run: the run exits
