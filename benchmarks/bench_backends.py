@@ -132,7 +132,7 @@ def workloads():
     every = laws.Suite((
         laws.MODULAR, laws.DISTRIBUTIVE, laws.MEET_SEMIDISTRIBUTIVE, laws.COMMUTATIVE,
         laws.UNIT, laws.MONOTONE, laws.ADJOINT_FORWARD, laws.ADJOINT_BACKWARD, laws.DIVISIBLE,
-        *(law for _, law in laws.DERIVED + laws.BASIS), *laws.LAW_IX, laws.MONOTONE_RIGHT,
+        *(law for _, law in laws.DERIVED + laws.BASIS), laws.MONOTONE_RIGHT,
         laws.CURRYING))
     top_imp = ((chain.top,) * chain.n,) * chain.n
     for label, imp in (("passing", cand.imp.table), ("failing", top_imp)):

@@ -127,10 +127,7 @@ def derived_laws(cand, checked):
     """
     _require_verified(checked, cand)
     found = cand.found
-    out = {name: Verdict.of(found[law], name) for name, law in laws.DERIVED}
-    ix, ix_bottom = laws.LAW_IX
-    out["ix"] = Verdict.of(found[ix] or found[ix_bottom], "ix")
-    return out
+    return {name: Verdict.of(found[law], name) for name, law in laws.DERIVED}
 
 
 def half_adjointness(lat, mult, imp):

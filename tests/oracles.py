@@ -707,13 +707,20 @@ def derived_laws_by_loops(cand):
         out["ix"] = Verdict(True, (), "skipped: no least element")
     else:
         law9 = scan_pairs("ix", lambda a, b: (mt[a][b] == bot) == (up[a] >> it[b][bot] & 1))
-        if law9:
-            for x in p.topo:
-                if mt[bot][x] != bot:
-                    law9 = Verdict(False, (x,), "ix")
-                    break
+        absorbs = bottom_absorbs_by_loop(p, mt)
+        if law9 and absorbs:
+            law9 = Verdict(False, absorbs, "ix")
         out["ix"] = law9
     return out
+
+
+def bottom_absorbs_by_loop(p, mt):
+    """The least (x,) with bottom * x != bottom in topological order, or None."""
+    bot = p.bottom
+    for x in p.topo:
+        if mt[bot][x] != bot:
+            return (x,)
+    return None
 
 
 def half_adjointness_by_loops(lat, mult, imp):

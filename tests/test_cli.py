@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ordalg import FIXTURE_NAMES, cli, parse
+from ordalg import FIXTURE_NAMES, AxiomReport, Verdict, cli, parse
 from ordalg.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -368,6 +368,36 @@ def test_operators_modes(write_fixture, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "mode: full powerset"
     assert "law v: ok" in out
+
+
+def test_operators_full_powerset_admits_twelve_elements_and_no_more(write_fixture, capsys):
+    assert main(["operators", str(write_fixture("chain12")), "--exhaustive-subsets"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "mode: full powerset"
+    assert main(["operators", str(write_fixture("chain13")), "--exhaustive-subsets"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: powerset mode allows at most 12 elements, carrier has 13\n"
+
+
+def test_operators_stops_at_a_failing_axiom(write_fixture, capsys, monkeypatch):
+    # the canonical operators pass every axiom, so a failing report is put in
+    def failing(op, exhaustive_subsets=False):
+        return AxiomReport(subject=op, verdicts=(
+            ("subset-commutativity", Verdict(True)),
+            ("subset-unit", Verdict(False)),
+            ("adjointness-forward", Verdict(False, (1, 2, 3))),
+            ("adjointness-backward", Verdict(True)),
+        ))
+
+    monkeypatch.setattr(cli, "check_operator_axioms", failing)
+    assert main(["operators", str(write_fixture("pentagon"))]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "mode: generated family",
+        "subset-commutativity: ok",
+        "subset-unit: fails",
+        "adjointness-forward: fails at (1, 2, 3)",
+        "adjointness-backward: ok",
+    ]
 
 
 def test_operators_skips_law_v_without_a_least_element(tmp_path, capsys):

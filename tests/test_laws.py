@@ -258,6 +258,71 @@ def test_residuation_laws_match_loops_on_drawn_tables(cand):
     assert_residuation_matches(cand)
 
 
+# Law ix at a = bottom reads bottom * b = bottom <=> bottom <= b -> bottom,
+# whose right side always holds: wherever law ix holds, bottom * x = bottom
+# does too, so it needs no scan of its own
+IX = dict(laws.DERIVED)["ix"]
+BOTTOM_ABSORBS = laws.Law(laws.eq(laws.mult(laws.bottom, laws.a), laws.bottom))
+IX_AND_BOTTOM_ABSORBS = laws.Suite((IX, BOTTOM_ABSORBS))
+
+
+def _law_ix_holds(p, mult, imp):
+    """Scan law ix with bottom * x = bottom; check the second against the
+    loop and that it holds where the first does.  True where law ix holds."""
+    found = laws.scan(p, IX_AND_BOTTOM_ABSORBS, mult=mult, imp=imp)
+    assert found[BOTTOM_ABSORBS] == o.bottom_absorbs_by_loop(p, mult)
+    if found[IX] is None:
+        assert found[BOTTOM_ABSORBS] is None
+    return found[IX] is None
+
+
+def test_law_ix_gives_bottom_absorbs_on_every_small_lattice_and_table():
+    # both laws compare a product only with bottom and read the implication
+    # only in bottom's column: products range over bottom and top, that
+    # column over every element, and the implication is top elsewhere
+    holding = 0
+    for n in (1, 2, 3):
+        for p in enumerate_structures(n, "lattices").members:
+            bot, top = p.bottom, p.top
+            for cells in itertools.product(sorted({bot, top}), repeat=n * n):
+                mult = tuple(cells[row * n:row * n + n] for row in range(n))
+                for column in itertools.product(range(n), repeat=n):
+                    imp = tuple(tuple(column[b] if x == bot else top for x in range(n))
+                                for b in range(n))
+                    holding += _law_ix_holds(p, mult, imp)
+    # one chain3 table per implication column, and one for each of chain2
+    # and the one-element lattice
+    assert holding == 27 + 4 + 1
+
+
+@st.composite
+def law_ix_tables(draw):
+    """A lattice of at most five elements with total product and implication
+    tables; with ``fitted``, each product cell is moved to the side of
+    bottom that law ix asks for, so that it holds."""
+    n = draw(st.integers(1, 5))
+    members = enumerate_structures(n, "lattices").members
+    p = members[draw(st.integers(0, len(members) - 1))]
+    cell = st.integers(0, n - 1)
+    table = st.tuples(*[st.tuples(*[cell] * n)] * n)
+    mult, imp = draw(table), draw(table)
+    fitted = draw(st.booleans())
+    if fitted:
+        bot, top = p.bottom, p.top
+        mult = tuple(
+            tuple(bot if p.up[a] >> imp[b][bot] & 1 else (v if v != bot else top)
+                  for b, v in enumerate(row))
+            for a, row in enumerate(mult))
+    return p, mult, imp, fitted
+
+
+@given(law_ix_tables())
+@settings(max_examples=200, deadline=None)
+def test_law_ix_gives_bottom_absorbs_on_drawn_tables(drawn):
+    p, mult, imp, fitted = drawn
+    assert _law_ix_holds(p, mult, imp) or not fitted
+
+
 def test_scan_reads_the_bottom_of_an_order_without_a_top():
     # the kernel finds top and bottom in the order itself: a law that
     # pushes only bottom runs where there is no top, and one that pushes

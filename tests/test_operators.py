@@ -158,10 +158,17 @@ def test_no_top_rejected():
 
 
 def test_subset_budget_guard():
-    p = fixture("bool4").poset
-    op = canonical_operators(p, star_table_poset(p))
-    with pytest.raises(SubsetBudgetError):
-        check_operator_axioms(op, exhaustive_subsets=True)
+    # the full powerset admits twelve elements and no more
+    chain12 = fixture("chain12").poset
+    report = check_operator_axioms(canonical_operators(chain12, star_table_poset(chain12)),
+                                   exhaustive_subsets=True)
+    assert tuple(k for k, _ in report.verdicts) == AXIOMS
+    assert report.passed
+    for name, n in (("chain13", 13), ("bool4", 16)):
+        p = fixture(name).poset
+        op = canonical_operators(p, star_table_poset(p))
+        with pytest.raises(SubsetBudgetError, match=f"at most 12 elements, carrier has {n}$"):
+            check_operator_axioms(op, exhaustive_subsets=True)
 
 
 def test_adjointness_solutions_match_star_on_fixtures():
