@@ -4,16 +4,17 @@ The hot loops (closure, a poset's down-masks, order and covers, lattice
 and pseudocomplement tables, axiom scans, the law engine, principal
 congruences, small-structure enumeration and its canonical relabeling)
 exist twice: a hand-written C extension ``_core_c`` (``_core_c.c``)
-working on uint64 masks and a pure Python twin ``_core_py``.  The
-compiled backend is preferred when built; set ``ORDALG_BACKEND=py`` or
-``ORDALG_BACKEND=c`` to force one.  Carriers outside 1..64 elements always
-route to the pure backend, which handles arbitrary-width masks (and the
-empty carrier).  The catalog kernels ``enum_orders`` and
-``canonical_keys`` work on packed 8-bit rows, so both twins take only
-1..8 elements.
+working on uint64 masks and a pure Python twin ``_core_py``; what the
+library and both twins share is in ``_common``.  The compiled backend is
+preferred when built; set ``ORDALG_BACKEND=py`` or ``ORDALG_BACKEND=c``
+to force one.  Carriers outside 1..64 elements always route to the pure
+backend, which handles arbitrary-width masks (and the empty carrier), and
+which is imported on the first call it serves.  The catalog kernels
+``enum_orders`` and ``canonical_keys`` work on packed 8-bit rows, so both
+twins take only 1..8 elements.
 
-A kernel reads an order as ``(n, up, down)``; ``_core_py.topo_order``,
-``least_full`` and their C namesakes derive topo, the carrier sorted by
+A kernel reads an order as ``(n, up, down)``; each twin's ``topo_order``
+and ``least_full`` derive topo, the carrier sorted by
 (size of down-set, index), and top and bottom, the least index whose
 down-mask, or up-mask, is the whole carrier, else None.
 ``poset_index(n, up, closed)`` returns ``(down, topo, top, bottom,
@@ -32,7 +33,7 @@ return ``(rows, total)``: a tuple of n row tuples, with None for an
 undefined cell and an element index in every other, and whether no cell
 is None; both twins return exactly these types, so ``BinOp`` and
 ``LatticeOps`` take the tables as they are.  Their cell
-rules are ``_core_py.star_cell`` (sectional) and ``_core_py.relative_cell``
+rules are ``_common.star_cell`` (sectional) and ``_common.relative_cell``
 (relative).  ``lattice_tables(n, up, down)`` returns such tables, join
 and meet, or ``(kind, a, b, frontier)`` at the first pair (a, b) =
 (topo[ra], topo[rb]), rb >= ra, without a lub (kind "join", checked
@@ -54,7 +55,7 @@ i, top (k = 0) or bottom (k = 1), and ``tables[t][x][y]``; ``("up", x)``
 and ``("down", x)`` are the cones of x; ``("leq", x, y)``, ``("eq", x,
 y)``, ``("and", x, y)`` and ``("subset", x, y)`` are x <= y, x == y, x & y
 and whether mask x lies within y.  A tuple fails where the term is 0.
-``_core_py.law_compile(laws)`` checks a suite of laws against these rules,
+``_common.law_compile(laws)`` checks a suite of laws against these rules,
 raising ValueError, and returns its register form ``(registers,
 results)``: registers[a - 1] holds, for the laws of arity a, one ``(op,
 arg, x, y)`` per distinct subterm in post-order, computing op on the
@@ -90,10 +91,10 @@ The pure twin's docstring states the order of the scans.
 """
 
 import functools
+import importlib
 import os
 
-from . import _core_py as _py
-from ._core_py import LAW_OPS
+from ._common import LAW_OPS, law_compile as _law_compile
 
 _choice = os.environ.get("ORDALG_BACKEND", "auto")
 if _choice not in ("auto", "py", "c"):
@@ -107,13 +108,20 @@ if _choice in ("auto", "c"):
         if _choice == "c":
             raise
 
-_active = _c if (_c is not None and _choice != "py") else _py
-BACKEND = "c" if _active is not _py else "py"
+# the twin that serves carriers of 1..64 elements, None for the pure twin
+_active = _c
+BACKEND = "py" if _c is None else "c"
 HAVE_C = _c is not None
 
 
+@functools.cache
+def _pure():
+    """The pure twin, imported on the first call that it serves."""
+    return importlib.import_module("._core_py", __name__)
+
+
 def _pick(n):
-    return _active if 0 < n <= 64 else _py
+    return _active if _active is not None and 0 < n <= 64 else _pure()
 
 
 def closure(n, up):
@@ -148,12 +156,12 @@ class LawSuite:
     """
 
     def __init__(self, laws):
-        self.compiled = _py.law_compile(laws)
+        self.compiled = _law_compile(laws)
         self.c_plan = None if _c is None else _c.law_plan(self.compiled)
 
     @functools.cached_property
     def py_plan(self):
-        return _py.law_plan(self.compiled)
+        return _pure().law_plan(self.compiled)
 
 
 def law_scan(n, up, down, tables, suite):
@@ -166,8 +174,8 @@ def congruence_scan(n, tables, one):
 
 
 def enum_orders(n, lattices_only):
-    return _active.enum_orders(n, bool(lattices_only))
+    return (_active or _pure()).enum_orders(n, bool(lattices_only))
 
 
 def canonical_keys(n, orders):
-    return _active.canonical_keys(n, orders)
+    return (_active or _pure()).canonical_keys(n, orders)

@@ -15,8 +15,8 @@
  * operator_tables returns (us, uid, low, lu): the distinct sets U(x, y) =
  * up[x] & up[y] in first-seen row-major order, n rows numbering each
  * pair's set, the lower set of each, and n rows of each pair's lower set,
- * all tuples.  law_plan reads a suite of law terms that the pure twin's
- * law_compile has put in register form, one register per distinct
+ * all tuples.  law_plan reads a suite of law terms that the shared
+ * _common.law_compile has put in register form, one register per distinct
  * subterm, and law_scan runs a plan on rows, each arity's laws as one
  * loop nest; rrl_scan and divisibility_scan, which no library code calls,
  * take flat row-major sequences.
@@ -354,7 +354,7 @@ static PyObject *poset_star_table(PyObject *self, PyObject *const *args, Py_ssiz
     for (int x = 0; x < n; x++)
         for (int y = x; y < n; y++)
             lu[x * n + y] = lu[y * n + x] = common_bounds(full, db, ub[x] & ub[y]);
-    /* Same construction as the pure twin: the candidate is the minimum of
+    /* Same construction as _common.star_cell: the candidate is the minimum of
      * the intersection of the U(c, b) over qualifying c, then verified.
      * lu is symmetric, so lu[c][b] is read along row b. */
     for (int a = 0; a < n; a++)
@@ -499,7 +499,7 @@ static PyObject *divisibility_scan(PyObject *self, PyObject *const *args, Py_ssi
     Py_RETURN_TRUE;
 }
 
-/* law_scan opcodes, numbered as the pure twin's LAW_OPS, and the number
+/* law_scan opcodes, numbered as _common.LAW_OPS, and the number
  * of tables both twins take. */
 enum { L_VAR, L_CONST, L_TABLE, L_UP, L_DOWN, L_LEQ, L_EQ, L_AND, L_SUBSET, L_OPS };
 #define LAW_TABLES 8
@@ -685,8 +685,8 @@ static void law_plan_free(PyObject *capsule)
     PyMem_Free(PyCapsule_GetPointer(capsule, LAW_PLAN));
 }
 
-/* The plan of a compiled suite, (registers, results) from the pure twin's
- * law_compile, which makes every check that reads no call's inputs; this
+/* The plan of a compiled suite, (registers, results) from the shared
+ * _common.law_compile, which makes every check that reads no call's inputs; this
  * reader checks only the structure law_run relies on to stay within its
  * buffers.  registers holds one tuple of registers per arity, results one
  * (arity, register) per program, the register in its arity's batch. */
@@ -923,7 +923,7 @@ static PyObject *law_scan(PyObject *self, PyObject *const *args, Py_ssize_t narg
 }
 
 /* A partition by least-member labels, with the members of each block as
- * a mask under its label: the pure twin's merge, on masks. */
+ * a mask under its label: _common.merge, on masks. */
 struct blocks {
     uint8_t lab[64];
     uint64_t mem[64];
@@ -1436,7 +1436,7 @@ static PyMethodDef methods[] = {
     KERNEL(divisibility_scan, "divisibility_scan(n, join, mult, imp)\n--\n\n"
            "True when (x v y) * (x -> y) = y for every pair."),
     {"law_plan", law_plan, METH_O, "law_plan(compiled)\n--\n\n"
-     "The plan of a suite compiled by the pure twin's law_compile, as a capsule."},
+     "The plan of a suite compiled by _common.law_compile, as a capsule."},
     KERNEL(law_scan, "law_scan(n, up, down, tables, plan)\n--\n\n"
            "Each program's least failing tuple, or None, in topological order.\n\n"
            "Same contract as the pure twin; the programs of each arity run as one loop\n"

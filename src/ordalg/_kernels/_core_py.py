@@ -1,24 +1,24 @@
-"""Pure-Python kernels over int bitmasks.
+"""Pure-Python kernels over int bitmasks: the pure twin.
 
 Bit j of ``up[i]`` set means element i lies below element j (reflexive).
-``down`` is the transpose; ``topo_order`` and ``least_full`` derive an
-order's topological order, top and bottom.  Table kernels return n row
-tuples, None for an undefined cell; the axiom scans take flat row-major
-sequences of length n*n, and ``law_scan`` takes sequences of rows; the
-law engine's compiler, plans and scan come from ``_law_py``.
-The compiled backend ``_core_c`` implements the same contracts for carriers
-of at most 64 elements; this module also covers larger carriers because
-Python ints are unbounded.  ``_pack`` and ``_unpack`` are the one codec,
-here and in ``constructions``, for the catalog kernels' packed orders, and
-``merge``, ``join_into``, ``principal`` and ``block_masks`` the one
-union-find of least-member labels, here and in ``congruence``, and
-``transpose`` the one way from up-masks to down-masks in this module.
+``down`` is the transpose, and ``transpose`` the one way to it here;
+``topo_order`` and ``least_full`` derive an order's topological order, top
+and bottom.  Table kernels return n row tuples, None for an undefined
+cell; the axiom scans take flat row-major sequences of length n*n.
+``law_plan`` turns a suite that ``_common.law_compile`` compiled into
+Python loops, and ``law_scan`` checks its registers against each call's
+rows, as the compiled twin does, and runs them.  The compiled backend
+``_core_c`` implements the same contracts for carriers of at most 64
+elements; this module also covers larger carriers because Python ints
+are unbounded.  What it shares with the library comes from ``_common``.
 """
 
+from collections import namedtuple
 from itertools import permutations, product
+from math import inf
 
-# the law engine's entry points, part of this twin's API
-from ._law_py import LAW_OPS, law_compile, law_plan, law_scan  # noqa: F401
+from ._common import (LAW_OPS, LAW_TABLES, block_masks, common_bounds, extreme, join_into,
+                      pack, principal, relative_cell, star_cell, unpack)
 
 
 def transpose(n, up):
@@ -101,19 +101,6 @@ def closure(n, up):
     return tuple(out)
 
 
-def _extreme(mask, cone):
-    # the x of the set that lies within cone[x], or -1: its minimum when
-    # cone is up, its maximum when cone is down
-    m = mask
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        if mask & ~cone[x] == 0:
-            return x
-        m ^= low
-    return -1
-
-
 def _minimal(mask, down):
     # the x of the set whose down-set meets it in x alone
     return sum(1 << x for x in range(mask.bit_length()) if mask & down[x] == 1 << x)
@@ -131,45 +118,15 @@ def lattice_tables(n, up, down):
     for ra, a in enumerate(topo):
         for b in topo[ra:]:
             u = up[a] & up[b]
-            m = _extreme(u, up)
+            m = extreme(u, up)
             if m < 0:
                 return "join", a, b, _minimal(u, down)
             join[a][b] = join[b][a] = m
-            m = _extreme(down[a] & down[b], down)
+            m = extreme(down[a] & down[b], down)
             if m < 0:
                 return "meet", a, b, 0
             meet[a][b] = meet[b][a] = m
     return tuple(map(tuple, join)), tuple(map(tuple, meet))
-
-
-def star_cell(full, up, down, lu_ab, lu_b, b):
-    """Sectional pseudocomplement of a relative to b, or None.
-
-    ``lu_ab`` is L(U(a, b)), the common lower bounds of the common upper
-    bounds of a and b, and ``lu_b[c]`` is L(U(c, b)).  The cell is the
-    unique d with: for every c, L(U(a, b)) & L(U(c, b)) is the lower cone
-    of b exactly when d lies in U(c, b).  Computed as the minimum of the
-    intersection of the U(c, b) over the qualifying c, then verified.
-    """
-    lb = down[b]
-    t = full
-    for c, lu_cb in enumerate(lu_b):
-        if lu_ab & lu_cb == lb:
-            t &= up[c] & up[b]
-    d = _extreme(t, up)
-    if d >= 0 and down[d] >> b & 1 and lu_ab & down[d] == lb:
-        return d
-    return None
-
-
-def _common_bounds(full, cone, mask):
-    # common lower bounds of the set through down, upper through up; full if empty
-    acc = full
-    while mask:
-        low = mask & -mask
-        acc &= cone[low.bit_length() - 1]
-        mask ^= low
-    return acc
 
 
 def poset_star_table(n, up, down):
@@ -201,24 +158,8 @@ def operator_tables(n, up, down):
     full = (1 << n) - 1
     ids = {}
     uid = tuple([tuple([ids.setdefault(ux & uy, len(ids)) for uy in up]) for ux in up])
-    low = tuple([_common_bounds(full, down, u) for u in ids])
+    low = tuple([common_bounds(full, down, u) for u in ids])
     return tuple(ids), uid, low, tuple([tuple([low[i] for i in row]) for row in uid])
-
-
-def relative_cell(full, up, by_down, down_a, down_b):
-    """Greatest x whose common lower bounds with a lie below b, or None.
-
-    x fails exactly when it lies above some y <= a outside the cone of b,
-    so the qualifying set is a down-set: it has a greatest element exactly
-    when it is the cone ``down[x]`` of some x, which ``by_down`` maps to x.
-    """
-    above = 0
-    m = down_a & ~down_b
-    while m:
-        low = m & -m
-        above |= up[low.bit_length() - 1]
-        m ^= low
-    return by_down.get(full & ~above)
 
 
 def poset_relative_table(n, up, down):
@@ -228,6 +169,131 @@ def poset_relative_table(n, up, down):
     rows = tuple([tuple([relative_cell(full, up, by_down, da, db) for db in down])
                   for da in down])
     return rows, all(None not in row for row in rows)
+
+
+_FORMS = {"up": "U[{0}]", "down": "D[{0}]", "leq": "({0} >> {1} & 1)", "eq": "({0} == {1})",
+          "and": "({0} & {1})", "subset": "(not {0} & ~{1})"}
+
+
+# A compiled suite as Python loops: its law count, and for each arity that
+# has laws, (law indices, registers, scan function)
+Plan = namedtuple("Plan", "count batches")
+
+
+def _nest(arity, registers, outputs):
+    """The scan function of a batch.
+
+    It runs one nest of loops for the batch and returns the least failing
+    tuple or None of each output register.  A register that does not depend
+    on the innermost variable is computed once, in the loop of the
+    innermost variable it does depend on.
+    """
+    levels = [[] for _ in range(arity)]  # levels[0] runs before the loops
+    names, values, truths = {}, [], set()  # truths: the truth-valued registers
+
+    def value(expr, depth):
+        if depth < arity - 1:
+            if expr not in names:
+                names[expr] = f"v{len(names)}"
+                levels[depth + 1].append(f"{names[expr]} = {expr}")
+            expr = names[expr]
+        return expr, depth
+
+    for r, (op, arg, x, y) in enumerate(registers):
+        name = LAW_OPS[op]
+        if op > 1:
+            (a, da), (b, db) = values[x], values[y]
+            depth = max(da, db)
+        if name == "var":
+            v = (f"x{arg:d}", arg)
+        elif name == "const":
+            v = value(f"C[{arg:d}]", -1)
+        elif name == "table":
+            row = value(f"{value(f'T[{arg:d}]', -1)[0]}[{a}]", da)
+            v = value(f"{row[0]}[{b}]", depth)
+        elif name == "leq":
+            row = value(f"U[{a}]", da)
+            v = value(_FORMS[name].format(row[0], b), depth)
+        elif name == "subset" and {x, y} <= truths:
+            # an implication: its conclusion is evaluated only where needed
+            v = value(f"(not {a} or {b})", depth)
+        else:
+            v = value(_FORMS[name].format(a, b), depth)
+        if name in ("leq", "eq", "subset") or name == "and" and {x, y} <= truths:
+            truths.add(r)
+        values.append(v)
+
+    tests = [values[r][0] for r in outputs]
+    found = [f"w{i}" for i in range(len(tests))]
+    result = f"({''.join(f'{w}, ' for w in found)})"
+    lines = ["def scan(order, T, U, D, C):", f"    {' = '.join(found)} = None"]
+    for depth, level in enumerate(levels):
+        pad = "    " * (depth + 1)
+        lines += [pad + line for line in level] + [f"{pad}for x{depth} in order:"]
+    pad = "    " * (arity + 1)
+    for w, test in zip(found, tests):
+        # once a law has failed, the loops go on only for the others
+        lines += [f"{pad}if {w} is None and not {test}:",
+                  f"{pad}    {w} = ({''.join(f'x{i}, ' for i in range(arity))})",
+                  f"{pad}    if {' and '.join(f'{v} is not None' for v in found)}:",
+                  f"{pad}        return {result}"]
+    lines.append(f"    return {result}")
+    scope = {}
+    exec(compile("\n".join(lines), "<law>", "exec"), scope)
+    return scope["scan"]
+
+
+def law_plan(compiled):
+    """The pure twin's plan of a suite that ``law_compile`` compiled."""
+    registers, results = compiled
+    batches = []
+    for arity, batch in enumerate(registers, 1):
+        members = [p for p, (a, _) in enumerate(results) if a == arity]
+        if members:
+            outputs = [results[p][1] for p in members]
+            batches.append((members, batch, _nest(arity, batch, outputs)))
+    return Plan(len(results), tuple(batches))
+
+
+def law_scan(n, up, down, tables, plan):
+    """The least failing tuple of each law of plan, or None, in topological order."""
+    if n < 1:
+        raise ValueError("law_scan supports 1 <= n")
+    if type(plan) is not Plan:
+        raise TypeError("law_scan takes a plan that law_plan made")
+    if len(tables) > LAW_TABLES:
+        raise ValueError(f"law_scan takes at most {LAW_TABLES} tables")
+    widths, bounds = [], []
+    for table in tables:
+        if any(len(row) != len(table) for row in table):
+            raise ValueError("law tables must be square")
+        cells = [cell for row in table for cell in row]
+        if cells and (min(cells) < 0 or max(cells) >> n):
+            raise ValueError("law table entries must be masks within the carrier")
+        widths.append(len(table))
+        bounds.append(max(cells, default=0))
+    topo, consts = topo_order(n, down), (least_full(n, down), least_full(n, up))
+    # every batch's registers in turn, as the compiled twin checks them: each
+    # constant or table read is present, and no value used as an index may
+    # reach what it indexes, by the most each register holds
+    for _, registers, _ in plan.batches:
+        most = []
+        for op, arg, x, y in registers:
+            name = LAW_OPS[op]
+            if name == "const" and consts[arg] is None or name == "table" and (
+                    arg >= len(tables) or not widths[arg]):
+                raise ValueError("law program operand out of range")
+            a, b = (most[x], most[y]) if op > 1 else (0, 0)
+            if name in ("table", "up", "down", "leq") and max(a, b) >= (
+                    widths[arg] if name == "table" else n):
+                raise ValueError("law program indexes with a value that may be out of range")
+            most.append(n - 1 if op <= 1 else bounds[arg] if name == "table"
+                        else inf if name in ("up", "down") else min(a, b) if name == "and" else 1)
+    out = [None] * plan.count
+    for members, _, fn in plan.batches:
+        for p, witness in zip(members, fn(topo, tables, up, down, consts)):
+            out[p] = witness
+    return out
 
 
 def rrl_scan(n, up, top, join, mult, imp):
@@ -284,62 +350,6 @@ def divisibility_scan(n, join, mult, imp):
             if mult[join[xrow + y] * n + imp[xrow + y]] != y:
                 return False
     return True
-
-
-def merge(label, members, x, y):
-    """Union-find by block labels: the blocks of x and y become one.
-
-    The merged block takes the lesser label, so a label stays its block's
-    least member and a lookup is one index; ``members`` lists each block
-    under its label.
-    """
-    lx, ly = label[x], label[y]
-    if lx > ly:
-        lx, ly = ly, lx
-    for z in members[ly]:
-        label[z] = lx
-    members[lx] += members[ly]
-
-
-def join_into(label, members, other):
-    """Merge every block of the partition ``other`` (least-member labels) in."""
-    for i, l in enumerate(other):
-        if label[i] != label[l]:
-            merge(label, members, i, l)
-
-
-def principal(n, tables, a, b):
-    """Labels of the least congruence relating a and b.
-
-    A union-find worklist of pairs (Freese, "Computing congruences
-    efficiently", Algebra Universalis 59, 2008): each pair that merges two
-    blocks is pushed once, and popping it merges its translates
-    (t[x][z], t[y][z]) and (t[z][x], t[z][y]) through every table, the
-    second from the table's transpose, both sides because operations need
-    not commute.  At most n - 1 merges, so at most n pairs are pushed.
-    """
-    label = list(range(n))
-    members = [[i] for i in range(n)]
-    if a != b:
-        merge(label, members, a, b)
-    work = [(a, b)]
-    sides = [side for t in tables for side in (t, tuple(zip(*t)))]
-    while work:
-        x, y = work.pop()
-        for side in sides:
-            for p, q in zip(side[x], side[y]):
-                if label[p] != label[q]:
-                    merge(label, members, p, q)
-                    work.append((p, q))
-    return tuple(label)
-
-
-def block_masks(labels):
-    """The block of each element as a mask."""
-    masks = {}
-    for i, l in enumerate(labels):
-        masks[l] = masks.get(l, 0) | 1 << i
-    return [masks[l] for l in labels]
 
 
 def congruence_scan(n, tables, one):
@@ -427,17 +437,6 @@ def _regular(n, theta, distinct, one):
     return None
 
 
-def _pack(n, up):
-    packed = 0
-    for i in range(n):
-        packed |= up[i] << (8 * i)
-    return packed
-
-
-def _unpack(n, packed):
-    return [packed >> 8 * i & (1 << n) - 1 for i in range(n)]
-
-
 def enum_orders(n, lattices_only):
     """Packed order matrices of all naturally labeled posets on n points.
 
@@ -472,12 +471,12 @@ def enum_orders(n, lattices_only):
         return res
 
     def meets(i):
-        return all(_extreme(down[i] & down[j], down) >= 0 for j in range(i))
+        return all(extreme(down[i] & down[j], down) >= 0 for j in range(i))
 
     def rec(i):
         if i == n:
             if not lattices_only or down[n - 1] == full:
-                out.append(_pack(n, up))
+                out.append(pack(n, up))
             return
         bi = 1 << i
         for s in lower_sets(i):
@@ -550,7 +549,7 @@ def _canonical_packed(n, up):
                 row |= 1 << pos[low.bit_length() - 1]
                 rest ^= low
             rows.append(row)
-        packed = _pack(n, rows)
+        packed = pack(n, rows)
         if best is None or packed < best:
             best = packed
     return best
@@ -565,10 +564,10 @@ def canonical_keys(n, orders):
     """
     if not 1 <= n <= 8:
         raise ValueError("canonical_keys supports 1 <= n <= 8")
-    carrier = _pack(n, [(1 << n) - 1] * n)
+    carrier = pack(n, [(1 << n) - 1] * n)
     out = []
     for packed in orders:
         if packed & ~carrier:
             raise ValueError(f"expected packed orders within the {n}-element carrier")
-        out.append(_canonical_packed(n, _unpack(n, packed)))
+        out.append(_canonical_packed(n, unpack(n, packed)))
     return out

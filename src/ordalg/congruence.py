@@ -33,7 +33,7 @@ the block of one of each congruence for weak regularity.
 from functools import lru_cache
 
 from . import _kernels as kernels
-from ._kernels._core_py import block_masks, join_into, merge, principal
+from ._kernels._common import block_masks, join_into, merge, principal
 from .binop import BinOp
 from .errors import BudgetError, MissingConstantError
 from .verdict import HOLDS, Record, Verdict

@@ -9,14 +9,14 @@ through a canonical relabeling.  Both steps run in the kernel layer on
 packed order matrices (row i in bits 8i..8i+n): ``enum_orders`` lists
 the naturally labeled orders and ``canonical_keys`` maps each to the
 least packed word over the relabelings its refined color classes allow.
-Words are written and read with the pure twin's ``_pack`` and ``_unpack``,
-the one codec for them.
+Words are written and read with ``_kernels._common``'s ``pack`` and
+``unpack``, the one codec for them.
 """
 
 import re
 
 from . import _kernels as kernels
-from ._kernels._core_py import _pack, _unpack
+from ._kernels._common import pack, unpack
 from .binop import BinOp
 from .errors import BudgetError, DuplicateNameError, SizeBudgetError, UnknownFixtureError
 from .poset import MAX_ELEMENTS, Poset, make_poset
@@ -160,7 +160,7 @@ def canonical_key(p):
     """Relabeling-invariant integer key; equal keys mean isomorphic posets."""
     if p.n > 8:
         raise BudgetError("canonical keys support at most 8 elements")
-    return kernels.canonical_keys(p.n, [_pack(p.n, p.up)])[0]
+    return kernels.canonical_keys(p.n, [pack(p.n, p.up)])[0]
 
 
 def are_isomorphic(p, q):
@@ -222,10 +222,10 @@ def enumerate_structures(n, kind, dedup=True):
     if kind == "posets-with-top":
         # under a natural labeling only element n-1 can be the top, so an
         # order has a top exactly when every row holds bit n-1
-        top = _pack(n, [1 << n - 1] * n)
+        top = pack(n, [1 << n - 1] * n)
         orders = [packed for packed in orders if packed & top == top]
     # both kernels emit closed orders
     if dedup:
         orders = sorted(set(kernels.canonical_keys(n, orders)))
-    members = tuple(Poset(names, _unpack(n, packed), _closed=True) for packed in orders)
+    members = tuple(Poset(names, unpack(n, packed), _closed=True) for packed in orders)
     return Catalog(kind, n, dedup, members)

@@ -11,7 +11,7 @@ from functools import cached_property
 
 from . import _kernels as kernels
 from . import laws
-from ._kernels._core_py import _common_bounds
+from ._kernels._common import common_bounds
 from .binop import BinOp
 from .errors import CycleDetectedError, DuplicateNameError, SizeBudgetError, UnknownNameError
 from .verdict import Record
@@ -76,10 +76,8 @@ class Poset:
         return tuple((i, j) for i, mask in enumerate(self._covers) for j in self.iter_mask(mask))
 
     def iter_mask(self, mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        """The elements of a subset mask, in index order."""
+        return _elements(_within(self, mask))
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.names == other.names and self.up == other.up
@@ -110,14 +108,28 @@ def make_poset(names, cover_pairs, max_size=MAX_ELEMENTS):
     return Poset(names, kernels.closure(len(names), adj), _closed=True)
 
 
+def _within(p, mask):
+    # a negative mask has bits outside every carrier
+    if mask & ~p.full:
+        raise ValueError(f"mask {mask} has bits outside the carrier of {p.n} elements")
+    return mask
+
+
+def _elements(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def upper_set(p, mask):
     """Common upper bounds of the subset; the empty set yields everything."""
-    return _common_bounds(p.full, p.up, mask)
+    return common_bounds(p.full, p.up, _within(p, mask))
 
 
 def lower_set(p, mask):
     """Common lower bounds of the subset; the empty set yields everything."""
-    return _common_bounds(p.full, p.down, mask)
+    return common_bounds(p.full, p.down, _within(p, mask))
 
 
 def bounds(p):

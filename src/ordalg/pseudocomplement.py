@@ -4,9 +4,9 @@ Two independent routes exist on purpose: the lattice route works from
 join/meet tables, the poset route only from upper/lower cones.  On any
 lattice the two must agree cell for cell, and the test suite holds them
 to that.  The poset route is the kernels (``poset_star_table``,
-``poset_relative_table``), whose pure twin states each cell rule once
-(``star_cell``, ``relative_cell``); the single-cell functions here call
-those rules.  The lattice route stays plain Python, independent of them.
+``poset_relative_table``), whose cell rules ``_kernels._common`` states
+once (``star_cell``, ``relative_cell``); the single-cell functions here
+call those rules.  The lattice route stays plain Python, independent of them.
 The join formula of ``synthesize_sectional`` only explains a failure.
 ``classify`` and ``is_meet_semidistributive`` read modularity,
 distributivity and meet semidistributivity from the lattice's one kept
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import _kernels as kernels
 from . import laws
-from ._kernels._core_py import _extreme, relative_cell, star_cell
+from ._kernels._common import extreme, relative_cell, star_cell
 from .binop import BinOp
 from .poset import LatticeOps, NotALattice, as_lattice, lower_set
 from .verdict import Record, Verdict
@@ -31,7 +31,7 @@ def sectional_pc_lattice(lat, a, b):
     for x in range(p.n):
         if lat.meet[vee][x] == b:
             s |= 1 << x
-    m = _extreme(s, p.down)
+    m = extreme(s, p.down)
     return None if m < 0 else m
 
 
@@ -42,8 +42,13 @@ def relative_pc(lat, a, b):
     for x in range(p.n):
         if p.up[lat.meet[a][x]] >> b & 1:
             s |= 1 << x
-    m = _extreme(s, p.down)
+    m = extreme(s, p.down)
     return None if m < 0 else m
+
+
+def _check_pair(p, a, b):
+    if not (0 <= a < p.n and 0 <= b < p.n):
+        raise ValueError(f"pair ({a}, {b}) outside the carrier of {p.n} elements")
 
 
 def sectional_pc_poset(p, a, b):
@@ -52,12 +57,14 @@ def sectional_pc_poset(p, a, b):
     The result d is characterized by: for every c, the common lower bounds
     of U(a,b) and U(c,b) are exactly the cone of b iff d is in U(c,b).
     """
+    _check_pair(p, a, b)
     lu_b = [lower_set(p, p.up[c] & p.up[b]) for c in range(p.n)]
     return star_cell(p.full, p.up, p.down, lu_b[a], lu_b, b)
 
 
 def relative_pc_poset(p, a, b):
     """Greatest d whose common lower bounds with a sit inside the cone of b."""
+    _check_pair(p, a, b)
     by_down = {d: x for x, d in enumerate(p.down)}
     return relative_cell(p.full, p.up, by_down, p.down[a], p.down[b])
 

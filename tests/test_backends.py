@@ -24,6 +24,7 @@ from ordalg import (
     check_congruence_distributive,
     check_permutable,
     check_weakly_regular,
+    classify,
     as_lattice,
     direct_product,
     enumerate_structures,
@@ -35,12 +36,12 @@ from ordalg import (
     star_table_poset,
     synthesize_sectional,
 )
+from ordalg._kernels import _core_py as py
+from ordalg._kernels._common import law_compile
 
 pytestmark = pytest.mark.skipif(
     not kernels.HAVE_C, reason="compiled backend not built"
 )
-
-py = kernels._py
 
 
 def c_backend():
@@ -376,7 +377,7 @@ def rand_table(rng, n):
 
 def plan_of(twin, suite):
     """twin's plan of a suite of (arity, term) laws, compiled by the one compiler."""
-    return twin.law_plan(py.law_compile(suite))
+    return twin.law_plan(law_compile(suite))
 
 
 def test_law_scan_identical():
@@ -430,7 +431,7 @@ def law_scan_outcome(twin, args, plan):
 def random_plans(rng, k):
     """Both twins' plans of random_law(rng, k), or None when it does not compile."""
     try:
-        compiled = py.law_compile([random_law(rng, k)])
+        compiled = law_compile([random_law(rng, k)])
     except ValueError:
         return None
     return c_backend().law_plan(compiled), py.law_plan(compiled)
@@ -547,7 +548,7 @@ def test_law_terms_compile_to_any_shape_within_64_nodes():
             outcomes.add("error" if got[0] is ValueError else "ran")
     for term in deepest:
         with pytest.raises(ValueError, match="at most 64 nodes"):
-            py.law_compile([(2, laws.up(term))])
+            law_compile([(2, laws.up(term))])
     assert outcomes == {"error", "ran"}
 
 
@@ -898,14 +899,14 @@ def test_law_compile_rejects_each_static_fault():
     ):
         for suite in ([law], [good, law]):
             with pytest.raises(ValueError, match=error):
-                py.law_compile(suite)
+                law_compile(suite)
             with pytest.raises(ValueError, match=error):
                 kernels.LawSuite(suite)
     for suite in ([(1.0, x0)], [5], [("var", 0)]):
         with pytest.raises(TypeError):
-            py.law_compile(suite)
+            law_compile(suite)
     # 64 nodes compile
-    assert len(py.law_compile([(1, ups(63))])[0][0]) == 64
+    assert len(law_compile([(1, ups(63))])[0][0]) == 64
 
 
 def test_law_plan_reads_only_well_formed_suites():
@@ -917,7 +918,7 @@ def test_law_plan_reads_only_well_formed_suites():
     c = c_backend()
     var, table_, up, down, subset = (kernels.LAW_OPS.index(op) for op in (
         "var", "table", "up", "down", "subset"))
-    compiled = py.law_compile([(2, table(0, x0, x1)),
+    compiled = law_compile([(2, table(0, x0, x1)),
                                (1, laws.within(laws.up(x0), laws.down(x0)))])
     # x0, up(x0), down(x0), up(x0) within down(x0); x0, x1, join[x0][x1]
     assert compiled == ((((var, 0, 0, 0), (up, 0, 0, 0), (down, 0, 0, 0), (subset, 0, 1, 2)),
@@ -1010,7 +1011,7 @@ def test_law_plan_reads_only_well_formed_suites():
                       (py, c.law_plan(compiled)), (py, compiled), (py, None)):
         with pytest.raises(TypeError):
             twin.law_scan(*args, bad)
-    plan = c.law_plan(py.law_compile([(2, table(0, x0, x1))]))
+    plan = c.law_plan(law_compile([(2, table(0, x0, x1))]))
     gc.collect()
     assert c.law_scan(*args, plan) == [(0, 0)]
 
@@ -1047,6 +1048,30 @@ def test_a_process_on_the_compiled_twin_never_generates_loops():
                          env=dict(os.environ, ORDALG_BACKEND="c"))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_the_pure_twin_loads_only_for_a_call_it_serves():
+    """On the compiled twin, the CLI module and checks within 64 elements
+    never import the pure twin; a 65-element chain imports it, with the
+    answers it gives in this process."""
+    code = ("import sys, ordalg, ordalg.cli\n"
+            "from ordalg import classify, make_poset, star_table_poset\n"
+            "lat = ordalg.as_lattice(ordalg.fixture('bool6').poset)\n"
+            "cand = ordalg.from_sectional(lat, ordalg.synthesize_sectional(lat))\n"
+            "assert ordalg.check_residuation(cand) and classify(lat.poset, lat)\n"
+            "print('ordalg._kernels._core_py' in sys.modules)\n"
+            "names = tuple(f'c{i}' for i in range(65))\n"
+            "p = make_poset(names, tuple(zip(names, names[1:])), max_size=100)\n"
+            "print('ordalg._kernels._core_py' in sys.modules)\n"
+            "print(repr(classify(p)))\n"
+            "print(star_table_poset(p).table)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, ORDALG_BACKEND="c"))
+    assert out.returncode == 0, out.stderr
+    names = tuple(f"c{i}" for i in range(65))
+    p = make_poset(names, tuple(zip(names, names[1:])), max_size=100)
+    assert out.stdout.splitlines() == ["False", "True", repr(classify(p)),
+                                       str(py.poset_star_table(p.n, p.up, p.down)[0])]
 
 
 def test_env_var_selects_backend():

@@ -27,6 +27,7 @@ from ordalg import (
     upper_set,
 )
 from ordalg import _kernels as kernels
+from ordalg._kernels import _core_py
 
 from oracles import (
     checked_order,
@@ -197,7 +198,7 @@ def test_covers_are_the_pairs_with_nothing_between(twin, monkeypatch):
     orders = [p.up for n in range(1, 8) for p in enumerate_structures(n, "all-posets").members]
     orders += [fixture(name).poset.up for name in ("bool6", "chain64")]
     if twin == "pure":
-        monkeypatch.setattr(kernels, "_active", kernels._py)
+        monkeypatch.setattr(kernels, "_active", _core_py)
     elif not kernels.HAVE_C:
         pytest.skip("compiled backend not built")
     for up in orders:
@@ -223,6 +224,18 @@ def test_bounds_and_cones():
     assert lower_set(p, mask("ab")) == mask("0")
     assert upper_set(p, 0) == p.full
     assert upper_set(p, mask("a")) == mask("ac1")
+
+
+def test_masks_outside_the_carrier_are_refused():
+    """iter_mask, upper_set and lower_set refuse a mask with bits outside
+    the carrier, a negative one included, naming it and the carrier size."""
+    p = pentagon()
+    assert list(p.iter_mask(p.full)) == [0, 1, 2, 3, 4]
+    for bad in (-1, -2, 1 << 5, 1 << 9, p.full | 1 << 7):
+        for call in (p.iter_mask, lambda m: upper_set(p, m), lambda m: lower_set(p, m)):
+            with pytest.raises(ValueError, match=f"^mask {bad} has bits outside the carrier "
+                                                 "of 5 elements$"):
+                call(bad)
 
 
 def test_as_lattice_tables_cross_verified():
@@ -271,7 +284,7 @@ def test_lattice_ops_names_a_cell_that_is_not_an_element(twin, monkeypatch):
     """A float, a string, an index outside the carrier or None in a join or
     meet table is a ValueError naming the cell, on either kernel twin."""
     if twin == "pure":
-        monkeypatch.setattr(kernels, "_active", kernels._py)
+        monkeypatch.setattr(kernels, "_active", _core_py)
     elif not kernels.HAVE_C:
         pytest.skip("compiled backend not built")
     p = fixture("chain3").poset
@@ -391,7 +404,7 @@ def assert_witness_is_the_rescan(p):
 def test_lattice_witness_is_the_rescan_on_every_small_labelled_poset():
     # each poset as enumerated and with its labels reversed, so that topo
     # order and index order differ; the kernel twins one by one
-    twins = (kernels._py,) + ((kernels._c,) if kernels.HAVE_C else ())
+    twins = (_core_py,) + ((kernels._c,) if kernels.HAVE_C else ())
     labelled = failing = 0
     for n in range(1, 7):
         for q in enumerate_structures(n, "all-posets", dedup=False).members:

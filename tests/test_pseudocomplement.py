@@ -61,6 +61,15 @@ def test_pentagon_relative_gap_is_exactly_c_a():
     assert relative_table_poset(p).undefined_cells() == ((c, a),)
 
 
+def test_poset_route_cells_refuse_elements_outside_the_carrier():
+    p = fixture("pentagon").poset
+    for cell in (sectional_pc_poset, relative_pc_poset):
+        for a, b in ((7, 1), (1, 7), (5, 0), (-1, 1), (1, -1)):
+            with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside the carrier "
+                                                 "of 5 elements$"):
+                cell(p, a, b)
+
+
 def test_bowtie_star_matches_frozen_and_relative_total():
     fx = fixture("bowtie")
     assert star_table_poset(fx.poset).table == fx.star.table

@@ -1,13 +1,16 @@
 """The record types: a light import and frozen value semantics."""
 
+import ast
 import copy
 import inspect
+import pathlib
 import pickle
 import subprocess
 import sys
 
 import pytest
 
+import ordalg
 from ordalg import (
     AxiomReport,
     BinOp,
@@ -50,6 +53,43 @@ def test_importing_ordalg_loads_no_introspection_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _imports(path):
+    """(names, nested) of each import in a module, ``import_module`` calls
+    included: the dotted parts of the module and of each name it imports,
+    and whether it is an import statement inside a function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for node in ast.walk(fn) if node is not fn}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "import_module":
+            names = [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
+        else:
+            continue
+        nested_statement = id(node) in nested and not isinstance(node, ast.Call)
+        yield {part for name in names for part in name.split(".")}, nested_statement
+
+
+def test_only_the_dispatcher_imports_a_kernel_twin():
+    """Only _kernels/__init__.py imports either twin, the pure one through
+    its one lazy import_module call; no kernel module has an import
+    statement inside a function, and _common imports nothing, so the
+    kernel modules import no cycle."""
+    root = pathlib.Path(ordalg.__file__).parent
+    twins = {"_core_py", "_core_c"}
+    importers = {path.relative_to(root).as_posix() for path in root.rglob("*.py")
+                 for names, _ in _imports(path) if names & twins}
+    assert importers == {"_kernels/__init__.py"}
+    kernels = root / "_kernels"
+    assert [path.name for path in sorted(kernels.glob("*.py"))
+            for _, nested in _imports(path) if nested] == []
+    assert list(_imports(kernels / "_common.py")) == []
 
 
 def _pentagon_candidate():

@@ -61,10 +61,10 @@ skips() {
 # The default backend runs every test: a skip means the compiled twin did not
 # build, and the differential tests in tests/test_backends.py did not run.
 step "tier-1" skips 0 "" python3 -m pytest -q -rs --continue-on-collection-errors
-# The pure twin skips exactly the tests that need the compiled one: the 28 of
+# The pure twin skips exactly the tests that need the compiled one: the 29 of
 # tests/test_backends.py and the two [compiled] cases of tests/test_poset.py.
 # A compiled-only test added later raises the count here.
-step "tier-1, pure twin" skips 30 "compiled backend not built" \
+step "tier-1, pure twin" skips 31 "compiled backend not built" \
     env ORDALG_BACKEND=py python3 -m pytest -q -rs --continue-on-collection-errors
 step "perfbench self-tests" python3 -m pytest -q perfbench
 # Each workload's answers and twin gate, in a 3-second run: the run exits
