@@ -1,4 +1,5 @@
-"""The record types: a light import and frozen value semantics."""
+"""The record types: a light import and frozen value semantics; and which
+modules import the kernel twins."""
 
 import ast
 import copy
@@ -61,7 +62,7 @@ def _imports(path):
     and whether it is an import statement inside a function."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     nested = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if node is not fn}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
