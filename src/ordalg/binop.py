@@ -73,6 +73,15 @@ class BinOp(Record):
                         return (a, b)
         return None
 
+    def differences(self, rows, order):
+        """Each cell (a, b) where the table differs from ``rows``, a then b taken in ``order``."""
+        for a in order:
+            mine, theirs = self.table[a], rows[a]
+            if mine != theirs:
+                for b in order:
+                    if mine[b] != theirs[b]:
+                        yield (a, b)
+
     def flat(self):
         return [-1 if cell is None else cell for row in self.table for cell in row]
 

@@ -81,34 +81,21 @@ def _order_line(p, lat):
     return f"order: not a lattice ({_lattice_failure(p, lat.kind, *lat.pair, lat.frontier)})"
 
 
-def _mismatches(p, expected, given):
-    out = []
-    for ra in range(p.n):
-        a = p.topo[ra]
-        for rb in range(p.n):
-            b = p.topo[rb]
-            want = expected.value(a, b)
-            got = given.value(a, b)
-            if want != got:
-                out.append((a, b, want, got))
-    return out
-
-
 def _cell(p, v):
     return "undefined" if v is None else p.names[v]
 
 
 def _report_table(p, name, given, expected, what, source):
-    """Print one ``op NAME:`` line for a declared table; 1 if it differs, else 0."""
-    bad = _mismatches(p, expected, given)
+    """Print one ``op NAME:`` line for a declared table; 1 if it differs from ``expected``."""
+    bad = list(given.differences(expected, p.topo))
     if not bad:
         print(f"op {name}: matches the {what} table")
         return 0
-    a, b, want, got = bad[0]
+    a, b = bad[0]
     infix = name if name == "*" else f" {name} "
     print(f"op {name}: {len(bad)} cells differ; first at "
-          f"{p.names[a]}{infix}{p.names[b]}: file says {_cell(p, got)}, "
-          f"{source} {_cell(p, want)}")
+          f"{p.names[a]}{infix}{p.names[b]}: file says {_cell(p, given.value(a, b))}, "
+          f"{source} {_cell(p, expected[a][b])}")
     return 1
 
 
@@ -131,7 +118,7 @@ def cmd_check(args):
     failures = 0
 
     if "*" in ops:
-        failures += _report_table(p, "*", ops["*"], star_table_poset(p),
+        failures += _report_table(p, "*", ops["*"], star_table_poset(p).table,
                                   "sectional pseudocomplement", "synthesized")
     for name in ("join", "meet"):
         if name not in ops:
@@ -140,7 +127,7 @@ def cmd_check(args):
             failures += 1
             print(f"op {name}: fails (order is not a lattice)")
         else:
-            failures += _report_table(p, name, ops[name], BinOp._trusted(getattr(lat, name), True),
+            failures += _report_table(p, name, ops[name], getattr(lat, name),
                                       f"lattice {name}", "the lattice gives")
 
     if "mult" in ops and "imp" in ops:

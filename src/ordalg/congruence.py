@@ -36,6 +36,7 @@ from . import _kernels as kernels
 from ._kernels._common import block_masks, join_into, merge, principal
 from .binop import BinOp
 from .errors import BudgetError, MissingConstantError
+from .poset import _check_pair
 from .verdict import HOLDS, Record, Verdict
 
 CONGRUENCE_BUDGET = 4096
@@ -177,10 +178,8 @@ class Congruence(Record):
 
 def principal_congruence(algebra, a, b):
     """Least congruence relating a and b, by a union-find worklist of pairs."""
-    n = algebra.n
-    if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"pair ({a}, {b}) outside the carrier of {n} elements")
-    return Congruence(principal(n, [op.table for _, op in algebra.ops], a, b))
+    _check_pair(algebra.n, a, b)
+    return Congruence(principal(algebra.n, [op.table for _, op in algebra.ops], a, b))
 
 
 @lru_cache(maxsize=1)

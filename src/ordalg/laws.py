@@ -85,16 +85,13 @@ def scan(p, suite, **tables):
         p.n, p.up, p.down, [tables.get(name, ()) for name in TABLES], suite)))
 
 
-# Lattices: a join table holds least upper bounds, and a meet table
-# greatest lower bounds, exactly when these hold; then the three laws
-JOIN_IS_LUB = Law(eq(both(up(a), up(b)), up(join(a, b))))
-MEET_IS_GLB = Law(eq(both(down(a), down(b)), down(meet(a, b))))
+# Lattices: the three laws classify reads, on the order's own join and
+# meet (as_lattice's, the only ones LatticeOps admits), scanned together
+# once per lattice
 MODULAR = Law(eq(join(a, meet(b, c)), meet(join(a, b), c)), guard=leq(a, c))
 DISTRIBUTIVE = Law(eq(meet(a, join(b, c)), join(meet(a, b), meet(a, c))))
 MEET_SEMIDISTRIBUTIVE = Law(eq(meet(a, join(b, c)), meet(a, b)),
                             guard=eq(meet(a, b), meet(a, c)))
-LATTICE_OPS = Suite((JOIN_IS_LUB, MEET_IS_GLB))
-# The three laws classify reads, scanned together once per lattice
 LATTICE = Suite((MODULAR, DISTRIBUTIVE, MEET_SEMIDISTRIBUTIVE))
 
 # Residuation axioms: a commutative groupoid with unit top, monotone

@@ -11,7 +11,7 @@ from functools import cached_property
 from . import _kernels as kernels
 from . import laws
 from .errors import NoTopError, OrdAlgError, PartialStarError, SubsetBudgetError
-from .poset import lower_set
+from .poset import _check_pair, lower_set
 from .residuation import AxiomReport, _require_verified
 from .verdict import HOLDS, Record, Verdict
 
@@ -122,12 +122,8 @@ def canonical_operators(p, star):
 
 def generated_family(p):
     """Deterministic small family of subset masks: all U(x,y), singletons, empty, full."""
-    fam = {0, p.full}
-    for i in range(p.n):
-        fam.add(1 << i)
-        for j in range(p.n):
-            fam.add(p.up[i] & p.up[j])
-    return tuple(sorted(fam))
+    us = kernels.operator_tables(p.n, p.up, p.down)[0]
+    return tuple(sorted({0, p.full, *(1 << i for i in range(p.n)), *us}))
 
 
 def check_operator_axioms(op, exhaustive_subsets=False):
@@ -225,6 +221,7 @@ def adjointness_solutions(p, a, b):
     poset with top this set is empty or a single element, and it is
     nonempty exactly when the sectional pseudocomplement exists.
     """
+    _check_pair(p.n, a, b)
     lb = p.down[b]
     lu_ab = lower_set(p, p.up[a] & p.up[b])
     # each c keeps the v inside U(c,b) when its condition holds, else those outside

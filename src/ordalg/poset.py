@@ -115,6 +115,12 @@ def _within(p, mask):
     return mask
 
 
+def _check_pair(n, a, b):
+    # an index check before a cell lookup: a negative index would wrap
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"pair ({a}, {b}) outside the carrier of {n} elements")
+
+
 def _elements(mask):
     while mask:
         low = mask & -mask
@@ -156,18 +162,19 @@ class NotALattice(Record):
 class LatticeOps(Record):
     """Total join/meet tables over a poset; verified against the order.
 
-    The rows are tuples.  The first lattice check to run scans the three
-    laws of ``laws.LATTICE`` once and keeps the result as ``found``.
-    Tables derived from the poset are not kept here: ``star_table_poset``
-    keeps the last poset's star table.
+    A finite order has at most one join table and one meet table, which
+    ``as_lattice`` computes; tables given here must equal them, cell for
+    cell, and the object keeps ``as_lattice``'s rows.  The first lattice
+    check to run scans the three laws of ``laws.LATTICE`` once and keeps
+    the result as ``found``.  Tables derived from the poset are not kept
+    here: ``star_table_poset`` keeps the last poset's star table.
     """
 
     __slots__ = ("poset", "join", "meet", "top", "bottom", "__dict__")
 
     def __init__(self, poset, join, meet):
         p = poset
-        tables = []
-        # BinOp's rules first, so that only element indices reach the scan
+        ops = {}
         for name, table in (("join", join), ("meet", meet)):
             try:
                 op = BinOp(p.n, table)
@@ -176,20 +183,18 @@ class LatticeOps(Record):
             if not op.is_total:
                 a, b = op.first_undefined(p.topo)
                 raise ValueError(f"{name} table undefined at ({p.names[a]}, {p.names[b]})")
-            tables.append(op.table)
-        join, meet = tables
-        found = laws.scan(p, laws.LATTICE_OPS, join=join, meet=meet)
-        for name, pair in (("join", found[laws.JOIN_IS_LUB]), ("meet", found[laws.MEET_IS_GLB])):
-            if pair is not None:
-                raise ValueError(f"{name} table wrong at ({p.names[pair[0]]}, {p.names[pair[1]]})")
-        self._fill(p, join, meet, p.top, p.bottom)
-
-    @classmethod
-    def _trusted(cls, p, join, meet):
-        """LatticeOps over the ``lattice_tables`` kernel's join and meet, taken unchecked."""
-        lat = object.__new__(cls)
-        lat._fill(p, join, meet, p.top, p.bottom)
-        return lat
+            ops[name] = op
+        lat = as_lattice(p)
+        if isinstance(lat, NotALattice):
+            a, b = lat.pair
+            raise ValueError(
+                f"order is not a lattice: {lat.kind} fails at ({p.names[a]}, {p.names[b]})")
+        for name, op in ops.items():
+            wrong = next(op.differences(getattr(lat, name), p.topo), None)
+            if wrong is not None:
+                a, b = wrong
+                raise ValueError(f"{name} table wrong at ({p.names[a]}, {p.names[b]})")
+        self._fill(p, lat.join, lat.meet, p.top, p.bottom)
 
     @cached_property
     def found(self):
@@ -215,11 +220,14 @@ def as_lattice(p):
 
     The ``lattice_tables`` kernel runs the pairs in the fixed topological
     order and names the first failure itself, with its frontier as a mask.
-    Its tables are least upper and greatest lower bounds by its contract,
-    so they enter LatticeOps without the law engine's check.
+    Its tables are the order's least upper and greatest lower bounds, the
+    ones ``LatticeOps(p, join, meet)`` holds given tables to, so they
+    enter the LatticeOps as they are.
     """
     tabs = kernels.lattice_tables(p.n, p.up, p.down)
     if len(tabs) == 2:
-        return LatticeOps._trusted(p, *tabs)
+        lat = object.__new__(LatticeOps)
+        lat._fill(p, *tabs, p.top, p.bottom)
+        return lat
     kind, a, b, frontier = tabs
     return NotALattice(kind, (a, b), tuple(i for i in p.topo if frontier >> i & 1), p)

@@ -19,13 +19,14 @@ from . import _kernels as kernels
 from . import laws
 from ._kernels._common import extreme, relative_cell, star_cell
 from .binop import BinOp
-from .poset import LatticeOps, NotALattice, as_lattice, lower_set
+from .poset import LatticeOps, NotALattice, _check_pair, as_lattice, lower_set
 from .verdict import Record, Verdict
 
 
 def sectional_pc_lattice(lat, a, b):
     """Greatest x with (a v b) ^ x = b, or None if the set has no greatest."""
     p = lat.poset
+    _check_pair(p.n, a, b)
     vee = lat.join[a][b]
     s = 0
     for x in range(p.n):
@@ -38,6 +39,7 @@ def sectional_pc_lattice(lat, a, b):
 def relative_pc(lat, a, b):
     """Greatest x with a ^ x <= b, or None."""
     p = lat.poset
+    _check_pair(p.n, a, b)
     s = 0
     for x in range(p.n):
         if p.up[lat.meet[a][x]] >> b & 1:
@@ -46,25 +48,20 @@ def relative_pc(lat, a, b):
     return None if m < 0 else m
 
 
-def _check_pair(p, a, b):
-    if not (0 <= a < p.n and 0 <= b < p.n):
-        raise ValueError(f"pair ({a}, {b}) outside the carrier of {p.n} elements")
-
-
 def sectional_pc_poset(p, a, b):
     """Cone-only sectional pseudocomplement of a relative to b, or None.
 
     The result d is characterized by: for every c, the common lower bounds
     of U(a,b) and U(c,b) are exactly the cone of b iff d is in U(c,b).
     """
-    _check_pair(p, a, b)
+    _check_pair(p.n, a, b)
     lu_b = [lower_set(p, p.up[c] & p.up[b]) for c in range(p.n)]
     return star_cell(p.full, p.up, p.down, lu_b[a], lu_b, b)
 
 
 def relative_pc_poset(p, a, b):
     """Greatest d whose common lower bounds with a sit inside the cone of b."""
-    _check_pair(p, a, b)
+    _check_pair(p.n, a, b)
     by_down = {d: x for x, d in enumerate(p.down)}
     return relative_cell(p.full, p.up, by_down, p.down[a], p.down[b])
 

@@ -534,10 +534,12 @@ def _triples(p):
 
 
 def lattice_tables_by_loops(p, join, meet):
-    """The message LatticeOps rejects the tables with, or None.
+    """The message LatticeOps rejects the tables of a lattice with, or None.
 
-    LatticeOps's per-cell checks before the law engine, now run on join
-    before meet, each over pairs in topological order.
+    A lub check on each join cell, then a glb check on each meet cell,
+    each over pairs in topological order.  On a lattice a cell fails them
+    exactly where its table differs from ``as_lattice``'s, which is where
+    LatticeOps names it.
     """
     for name, table, cone in (("join", join, p.up), ("meet", meet, p.down)):
         for a, b in _pairs(p):

@@ -20,7 +20,6 @@ from ordalg import _kernels as kernels
 from ordalg import (
     BinOp,
     FiniteAlgebra,
-    LatticeOps,
     check_congruence_distributive,
     check_permutable,
     check_weakly_regular,
@@ -383,7 +382,7 @@ def plan_of(twin, suite):
 def test_law_scan_identical():
     c = c_backend()
     library = library_laws()
-    assert len(library) > 30
+    assert len(library) >= 30
     plans = plan_of(c, library), plan_of(py, library)
     sizes, results = set(), set()
     for args in law_inputs():
@@ -847,8 +846,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
                 twin.canonical_keys(n, [1, word])
 
 
-LIBRARY_SUITES = ("LATTICE_OPS", "LATTICE", "CANDIDATE", "HALF_ADJOINT", "OPERATOR",
-                  "OPERATOR_WITHOUT_BOTTOM")
+LIBRARY_SUITES = ("LATTICE", "CANDIDATE", "HALF_ADJOINT", "OPERATOR", "OPERATOR_WITHOUT_BOTTOM")
 
 
 def test_library_suites_are_every_suite_in_laws():
@@ -1028,9 +1026,8 @@ def test_each_twin_scans_with_its_own_plan_of_a_suite(monkeypatch):
     names = tuple(f"c{i}" for i in range(70))
     for p in (fixture("chain3").poset, fixture("bool3").poset,
               make_poset(names, tuple(zip(names, names[1:])), max_size=128)):
-        lat = as_lattice(p)
-        LatticeOps(p, lat.join, lat.meet)
-    suite = laws.LATTICE_OPS
+        as_lattice(p).found
+    suite = laws.LATTICE
     assert seen == [(c, suite.c_plan), (c, suite.c_plan), (py, suite.py_plan)]
 
 

@@ -6,6 +6,7 @@ also run past their gate, on a report with no verdicts, so that failing
 inputs reach them.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -342,11 +343,11 @@ def test_scan_rejects_table_names_it_does_not_know():
     lat = as_lattice(fixture("pentagon").poset)
     p = lat.poset
     with pytest.raises(ValueError, match="^unknown tables: mlt$"):
-        laws.scan(p, laws.LATTICE_OPS, join=lat.join, meet=lat.meet, mlt=lat.meet)
+        laws.scan(p, laws.LATTICE, join=lat.join, meet=lat.meet, mlt=lat.meet)
     with pytest.raises(ValueError, match="^unknown tables: mete$"):
-        laws.scan(p, laws.LATTICE_OPS, join=lat.join, mete=lat.meet)
+        laws.scan(p, laws.LATTICE, join=lat.join, mete=lat.meet)
     with pytest.raises(ValueError, match="^unknown tables: a, b$"):
-        laws.scan(p, laws.LATTICE_OPS, join=lat.join, meet=lat.meet, b=(), a=())
+        laws.scan(p, laws.LATTICE, join=lat.join, meet=lat.meet, b=(), a=())
 
 
 def test_a_suite_answers_by_law_whatever_its_order():
@@ -363,6 +364,27 @@ def test_a_suite_answers_by_law_whatever_its_order():
     assert list(found) == list(laws.CANDIDATE.laws)
     assert laws.scan(lat.poset, reverse, **tables) == found
     assert len({w for w in found.values() if w is not None}) >= 3
+
+
+# The first 16 hex digits of sha256(repr(suite.compiled)) of each suite the
+# library scans: a change to a law, or to the compiler, that moves a
+# compiled suite changes its digest here
+SUITE_DIGESTS = {
+    "LATTICE": "6781436abfd0fa2d",
+    "CANDIDATE": "dcd8fbc82f35a102",
+    "HALF_ADJOINT": "6a9aa7588e107585",
+    "OPERATOR": "f4848cbbfdefe11b",
+    "OPERATOR_WITHOUT_BOTTOM": "3e2fde88284e4267",
+}
+
+
+def test_library_suites_compile_to_their_pinned_digests():
+    # law_compile is shared Python, so this reads no kernel and holds on both twins
+    suites = {name: value for name, value in vars(laws).items() if isinstance(value, laws.Suite)}
+    assert suites.keys() == SUITE_DIGESTS.keys()
+    for name, suite in suites.items():
+        digest = hashlib.sha256(repr(suite.compiled).encode()).hexdigest()[:16]
+        assert digest == SUITE_DIGESTS[name], name
 
 
 def test_a_law_takes_its_arity_from_the_variables_it_reads():

@@ -98,6 +98,14 @@ def test_generated_family_contents():
     assert all(1 << i in fam for i in range(p.n))
 
 
+def test_generated_family_is_every_cone_meet_with_singletons_empty_and_full():
+    for n in range(1, 6):
+        for p in enumerate_structures(n, "all-posets").members:
+            fam = {0, p.full, *(1 << i for i in range(n))}
+            fam |= {p.up[i] & p.up[j] for i in range(n) for j in range(n)}
+            assert generated_family(p) == tuple(sorted(fam)), p.up
+
+
 def test_broken_residual_fails_forward_adjointness():
     p = fixture("bowtie").poset
     bad = ExplicitResidual(
@@ -180,6 +188,14 @@ def test_adjointness_solutions_match_star_on_fixtures():
                 sols = adjointness_solutions(p, a, b)
                 d = star.value(a, b)
                 assert sols == ((d,) if d is not None else ())
+
+
+def test_adjointness_solutions_refuse_elements_outside_the_carrier():
+    p = fixture("pentagon").poset
+    for a, b in ((7, 0), (0, 7), (5, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside the carrier "
+                                             "of 5 elements$"):
+            adjointness_solutions(p, a, b)
 
 
 def test_adjointness_solutions_sweep_small_posets_with_top():

@@ -21,7 +21,6 @@ from ordalg import (
     direct_product,
     enumerate_structures,
     fixture,
-    laws,
     lower_set,
     make_poset,
     upper_set,
@@ -32,6 +31,7 @@ from ordalg._kernels import _core_py
 from oracles import (
     checked_order,
     covers_by_definition,
+    lattice_tables_by_loops,
     not_a_lattice_by_rescan,
     poset_from_edges,
     relabeled,
@@ -301,6 +301,29 @@ def test_lattice_ops_names_a_cell_that_is_not_an_element(twin, monkeypatch):
     assert LatticeOps(p, [list(row) for row in lat.join], lat.meet).join == lat.join
 
 
+def test_lattice_ops_on_an_order_that_is_not_a_lattice_names_its_witness():
+    """No tables are a non-lattice's join and meet: whatever total tables
+    are given, all-top ones among them, LatticeOps names the pair that
+    as_lattice finds without a lub."""
+    p = fixture("bowtie").poset
+    witness = as_lattice(p)
+    assert (witness.kind, witness.pair) == ("join", (p.index("a"), p.index("b")))
+    rng = random.Random(43)
+    tables = [(((p.top,) * p.n,) * p.n,) * 2]
+    tables += [[[[rng.randrange(p.n) for _ in range(p.n)] for _ in range(p.n)] for _ in "jm"]
+               for _ in range(20)]
+    for join, meet in tables:
+        with pytest.raises(ValueError, match=r"^order is not a lattice: join fails at \(a, b\)$"):
+            LatticeOps(p, join, meet)
+
+
+def test_lattice_ops_keeps_the_orders_tables_on_every_small_lattice():
+    for n in range(1, 9):
+        for p in enumerate_structures(n, "lattices").members:
+            lat = as_lattice(p)
+            assert LatticeOps(p, [list(row) for row in lat.join], lat.meet) == lat, p.up
+
+
 @st.composite
 def random_posets(draw, max_n=7):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -348,12 +371,11 @@ def test_cone_galois_connection(p):
 
 def tables_are_bounds(lat):
     """True when lat's join and meet are least upper and greatest lower bounds."""
-    found = laws.scan(lat.poset, laws.LATTICE_OPS, join=lat.join, meet=lat.meet)
-    return found == {laws.JOIN_IS_LUB: None, laws.MEET_IS_GLB: None}
+    return lattice_tables_by_loops(lat.poset, lat.join, lat.meet) is None
 
 
 def test_kernel_join_and_meet_are_bounds_on_every_small_lattice():
-    # as_lattice takes the kernel's tables unchecked; hold them to the laws
+    # as_lattice takes the kernel's tables unchecked; hold them to the per-cell loops
     for n in range(1, 9):
         for p in enumerate_structures(n, "lattices").members:
             assert tables_are_bounds(as_lattice(p)), p.up

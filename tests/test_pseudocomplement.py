@@ -70,6 +70,17 @@ def test_poset_route_cells_refuse_elements_outside_the_carrier():
                 cell(p, a, b)
 
 
+def test_lattice_route_cells_refuse_elements_outside_the_carrier():
+    # a negative index would read the last element's row, and 7 past the rows
+    p = fixture("pentagon").poset
+    lat = as_lattice(p)
+    for cell in (sectional_pc_lattice, relative_pc):
+        for a, b in ((7, 1), (1, 7), (5, 0), (-1, 1), (1, -1)):
+            with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside the carrier "
+                                                 "of 5 elements$"):
+                cell(lat, a, b)
+
+
 def test_bowtie_star_matches_frozen_and_relative_total():
     fx = fixture("bowtie")
     assert star_table_poset(fx.poset).table == fx.star.table
