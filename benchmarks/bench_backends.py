@@ -65,16 +65,13 @@ def workloads():
 
     cube = fixture("bool5").poset
     yield "lattice tables n=32", "lattice_tables", (cube.n, list(cube.up), list(cube.down))
-    yield "star table n=32", "poset_star_table", (cube.n, list(cube.up), list(cube.down))
-    yield "relative table n=32", "poset_relative_table", (cube.n, list(cube.up), list(cube.down))
+    yield "pseudocomplement tables n=32", "poset_pc_tables", (cube.n, list(cube.up), list(cube.down))
     yield "operator tables n=32", "operator_tables", (cube.n, list(cube.up), list(cube.down))
 
     prod = direct_product(fixture("bowtie").poset, fixture("pentagon").poset)
     yield "lattice tables n=30 (non-lattice)", "lattice_tables", \
         (prod.n, list(prod.up), list(prod.down))
-    yield "star table n=30 (non-lattice)", "poset_star_table", \
-        (prod.n, list(prod.up), list(prod.down))
-    yield "relative table n=30 (non-lattice)", "poset_relative_table", \
+    yield "pseudocomplement tables n=30 (non-lattice)", "poset_pc_tables", \
         (prod.n, list(prod.up), list(prod.down))
     yield "operator tables n=30 (non-lattice)", "operator_tables", \
         (prod.n, list(prod.up), list(prod.down))
@@ -83,6 +80,8 @@ def workloads():
     vee = make_poset(("a", "b", "1"), (("a", "1"), ("b", "1")))
     no_meet = direct_product(vee, fixture("bool4").poset)
     yield "lattice tables n=48 (meet failure)", "lattice_tables", \
+        (no_meet.n, list(no_meet.up), list(no_meet.down))
+    yield "pseudocomplement tables n=48 (no bottom)", "poset_pc_tables", \
         (no_meet.n, list(no_meet.up), list(no_meet.down))
 
     chain = fixture("chain40").poset

@@ -28,13 +28,15 @@ for each i, a cycle ("cycle", j the least other element in up[i] &
 down[i]) and, unless ``closed``, a j above i whose up-mask leaves up[i]
 ("transitive"); j is None but for a cycle.
 
-The table kernels ``poset_star_table`` and ``poset_relative_table``
-return ``(rows, total)``: a tuple of n row tuples, with None for an
-undefined cell and an element index in every other, and whether no cell
-is None; both twins return exactly these types, so ``BinOp`` and
-``LatticeOps`` take the tables as they are.  Their cell
-rules are ``_common.star_cell`` (sectional) and ``_common.relative_cell``
-(relative).  ``lattice_tables(n, up, down)`` returns such tables, join
+``poset_pc_tables(n, up, down)`` returns ``((star_rows, star_total),
+(rel_rows, rel_total))``, the sectional and the relative pseudocomplement
+tables, each a tuple of n row tuples, with None for an undefined cell and
+an element index in every other, and whether no cell is None; both twins
+return exactly these types, so ``BinOp`` and ``LatticeOps`` take the
+tables as they are.  Their cell rules are ``_common.star_cell``
+(sectional) and ``_common.relative_cell`` (relative), and each twin reads
+the star cells' L(U(x, y)) from the routine that also serves
+``operator_tables``.  ``lattice_tables(n, up, down)`` returns such tables, join
 and meet, or ``(kind, a, b, frontier)`` at the first pair (a, b) =
 (topo[ra], topo[rb]), rb >= ra, without a lub (kind "join", checked
 first) or glb ("meet"); for a join, frontier masks the minimal common upper
@@ -136,12 +138,8 @@ def lattice_tables(n, up, down):
     return _pick(n).lattice_tables(n, up, down)
 
 
-def poset_star_table(n, up, down):
-    return _pick(n).poset_star_table(n, up, down)
-
-
-def poset_relative_table(n, up, down):
-    return _pick(n).poset_relative_table(n, up, down)
+def poset_pc_tables(n, up, down):
+    return _pick(n).poset_pc_tables(n, up, down)
 
 
 def operator_tables(n, up, down):

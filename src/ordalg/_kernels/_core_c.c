@@ -8,14 +8,16 @@
  * covers, one mask per element, or its first fault as (kind, i, j).  The
  * table kernels return tuples of n row tuples with None for an undefined
  * cell, every other cell an element index, so BinOp and LatticeOps take
- * them as they are; poset_star_table and poset_relative_table pair theirs
- * with whether no cell is None, and lattice_tables returns (kind, a, b,
- * frontier) at the first pair in topo order without a lub or glb, the
- * frontier masking a join failure's minimal upper bounds and 0 for a meet.
- * operator_tables returns (us, uid, low, lu): the distinct sets U(x, y) =
- * up[x] & up[y] in first-seen row-major order, n rows numbering each
- * pair's set, the lower set of each, and n rows of each pair's lower set,
- * all tuples.  law_plan reads a suite of law terms that the shared
+ * them as they are; poset_pc_tables returns the sectional and the relative
+ * pseudocomplement table, each paired with whether no cell is None, and
+ * lattice_tables returns (kind, a, b, frontier) at the first pair in topo
+ * order without a lub or glb, the frontier masking a join failure's
+ * minimal upper bounds and 0 for a meet.  operator_tables returns (us,
+ * uid, low, lu): the distinct sets U(x, y) = up[x] & up[y] in first-seen
+ * row-major order, n rows numbering each pair's set, the lower set of
+ * each, and n rows of each pair's lower set, all tuples; distinct_lu
+ * computes them, and poset_pc_tables reads its star cells' L(U(x, y))
+ * from it too.  law_plan reads a suite of law terms that the shared
  * _common.law_compile has put in register form, one register per distinct
  * subterm, and law_scan runs a plan on rows, each arity's laws as one
  * loop nest; rrl_scan and divisibility_scan, which no library code calls,
@@ -343,46 +345,17 @@ static PyObject *lattice_tables(PyObject *self, PyObject *const *args, Py_ssize_
     return Py_BuildValue("(NN)", int_rows(join, n), int_rows(meet, n));
 }
 
-static PyObject *poset_star_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    uint64_t ub[64], db[64], lu[64 * 64];
-    int star[64 * 64], n, total = 1;
-    if (read_n("poset_star_table", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
-        || read_masks(args[2], n, db))
-        return NULL;
-    uint64_t full = FULL(n);
-    for (int x = 0; x < n; x++)
-        for (int y = x; y < n; y++)
-            lu[x * n + y] = lu[y * n + x] = common_bounds(full, db, ub[x] & ub[y]);
-    /* Same construction as _common.star_cell: the candidate is the minimum of
-     * the intersection of the U(c, b) over qualifying c, then verified.
-     * lu is symmetric, so lu[c][b] is read along row b. */
-    for (int a = 0; a < n; a++)
-        for (int b = 0; b < n; b++) {
-            uint64_t lu_ab = lu[a * n + b], lb = db[b], t = full;
-            for (int c = 0; c < n; c++)
-                if ((lu_ab & lu[b * n + c]) == lb)
-                    t &= ub[c] & ub[b];
-            int d = extreme(t, ub);
-            star[a * n + b] = (d >= 0 && (db[d] >> b) & 1 && (lu_ab & db[d]) == lb) ? d : -1;
-            total &= star[a * n + b] >= 0;
-        }
-    return Py_BuildValue("(NN)", int_rows(star, n), PyBool_FromLong(total));
-}
-
-/* U(x, y) is symmetric, so each set is first seen at some y >= x and the
- * upper triangle fixes the first-seen row-major numbering; a hash of the
- * at most 2080 distinct sets finds a repeat.  The lu rows share the low
- * tuple's ints. */
+/* The distinct sets U(x, y) = up[x] & up[y] in first-seen row-major order,
+ * us[k] with its lower set low[k], and uid[x * n + y] the number of U(x, y);
+ * returns how many there are.  U(x, y) is symmetric, so each set is first
+ * seen at some y >= x and the upper triangle fixes the numbering; a hash of
+ * the at most 2080 distinct sets finds a repeat. */
 #define U_SLOTS 4096
-static PyObject *operator_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static int distinct_lu(int n, const uint64_t *ub, const uint64_t *db, uint64_t *us, uint64_t *low,
+                       int *uid)
 {
-    uint64_t ub[64], db[64], us[64 * 65 / 2], lows[64 * 65 / 2];
     uint16_t slot[U_SLOTS] = {0};
-    int uid[64 * 64], n, k = 0;
-    if (read_n("operator_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
-        || read_masks(args[2], n, db))
-        return NULL;
+    int k = 0;
     for (int x = 0; x < n; x++)
         for (int y = x; y < n; y++) {
             uint64_t u = ub[x] & ub[y];
@@ -391,11 +364,23 @@ static PyObject *operator_tables(PyObject *self, PyObject *const *args, Py_ssize
                 h = (h + 1) & (U_SLOTS - 1);
             if (!slot[h]) {
                 us[k] = u;
-                lows[k] = common_bounds(FULL(n), db, u);
+                low[k] = common_bounds(FULL(n), db, u);
                 slot[h] = (uint16_t)++k;
             }
             uid[x * n + y] = uid[y * n + x] = slot[h] - 1;
         }
+    return k;
+}
+
+/* The lu rows share the low tuple's ints. */
+static PyObject *operator_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t ub[64], db[64], us[64 * 65 / 2], lows[64 * 65 / 2];
+    int uid[64 * 64], n;
+    if (read_n("operator_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
+        || read_masks(args[2], n, db))
+        return NULL;
+    int k = distinct_lu(n, ub, db, us, lows, uid);
     PyObject *low = mask_tuple(lows, k), *lu = low ? PyTuple_New(n) : NULL;
     for (int x = 0; lu && x < n; x++) {
         PyObject *row = PyTuple_New(n);
@@ -414,25 +399,38 @@ static PyObject *operator_tables(PyObject *self, PyObject *const *args, Py_ssize
     return Py_BuildValue("(NNNN)", mask_tuple(us, k), int_rows(uid, n), low, lu);
 }
 
-/* Cell (a, b) is the greatest x whose common lower bounds with a lie below
- * b.  x fails exactly when it lies above some y <= a outside the cone of
- * b, so the qualifying set is a down-set: its maximum, when it has one. */
-static PyObject *poset_relative_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* A star cell is _common.star_cell: the minimum of the intersection of the
+ * U(c, b) over the c with L(U(a, b)) & L(U(c, b)) the cone of b, then
+ * verified; L(U) is symmetric, so L(U(c, b)) is read along row b.  A
+ * relative cell (a, b) is the greatest x whose common lower bounds with a
+ * lie below b: x fails exactly when it lies above some y <= a outside the
+ * cone of b, so the qualifying set is a down-set, and the cell its maximum
+ * when it has one. */
+static PyObject *poset_pc_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    uint64_t ub[64], db[64];
-    int rel[64 * 64], n, total = 1;
-    if (read_n("poset_relative_table", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
+    uint64_t ub[64], db[64], us[64 * 65 / 2], low[64 * 65 / 2];
+    int uid[64 * 64], star[64 * 64], rel[64 * 64], n, star_total = 1, rel_total = 1;
+    if (read_n("poset_pc_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
         || read_masks(args[2], n, db))
         return NULL;
+    distinct_lu(n, ub, db, us, low, uid);
+    uint64_t full = FULL(n);
     for (int a = 0; a < n; a++)
         for (int b = 0; b < n; b++) {
-            uint64_t above = 0;
+            uint64_t lu_ab = low[uid[a * n + b]], lb = db[b], t = full, above = 0;
+            for (int c = 0; c < n; c++)
+                if ((lu_ab & low[uid[b * n + c]]) == lb)
+                    t &= ub[c] & ub[b];
+            int d = extreme(t, ub);
+            star[a * n + b] = (d >= 0 && (db[d] >> b) & 1 && (lu_ab & db[d]) == lb) ? d : -1;
+            star_total &= star[a * n + b] >= 0;
             for (uint64_t m = db[a] & ~db[b]; m; m &= m - 1)
                 above |= ub[ctz64(m)];
-            rel[a * n + b] = extreme(FULL(n) & ~above, db);
-            total &= rel[a * n + b] >= 0;
+            rel[a * n + b] = extreme(full & ~above, db);
+            rel_total &= rel[a * n + b] >= 0;
         }
-    return Py_BuildValue("(NN)", int_rows(rel, n), PyBool_FromLong(total));
+    return Py_BuildValue("((NN)(NN))", int_rows(star, n), PyBool_FromLong(star_total),
+                         int_rows(rel, n), PyBool_FromLong(rel_total));
 }
 
 /* No library caller: perfbench/twins.py still calls it by name. */
@@ -1418,13 +1416,10 @@ static PyMethodDef methods[] = {
     KERNEL(lattice_tables, "lattice_tables(n, up, down)\n--\n\n"
            "(join, meet) tables as tuples of row tuples, or (kind, a, b, frontier)\n"
            "at the first pair in topo order without a lub or glb; see the pure twin."),
-    KERNEL(poset_star_table, "poset_star_table(n, up, down)\n--\n\n"
-           "(rows, total): the sectional pseudocomplement table of a poset as a tuple\n"
-           "of row tuples, None marking an undefined cell, and whether there is none."),
-    KERNEL(poset_relative_table, "poset_relative_table(n, up, down)\n--\n\n"
-           "(rows, total): the relative pseudocomplement table of a poset as a tuple\n"
-           "of row tuples, cell (a, b) the greatest x with down(a) & down(x) inside\n"
-           "down(b), None where there is none, and whether no cell is None."),
+    KERNEL(poset_pc_tables, "poset_pc_tables(n, up, down)\n--\n\n"
+           "((star_rows, star_total), (rel_rows, rel_total)): the sectional and the\n"
+           "relative pseudocomplement tables of a poset as tuples of row tuples, None\n"
+           "marking an undefined cell, each with whether it has none; see the pure twin."),
     KERNEL(operator_tables, "operator_tables(n, up, down)\n--\n\n"
            "(us, uid, low, lu): the distinct sets U(x, y) = up[x] & up[y] in first-seen\n"
            "row-major order, the rows of each pair's number among them, the lower set\n"

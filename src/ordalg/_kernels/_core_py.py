@@ -129,25 +129,6 @@ def lattice_tables(n, up, down):
     return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
-def poset_star_table(n, up, down):
-    """(rows, total): the sectional pseudocomplement table of a poset.
-
-    None marks an undefined cell, and total says that there is none.
-    Each cell is ``star_cell``.  L(U(a, b)) is computed once per distinct
-    U(a, b), and it is symmetric, so row b of ``lu`` is column b; a cell
-    depends on a only through L(U(a, b)), so each column computes one cell
-    per distinct value of it.
-    """
-    full = (1 << n) - 1
-    lu = operator_tables(n, up, down)[3]
-    cols, total = [], True
-    for b, lu_b in enumerate(lu):
-        cells = {v: star_cell(full, up, down, v, lu_b, b) for v in set(lu_b)}
-        cols.append([cells[v] for v in lu_b])
-        total = total and None not in cells.values()
-    return tuple(zip(*cols)), total
-
-
 def operator_tables(n, up, down):
     """(us, uid, low, lu) for the sets U(x, y) = up[x] & up[y] of a poset.
 
@@ -162,13 +143,28 @@ def operator_tables(n, up, down):
     return tuple(ids), uid, low, tuple([tuple([low[i] for i in row]) for row in uid])
 
 
-def poset_relative_table(n, up, down):
-    """(rows, total) as ``poset_star_table``, for the relative pseudocomplement."""
+def poset_pc_tables(n, up, down):
+    """((star_rows, star_total), (rel_rows, rel_total)): both pseudocomplement tables.
+
+    The sectional table's cells are ``star_cell``, the relative table's
+    ``relative_cell``; None marks an undefined cell, and each total says
+    that its table has none.  L(U(a, b)) comes from ``operator_tables``,
+    and it is symmetric, so row b of ``lu`` is column b; a star cell
+    depends on a only through L(U(a, b)), so each column computes one cell
+    per distinct value of it.
+    """
     full = (1 << n) - 1
+    lu = operator_tables(n, up, down)[3]
+    cols, star_total = [], True
+    for b, lu_b in enumerate(lu):
+        cells = {v: star_cell(full, up, down, v, lu_b, b) for v in set(lu_b)}
+        cols.append([cells[v] for v in lu_b])
+        star_total = star_total and None not in cells.values()
     by_down = {d: x for x, d in enumerate(down)}
-    rows = tuple([tuple([relative_cell(full, up, by_down, da, db) for db in down])
-                  for da in down])
-    return rows, all(None not in row for row in rows)
+    rel = tuple([tuple([relative_cell(full, up, by_down, da, db) for db in down])
+                 for da in down])
+    return ((tuple(zip(*cols)), star_total),
+            (rel, all(None not in row for row in rel)))
 
 
 _FORMS = {"up": "U[{0}]", "down": "D[{0}]", "leq": "({0} >> {1} & 1)", "eq": "({0} == {1})",

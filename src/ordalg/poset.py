@@ -167,7 +167,8 @@ class LatticeOps(Record):
     cell, and the object keeps ``as_lattice``'s rows.  The first lattice
     check to run scans the three laws of ``laws.LATTICE`` once and keeps
     the result as ``found``.  Tables derived from the poset are not kept
-    here: ``star_table_poset`` keeps the last poset's star table.
+    here: ``star_table_poset`` and ``relative_table_poset`` keep the last
+    poset's two pseudocomplement tables.
     """
 
     __slots__ = ("poset", "join", "meet", "top", "bottom", "__dict__")

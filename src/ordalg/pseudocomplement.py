@@ -3,8 +3,8 @@
 Two independent routes exist on purpose: the lattice route works from
 join/meet tables, the poset route only from upper/lower cones.  On any
 lattice the two must agree cell for cell, and the test suite holds them
-to that.  The poset route is the kernels (``poset_star_table``,
-``poset_relative_table``), whose cell rules ``_kernels._common`` states
+to that.  The poset route is the kernel ``poset_pc_tables``, which builds
+both tables in one call and whose cell rules ``_kernels._common`` states
 once (``star_cell``, ``relative_cell``); the single-cell functions here
 call those rules.  The lattice route stays plain Python, independent of them.
 The join formula of ``synthesize_sectional`` only explains a failure.
@@ -69,19 +69,21 @@ def relative_pc_poset(p, a, b):
 def star_table_poset(p):
     """Full sectional pseudocomplement table of a poset (kernel-backed).
 
-    The last poset's table is kept: checks that share a poset build it once.
+    Both tables of the last poset are kept: checks that share a poset
+    build them once, in one kernel call.
     """
-    return _star_table(p)
-
-
-@lru_cache(maxsize=1)
-def _star_table(p):
-    return BinOp._trusted(*kernels.poset_star_table(p.n, p.up, p.down))
+    return _pc_tables(p)[0]
 
 
 def relative_table_poset(p):
-    """Full relative pseudocomplement table of a poset (kernel-backed)."""
-    return BinOp._trusted(*kernels.poset_relative_table(p.n, p.up, p.down))
+    """Full relative pseudocomplement table of a poset (kernel-backed), kept as the star table."""
+    return _pc_tables(p)[1]
+
+
+@lru_cache(maxsize=1)
+def _pc_tables(p):
+    (star, star_total), (rel, rel_total) = kernels.poset_pc_tables(p.n, p.up, p.down)
+    return BinOp._trusted(star, star_total), BinOp._trusted(rel, rel_total)
 
 
 def is_meet_semidistributive(lat):
@@ -98,8 +100,8 @@ class FailureWitness(Record):
 def synthesize_sectional(lat):
     """Total sectional pseudocomplement table of a lattice, or a FailureWitness.
 
-    The table is ``star_table_poset``'s, which keeps the last poset's, so
-    after ``classify`` on the same poset it is not built again.  Each cell
+    The table is ``star_table_poset``'s, which keeps the last poset's
+    tables, so after ``classify`` on the same poset it is not built again.  Each cell
     (a, b) is the greatest x with (a v b) ^ x = b, which exists exactly when
     the join of all such x satisfies the identity itself, and then is that
     join.  Where the table has a gap, the first in topological order, the
@@ -135,8 +137,8 @@ def classify(p, lattice=None):
     """Classify a poset; pass ``as_lattice(p)`` to skip recomputing it.
 
     A LatticeOps or NotALattice of another poset raises ValueError.  The
-    lattice laws come from the lattice's kept law scan, and the star table
-    is ``star_table_poset``'s, kept for the checks that follow.
+    lattice laws come from the lattice's kept law scan, and the star and
+    relative tables from one kernel call, kept for the checks that follow.
     """
     witnesses = {}
     lat = lattice if lattice is not None else as_lattice(p)

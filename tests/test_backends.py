@@ -129,7 +129,9 @@ def test_tables_identical_on_catalog():
         args = (p.n, list(p.up), list(p.down))
         for twin in (c, py):
             lattice = twin.lattice_tables(*args)
-            star, rel = twin.poset_star_table(*args), twin.poset_relative_table(*args)
+            pc = twin.poset_pc_tables(*args)
+            assert type(pc) is tuple and len(pc) == 2
+            star, rel = pc
             for table, total in (star, rel):
                 assert type(total) is bool and total == all(None not in row for row in table)
             assert type(lattice) is tuple and len(lattice) in (2, 4)
@@ -149,8 +151,7 @@ def test_tables_identical_on_catalog():
                     assert all(cell is None or 0 <= cell < p.n for cell in row)
                     undefined.update(cell is None for cell in row)
         assert c.lattice_tables(*args) == py.lattice_tables(*args)
-        assert c.poset_star_table(*args) == py.poset_star_table(*args)
-        assert c.poset_relative_table(*args) == py.poset_relative_table(*args)
+        assert c.poset_pc_tables(*args) == py.poset_pc_tables(*args)
     assert undefined == {True, False}
     # a first meet failure never has a frontier: two maximal lower bounds
     # have no join, and their pair comes earlier in topo order
@@ -184,7 +185,7 @@ def test_operator_tables_identical_and_equal_to_the_comprehensions():
     assert tables == o.operator_tables_by_comprehension(p)
 
 
-TABLE_KERNELS = ("lattice_tables", "poset_star_table", "poset_relative_table", "operator_tables")
+TABLE_KERNELS = ("lattice_tables", "poset_pc_tables", "operator_tables")
 
 
 def scan_args(alg):
@@ -742,8 +743,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     cases = (
         ("closure", 64, lambda n: (n, [0] * n)),
         ("lattice_tables", 64, lambda n: (n, [0] * n, [0] * n)),
-        ("poset_star_table", 64, lambda n: (n, [0] * n, [0] * n)),
-        ("poset_relative_table", 64, lambda n: (n, [0] * n, [0] * n)),
+        ("poset_pc_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("operator_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
         ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
@@ -768,10 +768,9 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         lambda: c.closure(3, [1, 2]),
         lambda: c.closure(64, [1 << 64] + [0] * 63),
         lambda: c.lattice_tables(2, [3, 2], [1, 4]),
-        lambda: c.poset_star_table(2, [3, 2], [1, 4]),
-        lambda: c.poset_relative_table(2, [3, 2], [1, 4]),
-        lambda: c.poset_relative_table(2, [3, 6], [1, 3]),
-        lambda: c.poset_relative_table(2, [3], [1, 3]),
+        lambda: c.poset_pc_tables(2, [3, 2], [1, 4]),
+        lambda: c.poset_pc_tables(2, [3, 6], [1, 3]),
+        lambda: c.poset_pc_tables(2, [3], [1, 3]),
         lambda: c.operator_tables(2, [3, 2], [1, 4]),
         lambda: c.operator_tables(2, [3, 6], [1, 3]),
         lambda: c.operator_tables(64, [1 << 64] + [0] * 63, [0] * 64),
@@ -1068,7 +1067,7 @@ def test_the_pure_twin_loads_only_for_a_call_it_serves():
     names = tuple(f"c{i}" for i in range(65))
     p = make_poset(names, tuple(zip(names, names[1:])), max_size=100)
     assert out.stdout.splitlines() == ["False", "True", repr(classify(p)),
-                                       str(py.poset_star_table(p.n, p.up, p.down)[0])]
+                                       str(py.poset_pc_tables(p.n, p.up, p.down)[0][0])]
 
 
 def test_env_var_selects_backend():

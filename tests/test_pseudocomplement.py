@@ -29,7 +29,7 @@ from ordalg import (
 )
 from ordalg import _kernels as kernels
 from ordalg._kernels import _core_py
-from ordalg.pseudocomplement import _star_table
+from ordalg.pseudocomplement import _pc_tables
 
 from oracles import (
     relabeled,
@@ -226,17 +226,20 @@ def test_classify_rejects_a_non_lattice_witness_of_another_poset():
 
 
 def test_classify_and_the_checks_after_it_build_the_star_table_once(monkeypatch):
-    # star_table_poset keeps the last poset's table, so the checks that
-    # follow classify on an equal poset reuse it, and a new poset replaces it
+    # one kernel call builds both tables, and the last poset's are kept, so
+    # the checks that follow classify on an equal poset reuse them, and a
+    # new poset replaces them
     calls = []
-    build = kernels.poset_star_table
-    monkeypatch.setattr(kernels, "poset_star_table", lambda *args: calls.append(1) or build(*args))
+    build = kernels.poset_pc_tables
+    monkeypatch.setattr(kernels, "poset_pc_tables", lambda *args: calls.append(1) or build(*args))
     pentagon, bowtie = fixture("pentagon").poset, fixture("bowtie").poset
-    _star_table.cache_clear()
+    _pc_tables.cache_clear()
     classify(pentagon)
-    assert star_table_poset(pentagon).table == fixture("pentagon").star.table
     assert len(calls) == 1
-    _star_table.cache_clear()
+    assert star_table_poset(pentagon).table == fixture("pentagon").star.table
+    assert relative_table_poset(pentagon).value(3, 1) is None
+    assert len(calls) == 1
+    _pc_tables.cache_clear()
     lat = as_lattice(pentagon)
     classify(pentagon, lat)
     assert synthesize_sectional(lat) is star_table_poset(fixture("pentagon").poset)
@@ -311,7 +314,7 @@ def test_pure_relative_table_matches_per_x_oracle():
     for p in cases:
         want = tuple(tuple(relative_pc_per_x(p, a, b) for b in range(p.n)) for a in range(p.n))
         total = all(None not in row for row in want)
-        assert _core_py.poset_relative_table(p.n, p.up, p.down) == (want, total), p.up
+        assert _core_py.poset_pc_tables(p.n, p.up, p.down)[1] == (want, total), p.up
     assert len(cases) == 406 + 405
 
 
@@ -342,5 +345,5 @@ def test_pure_star_table_matches_cone_oracle():
         want = tuple(tuple(sectional_pc_by_cones(p, a, b) for b in range(p.n))
                      for a in range(p.n))
         total = all(None not in row for row in want)
-        assert _core_py.poset_star_table(p.n, p.up, p.down) == (want, total), p.up
+        assert _core_py.poset_pc_tables(p.n, p.up, p.down)[0] == (want, total), p.up
     assert len(cases) == 406 + 405
