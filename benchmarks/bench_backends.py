@@ -65,7 +65,8 @@ def workloads():
 
     cube = fixture("bool5").poset
     yield "lattice tables n=32", "lattice_tables", (cube.n, list(cube.up), list(cube.down))
-    yield "pseudocomplement tables n=32", "poset_pc_tables", (cube.n, list(cube.up), list(cube.down))
+    yield "pseudocomplement tables n=32", "poset_pc_tables", \
+        (cube.n, list(cube.up), list(cube.down))
     yield "operator tables n=32", "operator_tables", (cube.n, list(cube.up), list(cube.down))
 
     prod = direct_product(fixture("bowtie").poset, fixture("pentagon").poset)

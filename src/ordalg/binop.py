@@ -53,10 +53,11 @@ class BinOp(Record):
         return op
 
     def value(self, a, b):
+        _check_pair(self.n, a, b)
         return self.table[a][b]
 
     def defined(self, a, b):
-        return self.table[a][b] is not None
+        return self.value(a, b) is not None
 
     def undefined_cells(self):
         return tuple(
@@ -84,6 +85,12 @@ class BinOp(Record):
 
     def flat(self):
         return [-1 if cell is None else cell for row in self.table for cell in row]
+
+
+def _check_pair(n, a, b):
+    # an index check before a cell lookup: a negative index would wrap
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"pair ({a}, {b}) outside the carrier of {n} elements")
 
 
 def _total_below(table, n):

@@ -34,9 +34,8 @@ from functools import lru_cache
 
 from . import _kernels as kernels
 from ._kernels._common import block_masks, join_into, merge, principal
-from .binop import BinOp
+from .binop import BinOp, _check_pair
 from .errors import BudgetError, MissingConstantError
-from .poset import _check_pair
 from .verdict import HOLDS, Record, Verdict
 
 CONGRUENCE_BUDGET = 4096
@@ -98,9 +97,11 @@ class Congruence(Record):
         return len(self.labels)
 
     def relates(self, a, b):
+        _check_pair(self.n, a, b)
         return self.labels[a] == self.labels[b]
 
     def block_of(self, x):
+        _check_pair(self.n, x, x)
         lx = self.labels[x]
         return tuple(i for i in range(self.n) if self.labels[i] == lx)
 

@@ -11,7 +11,8 @@ from functools import cached_property
 from . import _kernels as kernels
 from . import laws
 from .errors import NoTopError, OrdAlgError, PartialStarError, SubsetBudgetError
-from .poset import _check_pair, lower_set
+from .binop import _check_pair
+from .poset import lower_set
 from .residuation import AxiomReport, _require_verified
 from .verdict import HOLDS, Record, Verdict
 
@@ -115,6 +116,8 @@ class OperatorPoset(Record):
 
 def canonical_operators(p, star):
     """OperatorPoset with the canonical product and residual for this star table."""
+    # OperatorPoset checks this too, but only after the residual has checked
+    # the star table, which is never total on a poset without a top
     if p.top is None:
         raise NoTopError("operator residuation needs a greatest element")
     return OperatorPoset(p, CanonicalProduct(p), CanonicalResidual(p, star))

@@ -12,7 +12,7 @@ from functools import cached_property
 from . import _kernels as kernels
 from . import laws
 from ._kernels._common import common_bounds
-from .binop import BinOp
+from .binop import BinOp, _check_pair
 from .errors import CycleDetectedError, DuplicateNameError, SizeBudgetError, UnknownNameError
 from .verdict import Record
 
@@ -59,6 +59,7 @@ class Poset:
         self.full = (1 << n) - 1
 
     def leq(self, i, j):
+        _check_pair(self.n, i, j)
         return bool(self.up[i] >> j & 1)
 
     def index(self, name):
@@ -113,12 +114,6 @@ def _within(p, mask):
     if mask & ~p.full:
         raise ValueError(f"mask {mask} has bits outside the carrier of {p.n} elements")
     return mask
-
-
-def _check_pair(n, a, b):
-    # an index check before a cell lookup: a negative index would wrap
-    if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"pair ({a}, {b}) outside the carrier of {n} elements")
 
 
 def _elements(mask):
@@ -185,11 +180,7 @@ class LatticeOps(Record):
                 a, b = op.first_undefined(p.topo)
                 raise ValueError(f"{name} table undefined at ({p.names[a]}, {p.names[b]})")
             ops[name] = op
-        lat = as_lattice(p)
-        if isinstance(lat, NotALattice):
-            a, b = lat.pair
-            raise ValueError(
-                f"order is not a lattice: {lat.kind} fails at ({p.names[a]}, {p.names[b]})")
+        lat = _require_lattice(as_lattice(p))
         for name, op in ops.items():
             wrong = next(op.differences(getattr(lat, name), p.topo), None)
             if wrong is not None:
@@ -207,13 +198,29 @@ class LatticeOps(Record):
         return self.poset.n
 
     def join_of(self, a, b):
+        _check_pair(self.n, a, b)
         return self.join[a][b]
 
     def meet_of(self, a, b):
+        _check_pair(self.n, a, b)
         return self.meet[a][b]
 
     def flat_join(self):
         return [x for row in self.join for x in row]
+
+
+def _require_lattice(lat):
+    """lat itself if it is a LatticeOps: the guard of every function that takes a lattice.
+
+    A NotALattice raises ValueError naming its witness, by element names
+    when it knows its order, and anything else TypeError.
+    """
+    if isinstance(lat, LatticeOps):
+        return lat
+    if isinstance(lat, NotALattice):
+        a, b = lat.pair if lat.poset is None else (lat.poset.names[i] for i in lat.pair)
+        raise ValueError(f"order is not a lattice: {lat.kind} fails at ({a}, {b})")
+    raise TypeError(f"expected a LatticeOps, not {type(lat).__name__}")
 
 
 def as_lattice(p):

@@ -18,14 +18,14 @@ from functools import lru_cache
 from . import _kernels as kernels
 from . import laws
 from ._kernels._common import extreme, relative_cell, star_cell
-from .binop import BinOp
-from .poset import LatticeOps, NotALattice, _check_pair, as_lattice, lower_set
+from .binop import BinOp, _check_pair
+from .poset import NotALattice, _require_lattice, as_lattice, lower_set
 from .verdict import Record, Verdict
 
 
 def sectional_pc_lattice(lat, a, b):
     """Greatest x with (a v b) ^ x = b, or None if the set has no greatest."""
-    p = lat.poset
+    p = _require_lattice(lat).poset
     _check_pair(p.n, a, b)
     vee = lat.join[a][b]
     s = 0
@@ -38,7 +38,7 @@ def sectional_pc_lattice(lat, a, b):
 
 def relative_pc(lat, a, b):
     """Greatest x with a ^ x <= b, or None."""
-    p = lat.poset
+    p = _require_lattice(lat).poset
     _check_pair(p.n, a, b)
     s = 0
     for x in range(p.n):
@@ -76,7 +76,7 @@ def star_table_poset(p):
 
 
 def relative_table_poset(p):
-    """Full relative pseudocomplement table of a poset (kernel-backed), kept as the star table."""
+    """Full relative pseudocomplement table of a poset, kept with its star table."""
     return _pc_tables(p)[1]
 
 
@@ -88,7 +88,7 @@ def _pc_tables(p):
 
 def is_meet_semidistributive(lat):
     """Verdict of: a^b = a^c implies a^(b v c) = a^b, from the lattice's law scan."""
-    return Verdict.of(lat.found[laws.MEET_SEMIDISTRIBUTIVE])
+    return Verdict.of(_require_lattice(lat).found[laws.MEET_SEMIDISTRIBUTIVE])
 
 
 class FailureWitness(Record):
@@ -101,13 +101,15 @@ def synthesize_sectional(lat):
     """Total sectional pseudocomplement table of a lattice, or a FailureWitness.
 
     The table is ``star_table_poset``'s, which keeps the last poset's
-    tables, so after ``classify`` on the same poset it is not built again.  Each cell
-    (a, b) is the greatest x with (a v b) ^ x = b, which exists exactly when
-    the join of all such x satisfies the identity itself, and then is that
-    join.  Where the table has a gap, the first in topological order, the
-    join formula names the candidate that misses the identity.
+    tables, so after ``classify`` on the same poset it is not built again.
+    Each cell (a, b) is the greatest x with (a v b) ^ x = b, which exists
+    exactly when the join of all such x satisfies the identity itself, and
+    then is that join.  Where the table has a gap, the first in topological
+    order, the join formula names the candidate that misses the identity.
+    A NotALattice raises ValueError, as every function that takes a
+    lattice does.
     """
-    p = lat.poset
+    p = _require_lattice(lat).poset
     star = star_table_poset(p)
     if star.is_total:
         return star

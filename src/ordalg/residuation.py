@@ -16,6 +16,7 @@ from functools import cached_property
 from . import laws
 from .binop import BinOp
 from .errors import NotVerifiedError, PreconditionError
+from .poset import _require_lattice
 from .verdict import HOLDS, Record, Verdict
 
 
@@ -25,7 +26,7 @@ class ResiduationCandidate(Record):
     __slots__ = ("lattice", "mult", "imp", "__dict__")
 
     def __init__(self, lattice, mult, imp):
-        _require_total(lattice.poset.n, mult=mult, imp=imp)
+        _require_total(_require_lattice(lattice).poset.n, mult=mult, imp=imp)
         self._fill(lattice, mult, imp)
 
     @cached_property
@@ -107,7 +108,7 @@ def check_divisibility(cand):
 
 def from_sectional(lat, star):
     """Candidate with meet as multiplication and a star table as implication."""
-    return ResiduationCandidate(lat, BinOp._trusted(lat.meet, True), star)
+    return ResiduationCandidate(lat, BinOp._trusted(_require_lattice(lat).meet, True), star)
 
 
 def _require_verified(report, subject):
@@ -137,7 +138,7 @@ def half_adjointness(lat, mult, imp):
     carrier, and PreconditionError naming whichever hypothesis fails;
     otherwise verifies that (c v b) <= a -> b forces (a v b) * (c v b) <= b.
     """
-    _require_total(lat.poset.n, mult=mult, imp=imp)
+    _require_total(_require_lattice(lat).poset.n, mult=mult, imp=imp)
     found = laws.scan(lat.poset, laws.HALF_ADJOINT, join=lat.join, mult=mult.table,
                       imp=imp.table)
     if found[laws.MONOTONE_RIGHT]:

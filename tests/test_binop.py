@@ -110,3 +110,14 @@ def test_is_total_matches_a_fresh_scan():
     for op in ops:
         assert op.is_total == all(cell is not None for row in op.table for cell in row)
     assert {op.is_total for op in ops} == {True, False}
+
+
+def test_cell_accessors_refuse_elements_outside_the_carrier():
+    # a negative index would read the last row, and one past n no row
+    op = BinOp.from_rows([[0, None], [1, 0]])
+    for a, b in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        for accessor in (op.value, op.defined):
+            with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside the carrier "
+                                                 "of 2 elements$"):
+                accessor(a, b)
+    assert op.value(1, 0) == 1 and not op.defined(0, 1)

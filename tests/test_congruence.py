@@ -625,3 +625,15 @@ def test_partition_lattice_laws(data):
             assert m.relates(a, b) == (x.relates(a, b) and y.relates(a, b))
             if x.relates(a, b) or y.relates(a, b):
                 assert j.relates(a, b)
+
+
+def test_congruence_accessors_refuse_elements_outside_the_carrier():
+    c = Congruence((0, 0, 2, 3, 2))
+    for a, b in ((5, 0), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside the carrier "
+                                             "of 5 elements$"):
+            c.relates(a, b)
+    for x in (-1, 5, 9):
+        with pytest.raises(ValueError, match=rf"^pair \({x}, {x}\) outside the carrier"):
+            c.block_of(x)
+    assert c.relates(0, 1) and not c.relates(1, 2) and c.block_of(4) == (2, 4)

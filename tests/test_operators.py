@@ -295,3 +295,13 @@ def test_adjointness_witnesses_match_per_triple_oracle():
             assert tuple(v for _, v in report.verdicts) == want, p.up
             failed.update(report.failed())
     assert failed["adjointness-forward"] and failed["adjointness-backward"], failed
+
+
+def test_canonical_residual_refuses_elements_outside_the_carrier():
+    p = fixture("pentagon").poset
+    resid = canonical_operators(p, star_table_poset(p)).resid
+    for x, y in ((5, 0), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=rf"^pair \({x}, {y}\) outside the carrier "
+                                             "of 5 elements$"):
+            resid.r(x, y)
+    assert resid.r(0, 0) == p.full

@@ -452,3 +452,14 @@ def test_lattice_witness_is_the_rescan_past_64_elements():
     assert p.n == 66
     nl = assert_witness_is_the_rescan(p)
     assert nl.kind == "join" and len(nl.frontier) == 2
+
+
+def test_order_and_lattice_accessors_refuse_elements_outside_the_carrier():
+    p = fixture("pentagon").poset
+    lat = as_lattice(p)
+    for accessor in (p.leq, lat.join_of, lat.meet_of):
+        for a, b in ((7, 0), (0, 9), (5, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match=rf"^pair \({a}, {b}\) outside the carrier "
+                                                 "of 5 elements$"):
+                accessor(a, b)
+    assert p.leq(0, 4) and lat.join_of(1, 2) == lat.join[1][2] and lat.meet_of(4, 3) == 3

@@ -347,3 +347,24 @@ def test_pure_star_table_matches_cone_oracle():
         total = all(None not in row for row in want)
         assert _core_py.poset_pc_tables(p.n, p.up, p.down)[0] == (want, total), p.up
     assert len(cases) == 406 + 405
+
+
+def test_lattice_route_refuses_an_order_that_is_not_a_lattice():
+    # synthesize_sectional used to return the bowtie's total star table
+    bowtie = fixture("bowtie").poset
+    nl = as_lattice(bowtie)
+    assert star_table_poset(bowtie).is_total
+    by_hand = NotALattice(nl.kind, nl.pair, nl.frontier)
+    calls = (is_meet_semidistributive, synthesize_sectional,
+             lambda lat: sectional_pc_lattice(lat, 0, 1), lambda lat: relative_pc(lat, 0, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^order is not a lattice: join fails at \(a, b\)$"):
+            call(nl)
+        # a witness built by hand knows no order, so it names the indices
+        with pytest.raises(ValueError, match=r"^order is not a lattice: join fails at \(%d, %d\)$"
+                           % nl.pair):
+            call(by_hand)
+        with pytest.raises(TypeError, match="^expected a LatticeOps, not Poset$"):
+            call(bowtie)
+    # classify takes a NotALattice by contract
+    assert not classify(bowtie, nl).is_lattice

@@ -251,3 +251,19 @@ def test_candidate_rejects_partial_tables():
     partial = BinOp.from_rows([[0, None, 0], [0, 0, 1], [0, 1, 2]])
     with pytest.raises(ValueError):
         ResiduationCandidate(as_lattice(fx.poset), partial, fx.imp)
+
+
+def test_candidate_checks_refuse_an_order_that_is_not_a_lattice():
+    # a NotALattice names its witness, as LatticeOps does; anything else
+    # that is not a LatticeOps is a TypeError, not a missing attribute
+    bowtie = fixture("bowtie").poset
+    nl = as_lattice(bowtie)
+    ones = BinOp(6, ((bowtie.top,) * 6,) * 6)
+    calls = (lambda lat: ResiduationCandidate(lat, ones, ones),
+             lambda lat: from_sectional(lat, ones),
+             lambda lat: half_adjointness(lat, ones, ones))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^order is not a lattice: join fails at \(a, b\)$"):
+            call(nl)
+        with pytest.raises(TypeError, match="^expected a LatticeOps, not Poset$"):
+            call(bowtie)
