@@ -63,26 +63,18 @@ def workloads():
         p = fixture(name).poset
         yield f"poset index {name} n={p.n}", "poset_index", (p.n, p.up, False)
 
+    # every pairwise table of an order: a lattice, a product whose first
+    # lattice failure is a join, and one whose first is a meet
     cube = fixture("bool5").poset
-    yield "lattice tables n=32", "lattice_tables", (cube.n, list(cube.up), list(cube.down))
-    yield "pseudocomplement tables n=32", "poset_pc_tables", \
-        (cube.n, list(cube.up), list(cube.down))
-    yield "operator tables n=32", "operator_tables", (cube.n, list(cube.up), list(cube.down))
-
+    yield "order tables n=32", "order_tables", (cube.n, list(cube.up), list(cube.down))
     prod = direct_product(fixture("bowtie").poset, fixture("pentagon").poset)
-    yield "lattice tables n=30 (non-lattice)", "lattice_tables", \
+    yield "order tables n=30 (non-lattice)", "order_tables", \
         (prod.n, list(prod.up), list(prod.down))
-    yield "pseudocomplement tables n=30 (non-lattice)", "poset_pc_tables", \
-        (prod.n, list(prod.up), list(prod.down))
-    yield "operator tables n=30 (non-lattice)", "operator_tables", \
-        (prod.n, list(prod.up), list(prod.down))
-    # the bowtie product's first failure is a join; two atoms under a top
-    # times bool4 has no bottom, so its first failure is a meet, (0, 16)
+    # two atoms under a top times bool4 has no bottom, so its first failure
+    # is a meet, (0, 16)
     vee = make_poset(("a", "b", "1"), (("a", "1"), ("b", "1")))
     no_meet = direct_product(vee, fixture("bool4").poset)
-    yield "lattice tables n=48 (meet failure)", "lattice_tables", \
-        (no_meet.n, list(no_meet.up), list(no_meet.down))
-    yield "pseudocomplement tables n=48 (no bottom)", "poset_pc_tables", \
+    yield "order tables n=48 (meet failure, no bottom)", "order_tables", \
         (no_meet.n, list(no_meet.up), list(no_meet.down))
 
     chain = fixture("chain40").poset

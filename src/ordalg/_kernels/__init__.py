@@ -1,11 +1,11 @@
 """Kernel backend selection.
 
-The hot loops (closure, a poset's down-masks, order and covers, lattice
-and pseudocomplement tables, axiom scans, the law engine, principal
-congruences, small-structure enumeration and its canonical relabeling)
-exist twice: a hand-written C extension ``_core_c`` (``_core_c.c``)
-working on uint64 masks and a pure Python twin ``_core_py``; what the
-library and both twins share is in ``_common``.  The compiled backend is
+The hot loops (closure, a poset's down-masks, order and covers, its
+pairwise tables, axiom scans, the law engine, principal congruences,
+small-structure enumeration and its canonical relabeling) exist twice:
+a hand-written C extension ``_core_c`` (``_core_c.c``) working on uint64
+masks and a pure Python twin ``_core_py``; what the library and both
+twins share is in ``_common``.  The compiled backend is
 preferred when built; set ``ORDALG_BACKEND=py`` or ``ORDALG_BACKEND=c``
 to force one.  Carriers outside 1..64 elements always route to the pure
 backend, which handles arbitrary-width masks (and the empty carrier), and
@@ -28,25 +28,28 @@ for each i, a cycle ("cycle", j the least other element in up[i] &
 down[i]) and, unless ``closed``, a j above i whose up-mask leaves up[i]
 ("transitive"); j is None but for a cycle.
 
-``poset_pc_tables(n, up, down)`` returns ``((star_rows, star_total),
-(rel_rows, rel_total))``, the sectional and the relative pseudocomplement
-tables, each a tuple of n row tuples, with None for an undefined cell and
-an element index in every other, and whether no cell is None; both twins
-return exactly these types, so ``BinOp`` and ``LatticeOps`` take the
-tables as they are.  Their cell rules are ``_common.star_cell``
-(sectional) and ``_common.relative_cell`` (relative), and each twin reads
-the star cells' L(U(x, y)) from the routine that also serves
-``operator_tables``.  ``lattice_tables(n, up, down)`` returns such tables, join
-and meet, or ``(kind, a, b, frontier)`` at the first pair (a, b) =
-(topo[ra], topo[rb]), rb >= ra, without a lub (kind "join", checked
-first) or glb ("meet"); for a join, frontier masks the minimal common upper
-bounds, and may be 0, and for a meet it is 0: two maximal common lower
-bounds have no join, and their pair comes earlier.
-``operator_tables(n, up, down)`` returns
-``(us, uid, low, lu)``: the distinct sets U(x, y) = up[x] & up[y]
-numbered in first-seen row-major order, n rows of each pair's number, the
-common lower bounds of each set, and n rows of each pair's common lower
-bounds; every row is a tuple, and both twins number the sets alike.
+``order_tables(n, up, down)`` returns every pairwise table of an order
+in one call, as ``(lattice, (star_rows, star_total), (rel_rows,
+rel_total), (us, uid, low, lu))``; ``poset`` keeps the last order's
+answer, and every library reader takes the tables from there.  A table
+here is a tuple of n row tuples, with None for an undefined cell and an
+element index in every other, so ``BinOp`` and ``LatticeOps`` take it as
+it is, and both twins return exactly these types.
+
+- ``lattice`` is ``(join, meet)``, two such tables without a None, or
+  ``(kind, a, b, frontier)`` at the first pair (a, b) = (topo[ra],
+  topo[rb]), rb >= ra, without a lub (kind "join", checked first) or glb
+  ("meet").  For a join, frontier masks the minimal common upper bounds,
+  and may be 0; for a meet it is 0: two maximal common lower bounds have
+  no join, and their pair comes earlier.
+- ``star_rows`` and ``rel_rows`` are the sectional and the relative
+  pseudocomplement tables, whose cell rules are ``_common.star_cell`` and
+  ``_common.relative_cell``, and each total says whether no cell is None.
+- ``us`` holds the distinct sets U(x, y) = up[x] & up[y], numbered in
+  first-seen row-major order, alike in both twins; ``uid`` is n rows of
+  each pair's number, ``low`` the common lower bounds of each set, and
+  ``lu`` n rows of each pair's common lower bounds, L(U(x, y)), which the
+  star cells read too.
 
 ``law_scan(n, up, down, tables, plan)`` returns each law's least failing
 tuple in topo order (first variable outermost), or None.  A law is
@@ -134,16 +137,8 @@ def poset_index(n, up, closed):
     return _pick(n).poset_index(n, up, closed)
 
 
-def lattice_tables(n, up, down):
-    return _pick(n).lattice_tables(n, up, down)
-
-
-def poset_pc_tables(n, up, down):
-    return _pick(n).poset_pc_tables(n, up, down)
-
-
-def operator_tables(n, up, down):
-    return _pick(n).operator_tables(n, up, down)
+def order_tables(n, up, down):
+    return _pick(n).order_tables(n, up, down)
 
 
 class LawSuite:

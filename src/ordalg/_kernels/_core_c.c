@@ -5,19 +5,12 @@
  * down is the transpose.  An order enters as (n, up, down), and topo_order
  * and least_full derive its topological order, top and bottom.
  * poset_index returns an order's down-masks, topo, top, bottom and upper
- * covers, one mask per element, or its first fault as (kind, i, j).  The
- * table kernels return tuples of n row tuples with None for an undefined
- * cell, every other cell an element index, so BinOp and LatticeOps take
- * them as they are; poset_pc_tables returns the sectional and the relative
- * pseudocomplement table, each paired with whether no cell is None, and
- * lattice_tables returns (kind, a, b, frontier) at the first pair in topo
- * order without a lub or glb, the frontier masking a join failure's
- * minimal upper bounds and 0 for a meet.  operator_tables returns (us,
- * uid, low, lu): the distinct sets U(x, y) = up[x] & up[y] in first-seen
- * row-major order, n rows numbering each pair's set, the lower set of
- * each, and n rows of each pair's lower set, all tuples; distinct_lu
- * computes them, and poset_pc_tables reads its star cells' L(U(x, y))
- * from it too.  law_plan reads a suite of law terms that the shared
+ * covers, one mask per element, or its first fault as (kind, i, j).
+ * order_tables returns every pairwise table of an order, as the docstring
+ * of the ordalg._kernels package states once: the lattice answer, the
+ * sectional and relative pseudocomplement tables, and the distinct sets
+ * U(x, y) with their lower sets, which distinct_lu computes once and the
+ * star cells read too.  law_plan reads a suite of law terms that the shared
  * _common.law_compile has put in register form, one register per distinct
  * subterm, and law_scan runs a plan on rows, each arity's laws as one
  * loop nest; rrl_scan and divisibility_scan, which no library code calls,
@@ -316,35 +309,6 @@ static PyObject *poset_index(PyObject *self, PyObject *const *args, Py_ssize_t n
                          mask_tuple(cov, n));
 }
 
-/* Pairs (topo[ra], topo[rb]) with rb >= ra in order, join before meet.  A
- * meet failure's frontier is 0: two maximal common lower bounds have no
- * join, and their pair comes earlier in topo order. */
-static PyObject *lattice_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    uint64_t ub[64], db[64];
-    uint8_t topo[64];
-    int join[64 * 64], meet[64 * 64], n;
-    if (read_n("lattice_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
-        || read_masks(args[2], n, db))
-        return NULL;
-    topo_order(n, db, topo);
-    for (int ra = 0; ra < n; ra++)
-        for (int rb = ra; rb < n; rb++) {
-            int a = topo[ra], b = topo[rb];
-            uint64_t u = ub[a] & ub[b];
-            int j = extreme(u, ub);
-            if (j < 0)
-                return Py_BuildValue("(siiK)", "join", a, b, (unsigned long long)minimal(u, db));
-            int m = extreme(db[a] & db[b], db);
-            if (m < 0)
-                return Py_BuildValue("(siii)", "meet", a, b, 0);
-            join[a * n + b] = join[b * n + a] = j;
-            meet[a * n + b] = meet[b * n + a] = m;
-        }
-    /* "N" takes the new tables' references, also when a conversion fails */
-    return Py_BuildValue("(NN)", int_rows(join, n), int_rows(meet, n));
-}
-
 /* The distinct sets U(x, y) = up[x] & up[y] in first-seen row-major order,
  * us[k] with its lower set low[k], and uid[x * n + y] the number of U(x, y);
  * returns how many there are.  U(x, y) is symmetric, so each set is first
@@ -372,48 +336,48 @@ static int distinct_lu(int n, const uint64_t *ub, const uint64_t *db, uint64_t *
     return k;
 }
 
-/* The lu rows share the low tuple's ints. */
-static PyObject *operator_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* The lattice pairs run (topo[ra], topo[rb]) with rb >= ra in order, join
+ * before meet, and the first failure is kept; a meet failure's frontier is
+ * 0: two maximal common lower bounds have no join, and their pair comes
+ * earlier in topo order.  A star cell is _common.star_cell: the minimum of
+ * the intersection of the U(c, b) over the c with L(U(a, b)) & L(U(c, b))
+ * the cone of b, then verified; L(U) is symmetric, so L(U(c, b)) is read
+ * along row b.  A relative cell (a, b) is the greatest x whose common lower
+ * bounds with a lie below b: x fails exactly when it lies above some y <= a
+ * outside the cone of b, so the qualifying set is a down-set, and the cell
+ * its maximum when it has one.  The join and meet buffers hold the star
+ * and relative cells once the lattice answer is built, and the lu rows
+ * share the low tuple's ints. */
+static PyObject *order_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    uint64_t ub[64], db[64], us[64 * 65 / 2], lows[64 * 65 / 2];
-    int uid[64 * 64], n;
-    if (read_n("operator_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
+    uint64_t ub[64], db[64], us[64 * 65 / 2], low[64 * 65 / 2], frontier = 0;
+    uint8_t topo[64];
+    int uid[64 * 64], join[64 * 64], meet[64 * 64], n, fa = 0, fb = 0;
+    const char *kind = NULL;
+    if (read_n("order_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
         || read_masks(args[2], n, db))
         return NULL;
-    int k = distinct_lu(n, ub, db, us, lows, uid);
-    PyObject *low = mask_tuple(lows, k), *lu = low ? PyTuple_New(n) : NULL;
-    for (int x = 0; lu && x < n; x++) {
-        PyObject *row = PyTuple_New(n);
-        if (!row) {
-            Py_CLEAR(lu);
-            break;
+    int k = distinct_lu(n, ub, db, us, low, uid);
+    topo_order(n, db, topo);
+    for (int ra = 0; !kind && ra < n; ra++)
+        for (int rb = ra; !kind && rb < n; rb++) {
+            int a = topo[ra], b = topo[rb];
+            uint64_t u = ub[a] & ub[b];
+            int j = extreme(u, ub), m = j < 0 ? -1 : extreme(db[a] & db[b], db);
+            if (m < 0) {
+                kind = j < 0 ? "join" : "meet";
+                fa = a, fb = b;
+                frontier = j < 0 ? minimal(u, db) : 0;
+            }
+            join[a * n + b] = join[b * n + a] = j;
+            meet[a * n + b] = meet[b * n + a] = m;
         }
-        for (int y = 0; y < n; y++)
-            PyTuple_SET_ITEM(row, y, Py_NewRef(PyTuple_GET_ITEM(low, uid[x * n + y])));
-        PyTuple_SET_ITEM(lu, x, row);
-    }
-    if (!lu) {
-        Py_XDECREF(low);
+    /* "N" takes the new objects' references, also when a conversion fails */
+    PyObject *lattice = kind ? Py_BuildValue("(siiK)", kind, fa, fb, (unsigned long long)frontier)
+                             : Py_BuildValue("(NN)", int_rows(join, n), int_rows(meet, n));
+    if (!lattice)
         return NULL;
-    }
-    return Py_BuildValue("(NNNN)", mask_tuple(us, k), int_rows(uid, n), low, lu);
-}
-
-/* A star cell is _common.star_cell: the minimum of the intersection of the
- * U(c, b) over the c with L(U(a, b)) & L(U(c, b)) the cone of b, then
- * verified; L(U) is symmetric, so L(U(c, b)) is read along row b.  A
- * relative cell (a, b) is the greatest x whose common lower bounds with a
- * lie below b: x fails exactly when it lies above some y <= a outside the
- * cone of b, so the qualifying set is a down-set, and the cell its maximum
- * when it has one. */
-static PyObject *poset_pc_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    uint64_t ub[64], db[64], us[64 * 65 / 2], low[64 * 65 / 2];
-    int uid[64 * 64], star[64 * 64], rel[64 * 64], n, star_total = 1, rel_total = 1;
-    if (read_n("poset_pc_tables", args, nargs, 3, 64, &n) || read_masks(args[1], n, ub)
-        || read_masks(args[2], n, db))
-        return NULL;
-    distinct_lu(n, ub, db, us, low, uid);
+    int *star = join, *rel = meet, star_total = 1, rel_total = 1;
     uint64_t full = FULL(n);
     for (int a = 0; a < n; a++)
         for (int b = 0; b < n; b++) {
@@ -429,8 +393,25 @@ static PyObject *poset_pc_tables(PyObject *self, PyObject *const *args, Py_ssize
             rel[a * n + b] = extreme(full & ~above, db);
             rel_total &= rel[a * n + b] >= 0;
         }
-    return Py_BuildValue("((NN)(NN))", int_rows(star, n), PyBool_FromLong(star_total),
-                         int_rows(rel, n), PyBool_FromLong(rel_total));
+    PyObject *lows = mask_tuple(low, k), *lu = lows ? PyTuple_New(n) : NULL;
+    for (int x = 0; lu && x < n; x++) {
+        PyObject *row = PyTuple_New(n);
+        if (!row) {
+            Py_CLEAR(lu);
+            break;
+        }
+        for (int y = 0; y < n; y++)
+            PyTuple_SET_ITEM(row, y, Py_NewRef(PyTuple_GET_ITEM(lows, uid[x * n + y])));
+        PyTuple_SET_ITEM(lu, x, row);
+    }
+    if (!lu) {
+        Py_XDECREF(lows);
+        Py_DECREF(lattice);
+        return NULL;
+    }
+    return Py_BuildValue("(N(NN)(NN)(NNNN))", lattice, int_rows(star, n),
+                         PyBool_FromLong(star_total), int_rows(rel, n), PyBool_FromLong(rel_total),
+                         mask_tuple(us, k), int_rows(uid, n), lows, lu);
 }
 
 /* No library caller: perfbench/twins.py still calls it by name. */
@@ -1413,17 +1394,10 @@ static PyMethodDef methods[] = {
     KERNEL(poset_index, "poset_index(n, up, closed)\n--\n\n"
            "(down, topo, top, bottom, covers) of an order's up-masks, or its first\n"
            "fault (kind, i, j); see the pure twin."),
-    KERNEL(lattice_tables, "lattice_tables(n, up, down)\n--\n\n"
-           "(join, meet) tables as tuples of row tuples, or (kind, a, b, frontier)\n"
-           "at the first pair in topo order without a lub or glb; see the pure twin."),
-    KERNEL(poset_pc_tables, "poset_pc_tables(n, up, down)\n--\n\n"
-           "((star_rows, star_total), (rel_rows, rel_total)): the sectional and the\n"
-           "relative pseudocomplement tables of a poset as tuples of row tuples, None\n"
-           "marking an undefined cell, each with whether it has none; see the pure twin."),
-    KERNEL(operator_tables, "operator_tables(n, up, down)\n--\n\n"
-           "(us, uid, low, lu): the distinct sets U(x, y) = up[x] & up[y] in first-seen\n"
-           "row-major order, the rows of each pair's number among them, the lower set\n"
-           "of each, and the rows of each pair's lower set; every row a tuple."),
+    KERNEL(order_tables, "order_tables(n, up, down)\n--\n\n"
+           "(lattice, (star_rows, star_total), (rel_rows, rel_total), (us, uid, low, lu)):\n"
+           "every pairwise table of an order in one call; the ordalg._kernels\n"
+           "docstring states the contract."),
     KERNEL(rrl_scan, "rrl_scan(n, up, top, join, mult, imp)\n--\n\n"
            "Axiom scan for a residuation candidate; returns a bitmask of failures.\n\n"
            "bit 0: commutative groupoid with unit, bit 1: monotone multiplication,\n"

@@ -106,13 +106,10 @@ def _minimal(mask, down):
     return sum(1 << x for x in range(mask.bit_length()) if mask & down[x] == 1 << x)
 
 
-def lattice_tables(n, up, down):
-    """(join, meet) tables or the first pair without a lub or glb, as ``_kernels`` states.
-
-    A meet failure's frontier is 0: two maximal common lower bounds of a
-    and b have no join, and their pair comes earlier in topo order.
-    """
-    topo = topo_order(n, down)
+def _lattice(n, up, down, topo):
+    # (join, meet), or the first pair without a lub or glb; a meet failure's
+    # frontier is 0: two maximal common lower bounds of a and b have no join,
+    # and their pair comes earlier in topo order
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for ra, a in enumerate(topo):
@@ -129,32 +126,20 @@ def lattice_tables(n, up, down):
     return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
-def operator_tables(n, up, down):
-    """(us, uid, low, lu) for the sets U(x, y) = up[x] & up[y] of a poset.
+def order_tables(n, up, down):
+    """Every pairwise table of an order, as the ``_kernels`` docstring states.
 
-    ``us`` holds the distinct sets in first-seen row-major order, row x of
-    ``uid`` the index in ``us`` of each U(x, y), ``low`` the common lower
-    bounds of each set, and row x of ``lu`` those of each U(x, y).
+    ``(lattice, (star_rows, star_total), (rel_rows, rel_total), (us, uid,
+    low, lu))``.  The star cells read L(U(a, b)) from lu, which is
+    symmetric, so row b of ``lu`` is column b; a star cell depends on a
+    only through L(U(a, b)), so each column computes one cell per distinct
+    value of it.
     """
     full = (1 << n) - 1
     ids = {}
     uid = tuple([tuple([ids.setdefault(ux & uy, len(ids)) for uy in up]) for ux in up])
     low = tuple([common_bounds(full, down, u) for u in ids])
-    return tuple(ids), uid, low, tuple([tuple([low[i] for i in row]) for row in uid])
-
-
-def poset_pc_tables(n, up, down):
-    """((star_rows, star_total), (rel_rows, rel_total)): both pseudocomplement tables.
-
-    The sectional table's cells are ``star_cell``, the relative table's
-    ``relative_cell``; None marks an undefined cell, and each total says
-    that its table has none.  L(U(a, b)) comes from ``operator_tables``,
-    and it is symmetric, so row b of ``lu`` is column b; a star cell
-    depends on a only through L(U(a, b)), so each column computes one cell
-    per distinct value of it.
-    """
-    full = (1 << n) - 1
-    lu = operator_tables(n, up, down)[3]
+    lu = tuple([tuple([low[i] for i in row]) for row in uid])
     cols, star_total = [], True
     for b, lu_b in enumerate(lu):
         cells = {v: star_cell(full, up, down, v, lu_b, b) for v in set(lu_b)}
@@ -163,8 +148,8 @@ def poset_pc_tables(n, up, down):
     by_down = {d: x for x, d in enumerate(down)}
     rel = tuple([tuple([relative_cell(full, up, by_down, da, db) for db in down])
                  for da in down])
-    return ((tuple(zip(*cols)), star_total),
-            (rel, all(None not in row for row in rel)))
+    return (_lattice(n, up, down, topo_order(n, down)), (tuple(zip(*cols)), star_total),
+            (rel, all(None not in row for row in rel)), (tuple(ids), uid, low, lu))
 
 
 _FORMS = {"up": "U[{0}]", "down": "D[{0}]", "leq": "({0} >> {1} & 1)", "eq": "({0} == {1})",

@@ -3,16 +3,17 @@
 The canonical product of two subsets is the set of their common lower
 bounds; the canonical residual of a pair of elements is the lower cone of
 their sectional pseudocomplement.  Explicit table-backed operators exist
-so tests can inject broken operators and watch the axioms fail.
+so tests can inject broken operators and watch the axioms fail.  The
+sets U(x, y) and their lower sets come from the order's kept tables,
+``poset._order_tables``.
 """
 
 from functools import cached_property
 
-from . import _kernels as kernels
 from . import laws
 from .errors import NoTopError, OrdAlgError, PartialStarError, SubsetBudgetError
 from .binop import _check_pair
-from .poset import lower_set
+from .poset import _order_tables, lower_set
 from .residuation import AxiomReport, _require_verified
 from .verdict import HOLDS, Record, Verdict
 
@@ -24,8 +25,8 @@ class CanonicalProduct:
 
     L(A u B) = L(A) & L(B), so the product needs one lower set per operand,
     which it keeps for its own lifetime.  An operator scan pre-fills the
-    lower sets of every U(x, y) from the ``operator_tables`` kernel, so
-    the product table it builds does no ``lower_set`` work.
+    lower sets of every U(x, y) from the order's kept tables, so the
+    product table it builds does no ``lower_set`` work.
     """
 
     def __init__(self, poset):
@@ -125,7 +126,7 @@ def canonical_operators(p, star):
 
 def generated_family(p):
     """Deterministic small family of subset masks: all U(x,y), singletons, empty, full."""
-    us = kernels.operator_tables(p.n, p.up, p.down)[0]
+    us = _order_tables(p)[3][0]
     return tuple(sorted({0, p.full, *(1 << i for i in range(p.n)), *us}))
 
 
@@ -187,15 +188,15 @@ def _mask_tables(op):
 
     They hold the residual of each pair and, over the distinct sets U(x, y)
     of common upper bounds, which the uid table numbers, their common lower
-    bounds and the product of each two of them.  The ``operator_tables``
-    kernel gives the sets, uid and lu tables.
+    bounds and the product of each two of them.  The order's kept tables
+    give the sets, uid and lu tables.
     """
     p, prod, resid = op.poset, op.prod, op.resid
     if isinstance(resid, CanonicalResidual):
         rows = [[p.down[s] for s in row] for row in resid.star.table]
     else:
         rows = [[resid.r(x, y) for y in range(p.n)] for x in range(p.n)]
-    us, uid, low, lu = kernels.operator_tables(p.n, p.up, p.down)
+    us, uid, low, lu = _order_tables(p)[3]
     if isinstance(prod, CanonicalProduct) and prod.poset is p:
         prod._lower.update(zip(us, low))
     return {"resid": rows, "uid": uid, "prod": [[prod.m(u, v) for v in us] for u in us], "lu": lu}

@@ -4,10 +4,14 @@ Subsets of the carrier are int bitmasks: bit i stands for element i.
 ``up[i]`` is the mask of everything above element i (inclusive), ``down[i]``
 the mask of everything below.  A fixed linear extension ``topo`` orders all
 witness searches, so every reported counterexample is deterministic and
-lexicographically least in that order.
+lexicographically least in that order.  Every pairwise table of an
+order (join and meet, the two pseudocomplement tables, and the sets
+U(x, y) with their lower sets) comes from one ``order_tables`` kernel
+call, and ``_order_tables`` keeps the last order's, for ``as_lattice``,
+``pseudocomplement`` and ``operators`` alike.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import _kernels as kernels
 from . import laws
@@ -161,9 +165,8 @@ class LatticeOps(Record):
     ``as_lattice`` computes; tables given here must equal them, cell for
     cell, and the object keeps ``as_lattice``'s rows.  The first lattice
     check to run scans the three laws of ``laws.LATTICE`` once and keeps
-    the result as ``found``.  Tables derived from the poset are not kept
-    here: ``star_table_poset`` and ``relative_table_poset`` keep the last
-    poset's two pseudocomplement tables.
+    the result as ``found``.  The order's other tables are not kept here:
+    ``_order_tables`` keeps them with the join and meet rows.
     """
 
     __slots__ = ("poset", "join", "meet", "top", "bottom", "__dict__")
@@ -223,16 +226,28 @@ def _require_lattice(lat):
     raise TypeError(f"expected a LatticeOps, not {type(lat).__name__}")
 
 
+@lru_cache(maxsize=1)
+def _order_tables(p):
+    """(lattice, star, rel, (us, uid, low, lu)) of the last order, from one kernel call.
+
+    The ``order_tables`` answer of the ``_kernels`` docstring, with the
+    sectional and relative pseudocomplement tables as BinOps, so that the
+    checks that share an order build its tables once.
+    """
+    lattice, star, rel, sets = kernels.order_tables(p.n, p.up, p.down)
+    return lattice, BinOp._trusted(*star), BinOp._trusted(*rel), sets
+
+
 def as_lattice(p):
     """LatticeOps when every pair has a lub and glb, else a NotALattice witness.
 
-    The ``lattice_tables`` kernel runs the pairs in the fixed topological
-    order and names the first failure itself, with its frontier as a mask.
-    Its tables are the order's least upper and greatest lower bounds, the
-    ones ``LatticeOps(p, join, meet)`` holds given tables to, so they
-    enter the LatticeOps as they are.
+    The kernel runs the pairs in the fixed topological order and names the
+    first failure itself, with its frontier as a mask.  Its tables are the
+    order's least upper and greatest lower bounds, the ones
+    ``LatticeOps(p, join, meet)`` holds given tables to, so they enter the
+    LatticeOps as they are.
     """
-    tabs = kernels.lattice_tables(p.n, p.up, p.down)
+    tabs = _order_tables(p)[0]
     if len(tabs) == 2:
         lat = object.__new__(LatticeOps)
         lat._fill(p, *tabs, p.top, p.bottom)

@@ -3,23 +3,20 @@
 Two independent routes exist on purpose: the lattice route works from
 join/meet tables, the poset route only from upper/lower cones.  On any
 lattice the two must agree cell for cell, and the test suite holds them
-to that.  The poset route is the kernel ``poset_pc_tables``, which builds
-both tables in one call and whose cell rules ``_kernels._common`` states
-once (``star_cell``, ``relative_cell``); the single-cell functions here
-call those rules.  The lattice route stays plain Python, independent of them.
+to that.  The poset route reads both tables from ``poset._order_tables``,
+which keeps the last order's tables from one kernel call; their cell
+rules ``_kernels._common`` states once (``star_cell``, ``relative_cell``),
+and the single-cell functions here call those rules.  The lattice route stays plain Python, independent of them.
 The join formula of ``synthesize_sectional`` only explains a failure.
 ``classify`` and ``is_meet_semidistributive`` read modularity,
 distributivity and meet semidistributivity from the lattice's one kept
 law scan, ``LatticeOps.found``, whichever of them runs first.
 """
 
-from functools import lru_cache
-
-from . import _kernels as kernels
 from . import laws
 from ._kernels._common import extreme, relative_cell, star_cell
-from .binop import BinOp, _check_pair
-from .poset import NotALattice, _require_lattice, as_lattice, lower_set
+from .binop import _check_pair
+from .poset import NotALattice, _order_tables, _require_lattice, as_lattice, lower_set
 from .verdict import Record, Verdict
 
 
@@ -69,21 +66,15 @@ def relative_pc_poset(p, a, b):
 def star_table_poset(p):
     """Full sectional pseudocomplement table of a poset (kernel-backed).
 
-    Both tables of the last poset are kept: checks that share a poset
-    build them once, in one kernel call.
+    It is kept with the last poset's other tables: checks that share a
+    poset build them once, in one kernel call.
     """
-    return _pc_tables(p)[0]
+    return _order_tables(p)[1]
 
 
 def relative_table_poset(p):
     """Full relative pseudocomplement table of a poset, kept with its star table."""
-    return _pc_tables(p)[1]
-
-
-@lru_cache(maxsize=1)
-def _pc_tables(p):
-    (star, star_total), (rel, rel_total) = kernels.poset_pc_tables(p.n, p.up, p.down)
-    return BinOp._trusted(star, star_total), BinOp._trusted(rel, rel_total)
+    return _order_tables(p)[2]
 
 
 def is_meet_semidistributive(lat):
@@ -140,7 +131,8 @@ def classify(p, lattice=None):
 
     A LatticeOps or NotALattice of another poset raises ValueError.  The
     lattice laws come from the lattice's kept law scan, and the star and
-    relative tables from one kernel call, kept for the checks that follow.
+    relative tables from the order's kept tables, built in one kernel call
+    with its join and meet.
     """
     witnesses = {}
     lat = lattice if lattice is not None else as_lattice(p)

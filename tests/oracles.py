@@ -553,7 +553,7 @@ def lattice_tables_by_loops(p, join, meet):
 def not_a_lattice_by_rescan(p):
     """NotALattice at the first pair in topological order without a lub or glb, or None.
 
-    The rescan ``as_lattice`` ran before ``lattice_tables`` named the
+    The rescan ``as_lattice`` ran before the table kernel named the
     failure: for each pair (a, b) with b no earlier than a, the minimal
     common upper bounds, then the maximal common lower bounds, must be one
     element.
@@ -782,7 +782,7 @@ def identity_basis_by_loops(cand):
 
 
 def operator_tables_by_comprehension(p):
-    """(us, uid, low, lu) of ``operator_tables``, built the way the operator
+    """(us, uid, low, lu) of ``order_tables``, built the way the operator
     scan built them before the kernel: a dict numbering each U(x, y) as it
     is first seen row by row, and one lower_set call per distinct set."""
     ids = {}

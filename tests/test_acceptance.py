@@ -36,7 +36,8 @@ from ordalg import (
     star_table_poset,
     synthesize_sectional,
 )
-from ordalg.pseudocomplement import FailureWitness, _pc_tables
+from ordalg.poset import _order_tables
+from ordalg.pseudocomplement import FailureWitness
 
 from oracles import all_partitions, congruence_oracle, lattice_algebra
 from test_congruence import chain_algebra
@@ -72,7 +73,7 @@ def test_criterion_1_pentagon_sectional_table():
     fx = fixture("pentagon")
     lat = as_lattice(fx.poset)
     # each repeat builds the table: star_table_poset would keep the last one
-    ms = _best_ms(lambda: (_pc_tables.cache_clear(), synthesize_sectional(lat)))
+    ms = _best_ms(lambda: (_order_tables.cache_clear(), synthesize_sectional(lat)))
     star = synthesize_sectional(lat)
     problems = []
     for a in range(5):
@@ -90,7 +91,7 @@ def test_criterion_1_pentagon_sectional_table():
 def test_criterion_2_bowtie_tables():
     fx = fixture("bowtie")
     p = fx.poset
-    ms = _best_ms(lambda: (_pc_tables.cache_clear(), star_table_poset(p),
+    ms = _best_ms(lambda: (_order_tables.cache_clear(), star_table_poset(p),
                            relative_table_poset(p)))
     star = star_table_poset(p)
     problems = []

@@ -128,10 +128,9 @@ def test_tables_identical_on_catalog():
     for p in itertools.chain(catalog, wide):
         args = (p.n, list(p.up), list(p.down))
         for twin in (c, py):
-            lattice = twin.lattice_tables(*args)
-            pc = twin.poset_pc_tables(*args)
-            assert type(pc) is tuple and len(pc) == 2
-            star, rel = pc
+            tables = twin.order_tables(*args)
+            assert type(tables) is tuple and len(tables) == 4
+            lattice, star, rel, _ = tables
             for table, total in (star, rel):
                 assert type(total) is bool and total == all(None not in row for row in table)
             assert type(lattice) is tuple and len(lattice) in (2, 4)
@@ -150,8 +149,7 @@ def test_tables_identical_on_catalog():
                     assert {type(cell) for cell in row} <= {int, type(None)}
                     assert all(cell is None or 0 <= cell < p.n for cell in row)
                     undefined.update(cell is None for cell in row)
-        assert c.lattice_tables(*args) == py.lattice_tables(*args)
-        assert c.poset_pc_tables(*args) == py.poset_pc_tables(*args)
+        assert c.order_tables(*args) == py.order_tables(*args)
     assert undefined == {True, False}
     # a first meet failure never has a frontier: two maximal lower bounds
     # have no join, and their pair comes earlier in topo order
@@ -175,17 +173,17 @@ def test_operator_tables_identical_and_equal_to_the_comprehensions():
     wide = (fixture(name).poset for name in ("bool6", "chain64"))
     for p in itertools.chain(with_top, wide):
         args = (p.n, list(p.up), list(p.down))
-        tables = c.operator_tables(*args)
+        tables = c.order_tables(*args)[3]
         operator_tables_keep_their_contract(p, tables)
-        assert tables == py.operator_tables(*args) == o.operator_tables_by_comprehension(p)
+        assert tables == py.order_tables(*args)[3] == o.operator_tables_by_comprehension(p)
     # n = 80 routes to the pure twin
     p = direct_product(fixture("pentagon").poset, fixture("bool4").poset, max_size=80)
-    tables = kernels.operator_tables(p.n, p.up, p.down)
+    tables = kernels.order_tables(p.n, p.up, p.down)[3]
     operator_tables_keep_their_contract(p, tables)
     assert tables == o.operator_tables_by_comprehension(p)
 
 
-TABLE_KERNELS = ("lattice_tables", "poset_pc_tables", "operator_tables")
+TABLE_KERNELS = ("order_tables",)
 
 
 def scan_args(alg):
@@ -198,12 +196,12 @@ def test_table_kernels_hold_no_reference_after_returning(twin, calls):
     # A row the kernel forgets to release outlives every call, so the
     # allocated block count grows with the number of calls; the pure twin
     # takes fewer calls because each one is slower.
-    # The bowtie covers lattice_tables' failure return; chain4 and the
+    # The bowtie covers order_tables' lattice failure; chain4 and the
     # projection algebra cover each of congruence_scan's witnesses.
     twin = c_backend() if twin == "c" else py
     cases = [(kernel, (p.n, list(p.up), list(p.down)))
              for kernel, p in [(kernel, fixture("bool4").poset) for kernel in TABLE_KERNELS]
-             + [("lattice_tables", fixture("bowtie").poset)]]
+             + [("order_tables", fixture("bowtie").poset)]]
     pointed = o.lattice_algebra(fixture("chain4").poset), tc.projection_algebra(3)
     cases += [("congruence_scan", scan_args(alg)) for alg in pointed]
     for kernel, args in cases:
@@ -683,7 +681,7 @@ def test_law_scan_recomputes_only_what_moved():
 
 
 def test_kernels_derive_the_topological_order_top_and_bottom():
-    """lattice_tables and law_scan take an order as (n, up, down) alone.
+    """order_tables and law_scan take an order as (n, up, down) alone.
 
     On every poset of the n <= 6 catalog, as enumerated and with its labels
     reversed, and on bool6 and chain64, both twins agree, result types
@@ -718,7 +716,7 @@ def test_kernels_derive_the_topological_order_top_and_bottom():
         )
         bounds.add((p.top is not None, p.bottom is not None))
         args = (p.n, p.up, p.down)
-        assert typed(c.lattice_tables(*args)) == typed(py.lattice_tables(*args))
+        assert typed(c.order_tables(*args)) == typed(py.order_tables(*args))
         for twin in (c, py):
             assert tp.kernel_witness(twin, p) == o.not_a_lattice_by_rescan(p), p.up
         for end, cases in groups:
@@ -742,9 +740,7 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
     c = c_backend()
     cases = (
         ("closure", 64, lambda n: (n, [0] * n)),
-        ("lattice_tables", 64, lambda n: (n, [0] * n, [0] * n)),
-        ("poset_pc_tables", 64, lambda n: (n, [0] * n, [0] * n)),
-        ("operator_tables", 64, lambda n: (n, [0] * n, [0] * n)),
+        ("order_tables", 64, lambda n: (n, [0] * n, [0] * n)),
         ("rrl_scan", 64, lambda n: (n, [0] * n, 0) + ([0] * (n * n),) * 3),
         ("divisibility_scan", 64, lambda n: (n,) + ([0] * (n * n),) * 3),
         ("law_scan", 64, lambda n: (n, [0] * n, [0] * n, (), plan_of(c, ()))),
@@ -767,13 +763,10 @@ def test_kernels_reject_inputs_their_buffers_cannot_hold():
         lambda: c.closure(3, [8, 0, 0]),
         lambda: c.closure(3, [1, 2]),
         lambda: c.closure(64, [1 << 64] + [0] * 63),
-        lambda: c.lattice_tables(2, [3, 2], [1, 4]),
-        lambda: c.poset_pc_tables(2, [3, 2], [1, 4]),
-        lambda: c.poset_pc_tables(2, [3, 6], [1, 3]),
-        lambda: c.poset_pc_tables(2, [3], [1, 3]),
-        lambda: c.operator_tables(2, [3, 2], [1, 4]),
-        lambda: c.operator_tables(2, [3, 6], [1, 3]),
-        lambda: c.operator_tables(64, [1 << 64] + [0] * 63, [0] * 64),
+        lambda: c.order_tables(2, [3, 2], [1, 4]),
+        lambda: c.order_tables(2, [3, 6], [1, 3]),
+        lambda: c.order_tables(2, [3], [1, 3]),
+        lambda: c.order_tables(64, [1 << 64] + [0] * 63, [0] * 64),
         lambda: c.rrl_scan(2, [3, 2], 2, [0] * 4, [0] * 4, [0] * 4),
         lambda: c.rrl_scan(2, [3, 2], 1, [0] * 4, [0, 0, 0, 64], [0] * 4),
         lambda: c.divisibility_scan(2, [0] * 4, [0] * 4, [0, -1, 0, 0]),
@@ -1067,7 +1060,7 @@ def test_the_pure_twin_loads_only_for_a_call_it_serves():
     names = tuple(f"c{i}" for i in range(65))
     p = make_poset(names, tuple(zip(names, names[1:])), max_size=100)
     assert out.stdout.splitlines() == ["False", "True", repr(classify(p)),
-                                       str(py.poset_pc_tables(p.n, p.up, p.down)[0][0])]
+                                       str(py.order_tables(p.n, p.up, p.down)[1][0])]
 
 
 def test_env_var_selects_backend():

@@ -402,8 +402,8 @@ def test_kernel_join_and_meet_are_bounds_on_random_posets(p):
 
 
 def kernel_witness(twin, p):
-    """as_lattice's answer read from one twin's lattice_tables: None on a lattice."""
-    tabs = twin.lattice_tables(p.n, p.up, p.down)
+    """as_lattice's answer read from one twin's order_tables: None on a lattice."""
+    tabs = twin.order_tables(p.n, p.up, p.down)[0]
     if len(tabs) == 2:
         return None
     kind, a, b, frontier = tabs

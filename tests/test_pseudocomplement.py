@@ -12,11 +12,15 @@ from ordalg import (
     NotALattice,
     Poset,
     as_lattice,
+    canonical_operators,
+    check_operator_axioms,
     classify,
     direct_product,
     enumerate_structures,
     fixture,
+    generated_family,
     is_meet_semidistributive,
+    operator_derived_laws,
     lower_set,
     relative_pc,
     relative_pc_poset,
@@ -29,7 +33,7 @@ from ordalg import (
 )
 from ordalg import _kernels as kernels
 from ordalg._kernels import _core_py
-from ordalg.pseudocomplement import _pc_tables
+from ordalg.poset import _order_tables
 
 from oracles import (
     relabeled,
@@ -226,23 +230,29 @@ def test_classify_rejects_a_non_lattice_witness_of_another_poset():
 
 
 def test_classify_and_the_checks_after_it_build_the_star_table_once(monkeypatch):
-    # one kernel call builds both tables, and the last poset's are kept, so
-    # the checks that follow classify on an equal poset reuse them, and a
-    # new poset replaces them
+    # one kernel call builds every table of an order, and the last order's
+    # are kept, so the checks that follow on an equal poset reuse them, and
+    # a new poset replaces them
     calls = []
-    build = kernels.poset_pc_tables
-    monkeypatch.setattr(kernels, "poset_pc_tables", lambda *args: calls.append(1) or build(*args))
+    build = kernels.order_tables
+    monkeypatch.setattr(kernels, "order_tables", lambda *args: calls.append(1) or build(*args))
     pentagon, bowtie = fixture("pentagon").poset, fixture("bowtie").poset
-    _pc_tables.cache_clear()
+    _order_tables.cache_clear()
     classify(pentagon)
     assert len(calls) == 1
     assert star_table_poset(pentagon).table == fixture("pentagon").star.table
     assert relative_table_poset(pentagon).value(3, 1) is None
     assert len(calls) == 1
-    _pc_tables.cache_clear()
+    # a fresh order with a top, through the lattice, pseudocomplement and
+    # operator checks: one call in all
+    _order_tables.cache_clear()
     lat = as_lattice(pentagon)
     classify(pentagon, lat)
-    assert synthesize_sectional(lat) is star_table_poset(fixture("pentagon").poset)
+    star = synthesize_sectional(lat)
+    assert star is star_table_poset(fixture("pentagon").poset)
+    op = canonical_operators(pentagon, star)
+    operator_derived_laws(op, check_operator_axioms(op))
+    assert generated_family(pentagon)
     assert len(calls) == 2
     star_table_poset(bowtie)
     star_table_poset(pentagon)
@@ -314,7 +324,7 @@ def test_pure_relative_table_matches_per_x_oracle():
     for p in cases:
         want = tuple(tuple(relative_pc_per_x(p, a, b) for b in range(p.n)) for a in range(p.n))
         total = all(None not in row for row in want)
-        assert _core_py.poset_pc_tables(p.n, p.up, p.down)[1] == (want, total), p.up
+        assert _core_py.order_tables(p.n, p.up, p.down)[2] == (want, total), p.up
     assert len(cases) == 406 + 405
 
 
@@ -345,7 +355,7 @@ def test_pure_star_table_matches_cone_oracle():
         want = tuple(tuple(sectional_pc_by_cones(p, a, b) for b in range(p.n))
                      for a in range(p.n))
         total = all(None not in row for row in want)
-        assert _core_py.poset_pc_tables(p.n, p.up, p.down)[0] == (want, total), p.up
+        assert _core_py.order_tables(p.n, p.up, p.down)[1] == (want, total), p.up
     assert len(cases) == 406 + 405
 
 
