@@ -43,6 +43,8 @@ from .poset import make_poset
 from .verdict import Record
 
 _NAME = re.compile(r"[A-Za-z0-9_.\-]+\Z")
+# what an "op NAME:" header reads as the name, once its comment is cut
+_OP_NAME = re.compile(r"[^\s:#]+\Z")
 _TOKEN = re.compile(r"[^\s<=#]+|<|=")
 _HEADER = re.compile(r"\s*(?:(elements|covers|constants)|op\s+([^\s:]+))\s*:\s*(.*)")
 
@@ -244,7 +246,23 @@ def from_poset(p, ops=None, constants=None):
 
 
 def render(sf):
-    """Canonical text for a structure description."""
+    """Canonical text for a structure description.
+
+    A name that ``parse`` would not read back raises ValueError, the first
+    in the order written: an element or constant name that is not a
+    distinct ``_NAME`` other than ".", or an operation name that is not a
+    distinct run of characters other than white space, ":" and "#".
+    """
+    ops = [name for name, _ in sf.ops]
+    keys = [key for key, _ in sf.constants]
+    if not (_good_names(sf.elements) and _good_names(keys) and len(set(ops)) == len(ops)
+            and all(map(_OP_NAME.match, ops))):
+        for kind, names, bad in (("element", sf.elements, _bad_name),
+                                 ("operation", ops, lambda name: not _OP_NAME.match(name)),
+                                 ("constant", keys, _bad_name)):
+            for k, name in enumerate(names):
+                if bad(name) or name in names[:k]:
+                    raise ValueError(f"{kind} name {name!r} would not parse back")
     out = ["elements: " + " ".join(sf.elements)]
     if sf.covers:
         out.append("")

@@ -15,6 +15,7 @@ from ordalg import (
     UnknownElementError,
     fixture,
     from_poset,
+    make_poset,
     parse,
     render,
     star_table_poset,
@@ -226,6 +227,34 @@ def test_round_trip_any_poset(p):
 def test_structure_file_is_normal_form_invariant():
     sf = StructureFile(elements=("a", "b"), covers=(("a", "b"),))
     assert parse(render(sf)) == sf
+
+
+def test_render_refuses_names_that_parse_does_not_read_back():
+    # render used to write each of these, as an element name, into a file
+    # that parse rejects
+    unreadable = ("a b", "x#1", "p<q", ".", "v=w")
+    for name in unreadable:
+        sf = from_poset(make_poset((name, "c"), ((name, "c"),)))
+        with pytest.raises(ValueError, match=re.escape(f"element name {name!r}")):
+            render(sf)
+    fx = fixture("pentagon")
+    p = fx.poset
+    for name in unreadable:
+        with pytest.raises(ValueError, match=re.escape(f"constant name {name!r}")):
+            render(from_poset(p, constants={name: p.top}))
+    for name in ("a b", "x#1", "f:", ""):
+        with pytest.raises(ValueError, match=re.escape(f"operation name {name!r}")):
+            render(from_poset(p, ops={name: fx.star}))
+    # a repeat is refused too, and the first name in the order written is named
+    with pytest.raises(ValueError, match="element name 'a'"):
+        render(StructureFile(elements=("a", "a", "b b")))
+    with pytest.raises(ValueError, match="operation name 'f'"):
+        render(StructureFile(elements=("a",), ops=(("f", (("a",),)), ("f", (("a",),))),
+                             constants=((".", "a"),)))
+    # an operation name is any run of characters but white space, ":" and "#"
+    for name in ("*", "<", "->", "=?", "x.y"):
+        sf = from_poset(p, ops={name: fx.star}, constants={"one": p.top})
+        assert parse(render(sf)) == sf
 
 
 def rendered_fixtures():
