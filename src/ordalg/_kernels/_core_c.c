@@ -342,12 +342,14 @@ static int distinct_lu(int n, const uint64_t *ub, const uint64_t *db, uint64_t *
  * earlier in topo order.  A star cell is _common.star_cell: the minimum of
  * the intersection of the U(c, b) over the c with L(U(a, b)) & L(U(c, b))
  * the cone of b, then verified; L(U) is symmetric, so L(U(c, b)) is read
- * along row b.  A relative cell (a, b) is the greatest x whose common lower
- * bounds with a lie below b: x fails exactly when it lies above some y <= a
- * outside the cone of b, so the qualifying set is a down-set, and the cell
- * its maximum when it has one.  The join and meet buffers hold the star
- * and relative cells once the lattice answer is built, and the lu rows
- * share the low tuple's ints. */
+ * along row b.  A star cell depends on a only through U(a, b), so each
+ * column computes one cell per distinct set: seen[id] is b + 1 once
+ * cell[id] holds column b's.  A relative cell (a, b) is the greatest x
+ * whose common lower bounds with a lie below b: x fails exactly when it
+ * lies above some y <= a outside the cone of b, so the qualifying set is
+ * a down-set, and the cell its maximum when it has one.  The join and meet
+ * buffers hold the star and relative cells once the lattice answer is
+ * built, and the lu rows share the low tuple's ints. */
 static PyObject *order_tables(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t ub[64], db[64], us[64 * 65 / 2], low[64 * 65 / 2], frontier = 0;
@@ -379,14 +381,21 @@ static PyObject *order_tables(PyObject *self, PyObject *const *args, Py_ssize_t 
         return NULL;
     int *star = join, *rel = meet, star_total = 1, rel_total = 1;
     uint64_t full = FULL(n);
-    for (int a = 0; a < n; a++)
-        for (int b = 0; b < n; b++) {
-            uint64_t lu_ab = low[uid[a * n + b]], lb = db[b], t = full, above = 0;
-            for (int c = 0; c < n; c++)
-                if ((lu_ab & low[uid[b * n + c]]) == lb)
-                    t &= ub[c] & ub[b];
-            int d = extreme(t, ub);
-            star[a * n + b] = (d >= 0 && (db[d] >> b) & 1 && (lu_ab & db[d]) == lb) ? d : -1;
+    uint8_t seen[64 * 65 / 2] = {0};
+    int8_t cell[64 * 65 / 2];
+    for (int b = 0; b < n; b++)
+        for (int a = 0; a < n; a++) {
+            int id = uid[a * n + b];
+            uint64_t lu_ab = low[id], lb = db[b], t = full, above = 0;
+            if (seen[id] != b + 1) {
+                for (int c = 0; c < n; c++)
+                    if ((lu_ab & low[uid[b * n + c]]) == lb)
+                        t &= ub[c] & ub[b];
+                int d = extreme(t, ub);
+                cell[id] = (int8_t)((d >= 0 && (db[d] >> b) & 1 && (lu_ab & db[d]) == lb) ? d : -1);
+                seen[id] = (uint8_t)(b + 1);
+            }
+            star[a * n + b] = cell[id];
             star_total &= star[a * n + b] >= 0;
             for (uint64_t m = db[a] & ~db[b]; m; m &= m - 1)
                 above |= ub[ctz64(m)];

@@ -106,10 +106,11 @@ def _minimal(mask, down):
     return sum(1 << x for x in range(mask.bit_length()) if mask & down[x] == 1 << x)
 
 
-def _lattice(n, up, down, topo):
+def _lattice(n, up, down):
     # (join, meet), or the first pair without a lub or glb; a meet failure's
     # frontier is 0: two maximal common lower bounds of a and b have no join,
     # and their pair comes earlier in topo order
+    topo = topo_order(n, down)
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for ra, a in enumerate(topo):
@@ -148,7 +149,7 @@ def order_tables(n, up, down):
     by_down = {d: x for x, d in enumerate(down)}
     rel = tuple([tuple([relative_cell(full, up, by_down, da, db) for db in down])
                  for da in down])
-    return (_lattice(n, up, down, topo_order(n, down)), (tuple(zip(*cols)), star_total),
+    return (_lattice(n, up, down), (tuple(zip(*cols)), star_total),
             (rel, all(None not in row for row in rel)), (tuple(ids), uid, low, lu))
 
 

@@ -6,7 +6,8 @@ lattice the two must agree cell for cell, and the test suite holds them
 to that.  The poset route reads both tables from ``poset._order_tables``,
 which keeps the last order's tables from one kernel call; their cell
 rules ``_kernels._common`` states once (``star_cell``, ``relative_cell``),
-and the single-cell functions here call those rules.  The lattice route stays plain Python, independent of them.
+and the single-cell functions here call those rules.  The lattice route
+stays plain Python, independent of them.
 The join formula of ``synthesize_sectional`` only explains a failure.
 ``classify`` and ``is_meet_semidistributive`` read modularity,
 distributivity and meet semidistributivity from the lattice's one kept
