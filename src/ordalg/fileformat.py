@@ -90,8 +90,10 @@ def _bad_name(text):
 
 
 def _good_names(names):
-    # distinct and valid, checked in bulk before any name is looked at alone
-    return len(set(names)) == len(names) and "." not in names and all(map(_NAME.match, names))
+    # distinct and valid, checked in bulk before any name is looked at alone:
+    # names that are not empty all match _NAME exactly when their join does
+    return (len(set(names)) == len(names) and "." not in names and all(names)
+            and (not names or _NAME.match("".join(names)) is not None))
 
 
 def _pairs(toks, rows, sep, kind):
