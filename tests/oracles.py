@@ -18,13 +18,14 @@ comprehension, lattice failures by rescanning every pair, sectional
 pseudocomplements by the join formula and by a scan over every c,
 every lattice, residuation and operator law by the hand loop it had
 before the law engine, and structure files by the parser that gave
-every token its line and column.  Slow but
+every token its line and column, and the relative residuations of a
+chain by a row-by-row count and by trying every product.  Slow but
 obviously correct, which is the point.
 """
 
 import re
-from functools import lru_cache
-from itertools import permutations
+from functools import cache, lru_cache
+from itertools import permutations, product
 
 from ordalg import (
     BinOp,
@@ -1042,3 +1043,66 @@ def parse_by_tokens(text):
         constants=tuple(sorted(constants)),
         op_headers=tuple(sorted(tok for _, tok, _ in sections if tok is not None)),
     )
+
+
+def chain_residuation_count(n):
+    """How many relative residuations the n-chain has, by a DP over one triangle.
+
+    On a chain, a relative residuation is exactly a commutative product on
+    the n - 1 elements below the top, monotone in each argument, with
+    x * y <= min(x, y) (README states the reduction), and its implication
+    is then forced.  So this counts the triangles T(x, y), 0 <= x <= y <
+    n - 1, weakly increasing along rows and columns, with T(x, y) <= x.
+    The rows are filled in turn, each from the entries of the row above it
+    in its own columns, on which the count of the rest is memoised.
+    """
+    m = n - 1
+
+    def rows(floor, cap):
+        # the weakly increasing rows r with floor[i] <= r[i] <= cap
+        if not floor:
+            yield ()
+            return
+        for v in range(floor[0], cap + 1):
+            for rest in rows(tuple(max(v, f) for f in floor[1:]), cap):
+                yield (v,) + rest
+
+    @cache
+    def fill(x, above):
+        # tables of rows x..m-1, row x bounded below by above, the entries
+        # of row x - 1 in columns x..m-1
+        if x == m:
+            return 1
+        return sum(fill(x + 1, row[1:]) for row in rows(above, x))
+
+    return fill(0, (0,) * m)
+
+
+def chain_residuations_by_brute_force(n):
+    """Every (mult, imp) pair of tables on the n-chain that the axioms admit.
+
+    The elements are 0..n-1 in chain order.  mult runs over every
+    commutative table with unit top, any value in every other cell, that
+    is monotone; then each cell (a, b) of imp independently takes every v
+    with (a v b) * (c v b) <= b exactly when c v b <= v, for every c, which
+    is both adjointness directions, and every choice of one v per cell is
+    a pair.
+    """
+    top = n - 1
+    cells = [(x, y) for x in range(top) for y in range(x, top)]
+    out = []
+    for values in product(range(n), repeat=len(cells)):
+        mult = [[x if y == top else y if x == top else None for y in range(n)]
+                for x in range(n)]
+        for (x, y), v in zip(cells, values):
+            mult[x][y] = mult[y][x] = v
+        if any(mult[a][c] > mult[b][c] for a in range(n) for b in range(a, n) for c in range(n)):
+            continue
+        choices = [[v for v in range(n)
+                    if all((mult[max(a, b)][max(c, b)] <= b) == (max(c, b) <= v)
+                           for c in range(n))]
+                   for a in range(n) for b in range(n)]
+        for imp in product(*choices):
+            out.append((tuple(map(tuple, mult)),
+                        tuple(imp[a * n:(a + 1) * n] for a in range(n))))
+    return out

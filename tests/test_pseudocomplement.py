@@ -305,6 +305,28 @@ def _relative_cases():
     yield direct_product(fixture("pentagon").poset, fixture("bool4").poset, max_size=128)
 
 
+def test_the_abstracts_first_claim_on_every_lattice_of_at_most_8_elements():
+    # a relatively pseudocomplemented lattice is distributive (and, finite,
+    # conversely), a sectionally pseudocomplemented one is meet
+    # semidistributive (and conversely), so RPC implies SPC; the SPC
+    # lattices that are not modular are the ones the paper sets out to admit
+    spc_not_modular = {}
+    checked = 0
+    for n in range(1, 9):
+        for p in enumerate_structures(n, "lattices").members:
+            r = classify(p)
+            assert r.is_relatively_pc == r.is_distributive, p.up
+            assert r.is_sectionally_pc == r.is_meet_semidistributive, p.up
+            assert r.is_sectionally_pc or not r.is_relatively_pc, p.up
+            if r.is_sectionally_pc and not r.is_modular:
+                spc_not_modular[n] = spc_not_modular.get(n, 0) + 1
+            checked += 1
+    assert checked == 300
+    total = sum(spc_not_modular.values())
+    assert (total, spc_not_modular) == (70, {5: 1, 6: 4, 7: 15, 8: 50}), (
+        f"{total} non-modular SPC lattices, by size {spc_not_modular}")
+
+
 def test_relative_table_matches_per_x_oracle():
     checked = 0
     for p in _relative_cases():

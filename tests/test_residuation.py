@@ -24,6 +24,8 @@ from ordalg import (
 )
 from ordalg import _kernels as kernels
 
+from oracles import chain_residuation_count, chain_residuations_by_brute_force
+
 AXIOMS = (
     "commutative-groupoid-with-unit",
     "mult-monotone",
@@ -267,3 +269,24 @@ def test_candidate_checks_refuse_an_order_that_is_not_a_lattice():
             call(nl)
         with pytest.raises(TypeError, match="^expected a LatticeOps, not Poset$"):
             call(bowtie)
+
+
+def test_chain_residuations_are_counted_by_a005130():
+    # the DP's counts for chain2..chain10 are A005130(n - 1), the Robbins
+    # numbers; that they always are is a conjecture checked this far
+    robbins = [1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460]
+    assert [chain_residuation_count(n) for n in range(2, 11)] == robbins
+
+
+def test_chain_residuation_count_equals_the_brute_force():
+    # the brute force assumes no part of the reduction the DP rests on, and
+    # every pair it finds is a residuation with all the derived laws
+    for n in range(2, 5):
+        pairs = chain_residuations_by_brute_force(n)
+        assert len(pairs) == chain_residuation_count(n), n
+        lat = as_lattice(fixture(f"chain{n}").poset)
+        for mult, imp in pairs:
+            cand = ResiduationCandidate(lat, BinOp(n, mult), BinOp(n, imp))
+            report = check_residuation(cand)
+            assert report.passed, (mult, imp)
+            assert all(derived_laws(cand, report).values()), (mult, imp)
